@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core import CompileOptions, CompiledProgram, compile_source
 from ..pisa import Packet, Pipeline, TargetSpec
 from ..structures import (
@@ -306,10 +308,10 @@ class NetCacheApp:
         With ``serve_batch > 0``, the trace is served in sub-batches of
         that size: each sub-batch runs through the batched fast path
         (vector kernels, and sharded across ``workers`` processes when
-        ``workers > 1``), then the controller scans the batch's results
-        before the next one is admitted. Promotions therefore lag by up
-        to one sub-batch relative to the streaming mode — the trade the
-        fleet makes for batch throughput.
+        ``workers > 1``), then the controller scans the batch's result
+        columns before the next one is admitted. Promotions therefore
+        lag by up to one sub-batch relative to the streaming mode — the
+        trade the fleet makes for batch throughput.
         """
         from ..pisa.pipeline import default_serve_batch, default_workers
 
@@ -337,6 +339,10 @@ class NetCacheApp:
             )
             return stats
 
+        # The same decisions as ``react``, read off whole columns: count
+        # the hits, then visit only the missed lanes whose estimate is
+        # hot, in lane order, checking ``_cached_keys`` live (an earlier
+        # lane of this batch may just have promoted the key).
         step = int(serve_batch)
         for start in range(0, len(key_list), step):
             batch_keys = key_list[start:start + step]
@@ -346,8 +352,16 @@ class NetCacheApp:
                 workers=workers,
                 shard_field="req_key",
             )
-            for key, result in zip(batch_keys, results):
-                react(key, result)
+            stats.packets += len(batch_keys)
+            hit = results.column("meta.kv_hit") != 0
+            stats.hits += int(np.count_nonzero(hit))
+            estimates = results.column("meta.cms_min")
+            lanes = np.nonzero(~hit & (estimates >= self.hot_threshold))[0]
+            for lane, estimate in zip(lanes.tolist(),
+                                      estimates[lanes].tolist()):
+                key = batch_keys[lane]
+                if key not in self._cached_keys:
+                    self._try_cache(key, self.value_of(key), estimate, stats)
         return stats
 
 

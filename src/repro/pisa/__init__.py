@@ -18,12 +18,12 @@ from .phv import Phv, PhvError, PhvLayout
 from .pipeline import (
     ENGINES,
     Pipeline,
-    PipelineResult,
     ValidationError,
     default_engine,
 )
 from .plan import PipelinePlan, StagePlan, UnitPlan, plan_taint
 from .registers import RegisterArray, RegisterError, RegisterFile
+from .results import BatchResults, PipelineResult
 from .sharded import classify_registers, run_sharded, shard_assignments
 from .targetspec import load_target, save_target, target_from_dict, target_to_dict
 from .resources import (
@@ -60,6 +60,7 @@ __all__ = [
     "ENGINES",
     "Pipeline",
     "PipelineResult",
+    "BatchResults",
     "ValidationError",
     "default_engine",
     "PipelinePlan",

@@ -20,7 +20,7 @@ control-plane helpers (:meth:`table_add`, :meth:`register_dump`, ...).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import Counter
 
 from ..lang import ast
 from ..lang.symbols import eval_static
@@ -33,6 +33,7 @@ from .packet import Packet
 from .phv import PhvLayout
 from .registers import RegisterFile
 from .resources import TargetSpec
+from .results import BatchResults, PipelineResult
 from .tables import MatchActionTable, TableEntry
 
 __all__ = ["Pipeline", "PipelineResult", "ValidationError",
@@ -71,20 +72,6 @@ def default_serve_batch() -> int:
 
 class ValidationError(Exception):
     """The compiled layout violates the target's resource model."""
-
-
-@dataclass
-class PipelineResult:
-    """Per-packet outcome: final PHV values and table hit flags."""
-
-    phv: dict[str, int]
-    table_hits: dict[str, bool] = field(default_factory=dict)
-
-    def get(self, key: str, default: int = 0) -> int:
-        return self.phv.get(key, default)
-
-    def hit(self, table: str) -> bool:
-        return self.table_hits.get(table, False)
 
 
 class Pipeline:
@@ -133,12 +120,11 @@ class Pipeline:
         if self.engine == "vector":
             from .vector import VectorPlan
 
-            try:
-                self.vplan = VectorPlan(self)
-            except Exception:
-                # The scalar plan is always valid; batches just lose the
-                # columnar fast path.
-                self.vplan = None
+            # Constructs the lowerer rejects become per-stage islands
+            # inside; anything that escapes is a lowering bug and must
+            # fail the build, not silently cost the columnar path.
+            self.vplan = VectorPlan(self)
+            self._export_island_metrics()
         if validate:
             self.validate()
         self._export_occupancy_metrics()
@@ -247,6 +233,19 @@ class Pipeline:
                 obs_metrics.gauge(
                     metric, help=help_text, labels=("stage",),
                 ).set(occ[key], stage=str(stage))
+
+    def _export_island_metrics(self) -> None:
+        """Count this build's vector-plan island stages by reason, so a
+        stage demoted to the scalar tier shows in ``p4all obs``."""
+        islands = obs_metrics.counter(
+            "p4all_vector_island_stages",
+            help="Stages the vector plan demoted to scalar islands, "
+                 "summed over pipeline builds.",
+            labels=("reason",),
+        )
+        for reason, stages in Counter(
+                self.vplan.island_reasons.values()).items():
+            islands.inc(stages, reason=reason)
 
     def validate(self) -> None:
         """Re-check every per-stage resource budget against the layout."""
@@ -494,15 +493,19 @@ class Pipeline:
     def process_many(self, packets, collect: bool = True, callback=None,
                      workers: int = 1,
                      shard_field: str | None = None
-                     ) -> list[PipelineResult] | int:
+                     ) -> BatchResults | int:
         """Run a packet sequence through the pipeline (batched fast path).
 
         Three modes:
 
-        * default (``collect=True``): returns the per-packet
-          :class:`PipelineResult` list — fine for test-scale runs, but it
-          materializes every result; trace-scale callers should prefer
-          one of the streaming modes below;
+        * default (``collect=True``): returns a
+          :class:`~repro.pisa.results.BatchResults` — a lane-ordered
+          sequence of :class:`PipelineResult` with ``column(key)`` /
+          ``hit_column(table)`` for whole-batch scans. The vector engine
+          keeps its columns and builds rows only when they are indexed
+          or iterated; the scalar engines build every row as they go,
+          so their trace-scale callers should prefer one of the
+          streaming modes below;
         * ``callback=fn``: streams each result to ``fn(result)`` as it is
           produced and returns the packet count — the controller can act
           between packets (promotion, eviction) without a result list
@@ -534,8 +537,11 @@ class Pipeline:
         if workers > 1 and callback is not None:
             raise ValueError("process_many: workers > 1 cannot stream "
                              "through a callback")
-        with trace.span("pisa.batch", engine=self.engine,
-                        workers=workers) as span:
+        attrs = {"engine": self.engine, "workers": workers}
+        if callback is None and self.vplan is not None and self.vplan.ok:
+            # A vector batch: say how much of it ran on the scalar tier.
+            attrs["island_stages"] = len(self.vplan.island_stages)
+        with trace.span("pisa.batch", **attrs) as span:
             self._in_batch = True
             try:
                 result = self._process_many(packets, collect, callback,
@@ -550,14 +556,13 @@ class Pipeline:
                 help="Packets processed through batched pipeline runs.",
                 labels=("engine",),
             ).inc(count, engine=self.engine)
-            flight.note("batch", "pisa.batch", engine=self.engine,
-                        workers=workers, packets=count)
+            flight.note("batch", "pisa.batch", packets=count, **attrs)
             return result
 
     def _process_many(self, packets, collect: bool, callback,
                       workers: int = 1,
                       shard_field: str | None = None
-                      ) -> list[PipelineResult] | int:
+                      ) -> BatchResults | int:
         pending = self._quiesce_pending
         if workers > 1:
             from .sharded import run_sharded
@@ -579,7 +584,7 @@ class Pipeline:
                 results.append(self.process(packet))
                 if pending:
                     self._drain_quiesce()
-            return results
+            return BatchResults(results)
         count = 0
         for packet in packets:
             self.process(packet)
@@ -589,7 +594,7 @@ class Pipeline:
         return count
 
     def _process_vector(self, packets,
-                        collect: bool) -> list[PipelineResult] | int:
+                        collect: bool) -> BatchResults | int:
         """Whole-batch columnar execution, chunked so deferred quiesce
         callbacks still get periodic drain points."""
         if not isinstance(packets, list):
@@ -598,7 +603,7 @@ class Pipeline:
         chunk = max(1, int(self.vector_chunk))
         run_batch = self.vplan.run_batch
         if collect:
-            results: list[PipelineResult] = []
+            results = BatchResults(wide=self.vplan.wide)
             for start in range(0, len(packets), chunk):
                 results.extend(run_batch(packets[start:start + chunk], True))
                 if pending:

@@ -55,6 +55,7 @@ from ..fabric.shard import key_hash
 from ..obs import merge_worker_obs, metrics, obs_control, trace
 from ..obs.aggregate import WorkerObsCapture
 from .interp import SimulationError
+from .results import BatchResults
 from .sharded import classify_registers, shard_assignments, _merge_deltas
 from .tables import TableEntry
 from .vector import PhvBatch
@@ -281,9 +282,10 @@ class WorkerPool:
             shard_field: Optional[str] = None):
         """Run one ``process_many`` batch through the pool.
 
-        Returns ``(result, report)`` where ``result`` is the result list
-        (lane order preserved) or the packet count, and ``report`` the
-        per-worker stats dict for ``pipeline.last_shard_report``.
+        Returns ``(result, report)`` where ``result`` is the batch's
+        :class:`BatchResults` (lane order preserved) or the packet
+        count, and ``report`` the per-worker stats dict for
+        ``pipeline.last_shard_report``.
         """
         if not self._shms:
             raise SimulationError("worker pool is closed")
@@ -297,7 +299,9 @@ class WorkerPool:
         for name, view in self._reg_views.items():
             view[:] = registers.get(name)._data
 
-        results: list = [None] * n if collect else None
+        # Gathered chunks stay columnar in the parent: rows are built
+        # from them on demand, never shipped from (or with) a worker.
+        results = BatchResults(wide=vplan.wide) if collect else None
         acked = [0] * self.workers
         failures: list[str] = []
 
@@ -372,8 +376,7 @@ class WorkerPool:
                 conn.send(msg)
             seq += 1
             if collect:
-                self._gather_chunk(pipeline, results, base, order, starts,
-                                   acked, drain_one)
+                self._gather_chunk(results, order, starts, acked, drain_one)
         counts_out = [0] * self.workers
         busys = [0.0] * self.workers
         relowers = [0] * self.workers
@@ -435,10 +438,10 @@ class WorkerPool:
         except SimulationError:
             return None
 
-    def _gather_chunk(self, pipeline, results, base, order, starts,
-                      acked, drain_one) -> None:
+    def _gather_chunk(self, results, order, starts, acked,
+                      drain_one) -> None:
         """Collect one chunk's result columns from every worker's out
-        region and materialize them back into original lane order."""
+        region, back in original lane order, onto ``results``."""
         lay = self.layout
         cn = len(order)
         cols: dict[str, np.ndarray] = {}
@@ -479,9 +482,7 @@ class WorkerPool:
                                          np.zeros(cn, dtype=bool))
                 pair[0][lanes] = hit
                 pair[1][lanes] = ran
-        batch = PhvBatch(cols, present, cn)
-        chunk_results = pipeline.vplan._materialize(batch, hits)
-        results[base:base + cn] = chunk_results
+        results.add_chunk(cols, present, cn, hits)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.aggregate import WorkerObsCapture
 from .compiled import _REG_METHODS, _NotStatic, _fold
+from .results import BatchResults
 
 __all__ = ["run_sharded", "classify_registers", "shard_assignments",
            "SHARD_MODES"]
@@ -259,7 +260,7 @@ def run_sharded(pipeline, packets, collect: bool, workers: int,
             "workers": workers, "counts": [], "busy_seconds": [],
             "mode": "empty",
         }
-        return [] if collect else 0
+        return BatchResults([]) if collect else 0
     # Deferred quiesce callbacks queued before the fan-out (e.g. by the
     # iterable that produced the packets) must fire at the worker-join
     # boundary, in the parent — never inside a worker, where their
@@ -450,4 +451,4 @@ def _run_sharded_body(pipeline, packets, collect, workers, shard_field):
     for lane, results in zip(lanes, worker_results):
         for pos, i in enumerate(lane.tolist()):
             out[i] = results[pos]
-    return out
+    return BatchResults(out)

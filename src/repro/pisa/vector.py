@@ -8,11 +8,15 @@ placed unit *once more*, from its AST into whole-batch numpy kernels:
 
 * the PHV becomes a struct-of-arrays batch (:class:`PhvBatch`): one
   ``int64`` column per field plus a presence mask, values always stored
-  post-width-mask;
-* expressions evaluate in the signed-``int64`` domain with static range
-  tracking — any subexpression whose value range could leave ``int64``
-  (or any construct the lowering cannot prove total) demotes the whole
-  stage to a *scalar island*;
+  post-width-mask (64-bit fields as their two's-complement bit pattern);
+* expressions evaluate on ``int64`` columns under a static *value kind*
+  per subexpression — ``Range(lo, hi)`` (the column is the value),
+  ``U64`` (a value in ``[0, 2**64)`` held as its bit pattern) or
+  ``Mod64`` (only the residue mod ``2**64`` is known; see
+  :func:`_kind`). Each operator is lowered only for the kinds on which
+  the column arithmetic is exact; anything else — and any construct the
+  lowering cannot prove total — demotes the whole stage to a *scalar
+  island*;
 * ``hash(seed, ...)`` vectorizes through
   :meth:`~repro.pisa.hashing.MultiplyShiftHash.vector_multi` (uint64
   wraparound, bit-identical to the scalar finalizer);
@@ -21,7 +25,9 @@ placed unit *once more*, from its AST into whole-batch numpy kernels:
   collisions inside one batch: ``add``/``cond_add`` use ``np.add.at``
   (commutative mod :math:`2^{64}`), ``add_read`` a segmented prefix sum
   over index-sorted lanes, ``swap`` a group-chained shift, ``write``
-  last-writer-wins dedup, ``max/min_update`` ``np.maximum.at``;
+  last-writer-wins dedup, ``max/min_update`` ``np.maximum.at`` — all on
+  the cells' own ``uint64`` storage, so 64-bit cells need no special
+  case;
 * single-exact-key table applies use a sorted-key ``searchsorted``
   cache (invalidated by :attr:`MatchActionTable.version`); entries
   whose actions cannot be vectorized trigger a per-batch
@@ -32,7 +38,8 @@ Islands materialize per-packet dicts, run the compiled closure plan's
 :meth:`~repro.pisa.plan.PipelinePlan.run_stage`, and scatter the dicts
 back into columns — bit-for-bit the scalar semantics, paid only for
 stages the static analysis rejects (intra-batch same-register hazards
-across steps, dynamic keys, unsupported constructs, 64-bit fields).
+across steps, dynamic keys, unsupported constructs, ``/ %`` or a table
+key on a 64-bit value).
 
 Safety of stage-at-a-time reordering rests on the pipeline invariant
 that a register lives in (and is only touched from) exactly one stage;
@@ -50,6 +57,7 @@ from .compiled import _REG_METHODS, _Lowering, _NotStatic, _fold
 from .hashing import MultiplyShiftHash
 from .interp import SimulationError
 from .registers import RegisterArray
+from .results import BatchResults, column_rows
 
 __all__ = ["VectorPlan", "PhvBatch"]
 
@@ -63,6 +71,8 @@ _ACTION_DATA_MAX = (1 << 31) - 1
 _HASH_WIDTH = 1 << 32
 _ZERO = np.int64(0)
 _ADDITIVE_METHODS = frozenset({"add", "add_read", "cond_add", "cond_add_read"})
+_COMPARES = {"==": np.equal, "!=": np.not_equal, "<": np.less,
+             ">": np.greater, "<=": np.less_equal, ">=": np.greater_equal}
 
 
 class _NotVectorizable(Exception):
@@ -85,20 +95,97 @@ def _as_array(value, n: int) -> np.ndarray:
     return value
 
 
-def _check_range(lo: int, hi: int) -> tuple[int, int]:
-    if lo < _I64_MIN or hi > _I64_MAX:
-        raise _NotVectorizable(f"value range [{lo}, {hi}] leaves int64")
-    return lo, hi
+def _pattern(value: int) -> np.int64:
+    """``value mod 2**64`` as the int64 holding that bit pattern."""
+    return np.uint64(value & _MASK64).view(np.int64)
 
 
-def _bit_range(alo, ahi, blo, bhi) -> tuple[int, int]:
-    """Sound range for ``&``/``|``/``^`` (int64 two's complement is exact
-    for any in-range operands, so only a covering bound is needed)."""
-    m = max(abs(alo), abs(ahi), abs(blo), abs(bhi))
-    bound = (1 << m.bit_length()) - 1
+def _u64(value) -> np.ndarray:
+    """Reinterpret an int64 kernel result as the unsigned value it encodes."""
+    return np.asarray(value).view(np.uint64)
+
+
+# -- value kinds ----------------------------------------------------------------
+#
+# What the lowerer statically knows about a subexpression's true
+# (unbounded Python int) value v, and so what its int64 column means:
+#
+# * ``(lo, hi)`` — Range: lo <= v <= hi inside int64; the column is v.
+# * ``_U64``    — 0 <= v < 2**64; the column is v's bit pattern, and its
+#   ``uint64`` view is v.
+# * ``_MOD64``  — v is unbounded; the column is v mod 2**64.
+#
+# A non-negative Range is also a valid U64 and any Range or U64 a valid
+# Mod64 (two's complement), so kinds only ever widen: Range ⊂ U64 ⊂ Mod64.
+
+_U64 = "u64"
+_MOD64 = "mod64"
+
+
+def _kind(lo: int, hi: int):
+    """The tightest kind covering every value in ``[lo, hi]``."""
+    if _I64_MIN <= lo and hi <= _I64_MAX:
+        return (lo, hi)
+    if lo >= 0 and hi <= _MASK64:
+        return _U64
+    return _MOD64
+
+
+def _bounds(kind, what: str) -> tuple[int, int]:
+    """``(lo, hi)`` of a Range or U64 operand of ``what``. A Mod64
+    column does not determine its value, so ``what`` cannot read it."""
+    if kind is _MOD64:
+        raise _NotVectorizable(f"{what} on a value known only mod 2**64")
+    return (0, _MASK64) if kind is _U64 else kind
+
+
+def _static(kind) -> Optional[int]:
+    """The value of a Range that pins it to one, else None."""
+    if isinstance(kind, tuple) and kind[0] == kind[1]:
+        return kind[0]
+    return None
+
+
+def _join(a, b):
+    """Kind of a value that is an ``a`` on some lanes and a ``b`` on others."""
+    if a is _MOD64 or b is _MOD64:
+        return _MOD64
+    (alo, ahi), (blo, bhi) = _bounds(a, "join"), _bounds(b, "join")
+    return _kind(min(alo, blo), max(ahi, bhi))
+
+
+def _unsigned(kinds, what: str) -> bool:
+    """How ``what`` must compare operands of these kinds: False — all
+    Ranges, compare the int64 columns; True — some are U64 and none can
+    be negative, compare the ``uint64`` views. Any other mix has no
+    column order that matches the value order."""
+    if all(isinstance(k, tuple) for k in kinds):
+        return False
+    if any(_bounds(k, what)[0] < 0 for k in kinds):
+        raise _NotVectorizable(
+            f"{what} mixes a 64-bit value with a possibly negative one")
+    return True
+
+
+def _truth(fn, kind, what: str) -> Callable:
+    """Lower ``value != 0`` (a zero Mod64 column may hide ``2**64``)."""
+    _bounds(kind, what)
+    return lambda cx: np.asarray(fn(cx)) != 0
+
+
+def _bit_kind(op: str, a, b):
+    """Kind of ``a op b`` for ``&``/``|``/``^``. Column bit operations
+    are exact mod 2**64 for every operand kind, so only the bound on
+    the result matters."""
+    if a is _MOD64 or b is _MOD64:
+        return _MOD64
+    (alo, ahi), (blo, bhi) = _bounds(a, op), _bounds(b, op)
     if alo >= 0 and blo >= 0:
-        return (0, bound)
-    return (-bound - 1, bound)
+        if op == "&":
+            return _kind(0, min(ahi, bhi))
+        return _kind(0, (1 << max(ahi, bhi).bit_length()) - 1)
+    bound = (1 << max(abs(alo), abs(ahi), abs(blo), abs(bhi)).bit_length()) - 1
+    return _kind(-bound - 1, bound)
 
 
 class PhvBatch:
@@ -209,12 +296,13 @@ class _RegKernels:
     """Builds step closures ``step(cx, g)`` for one bound RegisterArray."""
 
     def __init__(self, array: RegisterArray):
-        if array.width >= 64:
-            raise _NotVectorizable("64-bit register cells exceed int64")
         self.array = array
         self.data = array._data
         self.cells = array.cells
-        self.mask = np.int64(array.mask)
+        # Values arrive as int64 columns of any kind and are stored mod
+        # 2**width: masking the bit pattern is exact because the width
+        # is at most 64, and for 64-bit cells the mask is the identity.
+        self.mask = _pattern(array.mask)
         self.mask_u = np.uint64(array.mask)
 
     def _indices(self, cx, g, idx_fn) -> np.ndarray:
@@ -377,7 +465,7 @@ class _VecAction:
         self.name = name
         self.nparams = nparams
         self.steps = steps          # list of (cx, m) closures
-        self.written = written      # key -> (lo, hi) post-ranges
+        self.written = written      # key -> value kind it leaves there
         self.ok = ok                # False: selecting it bails to scalar
 
 
@@ -552,10 +640,11 @@ class _VecTable:
 class _VecLowering:
     """Lowers unit ASTs to whole-batch kernels (shared per pipeline)."""
 
-    def __init__(self, pipeline, plan):
+    def __init__(self, pipeline, plan, mask_i64):
         self.pipeline = pipeline
         self.plan = plan
         self.masks = plan.masks
+        self.mask_i64 = mask_i64
         self.consts = pipeline.info.consts
         self.low = _Lowering(
             consts=pipeline.info.consts,
@@ -565,33 +654,25 @@ class _VecLowering:
             hash_fns=pipeline._hash_fns,
             hash_factory=pipeline._hash_factory,
         )
-        self.wide = {k for k, m in self.masks.items() if m > _I64_MAX}
-        self.mask_i64 = {
-            k: (np.int64(-1) if k in self.wide else np.int64(m))
-            for k, m in self.masks.items()
-        }
         #: action name -> _VecAction (compiled on demand per table)
         self._vec_actions: dict[str, _VecAction] = {}
         self._action_ids: dict[str, int] = {}
 
     # -- expressions -----------------------------------------------------------
-    def expr(self, e: ast.Expr, scalars: dict[str, int],
-             env: dict[str, tuple[int, int]]):
-        """Lower to ``(fn(cx) -> int64 array-or-scalar, lo, hi)``."""
+    def expr(self, e: ast.Expr, scalars: dict[str, int], env: dict):
+        """Lower to ``(fn(cx) -> int64 array-or-scalar, kind)``."""
         if not isinstance(e, ast.Name) or e.ident not in scalars:
             try:
                 value = _fold(e, self.consts, scalars)
             except _NotStatic:
                 pass
             else:
-                _check_range(value, value)
-                const = np.int64(value)
-                return (lambda cx, _v=const: _v), value, value
+                return self._const(value)
         if isinstance(e, ast.Name):
             if e.ident in scalars:
                 pos = scalars[e.ident]
                 return ((lambda cx, _p=pos: cx.args[_p]),
-                        0, _ACTION_DATA_MAX)
+                        (0, _ACTION_DATA_MAX))
             return self._field_read(e.ident, env)
         if isinstance(e, (ast.Member, ast.Index)):
             key = self.low.field_key(e, scalars)
@@ -601,24 +682,37 @@ class _VecLowering:
         if isinstance(e, ast.UnaryOp):
             return self._unary(e, scalars, env)
         if isinstance(e, ast.BinaryOp):
+            if e.op in ("&&", "||"):
+                return self._logical(e, scalars, env)
             return self._binary(e, scalars, env)
         if isinstance(e, ast.Ternary):
-            cf, _cl, _ch = self.expr(e.cond, scalars, env)
-            tf, tlo, thi = self.expr(e.if_true, scalars, env)
-            ff, flo, fhi = self.expr(e.if_false, scalars, env)
-
-            def tern(cx, _c=cf, _t=tf, _f=ff):
-                return np.where(np.asarray(_c(cx)) != 0, _t(cx), _f(cx))
-
-            return tern, min(tlo, flo), max(thi, fhi)
+            cf, ck = self.expr(e.cond, scalars, env)
+            known = _static(ck)
+            if known is not None:
+                # Like the scalar engines, never touch the dead branch.
+                live = e.if_true if known else e.if_false
+                return self.expr(live, scalars, env)
+            cond = _truth(cf, ck, "ternary condition")
+            tf, tk = self.expr(e.if_true, scalars, env)
+            ff, fk = self.expr(e.if_false, scalars, env)
+            return ((lambda cx: np.where(cond(cx), tf(cx), ff(cx))),
+                    _join(tk, fk))
         if isinstance(e, ast.Call):
             return self._call(e, scalars, env)
         raise _NotVectorizable(f"cannot vectorize {type(e).__name__}")
 
+    @staticmethod
+    def _const(value: int):
+        const = _pattern(value)
+        return (lambda cx, _v=const: _v), _kind(value, value)
+
+    def _field_kind(self, key: str):
+        """Kind of a committed column: post-mask, so never Mod64 for a
+        field of at most 64 bits; a never-allocated field reads 0."""
+        return _kind(0, self.masks.get(key, 0))
+
     def _field_read(self, key: str, env):
         if env is not None and key in env:
-            lo, hi = env[key]
-
             # The local may be missing at runtime even though the env
             # says "written earlier": table actions only materialize
             # their writes for batches whose lanes select them.
@@ -629,116 +723,144 @@ class _VecLowering:
                 col = cx.cols.get(_k)
                 return _ZERO if col is None else col
 
-            return read_local, lo, hi
-        mask = self.masks.get(key)
-        if mask is None:
-            # Never allocated: scalar reads yield 0 forever.
-            return (lambda cx: _ZERO), 0, 0
-        if mask > _I64_MAX:
-            raise _NotVectorizable("64-bit PHV field")
+            return read_local, env[key]
 
         def read(cx, _k=key):
             col = cx.cols.get(_k)
             return _ZERO if col is None else col
 
-        return read, 0, mask
+        return read, self._field_kind(key)
 
     def _unary(self, e: ast.UnaryOp, scalars, env):
-        af, lo, hi = self.expr(e.operand, scalars, env)
-        if e.op == "-":
-            _check_range(-hi, -lo)
-            return (lambda cx: -np.asarray(af(cx))), -hi, -lo
-        if e.op == "~":
-            _check_range(-hi - 1, -lo - 1)
-            return (lambda cx: ~np.asarray(af(cx))), -hi - 1, -lo - 1
+        af, ak = self.expr(e.operand, scalars, env)
         if e.op == "!":
-            return ((lambda cx:
-                     (np.asarray(af(cx)) == 0).astype(np.int64)), 0, 1)
-        raise _NotVectorizable(f"unary {e.op!r}")
+            truth = _truth(af, ak, "'!'")
+            return ((lambda cx: np.logical_not(truth(cx)).astype(np.int64)),
+                    (0, 1))
+        if e.op not in ("-", "~"):
+            raise _NotVectorizable(f"unary {e.op!r}")
+        # -v and ~v = -v - 1 wrap mod 2**64 exactly like the columns do.
+        off = 0 if e.op == "-" else 1
+        kind = _MOD64
+        if ak is not _MOD64:
+            lo, hi = _bounds(ak, e.op)
+            kind = _kind(-hi - off, -lo - off)
+        ufunc = np.negative if e.op == "-" else np.invert
+        return (lambda cx: ufunc(af(cx))), kind
+
+    def _logical(self, e: ast.BinaryOp, scalars, env):
+        """``&&``/``||``. A left operand that folds decides the result or
+        leaves it to the right operand alone — the scalar engines
+        short-circuit, so the dead side must not be lowered (it may hold
+        a construct that only islands because it is never meant to run,
+        like SketchLearn's ``i == 0 || (flow_id >> (i - 1)) & 1 == 1``)."""
+        is_or = e.op == "||"
+        af, ak = self.expr(e.left, scalars, env)
+        known = _static(ak)
+        if known is not None and bool(known) == is_or:
+            return self._const(int(is_or))
+        bf, bk = self.expr(e.right, scalars, env)
+        b = _truth(bf, bk, repr(e.op))
+        if known is not None:
+            return (lambda cx: b(cx).astype(np.int64)), (0, 1)
+        a = _truth(af, ak, repr(e.op))
+        combine = np.logical_or if is_or else np.logical_and
+        return (lambda cx: combine(a(cx), b(cx)).astype(np.int64)), (0, 1)
 
     def _binary(self, e: ast.BinaryOp, scalars, env):
-        af, alo, ahi = self.expr(e.left, scalars, env)
-        bf, blo, bhi = self.expr(e.right, scalars, env)
+        af, ak = self.expr(e.left, scalars, env)
+        bf, bk = self.expr(e.right, scalars, env)
         op = e.op
-        if op == "+":
-            lo, hi = _check_range(alo + blo, ahi + bhi)
-            return (lambda cx: af(cx) + bf(cx)), lo, hi
-        if op == "-":
-            lo, hi = _check_range(alo - bhi, ahi - blo)
-            return (lambda cx: af(cx) - bf(cx)), lo, hi
-        if op == "*":
-            corners = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
-            lo, hi = _check_range(min(corners), max(corners))
-            return (lambda cx: af(cx) * bf(cx)), lo, hi
+        if op in ("+", "-", "*"):
+            # int64 ufuncs wrap mod 2**64 (and, unlike the operators,
+            # do not warn on numpy scalars), so the column is right for
+            # every operand kind; the bounds say how much of the value
+            # it still pins down.
+            kind = _MOD64
+            if ak is not _MOD64 and bk is not _MOD64:
+                (alo, ahi), (blo, bhi) = _bounds(ak, op), _bounds(bk, op)
+                if op == "+":
+                    kind = _kind(alo + blo, ahi + bhi)
+                elif op == "-":
+                    kind = _kind(alo - bhi, ahi - blo)
+                else:
+                    corners = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
+                    kind = _kind(min(corners), max(corners))
+            ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
+            return (lambda cx: ufunc(af(cx), bf(cx))), kind
         if op in ("&", "|", "^"):
-            lo, hi = _check_range(*_bit_range(alo, ahi, blo, bhi))
-            fn = {"&": (lambda cx: af(cx) & bf(cx)),
-                  "|": (lambda cx: af(cx) | bf(cx)),
-                  "^": (lambda cx: af(cx) ^ bf(cx))}[op]
-            return fn, lo, hi
-        if op == "/":
-            m = max(abs(alo), abs(ahi))
-            lo, hi = _check_range(-m, m)
+            ufunc = {"&": np.bitwise_and, "|": np.bitwise_or,
+                     "^": np.bitwise_xor}[op]
+            return ((lambda cx: ufunc(af(cx), bf(cx))),
+                    _bit_kind(op, ak, bk))
+        if op in ("/", "%"):
+            if not (isinstance(ak, tuple) and isinstance(bk, tuple)):
+                raise _NotVectorizable(f"{op!r} on a 64-bit operand")
+            m = max(abs(v) for v in (ak if op == "/" else bk))
+            ufunc = np.floor_divide if op == "/" else np.mod
 
-            def div(cx):
+            def divmod_(cx):
                 a = _as_array(af(cx), cx.n)
                 b = _as_array(bf(cx), cx.n)
                 out = np.zeros(cx.n, dtype=np.int64)
-                np.floor_divide(a, b, out=out, where=b != 0)
+                ufunc(a, b, out=out, where=b != 0)
                 return out
 
-            return div, lo, hi
-        if op == "%":
-            m = max(abs(blo), abs(bhi))
-            lo, hi = _check_range(-m, m)
-
-            def mod(cx):
-                a = _as_array(af(cx), cx.n)
-                b = _as_array(bf(cx), cx.n)
-                out = np.zeros(cx.n, dtype=np.int64)
-                np.mod(a, b, out=out, where=b != 0)
-                return out
-
-            return mod, lo, hi
+            return divmod_, (-m, m)
         if op in ("<<", ">>"):
-            if blo < 0:
-                # Negative shifts raise per-packet in the scalar engines.
-                raise _NotVectorizable("possibly negative shift amount")
-            s_lo, s_hi = min(blo, 64), min(bhi, 64)
-            if op == "<<":
-                corners = [v << s for v in (alo, ahi) for s in (s_lo, s_hi)]
-            else:
-                corners = [v >> s for v in (alo, ahi)
-                           for s in (min(s_lo, 63), min(s_hi, 63))]
-            lo, hi = _check_range(min(corners), max(corners))
-            # min(b, 63) is exact in the int64 domain: a 63-bit shift
-            # already saturates (>> to the sign, << range-checked to 0).
-            if op == "<<":
-                def shl(cx):
-                    return np.left_shift(
-                        np.asarray(af(cx)), np.minimum(bf(cx), 63))
-                return shl, lo, hi
+            return self._shift(op, af, ak, bf, bk)
+        if op in _COMPARES:
+            cmp = _COMPARES[op]
+            if _unsigned((ak, bk), repr(op)):
+                return ((lambda cx: cmp(_u64(af(cx)), _u64(bf(cx)))
+                         .astype(np.int64)), (0, 1))
+            return (lambda cx: cmp(af(cx), bf(cx)).astype(np.int64)), (0, 1)
+        raise _NotVectorizable(f"binary {op!r}")
 
+    @staticmethod
+    def _shift(op, af, ak, bf, bk):
+        """``a << min(b, 64)`` / ``a >> min(b, 64)``."""
+        if not isinstance(bk, tuple):
+            raise _NotVectorizable("64-bit shift amount")
+        if bk[0] < 0:
+            # Negative shifts raise per-packet in the scalar engines.
+            raise _NotVectorizable("possibly negative shift amount")
+        s_lo, s_hi = min(bk[0], 64), min(bk[1], 64)
+        if op == "<<":
+            kind = _MOD64
+            if ak is not _MOD64:
+                corners = [v << s for v in _bounds(ak, op)
+                           for s in (s_lo, s_hi)]
+                kind = _kind(min(corners), max(corners))
+
+            # Shift the bit pattern: the bits that fall off the top are
+            # exactly the multiples of 2**64 every kind may drop (a
+            # Range result never loses any). C leaves shifts by >= 64
+            # undefined, so that case is spelled out.
+            def shl(cx):
+                s = np.asarray(bf(cx))
+                out = np.left_shift(
+                    _u64(af(cx)), np.minimum(s, 63).astype(np.uint64))
+                return np.where(s >= 64, _ZERO, out.view(np.int64))
+
+            return shl, kind
+        corners = [v >> s for v in _bounds(ak, op) for s in (s_lo, s_hi)]
+        kind = _kind(min(corners), max(corners))
+        if isinstance(ak, tuple):
+            # Arithmetic shift; 63 already saturates an int64 to its sign.
             def shr(cx):
                 return np.right_shift(
                     np.asarray(af(cx)), np.minimum(bf(cx), 63))
 
-            return shr, lo, hi
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            cmp = {"==": np.equal, "!=": np.not_equal, "<": np.less,
-                   ">": np.greater, "<=": np.less_equal,
-                   ">=": np.greater_equal}[op]
-            return ((lambda cx, _c=cmp:
-                     _c(af(cx), bf(cx)).astype(np.int64)), 0, 1)
-        if op == "&&":
-            return ((lambda cx:
-                     ((np.asarray(af(cx)) != 0)
-                      & (np.asarray(bf(cx)) != 0)).astype(np.int64)), 0, 1)
-        if op == "||":
-            return ((lambda cx:
-                     ((np.asarray(af(cx)) != 0)
-                      | (np.asarray(bf(cx)) != 0)).astype(np.int64)), 0, 1)
-        raise _NotVectorizable(f"binary {op!r}")
+            return shr, kind
+
+        def shr_u64(cx):
+            s = np.asarray(bf(cx))
+            out = np.right_shift(
+                _u64(af(cx)), np.minimum(s, 63).astype(np.uint64))
+            return np.where(s >= 64, _ZERO, out.view(np.int64))
+
+        return shr_u64, kind
 
     def _call(self, call: ast.Call, scalars, env):
         func = call.func
@@ -754,33 +876,38 @@ class _VecLowering:
             fn = self.low.hash_fn(seed)
             if type(fn) is not MultiplyShiftHash:
                 raise _NotVectorizable("non-multiply-shift hash family")
+            # The hash reads its arguments mod 2**64 (scalar: ``v &
+            # MASK64``, vector: a C cast of the column), so every kind
+            # hashes bit-identically.
             value_fns = [self.expr(a, scalars, env)[0]
                          for a in call.args[1:]]
             if not value_fns:
-                value = fn(width=_HASH_WIDTH)
-                const = np.int64(value)
-                return (lambda cx, _v=const: _v), value, value
+                return self._const(fn(width=_HASH_WIDTH))
 
             def vhash(cx, _f=fn, _v=value_fns):
                 cols = [_as_array(vf(cx), cx.n) for vf in _v]
                 return _f.vector_multi(cols, width=_HASH_WIDTH)
 
-            return vhash, 0, _HASH_WIDTH - 1
+            return vhash, (0, _HASH_WIDTH - 1)
         if func.ident in ("min", "max") and call.args:
             lowered = [self.expr(a, scalars, env) for a in call.args]
-            fns = [f for f, _lo, _hi in lowered]
-            los = [lo for _f, lo, _hi in lowered]
-            his = [hi for _f, _lo, hi in lowered]
+            fns = [f for f, _k in lowered]
+            unsigned = _unsigned([k for _f, k in lowered], func.ident)
+            bounds = [_bounds(k, func.ident) for _f, k in lowered]
             reducer = np.minimum if func.ident == "min" else np.maximum
             pick = min if func.ident == "min" else max
 
-            def mm(cx, _fns=fns, _r=reducer):
-                acc = _fns[0](cx)
-                for f in _fns[1:]:
-                    acc = _r(acc, f(cx))
-                return acc
+            def mm(cx):
+                vals = [f(cx) for f in fns]
+                if unsigned:
+                    vals = [_u64(v) for v in vals]
+                acc = vals[0]
+                for v in vals[1:]:
+                    acc = reducer(acc, v)
+                return acc.view(np.int64) if unsigned else acc
 
-            return mm, pick(los), pick(his)
+            return mm, _kind(pick(lo for lo, _hi in bounds),
+                             pick(hi for _lo, hi in bounds))
         raise _NotVectorizable(f"call {func.ident!r}")
 
     # -- statements ------------------------------------------------------------
@@ -795,8 +922,9 @@ class _VecLowering:
             if key not in self.masks:
                 # Scalar engines raise PhvError at commit, per packet.
                 raise _NotVectorizable("assignment to unallocated field")
-            vf, lo, hi = self.expr(s.value, scalars, env)
-            env[key] = (lo, hi)
+            # Any kind may be assigned: the commit masks the column to
+            # the field width, which is exact mod 2**64.
+            vf, env[key] = self.expr(s.value, scalars, env)
 
             def step(cx, g, _k=key, _v=vf):
                 cx.local[_k] = _as_array(_v(cx), cx.n)
@@ -825,28 +953,43 @@ class _VecLowering:
             dest = self.low.field_key(call.args[dest_pos], scalars)
             if not isinstance(dest, str) or dest not in self.masks:
                 raise _NotVectorizable("dynamic register destination")
-        arg = lambda i: self.expr(call.args[i], scalars, env)[0]
+
+        def index(i):
+            fn, kind = self.expr(call.args[i], scalars, env)
+            if not isinstance(kind, tuple):
+                raise _NotVectorizable("64-bit register index")
+            return fn
+
+        def cond(i):
+            fn, kind = self.expr(call.args[i], scalars, env)
+            _bounds(kind, "register condition")
+            return fn
+
+        def value(i):
+            # Stored mod 2**width (see _RegKernels): any kind is exact.
+            return self.expr(call.args[i], scalars, env)[0]
+
         effects.append(("reg", array.name, method != "read"))
         if method == "read":
-            step = kern.read(dest, arg(1))
+            step = kern.read(dest, index(1))
         elif method == "write":
-            step = kern.write(arg(0), arg(1))
+            step = kern.write(index(0), value(1))
         elif method == "add":
-            step = kern.add(arg(0), arg(1))
+            step = kern.add(index(0), value(1))
         elif method == "cond_add":
-            step = kern.add(arg(0), arg(2), cond_fn=arg(1))
+            step = kern.add(index(0), value(2), cond_fn=cond(1))
         elif method == "add_read":
-            step = kern.add_read(dest, arg(1), arg(2))
+            step = kern.add_read(dest, index(1), value(2))
         elif method == "cond_add_read":
-            step = kern.add_read(dest, arg(1), arg(3), cond_fn=arg(2))
+            step = kern.add_read(dest, index(1), value(3), cond_fn=cond(2))
         elif method == "swap":
-            step = kern.swap(dest, arg(1), arg(2))
+            step = kern.swap(dest, index(1), value(2))
         elif method == "max_update":
-            step = kern.extremum(arg(0), arg(1), is_max=True)
+            step = kern.extremum(index(0), value(1), is_max=True)
         else:  # min_update
-            step = kern.extremum(arg(0), arg(1), is_max=False)
+            step = kern.extremum(index(0), value(1), is_max=False)
         if dest is not None:
-            env[dest] = (0, array.mask)
+            env[dest] = _kind(0, array.mask)
         return step
 
     # -- tables ----------------------------------------------------------------
@@ -860,10 +1003,10 @@ class _VecLowering:
         decl = self.pipeline.info.actions[name]
         scalars = {p.name: pos for pos, p in enumerate(decl.params)}
         steps: list = []
-        written: dict[str, tuple[int, int]] = {}
+        written: dict = {}
         ok = True
         try:
-            env: dict[str, tuple[int, int]] = {}
+            env: dict = {}
             for s in decl.body.stmts:
                 if not isinstance(s, ast.Assign):
                     raise _NotVectorizable(
@@ -871,8 +1014,7 @@ class _VecLowering:
                 key = self.low.field_key(s.target, scalars)
                 if not isinstance(key, str) or key not in self.masks:
                     raise _NotVectorizable("dynamic action target")
-                vf, lo, hi = self.expr(s.value, scalars, env)
-                env[key] = (lo, hi)
+                vf, env[key] = self.expr(s.value, scalars, env)
 
                 def astep(cx, m, _k=key, _v=vf):
                     v = _as_array(_v(cx), cx.n)
@@ -891,7 +1033,7 @@ class _VecLowering:
 
                 steps.append(astep)
             written = env
-        except Exception:
+        except _NotVectorizable:
             steps, written, ok = [], {}, False
         act = _VecAction(name, len(decl.params), steps, written, ok)
         self._vec_actions[name] = act
@@ -904,26 +1046,22 @@ class _VecLowering:
             raise _NotVectorizable("unknown table")   # interp raises KeyError
         if table.match_kinds != ["exact"] or len(table.key_fields) != 1:
             raise _NotVectorizable("non single-exact-key table")
-        key_fn, _lo, _hi = self._field_read(table.key_fields[0], env)
+        key_fn, key_kind = self._field_read(table.key_fields[0], env)
+        if not isinstance(key_kind, tuple):
+            # The sorted-key cache matches int64 values, not bit patterns.
+            raise _NotVectorizable("64-bit table key")
         actions = {name: self._vec_action(name)
                    for name in self.pipeline.info.actions}
         vt = _VecTable(table, key_fn, actions, self._action_ids)
         effects.append(("table", table_name))
         # After the apply, any key any action may have written holds
-        # either its prior value or the action's — union the ranges.
+        # either its prior value or the action's.
         for act in actions.values():
-            for key, (lo, hi) in act.written.items():
-                if key in self.wide:
-                    # The no-action-ran fallback reads the committed
-                    # column — an unbounded bit pattern. Reads after
-                    # this point must island, so drop the env entry.
-                    env.pop(key, None)
-                    continue
+            for key, kind in act.written.items():
                 prev = env.get(key)
                 if prev is None:
-                    mask = self.masks.get(key)
-                    prev = (0, mask if mask is not None else 0)
-                env[key] = (min(prev[0], lo), max(prev[1], hi))
+                    prev = self._field_kind(key)
+                env[key] = _join(prev, kind)
         return vt.step
 
     # -- stages ----------------------------------------------------------------
@@ -933,20 +1071,18 @@ class _VecLowering:
         no_scalars: dict[str, int] = {}
         unit_kernels = []
         effects: list[tuple] = []
+        writers: dict[str, list] = {}
         for unit in units:
             inst = unit.instance
-            env: dict[str, tuple[int, int]] = {}
+            env: dict = {}
             guard_fn = None
-            guard_static = True
             if inst.guard is not None:
-                gf, glo, ghi = self.expr(inst.guard, no_scalars, {})
-                if glo == ghi:
-                    if glo == 0:
-                        continue            # unit never runs
-                    guard_fn = None         # unit always runs
-                else:
-                    guard_fn = gf
-                    guard_static = False
+                gf, gk = self.expr(inst.guard, no_scalars, {})
+                known = _static(gk)
+                if known == 0:
+                    continue                # unit never runs
+                if known is None:
+                    guard_fn = _truth(gf, gk, "guard")
             steps = []
             if inst.table is not None:
                 steps.append(self._table_stmt(inst.table, no_scalars, env,
@@ -955,7 +1091,14 @@ class _VecLowering:
                 for s in inst.body:
                     steps.append(self.stmt(s, no_scalars, env, effects))
             unit_kernels.append((unit.label, guard_fn, steps))
-            del guard_static
+            for key, kind in env.items():
+                writers.setdefault(key, []).append(kind)
+        # The stage-exit commit compares what two units wrote to one key
+        # column against column, which decides value equality only for
+        # kinds that also compare (see _unsigned).
+        for key, kinds in writers.items():
+            if len(kinds) > 1:
+                _unsigned(kinds, f"same-stage writes to {key!r}")
         # Hazard rules: a register touched by >1 step (any of them
         # mutating) needs per-packet interleaving; a table sharing a
         # stage with a register mutation would make _VectorBail unsafe.
@@ -966,7 +1109,7 @@ class _VecLowering:
             if eff[0] == "table":
                 has_table = True
                 continue
-            _kind, name, mutates = eff
+            _tag, name, mutates = eff
             reg_steps[name] = reg_steps.get(name, 0) + 1
             if mutates:
                 reg_mut[name] = reg_mut.get(name, 0) + 1
@@ -988,14 +1131,13 @@ class _VecLowering:
                 cx = _Cx(batch.cols, n, stage_hits)
                 g = None
                 if guard_fn is not None:
-                    gv = guard_fn(cx)
-                    if np.ndim(gv) == 0:
-                        if int(gv) == 0:
+                    g = guard_fn(cx)
+                    if np.ndim(g) == 0:
+                        if not g:
                             continue
-                    else:
-                        g = np.asarray(gv) != 0
-                        if not g.any():
-                            continue
+                        g = None
+                    elif not g.any():
+                        continue
                 for step in steps:
                     step(cx, g)
                 if cx.local:
@@ -1051,9 +1193,9 @@ class VectorPlan:
     not be called in that case.
 
     64-bit PHV fields are carried as int64 *bit patterns* (value mod
-    2**64 in two's complement): loads, commits, and pure writes are
-    exact under that encoding, while any stage that *reads* such a field
-    islands (the lowering cannot bound the signed value).
+    2**64 in two's complement): loads, commits, and register traffic are
+    exact under that encoding, and expressions read them as ``U64``
+    values (see the value kinds above :func:`_kind`).
     """
 
     def __init__(self, pipeline):
@@ -1061,11 +1203,10 @@ class VectorPlan:
         self.plan = pipeline.plan
         self.masks = self.plan.masks
         #: Fields wider than 63 bits: stored as wrapped bit patterns.
-        self.wide = {k for k, m in self.masks.items() if m > _I64_MAX}
-        self.mask_i64 = {
-            k: (np.int64(-1) if k in self.wide else np.int64(m))
-            for k, m in self.masks.items()
-        }
+        self.wide = frozenset(
+            k for k, m in self.masks.items() if m > _I64_MAX)
+        #: Commit masks; the int64 identity for 64-bit fields.
+        self.mask_i64 = {k: _pattern(m) for k, m in self.masks.items()}
         self.ok = True
         self.reason = ""
         self.island_stages: list[int] = []
@@ -1081,15 +1222,15 @@ class VectorPlan:
             self.ok = False
             self.reason = f"register {shared[0]} spans multiple stages"
             return
-        lowering = _VecLowering(pipeline, self.plan)
+        lowering = _VecLowering(pipeline, self.plan, self.mask_i64)
         for splan in self.plan.stages:
             units = pipeline._stage_units[splan.stage]
             try:
                 kernel = lowering.stage_kernel(splan, units)
-            except Exception as exc:
+            except _NotVectorizable as exc:
                 kernel = None
                 self.island_stages.append(splan.stage)
-                self.island_reasons[splan.stage] = str(exc) or type(exc).__name__
+                self.island_reasons[splan.stage] = str(exc)
             self.stage_exec.append((splan, kernel))
 
     # -- batch loading ---------------------------------------------------------
@@ -1140,18 +1281,7 @@ class VectorPlan:
         stage, scatter results back into columns."""
         n = batch.n
         wide = self.wide
-        dicts: list[dict] = [dict() for _ in range(n)]
-        for key, col in batch.cols.items():
-            pres = batch.present[key]
-            if key in wide:
-                col = col.astype(np.uint64)   # bit pattern -> value
-            vals = col.tolist()
-            if pres.all():
-                for i, v in enumerate(vals):
-                    dicts[i][key] = v
-            else:
-                for i in np.nonzero(pres)[0].tolist():
-                    dicts[i][key] = vals[i]
+        dicts = column_rows(batch.cols, batch.present, n, wide)
         run_stage = self.plan.run_stage
         hit_rows: list[dict] = []
         for phv in dicts:
@@ -1186,7 +1316,7 @@ class VectorPlan:
 
         The persistent worker pool (:mod:`repro.pisa.pool`) calls this
         directly on shared-memory column slices; :meth:`run_batch` wraps
-        it with packet loading and result materialization.
+        it with packet loading and the result container.
         """
         for splan, kernel in self.stage_exec:
             if kernel is None:
@@ -1198,47 +1328,23 @@ class VectorPlan:
                     self._run_island(splan, batch, hits)
 
     def run_batch(self, packets, collect: bool = True):
-        """Run a packet list through all stages; returns results or count."""
+        """Run a packet list through all stages; returns the batch's
+        :class:`~repro.pisa.results.BatchResults` (columns kept, rows
+        built on demand) or, with ``collect=False``, the count."""
         if not isinstance(packets, list):
             packets = list(packets)
         n = len(packets)
         if n == 0:
-            return [] if collect else 0
+            return BatchResults(wide=self.wide) if collect else 0
         batch = self._load(packets)
         hits: dict = {}
         self.run_stages(batch, hits)
         self.pipeline.packets_processed += n
         if not collect:
             return n
-        return self._materialize(batch, hits)
-
-    def _materialize(self, batch: PhvBatch, hits: dict):
-        from .pipeline import PipelineResult
-
-        n = batch.n
-        phvs: list[dict] = [dict() for _ in range(n)]
-        for key, col in batch.cols.items():
-            pres = batch.present[key]
-            if key in self.wide:
-                col = col.astype(np.uint64)   # bit pattern -> value
-            vals = col.tolist()
-            if pres.all():
-                for i, v in enumerate(vals):
-                    phvs[i][key] = v
-            else:
-                for i in np.nonzero(pres)[0].tolist():
-                    phvs[i][key] = vals[i]
-        hit_dicts: list[dict] = [dict() for _ in range(n)]
-        for name, (h, r) in hits.items():
-            hl = h.tolist()
-            if r.all():
-                for i in range(n):
-                    hit_dicts[i][name] = hl[i]
-            else:
-                for i in np.nonzero(r)[0].tolist():
-                    hit_dicts[i][name] = hl[i]
-        return [PipelineResult(phv=p, table_hits=t)
-                for p, t in zip(phvs, hit_dicts)]
+        results = BatchResults(wide=self.wide)
+        results.add_chunk(batch.cols, batch.present, n, hits)
+        return results
 
     # -- introspection ---------------------------------------------------------
     def describe(self) -> str:

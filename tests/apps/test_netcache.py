@@ -97,3 +97,35 @@ class TestFastSimulation:
         )
         assert pipeline_stats.hits == ref_stats.hits
         assert pipeline_stats.insertions == ref_stats.insertions
+
+
+class TestBatchedServing:
+    """``run_trace(serve_batch=N)`` scans result columns; what it decides
+    must not depend on which engine produced them."""
+
+    @pytest.fixture(scope="class")
+    def tiny_cache(self, mini_tofino):
+        # 16-column structures: a crowded store and a noisy sketch, so
+        # the controller both evicts and refuses within a short trace.
+        return NetCacheApp(mini_tofino, hot_threshold=4,
+                           source=netcache_source(max_cols=16))
+
+    def test_engines_agree_on_stats_and_registers(self, mini_tofino,
+                                                  tiny_cache):
+        keys = ZipfGenerator(2000, alpha=1.1, seed=35).sample(5000)
+        outcomes = {}
+        for engine in ("vector", "compiled", "interp"):
+            app = NetCacheApp(mini_tofino, hot_threshold=4, engine=engine,
+                              compiled=tiny_cache.compiled)
+            stats = app.run_trace(keys, serve_batch=4096)
+            registers = app.pipeline.registers.export_state()
+            outcomes[engine] = (
+                (stats.packets, stats.hits, stats.insertions,
+                 stats.evictions, stats.rejected_insertions),
+                {name: cells.tolist() for name, cells in registers.items()},
+                sorted(app._cached_keys),
+            )
+        assert outcomes["vector"] == outcomes["compiled"] == outcomes["interp"]
+        packets, hits, insertions, evictions, rejected = outcomes["vector"][0]
+        assert packets == 5000 and hits > 0 and insertions > 0
+        assert evictions > 0 and rejected > 0

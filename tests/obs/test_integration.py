@@ -191,3 +191,54 @@ class TestCli:
 
         assert main(["obs"]) == 2
         assert "nothing to summarize" in capsys.readouterr().err
+
+
+ISLANDED = """
+struct metadata {
+    bit<64> big;
+    bit<64> third;
+}
+control Ingress(inout metadata meta) {
+    apply { meta.third = meta.big / 3; }
+}
+"""
+
+
+class TestVectorTierVisible:
+    """Which tier a vector batch ran on must show in the run's own
+    artifacts: the batch span, the flight ring and a counter by reason."""
+
+    def test_island_stages_on_span_flight_note_and_counter(self):
+        from repro.pisa import Packet, Pipeline
+
+        reason = "'/' on a 64-bit operand"
+        islands = obs.metrics.counter(
+            "p4all_vector_island_stages", labels=("reason",))
+        before = islands.value(reason=reason)
+        compiled = compile_source(ISLANDED, small_target(stages=3))
+        pipe = Pipeline(compiled, engine="vector")
+        assert islands.value(reason=reason) == before + 1
+
+        obs.flight.clear()
+        obs.trace.enable()
+        pipe.process_many([Packet(fields={"big": 9})])
+        pipe.process_many([Packet(fields={"big": 9})],
+                          callback=lambda result: None)
+        batched, streamed = obs.trace.spans_named("pisa.batch")
+        assert batched.attrs["island_stages"] == 1
+        # Callback mode serves per packet on the scalar plan: no tier.
+        assert "island_stages" not in streamed.attrs
+        notes = [e["data"] for e in obs.flight.entries()
+                 if e["kind"] == "batch"]
+        assert notes[0]["island_stages"] == 1
+        assert "island_stages" not in notes[1]
+
+    def test_fully_vector_plan_reports_zero(self):
+        from repro.pisa import Packet, Pipeline
+
+        pipe = Pipeline(compile_source(SOURCE, small_target(stages=3)),
+                        engine="vector")
+        obs.trace.enable()
+        pipe.process_many([Packet(fields={"fkey": 1})])
+        [batch] = obs.trace.spans_named("pisa.batch")
+        assert batch.attrs["island_stages"] == 0
