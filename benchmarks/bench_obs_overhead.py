@@ -20,7 +20,6 @@ the compiled engine stays under 2%, the pool path's obs shipping under
 
 import json
 import multiprocessing as mp
-import os
 import time
 from pathlib import Path
 
@@ -149,8 +148,6 @@ def test_pool_disabled_obs_overhead(benchmark):
     if "fork" not in mp.get_all_start_methods():
         pytest.skip("worker pool needs the fork start method")
     obs.trace.disable()
-    prev_mode = os.environ.get("REPRO_PISA_SHARD_MODE")
-    os.environ["REPRO_PISA_SHARD_MODE"] = "pool"
     # A bigger batch than the single-process legs: per-batch obs
     # shipping is a fixed cost, and the pool's per-batch wall time is
     # noisy enough that a 2k batch can't resolve a 2% bound.
@@ -195,10 +192,6 @@ def test_pool_disabled_obs_overhead(benchmark):
     finally:
         pipe.close()
         base_pipe.close()
-        if prev_mode is None:
-            os.environ.pop("REPRO_PISA_SHARD_MODE", None)
-        else:
-            os.environ["REPRO_PISA_SHARD_MODE"] = prev_mode
     payload = _record({
         "pool_pkts_per_s": instrumented,
         "pool_raw_pkts_per_s": raw,

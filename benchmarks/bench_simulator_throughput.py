@@ -19,10 +19,9 @@ makespan aggregate (``packets / max(per-worker busy seconds)`` from
 at least ``workers`` free cores. On a single-core runner the workers
 time-slice one core, so wall-clock cannot show core scaling; the model
 uses each worker's measured CPU seconds and assumes only that the
-workers overlap. With the persistent pool (:mod:`repro.pisa.pool`) the
-busy seconds come from the pooled run itself — pool workers pay no
-per-batch fork tax, so their CPU time needs no laundering through an
-inline re-run the way the old fork-per-batch mode did.
+workers overlap. The busy seconds come from the pooled run itself
+(:mod:`repro.pisa.pool`): workers are forked once per pipeline, so
+their CPU time carries no per-batch startup cost.
 
 The sharded baseline (``sharded_vector_baseline_pkts_per_s``) is the
 single-process vector engine *at the sharded batch size*: the vector
@@ -31,9 +30,7 @@ set), so comparing sharded wall-clock against it would mix batch-size
 effects into the fan-out ratio. ``wall_speedup_over_vector`` and the
 per-worker-count ``sharded_w{N}_wall_speedup_over_vector`` ratios —
 what the sim-bench CI gate reads (≥ 0.9 everywhere, ≥ 2.0 at 4 workers
-on multi-core runners) — divide same-sized batches only. A
-fork-per-batch comparison row (``sharded_w4_fork_pkts_per_s``)
-documents what the pool replaced.
+on multi-core runners) — divide same-sized batches only.
 """
 
 import json
@@ -157,13 +154,13 @@ def _timed(run):
     return time.perf_counter() - t0
 
 
-def test_sharded_throughput(benchmark, monkeypatch):
+def test_sharded_throughput(benchmark):
     """Vector engine behind the persistent-pool fan-out, 1/2/4 workers.
 
     One pytest-benchmark entry (workers=4 wall-clock); the baseline,
-    the 1/2-worker rows, the makespan models, and the fork-per-batch
-    comparison row are measured inline and merged into the JSON, since
-    the fixture allows one benchmark per test.
+    the 1/2-worker rows and the makespan models are measured inline
+    and merged into the JSON, since the fixture allows one benchmark
+    per test.
 
     Every recorded rate comes from the *same* interleaved measurement
     loop: each round times baseline, w1, w2, w4 back to back, and each
@@ -220,7 +217,7 @@ def test_sharded_throughput(benchmark, monkeypatch):
         else:
             # Makespan model: workers overlap, so the batch completes
             # when the busiest worker does. Pool workers report their
-            # own CPU seconds — no per-batch fork tax to launder out.
+            # own CPU seconds.
             report = pipe.last_shard_report
             assert report["mode"] == "pool", report
             modeled = SHARD_PACKETS / max(report["busy_seconds"])
@@ -234,27 +231,13 @@ def test_sharded_throughput(benchmark, monkeypatch):
     for pipe in pool_pipes.values():
         pipe.close()
 
-    # Fork-per-batch comparison row: what the pool replaced.
-    monkeypatch.setenv("REPRO_PISA_SHARD_MODE", "fork")
-    fork_pipe = Pipeline(compiled, engine="vector")
-    fork_best = None
-    for i in range(3):
-        dt = _timed(lambda: fork_pipe.process_many(
-            packets, collect=False, workers=4))
-        fork_best = dt if fork_best is None else min(fork_best, dt)
-    monkeypatch.delenv("REPRO_PISA_SHARD_MODE")
-    fork_wall = SHARD_PACKETS / fork_best
-    results["sharded_w4_fork_pkts_per_s"] = fork_wall
-    rows.append(("fork w4", fork_wall, None))
-
     payload = _record(results)
     print(f"\nsharded throughput ({SHARD_PACKETS:,} packets):")
     print(f"  {'config':<10} {'wall pkt/s':>14} {'modeled pkt/s':>14} "
           f"{'wall/vector':>12}")
     for label, wall, modeled in rows:
         ratio = f"{wall / baseline:.2f}x"
-        mod = f"{modeled:>14,.0f}" if modeled is not None else f"{'—':>14}"
-        print(f"  {label:<10} {wall:>14,.0f} {mod} {ratio:>12}")
+        print(f"  {label:<10} {wall:>14,.0f} {modeled:>14,.0f} {ratio:>12}")
     if "wall_speedup_over_vector" in payload:
         print("wall w4 speedup over single-process vector: "
               f"{payload['wall_speedup_over_vector']:.2f}x")

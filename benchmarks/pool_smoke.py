@@ -43,8 +43,7 @@ def main() -> int:
         print(f"pooled batch: {n} packets, mode={report['mode']}, "
               f"counts={report['counts']}")
         if report["mode"] != "pool":
-            print(f"FAIL: degraded to {report['mode']} "
-                  f"(requested {report.get('requested_mode')})")
+            print(f"FAIL: degraded to {report['mode']}")
             return 1
         merged = {name: list(pipe.registers.get(name).dump())
                   for name in pipe.registers.names()}

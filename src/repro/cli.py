@@ -303,20 +303,6 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _apply_shard_mode(args) -> None:
-    """Export ``--shard-mode`` where the sharded front end reads it.
-
-    The mode travels by environment variable rather than config
-    threading because every ``process_many`` call site — runtime,
-    fabric switches, eval harness — consults ``REPRO_PISA_SHARD_MODE``
-    at batch time.
-    """
-    import os
-
-    if getattr(args, "shard_mode", None):
-        os.environ["REPRO_PISA_SHARD_MODE"] = args.shard_mode
-
-
 def _cmd_run(args) -> int:
     return _with_obs(args, _run_body)
 
@@ -328,7 +314,6 @@ def _run_body(args) -> int:
     from .runtime import ElasticRuntime, ReconfigPlanner, RuntimeConfig, TelemetryBus
     from .workloads.churn import ChurningZipf
 
-    _apply_shard_mode(args)
     target = _resolve_target(args)
     telemetry = TelemetryBus(sink=args.events)
     planner = ReconfigPlanner(
@@ -397,7 +382,6 @@ def _fabric_body(args) -> int:
     from .runtime import TelemetryBus
     from .workloads import ZipfGenerator
 
-    _apply_shard_mode(args)
     target = _resolve_target(args)
     if args.topology == "leaf-spine":
         fabric = FabricTopology.leaf_spine(
@@ -416,7 +400,6 @@ def _fabric_body(args) -> int:
         skew_threshold=args.skew_threshold,
         max_move_fraction=args.max_move,
         engine=args.engine,
-        parallel=args.parallel,
         serve_batch=args.serve_batch,
         workers=args.workers,
     )
@@ -700,12 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flow-sharded worker processes for batched "
                             "serving (requires --serve-batch; default: "
                             "REPRO_PISA_WORKERS, or 1)")
-    p_run.add_argument("--shard-mode", default=None,
-                       choices=["auto", "pool", "fork", "inline"],
-                       help="multiprocess strategy when --workers > 1: "
-                            "persistent worker pool, fork-per-batch, or "
-                            "single-process inline (default: auto, or "
-                            "REPRO_PISA_SHARD_MODE)")
     p_run.add_argument("--profile", nargs="?", const="p4all_run_profile.txt",
                        default=None, metavar="PATH",
                        help="profile the run with cProfile and write sorted "
@@ -770,10 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: hottest)")
     p_fabric.add_argument("--migrate-to", default=None,
                           help="destination switch (default: first standby)")
-    p_fabric.add_argument("--parallel", action="store_true",
-                          help="run each switch in its own worker process "
-                               "(real multi-core scaling; no cuts or "
-                               "migrations in this mode)")
     p_fabric.add_argument("--events", default=None, metavar="PATH",
                           help="stream telemetry events to a JSONL file")
     p_fabric.add_argument("--json", default=None, metavar="PATH",
@@ -792,12 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="flow-sharded worker processes per switch "
                                "for batched serving (default: "
                                "REPRO_PISA_WORKERS, or 1)")
-    p_fabric.add_argument("--shard-mode", default=None,
-                          choices=["auto", "pool", "fork", "inline"],
-                          help="multiprocess strategy when --workers > 1: "
-                               "persistent worker pool, fork-per-batch, "
-                               "or single-process inline (default: auto, "
-                               "or REPRO_PISA_SHARD_MODE)")
     _add_target_arg(p_fabric)
     _add_solver_args(p_fabric)
     _add_obs_args(p_fabric)

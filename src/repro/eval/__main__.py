@@ -135,10 +135,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="flow-sharded worker processes for batched "
                              "serving (sets REPRO_PISA_WORKERS)")
-    parser.add_argument("--shard-mode", default=None,
-                        choices=["auto", "pool", "fork", "inline"],
-                        help="multiprocess strategy when workers > 1 "
-                             "(sets REPRO_PISA_SHARD_MODE)")
     args = parser.parse_args(argv)
 
     import os
@@ -149,8 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_PISA_SERVE_BATCH"] = str(args.serve_batch)
     if args.workers is not None:
         os.environ["REPRO_PISA_WORKERS"] = str(args.workers)
-    if args.shard_mode is not None:
-        os.environ["REPRO_PISA_SHARD_MODE"] = args.shard_mode
 
     unknown = [e for e in args.experiments if e not in EXPERIMENTS]
     if unknown:

@@ -13,9 +13,12 @@ the program to each switch's resources; this package stretches the
   traffic, recompiles switches concurrently on resource cuts, and
   rebalances hot spots;
 * :mod:`~repro.fabric.migration` — live app migration between switches
-  (drain → snapshot → copy → shift → verify, with rollback);
-* :mod:`~repro.fabric.parallel` — optional process-per-switch execution
-  for real multi-core scaling.
+  (drain → snapshot → copy → shift → verify, with rollback).
+
+The fleet has one run path: every switch is served in the controller's
+process, one after another, and fabric parallelism is *modeled* by
+makespan accounting (``FleetReport.makespan_seconds``), never claimed
+as wall clock.
 """
 
 from .controller import (

@@ -30,8 +30,8 @@ Per-switch results aggregate into a :class:`FleetReport`. Throughput is
 accounted two ways: ``busy`` (total simulation CPU time) and
 ``makespan`` (per-window maximum across switches — the wall time of a
 real fabric, whose switches are independent hardware running in
-parallel; the simulator executes them serially on one core unless the
-process-parallel engine is enabled).
+parallel; the simulator executes them serially in one process, so the
+makespan figures are a model, not a measurement).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class FleetConfig:
     migrate_state: bool = True       # migrate registers on swaps
     validate_swap: bool = True       # validate + canary before commit
     engine: str | None = None        # pipeline engine (None = default)
-    parallel: bool = False           # per-switch worker processes
     serve_batch: int | None = None   # 0 = per-packet streaming serve;
                                      # >0 = batched fast path in
                                      # sub-batches of this size; None =
@@ -274,7 +273,6 @@ class FleetController:
         self._scheduled_cuts: list[tuple[int, str, TargetSpec]] = []
         self._scheduled_migrations: list[tuple[int, str, str]] = []
         self._last_rebalance_window = -(10 ** 9)
-        self._workers = None          # ParallelFleet when config.parallel
         self._installed = False
         #: Per-switch SLO monitoring (subjects are switch names here;
         #: the single-switch runtime uses tenant modules).
@@ -335,10 +333,6 @@ class FleetController:
             symbols={n: dict(p.compiled.symbol_values)
                      for n, p in plans.items()},
         )
-        if self.config.parallel:
-            from .parallel import ParallelFleet
-
-            self._workers = ParallelFleet(self)
         return plans
 
     def _plan_concurrent(self, targets: dict[str, TargetSpec],
@@ -526,11 +520,6 @@ class FleetController:
         drains it onto the surviving owner); a direct call has no
         in-flight traffic, so both default to none.
         """
-        if self._workers is not None:
-            raise NotImplementedError(
-                "live migration is not supported with parallel worker "
-                "processes; run inline mode"
-            )
         return fabric_migration.migrate_node(
             self, src, dst, cause=cause,
             downtime_packets=downtime_packets, replay=replay,
@@ -590,11 +579,6 @@ class FleetController:
         while (self._scheduled_cuts
                and self._scheduled_cuts[0][0] <= self.packets_processed):
             _at, name, target = self._scheduled_cuts.pop(0)
-            if self.config.parallel:
-                raise NotImplementedError(
-                    "per-switch recompilation is not supported with "
-                    "parallel worker processes; run inline mode"
-                )
             self.telemetry.emit(
                 "target_change_requested",
                 packet_index=self.packets_processed,
@@ -617,8 +601,6 @@ class FleetController:
     def _run_shard(self, name: str, shard: np.ndarray,
                    ) -> tuple[int, int, float]:
         """Serve one switch's sub-batch; returns (packets, hits, busy)."""
-        if self._workers is not None:
-            return self._workers.run_shard(name, shard)
         app = self.topology.node(name).app
         t0 = time.perf_counter()
         stats = app.run_trace(shard, serve_batch=self.config.serve_batch,
@@ -645,11 +627,8 @@ class FleetController:
 
         with trace.span("fabric.window", index=index,
                         packets=len(keys)) as span:
-            if self._workers is not None and shards:
-                served.update(self._workers.run_window(shards))
-            else:
-                for name, shard in shards.items():
-                    served[name] = self._run_shard(name, shard)
+            for name, shard in shards.items():
+                served[name] = self._run_shard(name, shard)
 
             if migration_due is not None:
                 src, dst = migration_due
@@ -767,15 +746,12 @@ class FleetController:
 
     # -- teardown ----------------------------------------------------------------
     def close(self) -> None:
-        """Stop worker processes and per-switch pipelines; idempotent.
+        """Close the per-switch pipelines; idempotent.
 
         Each installed pipeline may hold a persistent sharded worker
         pool (:mod:`repro.pisa.pool`); closing it here keeps fleet
         teardown from leaking pool children.
         """
-        if self._workers is not None:
-            self._workers.close()
-            self._workers = None
         for node in self.topology.switches.values():
             if node.app is not None and node.app.pipeline is not None:
                 node.app.pipeline.close()

@@ -1,11 +1,9 @@
 """Cross-process trace/metric aggregation.
 
-The pooled engines (:mod:`repro.pisa.pool`, :mod:`repro.pisa.sharded`)
-and the fabric's switch workers (:mod:`repro.fabric.parallel`) fork the
-hot path into child processes — which fork *copies* of the global
-tracer and metrics registry that the parent never sees again. This
-module closes that gap with a capture/merge protocol over the existing
-control pipes:
+The sharded worker pool (:mod:`repro.pisa.pool`) forks the hot path
+into child processes — which fork *copies* of the global tracer and
+metrics registry that the parent never sees again. This module closes
+that gap with a capture/merge protocol over the existing control pipes:
 
 1. The parent ships an :func:`obs_control` tuple with each batch so the
    child's tracer agrees on enablement and clock epoch (``perf_counter``
@@ -256,18 +254,14 @@ def adopt_spans(tracer: Tracer, span_dicts: list[dict],
 
 # -- the worker-side capture + parent-side merge ------------------------------
 
-_UNSET = object()
-
-
 class WorkerObsCapture:
     """Worker-side bracket around one batch.
 
-    ``begin()`` aligns the tracer with the parent (or, in fork-per-batch
-    children that inherited correct state, just clears stale spans) and
-    snapshots metrics; ``finish()`` returns the plain-data payload to
-    append to the batch-end reply — or ``None`` when there is nothing
-    to ship, so the common untraced path costs one snapshot/diff of the
-    registry per batch.
+    ``begin(ctl)`` aligns the tracer with the parent's
+    :func:`obs_control` tuple and snapshots metrics; ``finish()``
+    returns the plain-data payload to append to the batch-end reply —
+    or ``None`` when there is nothing to ship, so the common untraced
+    path costs one snapshot/diff of the registry per batch.
     """
 
     def __init__(self, tracer: Tracer | None = None,
@@ -280,11 +274,8 @@ class WorkerObsCapture:
         self.registry = registry
         self._baseline: dict | None = None
 
-    def begin(self, ctl=_UNSET) -> None:
-        if ctl is not _UNSET:
-            apply_obs_control(ctl, self.tracer)
-        else:
-            self.tracer.clear_recorded()
+    def begin(self, ctl) -> None:
+        apply_obs_control(ctl, self.tracer)
         if self._baseline is None:  # later batches reuse finish()'s walk
             self._baseline = snapshot_metrics(self.registry)
 

@@ -553,30 +553,6 @@ def _const_str(value: str) -> Callable:
     return lambda phv, local, args, _v=value: _v
 
 
-def _interp_fallback(pipeline, unit) -> Callable:
-    """A step that defers one whole unit to the tree-walking interpreter."""
-    from .interp import ExecContext, exec_unit_body
-
-    instance = unit.instance
-
-    def step(phv, local, args, hits):
-        ctx = ExecContext(
-            snapshot=phv,
-            registers=pipeline.registers,
-            tables=pipeline.tables,
-            hash_fns=pipeline._hash_fns,
-            hash_factory=pipeline._hash_factory,
-            actions=pipeline.info.actions,
-            consts=pipeline.info.consts,
-        )
-        ran = exec_unit_body(instance.body, instance.guard, instance.table, ctx)
-        hits.update(ctx.table_hits)
-        if ran:
-            local.update(ctx.local_writes)
-
-    return step
-
-
 # ---------------------------------------------------------------------------
 # Source codegen: the inline fast path
 # ---------------------------------------------------------------------------
@@ -621,12 +597,10 @@ class _SourceGen:
     plan's :meth:`~repro.pisa.plan.PipelinePlan.run_stage`.
     """
 
-    def __init__(self, lowering: _Lowering, plan: PipelinePlan, pipeline,
-                 skip: frozenset = frozenset()):
+    def __init__(self, lowering: _Lowering, plan: PipelinePlan, pipeline):
         self.low = lowering
         self.plan = plan
         self.pipeline = pipeline
-        self.skip = skip                     # stages with interp fallbacks
         self.ns: dict[str, object] = {}
         self._bound: dict[tuple, str] = {}   # (id(obj), attr) -> name
         self._n = 0
@@ -873,8 +847,6 @@ class _SourceGen:
         for splan in self.plan.stages:
             units = self.pipeline._stage_units[splan.stage]
             try:
-                if splan.stage in self.skip:
-                    raise _NotInlinable   # unit(s) lowered via interp fallback
                 body.extend(self._stage_lines(splan, units))
                 inlined += 1
             except _NotInlinable:
@@ -922,28 +894,20 @@ def build_plan(pipeline) -> PipelinePlan:
     namespace = getattr(pipeline.info, "namespace", None)
     plan = PipelinePlan(masks=pipeline.phv_layout.width_masks())
     no_scalars: dict[str, int] = {}
-    fallback_stages: set[int] = set()
     for stage, units in enumerate(pipeline._stage_units):
         if not units:
             continue
         unit_plans = []
         for unit in units:
             inst = unit.instance
-            try:
-                guard = (lowering.expr(inst.guard, no_scalars)
-                         if inst.guard is not None else None)
-                if inst.table is not None:
-                    steps: tuple = (lowering.table_step(inst.table),)
-                else:
-                    steps = tuple(
-                        lowering.stmt(s, no_scalars) for s in inst.body
-                    )
-            except Exception:
-                # Escape hatch: anything the lowerer cannot handle runs
-                # through the reference interpreter, unit-by-unit, with
-                # identical snapshot/commit semantics.
-                guard, steps = None, (_interp_fallback(pipeline, unit),)
-                fallback_stages.add(stage)
+            guard = (lowering.expr(inst.guard, no_scalars)
+                     if inst.guard is not None else None)
+            if inst.table is not None:
+                steps: tuple = (lowering.table_step(inst.table),)
+            else:
+                steps = tuple(
+                    lowering.stmt(s, no_scalars) for s in inst.body
+                )
             unit_plans.append(UnitPlan(
                 label=unit.label,
                 guard=guard,
@@ -961,11 +925,6 @@ def build_plan(pipeline) -> PipelinePlan:
             writes=frozenset().union(*(u.writes for u in unit_plans)),
         ))
     # Second tier: inline fully static stages into one generated function.
-    try:
-        gen = _SourceGen(lowering, plan, pipeline,
-                         skip=frozenset(fallback_stages))
-        plan.fast_run, plan.fast_source = gen.build()
-    except Exception:
-        # Codegen is an optimization; the closure plan is always valid.
-        plan.fast_run, plan.fast_source = None, ""
+    plan.fast_run, plan.fast_source = _SourceGen(
+        lowering, plan, pipeline).build()
     return plan

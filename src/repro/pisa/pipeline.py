@@ -527,11 +527,12 @@ class Pipeline:
         (:attr:`vector_chunk` packets apart); under ``workers > 1`` the
         only drain point is the worker-join barrier at batch end.
 
-        ``workers > 1`` fans the batch out to forked worker processes
-        partitioned by flow-hash sharding (``shard_field`` picks the
-        key; default ``flow_id``/first field), merging per-worker
-        register deltas on join — see :mod:`repro.pisa.sharded` for the
-        merge-exactness rules. Sharding is incompatible with
+        ``workers > 1`` fans the batch out to the pipeline's persistent
+        worker pool — or, without a usable vector plan or ``fork``, runs
+        the same partitions inline — partitioned by flow-hash sharding
+        (``shard_field`` picks the key; default ``flow_id``/first
+        field), merging per-worker register deltas on join — see
+        :mod:`repro.pisa.sharded` for the merge-exactness rules. Sharding is incompatible with
         ``callback`` (the controller would race its own workers).
         """
         if workers > 1 and callback is not None:

@@ -1,10 +1,9 @@
 """Persistent shared-memory worker pool for sharded ``process_many``.
 
-The fork-per-batch fan-out (:mod:`repro.pisa.sharded`, mode ``fork``)
-pays three per-batch taxes that dominate its wall clock: copy-on-write
-page faults in every freshly forked child, per-batch re-derivation of
-execution state, and pickling whole result columns back over a pipe.
-This module replaces it with workers forked **once per pipeline**:
+Forking workers per batch pays three taxes every batch: copy-on-write
+page faults in every fresh child, re-derivation of execution state, and
+pickling whole result columns back over a pipe. The workers here are
+forked **once per pipeline**:
 
 * **Lifecycle.** :func:`ensure_pool` lazily attaches a
   :class:`WorkerPool` to the pipeline on the first pooled batch and
@@ -14,7 +13,10 @@ This module replaces it with workers forked **once per pipeline**:
   keyed on the pipeline's table versions — a control-plane mutation
   between batches ships as a journal entry and re-lowers the worker's
   plan exactly once; a mutation the journal cannot explain (someone
-  touched a table behind the Pipeline API) respawns the workers.
+  touched a table behind the Pipeline API) respawns the workers. A
+  worker that dies fails the batch it was serving (or the next one to
+  reach it) with a :class:`SimulationError`, parent registers
+  untouched; the batch after that respawns the workers.
 * **Shared memory, not pipes.** All buffers are created *before* the
   fork so children inherit the mappings directly — no attach/unlink
   races, no per-batch segment churn. PHV columns are scattered once by
@@ -30,8 +32,8 @@ This module replaces it with workers forked **once per pipeline**:
   into the idle half of the double buffer while workers execute chunk
   *k*. Workers drain their pipe FIFO, so chunk order — and therefore
   same-worker register sequencing — is preserved.
-* **Merge discipline.** The join is bit-identical to the fork and
-  inline modes: the same static
+* **Merge discipline.** The join is bit-identical to the inline
+  path (:func:`~repro.pisa.sharded.run_inline`): the same static
   :func:`~repro.pisa.sharded.classify_registers` classes drive the same
   additive / extremum / overwrite merges over per-worker deltas
   computed against the canonical snapshot.
@@ -39,7 +41,7 @@ This module replaces it with workers forked **once per pipeline**:
 Workers require the ``fork`` start method (plan closures cannot be
 pickled for ``spawn``) and a usable :class:`VectorPlan`; when either is
 missing the sharded front end degrades — loudly, see
-:mod:`repro.pisa.sharded` — to the fork or inline mode.
+:mod:`repro.pisa.sharded` — to the inline path.
 """
 
 from __future__ import annotations
@@ -67,21 +69,17 @@ class PoolUnavailable(Exception):
     """The pool cannot start here (no fork, no vector plan, dead spawn).
 
     Raised only at startup/attach time; the sharded front end catches it
-    and degrades to the fork or inline mode with a telemetry event.
+    and degrades to the inline path with a telemetry event.
     Errors *during* a pooled batch raise :class:`SimulationError` like
     every other engine failure — degradation must never hide them.
     """
 
 
 def default_pool_chunk(workers: int = 1) -> int:
-    """Packets per scatter chunk: ``REPRO_PISA_POOL_CHUNK`` overrides;
-    the default scales with the worker count so each worker's slice
-    lands near the vector kernels' per-invocation sweet spot (~5k
-    lanes — small enough to stay cache-resident, large enough to
-    amortize per-kernel numpy dispatch)."""
-    env = os.environ.get("REPRO_PISA_POOL_CHUNK")
-    if env is not None:
-        return max(1, int(env))
+    """Packets per scatter chunk: scales with the worker count so each
+    worker's slice lands near the vector kernels' per-invocation sweet
+    spot (~5k lanes — small enough to stay cache-resident, large enough
+    to amortize per-kernel numpy dispatch)."""
     return 5120 * max(1, workers)
 
 
@@ -123,7 +121,7 @@ class _Regions:
 class WorkerPool:
     """Long-lived forked workers executing vector batches over shm."""
 
-    def __init__(self, pipeline, workers: int, chunk: Optional[int] = None):
+    def __init__(self, pipeline, workers: int):
         if workers < 2:
             raise PoolUnavailable("pool needs at least 2 workers")
         if pipeline.vplan is None or not pipeline.vplan.ok:
@@ -137,8 +135,7 @@ class WorkerPool:
         from multiprocessing import shared_memory
 
         self.workers = workers
-        self.chunk = (chunk if chunk is not None
-                      else default_pool_chunk(workers))
+        self.chunk = default_pool_chunk(workers)
         self.alive = False
         self.spawns = 0
         self._owner_pid = os.getpid()
@@ -238,9 +235,9 @@ class WorkerPool:
     def close(self) -> None:
         """Stop workers and release shared memory; idempotent.
 
-        A no-op in forked children (fork-mode shards, fabric worker
-        processes inherit the pool object): only the owning process may
-        reap the workers or unlink the segments.
+        A no-op in forked children (which inherit the pool object):
+        only the owning process may reap the workers or unlink the
+        segments.
         """
         if os.getpid() != self._owner_pid:
             return
@@ -289,8 +286,6 @@ class WorkerPool:
         """
         if not self._shms:
             raise SimulationError("worker pool is closed")
-        if not self.alive:
-            self._spawn(pipeline)
         ops = self._sync_ops(pipeline)
         n = len(packets)
         lay = self.layout
@@ -310,10 +305,7 @@ class WorkerPool:
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
-                self.alive = False
-                raise SimulationError(
-                    f"pooled worker {wid} died mid-batch"
-                ) from None
+                raise self._worker_died(wid) from None
             if msg[0] == "err":
                 failures.append(str(msg[1]))
             return msg
@@ -369,11 +361,11 @@ class WorkerPool:
                 # for the preamble and again for its first real work.
                 # The obs control tuple keeps worker tracers in lockstep
                 # with the parent's enablement and clock epoch.
-                ctl = obs_control()
-                for conn in self._conns:
-                    conn.send(("begin", collect, ops, ctl))
-            for conn in self._conns:
-                conn.send(msg)
+                begin = ("begin", collect, ops, obs_control())
+                for wid in range(self.workers):
+                    self._send(wid, begin)
+            for wid in range(self.workers):
+                self._send(wid, msg)
             seq += 1
             if collect:
                 self._gather_chunk(results, order, starts, acked, drain_one)
@@ -424,6 +416,19 @@ class WorkerPool:
             "pool_chunks": seq,
         }
         return (results if collect else n), report
+
+    def _worker_died(self, wid: int) -> SimulationError:
+        """Mark the pool dead (the next batch respawns it) and name the
+        worker. Parent registers only change at the end-of-batch merge,
+        so the failed batch leaves them as they were."""
+        self.alive = False
+        return SimulationError(f"pooled worker {wid} died")
+
+    def _send(self, wid: int, msg: tuple) -> None:
+        try:
+            self._conns[wid].send(msg)
+        except OSError:
+            raise self._worker_died(wid) from None
 
     @staticmethod
     def _resolve_shard_key(pipeline, packets, shard_field):
@@ -692,7 +697,10 @@ def ensure_pool(pipeline, workers: int) -> WorkerPool:
     interpreter exit, so leaked pipelines cannot strand children.
     """
     pool = getattr(pipeline, "_pool", None)
-    if pool is not None and pool.alive and pool.workers == workers:
+    if pool is not None and pool._shms and pool.workers == workers:
+        if not pool.alive:
+            # A worker died: fresh workers over the same segments.
+            pool._spawn(pipeline)
         return pool
     if pool is not None:
         pool.close()

@@ -23,54 +23,43 @@ join exact where the algebra allows it:
   call this caveat out; workloads needing stronger semantics should
   stay single-process.
 
-Three execution modes share that merge discipline, selected by
-``REPRO_PISA_SHARD_MODE`` (default ``auto``):
+Two execution paths share that merge discipline, and the code picks
+between them from what it can observe — there is no mode switch:
 
-* ``pool`` — the persistent shared-memory worker pool
+* **pool** — the persistent shared-memory worker pool
   (:mod:`repro.pisa.pool`): workers forked once per pipeline, PHV
   columns scattered through shared memory, vector plans cached across
-  batches. The fast path, and what ``auto`` picks whenever the
-  pipeline has a usable vector plan and the platform can fork.
-* ``fork`` — fork-per-batch: each batch forks fresh children that
-  inherit the pipeline by memory image — nothing is pickled on the way
-  in, and per-worker results/deltas return over a pipe. Engine-
-  independent (works for ``compiled``/``interp`` pipelines the pool
-  cannot serve) but pays copy-on-write and pickling tax every batch.
-* ``inline`` — the partitions run sequentially in-process: merely
-  slower, never wrong. The fallback on platforms without ``fork``.
+  batches. Taken whenever the pipeline has a usable vector plan and
+  the pool attaches (the platform can fork, the workers come up).
+* **inline** — :func:`run_inline`: the partitions run sequentially
+  in-process. Merely slower, never wrong; the path for the scalar
+  engines and for platforms without ``fork``, and the reference the
+  pool is tested against.
 
-A mode the caller asked for (explicitly or via ``auto``'s preference
-order) that cannot be honored **degrades loudly**: a
-``pisa.shard.degraded`` trace event plus the
-``p4all_shard_degraded_total`` counter fire, and the report records
-``requested_mode`` next to the actual ``mode`` — callers can always
-tell they got sequential execution. Each worker reports its busy
-seconds so callers (the throughput benchmark, the fleet controller)
-can compute a makespan-modeled aggregate next to honest wall-clock
-numbers; the parent records both on ``pipeline.last_shard_report``.
+Landing on inline **is loud**: a ``pisa.shard.degraded`` trace event
+plus the ``p4all_shard_degraded_total`` counter fire, and the report's
+``mode`` says ``"inline"`` — callers can always tell they got
+sequential execution. Each worker reports its busy seconds so callers
+(the throughput benchmark, the fleet controller) can compute a
+makespan-modeled aggregate next to honest wall-clock numbers; the
+parent records both on ``pipeline.last_shard_report``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
 import numpy as np
 
 from ..lang import ast
-from ..obs import merge_worker_obs
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..obs.aggregate import WorkerObsCapture
 from .compiled import _REG_METHODS, _NotStatic, _fold
 from .results import BatchResults
 
-__all__ = ["run_sharded", "classify_registers", "shard_assignments",
-           "SHARD_MODES"]
-
-#: Recognized REPRO_PISA_SHARD_MODE values.
-SHARD_MODES = ("auto", "pool", "fork", "inline")
+__all__ = ["run_sharded", "run_inline", "classify_registers",
+           "shard_assignments"]
 
 _MASK64 = (1 << 64) - 1
 _ADDITIVE = frozenset({"add", "add_read", "cond_add", "cond_add_read"})
@@ -186,26 +175,25 @@ def shard_assignments(packets, workers: int,
 # ---------------------------------------------------------------------------
 
 
-def _run_partition(pipeline, packets, collect: bool, worker: int = 0,
-                   shard_mode: str = "inline"):
-    """Run one worker's packets; returns (count, busy_s, deltas, results).
+def _run_partition(pipeline, packets, collect: bool, worker: int):
+    """Run one partition in place, then put the registers back; returns
+    (count, busy_s, deltas, results).
 
-    ``busy_s`` is the worker's *CPU* seconds for its partition, not wall
-    time: on a host with fewer free cores than workers the forked
-    children time-slice, and a child's wall clock would charge it for
-    time spent descheduled. CPU seconds are what the makespan model
-    (``packets / max(busy)``) needs — the completion time on a host
-    where every worker gets a core.
+    ``busy_s`` is the partition's *CPU* seconds, not wall time — the
+    same clock the pool workers report, so the makespan model
+    (``packets / max(busy)``) reads alike on both paths.
 
-    ``deltas`` maps register instance -> (changed_idx, payload) where
-    the payload is delta values (additive) or new values (other
-    classes), relative to the register state at call time.
+    ``deltas`` maps register instance -> (changed_idx, delta, new)
+    relative to the register state at call time. The registers are
+    restored to that state before returning: every partition starts
+    from the same snapshot and the changes reach the parent only
+    through :func:`_merge_deltas`, exactly as a pool worker's do.
     """
     registers = pipeline.registers
     before = {name: registers.get(name).dump() for name in registers.names()}
     start = time.process_time()
     with trace.span("pisa.worker.batch", worker=worker,
-                    shard_mode=shard_mode) as span:
+                    shard_mode="inline") as span:
         result = pipeline._process_many(packets, collect, None)
         span.set_attrs(packets=len(packets))
     busy = time.process_time() - start
@@ -213,7 +201,7 @@ def _run_partition(pipeline, packets, collect: bool, worker: int = 0,
         "p4all_worker_packets_total",
         help="Packets executed inside worker processes.",
         labels=("worker", "shard_mode"),
-    ).inc(len(packets), worker=worker, shard_mode=shard_mode)
+    ).inc(len(packets), worker=worker, shard_mode="inline")
     deltas: dict[str, tuple] = {}
     for name, snap in before.items():
         data = registers.get(name)._data
@@ -224,6 +212,7 @@ def _run_partition(pipeline, packets, collect: bool, worker: int = 0,
             # values for every class (parent keeps the payload raw).
             deltas[name] = (changed, data[changed] - snap[changed],
                             data[changed])
+            data[:] = snap
     count = result if isinstance(result, int) else len(result)
     results = result if collect else None
     return count, busy, deltas, results
@@ -247,15 +236,16 @@ def _merge_deltas(pipeline, classes: dict[str, str],
 
 def run_sharded(pipeline, packets, collect: bool, workers: int,
                 shard_field: Optional[str] = None):
-    """Partition ``packets`` by flow hash, run each shard in a forked
-    worker, merge register deltas on join. Returns results (lane order
-    preserved) or the packet count, and records per-worker stats on
-    ``pipeline.last_shard_report``.
+    """Partition ``packets`` by flow hash, run the shards on the worker
+    pool (else inline), merge register deltas on join. Returns results
+    (lane order preserved) or the packet count, and records per-worker
+    stats on ``pipeline.last_shard_report``.
     """
+    from .pool import PoolUnavailable, ensure_pool
+
     if not isinstance(packets, list):
         packets = list(packets)
-    n = len(packets)
-    if n == 0:
+    if not packets:
         pipeline.last_shard_report = {
             "workers": workers, "counts": [], "busy_seconds": [],
             "mode": "empty",
@@ -263,15 +253,31 @@ def run_sharded(pipeline, packets, collect: bool, workers: int,
         return BatchResults([]) if collect else 0
     # Deferred quiesce callbacks queued before the fan-out (e.g. by the
     # iterable that produced the packets) must fire at the worker-join
-    # boundary, in the parent — never inside a worker, where their
-    # effects would be discarded with the child process. Stash them so
-    # forked children inherit an empty queue; restored below, they run
-    # in process_many's end-of-batch drain, which follows the join.
+    # boundary, against the merged registers — never inside a partition.
+    # Stash them; restored below, they run in process_many's
+    # end-of-batch drain, which follows the join.
     stash = pipeline._quiesce_pending[:]
     pipeline._quiesce_pending.clear()
     try:
-        return _run_sharded_body(pipeline, packets, collect, workers,
-                                 shard_field)
+        vplan = pipeline.vplan
+        if vplan is None or not vplan.ok:
+            reason = "no_vector_plan"
+        else:
+            # Pool *attach* failures (no fork, dead spawn) degrade;
+            # failures *during* a pooled batch are real simulation
+            # errors and propagate.
+            try:
+                pool = ensure_pool(pipeline, workers)
+            except PoolUnavailable as exc:
+                reason = f"pool_unavailable: {exc}"
+            else:
+                result, report = pool.run(pipeline, packets, collect,
+                                          shard_field)
+                pipeline.last_shard_report = report
+                _count_batch("pool")
+                return result
+        _note_degraded(reason)
+        return run_inline(pipeline, packets, collect, workers, shard_field)
     finally:
         pipeline._quiesce_pending[:0] = stash
 
@@ -284,167 +290,49 @@ def _count_batch(mode: str) -> None:
     ).inc(shard_mode=mode)
 
 
-def _note_degraded(requested: str, actual: str, reason: str) -> None:
-    """A parallel mode the caller asked for could not be honored."""
-    trace.event("pisa.shard.degraded", requested=requested, actual=actual,
-                reason=reason)
+def _note_degraded(reason: str) -> None:
+    """The pool could not serve this batch; it runs inline instead."""
+    trace.event("pisa.shard.degraded", actual="inline", reason=reason)
     obs_metrics.counter(
         "p4all_shard_degraded_total",
-        help="Sharded batches that fell back from the requested mode.",
+        help="Sharded batches that fell back from the pool to inline.",
         labels=("shard_mode", "reason"),
-    ).inc(shard_mode=actual, reason=reason)
+    ).inc(shard_mode="inline", reason=reason)
 
 
-_POOL_MISSED = object()
+def run_inline(pipeline, packets, collect: bool, workers: int,
+               shard_field: Optional[str] = None):
+    """Run the ``workers`` flow-hash partitions one after another in
+    this process and join them through :func:`_merge_deltas`.
 
-
-def _try_pool(pipeline, packets, collect, workers, shard_field, want):
-    """Run the batch on the persistent pool, or return ``_POOL_MISSED``.
-
-    Pool *attach* failures (no fork, dead spawn) degrade; failures
-    *during* a pooled batch are real simulation errors and propagate.
+    Same partitioning and merge discipline as the pool, no parallelism:
+    the fallback when the pool cannot serve a pipeline, and the
+    reference the pool is tested against.
     """
-    from .pool import PoolUnavailable, ensure_pool
-
-    vplan = pipeline.vplan
-    if vplan is None or not vplan.ok:
-        if want == "pool":
-            _note_degraded(want, "fork", "no_vector_plan")
-        return _POOL_MISSED
-    try:
-        pool = ensure_pool(pipeline, workers)
-    except PoolUnavailable as exc:
-        _note_degraded(want, "fork", f"pool_unavailable: {exc}")
-        return _POOL_MISSED
-    result, report = pool.run(pipeline, packets, collect, shard_field)
-    report["requested_mode"] = want
-    pipeline.last_shard_report = report
-    _count_batch("pool")
-    return result
-
-
-def _run_sharded_body(pipeline, packets, collect, workers, shard_field):
     n = len(packets)
-    # REPRO_PISA_SHARD_MODE picks the execution mode (see module doc):
-    # auto prefers the persistent pool when the pipeline has a usable
-    # vector plan, falling back fork -> inline; pool/fork/inline insist,
-    # degrading loudly when the platform cannot honor them. inline is
-    # also what the throughput benchmark uses to measure per-worker busy
-    # seconds without fork copy-on-write noise.
-    want = os.environ.get("REPRO_PISA_SHARD_MODE", "auto")
-    if want not in SHARD_MODES:
-        raise ValueError(
-            f"REPRO_PISA_SHARD_MODE={want!r} is not one of {SHARD_MODES}")
-    if want in ("auto", "pool"):
-        result = _try_pool(pipeline, packets, collect, workers,
-                           shard_field, want)
-        if result is not _POOL_MISSED:
-            return result
     assign = shard_assignments(packets, workers, shard_field)
     lanes = [np.nonzero(assign == w)[0] for w in range(workers)]
-    shards = [[packets[i] for i in lane.tolist()] for lane in lanes]
     classes = classify_registers(pipeline)
-
-    import multiprocessing as mp
-
-    if want == "inline":
-        ctx = None
-    else:
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is None:
-            _note_degraded(want, "inline", "fork_unavailable")
-
     counts: list[int] = []
     busys: list[float] = []
     worker_deltas: list[dict] = []
     worker_results: list = []
-    mode = "fork"
-    if ctx is None:
-        # No fork on this platform: run the partitions sequentially.
-        # Same partitioning, same merge discipline, no parallelism.
-        mode = "inline"
-        for w, shard in enumerate(shards):
-            before = {
-                name: pipeline.registers.get(name).dump()
-                for name in pipeline.registers.names()
-            }
-            count, busy, deltas, results = _run_partition(
-                pipeline, shard, collect, worker=w, shard_mode="inline")
-            # The partition already ran in-place; undo and re-apply via
-            # the merge path so inline and fork joins are bit-identical.
-            for name, snap in before.items():
-                pipeline.registers.get(name)._data[:] = snap
-            counts.append(count)
-            busys.append(busy)
-            worker_deltas.append(deltas)
-            worker_results.append(results)
-        _merge_deltas(pipeline, classes, worker_deltas)
-    else:
-        procs = []
-        for w, shard in enumerate(shards):
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-
-            def child_main(conn=child_conn, shard=shard, w=w):
-                try:
-                    # Forked at batch time, so the inherited tracer
-                    # state (enablement, epoch) is already the
-                    # parent's; capture just needs a metrics baseline.
-                    capture = WorkerObsCapture()
-                    capture.begin()
-                    payload = _run_partition(pipeline, shard, collect,
-                                             worker=w, shard_mode="fork")
-                    conn.send(("ok", payload + (capture.finish(),)))
-                except BaseException as exc:  # surfaced in the parent
-                    conn.send(("err", repr(exc)))
-                finally:
-                    conn.close()
-
-            proc = ctx.Process(target=child_main, daemon=True)
-            proc.start()
-            child_conn.close()
-            procs.append((proc, parent_conn))
-        failures: list[str] = []
-        for w, (proc, conn) in enumerate(procs):
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                status, payload = "err", "worker exited without a result"
-            proc.join()
-            if status != "ok":
-                failures.append(str(payload))
-                counts.append(0)
-                busys.append(0.0)
-                worker_deltas.append({})
-                worker_results.append([] if collect else None)
-                continue
-            count, busy, deltas, results, obs_payload = payload
-            merge_worker_obs(obs_payload, worker=w,
-                             track=1_000_000 + w,
-                             track_name=f"shard-worker-{w}")
-            counts.append(count)
-            busys.append(busy)
-            worker_deltas.append(deltas)
-            worker_results.append(results)
-        if failures:
-            from .interp import SimulationError
-
-            raise SimulationError(
-                f"sharded workers failed: {'; '.join(failures)}"
-            )
-        _merge_deltas(pipeline, classes, worker_deltas)
-        pipeline.packets_processed += sum(counts)
+    for w, lane in enumerate(lanes):
+        count, busy, deltas, results = _run_partition(
+            pipeline, [packets[i] for i in lane.tolist()], collect, worker=w)
+        counts.append(count)
+        busys.append(busy)
+        worker_deltas.append(deltas)
+        worker_results.append(results)
+    _merge_deltas(pipeline, classes, worker_deltas)
     pipeline.last_shard_report = {
         "workers": workers,
         "counts": counts,
         "busy_seconds": busys,
-        "mode": mode,
-        "requested_mode": want,
+        "mode": "inline",
         "register_classes": classes,
     }
-    _count_batch(mode)
+    _count_batch("inline")
     if not collect:
         return n
     out: list = [None] * n

@@ -1,9 +1,8 @@
 """Cross-process obs aggregation: snapshot/delta/merge roundtrips,
-span adoption, the worker capture bracket, and the end-to-end pool and
-fork paths producing one merged trace with exact packet accounting."""
+span adoption, the worker capture bracket, and the end-to-end pool
+path producing one merged trace with exact packet accounting."""
 
 import multiprocessing
-import os
 
 import pytest
 
@@ -229,28 +228,12 @@ def _build_vector_pipeline():
     return Pipeline(compiled, engine="vector")
 
 
-@pytest.fixture
-def shard_mode_env():
-    prev = os.environ.get("REPRO_PISA_SHARD_MODE")
-
-    def set_mode(mode: str) -> None:
-        os.environ["REPRO_PISA_SHARD_MODE"] = mode
-
-    yield set_mode
-    if prev is None:
-        os.environ.pop("REPRO_PISA_SHARD_MODE", None)
-    else:
-        os.environ["REPRO_PISA_SHARD_MODE"] = prev
-
-
 @needs_fork
 class TestPoolTraceMerge:
-    def test_pool_trace_attributes_all_workers_and_matches_inline(
-            self, shard_mode_env):
+    def test_pool_trace_attributes_all_workers_and_matches_inline(self):
         """ISSUE acceptance: a traced ``process_many(..., workers=4)``
         yields one Chrome trace with spans from all 4 children, and the
         parent's merged packet counter matches inline mode exactly."""
-        shard_mode_env("pool")
         packets = [Packet(fields={"flow_id": i % 499}) for i in range(4000)]
         pipe = _build_vector_pipeline()
         obs.trace.enable()
@@ -296,20 +279,3 @@ class TestPoolTraceMerge:
         inline_total = _counter_value("p4all_packets_total",
                                       engine="vector") - before
         assert pool_total == inline_total == len(packets)
-
-    def test_fork_mode_attributes_workers(self, shard_mode_env):
-        shard_mode_env("fork")
-        packets = [Packet(fields={"flow_id": i % 499}) for i in range(2000)]
-        pipe = _build_vector_pipeline()
-        obs.trace.enable()
-        try:
-            pipe.process_many(packets, collect=False, workers=2)
-            assert pipe.last_shard_report["mode"] == "fork", \
-                pipe.last_shard_report
-        finally:
-            pipe.close()
-        wspans = obs.trace.spans_named("pisa.worker.batch")
-        assert {s.attrs["worker"] for s in wspans} == {0, 1}
-        for span in wspans:
-            assert span.thread_name.startswith("shard-worker-")
-            assert span.attrs["shard_mode"] == "fork"

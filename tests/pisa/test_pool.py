@@ -1,21 +1,25 @@
 """Persistent worker-pool tests: lifecycle, plan-cache invalidation,
 loud degradation, and merge-exactness properties.
 
-The pool (:mod:`repro.pisa.pool`) replaces fork-per-batch with workers
-that live as long as the :class:`~repro.pisa.pipeline.Pipeline`. The
-contracts under test here are the ones a long-lived pool can silently
-break where a fresh fork could not: stale cached plans after a table
-mutation, register state drifting across batch reuse, and orphaned
-children after ``close()``.
+The pool's (:mod:`repro.pisa.pool`) workers live as long as the
+:class:`~repro.pisa.pipeline.Pipeline`. The contracts under test here
+are the ones a long-lived pool can silently break: stale cached plans
+after a table mutation, register state drifting across batch reuse,
+a dead worker wedging every later batch, and orphaned children after
+``close()``.
 """
 
 import multiprocessing
+import os
+import signal
+from multiprocessing import shared_memory
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.pisa import Packet, Pipeline
-from repro.pisa.sharded import classify_registers
+from repro.pisa.interp import SimulationError
+from repro.pisa.sharded import classify_registers, run_inline
 
 from .test_pipeline import COUNTER, TABLED, build
 from .test_vector import packets_for, register_state
@@ -74,7 +78,7 @@ def seed_floors(pipe):
 
 @needs_fork
 class TestPoolLifecycle:
-    def test_reuse_across_batches_exact_vs_inline(self, monkeypatch):
+    def test_reuse_across_batches_exact_vs_inline(self):
         # Three consecutive batches on ONE pool (spawned once) must end
         # bit-identical to the same batches run inline. Any canonical
         # register-sync bug compounds across batches, so each boundary
@@ -92,9 +96,7 @@ class TestPoolLifecycle:
         seed_floors(pooled)
         try:
             for k, batch in enumerate(batches):
-                monkeypatch.setenv("REPRO_PISA_SHARD_MODE", "inline")
-                inline.process_many(list(batch), collect=False, workers=2)
-                monkeypatch.setenv("REPRO_PISA_SHARD_MODE", "pool")
+                run_inline(inline, list(batch), False, 2)
                 pooled.process_many(list(batch), collect=False, workers=2)
                 report = pooled.last_shard_report
                 assert report["mode"] == "pool", report
@@ -201,14 +203,90 @@ class TestPoolLifecycle:
                 assert r.get("meta.total") == seen[f]
 
 
+class _KillsOnSecondChunk(list):
+    """A batch that SIGKILLs a pool worker while the parent slices off
+    its second scatter chunk — i.e. after the first chunk was served."""
+
+    def __init__(self, packets, kill):
+        super().__init__(packets)
+        self.kill = kill
+
+    def __getitem__(self, item):
+        if isinstance(item, slice) and item.start:
+            self.kill()
+        return super().__getitem__(item)
+
+
+@needs_fork
+class TestWorkerDeath:
+    # ROADMAP 4e: a dead worker costs the batch that meets it, never
+    # the pipeline — registers untouched, next batch on fresh workers.
+    FLOWS = [i % 7 for i in range(200)]
+
+    @staticmethod
+    def kill_worker(pipe):
+        proc = pipe._pool._procs[0]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+
+    def fails_once_then_recovers(self, pipe, compiled, doomed, collect):
+        before = register_state(pipe)
+        with pytest.raises(SimulationError, match="pooled worker 0 died"):
+            pipe.process_many(doomed, collect=collect, workers=2)
+        assert register_state(pipe) == before
+
+        pipe.process_many(packets_for(self.FLOWS), collect=False, workers=2)
+        report = pipe.last_shard_report
+        assert report["mode"] == "pool"
+        assert report["pool_spawns"] == 2, report
+        # Two batches landed (before the kill, after the respawn).
+        ref = Pipeline(compiled, engine="vector")
+        ref.process_many(packets_for(self.FLOWS * 2), collect=False)
+        assert register_state(ref) == register_state(pipe)
+
+        segments = [shm.name for shm in pipe._pool._shms]
+        pipe.close()
+        assert multiprocessing.active_children() == []
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_killed_between_batches(self):
+        compiled, _ = build(COUNTER)
+        pipe = Pipeline(compiled, engine="vector")
+        try:
+            pipe.process_many(packets_for(self.FLOWS), collect=False,
+                              workers=2)
+            self.kill_worker(pipe)
+            self.fails_once_then_recovers(
+                pipe, compiled, packets_for(self.FLOWS), collect=False)
+        finally:
+            pipe.close()
+
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_killed_mid_batch(self, collect):
+        compiled, _ = build(COUNTER)
+        pipe = Pipeline(compiled, engine="vector")
+        try:
+            pipe.process_many(packets_for(self.FLOWS), collect=False,
+                              workers=2)
+            n = 2 * pipe._pool.chunk + 100       # three scatter chunks
+            doomed = _KillsOnSecondChunk(
+                packets_for([i % 7 for i in range(n)]),
+                kill=lambda: self.kill_worker(pipe))
+            self.fails_once_then_recovers(pipe, compiled, doomed, collect)
+        finally:
+            pipe.close()
+
+
 class TestDegradation:
     def test_no_vector_plan_degrades_loudly(self, monkeypatch):
         # The compiled engine has no VectorPlan, so the pool can't
-        # attach; requesting it must still work — but say so in the
+        # attach; workers > 1 must still work — but say so in the
         # report and on the degradation counter.
         from repro.pisa import sharded
 
-        monkeypatch.setenv("REPRO_PISA_SHARD_MODE", "pool")
         events = []
         monkeypatch.setattr(
             sharded, "_note_degraded",
@@ -219,10 +297,8 @@ class TestDegradation:
                               workers=2)
         assert n == 4
         report = pipe.last_shard_report
-        assert report["requested_mode"] == "pool"
-        assert report["mode"] != "pool"
-        assert events and events[0][0] == "pool"
-        assert events[0][2] == "no_vector_plan"
+        assert report["mode"] == "inline"
+        assert events == [("no_vector_plan",)]
 
     def test_fork_unavailable_degrades_to_inline(self, monkeypatch):
         import multiprocessing as mp
@@ -234,28 +310,24 @@ class TestDegradation:
         compiled, _ = build(COUNTER)
         flows = [i % 5 for i in range(100)]
         ref = Pipeline(compiled, engine="vector")
-        monkeypatch.setenv("REPRO_PISA_SHARD_MODE", "inline")
-        ref.process_many(packets_for(flows), collect=False, workers=2)
-        monkeypatch.delenv("REPRO_PISA_SHARD_MODE")
+        ref.process_many(packets_for(flows), collect=False)
 
         pipe = Pipeline(compiled, engine="vector")
         pipe.process_many(packets_for(flows), collect=False, workers=2)
         report = pipe.last_shard_report
         assert report["mode"] == "inline"
-        assert report["requested_mode"] == "auto"
         assert register_state(ref) == register_state(pipe)
 
-    def test_degradation_metric_incremented(self, monkeypatch):
+    def test_degradation_metric_incremented(self):
         from repro.obs import metrics as obs_metrics
 
-        monkeypatch.setenv("REPRO_PISA_SHARD_MODE", "pool")
         compiled, _ = build(COUNTER)
         pipe = Pipeline(compiled, engine="compiled")  # no vplan -> degrade
         pipe.process_many(packets_for([1, 2]), collect=False, workers=2)
         counter = obs_metrics.get("p4all_shard_degraded_total")
         assert counter is not None
         # Labelled with the mode actually used after the fallback.
-        assert counter.value(shard_mode="fork",
+        assert counter.value(shard_mode="inline",
                              reason="no_vector_plan") >= 1
 
 
@@ -285,29 +357,24 @@ class TestMergeProperties:
         # merge across any worker count equals inline execution — and
         # stays equal when the stream is cut into two batches at an
         # arbitrary boundary (state must carry across the pool's
-        # canonical-sync round trip). MonkeyPatch.context rather than
-        # the fixture: hypothesis re-enters the test body per example.
+        # canonical-sync round trip).
         compiled, _ = build(MIXED)
         split = min(split, len(pairs))
         batches = [b for b in (pairs[:split], pairs[split:]) if b]
 
-        with pytest.MonkeyPatch.context() as mp:
-            inline = Pipeline(compiled, engine="vector")
-            seed_floors(inline)
-            mp.setenv("REPRO_PISA_SHARD_MODE", "inline")
-            for batch in batches:
-                inline.process_many(mixed_packets(batch), collect=False,
-                                    workers=workers)
+        inline = Pipeline(compiled, engine="vector")
+        seed_floors(inline)
+        for batch in batches:
+            run_inline(inline, mixed_packets(batch), False, workers)
 
-            mp.setenv("REPRO_PISA_SHARD_MODE", "pool")
-            pooled = Pipeline(compiled, engine="vector")
-            seed_floors(pooled)
-            try:
-                for batch in batches:
-                    pooled.process_many(mixed_packets(batch), collect=False,
-                                        workers=workers)
-                if workers > 1:
-                    assert pooled.last_shard_report["mode"] == "pool"
-                assert register_state(inline) == register_state(pooled)
-            finally:
-                pooled.close()
+        pooled = Pipeline(compiled, engine="vector")
+        seed_floors(pooled)
+        try:
+            for batch in batches:
+                pooled.process_many(mixed_packets(batch), collect=False,
+                                    workers=workers)
+            if workers > 1:
+                assert pooled.last_shard_report["mode"] == "pool"
+            assert register_state(inline) == register_state(pooled)
+        finally:
+            pooled.close()

@@ -1,7 +1,7 @@
 """``BatchResults``: one return type for ``process_many(collect=True)``.
 
 The vector engine keeps columns and builds rows late; the scalar engines
-and the fork/inline shard joins hand over finished rows. Either way the
+and the inline shard join hand over finished rows. Either way the
 rows, ``column()`` and ``hit_column()`` must tell the same story — on
 lanes that never acquired a field, on lanes a table never ran for, and
 on 64-bit fields held as bit patterns.
@@ -15,6 +15,7 @@ import pytest
 from repro.pisa import BatchResults, Packet, Pipeline, PipelineResult
 
 from .test_pipeline import build
+from .test_vector import run_shards
 
 #: ``egress`` exists only on table-hit lanes, ``route`` only runs for
 #: ``dst < 100``, and ``wide`` wraps past 2**63.
@@ -44,15 +45,15 @@ control Ingress(inout metadata meta) {
 DSTS = [42, 1, 200, 42, 0, 2, 150, 9, 42, 3]
 
 
-def run(engine, dsts=DSTS, **kwargs):
+def run(engine, dsts=DSTS, process=Pipeline.process_many, **kwargs):
     compiled, _ = build(SOURCE)
     pipe = Pipeline(compiled, engine=engine)
     pipe.table_add("route", match=(42,), action="set_port",
                    action_data=(7,))
     pipe.vector_chunk = 4       # several column chunks per call
     with pipe:
-        return pipe.process_many(
-            [Packet(fields={"dst": d}) for d in dsts], **kwargs)
+        return process(pipe, [Packet(fields={"dst": d}) for d in dsts],
+                       **kwargs)
 
 
 def rows_of(results):
@@ -127,12 +128,11 @@ class TestColumns:
 
 
 class TestShardedCollect:
-    @pytest.mark.parametrize("mode", ["pool", "fork", "inline"])
-    def test_workers_return_lane_ordered_rows(self, monkeypatch, mode,
-                                              reference):
-        monkeypatch.setenv("REPRO_PISA_SHARD_MODE", mode)
+    @pytest.mark.parametrize("mode", ["pool", "inline"])
+    def test_workers_return_lane_ordered_rows(self, mode, reference):
         dsts = DSTS * 6
-        results = run("vector", dsts=dsts, workers=2, shard_field="dst")
+        results = run("vector", dsts=dsts, process=run_shards, mode=mode,
+                      shard_field="dst")
         assert isinstance(results, BatchResults)
         assert rows_of(results) == rows_of(reference) * 6
         assert results.column("meta.dst").tolist() == dsts

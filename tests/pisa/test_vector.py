@@ -7,7 +7,11 @@ import pytest
 from repro.core import compile_source
 from repro.pisa import Packet, Pipeline, small_target
 from repro.pisa.interp import SimulationError
-from repro.pisa.sharded import classify_registers, shard_assignments
+from repro.pisa.sharded import (
+    classify_registers,
+    run_inline,
+    shard_assignments,
+)
 
 from .test_pipeline import COUNTER, GUARDED, TABLED, build
 
@@ -21,6 +25,15 @@ def register_state(pipe):
         name: list(pipe.registers.get(name).dump())
         for name in pipe.registers.names()
     }
+
+
+def run_shards(pipe, packets, mode, collect=True, workers=2, **kwargs):
+    """One ``workers``-way batch on the path ``process_many`` picks
+    (``"pool"`` for a vector pipeline) or on the inline reference."""
+    if mode == "inline":
+        return run_inline(pipe, packets, collect, workers, **kwargs)
+    return pipe.process_many(packets, collect=collect, workers=workers,
+                             **kwargs)
 
 
 def both(source, packets, prepare=None):
@@ -218,20 +231,18 @@ class TestConflictError:
 
 
 class TestSharded:
-    # Both multiprocess modes must satisfy the same merge contract:
-    # "pool" is the persistent worker pool, "fork" the per-batch
-    # fallback it replaced.
-    @pytest.mark.parametrize("mode", ["pool", "fork"])
-    def test_additive_merge_bit_exact(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_PISA_SHARD_MODE", mode)
+    # Both paths must satisfy the same merge contract: "pool" is the
+    # persistent worker pool, "inline" the sequential reference.
+    @pytest.mark.parametrize("mode", ["pool", "inline"])
+    def test_additive_merge_bit_exact(self, mode):
         compiled, _ = build(COUNTER)
         flows = [i % 7 for i in range(400)]
         seq = Pipeline(compiled, engine="vector")
         seq.process_many(packets_for(flows), collect=False)
         for workers in (2, 3):
             shard = Pipeline(compiled, engine="vector")
-            n = shard.process_many(packets_for(flows), collect=False,
-                                   workers=workers)
+            n = run_shards(shard, packets_for(flows), mode, collect=False,
+                           workers=workers)
             assert n == 400
             assert shard.packets_processed == 400
             assert register_state(seq) == register_state(shard)
@@ -242,13 +253,12 @@ class TestSharded:
             assert all(b >= 0 for b in report["busy_seconds"])
             shard.close()
 
-    @pytest.mark.parametrize("mode", ["pool", "fork"])
-    def test_lane_order_preserved(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_PISA_SHARD_MODE", mode)
+    @pytest.mark.parametrize("mode", ["pool", "inline"])
+    def test_lane_order_preserved(self, mode):
         compiled, _ = build(COUNTER)
         with Pipeline(compiled, engine="vector") as pipe:
             flows = [(i * 31) % 97 for i in range(120)]
-            results = pipe.process_many(packets_for(flows), workers=2)
+            results = run_shards(pipe, packets_for(flows), mode)
             assert [r.get("meta.flow_id") for r in results] == flows
 
     def test_same_key_routes_to_one_worker(self):
@@ -277,6 +287,8 @@ class TestSharded:
         flows = [i % 5 for i in range(100)]
         forked = Pipeline(compiled, engine="vector")
         forked.process_many(packets_for(flows), collect=False, workers=2)
+        assert forked.last_shard_report["mode"] == "pool"
+        forked.close()
 
         def no_fork(method=None):
             raise ValueError("fork unavailable")
@@ -287,20 +299,12 @@ class TestSharded:
         assert inline.last_shard_report["mode"] == "inline"
         assert register_state(forked) == register_state(inline)
 
-    def test_shard_mode_env_forces_inline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PISA_SHARD_MODE", "inline")
-        compiled, _ = build(COUNTER)
-        pipe = Pipeline(compiled, engine="vector")
-        pipe.process_many(packets_for([i % 5 for i in range(60)]),
-                          collect=False, workers=2)
-        report = pipe.last_shard_report
-        assert report["mode"] == "inline"
-        assert sum(report["counts"]) == 60
-
     def test_works_on_compiled_engine_too(self):
-        # Sharding is an engine-independent front end.
+        # Sharding is an engine-independent front end: without a vector
+        # plan the same partitions run inline.
         compiled, _ = build(COUNTER)
         pipe = Pipeline(compiled, engine="compiled")
         n = pipe.process_many(packets_for([1, 2, 3, 4]), collect=False,
                               workers=2)
         assert n == 4
+        assert pipe.last_shard_report["mode"] == "inline"

@@ -189,3 +189,15 @@ class TestRunCommand:
                  for line in events_path.read_text().strip().splitlines()]
         assert "configured" in kinds
         assert kinds.count("window") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--shard-mode", "pool"],
+        ["fabric", "--shard-mode", "pool"],
+        ["fabric", "--parallel"],
+    ])
+    def test_removed_mode_flags_are_rejected(self, argv, capsys):
+        # One way to shard, one way to run a fleet: nothing to select.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
