@@ -50,6 +50,7 @@ def _phases(compiled) -> dict:
         "ilp_solve_seconds": s.ilp_solve_seconds,
         "codegen_seconds": s.codegen_seconds,
         "verify_seconds": s.verify_seconds,
+        "lookup_seconds": s.lookup_seconds,
         "total_seconds": s.total_seconds,
         "frontend_cached": s.frontend_cached,
         "bounds_cached": s.bounds_cached,
@@ -169,6 +170,12 @@ def test_compile_latency(benchmark):
     assert warm.stats.layout_cached
     assert warm.symbol_values == cold.symbol_values
     assert results["warm_cache_speedup"] >= 10.0
+    # The hit reports what *it* spent — the lookup — not a replay of the
+    # cold run's phases: its phase seconds fit inside its own wall.
+    assert warm.stats.ilp_solve_seconds == 0
+    assert warm.stats.total_seconds == warm.stats.lookup_seconds
+    assert warm.stats.total_seconds <= results["warm_cache"]["wall_seconds"]
+    assert cold.stats.ilp_solve_seconds > 0
 
     # The target change reuses the front end but re-solves the layout.
     assert cut.stats.frontend_cached

@@ -139,6 +139,45 @@ class DependencyGraph:
 
         return any(color[n.node_id] == 0 and dfs(n.node_id) for n in self.nodes)
 
+    # -- stage windows -------------------------------------------------------------
+    def stage_windows(self, stages: int, implies) -> dict[int, range]:
+        """ASAP/ALAP levelling: the stages each node can occupy.
+
+        ``implies(a, b)`` says that placing node ``a`` forces node ``b``
+        to be placed. A node's earliest stage is the longest chain of
+        precedence predecessors it implies (each needs a stage of its
+        own before it); its latest stage is ``stages - 1`` minus the
+        longest such chain of successors. A neighbour whose placement is
+        *not* implied may stay unplaced and so reserves nothing. The
+        window of a node that cannot fit at all is empty. Nodes on a
+        precedence cycle keep the full range (no layout places them
+        anyway).
+        """
+        order: list[int] = []
+        indegree = {n.node_id: len(self.precedence_in[n.node_id])
+                    for n in self.nodes}
+        ready = [nid for nid, deg in indegree.items() if deg == 0]
+        while ready:
+            nid = ready.pop()
+            order.append(nid)
+            for succ in self.precedence_out[nid]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    ready.append(succ)
+        asap = {n.node_id: 0 for n in self.nodes}
+        alap = {n.node_id: stages - 1 for n in self.nodes}
+        for nid in order:
+            node = self.nodes[nid]
+            for pred in self.precedence_in[nid]:
+                if implies(node, self.nodes[pred]):
+                    asap[nid] = max(asap[nid], asap[pred] + 1)
+        for nid in reversed(order):
+            node = self.nodes[nid]
+            for succ in self.precedence_out[nid]:
+                if implies(node, self.nodes[succ]):
+                    alap[nid] = min(alap[nid], alap[succ] - 1)
+        return {nid: range(asap[nid], alap[nid] + 1) for nid in asap}
+
     # -- longest simple path -----------------------------------------------------
     def longest_simple_path(self, cutoff: int | None = None) -> int:
         """Length (node count) of the longest simple path.

@@ -30,7 +30,6 @@ from pathlib import Path
 from ..analysis import build_ir, compute_upper_bounds
 from ..analysis.unroll import UnrollOptions
 from ..lang import check_program, parse_program
-from ..lang.symbols import eval_static
 from ..ilp import SolveStatus
 from ..obs import metrics as obs_metrics
 from ..obs import trace
@@ -40,6 +39,7 @@ from .codegen import generate_p4
 from .errors import CompileError
 from .layout import LayoutBuilder, LayoutOptions, LayoutSolution
 from .program import CompiledProgram, CompileStats, PlacedUnit, RegisterAlloc
+from .utility import utility_at
 
 __all__ = [
     "compile_source",
@@ -260,13 +260,18 @@ def _record_compile_metrics(stats: CompileStats, backend: str) -> None:
         help="Completed compiles, by layout backend and layout-cache outcome.",
         labels=("backend", "cached"),
     ).inc(backend=backend, cached=str(stats.layout_cached).lower())
-    if stats.layout_cached:
-        return
     phases = obs_metrics.histogram(
         "p4all_compile_phase_seconds",
         help="Wall time per compiler phase (Figure 8 pipeline).",
         labels=("phase",),
     )
+    if stats.layout_cached:
+        # A hit ran no phase: what it cost is the lookup (and, linked,
+        # the verify-tier lookup).
+        phases.observe(stats.lookup_seconds, phase="layout_lookup")
+        if stats.verify_cached:
+            phases.observe(stats.verify_seconds, phase="verify")
+        return
     phases.observe(stats.parse_seconds, phase="parse")
     phases.observe(stats.ir_seconds, phase="ir")
     phases.observe(stats.bounds_seconds, phase="bounds")
@@ -274,6 +279,18 @@ def _record_compile_metrics(stats: CompileStats, backend: str) -> None:
     phases.observe(stats.ilp_solve_seconds, phase="ilp_solve")
     phases.observe(stats.codegen_seconds, phase="codegen")
     phases.observe(stats.verify_seconds, phase="verify")
+
+
+def _layout_hit(cached: CompiledProgram, lookup_seconds: float) -> CompiledProgram:
+    """The cached artifact, shared, under a stats record of *this* call:
+    the lookup is all it spent (the compile that filled the cache keeps
+    its own record on the cached artifact)."""
+    return dataclasses.replace(cached, stats=CompileStats(
+        lookup_seconds=lookup_seconds,
+        ilp_variables=cached.stats.ilp_variables,
+        ilp_constraints=cached.stats.ilp_constraints,
+        layout_cached=True,
+    ))
 
 
 def compile_source(
@@ -294,18 +311,11 @@ def compile_source(
     ) as span:
         cache = options.cache
         if cache is not None:
+            t0 = time.perf_counter()
             cached = cache.get_layout(source, target, options)
             if cached is not None:
-                # Share the artifact, but stamp a fresh stats record so
-                # the caller can see this compile was served from cache
-                # (the original's phase timings are preserved for
-                # reference).
                 span.set_attr("layout_cached", True)
-                cached = dataclasses.replace(
-                    cached,
-                    stats=dataclasses.replace(cached.stats,
-                                              layout_cached=True),
-                )
+                cached = _layout_hit(cached, time.perf_counter() - t0)
                 _record_compile_metrics(cached.stats, options.backend)
                 return cached
         stats = CompileStats()
@@ -334,6 +344,7 @@ def compile_source(
             solve_span.set_attrs(
                 status=solution.status.value,
                 nodes_explored=solution.nodes_explored,
+                mip_gap=solution.mip_gap,
             )
         stats.ilp_solve_seconds = solution.solve_seconds
         # Constraints may have been added during utility linearization.
@@ -396,11 +407,10 @@ def compile_source_greedy(
             if inst.symbolic is not None
         }
         optimize = program.optimize()
-        objective = 0.0
-        if optimize is not None:
-            env: dict[str, float] = dict(info.consts)
-            env.update(result.symbol_values)
-            objective = float(eval_static(optimize.utility, env))
+        objective, _ = utility_at(
+            result.symbol_values, info.consts,
+            optimize.utility if optimize is not None else None,
+        )
         solution = LayoutSolution(
             status=SolveStatus.FEASIBLE,
             objective=objective,
@@ -529,14 +539,11 @@ def compile_linked(
         cache = options.cache
         pseudo = _linked_pseudo_source(linked)
         if cache is not None:
+            t0 = time.perf_counter()
             cached = cache.get_layout(pseudo, target, options)
             if cached is not None:
                 span.set_attr("layout_cached", True)
-                cached = dataclasses.replace(
-                    cached,
-                    stats=dataclasses.replace(cached.stats,
-                                              layout_cached=True),
-                )
+                cached = _layout_hit(cached, time.perf_counter() - t0)
                 if options.verify:
                     # Warm recompile: the verify tier answers from cache
                     # (same program, same symbol values), keeping the
@@ -572,6 +579,7 @@ def compile_linked(
             solve_span.set_attrs(
                 status=solution.status.value,
                 nodes_explored=solution.nodes_explored,
+                mip_gap=solution.mip_gap,
             )
         stats.ilp_solve_seconds = solution.solve_seconds
         stats.ilp_variables = lm.model.num_variables
@@ -612,7 +620,6 @@ def compile_linked_greedy(
 
 def _compile_linked_greedy_body(linked, target, options, span):
     from .greedy import greedy_layout
-    from .utility import eval_utility_term
 
     stats = CompileStats()
     program, info, ir, bounds = _run_frontend_linked(
@@ -629,18 +636,10 @@ def _compile_linked_greedy_body(linked, target, options, span):
         for inst in result.instances
         if inst.symbolic is not None
     }
-    env: dict[str, float] = dict(info.consts)
-    env.update(result.symbol_values)
-    breakdown: dict[str, float] = {}
-    for module, weight, term in linked.utility_terms:
-        value = float(weight) * eval_utility_term(term, env)
-        breakdown[module] = breakdown.get(module, 0.0) + value
-    if breakdown:
-        objective = sum(breakdown.values())
-    elif linked.utility is not None:
-        objective = float(eval_utility_term(linked.utility, env))
-    else:
-        objective = 0.0
+    objective, breakdown = utility_at(
+        result.symbol_values, info.consts, linked.utility,
+        linked.utility_terms,
+    )
     solution = LayoutSolution(
         status=SolveStatus.FEASIBLE,
         objective=objective,

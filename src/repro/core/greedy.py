@@ -7,12 +7,15 @@ baseline for the ablation benchmark:
 
 1. walk placement units in program order, placing each in the earliest
    stage that satisfies dependencies (strictly after predecessors, not
-   sharing a stage with excluded peers or over-budget ALUs), dropping an
+   sharing a stage with excluded peers or over-budget ALUs) and still
+   has memory for what the unit brings — its table SRAM, its fixed-size
+   registers, and one cell of each elastic register — dropping an
    elastic iteration — and all later iterations of its symbolic — when it
    does not fit;
-2. afterwards, split each stage's register memory equally among the
-   register instances placed there, then shrink every family to its
-   smallest per-instance share (the equal-size rule).
+2. afterwards, split what each stage has left equally among the
+   elastic register instances placed there (on top of their one cell),
+   then shrink every family to its smallest per-instance share (the
+   equal-size rule).
 
 The ILP dominates this baseline whenever utility favors an allocation the
 greedy order cannot reach (e.g. reserving memory for a later, more
@@ -68,10 +71,24 @@ def greedy_layout(
     prec_in = graph.precedence_in
     excl = graph.exclusion
 
+    from .tablemem import table_memory_bits
+
+    info = ir.info
+
+    def fixed_bits(reg) -> int:
+        """What a register instance needs whatever the split decides:
+        all of a fixed-size array, one cell of an elastic one."""
+        if reg.is_elastic_size:
+            return reg.cell_bits
+        return reg.cell_bits * int(eval_static(reg.decl.size, info.consts))
+
     node_stage: dict[int, int | None] = {}
     stateful_used = [0] * target.stages
     stateless_used = [0] * target.stages
     hash_used = [0] * target.stages
+    # Table SRAM and registers draw on the same M bits (the ILP's #8
+    # with the §4.4 table extension): bits committed per stage so far.
+    memory_used = [0] * target.stages
     dead_symbolics: dict[str, int] = {}  # symbolic -> first dropped iteration
 
     def node_iterations(node) -> list[tuple[str, int]]:
@@ -101,6 +118,13 @@ def greedy_layout(
         hf = sum(target.hf(i.cost) for i in node.instances)
         hl = sum(target.hl(i.cost) for i in node.instances)
         hh = sum(i.cost.hash_ops for i in node.instances)
+        bits = sum(
+            table_memory_bits(info.tables[i.table], info)
+            for i in node.instances if i.table is not None
+        ) + sum(
+            fixed_bits(info.registers[fam])
+            for fam, _idx in {reg for i in node.instances for reg in i.registers}
+        )
         chosen: int | None = None
         if feasible:
             for s in range(min_stage, target.stages):
@@ -109,6 +133,8 @@ def greedy_layout(
                 if stateless_used[s] + hl > target.stateless_alus_per_stage:
                     continue
                 if hash_used[s] + hh > target.hash_units_per_stage:
+                    continue
+                if memory_used[s] + bits > target.memory_bits_per_stage:
                     continue
                 if any(node_stage.get(other) == s for other in excl[node.node_id]):
                     continue
@@ -128,6 +154,7 @@ def greedy_layout(
             stateful_used[chosen] += hf
             stateless_used[chosen] += hl
             hash_used[chosen] += hh
+            memory_used[chosen] += bits
 
     # Drop *whole* iterations when any of their units was dropped
     # (conditional constraint #7), and everything after them (#16).
@@ -152,7 +179,6 @@ def greedy_layout(
         instance_stage[inst.uid] = stage
 
     # -- memory split ------------------------------------------------------------
-    info = ir.info
     # Register instances present per stage.
     stage_regs: dict[int, list[tuple[str, int]]] = {}
     reg_stage: dict[tuple[str, int], int] = {}
@@ -165,28 +191,15 @@ def greedy_layout(
                 reg_stage[reg] = stage
                 stage_regs.setdefault(stage, []).append(reg)
 
-    # Table SRAM placed in a stage comes out of the same M budget the
-    # registers draw from (the ILP's constraint #8 with the §4.4 table
-    # extension), so reserve it before splitting.
-    from .tablemem import table_memory_bits
-
-    table_bits_in_stage: dict[int, int] = {}
-    for inst in instances:
-        stage = instance_stage[inst.uid]
-        if stage is None or inst.table is None:
-            continue
-        table_bits_in_stage[stage] = table_bits_in_stage.get(stage, 0) + (
-            table_memory_bits(info.tables[inst.table], info)
-        )
-
-    # Equal split of the remaining stage memory by cell width.
+    # Equal split, by cell width, of what first-fit left uncommitted in
+    # the stage (a dropped iteration's commitment stays unused).
     share_cells: dict[tuple[str, int], int] = {}
     for stage, regs in stage_regs.items():
-        budget = target.memory_bits_per_stage - table_bits_in_stage.get(stage, 0)
-        per_reg_bits = max(budget, 0) // max(len(regs), 1)
-        for fam, idx in regs:
+        elastic = [r for r in regs if info.registers[r[0]].is_elastic_size]
+        spare = target.memory_bits_per_stage - memory_used[stage]
+        for fam, idx in elastic:
             width = info.registers[fam].cell_bits
-            share_cells[(fam, idx)] = max(per_reg_bits // width, 0)
+            share_cells[(fam, idx)] = 1 + spare // len(elastic) // width
 
     # Families with fixed sizes keep them; elastic families take the
     # minimum share across their instances (equal-size rule).
@@ -215,8 +228,6 @@ def greedy_layout(
             cells = int(eval_static(reg.decl.size, info.consts))
         else:
             cells = family_cells[fam]
-        if cells <= 0:
-            cells = 1
         register_alloc[(fam, idx)] = (stage, cells)
 
     # -- symbolic values ------------------------------------------------------------

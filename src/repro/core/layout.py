@@ -13,14 +13,21 @@ Variable families (Figure 10):
 ====================  =====================================================
 ``x[n, s]``           binary — dependency-graph node ``n`` placed in stage
                       ``s`` (same-stage groups place as a unit, which *is*
-                      constraint #4)
+                      constraint #4). Exists only for ``s`` inside the
+                      node's **stage window** (below)
 ``it[v, i]``          binary — iteration ``i`` of symbolic ``v`` is active
                       (the metadata variables ``d_i``, #13/#14, coincide
                       with these)
 ``size[y]``           integer — cells per register array for size-symbolic
                       ``y`` (shared by every register family sized by it)
-``m[r, i, s]``        integer — cells of register instance ``(r, i)``
-                      allocated in stage ``s``
+``m[g, s]``           continuous — cells each register instance of **cell
+                      group** ``g`` holds in stage ``s``. A group is the
+                      register instances read by one node and sized by one
+                      expression (NetCache's ``kv_keys[i]``, ``kv_val0[i]``,
+                      ``kv_val1[i]``): they sit in the same stage with the
+                      same cell count, so they share the variable and a
+                      cell of it costs the sum of their widths. Integrality
+                      is implied (``m = size · x`` by #9, #10, #15)
 ====================  =====================================================
 
 Constraint families map to the paper's numbering as follows: #4 node
@@ -29,11 +36,34 @@ iteration-activation coupling and ordering, #8 per-stage memory, #9
 register/action co-location, #10 equal sizes, #11/#12 ALU limits,
 #13/#14 PHV budget, #17 inelastic placement, plus user assumes and — as
 extensions flagged in §4.4 — per-stage hash-unit limits.
+
+The rows are written for a tight LP relaxation — every one is exact
+(same integer solutions as the textbook big-M form):
+
+* **stage windows** — a node's earliest stage is the longest chain of
+  precedence predecessors its placement implies (inelastic, or an
+  iteration of its own symbolic no later than its own: #7 + #16), its
+  latest likewise over successors
+  (:meth:`~repro.analysis.depgraph.DependencyGraph.stage_windows`);
+  no variable or term exists outside the window;
+* **#6 per stage** — ``Σ_{t≤s} x[dst,t] + Σ_{t≥s} x[src,t] ≤ 1``: the
+  successor at or before ``s`` excludes the predecessor at or after it;
+* **#10** — ``Σ_s m[g,s] ≤ cells`` needs no big-M (the total is 0 or
+  ``cells``); only the ``≥`` side carries the unplaced slack.
+
+HiGHS stops at a relative gap of 1e-4, so the sizes it returns may sit a
+few cells under the optimum of the structure it found.
+:meth:`LayoutBuilder.resolve_sizes` therefore re-solves the sizes at zero
+gap with ``x`` and ``it`` fixed — milliseconds — after every solve.
+
+The solver maximises utility plus a ``stage_bias`` tie-break;
+:attr:`LayoutSolution.objective` is the utility alone, evaluated at the
+decoded symbol values (:func:`~repro.core.utility.utility_at`).
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 
 from ..analysis.depgraph import DependencyGraph, DepNode
@@ -43,7 +73,16 @@ from ..analysis.unroll import UnrollBounds
 from ..lang import ast
 from ..lang.errors import SemanticError
 from ..lang.symbols import eval_static
-from ..ilp import LinExpr, Model, Solution, SolveStatus, VarType, solve
+from ..ilp import (
+    Constraint,
+    LinExpr,
+    Model,
+    Sense,
+    Solution,
+    SolveStatus,
+    VarType,
+    solve,
+)
 from ..pisa.resources import TargetSpec
 from .errors import (
     CompileError,
@@ -53,7 +92,7 @@ from .errors import (
 )
 
 __all__ = ["LayoutBuilder", "LayoutModel", "LayoutSolution", "RegisterFamily",
-           "LayoutOptions"]
+           "CellGroup", "LayoutOptions"]
 
 
 @dataclass(frozen=True)
@@ -79,9 +118,24 @@ class RegisterFamily:
     fixed_cells: int | None           # set when size_expr is fully constant
     size_symbolics: frozenset[str] = frozenset()
 
+
+@dataclass
+class CellGroup:
+    """Register instances sharing one cell variable per stage: read by
+    the same dependency node and sized by the same expression, so they
+    sit in one stage and hold the same number of cells."""
+
+    gid: int
+    anchor: DepNode
+    family: RegisterFamily            # first member's: sizes the group
+    members: list[tuple[str, int]]    # (family, index)
+    bits_per_cell: int = 0            # Σ member cell widths
+    cap: int = 0                      # most cells one stage can hold
+    cells: LinExpr | None = None      # cells per array, over size variables
+
     @property
-    def max_cells_cap(self) -> int:
-        return self.fixed_cells if self.fixed_cells is not None else 0
+    def label(self) -> str:
+        return "+".join(f"{fam}[{i}]" for fam, i in self.members)
 
 
 class LayoutModel:
@@ -96,10 +150,13 @@ class LayoutModel:
         self.graph: DependencyGraph | None = None
         self.families: dict[str, RegisterFamily] = {}
         # Variable handles
-        self.x: dict[tuple[int, int], object] = {}        # (node_id, stage) -> Var
+        self.window: dict[int, range] = {}                # node_id -> stages it may take
+        self.x: dict[tuple[int, int], object] = {}        # (node_id, stage in window) -> Var
         self.it: dict[tuple[str, int], object] = {}       # (symbolic, iter) -> Var
         self.size_vars: dict[str, object] = {}            # size-symbolic -> Var
-        self.m: dict[tuple[str, int, int], object] = {}   # (family, idx, stage) -> Var
+        self.groups: list[CellGroup] = []
+        self.group_of: dict[tuple[str, int], CellGroup] = {}   # (family, idx) -> group
+        self.m: dict[tuple[int, int], object] = {}        # (gid, stage in window) -> Var
         self.free_sym_vars: dict[str, object] = {}        # unused symbolics
         self.loop_symbolics: list[str] = []
         self.counts: dict[str, int] = {}
@@ -122,11 +179,15 @@ class LayoutModel:
         raise UtilityError(f"symbolic value {name!r} has no ILP representation")
 
     def total_cells_expr(self, family: RegisterFamily) -> LinExpr:
-        """Sum of allocated cells across all instances/stages of a family."""
+        """Sum of allocated cells across all instances/stages of a family
+        (read off the cell variables its instances share with their
+        groups; an instance no action touches holds none)."""
+        groups = (self.group_of.get((family.name, i))
+                  for i in range(family.num_instances))
         return LinExpr.total(
-            self.m[(family.name, i, s)]
-            for i in range(family.num_instances)
-            for s in range(self.target.stages)
+            self.m[(group.gid, s)]
+            for group in groups if group is not None
+            for s in self.window[group.anchor.node_id]
         )
 
     def family_for_product(self, sym_a: str, sym_b: str) -> RegisterFamily | None:
@@ -144,6 +205,10 @@ class LayoutSolution:
     """Decoded ILP solution."""
 
     status: SolveStatus
+    #: the utility — the ``optimize`` expression, or the weighted sum of
+    #: the linked per-module terms — at ``symbol_values``. No tie-break
+    #: term, no solver tolerance: equal symbol values give an equal
+    #: objective, whichever back end or encoding found them
     objective: float
     symbol_values: dict[str, int]
     node_stage: dict[int, int | None]
@@ -156,6 +221,12 @@ class LayoutSolution:
     num_constraints: int
     nodes_explored: int = 0
     incumbent_source: str = ""
+    #: the solver's best proven bound and the relative gap it stopped at,
+    #: in *solver* terms (utility plus the ``stage_bias`` tie-break), so
+    #: comparable with each other and not with ``objective``; ``None``
+    #: for greedy layouts
+    mip_dual_bound: float | None = None
+    mip_gap: float | None = None
     #: per-module objective contribution (weighted), when the program
     #: was linked with per-module utility terms
     utility_breakdown: dict[str, float] = field(default_factory=dict)
@@ -203,6 +274,8 @@ class LayoutBuilder:
             exclusion_as_precedence=self.options.exclusion_as_precedence,
         )
         self._make_register_families()
+        self._make_cell_groups()
+        lm.window = lm.graph.stage_windows(self.target.stages, self._implies)
         self._make_variables()
         self._activation_constraints()          # #7, #15, #16, #17
         self._dependency_constraints()          # #5, #6 (+#4 structurally)
@@ -265,13 +338,74 @@ class LayoutBuilder:
                 size_symbolics=size_syms,
             )
 
+    def _make_cell_groups(self) -> None:
+        """Partition used register instances by (anchor node, size
+        expression); instances no action touches get no memory at all."""
+        lm = self.layout
+        memory = self.target.memory_bits_per_stage
+        by_anchor: dict[int, list[CellGroup]] = {}
+        for inst in lm.instances:
+            anchor = lm.graph.node_of(inst)
+            for key in inst.registers:
+                if key in lm.group_of:
+                    continue
+                fam = lm.families[key[0]]
+                if fam.cell_bits > memory:
+                    raise CompileError(
+                        f"register {fam.name!r}: one {fam.cell_bits}-bit cell "
+                        f"does not fit in a stage ({memory} bits)"
+                    )
+                peers = by_anchor.setdefault(anchor.node_id, [])
+                group = next(
+                    (g for g in peers if g.family.size_expr == fam.size_expr),
+                    None,
+                )
+                if group is None:
+                    group = CellGroup(len(lm.groups), anchor, fam, [])
+                    lm.groups.append(group)
+                    peers.append(group)
+                group.members.append(key)
+                group.bits_per_cell += fam.cell_bits
+                lm.group_of[key] = group
+        for group in lm.groups:
+            # A placed group holds at least one cell per member, so a
+            # group wider than a stage can never be placed: cap 0.
+            group.cap = memory // group.bits_per_cell
+            if group.family.fixed_cells is not None:
+                group.cap = min(group.cap, group.family.fixed_cells)
+
+    # -- stage windows -------------------------------------------------------------
+    def _iterations(self, node: DepNode) -> set[tuple[str, int]]:
+        """The (symbolic, iteration) pairs whose activation places ``node``."""
+        return {
+            (inst.symbolic, inst.iteration)
+            for inst in node.instances
+            if inst.symbolic is not None
+        }
+
+    def _inelastic(self, node: DepNode) -> bool:
+        return any(inst.symbolic is None for inst in node.instances)
+
+    def _implies(self, node: DepNode, other: DepNode) -> bool:
+        """Placing ``node`` forces ``other`` to be placed: ``other`` is
+        inelastic (#17), or one of its iterations is no later than an
+        iteration of the same symbolic that ``node`` carries (#7 ties
+        both to their iterations, #16 activates iterations in order)."""
+        if self._inelastic(other):
+            return True
+        mine = self._iterations(node)
+        return any(
+            sym == osym and it >= oit
+            for osym, oit in self._iterations(other)
+            for sym, it in mine
+        )
+
     # -- variables ---------------------------------------------------------------
     def _make_variables(self) -> None:
         lm = self.layout
         model = lm.model
-        stages = self.target.stages
         for node in lm.graph.nodes:
-            for s in range(stages):
+            for s in lm.window[node.node_id]:
                 lm.x[(node.node_id, s)] = model.add_var(
                     f"x[{node.label}@{s}]", vartype=VarType.BINARY
                 )
@@ -280,34 +414,38 @@ class LayoutBuilder:
                 lm.it[(sym, i)] = model.add_var(
                     f"it[{sym},{i}]", vartype=VarType.BINARY
                 )
-        # One size variable per size-symbolic, bounded by the tightest family.
+        # One size variable per size-symbolic, bounded by the tightest
+        # group. Where the symbolic *is* the cell count that is the
+        # group's cap; under any other expression (``cols / 2``) only
+        # one member's cell is a safe bound and #9/#10 do the rest.
         sym_caps: dict[str, int] = {}
-        for fam in lm.families.values():
-            cap = self.target.memory_bits_per_stage // fam.cell_bits
-            if cap <= 0:
-                raise CompileError(
-                    f"register {fam.name!r}: one {fam.cell_bits}-bit cell does not "
-                    f"fit in a stage ({self.target.memory_bits_per_stage} bits)"
+        for group in lm.groups:
+            cap = group.cap
+            if not isinstance(group.family.size_expr, ast.Name):
+                cap = self.target.memory_bits_per_stage // max(
+                    lm.families[fam].cell_bits for fam, _idx in group.members
                 )
             # size_symbolics is a frozenset; sort so variable creation
             # order (and thus LP text) is independent of PYTHONHASHSEED.
-            for sym in sorted(fam.size_symbolics):
+            for sym in sorted(group.family.size_symbolics):
                 sym_caps[sym] = min(sym_caps.get(sym, cap), cap)
         for sym, cap in sym_caps.items():
             lm.size_vars[sym] = model.add_var(
-                f"size[{sym}]", lb=1, ub=cap, vartype=VarType.INTEGER
+                f"size[{sym}]", lb=1, ub=max(cap, 1), vartype=VarType.INTEGER
             )
-        # Memory variables, in cells.
-        for fam in lm.families.values():
-            cap = self.target.memory_bits_per_stage // fam.cell_bits
-            if fam.fixed_cells is not None:
-                cap = min(cap, fam.fixed_cells)
-            for i in range(fam.num_instances):
-                for s in range(self.target.stages):
-                    lm.m[(fam.name, i, s)] = model.add_var(
-                        f"m[{fam.name}[{i}]@{s}]", lb=0, ub=cap,
-                        vartype=VarType.INTEGER,
-                    )
+        # Memory variables, in cells. ``m = cells · x`` is forced by #9,
+        # #10 and #15, so integrality is implied wherever ``cells`` is an
+        # integer combination of the size variables.
+        for group in lm.groups:
+            cells = group.cells = self._cells_expr(group)
+            integral = all(
+                float(c).is_integer() for c in (*cells.terms.values(), cells.constant)
+            )
+            for s in lm.window[group.anchor.node_id]:
+                lm.m[(group.gid, s)] = model.add_var(
+                    f"m[{group.label}@{s}]", lb=0, ub=group.cap,
+                    vartype=VarType.CONTINUOUS if integral else VarType.INTEGER,
+                )
         # Symbolics that are neither loop bounds nor register sizes get a
         # free integer variable (constrained only by assumes).
         for sym in self.info.symbolics:
@@ -319,19 +457,9 @@ class LayoutBuilder:
     # -- helpers ----------------------------------------------------------------
     def _placed(self, node: DepNode) -> LinExpr:
         return LinExpr.total(
-            self.layout.x[(node.node_id, s)] for s in range(self.target.stages)
+            self.layout.x[(node.node_id, s)]
+            for s in self.layout.window[node.node_id]
         )
-
-    def _stage_of(self, node: DepNode) -> LinExpr:
-        return LinExpr.total(
-            s * LinExpr.from_term(self.layout.x[(node.node_id, s)])
-            for s in range(self.target.stages)
-        )
-
-    def _activation_expr(self, inst: ActionInstance) -> LinExpr | int:
-        if inst.symbolic is None:
-            return 1
-        return LinExpr.from_term(self.layout.it[(inst.symbolic, inst.iteration)])
 
     # -- #7 / #15 / #16 / #17 ------------------------------------------------------
     def _activation_constraints(self) -> None:
@@ -339,16 +467,9 @@ class LayoutBuilder:
         model = lm.model
         for node in lm.graph.nodes:
             placed = self._placed(node)
-            # #15: placed at most once (binary sum over stages).
-            model.add_constr(placed <= 1, name=f"place_once[{node.label}]")
-            activations = {
-                (inst.symbolic, inst.iteration)
-                for inst in node.instances
-                if inst.symbolic is not None
-            }
-            has_inelastic = any(inst.symbolic is None for inst in node.instances)
-            if has_inelastic:
-                # #17: inelastic units must be placed.
+            activations = self._iterations(node)
+            if self._inelastic(node):
+                # #17: inelastic units must be placed (#15 is implied).
                 model.add_constr(placed == 1, name=f"inelastic[{node.label}]")
                 for key in activations:
                     model.add_constr(
@@ -356,7 +477,8 @@ class LayoutBuilder:
                         name=f"forced_it[{key[0]},{key[1]}]",
                     )
             else:
-                # #7: a node is placed iff its iteration(s) are active.
+                # #7: a node is placed iff its iteration(s) are active —
+                # which also places it at most once (#15, ``it`` binary).
                 for key in activations:
                     model.add_constr(
                         placed == LinExpr.from_term(lm.it[key]),
@@ -372,83 +494,88 @@ class LayoutBuilder:
                 )
 
     # -- #5 / #6 -------------------------------------------------------------------
+    def _order(self, first: DepNode, second: DepNode, gap: int, name: str) -> None:
+        """``stage(first) + gap ≤ stage(second)`` whenever both are placed
+        (``gap`` 1: strictly before, 0: not after), one row per stage:
+        ``second`` before ``s + gap`` excludes ``first`` at or after
+        ``s``. Rows outside the overlap of the two windows are dominated
+        by the nearest one inside it."""
+        lm = self.layout
+        w_first, w_second = lm.window[first.node_id], lm.window[second.node_id]
+        if not w_first or not w_second or w_first[-1] + gap <= w_second[0]:
+            return  # a side is never placed, or the windows already order them
+        last = min(w_first[-1], w_second[-1] + 1 - gap)
+        for s in range(min(max(w_first[0], w_second[0] + 1 - gap), last), last + 1):
+            terms = {lm.x[(second.node_id, t)]: 1.0
+                     for t in w_second if t < s + gap}
+            terms.update(
+                (lm.x[(first.node_id, t)], 1.0) for t in w_first if t >= s
+            )
+            lm.model.add_constr(
+                Constraint(LinExpr(terms, -1.0), Sense.LE), name=f"{name}@{s}"
+            )
+
     def _dependency_constraints(self) -> None:
         lm = self.layout
         model = lm.model
-        stages = self.target.stages
         for src, dst in lm.graph.precedence_edges():
-            # #6: if both placed, src strictly precedes dst.
-            gap = self._stage_of(dst) - self._stage_of(src)
-            slack = stages * (2 - self._placed(src) - self._placed(dst))
-            model.add_constr(
-                gap + slack >= 1, name=f"prec[{src.label}->{dst.label}]"
-            )
+            self._order(src, dst, 1, f"prec[{src.label}->{dst.label}]")
         for a, b in lm.graph.exclusion_edges():
             # #5: never share a stage.
-            for s in range(stages):
-                model.add_constr(
-                    LinExpr.from_term(lm.x[(a.node_id, s)])
-                    + LinExpr.from_term(lm.x[(b.node_id, s)])
-                    <= 1,
-                    name=f"excl[{a.label}|{b.label}@{s}]",
-                )
+            for s in lm.window[a.node_id]:
+                if s in lm.window[b.node_id]:
+                    model.add_constr(
+                        LinExpr.from_term(lm.x[(a.node_id, s)])
+                        + LinExpr.from_term(lm.x[(b.node_id, s)])
+                        <= 1,
+                        name=f"excl[{a.label}|{b.label}@{s}]",
+                    )
 
     # -- #11 / #12 (+ hash units) ----------------------------------------------------
     def _alu_constraints(self) -> None:
         lm = self.layout
         model = lm.model
-        for s in range(self.target.stages):
-            stateful = LinExpr()
-            stateless = LinExpr()
-            hashes = LinExpr()
+        rows = [
+            ("alus_f", self.target.stateful_alus_per_stage,
+             lambda inst: self.target.hf(inst.cost)),
+            ("alus_l", self.target.stateless_alus_per_stage,
+             lambda inst: self.target.hl(inst.cost)),
+        ]
+        if self.options.hash_unit_limits:
+            rows.append(("hash_units", self.target.hash_units_per_stage,
+                         lambda inst: inst.cost.hash_ops))
+        for name, limit, cost_of in rows:
+            usage = [LinExpr() for _ in range(self.target.stages)]
             for node in lm.graph.nodes:
-                x = lm.x[(node.node_id, s)]
-                hf = sum(self.target.hf(inst.cost) for inst in node.instances)
-                hl = sum(self.target.hl(inst.cost) for inst in node.instances)
-                hh = sum(inst.cost.hash_ops for inst in node.instances)
-                if hf:
-                    stateful += hf * LinExpr.from_term(x)
-                if hl:
-                    stateless += hl * LinExpr.from_term(x)
-                if hh:
-                    hashes += hh * LinExpr.from_term(x)
-            model.add_constr(
-                stateful <= self.target.stateful_alus_per_stage,
-                name=f"alus_f[{s}]",
-            )
-            model.add_constr(
-                stateless <= self.target.stateless_alus_per_stage,
-                name=f"alus_l[{s}]",
-            )
-            if self.options.hash_unit_limits:
-                model.add_constr(
-                    hashes <= self.target.hash_units_per_stage,
-                    name=f"hash_units[{s}]",
-                )
+                cost = sum(cost_of(inst) for inst in node.instances)
+                if cost:
+                    for s in lm.window[node.node_id]:
+                        usage[s].terms[lm.x[(node.node_id, s)]] = float(cost)
+            for s, expr in enumerate(usage):
+                # A row every candidate fits under at once never binds.
+                if sum(expr.terms.values()) > limit:
+                    model.add_constr(expr <= limit, name=f"{name}[{s}]")
 
     # -- #8 / #9 / #10 ----------------------------------------------------------------
-    def _anchor_node(self, fam: RegisterFamily, idx: int) -> DepNode | None:
-        lm = self.layout
-        for inst in lm.instances:
-            if (fam.name, idx) in inst.registers:
-                return lm.graph.node_of(inst)
-        return None
-
-    def _cells_expr(self, fam: RegisterFamily) -> LinExpr:
+    def _cells_expr(self, group: CellGroup) -> LinExpr:
         """Per-array cell count as a linear expression of size variables."""
-        if fam.fixed_cells is not None:
-            return LinExpr(constant=fam.fixed_cells)
+        if group.family.fixed_cells is not None:
+            return LinExpr(constant=group.family.fixed_cells)
         env = {
             sym: LinExpr.from_term(var) for sym, var in self.layout.size_vars.items()
         }
-        return _affine_expr(fam.size_expr, env, self.info.consts)
+        return _affine_expr(group.family.size_expr, env, self.info.consts)
 
     def _memory_constraints(self) -> None:
         lm = self.layout
         model = lm.model
-        stages = self.target.stages
-        # Table SRAM per node (§4.4 extension, flag-controlled).
-        table_bits_of_node: dict[int, int] = {}
+        # #8: per-stage memory in bits — a cell of a group costs the
+        # widths of all its members; table SRAM (§4.4 extension,
+        # flag-controlled) comes out of the same budget.
+        usage = [LinExpr() for _ in range(self.target.stages)]
+        for group in lm.groups:
+            for s in lm.window[group.anchor.node_id]:
+                usage[s].terms[lm.m[(group.gid, s)]] = float(group.bits_per_cell)
         if self.options.table_memory:
             from .tablemem import table_memory_bits
 
@@ -459,52 +586,37 @@ class LayoutBuilder:
                     if inst.table is not None
                 )
                 if bits:
-                    table_bits_of_node[node.node_id] = bits
-
-        # #8: per-stage memory in bits.
-        for s in range(stages):
-            usage = LinExpr()
-            for fam in lm.families.values():
-                for i in range(fam.num_instances):
-                    usage += fam.cell_bits * LinExpr.from_term(lm.m[(fam.name, i, s)])
-            for node_id, bits in table_bits_of_node.items():
-                usage += bits * LinExpr.from_term(lm.x[(node_id, s)])
-            model.add_constr(
-                usage <= self.target.memory_bits_per_stage, name=f"mem[{s}]"
+                    for s in lm.window[node.node_id]:
+                        usage[s].terms[lm.x[(node.node_id, s)]] = float(bits)
+        for s, expr in enumerate(usage):
+            if expr.terms:
+                model.add_constr(
+                    expr <= self.target.memory_bits_per_stage, name=f"mem[{s}]"
+                )
+        for group in lm.groups:
+            anchor = group.anchor
+            window = lm.window[anchor.node_id]
+            label, cells = group.label, group.cells
+            # #9: memory only where the accessing node is placed.
+            for s in window:
+                model.add_constr(
+                    LinExpr.from_term(lm.m[(group.gid, s)])
+                    <= group.cap * LinExpr.from_term(lm.x[(anchor.node_id, s)]),
+                    name=f"coloc[{label}@{s}]",
+                )
+            # #10: a placed group holds exactly ``cells`` cells. The total
+            # is 0 or ``cells``, so only the lower side needs a slack for
+            # the unplaced case: the most ``cells`` can be.
+            total = LinExpr.total(lm.m[(group.gid, s)] for s in window)
+            most = cells.constant + sum(
+                coef * (var.ub if coef > 0 else var.lb)
+                for var, coef in cells.terms.items()
             )
-        for fam in lm.families.values():
-            cap = self.target.memory_bits_per_stage // fam.cell_bits
-            cells = self._cells_expr(fam)
-            for i in range(fam.num_instances):
-                anchor = self._anchor_node(fam, i)
-                if anchor is None:
-                    # Declared but unused instance: no memory.
-                    for s in range(stages):
-                        model.add_constr(
-                            LinExpr.from_term(lm.m[(fam.name, i, s)]) <= 0,
-                            name=f"unused[{fam.name}[{i}]@{s}]",
-                        )
-                    continue
-                # #9: memory only where the accessing node is placed.
-                for s in range(stages):
-                    model.add_constr(
-                        LinExpr.from_term(lm.m[(fam.name, i, s)])
-                        <= cap * LinExpr.from_term(lm.x[(anchor.node_id, s)]),
-                        name=f"coloc[{fam.name}[{i}]@{s}]",
-                    )
-                total = LinExpr.total(
-                    lm.m[(fam.name, i, s)] for s in range(stages)
-                )
-                placed = self._placed(anchor)
-                # #10: placed instances all hold exactly ``cells`` cells.
-                model.add_constr(
-                    total - cells + cap * (1 - placed) >= 0,
-                    name=f"size_lo[{fam.name}[{i}]]",
-                )
-                model.add_constr(
-                    total - cells - cap * (1 - placed) <= 0,
-                    name=f"size_hi[{fam.name}[{i}]]",
-                )
+            model.add_constr(
+                total - cells + most * (1 - self._placed(anchor)) >= 0,
+                name=f"size_lo[{label}]",
+            )
+            model.add_constr(total - cells <= 0, name=f"size_hi[{label}]")
 
     # -- #13 / #14 ---------------------------------------------------------------------
     def _phv_constraints(self) -> None:
@@ -569,7 +681,6 @@ class LayoutBuilder:
         levels) otherwise make the MILP explore S!-ish permutations.
         """
         lm = self.layout
-        model = lm.model
         groups: dict[tuple, list] = {}
         for node in lm.graph.nodes:
             if any(inst.symbolic is not None for inst in node.instances):
@@ -607,15 +718,10 @@ class LayoutBuilder:
                 continue
             nodes.sort(key=lambda n: n.node_id)
             for a, b in zip(nodes, nodes[1:]):
-                model.add_constr(
-                    self._stage_of(b) - self._stage_of(a) >= 0,
-                    name=f"symbreak_ne[{a.label}<={b.label}]",
-                )
+                self._order(a, b, 0, f"symbreak_ne[{a.label}<={b.label}]")
 
     def _symmetry_breaking_elastic(self) -> None:
         lm = self.layout
-        model = lm.model
-        stages = self.target.stages
         for sym, count in lm.counts.items():
             # First template of this symbolic: earliest instance per iteration.
             per_iter: dict[int, ActionInstance] = {}
@@ -634,13 +740,7 @@ class LayoutBuilder:
                 seen_nodes.add(node.node_id)
                 nodes.append(node)
             for i in range(len(nodes) - 1):
-                a, b = nodes[i], nodes[i + 1]
-                model.add_constr(
-                    self._stage_of(b) - self._stage_of(a)
-                    + stages * (1 - self._placed(b))
-                    >= 0,
-                    name=f"symbreak[{sym},{i}]",
-                )
+                self._order(nodes[i], nodes[i + 1], 0, f"symbreak[{sym},{i}]")
 
     # ---------------------------------------------------------------- warm start --
     def encode_assignment(
@@ -655,9 +755,10 @@ class LayoutBuilder:
         Returns ``None`` when the layout cannot be expressed in this
         model (e.g. instances of one dependency node mapped to different
         stages, which happens when the instance universe shifted between
-        targets). The result is *not* feasibility-checked here — callers
-        gate on :meth:`Model.is_feasible` — but ``min()`` aux variables
-        are repaired so a genuinely feasible layout round-trips. Must be
+        targets, or a node placed outside its stage window). The result
+        is *not* feasibility-checked here — callers gate on
+        :meth:`Model.is_feasible` — but ``min()`` aux variables are
+        repaired so a genuinely feasible layout round-trips. Must be
         called after the objective is attached (aux vars exist then).
         """
         lm = self.layout
@@ -679,7 +780,7 @@ class LayoutBuilder:
                 continue
             var = lm.x.get((nid, stage))
             if var is None:
-                return None  # stage out of range for this target
+                return None  # stage outside the node's window on this target
             values[var] = 1.0
 
         for (sym, i), var in lm.it.items():
@@ -690,11 +791,16 @@ class LayoutBuilder:
         for sym, var in lm.free_sym_vars.items():
             val = float(symbol_values.get(sym, var.lb))
             values[var] = min(max(val, var.lb), var.ub)
-        for key, var in lm.m.items():
+        for var in lm.m.values():
             values[var] = 0.0
-        for (fam, idx), (stage, cells) in register_alloc.items():
-            var = lm.m.get((fam, idx, stage))
+        assigned: dict = {}
+        for key, (stage, cells) in register_alloc.items():
+            group = lm.group_of.get(key)
+            var = lm.m.get((group.gid, stage)) if group is not None else None
             if var is None:
+                return None
+            # Members of one group share the variable: they must agree.
+            if assigned.setdefault(group.gid, (stage, cells)) != (stage, cells):
                 return None
             values[var] = min(float(cells), var.ub)
         # Aux vars from min() linearization: tight value is the arm min.
@@ -769,7 +875,11 @@ class LayoutBuilder:
         :attr:`LayoutSolution.utility_breakdown`. ``floors`` (module →
         minimum weighted utility) become hard constraints. When
         ``utility_terms`` is given it takes precedence over ``utility``
-        (the latter is the same expression unsplit)."""
+        (the latter is the same expression unsplit).
+
+        Every solve ends with :meth:`resolve_sizes`, so the sizes
+        returned are optimal for the structure found and not merely
+        within the solver's stopping gap of it."""
         from .utility import linearize_term, linearize_utility
 
         lm = self.layout
@@ -788,8 +898,9 @@ class LayoutBuilder:
         elif utility is not None:
             objective += linearize_utility(utility, lm, self.info)
         if self.options.stage_bias:
-            for (node_id, s), var in lm.x.items():
-                objective += (-self.options.stage_bias * s) * LinExpr.from_term(var)
+            for (_node_id, s), var in lm.x.items():
+                objective.terms[var] = objective.terms.get(var, 0.0) \
+                    - self.options.stage_bias * s
         lm.model.maximize(objective, terms=term_exprs)
         for module, floor in sorted((floors or {}).items()):
             lin = term_exprs.get(module)
@@ -821,19 +932,68 @@ class LayoutBuilder:
                 time_limit=time_limit,
                 backend=solution.backend,
             )
-        return self._decode(solution, term_exprs)
+        solution = self.resolve_sizes(solution, backend, time_limit)
+        return self._decode(solution, utility, utility_terms)
 
-    def _decode(self, solution: Solution,
-                term_exprs: dict[str, LinExpr] | None = None) -> LayoutSolution:
+    def resolve_sizes(
+        self,
+        solution: Solution,
+        backend: str = "auto",
+        time_limit: float | None = None,
+    ) -> Solution:
+        """Re-solve the sizes to zero gap with the structure fixed.
+
+        HiGHS stops at a relative gap of 1e-4 and calls what it holds
+        optimal: on a 126 154-unit objective that is room for a
+        ``kv_cols`` two short of the best. With every ``x`` and ``it``
+        pinned at ``solution``'s values what remains — the integer size
+        variables plus continuous ``m`` — solves exactly in milliseconds,
+        so which within-gap point the search stopped at no longer shows
+        in the sizes. Returns ``solution`` itself when the re-solve does
+        not finish or does not improve on it; the status, node count and
+        bound stay those of the search, the seconds add up.
+        """
         lm = self.layout
-        node_stage: dict[int, int | None] = {}
-        for node in lm.graph.nodes:
-            stage = None
-            for s in range(self.target.stages):
-                if solution.int_value(lm.x[(node.node_id, s)]):
-                    stage = s
-                    break
-            node_stage[node.node_id] = stage
+        fixed = {
+            var: solution.values[var]
+            for var in (*lm.x.values(), *lm.it.values())
+        }
+        polished = solve(
+            lm.model, backend=backend, time_limit=time_limit,
+            warm_start=solution.values, fixed=fixed, rel_gap=0.0,
+        )
+        seconds = solution.solve_seconds + polished.solve_seconds
+        if not polished.status.ok or polished.objective <= solution.objective:
+            return dataclasses.replace(solution, solve_seconds=seconds)
+        gap = solution.mip_gap
+        if solution.mip_dual_bound is not None and polished.objective:
+            gap = abs(solution.mip_dual_bound - polished.objective) \
+                / abs(polished.objective)
+        return dataclasses.replace(
+            solution,
+            objective=polished.objective,
+            values=polished.values,
+            solve_seconds=seconds,
+            mip_gap=gap,
+        )
+
+    def _decode(self, solution: Solution, utility: ast.Expr | None = None,
+                utility_terms=None) -> LayoutSolution:
+        """Read the layout off ``solution``. ``objective`` (and the
+        per-module breakdown) is the utility at the decoded symbol
+        values, not ``solution.objective``: that one also carries the
+        ``stage_bias`` tie-break, a term far inside the solver's gap."""
+        from .utility import utility_at
+
+        lm = self.layout
+        node_stage: dict[int, int | None] = {
+            node.node_id: next(
+                (s for s in lm.window[node.node_id]
+                 if solution.int_value(lm.x[(node.node_id, s)])),
+                None,
+            )
+            for node in lm.graph.nodes
+        }
         instance_stage = {
             inst.uid: node_stage[lm.graph.node_of(inst).node_id]
             for inst in lm.instances
@@ -841,11 +1001,17 @@ class LayoutBuilder:
         iteration_active = {
             key: bool(solution.int_value(var)) for key, var in lm.it.items()
         }
-        register_alloc: dict[tuple[str, int], tuple[int, int]] = {}
-        for (fam, i, s), var in lm.m.items():
-            cells = solution.int_value(var)
-            if cells > 0:
-                register_alloc[(fam, i)] = (s, cells)
+        # Every member of a cell group gets the group's (stage, cells).
+        group_alloc = {
+            gid: (s, solution.int_value(var))
+            for (gid, s), var in lm.m.items()
+            if solution.int_value(var) > 0
+        }
+        register_alloc: dict[tuple[str, int], tuple[int, int]] = {
+            key: group_alloc[group.gid]
+            for key, group in lm.group_of.items()
+            if group.gid in group_alloc
+        }
         symbol_values: dict[str, int] = {}
         for sym in self.info.symbolics:
             if sym in lm.counts:
@@ -858,9 +1024,11 @@ class LayoutBuilder:
                 symbol_values[sym] = solution.int_value(lm.size_vars[sym])
             elif sym in lm.free_sym_vars:
                 symbol_values[sym] = solution.int_value(lm.free_sym_vars[sym])
+        objective, breakdown = utility_at(
+            symbol_values, self.info.consts, utility, utility_terms)
         return LayoutSolution(
             status=solution.status,
-            objective=solution.objective,
+            objective=objective,
             symbol_values=symbol_values,
             node_stage=node_stage,
             instance_stage=instance_stage,
@@ -872,10 +1040,9 @@ class LayoutBuilder:
             num_constraints=lm.model.num_constraints,
             nodes_explored=solution.nodes_explored,
             incumbent_source=solution.incumbent_source,
-            utility_breakdown={
-                module: lin.value(solution.values)
-                for module, lin in (term_exprs or {}).items()
-            },
+            mip_dual_bound=solution.mip_dual_bound,
+            mip_gap=solution.mip_gap,
+            utility_breakdown=breakdown,
         )
 
 

@@ -63,7 +63,11 @@ class CompileStats:
     ``p4all compile --stats`` and the compile-latency benchmark. The
     ``*_cached`` flags record which phases were served from a
     :class:`~repro.core.cache.CompileCache` (their timings then measure
-    the lookup, not the work)."""
+    the lookup, not the work). A compile served whole from the layout
+    tier (``layout_cached``) ran no phase: its stats carry
+    ``lookup_seconds`` (plus the verify-tier lookup of a linked
+    program) and zeros, never the timings of the compile that filled
+    the cache."""
 
     parse_seconds: float = 0.0
     analysis_seconds: float = 0.0
@@ -73,6 +77,7 @@ class CompileStats:
     ilp_solve_seconds: float = 0.0
     codegen_seconds: float = 0.0
     verify_seconds: float = 0.0
+    lookup_seconds: float = 0.0
     ilp_variables: int = 0
     ilp_constraints: int = 0
     frontend_cached: bool = False
@@ -89,6 +94,7 @@ class CompileStats:
             + self.ilp_solve_seconds
             + self.codegen_seconds
             + self.verify_seconds
+            + self.lookup_seconds
         )
 
 

@@ -27,8 +27,13 @@ def stats_report(compiled: CompiledProgram) -> str:
     """Per-phase wall-time table (``p4all compile --stats``).
 
     Phases served from a :class:`~repro.core.cache.CompileCache` are
-    flagged ``(cached)`` — their time is the lookup, not the work."""
+    flagged ``(cached)`` — their time is the lookup, not the work; a
+    compile served whole from the layout tier ran no phase and shows the
+    lookup alone. When this compile ran an ILP search the last line says
+    why it took what it took: nodes, seconds, and the gap left to the
+    solver's proven bound (solver terms: utility plus tie-break)."""
     s = compiled.stats
+    solution = compiled.solution
     front = " (cached)" if s.frontend_cached else ""
     bound = " (cached)" if s.bounds_cached else ""
     rows = [
@@ -39,23 +44,29 @@ def stats_report(compiled: CompiledProgram) -> str:
         ("ILP solve", s.ilp_solve_seconds, ""),
         ("codegen", s.codegen_seconds, ""),
     ]
-    width = max(len(name) for name, _, _ in rows)
     lines = [f"Compile phases for {compiled.source_name}:"]
     if s.layout_cached:
-        lines[0] += " (served from layout cache; original compile's timings)"
+        lines[0] += " (served from layout cache)"
+        rows = [("layout-cache lookup", s.lookup_seconds, "")]
+    width = max(len(name) for name, _, _ in rows)
     for name, seconds, note in rows:
         lines.append(f"  {name:<{width}}  {seconds * 1e3:10.3f} ms{note}")
     lines.append(f"  {'total':<{width}}  {s.total_seconds * 1e3:10.3f} ms")
     lines.append(
         f"  ILP size: {s.ilp_variables} variables, "
         f"{s.ilp_constraints} constraints "
-        f"({compiled.solution.backend or 'n/a'}"
-        + (f", {compiled.solution.nodes_explored} nodes"
-           if compiled.solution.nodes_explored else "")
-        + (f", incumbent from {compiled.solution.incumbent_source}"
-           if compiled.solution.incumbent_source else "")
+        f"({solution.backend or 'n/a'}"
+        + (f", incumbent from {solution.incumbent_source}"
+           if solution.incumbent_source else "")
         + ")"
     )
+    if s.ilp_solve_seconds and solution.backend != "greedy":
+        search = f"  ILP search: {solution.nodes_explored} nodes in " \
+                 f"{solution.solve_seconds:.3f} s"
+        if solution.mip_gap is not None:
+            search += f", gap {solution.mip_gap:.4%} to bound " \
+                      f"{solution.mip_dual_bound:.6g}"
+        lines.append(search)
     return "\n".join(lines)
 
 

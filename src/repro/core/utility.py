@@ -29,7 +29,7 @@ from .errors import UtilityError
 from .layout import LayoutModel
 
 __all__ = ["linearize_utility", "linearize_condition", "linearize_term",
-           "eval_utility_term"]
+           "eval_utility_term", "utility_at"]
 
 _BIG = 1e12
 
@@ -164,6 +164,34 @@ _EVAL_OPS = {
     "*": lambda a, b: a * b,
     "/": lambda a, b: a / b,
 }
+
+
+def utility_at(
+    symbol_values: dict[str, int],
+    consts: dict[str, int],
+    utility: ast.Expr | None = None,
+    utility_terms=None,
+) -> tuple[float, dict[str, float]]:
+    """``(utility, per-module breakdown)`` of a layout at its symbol values.
+
+    What every back end reports as :attr:`LayoutSolution.objective`: the
+    ``optimize`` expression — or, linked, the weighted sum of the
+    per-module ``utility_terms``, which then takes precedence — at the
+    decoded integers. A solver's own objective also carries its
+    tie-breaks and stops anywhere inside its gap; this does neither, so
+    two back ends (or two encodings) that choose the same symbol values
+    report the same number, bit for bit.
+    """
+    env = {**consts, **symbol_values}
+    breakdown: dict[str, float] = {}
+    for module, weight, term in utility_terms or ():
+        breakdown[module] = breakdown.get(module, 0.0) \
+            + float(weight) * eval_utility_term(term, env)
+    if breakdown:
+        return sum(breakdown.values()), breakdown
+    if utility is not None:
+        return float(eval_utility_term(utility, env)), breakdown
+    return 0.0, breakdown
 
 
 def linearize_condition(cond: ast.Expr, lm: LayoutModel,

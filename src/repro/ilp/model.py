@@ -353,14 +353,16 @@ class Model:
                 return False
         return all(c.satisfied(assignment, tol) for c in self.constraints)
 
-    def to_matrix_form(self):
+    def to_matrix_form(self, fixed: Mapping[Var, float] | None = None):
         """Export ``(c, A, lo, hi, bounds, integrality)`` numpy arrays.
 
         Returns the model as dense numpy structures suitable for
         ``scipy.optimize.milp``/``linprog``: objective vector ``c`` (for a
         *maximization* written as minimize ``-c``), a single constraint
         matrix ``A`` with row bounds ``lo <= A x <= hi``, per-variable
-        bounds, and an integrality vector.
+        bounds, and an integrality vector. Variables in ``fixed`` get
+        both bounds set to the given value (the restricted problem a
+        re-solve over the remaining columns needs).
         """
         import numpy as np
 
@@ -388,6 +390,8 @@ class Model:
 
         lbs = np.array([v.lb for v in self.variables])
         ubs = np.array([v.ub for v in self.variables])
+        for var, val in (fixed or {}).items():
+            lbs[var.index] = ubs[var.index] = val
         integrality = np.array(
             [0 if v.vartype is VarType.CONTINUOUS else 1 for v in self.variables]
         )

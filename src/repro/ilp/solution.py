@@ -59,6 +59,12 @@ class Solution:
     #: rounding heuristic), ``"search"`` (an integral LP relaxation), or
     #: ``""`` for backends that don't track provenance.
     incumbent_source: str = ""
+    #: Best proven bound on the objective (model sense) and the relative
+    #: gap between it and ``objective`` when the solver stopped — HiGHS
+    #: calls a solution optimal at a gap of 1e-4, so a slow or within-gap
+    #: solve can be told from these. ``None`` where the backend has none.
+    mip_dual_bound: float | None = None
+    mip_gap: float | None = None
 
     @property
     def has_incumbent(self) -> bool:

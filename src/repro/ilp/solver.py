@@ -32,13 +32,19 @@ def solve(
     backend: str = "auto",
     time_limit: float | None = None,
     warm_start: "dict | None" = None,
+    fixed: "dict | None" = None,
+    rel_gap: float | None = None,
 ) -> Solution:
     """Solve a model with the chosen backend.
 
     ``backend`` is ``"auto"`` (prefer HiGHS), ``"scipy"``, or ``"bb"``.
     ``warm_start`` is an optional feasible assignment (Var → value) used
     to seed the incumbent; backends without warm-start support (scipy's
-    ``milp`` exposes none) accept and ignore it.
+    ``milp`` exposes none) accept and ignore it. ``fixed`` (Var → value)
+    pins variables, leaving the restricted problem over the rest.
+    ``rel_gap`` is the relative optimality gap to stop at: HiGHS defaults
+    to 1e-4; the branch and bound always searches to zero gap and
+    ignores it.
     """
     if backend == "auto":
         backend = available_backends()[0]
@@ -55,18 +61,21 @@ def solve(
                 from .solver_scipy import solve_scipy
 
                 solution = solve_scipy(
-                    model, time_limit=time_limit, warm_start=warm_start
+                    model, time_limit=time_limit, warm_start=warm_start,
+                    fixed=fixed, rel_gap=rel_gap,
                 )
             else:
                 from .solver_bb import solve_branch_and_bound
 
                 solution = solve_branch_and_bound(
-                    model, time_limit=time_limit, warm_start=warm_start
+                    model, time_limit=time_limit, warm_start=warm_start,
+                    fixed=fixed,
                 )
             span.set_attrs(
                 status=solution.status.value,
                 nodes_explored=solution.nodes_explored,
                 solve_seconds=solution.solve_seconds,
+                mip_gap=solution.mip_gap,
             )
         _record_solve_metrics(solution)
         return solution

@@ -109,6 +109,7 @@ def solve_branch_and_bound(
     time_limit: float | None = None,
     max_nodes: int = 200_000,
     warm_start: dict | None = None,
+    fixed: dict | None = None,
 ) -> Solution:
     """Traced wrapper over :func:`_solve_branch_and_bound` — the span
     records the search's size and outcome (nodes explored, incumbent
@@ -121,7 +122,7 @@ def solve_branch_and_bound(
     ) as span:
         solution = _solve_branch_and_bound(
             model, time_limit=time_limit, max_nodes=max_nodes,
-            warm_start=warm_start,
+            warm_start=warm_start, fixed=fixed,
         )
         span.set_attrs(
             status=solution.status.value,
@@ -136,6 +137,7 @@ def _solve_branch_and_bound(
     time_limit: float | None = None,
     max_nodes: int = 200_000,
     warm_start: dict | None = None,
+    fixed: dict | None = None,
 ) -> Solution:
     """Solve ``model`` exactly via LP-based branch and bound.
 
@@ -148,9 +150,9 @@ def _solve_branch_and_bound(
     pruned instead of explored — the previous layout is a ready-made
     lower bound on a recompile. Infeasible seeds are silently ignored
     (the search simply starts cold), so callers may pass best-effort
-    re-encodings of stale solutions.
+    re-encodings of stale solutions. ``fixed`` pins variables to values.
     """
-    c, a, lo, hi, (lbs0, ubs0), integrality = model.to_matrix_form()
+    c, a, lo, hi, (lbs0, ubs0), integrality = model.to_matrix_form(fixed)
     int_idx = np.nonzero(integrality)[0]
 
     for var in model.variables:
@@ -240,12 +242,16 @@ def _solve_branch_and_bound(
         if var.vartype is not VarType.CONTINUOUS:
             val = float(round(val))
         values[var] = val
+    objective = model.objective.expr.value(values)
     return Solution(
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
-        objective=model.objective.expr.value(values),
+        objective=objective,
         values=values,
         solve_seconds=elapsed,
         backend="bb",
         nodes_explored=nodes_explored,
         incumbent_source=incumbent_source,
+        # An exhausted search proves the incumbent: bound = objective.
+        mip_dual_bound=None if timed_out else objective,
+        mip_gap=None if timed_out else 0.0,
     )

@@ -28,13 +28,18 @@ def solve_scipy(
     model: Model,
     time_limit: float | None = None,
     warm_start: dict | None = None,
+    fixed: dict | None = None,
+    rel_gap: float | None = None,
 ) -> Solution:
-    """Solve ``model`` exactly with scipy's HiGHS MILP solver.
+    """Solve ``model`` with scipy's HiGHS MILP solver.
 
     Integer variable values in the returned solution are rounded to the
     nearest integer (HiGHS returns them within tolerance of integrality).
     ``warm_start`` is accepted for backend interchangeability but unused:
-    ``scipy.optimize.milp`` exposes no incumbent-seeding API.
+    ``scipy.optimize.milp`` exposes no incumbent-seeding API. ``fixed``
+    pins variables to values; ``rel_gap`` overrides HiGHS's default
+    ``mip_rel_gap`` of 1e-4 — the gap at which it calls a solution
+    optimal, reported back as :attr:`Solution.mip_gap`.
     """
     del warm_start
     try:
@@ -43,10 +48,12 @@ def solve_scipy(
     except ImportError as exc:  # pragma: no cover - scipy is a hard dependency
         raise SolverError("scipy.optimize.milp unavailable") from exc
 
-    c, a, lo, hi, (lbs, ubs), integrality = model.to_matrix_form()
+    c, a, lo, hi, (lbs, ubs), integrality = model.to_matrix_form(fixed)
     options = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
+    if rel_gap is not None:
+        options["mip_rel_gap"] = float(rel_gap)
 
     constraints = [LinearConstraint(a, lo, hi)] if len(model.constraints) else []
     started = time.perf_counter()
@@ -63,9 +70,19 @@ def solve_scipy(
             options=options,
         )
         status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
+        nodes = int(getattr(result, "mip_node_count", 0) or 0)
+        # HiGHS bounds the minimised ``c @ x``; report the model's sense.
+        dual_bound = getattr(result, "mip_dual_bound", None)
+        if dual_bound is not None:
+            sign = -1.0 if model.objective.maximize else 1.0
+            dual_bound = sign * float(dual_bound) + model.objective.expr.constant
+        gap = getattr(result, "mip_gap", None)
+        gap = None if gap is None else float(gap)
         span.set_attrs(
             status=status.value,
-            nodes_explored=int(getattr(result, "mip_node_count", 0) or 0),
+            nodes_explored=nodes,
+            mip_dual_bound=dual_bound,
+            mip_gap=gap,
         )
     elapsed = time.perf_counter() - started
     if result.x is None:
@@ -84,5 +101,7 @@ def solve_scipy(
         values=values,
         solve_seconds=elapsed,
         backend="scipy-highs",
-        nodes_explored=int(getattr(result, "mip_node_count", 0) or 0),
+        nodes_explored=nodes,
+        mip_dual_bound=dual_bound,
+        mip_gap=gap,
     )

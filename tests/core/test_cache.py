@@ -51,6 +51,31 @@ class TestLayoutTier:
         assert cache.stats.layout_hits == 1
         assert cache.stats.layout_misses == 1
 
+    def test_hit_reports_its_own_seconds(self, cache, target):
+        # A hit ran no phase: its stats are the lookup, never a replay
+        # of the timings of the compile that filled the cache.
+        from repro import obs
+
+        cold = _compile(CMS_SOURCE, target, cache)
+        obs.metrics.reset()
+        warm = _compile(CMS_SOURCE, target, cache)
+        assert cold.stats.ilp_solve_seconds > 0
+        assert cold.stats.lookup_seconds == 0
+        hit = warm.stats
+        assert hit.layout_cached
+        assert hit.lookup_seconds > 0
+        assert hit.total_seconds == hit.lookup_seconds
+        assert (hit.parse_seconds, hit.ir_seconds, hit.bounds_seconds,
+                hit.ilp_build_seconds, hit.ilp_solve_seconds,
+                hit.codegen_seconds, hit.verify_seconds) == (0,) * 7
+        assert hit.total_seconds < cold.stats.ilp_solve_seconds
+        assert (hit.ilp_variables, hit.ilp_constraints) == (
+            cold.stats.ilp_variables, cold.stats.ilp_constraints)
+        # The phase histogram saw the lookup, not a second solve.
+        phases = obs.metrics.get("p4all_compile_phase_seconds")
+        assert phases.snapshot(phase="layout_lookup")["count"] == 1
+        assert phases.snapshot(phase="ilp_solve")["count"] == 0
+
     def test_target_change_misses_layout_hits_frontend(self, cache, target):
         _compile(CMS_SOURCE, target, cache)
         smaller = dataclasses.replace(

@@ -9,6 +9,8 @@ from repro.lang.symbols import eval_static
 from repro.pisa.resources import small_target
 from repro.structures import CMS_SOURCE
 
+from .test_layout_encoding import t6
+
 
 def greedy_for(source: str, target):
     info = check_program(parse_program(source))
@@ -75,3 +77,45 @@ class TestGreedyVsIlp:
         env = dict(info.consts)
         env.update(compiled.symbol_values)
         assert eval_static(opt, env) >= greedy.utility_value(opt, info.consts)
+
+
+class TestGreedyNetCache:
+    """Greedy is the runtime's timeout fallback and the B&B warm-start
+    seed: on the targets the runtime walks it must hand back a layout
+    ``validate_layout`` accepts, never better than the ILP's."""
+
+    def test_table_sram_counts_against_the_stage(self):
+        # The 65 536-bit route table fills a t6 stage: first-fit used to
+        # put it beside kv_probe[0]/cms_incr[0], leaving the registers a
+        # zero budget that a clamp papered over (stage 0: 65 728 bits).
+        from repro.apps import netcache_source
+        from repro.core import compile_source_greedy
+        from repro.core.validate import validate_layout
+
+        source = netcache_source()
+        greedy = compile_source_greedy(source, t6(64))
+        validate_layout(greedy)
+        route_stage = next(u.stage for u in greedy.units
+                           if u.instance.table == "route")
+        assert not greedy.registers_in_stage(route_stage)
+        assert all(r.cells >= 1 for r in greedy.registers)
+        assert greedy.symbol_values["kv_cols"] >= 1
+        ilp = compile_source(source, t6(64))
+        assert greedy.solution.objective <= ilp.solution.objective
+
+    @pytest.mark.parametrize("memory_kb", range(60, 28, -4))
+    def test_valid_and_no_better_down_the_memory_ladder(self, memory_kb):
+        from repro.apps import netcache_linked
+        from repro.core import compile_linked, compile_linked_greedy
+        from repro.core.validate import validate_layout
+
+        target = t6(memory_kb)
+        linked = netcache_linked(with_routing=False)
+        greedy = compile_linked_greedy(linked, target)
+        validate_layout(greedy)
+        for reg in greedy.registers:
+            if reg.family.endswith(("kv_keys", "kv_val0", "kv_val1")):
+                assert reg.cells == greedy.symbol_values[
+                    next(s for s in greedy.symbol_values if s.endswith("kv_cols"))]
+        ilp = compile_linked(linked, target)
+        assert greedy.solution.objective <= ilp.solution.objective

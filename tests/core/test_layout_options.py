@@ -87,4 +87,4 @@ class TestExclusionAsPrecedenceMode:
                 unroll=UnrollOptions(exclusion_as_precedence=True),
             ),
         )
-        assert degraded.solution.objective <= full.solution.objective + 1e-6
+        assert degraded.solution.objective <= full.solution.objective

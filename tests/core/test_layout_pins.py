@@ -1,0 +1,152 @@
+"""The Fig-10 encoding reaches the pinned optimum everywhere.
+
+``data/layout_pins.json`` holds symbol values and utility recorded at
+commit 34580ea with the textbook encoding — integer ``m`` per register
+family, big-M precedence — for the 16 (program, target) pairs the
+end-to-end benchmark pins in ``benchmarks/e2e/expected.json`` and for a
+stages × memory sweep of four applications, infeasible cells included
+(``null``). The utility there is the ``optimize`` expression at the
+symbol values, which is what ``LayoutSolution.objective`` reports, so
+the rows compare exactly. Any exact rewrite of the encoding must
+reproduce every one. Regenerate (only from a commit whose encoding is
+trusted) with ``PYTHONPATH=src python tests/core/test_layout_pins.py``.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.apps import (
+    conquest_source,
+    netcache_linked,
+    netcache_source,
+    precision_source,
+    sketchlearn_source,
+)
+from repro.core import LayoutInfeasibleError, compile_linked, compile_source
+from repro.core.layout import LayoutBuilder
+from repro.core.utility import eval_utility_term
+from repro.pisa import tofino
+from repro.structures import CMS_SOURCE
+
+PINS_PATH = Path(__file__).parent / "data" / "layout_pins.json"
+#: the benchmark's recorded objectives (read-only here): its keys are
+#: the 16 pairs, its values the utility minus the old tie-break term
+EXPECTED = json.loads((Path(__file__).parents[2] / "benchmarks" / "e2e"
+                       / "expected.json").read_text())
+
+SOURCES = {
+    "cms": lambda: CMS_SOURCE,
+    "sketchlearn": sketchlearn_source,
+    "conquest": conquest_source,
+    "precision": precision_source,
+    "netcache": netcache_source,
+}
+SWEEP_PROGRAMS = ("cms", "netcache", "precision", "sketchlearn")
+SWEEP_STAGES = (4, 6, 8, 10, 12)
+SWEEP_MEMORY_KB = (16, 32, 64, tofino().memory_bits_per_stage // 1024)
+
+
+def _target(stages: int, memory_kb: int):
+    return dataclasses.replace(tofino(), stages=stages,
+                               memory_bits_per_stage=memory_kb * 1024)
+
+
+def _benchmark_target(tag: str):
+    """``tofino``, ``t6`` or ``t6m<Kb>``, as the benchmark names them."""
+    if tag == "tofino":
+        return tofino()
+    return _target(6, int(tag[3:]) if tag[2:] else 64)
+
+
+def _cases() -> dict:
+    out = {}
+    for key in EXPECTED:
+        program, tag = key.rsplit(".", 1)
+        out[key] = (program, _benchmark_target(tag))
+    for program in SWEEP_PROGRAMS:
+        for stages in SWEEP_STAGES:
+            for kb in SWEEP_MEMORY_KB:
+                out[f"{program}.s{stages}m{kb}"] = (program,
+                                                    _target(stages, kb))
+    return out
+
+
+#: case id → (program, target)
+CASES = _cases()
+
+
+def compile_case(program: str, target):
+    if program == "netcache-linked":
+        return compile_linked(netcache_linked(with_routing=False), target)
+    return compile_source(SOURCES[program](), target, source_name=program)
+
+
+def solve_case(program: str, target) -> dict | None:
+    """Symbol values and utility, or None when nothing fits."""
+    try:
+        compiled = compile_case(program, target)
+    except LayoutInfeasibleError:
+        return None
+    return {
+        "symbols": dict(compiled.symbol_values),
+        "utility": compiled.solution.objective,
+    }
+
+
+PINS = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
+
+
+@pytest.mark.parametrize("resolve", [True, False],
+                         ids=["resolved", "search-only"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_pinned_optimum(case, resolve, monkeypatch):
+    # The windows make the search itself land on the optimum at HiGHS's
+    # default gap; the fixed-structure re-solve is the guarantee, not
+    # what these rows lean on — so they hold with it switched off too.
+    if not resolve:
+        monkeypatch.setattr(LayoutBuilder, "resolve_sizes",
+                            lambda self, solution, *args, **kwargs: solution)
+    program, target = CASES[case]
+    got = solve_case(program, target)
+    want = PINS[case]
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got["utility"] == want["utility"]
+    assert got["symbols"] == want["symbols"]
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED))
+def test_objective_is_the_utility_at_the_symbol_values(key):
+    # Not the solver's objective: that carries the stage-bias tie-break
+    # (which is how expected.json, recorded before, sits a hair lower).
+    program, target = CASES[key]
+    compiled = compile_case(program, target)
+    solution = compiled.solution
+    env = {**compiled.info.consts, **compiled.symbol_values}
+    if program == "netcache-linked":
+        terms = netcache_linked(with_routing=False).utility_terms
+        assert solution.objective == sum(solution.utility_breakdown.values())
+        assert solution.objective == pytest.approx(
+            sum(w * eval_utility_term(term, env) for _module, w, term in terms),
+            rel=1e-12)
+    else:
+        assert solution.utility_breakdown == {}
+        assert solution.objective == eval_utility_term(
+            compiled.info.program.optimize().utility, env)
+    assert EXPECTED[key] <= solution.objective <= EXPECTED[key] * (1 + 2e-7)
+    assert solution.mip_dual_bound is not None      # solver terms, kept apart
+
+
+def test_pins_cover_the_benchmark_and_the_sweep():
+    assert set(PINS) == set(CASES)
+    assert len(PINS) == 16 + 4 * 5 * 4
+
+
+if __name__ == "__main__":
+    pins = {case: solve_case(*spec) for case, spec in sorted(CASES.items())}
+    PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,8 @@
 """Per-module compile-cache behavior: editing one module re-parses only
 that module, and re-weighting touches no module frontend at all."""
 
+import pytest
+
 from repro.apps.netcache import netcache_linked
 from repro.core import CompileCache, compile_linked
 
@@ -58,6 +60,12 @@ class TestModuleTier:
         repeat = compile_linked(linked, runtime_target, options=options)
         assert repeat.stats.layout_cached
         assert repeat.symbol_values == first.symbol_values
+        # ... under its own seconds: the two lookups, no solve.
+        assert repeat.stats.ilp_solve_seconds == 0
+        assert repeat.stats.verify_cached
+        assert repeat.stats.total_seconds == pytest.approx(
+            repeat.stats.lookup_seconds + repeat.stats.verify_seconds)
+        assert first.stats.ilp_solve_seconds > 0   # the original's kept
 
         # New target: the layout re-solves but the linked frontend
         # (semantic check + IR) is a cache hit.

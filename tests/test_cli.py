@@ -34,6 +34,20 @@ class TestCompileCommand:
         _out, err = capsys.readouterr()
         assert "stage 0" in err
 
+    def test_stats_say_how_the_search_went(self, cms_file, capsys):
+        import re
+
+        assert main(["compile", str(cms_file), "--target", "small",
+                     "--stats"]) == 0
+        _out, err = capsys.readouterr()
+        assert re.search(
+            r"ILP search: \d+ nodes in \d+\.\d+ s, gap \d+\.\d+% to bound \S+",
+            err)
+        # Greedy searches nothing, so it has nothing to say.
+        assert main(["compile", str(cms_file), "--target", "small",
+                     "--stats", "--backend", "greedy"]) == 0
+        assert "ILP search" not in capsys.readouterr().err
+
     def test_target_overrides(self, cms_file, capsys):
         code = main([
             "compile", str(cms_file), "--target", "toy3", "--stages", "5",
