@@ -22,6 +22,7 @@ from .netcache import (
     NETCACHE_UTILITY,
     NETCACHE_UTILITY_FLIPPED,
     NetCacheApp,
+    NetCacheProgramError,
     NetCacheStats,
     netcache_linked,
     netcache_source,
@@ -42,6 +43,7 @@ __all__ = [
     "NETCACHE_UTILITY",
     "NETCACHE_UTILITY_FLIPPED",
     "NetCacheApp",
+    "NetCacheProgramError",
     "NetCacheStats",
     "netcache_linked",
     "netcache_source",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import CompileOptions, CompiledProgram, compile_source
-from ..pisa import Packet, Pipeline, TargetSpec
+from ..pisa import Packet, Pipeline, TargetSpec, register_methods
 from ..structures import (
     CountMinSketch,
     KeyValueStore,
@@ -36,6 +36,7 @@ __all__ = [
     "netcache_source",
     "netcache_linked",
     "NetCacheApp",
+    "NetCacheProgramError",
     "NetCacheStats",
     "simulate_netcache",
     "NETCACHE_UTILITY",
@@ -157,6 +158,11 @@ def netcache_linked(
     )
 
 
+class NetCacheProgramError(Exception):
+    """The compiled program is not a NetCache the app's controller can
+    serve exactly (see :meth:`NetCacheApp.run_trace`)."""
+
+
 @dataclass
 class NetCacheStats:
     """Outcome of one trace run."""
@@ -196,8 +202,10 @@ class NetCacheApp:
         """Pass ``compiled`` to load an existing artifact instead of
         compiling — the elastic runtime compiles through its planner
         (with timeout fallback) and hands the artifact in here.
-        ``engine`` selects the pipeline execution engine (default: the
-        compiled plan engine; see :func:`repro.pisa.default_engine`)."""
+        ``engine`` selects the pipeline execution engine (default: see
+        :func:`repro.pisa.default_engine`). Raises
+        :class:`NetCacheProgramError` if the program is not one
+        :meth:`run_trace` can serve."""
         self.source = source or netcache_source(
             utility=utility, kv_min_total_bits=kv_min_total_bits
         )
@@ -211,6 +219,29 @@ class NetCacheApp:
         self.cms_rows = self.compiled.symbol_values.get("cms_rows", 0)
         self.cms_cols = self.compiled.symbol_values.get("cms_cols", 0)
         self._cached_keys: set[int] = set()
+        self._check_program()
+
+    def _check_program(self) -> None:
+        """The two facts :meth:`_serve_exact` rests on: the PHV reports
+        hit, estimate and counted sketch cells, and the data plane never
+        writes the store."""
+        fields = ["meta.kv_hit", "meta.cms_min"] + [
+            f"meta.cms_index[{row}]" for row in range(self.cms_rows)]
+        missing = [f for f in fields if f not in self.pipeline.phv_layout]
+        if missing:
+            raise NetCacheProgramError(
+                f"the program's PHV lacks {', '.join(missing)}")
+        methods = register_methods(self.pipeline)
+        if methods is None:
+            raise NetCacheProgramError(
+                "a register reference cannot be resolved, so the data "
+                "plane cannot be shown to leave the kv_* registers alone")
+        written = sorted(name for name, used in methods.items()
+                         if name.startswith("kv_") and used - {"read"})
+        if written:
+            raise NetCacheProgramError(
+                f"the data plane writes {', '.join(written)}; only the "
+                "controller may")
 
     # -- controller -------------------------------------------------------------
     def _cms_estimate(self, key: int) -> int:
@@ -256,6 +287,11 @@ class NetCacheApp:
         else:
             stats.rejected_insertions += 1
 
+    def _stored(self, key: int) -> bool:
+        """Whether a request for ``key`` hits (``meta.kv_hit``)."""
+        return any(self._slot_key(row, key) == key
+                   for row in range(self.kv_rows))
+
     def value_of(self, key: int) -> int:
         """The backing store's value for a key (synthetic: key + 7)."""
         return (key + 7) & ((1 << 64) - 1)
@@ -299,70 +335,243 @@ class NetCacheApp:
                   workers: int | None = None) -> NetCacheStats:
         """Process a key-request trace; returns hit statistics.
 
-        With ``serve_batch`` unset (the default), streams through
-        :meth:`Pipeline.process_many`'s callback mode: the controller
-        reacts to each result (promotion, eviction) between packets
-        without a result list ever being built — identical across all
-        engines.
+        The trace runs through :meth:`Pipeline.process_columns` in
+        sub-batches of ``serve_batch`` keys (default: the pipeline's
+        :attr:`~repro.pisa.Pipeline.vector_chunk`) and the controller's
+        promotions and evictions are replayed over each sub-batch's
+        result columns. The replay is exact: statistics, registers and
+        the cached-key set equal the controller reacting between every
+        two packets, on every engine and for every ``serve_batch`` — a
+        sub-batch size changes how fast the trace is served, never what
+        it decides (see :meth:`_serve_exact` for why).
 
-        With ``serve_batch > 0``, the trace is served in sub-batches of
-        that size: each sub-batch runs through the batched fast path
-        (vector kernels, and sharded across ``workers`` processes when
-        ``workers > 1``), then the controller scans the batch's result
-        columns before the next one is admitted. Promotions therefore
-        lag by up to one sub-batch relative to the streaming mode — the
-        trade the fleet makes for batch throughput.
+        ``serve_batch=0`` is that per-packet reference itself:
+        :meth:`Pipeline.process_many`'s callback mode, one ``Packet`` and
+        one controller call per key.
+
+        ``workers > 1`` is the one serve that is not exact: each
+        sub-batch is sharded across that many pool processes and the
+        controller scans its result columns afterwards, so a promotion
+        lags by up to one sub-batch.
+
+        Keys are ``meta.req_key`` values: wider ones are truncated to the
+        field on entry, as the parser would.
         """
-        from ..pisa.pipeline import default_serve_batch, default_workers
+        from ..pisa.pipeline import default_workers
 
-        if serve_batch is None:
-            serve_batch = default_serve_batch()
+        if serve_batch is not None and serve_batch < 0:
+            raise ValueError(f"serve_batch must be >= 0, got {serve_batch}")
         if workers is None:
             workers = default_workers()
+        if not isinstance(keys, np.ndarray):
+            keys = np.asarray(list(keys), dtype=np.uint64)
+        keys = keys.astype(np.uint64, copy=False) & np.uint64(
+            (1 << self.pipeline.phv_layout.width("meta.req_key")) - 1)
         stats = NetCacheStats()
-        key_list = [int(key) for key in keys]
+        if serve_batch == 0:
+            self._serve_per_packet(keys.tolist(), dst, stats)
+            return stats
+        step = serve_batch or self.pipeline.vector_chunk
+        for start in range(0, len(keys), step):
+            batch = keys[start:start + step]
+            if workers > 1:
+                self._serve_sharded(batch, dst, workers, stats)
+            else:
+                self._serve_exact(batch, dst, stats)
+        return stats
 
+    def _serve_per_packet(self, keys: list[int], dst: int,
+                          stats: NetCacheStats) -> None:
+        """The reference serve: the controller reacts to each packet's
+        result before the next packet enters the pipeline."""
         def react(key, result):
             stats.packets += 1
             if result.get("meta.kv_hit"):
                 stats.hits += 1
             else:
                 estimate = result.get("meta.cms_min")
-                if estimate >= self.hot_threshold and key not in self._cached_keys:
+                if (estimate >= self.hot_threshold
+                        and key not in self._cached_keys):
                     self._try_cache(key, self.value_of(key), estimate, stats)
 
-        if not serve_batch:
-            result_keys = iter(key_list)
-            self.pipeline.process_many(
-                (Packet(fields={"req_key": key, "dst": dst}) for key in key_list),
-                callback=lambda result: react(next(result_keys), result),
-            )
-            return stats
+        result_keys = iter(keys)
+        self.pipeline.process_many(
+            (Packet(fields={"req_key": key, "dst": dst}) for key in keys),
+            callback=lambda result: react(next(result_keys), result),
+        )
 
-        # The same decisions as ``react``, read off whole columns: count
-        # the hits, then visit only the missed lanes whose estimate is
-        # hot, in lane order, checking ``_cached_keys`` live (an earlier
-        # lane of this batch may just have promoted the key).
-        step = int(serve_batch)
-        for start in range(0, len(key_list), step):
-            batch_keys = key_list[start:start + step]
-            results = self.pipeline.process_many(
-                [Packet(fields={"req_key": key, "dst": dst})
-                 for key in batch_keys],
-                workers=workers,
-                shard_field="req_key",
-            )
-            stats.packets += len(batch_keys)
-            hit = results.column("meta.kv_hit") != 0
+    def _serve_sharded(self, keys: np.ndarray, dst: int, workers: int,
+                       stats: NetCacheStats) -> None:
+        """One sub-batch over the worker pool, then the controller scans
+        the result columns: the same decisions as the per-packet serve,
+        but against the sketch and store as the whole sub-batch left
+        them (promotions lag by up to one sub-batch)."""
+        batch_keys = keys.tolist()
+        results = self.pipeline.process_many(
+            [Packet(fields={"req_key": key, "dst": dst})
+             for key in batch_keys],
+            workers=workers,
+            shard_field="req_key",
+        )
+        stats.packets += len(batch_keys)
+        hit = results.column("meta.kv_hit") != 0
+        stats.hits += int(np.count_nonzero(hit))
+        estimates = results.column("meta.cms_min")
+        lanes = np.nonzero(~hit & (estimates >= self.hot_threshold))[0]
+        for lane, estimate in zip(lanes.tolist(),
+                                  estimates[lanes].tolist()):
+            key = batch_keys[lane]
+            if key not in self._cached_keys:
+                self._try_cache(key, self.value_of(key), estimate, stats)
+
+    def _serve_exact(self, keys: np.ndarray, dst: int,
+                     stats: NetCacheStats) -> None:
+        """One sub-batch through the pipeline at once, then an exact
+        replay of the per-packet controller over its result columns.
+
+        Two facts about the compiled program (checked at construction)
+        make that possible. The data plane only *reads* the ``kv_*``
+        registers — the controller is their one writer — so running
+        later packets early cannot change the store, and a controller
+        write changes the ``meta.kv_hit`` of later lanes in a way the
+        replay can patch: only lanes of the inserted and of the evicted
+        key. And every packet increments its ``cms_sketch`` cells by one,
+        unconditionally, recording the cell in ``meta.cms_index``, so a
+        cell's value *as of any lane* is its value now minus the later
+        lanes on it.
+
+        The replay decides every candidate lane (a miss whose estimate
+        is hot and whose key is not cached) at once, as if nothing
+        before it wrote the store; that holds up to the first lane that
+        does write. Lanes before it are rejections and are bulk-counted;
+        that one promotion is applied; only the lanes it can affect are
+        re-decided; and so on from there.
+        """
+        n = len(keys)
+        results = self.pipeline.process_columns({"req_key": keys, "dst": dst})
+        stats.packets += n
+        hit = results.column("meta.kv_hit") != 0
+        estimates = results.column("meta.cms_min")
+        hot = estimates >= self.hot_threshold
+        live = hot & ~hit                   # lanes where react() promotes
+        lanes = np.flatnonzero(live)
+        if lanes.size:
+            live[lanes] = np.fromiter(
+                (key not in self._cached_keys
+                 for key in keys[lanes].tolist()),
+                dtype=bool, count=lanes.size)
+            lanes = lanes[live[lanes]]
+        if not lanes.size or not self.kv_rows:
             stats.hits += int(np.count_nonzero(hit))
-            estimates = results.column("meta.cms_min")
-            lanes = np.nonzero(~hit & (estimates >= self.hot_threshold))[0]
-            for lane, estimate in zip(lanes.tolist(),
-                                      estimates[lanes].tolist()):
-                key = batch_keys[lane]
-                if key not in self._cached_keys:
-                    self._try_cache(key, self.value_of(key), estimate, stats)
-        return stats
+            stats.rejected_insertions += int(lanes.size)
+            return
+
+        registers = self.pipeline.registers
+        hash_values = self.pipeline.hash_values
+        kv_keys = [registers.get(f"kv_keys[{row}]")
+                   for row in range(self.kv_rows)]
+        sketch = []     # per CMS row: register, sorted cell * n + lane
+        for row in range(self.cms_rows):
+            register = registers.get(f"cms_sketch[{row}]")
+            cells = (results.column(f"meta.cms_index[{row}]").astype(np.int64)
+                     % register.cells)
+            sketch.append((register, np.sort(cells * n + np.arange(n))))
+
+        def estimate_asof(occupants, at):
+            """Sketch estimate of each occupant key once lane ``at`` has
+            been counted: per cell, the register less the lanes after
+            ``at`` that count on it."""
+            estimate = None
+            for row, (register, counted) in enumerate(sketch):
+                cells = hash_values(row, occupants, 1 << 32) % register.cells
+                later = (np.searchsorted(counted, (cells + 1) * n)
+                         - np.searchsorted(counted, cells * n + at,
+                                           side="right"))
+                count = ((register.read_cells(cells)
+                          - later.astype(np.uint64))
+                         & np.uint64(register.mask))
+                estimate = (count if estimate is None
+                            else np.minimum(estimate, count))
+            return estimate
+
+        # Per lane and KV row: the slot the key probes, and for live
+        # lanes its occupant (0 = free) and the occupant's estimate as
+        # of that lane; ``choice`` is the row a live lane writes, -1 for
+        # a rejection.
+        slots = np.stack([
+            hash_values(100 + row, keys, 1 << 32) % kv_keys[row].cells
+            for row in range(self.kv_rows)])
+        occupants = np.zeros((self.kv_rows, n), dtype=np.uint64)
+        coldness = np.zeros((self.kv_rows, n), dtype=np.uint64)
+        choice = np.full(n, -1, dtype=np.int64)
+
+        def choose(at):
+            """_try_cache's pick on lanes ``at``: the first free row, else
+            the first coldest occupant's if strictly colder."""
+            free = occupants[:, at] == 0
+            taken = ~free.any(axis=0)
+            cold = coldness[:, at]
+            victim = cold.argmin(axis=0)
+            evict = estimates[at] > cold[victim, np.arange(at.size)]
+            choice[at] = np.where(
+                taken, np.where(evict, victim, -1), free.argmax(axis=0))
+
+        def decide(at):
+            for row, register in enumerate(kv_keys):
+                occupants[row, at] = register.read_cells(slots[row, at])
+            full = at[(occupants[:, at] != 0).all(axis=0)]
+            for row in range(self.kv_rows):
+                coldness[row, full] = estimate_asof(occupants[row, full], full)
+            choose(at)
+
+        decide(lanes)
+        by_key = sorted_keys = None         # built at the first write
+
+        def later_lanes(key, lane):
+            """Lanes after ``lane`` that request ``key``, ascending."""
+            key = np.uint64(key)
+            found = by_key[np.searchsorted(sorted_keys, key):
+                           np.searchsorted(sorted_keys, key, side="right")]
+            return found[found > lane]
+
+        done = 0                            # lanes below are final
+        while True:
+            writers = np.flatnonzero(live[done:] & (choice[done:] >= 0))
+            if not writers.size:
+                break
+            if by_key is None:
+                by_key = np.argsort(keys, kind="stable")
+                sorted_keys = keys[by_key]
+            lane = done + int(writers[0])
+            stats.rejected_insertions += int(np.count_nonzero(live[done:lane]))
+            done = lane + 1
+            row, key = int(choice[lane]), int(keys[lane])
+            evicted = int(occupants[row, lane])
+            self._write_slot(row, key, self.value_of(key))
+            self._cached_keys.add(key)
+            if evicted:
+                self._cached_keys.discard(evicted)
+                stats.evictions += 1
+            else:
+                stats.insertions += 1
+            # Later lanes of the two keys see the write in meta.kv_hit.
+            mine, theirs = later_lanes(key, lane), later_lanes(evicted, lane)
+            hit[mine] = self._stored(key)
+            live[mine] = False
+            hit[theirs] = self._stored(evicted)
+            live[theirs] = (hot[theirs] & ~hit[theirs]
+                            & (evicted not in self._cached_keys))
+            # Re-decide what the write can change: later candidates
+            # probing the written slot, and the evicted key's lanes.
+            probing = done + np.flatnonzero(
+                live[done:] & (slots[row, done:] == slots[row, lane]))
+            theirs = theirs[live[theirs]]
+            if theirs.size:
+                probing = np.union1d(probing, theirs)
+            if probing.size:
+                decide(probing)
+        stats.rejected_insertions += int(np.count_nonzero(live[done:]))
+        stats.hits += int(np.count_nonzero(hit))
 
 
 def simulate_netcache(

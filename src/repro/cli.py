@@ -155,6 +155,14 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _sub_batch(text: str) -> int:
+    """``--serve-batch`` value: a sub-batch size, 0 for per-packet."""
+    size = int(text)
+    if size < 0:
+        raise argparse.ArgumentTypeError("must be 0 or a positive size")
+    return size
+
+
 def _with_obs(args, body) -> int:
     """Run a command body under the observability exporter.
 
@@ -671,18 +679,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pipeline execution engine: the compiled plan "
                             "engine, the columnar whole-batch vector "
                             "engine, or the reference tree-walking "
-                            "interpreter (default: compiled, or "
+                            "interpreter (default: vector, or "
                             "REPRO_PISA_ENGINE)")
-    p_run.add_argument("--serve-batch", type=int, default=None, metavar="N",
-                       help="serve traces in sub-batches of N packets "
-                            "through the batched fast path instead of "
-                            "per-packet streaming (0 disables; pair with "
-                            "--engine vector; default: "
-                            "REPRO_PISA_SERVE_BATCH, or 0)")
+    p_run.add_argument("--serve-batch", type=_sub_batch, default=None, metavar="N",
+                       help="serve each window in sub-batches of N "
+                            "packets; results do not depend on N "
+                            "(0 = the per-packet reference serve; "
+                            "default: the engine's chunk size)")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="flow-sharded worker processes for batched "
-                            "serving (requires --serve-batch; default: "
-                            "REPRO_PISA_WORKERS, or 1)")
+                       help="flow-sharded worker processes per sub-batch; "
+                            "above 1, promotions lag by up to one "
+                            "sub-batch (default: REPRO_PISA_WORKERS, or 1)")
     p_run.add_argument("--profile", nargs="?", const="p4all_run_profile.txt",
                        default=None, metavar="PATH",
                        help="profile the run with cProfile and write sorted "
@@ -754,17 +761,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fabric.add_argument("--engine", default=None,
                           choices=["compiled", "vector", "interp"],
                           help="pipeline execution engine (default: "
-                               "compiled, or REPRO_PISA_ENGINE)")
-    p_fabric.add_argument("--serve-batch", type=int, default=None,
+                               "vector, or REPRO_PISA_ENGINE)")
+    p_fabric.add_argument("--serve-batch", type=_sub_batch, default=None,
                           metavar="N",
                           help="serve each switch's shard in sub-batches "
-                               "of N packets through the batched fast "
-                               "path (0 disables; default: "
-                               "REPRO_PISA_SERVE_BATCH, or 0)")
+                               "of N packets; results do not depend on N "
+                               "(0 = the per-packet reference serve; "
+                               "default: the engine's chunk size)")
     p_fabric.add_argument("--workers", type=int, default=None,
-                          help="flow-sharded worker processes per switch "
-                               "for batched serving (default: "
-                               "REPRO_PISA_WORKERS, or 1)")
+                          help="flow-sharded worker processes per switch; "
+                               "above 1, promotions lag by up to one "
+                               "sub-batch (default: REPRO_PISA_WORKERS, "
+                               "or 1)")
     _add_target_arg(p_fabric)
     _add_solver_args(p_fabric)
     _add_obs_args(p_fabric)
@@ -820,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload seed (default: 42)")
     p_top.add_argument("--engine", default=None,
                        choices=["compiled", "vector", "interp"],
-                       help="pipeline execution engine (default: compiled)")
+                       help="pipeline execution engine (default: vector)")
     p_top.add_argument("--no-cut", action="store_true",
                        help="run without the scheduled mid-run memory cut")
     p_top.add_argument("--no-clear", action="store_true",

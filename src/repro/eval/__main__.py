@@ -128,21 +128,15 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["compiled", "vector", "interp"],
                         help="pipeline engine for every experiment "
                              "(sets REPRO_PISA_ENGINE)")
-    parser.add_argument("--serve-batch", type=int, default=None, metavar="N",
-                        help="serve traces through the batched fast path "
-                             "in sub-batches of N packets "
-                             "(sets REPRO_PISA_SERVE_BATCH)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="flow-sharded worker processes for batched "
-                             "serving (sets REPRO_PISA_WORKERS)")
+                        help="flow-sharded worker processes for serving "
+                             "(sets REPRO_PISA_WORKERS)")
     args = parser.parse_args(argv)
 
     import os
 
     if args.engine is not None:
         os.environ["REPRO_PISA_ENGINE"] = args.engine
-    if args.serve_batch is not None:
-        os.environ["REPRO_PISA_SERVE_BATCH"] = str(args.serve_batch)
     if args.workers is not None:
         os.environ["REPRO_PISA_WORKERS"] = str(args.workers)
 

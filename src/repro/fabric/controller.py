@@ -80,13 +80,12 @@ class FleetConfig:
     migrate_state: bool = True       # migrate registers on swaps
     validate_swap: bool = True       # validate + canary before commit
     engine: str | None = None        # pipeline engine (None = default)
-    serve_batch: int | None = None   # 0 = per-packet streaming serve;
-                                     # >0 = batched fast path in
-                                     # sub-batches of this size; None =
-                                     # REPRO_PISA_SERVE_BATCH, or 0
+    serve_batch: int | None = None   # serve sub-batch size; results
+                                     # do not depend on it (0 = the
+                                     # per-packet reference serve)
     workers: int | None = None       # flow-sharded processes per switch
-                                     # (batched serve only); None =
-                                     # REPRO_PISA_WORKERS, or 1
+                                     # (>1: promotions lag a sub-batch);
+                                     # None = REPRO_PISA_WORKERS, or 1
     slo_rules: tuple | None = None   # SLO rules (None = defaults, see
                                      # repro.obs.slo.default_slo_rules)
 

@@ -24,7 +24,12 @@ from .pipeline import (
 from .plan import PipelinePlan, StagePlan, UnitPlan, plan_taint
 from .registers import RegisterArray, RegisterError, RegisterFile
 from .results import BatchResults, PipelineResult
-from .sharded import classify_registers, run_sharded, shard_assignments
+from .sharded import (
+    classify_registers,
+    register_methods,
+    run_sharded,
+    shard_assignments,
+)
 from .targetspec import load_target, save_target, target_from_dict, target_to_dict
 from .resources import (
     ActionCost,
@@ -75,6 +80,7 @@ __all__ = [
     "RegisterError",
     "RegisterFile",
     "classify_registers",
+    "register_methods",
     "run_sharded",
     "shard_assignments",
     "VectorPlan",

@@ -22,6 +22,8 @@ from __future__ import annotations
 import os
 from collections import Counter
 
+import numpy as np
+
 from ..lang import ast
 from ..lang.symbols import eval_static
 from ..obs import flight
@@ -42,14 +44,15 @@ __all__ = ["Pipeline", "PipelineResult", "ValidationError",
 #: Available execution engines: the compile-once plan engine (see
 #: repro.pisa.compiled), the columnar whole-batch engine (see
 #: repro.pisa.vector — scalar plan for single packets, struct-of-arrays
-#: kernels for process_many), and the tree-walking reference interpreter.
+#: kernels for process_many/process_columns; the default), and the
+#: tree-walking reference interpreter.
 ENGINES = ("compiled", "vector", "interp")
 
 
 def default_engine() -> str:
     """Engine used when ``Pipeline(engine=None)``: the ``REPRO_PISA_ENGINE``
-    environment variable, or ``"compiled"``."""
-    engine = os.environ.get("REPRO_PISA_ENGINE", ENGINES[0])
+    environment variable, or ``"vector"``."""
+    engine = os.environ.get("REPRO_PISA_ENGINE", "vector")
     if engine not in ENGINES:
         raise ValueError(
             f"REPRO_PISA_ENGINE={engine!r} is not one of {ENGINES}"
@@ -61,13 +64,6 @@ def default_workers() -> int:
     """Sharded worker count used when a serving path gets ``workers=None``:
     the ``REPRO_PISA_WORKERS`` environment variable, or 1."""
     return max(1, int(os.environ.get("REPRO_PISA_WORKERS", "1")))
-
-
-def default_serve_batch() -> int:
-    """Serving sub-batch size used when a serving path gets
-    ``serve_batch=None`` without an explicit config: the
-    ``REPRO_PISA_SERVE_BATCH`` environment variable, or 0 (streaming)."""
-    return max(0, int(os.environ.get("REPRO_PISA_SERVE_BATCH", "0")))
 
 
 class ValidationError(Exception):
@@ -344,14 +340,20 @@ class Pipeline:
     def register_clear_all(self) -> None:
         self.registers.clear_all()
 
+    def _hash_fn(self, seed: int):
+        fn = self._hash_fns.get(seed)
+        if fn is None:
+            fn = self._hash_fns[seed] = self._hash_factory(seed)
+        return fn
+
     def hash_value(self, seed: int, *values: int, width: int) -> int:
         """Compute the same hash the data plane uses (for controllers that
         must install state at the index a packet will probe)."""
-        fn = self._hash_fns.get(seed)
-        if fn is None:
-            fn = self._hash_factory(seed)
-            self._hash_fns[seed] = fn
-        return fn(*values, width=width)
+        return self._hash_fn(seed)(*values, width=width)
+
+    def hash_values(self, seed: int, values, width: int):
+        """:meth:`hash_value` of every element of an integer array."""
+        return self._hash_fn(seed).vector(values, width)
 
     # -- quiesce points ---------------------------------------------------------
     @property
@@ -428,10 +430,11 @@ class Pipeline:
     def process(self, packet: Packet) -> PipelineResult:
         """Run one packet through all stages; returns the final PHV.
 
-        Dispatches to the configured engine: ``"compiled"`` executes the
-        pre-lowered plan (see :mod:`repro.pisa.compiled`), ``"interp"``
-        walks the AST — the reference semantics the differential tests
-        hold the plan engine to.
+        Dispatches to the configured engine: ``"compiled"`` and
+        ``"vector"`` execute the pre-lowered plan (see
+        :mod:`repro.pisa.compiled`), ``"interp"`` walks the AST — the
+        reference semantics the differential tests hold the plan
+        engines to.
         """
         if self.plan is not None:
             return self._process_compiled(packet)
@@ -532,21 +535,64 @@ class Pipeline:
         the same partitions inline — partitioned by flow-hash sharding
         (``shard_field`` picks the key; default ``flow_id``/first
         field), merging per-worker register deltas on join — see
-        :mod:`repro.pisa.sharded` for the merge-exactness rules. Sharding is incompatible with
-        ``callback`` (the controller would race its own workers).
+        :mod:`repro.pisa.sharded` for the merge-exactness rules.
+        Sharding is incompatible with ``callback`` (the controller would
+        race its own workers).
+
+        A caller that already holds its batch as arrays should use
+        :meth:`process_columns` and skip the ``Packet`` objects.
         """
         if workers > 1 and callback is not None:
             raise ValueError("process_many: workers > 1 cannot stream "
                              "through a callback")
+        return self._batch(
+            lambda: self._process_many(packets, collect, callback, workers,
+                                       shard_field),
+            vector=callback is None, workers=workers)
+
+    def process_columns(self, columns: dict,
+                        collect: bool = True) -> BatchResults | int:
+        """:meth:`process_many` for a batch given as columns.
+
+        ``columns`` maps packet field names to integer arrays of one
+        common length ``n`` — or plain ints, which every lane carries
+        (all ints: one lane). Lane ``i`` is the packet
+        ``Packet(fields={name: column[i], ...})`` and the call equals
+        ``process_many`` of those packets on every engine — results,
+        table hits, register state, the span and the counter — without
+        the packets ever existing: the vector engine loads the columns
+        directly (the loader ``process_many`` reaches through its
+        ``Packet`` front end), the scalar engines walk the rows.
+        """
+        arrays = {}
+        for name, values in columns.items():
+            self._packet_key(name)      # an unknown field fails up front
+            array = np.asarray(values)
+            if array.dtype.kind not in "iub" and array.dtype != object:
+                raise TypeError(f"process_columns: field {name!r} holds "
+                                f"{array.dtype} values, not integers")
+            arrays[name] = array
+        lengths = {a.shape for a in arrays.values() if a.ndim}
+        if len(lengths) > 1 or any(len(shape) != 1 for shape in lengths):
+            raise ValueError("process_columns: columns must be one-"
+                             f"dimensional and equally long, got {lengths}")
+        n = lengths.pop()[0] if lengths else 1
+        arrays = {name: np.broadcast_to(a, (n,))
+                  for name, a in arrays.items()}
+        return self._batch(lambda: self._process_columns(arrays, n, collect),
+                           vector=True)
+
+    def _batch(self, run, vector: bool, workers: int = 1):
+        """``run()`` as one instrumented batch: in-batch flag and quiesce
+        drain, ``pisa.batch`` span, packet counter, flight note."""
         attrs = {"engine": self.engine, "workers": workers}
-        if callback is None and self.vplan is not None and self.vplan.ok:
+        if vector and self.vplan is not None and self.vplan.ok:
             # A vector batch: say how much of it ran on the scalar tier.
             attrs["island_stages"] = len(self.vplan.island_stages)
         with trace.span("pisa.batch", **attrs) as span:
             self._in_batch = True
             try:
-                result = self._process_many(packets, collect, callback,
-                                            workers, shard_field)
+                result = run()
             finally:
                 self._in_batch = False
                 self._drain_quiesce()
@@ -570,7 +616,12 @@ class Pipeline:
 
             return run_sharded(self, packets, collect, workers, shard_field)
         if callback is None and self.vplan is not None and self.vplan.ok:
-            return self._process_vector(packets, collect)
+            if not isinstance(packets, list):
+                packets = list(packets)
+            return self._process_vector(
+                len(packets),
+                lambda start, stop: self.vplan._load(packets[start:stop]),
+                collect)
         if callback is not None:
             count = 0
             for packet in packets:
@@ -594,25 +645,34 @@ class Pipeline:
                 self._drain_quiesce()
         return count
 
-    def _process_vector(self, packets,
+    def _process_columns(self, arrays: dict, n: int,
+                         collect: bool) -> BatchResults | int:
+        if self.vplan is not None and self.vplan.ok:
+            return self._process_vector(
+                n,
+                lambda start, stop: self.vplan.load_columns(
+                    {name: a[start:stop] for name, a in arrays.items()},
+                    stop - start),
+                collect)
+        names = list(arrays)
+        rows = zip(*(a.tolist() for a in arrays.values()))
+        return self._process_many(
+            (Packet(fields=dict(zip(names, row))) for row in rows),
+            collect, None)
+
+    def _process_vector(self, n: int, load,
                         collect: bool) -> BatchResults | int:
-        """Whole-batch columnar execution, chunked so deferred quiesce
-        callbacks still get periodic drain points."""
-        if not isinstance(packets, list):
-            packets = list(packets)
+        """Whole-batch columnar execution of ``n`` lanes, chunked so
+        deferred quiesce callbacks still get periodic drain points;
+        ``load(start, stop)`` is the :class:`PhvBatch` of a lane range."""
         pending = self._quiesce_pending
         chunk = max(1, int(self.vector_chunk))
         run_batch = self.vplan.run_batch
-        if collect:
-            results = BatchResults(wide=self.vplan.wide)
-            for start in range(0, len(packets), chunk):
-                results.extend(run_batch(packets[start:start + chunk], True))
-                if pending:
-                    self._drain_quiesce()
-            return results
-        count = 0
-        for start in range(0, len(packets), chunk):
-            count += run_batch(packets[start:start + chunk], False)
+        results = BatchResults(wide=self.vplan.wide) if collect else None
+        for start in range(0, n, chunk):
+            ran = run_batch(load(start, min(n, start + chunk)), collect)
+            if collect:
+                results.extend(ran)
             if pending:
                 self._drain_quiesce()
-        return count
+        return results if collect else n

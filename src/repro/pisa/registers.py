@@ -93,6 +93,10 @@ class RegisterArray:
         """Copy of the raw cell values."""
         return self._data.copy()
 
+    def read_cells(self, idx) -> np.ndarray:
+        """:meth:`read` of every index in an array (control-plane gather)."""
+        return self._data[np.asarray(idx, dtype=np.int64) % self.cells]
+
     def nonzero_cells(self) -> int:
         """Occupied (non-zero) cells — the runtime monitor's occupancy signal."""
         return int(np.count_nonzero(self._data))

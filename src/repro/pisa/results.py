@@ -1,7 +1,8 @@
 """Per-packet results and the lane-ordered batch container.
 
 :class:`PipelineResult` is one packet's outcome. :class:`BatchResults`
-is what ``Pipeline.process_many(collect=True)`` returns on every engine:
+is what ``Pipeline.process_many``/``process_columns`` (``collect=True``)
+return on every engine:
 a read-only sequence of :class:`PipelineResult` rows in lane order.
 The scalar engines and the sharded gathers hand it finished rows; the
 vector engine hands it the batch's PHV columns and table-hit masks, and

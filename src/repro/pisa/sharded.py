@@ -58,8 +58,8 @@ from ..obs import trace
 from .compiled import _REG_METHODS, _NotStatic, _fold
 from .results import BatchResults
 
-__all__ = ["run_sharded", "run_inline", "classify_registers",
-           "shard_assignments"]
+__all__ = ["run_sharded", "run_inline", "register_methods",
+           "classify_registers", "shard_assignments"]
 
 _MASK64 = (1 << 64) - 1
 _ADDITIVE = frozenset({"add", "add_read", "cond_add", "cond_add_read"})
@@ -85,16 +85,14 @@ def _static_instance(expr, consts) -> Optional[str]:
     return None
 
 
-def classify_registers(pipeline) -> dict[str, str]:
-    """Map register instance -> merge class: ``"additive"``, ``"max"``,
-    ``"min"``, or ``"overwrite"``.
+def register_methods(pipeline) -> Optional[dict[str, set[str]]]:
+    """Map register instance -> the register methods the program calls
+    on it, or None when some reference's family cannot be resolved.
 
     Scans every placed unit body *and* every declared table action for
     register method calls. A reference whose index cannot be folded
     (e.g. ``counts[r]`` with ``r`` an action parameter) attributes the
-    method to every instance of that family; a reference whose family is
-    itself unknown makes the whole classification conservative
-    (everything merges by overwrite).
+    method to every instance of that family.
     """
     consts = pipeline.info.consts
     methods: dict[str, set[str]] = {}
@@ -129,18 +127,33 @@ def classify_registers(pipeline) -> dict[str, str]:
             scan(unit.instance.body)
     for decl in pipeline.info.actions.values():
         scan(decl.body.stmts)
+    if dynamic:
+        return None
+    return {
+        name: (methods.get(name, set())
+               | family_methods.get(name.rsplit("[", 1)[0], set()))
+        for name in pipeline.registers.names()
+    }
 
+
+def classify_registers(pipeline) -> dict[str, str]:
+    """Map register instance -> merge class: ``"additive"``, ``"max"``,
+    ``"min"``, or ``"overwrite"`` — by the methods
+    :func:`register_methods` finds on it. A reference whose family is
+    itself unknown makes the whole classification conservative
+    (everything merges by overwrite).
+    """
+    methods = register_methods(pipeline)
     classes: dict[str, str] = {}
     for name in pipeline.registers.names():
-        family = name.rsplit("[", 1)[0]
-        used = methods.get(name, set()) | family_methods.get(family, set())
-        if dynamic:
+        used = methods[name] if methods is not None else None
+        if not used:
             classes[name] = "overwrite"
-        elif used and used <= _ADDITIVE:
+        elif used <= _ADDITIVE:
             classes[name] = "additive"
-        elif used and used <= _MAX_ONLY:
+        elif used <= _MAX_ONLY:
             classes[name] = "max"
-        elif used and used <= _MIN_ONLY:
+        elif used <= _MIN_ONLY:
             classes[name] = "min"
         else:
             classes[name] = "overwrite"

@@ -1234,46 +1234,65 @@ class VectorPlan:
             self.stage_exec.append((splan, kernel))
 
     # -- batch loading ---------------------------------------------------------
+    def load_columns(self, columns: dict, n: int,
+                     present: Optional[dict] = None) -> PhvBatch:
+        """The one loader: ``{packet field: n raw values}`` to a
+        :class:`PhvBatch` of resolved, width-masked int64 columns.
+
+        Values are integer arrays of any width (unsigned 64-bit values
+        keep their bit pattern; for 64-bit fields the mask is the int64
+        identity) or, for raw values outside 64 bits, object arrays of
+        Python ints, masked one by one. ``present`` maps a field to its
+        lane mask where not every lane carries it.
+        """
+        resolve = self.pipeline._packet_key
+        cols: dict[str, np.ndarray] = {}
+        lanes: dict[str, np.ndarray] = {}
+        for name, values in columns.items():
+            key = resolve(name)
+            if values.dtype == object:
+                # The masked value is in [0, 2**64): go through uint64
+                # and reinterpret as the int64 bit pattern.
+                mask = self.masks[key]
+                cols[key] = np.fromiter(
+                    (int(v) & mask for v in values),
+                    dtype=np.uint64, count=n).view(np.int64)
+            else:
+                cols[key] = (values.astype(np.int64, copy=False)
+                             & self.mask_i64[key])
+            carried = present.get(name) if present else None
+            lanes[key] = (np.ones(n, dtype=bool) if carried is None
+                          else carried)
+        return PhvBatch(cols, lanes, n)
+
     def _load(self, packets) -> PhvBatch:
-        pipeline = self.pipeline
-        resolve = pipeline._packet_key
-        masks = self.masks
+        """``Packet`` front end of :meth:`load_columns`."""
         n = len(packets)
         names = list(packets[0].fields)
-        cols: dict[str, np.ndarray] = {}
-        present: dict[str, np.ndarray] = {}
-        uniform = all(len(p.fields) == len(names) for p in packets)
-        if uniform:
+        columns: dict[str, np.ndarray] = {}
+        if all(len(p.fields) == len(names) for p in packets):
             try:
                 for name in names:
-                    key = resolve(name)
-                    col = np.fromiter((p.fields[name] for p in packets),
-                                      dtype=np.int64, count=n)
-                    # For 64-bit fields the mask is the int64 identity:
-                    # the column keeps the value's wrapped bit pattern.
-                    cols[key] = col & self.mask_i64[key]
-                    present[key] = np.ones(n, dtype=bool)
-                return PhvBatch(cols, present, n)
+                    columns[name] = np.fromiter(
+                        (p.fields[name] for p in packets),
+                        dtype=np.int64, count=n)
             except (KeyError, OverflowError, ValueError):
-                cols.clear()
-                present.clear()
-        # Ragged batches / out-of-int64 raw values: mask in Python (the
-        # masked value is in [0, 2**64), so go through uint64 and C-cast
-        # down to the int64 bit pattern).
+                columns.clear()
+            else:
+                return self.load_columns(columns, n)
+        # Ragged batches / out-of-int64 raw values: absent lanes load 0.
         union: dict[str, None] = {}
         for p in packets:
             for name in p.fields:
                 union.setdefault(name)
+        present: dict[str, np.ndarray] = {}
         for name in union:
-            key = resolve(name)
-            mask = masks[key]
-            cols[key] = np.fromiter(
-                ((int(p.fields[name]) & mask) if name in p.fields else 0
-                 for p in packets),
-                dtype=np.uint64, count=n).astype(np.int64)
-            present[key] = np.fromiter((name in p.fields for p in packets),
-                                       dtype=bool, count=n)
-        return PhvBatch(cols, present, n)
+            column = np.empty(n, dtype=object)
+            column[:] = [p.fields.get(name, 0) for p in packets]
+            columns[name] = column
+            present[name] = np.fromiter((name in p.fields for p in packets),
+                                        dtype=bool, count=n)
+        return self.load_columns(columns, n, present)
 
     # -- scalar islands --------------------------------------------------------
     def _run_island(self, splan, batch: PhvBatch, hits: dict) -> None:
@@ -1316,7 +1335,7 @@ class VectorPlan:
 
         The persistent worker pool (:mod:`repro.pisa.pool`) calls this
         directly on shared-memory column slices; :meth:`run_batch` wraps
-        it with packet loading and the result container.
+        it with the result container.
         """
         for splan, kernel in self.stage_exec:
             if kernel is None:
@@ -1327,23 +1346,17 @@ class VectorPlan:
                 except _VectorBail:
                     self._run_island(splan, batch, hits)
 
-    def run_batch(self, packets, collect: bool = True):
-        """Run a packet list through all stages; returns the batch's
+    def run_batch(self, batch: PhvBatch, collect: bool = True):
+        """Run a loaded batch through all stages; returns its
         :class:`~repro.pisa.results.BatchResults` (columns kept, rows
-        built on demand) or, with ``collect=False``, the count."""
-        if not isinstance(packets, list):
-            packets = list(packets)
-        n = len(packets)
-        if n == 0:
-            return BatchResults(wide=self.wide) if collect else 0
-        batch = self._load(packets)
+        built on demand) or, with ``collect=False``, the lane count."""
         hits: dict = {}
         self.run_stages(batch, hits)
-        self.pipeline.packets_processed += n
+        self.pipeline.packets_processed += batch.n
         if not collect:
-            return n
+            return batch.n
         results = BatchResults(wide=self.wide)
-        results.add_chunk(batch.cols, batch.present, n, hits)
+        results.add_chunk(batch.cols, batch.present, batch.n, hits)
         return results
 
     # -- introspection ---------------------------------------------------------

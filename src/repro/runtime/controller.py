@@ -58,12 +58,12 @@ class RuntimeConfig:
     drift_reconfig: bool = True       # arm the drift trigger at all
     engine: str | None = None         # pipeline engine (None = default)
     race: bool = False                # race ILP vs greedy in the planner
-    serve_batch: int | None = None    # 0 = per-packet streaming serve;
-                                      # >0 = batched fast path; None =
-                                      # REPRO_PISA_SERVE_BATCH, or 0
+    serve_batch: int | None = None    # serve sub-batch size; results
+                                      # do not depend on it (0 = the
+                                      # per-packet reference serve)
     workers: int | None = None        # flow-sharded serve processes
-                                      # (batched serve only); None =
-                                      # REPRO_PISA_WORKERS, or 1
+                                      # (>1: promotions lag a sub-batch);
+                                      # None = REPRO_PISA_WORKERS, or 1
     slo_rules: tuple | None = None    # SLO rules (None = defaults, see
                                       # repro.obs.slo.default_slo_rules)
 
@@ -435,7 +435,7 @@ class ElasticRuntime:
         must process cleanly, and a migrated hot key must actually hit.
 
         The candidate runs the same engine the runtime is configured
-        with (default: the compiled plan engine), so the canary also
+        with, so the canary also
         exercises the candidate's freshly built execution plan before
         traffic is cut over to it."""
         if app._cached_keys:

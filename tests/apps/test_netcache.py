@@ -1,9 +1,17 @@
 """NetCache application tests."""
 
+import numpy as np
 import pytest
 
-from repro.apps import NetCacheApp, netcache_source, simulate_netcache
+from repro.apps import (
+    NetCacheApp,
+    NetCacheProgramError,
+    netcache_source,
+    simulate_netcache,
+)
+from repro.core import compile_source
 from repro.lang import check_program, parse_program
+from repro.structures import CMS_SOURCE
 from repro.workloads import ZipfGenerator
 
 
@@ -99,9 +107,21 @@ class TestFastSimulation:
         assert pipeline_stats.insertions == ref_stats.insertions
 
 
+def outcome(app, stats):
+    """Everything a serve leaves behind, comparable with ``==``."""
+    registers = app.pipeline.registers.export_state()
+    return (
+        (stats.packets, stats.hits, stats.insertions, stats.evictions,
+         stats.rejected_insertions),
+        {name: cells.tolist() for name, cells in registers.items()},
+        sorted(app._cached_keys),
+    )
+
+
 class TestBatchedServing:
-    """``run_trace(serve_batch=N)`` scans result columns; what it decides
-    must not depend on which engine produced them."""
+    """``run_trace(serve_batch=N)`` replays the controller over result
+    columns; what it decides must not depend on which engine produced
+    them."""
 
     @pytest.fixture(scope="class")
     def tiny_cache(self, mini_tofino):
@@ -117,15 +137,132 @@ class TestBatchedServing:
         for engine in ("vector", "compiled", "interp"):
             app = NetCacheApp(mini_tofino, hot_threshold=4, engine=engine,
                               compiled=tiny_cache.compiled)
-            stats = app.run_trace(keys, serve_batch=4096)
-            registers = app.pipeline.registers.export_state()
-            outcomes[engine] = (
-                (stats.packets, stats.hits, stats.insertions,
-                 stats.evictions, stats.rejected_insertions),
-                {name: cells.tolist() for name, cells in registers.items()},
-                sorted(app._cached_keys),
-            )
+            outcomes[engine] = outcome(
+                app, app.run_trace(keys, serve_batch=4096))
         assert outcomes["vector"] == outcomes["compiled"] == outcomes["interp"]
         packets, hits, insertions, evictions, rejected = outcomes["vector"][0]
         assert packets == 5000 and hits > 0 and insertions > 0
         assert evictions > 0 and rejected > 0
+
+
+ENGINES = ("vector", "compiled", "interp")
+SERVE_BATCHES = (None, 1, 7, 300, 4096)
+
+
+class TestExactServing:
+    """Every batched serve equals the per-packet reference
+    (``serve_batch=0``) bit for bit: the five counters, every register
+    and the cached-key set, on every engine, for every sub-batch size."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self, mini_tofino):
+        """Crowded 16-column layouts with one and three KV rows."""
+        compiled = {}
+        for kv_rows in (1, 3):
+            source = netcache_source(max_cols=16).replace(
+                "assume kv_rows >= 1;",
+                f"assume kv_rows >= 1 && kv_rows <= {kv_rows};")
+            compiled[kv_rows] = compile_source(source, mini_tofino,
+                                               source_name="netcache")
+            assert compiled[kv_rows].symbol_values["kv_rows"] == kv_rows
+        return compiled
+
+    def serve(self, compiled, keys, hot_threshold, engine, serve_batch,
+              prepare=None):
+        app = NetCacheApp(compiled.target, hot_threshold=hot_threshold,
+                          compiled=compiled, engine=engine)
+        if prepare is not None:
+            prepare(app)
+        return app, app.run_trace(keys, serve_batch=serve_batch)
+
+    def check_all_equal_reference(self, compiled, keys, hot_threshold,
+                                  prepare=None):
+        """Every (engine, sub-batch) against ``serve_batch=0``; returns
+        the reference app and stats."""
+        app, stats = self.serve(compiled, keys, hot_threshold, "compiled", 0,
+                                prepare)
+        reference = outcome(app, stats)
+        for engine in ENGINES:
+            for serve_batch in SERVE_BATCHES:
+                served = outcome(*self.serve(compiled, keys, hot_threshold,
+                                             engine, serve_batch, prepare))
+                assert served == reference, (engine, serve_batch)
+        return app, stats
+
+    @pytest.mark.parametrize("hot_threshold", [1, 4, 8])
+    @pytest.mark.parametrize("kv_rows", [1, 3])
+    def test_equals_reference_and_simulation(self, layouts, kv_rows,
+                                             hot_threshold):
+        compiled = layouts[kv_rows]
+        keys = ZipfGenerator(300, alpha=1.0, seed=36).sample(600)
+        app, stats = self.check_all_equal_reference(compiled, keys,
+                                                    hot_threshold)
+        assert stats.evictions > 0 and stats.rejected_insertions > 0
+        simulated = simulate_netcache(
+            app.cms_rows, app.cms_cols, app.kv_rows, app.kv_cols, keys,
+            hot_threshold=hot_threshold)
+        assert ((stats.hits, stats.insertions, stats.evictions)
+                == (simulated.hits, simulated.insertions,
+                    simulated.evictions))
+
+    def test_key_evicted_and_re_requested_in_one_sub_batch(self, layouts):
+        compiled = layouts[1]
+        probe = NetCacheApp(compiled.target, compiled=compiled)
+        slot = lambda key: probe.pipeline.hash_value(
+            100, key, width=1 << 32) % probe.kv_cols
+        first, second = next(
+            (a, b) for a in range(1, 200) for b in range(a + 1, 200)
+            if slot(a) == slot(b))
+        # ``first`` is cached, ``second`` overtakes and evicts it, then
+        # ``first`` comes back, misses, and wins the slot again - all
+        # inside any sub-batch of 300.
+        keys = [first] * 6 + [second] * 12 + [first] * 20 + [second] * 5
+        app, stats = self.check_all_equal_reference(compiled, keys, 4)
+        assert stats.insertions == 1 and stats.evictions == 2
+        assert stats.rejected_insertions > 0
+        assert first in app._cached_keys and second not in app._cached_keys
+
+    def test_sketch_counters_wrapping(self, layouts):
+        """32-bit counters three short of wrapping: estimates, and the
+        occupants' estimates as of each lane, cross zero mid-batch."""
+        def near_wrap(app):
+            for row in range(app.cms_rows):
+                register = app.pipeline.registers.get(f"cms_sketch[{row}]")
+                register.load(np.full(register.cells, (1 << 32) - 3))
+
+        keys = ZipfGenerator(300, alpha=1.0, seed=37).sample(400)
+        for kv_rows in (1, 3):
+            app, stats = self.check_all_equal_reference(
+                layouts[kv_rows], keys, 4, prepare=near_wrap)
+            assert stats.insertions > 0 and stats.evictions > 0
+            wrapped = app.pipeline.register_dump("cms_sketch", 0)
+            assert 0 < int(wrapped.max()) < 1 << 31
+
+    def test_empty_and_one_key_traces(self, layouts):
+        for keys in ([], [41]):
+            _app, stats = self.check_all_equal_reference(layouts[3], keys, 1)
+            assert stats.packets == len(keys)
+            assert stats.insertions == len(keys)
+
+    def test_sub_batch_size_is_not_negative(self, layouts):
+        app = NetCacheApp(layouts[1].target, compiled=layouts[1])
+        with pytest.raises(ValueError, match="serve_batch"):
+            app.run_trace([1, 2, 3], serve_batch=-1)
+
+
+class TestProgramCheck:
+    """The app refuses a program its replay would be wrong for."""
+
+    def test_program_without_the_cache_fields(self, mini_tofino):
+        compiled = compile_source(CMS_SOURCE, mini_tofino, source_name="cms")
+        with pytest.raises(NetCacheProgramError, match="meta.kv_hit"):
+            NetCacheApp(mini_tofino, compiled=compiled, source=CMS_SOURCE)
+
+    def test_data_plane_writing_the_store(self, mini_tofino):
+        source = netcache_source(max_cols=16).replace(
+            "kv_keys[i].read(meta.kv_skey[i], meta.kv_idx[i]);",
+            "kv_keys[i].swap(meta.kv_skey[i], meta.kv_idx[i], "
+            "meta.req_key);")
+        assert "kv_keys[i].swap" in source
+        with pytest.raises(NetCacheProgramError, match=r"kv_keys\[0\]"):
+            NetCacheApp(mini_tofino, source=source)

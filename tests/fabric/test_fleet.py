@@ -157,6 +157,39 @@ class TestReconfiguration:
                 < report.final_symbols["s0"]["kv_cols"])
 
 
+class TestServingModesAgree:
+    def test_default_serve_equals_per_packet_across_cut_and_migration(
+            self, mini64, mini32, shared_cache):
+        """Default (batched, vector) serving and the per-packet
+        reference give the same fleet run: every window, the cut, the
+        migration, and each switch's final registers."""
+        outcomes = []
+        for serve_batch in (None, 0):
+            controller = make_controller(mini64, shared_cache, standby=1,
+                                         serve_batch=serve_batch)
+            controller.schedule_cut(1000, "s0", mini32)
+            controller.schedule_migration(2000, "s1", "s3")
+            report = controller.run(
+                ZipfGenerator(universe=3000, alpha=1.1, seed=17), 4000)
+            [(name, record)] = report.reconfigs
+            [migration] = report.migrations
+            assert name == "s0" and record.committed and migration.committed
+            registers = {}
+            for switch in controller.topology.switches.values():
+                if switch.app is not None:
+                    state = switch.app.pipeline.registers.export_state()
+                    registers[switch.name] = {
+                        reg: cells.tolist() for reg, cells in state.items()}
+            outcomes.append((
+                report.timeline, report.hits, report.dropped_packets,
+                {n: (s.packets, s.hits) for n, s in report.per_switch.items()},
+                migration.kv_dropped, migration.replayed_packets, registers,
+            ))
+            controller.close()
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == 8 and outcomes[0][1] > 0
+
+
 class TestRebalance:
     def test_skew_triggers_bounded_rebalance(self, mini64, shared_cache):
         controller = make_controller(mini64, shared_cache,

@@ -86,6 +86,7 @@ class TestBridge:
 
         bus = bridge_telemetry(TelemetryBus(), Tracer(enabled=False),
                                MetricsRegistry())
+        obs.flight.clear()      # a full ring would not grow by one
         before = len(obs.flight)
         bus.emit("swap_committed", packet_index=7, backend="ilp")
         entries = obs.flight.entries()

@@ -1,10 +1,22 @@
 """Pipeline-simulator semantics: stage snapshots, guards, validation."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.core import compile_source
-from repro.pisa import Packet, Pipeline, small_target
+from repro import obs
+from repro.apps import (
+    conquest_source,
+    netcache_linked,
+    netcache_source,
+    precision_source,
+    sketchlearn_source,
+)
+from repro.core import compile_linked, compile_source
+from repro.pisa import ENGINES, Packet, Pipeline, small_target, tofino
 from repro.pisa.interp import SimulationError
+from repro.structures import CMS_SOURCE
 
 
 def build(source: str, **target_kwargs):
@@ -164,3 +176,138 @@ class TestValidation:
         _, pipe = build(COUNTER)
         pipe.process_many([Packet(fields={"flow_id": i}) for i in range(5)])
         assert pipe.packets_processed == 5
+
+
+def _t6():
+    return dataclasses.replace(tofino(), stages=6,
+                               memory_bits_per_stage=64 * 1024)
+
+
+#: The six apps: how to compile each, and the packet fields it reads.
+APPS = {
+    "cms": (lambda: compile_source(CMS_SOURCE, _t6()), ("flow_id",)),
+    "netcache": (lambda: compile_source(netcache_source(), _t6()),
+                 ("req_key", "dst")),
+    "netcache-linked": (lambda: compile_linked(netcache_linked(), _t6()),
+                        ("req_key", "dst")),
+    "sketchlearn": (lambda: compile_source(sketchlearn_source(), _t6()),
+                    ("flow_id",)),
+    "conquest": (lambda: compile_source(conquest_source(), _t6()),
+                 ("flow_id", "window", "pkt_bytes")),
+    "precision": (lambda: compile_source(precision_source(), _t6()),
+                  ("flow_id",)),
+}
+
+
+class TestProcessColumns:
+    """``process_columns`` is ``process_many`` of the packets its columns
+    spell out - on every engine, observably."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        cache = {}
+
+        def get(app):
+            if app not in cache:
+                cache[app] = APPS[app][0]()
+            return cache[app]
+        return get
+
+    @staticmethod
+    def columns(fields, n=200):
+        rng = np.random.default_rng(7)
+        columns = {"flow_id": rng.integers(0, 40, n, dtype=np.int64),
+                   "req_key": rng.integers(0, 1 << 33, n, dtype=np.uint64),
+                   "dst": rng.integers(0, 3, n),
+                   "window": rng.integers(0, 4, n).astype(np.int32),
+                   "pkt_bytes": 64}      # a plain int: every lane
+        return {name: columns[name] for name in fields}
+
+    @staticmethod
+    def pipeline(compiled, engine):
+        pipe = Pipeline(compiled, engine=engine)
+        if "route" in pipe.tables:
+            pipe.table_add("route", (1,), "set_port", (5,))
+        pipe.vector_chunk = 64          # several chunks per batch
+        return pipe
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_equals_process_many(self, compiled, app, engine):
+        columns = self.columns(APPS[app][1])
+        n = 200
+        packets = [
+            Packet(fields={name: int(np.broadcast_to(column, n)[lane])
+                           for name, column in columns.items()})
+            for lane in range(n)]
+        by_packet = self.pipeline(compiled(app), engine)
+        by_column = self.pipeline(compiled(app), engine)
+        counter = obs.metrics.counter("p4all_packets_total",
+                                      labels=("engine",))
+        before = counter.value(engine=engine)
+        obs.trace.enable()
+        try:
+            expected = by_packet.process_many(packets)
+            results = by_column.process_columns(columns)
+            spans = obs.trace.spans_named("pisa.batch")
+        finally:
+            obs.trace.disable()
+            obs.trace.reset()
+        assert len(results) == len(expected) == n
+        for key in by_packet.phv_layout.fields:
+            assert np.array_equal(results.column(key), expected.column(key))
+        for table in by_packet.tables:
+            assert np.array_equal(results.hit_column(table),
+                                  expected.hit_column(table))
+        assert ([(r.phv, r.table_hits) for r in results]
+                == [(r.phv, r.table_hits) for r in expected])
+        left = by_column.registers.export_state()
+        right = by_packet.registers.export_state()
+        assert left.keys() == right.keys()
+        assert all(np.array_equal(left[name], right[name]) for name in left)
+        assert by_column.packets_processed == by_packet.packets_processed == n
+        assert spans[0].attrs == spans[1].attrs
+        assert spans[1].attrs["packets"] == n
+        assert counter.value(engine=engine) == before + 2 * n
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_collect_false_leaves_the_same_registers(self, compiled, engine):
+        columns = self.columns(("flow_id",))
+        counted = self.pipeline(compiled("cms"), engine)
+        collected = self.pipeline(compiled("cms"), engine)
+        assert counted.process_columns(columns, collect=False) == 200
+        collected.process_columns(columns)
+        assert np.array_equal(counted.register_dump("cms_sketch", 0),
+                              collected.register_dump("cms_sketch", 0))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_all_scalars_is_one_lane(self, compiled, engine):
+        [result] = self.pipeline(compiled("cms"), engine).process_columns(
+            {"flow_id": 9})
+        one_packet = self.pipeline(compiled("cms"), engine).process(
+            Packet(fields={"flow_id": 9}))
+        assert result.phv == one_packet.phv
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_values_beyond_64_bits_are_masked(self, compiled, engine):
+        pipe = self.pipeline(compiled("cms"), engine)
+        [wide, plain] = pipe.process_columns(
+            {"flow_id": [(1 << 70) + 5, 5]})
+        assert wide.get("meta.flow_id") == plain.get("meta.flow_id") == 5
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_batch(self, compiled, engine):
+        pipe = self.pipeline(compiled("cms"), engine)
+        results = pipe.process_columns({"flow_id": np.empty(0, np.int64)})
+        assert len(results) == 0 and results.column("meta.cms_min").size == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rejected_inputs(self, compiled, engine):
+        pipe = self.pipeline(compiled("cms"), engine)
+        with pytest.raises(SimulationError, match="no_such_field"):
+            pipe.process_columns({"flow_id": [1, 2], "no_such_field": 0})
+        with pytest.raises(ValueError, match="equally long"):
+            pipe.process_columns({"flow_id": [1, 2], "cms_min": [1, 2, 3]})
+        with pytest.raises(TypeError, match="integers"):
+            pipe.process_columns({"flow_id": [1.5, 2.0]})
+        assert pipe.packets_processed == 0

@@ -23,12 +23,12 @@ def compiled_cms():
 
 
 class TestEngineSelection:
-    def test_default_is_compiled(self, compiled_cms, monkeypatch):
+    def test_default_is_vector(self, compiled_cms, monkeypatch):
         monkeypatch.delenv("REPRO_PISA_ENGINE", raising=False)
-        assert default_engine() == "compiled"
+        assert default_engine() == "vector"
         pipe = Pipeline(compiled_cms)
-        assert pipe.engine == "compiled"
-        assert pipe.plan is not None
+        assert pipe.engine == "vector"
+        assert pipe.plan is not None and pipe.vplan.ok
 
     def test_env_var_selects_interp(self, compiled_cms, monkeypatch):
         monkeypatch.setenv("REPRO_PISA_ENGINE", "interp")

@@ -97,6 +97,35 @@ class TestMemoryCutRecovery:
         assert "recovery_ratio" in decoded
 
 
+class TestServingModesAgree:
+    def test_default_serve_equals_per_packet_across_a_reconfig(
+            self, mini64, mini32):
+        """The default (batched, vector) serve and the per-packet
+        reference see the same run: every window's hit rate, the
+        migration, and the registers the swapped pipeline ends with."""
+        outcomes = []
+        for serve_batch in (None, 0):
+            runtime = ElasticRuntime(
+                mini64,
+                config=RuntimeConfig(window_packets=500, drift_reconfig=False,
+                                     serve_batch=serve_batch),
+                telemetry=TelemetryBus(),
+            )
+            runtime.schedule_target_change(2000, mini32)
+            report = runtime.run(make_stream(), packets=4000)
+            [record] = report.reconfigs
+            assert record.committed
+            registers = runtime.app.pipeline.registers.export_state()
+            outcomes.append((
+                report.timeline, report.hits, report.final_symbols,
+                record.migration.kv_migrated,
+                {name: cells.tolist() for name, cells in registers.items()},
+                sorted(runtime.app._cached_keys),
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == 8 and outcomes[0][1] > 0
+
+
 class TestRollback:
     def test_injected_failure_rolls_back(self, mini64, mini32):
         bus = TelemetryBus()

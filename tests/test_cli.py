@@ -215,3 +215,23 @@ class TestRunCommand:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "fabric"])
+    def test_negative_sub_batch_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--serve-batch", "-1"])
+        assert exc.value.code == 2
+        assert "--serve-batch" in capsys.readouterr().err
+
+    def test_sub_batch_size_changes_no_result(self, capsys):
+        import re
+
+        reports = []
+        for extra in ([], ["--serve-batch", "0"], ["--serve-batch", "333"]):
+            assert main(["run", "--stages", "6", "--memory", "65536",
+                         "--packets", "4000", "--window", "400",
+                         "--seed", "7", *extra]) == 0
+            out, _err = capsys.readouterr()
+            reports.append(re.sub(r"in [0-9.]+s", "in Xs", out))
+        assert "reconfig @pkt 2000" in reports[0] and "migrated" in reports[0]
+        assert reports[0] == reports[1] == reports[2]
