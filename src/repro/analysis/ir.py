@@ -117,10 +117,7 @@ def _classify_assign(target_key: str, value: ast.Expr, guard: ast.Expr | None,
     * ``if (e > f) f = e`` (guarded maximum)             → MAX
     """
     def is_target(e: ast.Expr) -> bool:
-        try:
-            return field_key(e, consts) == target_key
-        except Exception:
-            return False
+        return field_key(e, consts) == target_key
 
     if isinstance(value, ast.BinaryOp) and value.op in ("+", "|", "&"):
         kind = {"+": UpdateKind.ADD, "|": UpdateKind.OR, "&": UpdateKind.AND}[value.op]
@@ -132,26 +129,20 @@ def _classify_assign(target_key: str, value: ast.Expr, guard: ast.Expr | None,
             return UpdateKind.MIN if value.func.ident == "min" else UpdateKind.MAX
     if guard is not None and isinstance(guard, ast.BinaryOp):
         # Guarded min/max: if (candidate < f) f = candidate;
-        cand_key = None
-        try:
-            cand_key = field_key(value, consts)
-        except Exception:
-            pass
-        if cand_key is not None:
-            left, right, op = guard.left, guard.right, guard.op
-            def keys_match(a, b):
-                try:
-                    return field_key(a, consts) == cand_key and field_key(b, consts) == target_key
-                except Exception:
-                    return False
-            if op in ("<", "<=") and keys_match(left, right):
-                return UpdateKind.MIN
-            if op in (">", ">=") and keys_match(left, right):
-                return UpdateKind.MAX
-            if op in ("<", "<=") and keys_match(right, left):
-                return UpdateKind.MAX
-            if op in (">", ">=") and keys_match(right, left):
-                return UpdateKind.MIN
+        cand_key = field_key(value, consts)
+        left, right, op = guard.left, guard.right, guard.op
+
+        def keys_match(a, b):
+            return field_key(a, consts) == cand_key and is_target(b)
+
+        if op in ("<", "<=") and keys_match(left, right):
+            return UpdateKind.MIN
+        if op in (">", ">=") and keys_match(left, right):
+            return UpdateKind.MAX
+        if op in ("<", "<=") and keys_match(right, left):
+            return UpdateKind.MAX
+        if op in (">", ">=") and keys_match(right, left):
+            return UpdateKind.MIN
     return UpdateKind.PLAIN
 
 

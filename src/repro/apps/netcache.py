@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import CompileOptions, CompiledProgram, compile_source
+from ..core.errors import CompileError
 from ..pisa import Packet, Pipeline, TargetSpec, register_methods
 from ..structures import (
     CountMinSketch,
@@ -330,9 +331,26 @@ class NetCacheApp:
                 return True
         return False
 
+    def canary(self) -> None:
+        """One packet through this (candidate) pipeline before traffic is
+        cut over to it: it must process cleanly — which also exercises
+        the freshly built execution plan of the configured engine — and
+        a migrated hot key must actually hit. Raises
+        :class:`~repro.core.errors.CompileError` otherwise."""
+        if not self._cached_keys:
+            self.pipeline.process(Packet(fields={"req_key": 1}))
+            return
+        key = next(iter(self._cached_keys))
+        result = self.pipeline.process(Packet(fields={"req_key": key}))
+        if not result.get("meta.kv_hit"):
+            raise CompileError(
+                f"canary failed: migrated key {key} missed in the "
+                "candidate pipeline"
+            )
+
     # -- trace processing -------------------------------------------------------
-    def run_trace(self, keys, dst: int = 1, serve_batch: int | None = None,
-                  workers: int | None = None) -> NetCacheStats:
+    def run_trace(self, keys, dst: int = 1,
+                  serve_batch: int | None = None) -> NetCacheStats:
         """Process a key-request trace; returns hit statistics.
 
         The trace runs through :meth:`Pipeline.process_columns` in
@@ -349,20 +367,11 @@ class NetCacheApp:
         :meth:`Pipeline.process_many`'s callback mode, one ``Packet`` and
         one controller call per key.
 
-        ``workers > 1`` is the one serve that is not exact: each
-        sub-batch is sharded across that many pool processes and the
-        controller scans its result columns afterwards, so a promotion
-        lags by up to one sub-batch.
-
         Keys are ``meta.req_key`` values: wider ones are truncated to the
         field on entry, as the parser would.
         """
-        from ..pisa.pipeline import default_workers
-
         if serve_batch is not None and serve_batch < 0:
             raise ValueError(f"serve_batch must be >= 0, got {serve_batch}")
-        if workers is None:
-            workers = default_workers()
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(list(keys), dtype=np.uint64)
         keys = keys.astype(np.uint64, copy=False) & np.uint64(
@@ -373,11 +382,7 @@ class NetCacheApp:
             return stats
         step = serve_batch or self.pipeline.vector_chunk
         for start in range(0, len(keys), step):
-            batch = keys[start:start + step]
-            if workers > 1:
-                self._serve_sharded(batch, dst, workers, stats)
-            else:
-                self._serve_exact(batch, dst, stats)
+            self._serve_exact(keys[start:start + step], dst, stats)
         return stats
 
     def _serve_per_packet(self, keys: list[int], dst: int,
@@ -399,30 +404,6 @@ class NetCacheApp:
             (Packet(fields={"req_key": key, "dst": dst}) for key in keys),
             callback=lambda result: react(next(result_keys), result),
         )
-
-    def _serve_sharded(self, keys: np.ndarray, dst: int, workers: int,
-                       stats: NetCacheStats) -> None:
-        """One sub-batch over the worker pool, then the controller scans
-        the result columns: the same decisions as the per-packet serve,
-        but against the sketch and store as the whole sub-batch left
-        them (promotions lag by up to one sub-batch)."""
-        batch_keys = keys.tolist()
-        results = self.pipeline.process_many(
-            [Packet(fields={"req_key": key, "dst": dst})
-             for key in batch_keys],
-            workers=workers,
-            shard_field="req_key",
-        )
-        stats.packets += len(batch_keys)
-        hit = results.column("meta.kv_hit") != 0
-        stats.hits += int(np.count_nonzero(hit))
-        estimates = results.column("meta.cms_min")
-        lanes = np.nonzero(~hit & (estimates >= self.hot_threshold))[0]
-        for lane, estimate in zip(lanes.tolist(),
-                                  estimates[lanes].tolist()):
-            key = batch_keys[lane]
-            if key not in self._cached_keys:
-                self._try_cache(key, self.value_of(key), estimate, stats)
 
     def _serve_exact(self, keys: np.ndarray, dst: int,
                      stats: NetCacheStats) -> None:

@@ -163,6 +163,27 @@ def _sub_batch(text: str) -> int:
     return size
 
 
+def _add_serve_args(parser: argparse.ArgumentParser,
+                    serve_batch: bool = True) -> None:
+    """``--engine`` and (for the commands that serve traces themselves)
+    ``--serve-batch``."""
+    parser.add_argument(
+        "--engine", default=None, choices=["compiled", "vector", "interp"],
+        help="pipeline execution engine: the generated-code scalar "
+             "engine, the columnar whole-batch vector engine, or the "
+             "reference tree-walking interpreter (default: vector, or "
+             "REPRO_PISA_ENGINE)",
+    )
+    if serve_batch:
+        parser.add_argument(
+            "--serve-batch", type=_sub_batch, default=None, metavar="N",
+            help="serve each window (per switch, under 'fabric') in "
+                 "sub-batches of N packets; results do not depend on N "
+                 "(0 = the per-packet reference serve; default: the "
+                 "engine's chunk size)",
+        )
+
+
 def _with_obs(args, body) -> int:
     """Run a command body under the observability exporter.
 
@@ -337,7 +358,6 @@ def _run_body(args) -> int:
         engine=args.engine,
         race=args.race,
         serve_batch=args.serve_batch,
-        workers=args.workers,
     )
     print(f"compiling NetCache for {target.describe()}", file=sys.stderr)
     runtime = ElasticRuntime(
@@ -409,7 +429,6 @@ def _fabric_body(args) -> int:
         max_move_fraction=args.max_move,
         engine=args.engine,
         serve_batch=args.serve_batch,
-        workers=args.workers,
     )
     controller = FleetController(
         fabric, options=_compile_options(args), config=config,
@@ -674,22 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stream telemetry events to a JSONL file")
     p_run.add_argument("--json", default=None, metavar="PATH",
                        help="write the run report as JSON")
-    p_run.add_argument("--engine", default=None,
-                       choices=["compiled", "vector", "interp"],
-                       help="pipeline execution engine: the compiled plan "
-                            "engine, the columnar whole-batch vector "
-                            "engine, or the reference tree-walking "
-                            "interpreter (default: vector, or "
-                            "REPRO_PISA_ENGINE)")
-    p_run.add_argument("--serve-batch", type=_sub_batch, default=None, metavar="N",
-                       help="serve each window in sub-batches of N "
-                            "packets; results do not depend on N "
-                            "(0 = the per-packet reference serve; "
-                            "default: the engine's chunk size)")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="flow-sharded worker processes per sub-batch; "
-                            "above 1, promotions lag by up to one "
-                            "sub-batch (default: REPRO_PISA_WORKERS, or 1)")
+    _add_serve_args(p_run)
     p_run.add_argument("--profile", nargs="?", const="p4all_run_profile.txt",
                        default=None, metavar="PATH",
                        help="profile the run with cProfile and write sorted "
@@ -758,21 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stream telemetry events to a JSONL file")
     p_fabric.add_argument("--json", default=None, metavar="PATH",
                           help="write the fleet report as JSON")
-    p_fabric.add_argument("--engine", default=None,
-                          choices=["compiled", "vector", "interp"],
-                          help="pipeline execution engine (default: "
-                               "vector, or REPRO_PISA_ENGINE)")
-    p_fabric.add_argument("--serve-batch", type=_sub_batch, default=None,
-                          metavar="N",
-                          help="serve each switch's shard in sub-batches "
-                               "of N packets; results do not depend on N "
-                               "(0 = the per-packet reference serve; "
-                               "default: the engine's chunk size)")
-    p_fabric.add_argument("--workers", type=int, default=None,
-                          help="flow-sharded worker processes per switch; "
-                               "above 1, promotions lag by up to one "
-                               "sub-batch (default: REPRO_PISA_WORKERS, "
-                               "or 1)")
+    _add_serve_args(p_fabric)
     _add_target_arg(p_fabric)
     _add_solver_args(p_fabric)
     _add_obs_args(p_fabric)
@@ -826,9 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Zipf skew (default: 1.1)")
     p_top.add_argument("--seed", type=int, default=42,
                        help="workload seed (default: 42)")
-    p_top.add_argument("--engine", default=None,
-                       choices=["compiled", "vector", "interp"],
-                       help="pipeline execution engine (default: vector)")
+    _add_serve_args(p_top, serve_batch=False)
     p_top.add_argument("--no-cut", action="store_true",
                        help="run without the scheduled mid-run memory cut")
     p_top.add_argument("--no-clear", action="store_true",

@@ -124,21 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="wrap each experiment in cProfile and write "
                              "sorted cumulative stats next to its output "
                              "(<name>_profile.txt in --out, or the cwd)")
-    parser.add_argument("--engine", default=None,
-                        choices=["compiled", "vector", "interp"],
-                        help="pipeline engine for every experiment "
-                             "(sets REPRO_PISA_ENGINE)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="flow-sharded worker processes for serving "
-                             "(sets REPRO_PISA_WORKERS)")
     args = parser.parse_args(argv)
-
-    import os
-
-    if args.engine is not None:
-        os.environ["REPRO_PISA_ENGINE"] = args.engine
-    if args.workers is not None:
-        os.environ["REPRO_PISA_WORKERS"] = str(args.workers)
 
     unknown = [e for e in args.experiments if e not in EXPERIMENTS]
     if unknown:

@@ -43,17 +43,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..apps.netcache import NetCacheApp, netcache_linked
+from ..apps.netcache import netcache_linked
 from ..core import CompileOptions
 from ..core.cache import CompileCache
-from ..core.errors import CompileError
 from ..obs import bridge_fleet_report, bridge_telemetry
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
-from ..pisa import Packet
 from ..pisa.resources import TargetSpec
-from ..runtime.controller import ReconfigRecord
+from ..runtime.controller import ReconfigRecord, build_app
 from ..runtime.migrate import migrate_netcache_state
 from ..runtime.planner import PlanError, PlanResult, ReconfigPlanner
 from ..runtime.telemetry import TelemetryBus
@@ -83,9 +81,6 @@ class FleetConfig:
     serve_batch: int | None = None   # serve sub-batch size; results
                                      # do not depend on it (0 = the
                                      # per-packet reference serve)
-    workers: int | None = None       # flow-sharded processes per switch
-                                     # (>1: promotions lag a sub-batch);
-                                     # None = REPRO_PISA_WORKERS, or 1
     slo_rules: tuple | None = None   # SLO rules (None = defaults, see
                                      # repro.obs.slo.default_slo_rules)
 
@@ -289,16 +284,6 @@ class FleetController:
             self._planners[name] = planner
         return planner
 
-    def _build_app(self, compiled) -> NetCacheApp:
-        return NetCacheApp(
-            compiled.target,
-            hot_threshold=self.config.hot_threshold,
-            source=(self.source if isinstance(self.source, str)
-                    else self.source.source),
-            compiled=compiled,
-            engine=self.config.engine,
-        )
-
     def _installable(self) -> list[str]:
         """Switches that host an app: serving plus warm standbys."""
         return [name for name, node in self.topology.switches.items()
@@ -321,7 +306,8 @@ class FleetController:
             )
             for name, plan in plans.items():
                 node = self.topology.node(name)
-                node.app = self._build_app(plan.compiled)
+                node.app = build_app(self.source, plan.compiled,
+                                     self.config)
         self._installed = True
         self.telemetry.emit(
             "fleet_configured",
@@ -461,12 +447,12 @@ class FleetController:
             module_attribution=dict(plan.module_attribution),
         )
         with trace.span("fabric.swap", switch=name, cause=cause) as span:
-            new_app = self._build_app(plan.compiled)
+            new_app = build_app(self.source, plan.compiled, self.config)
             if self.config.migrate_state and node.app is not None:
                 record.migration = migrate_netcache_state(node.app, new_app)
             try:
                 if self.config.validate_swap:
-                    _canary(new_app)
+                    new_app.canary()
             except Exception as exc:
                 record.error = str(exc)
                 record.seconds = time.perf_counter() - started
@@ -602,8 +588,7 @@ class FleetController:
         """Serve one switch's sub-batch; returns (packets, hits, busy)."""
         app = self.topology.node(name).app
         t0 = time.perf_counter()
-        stats = app.run_trace(shard, serve_batch=self.config.serve_batch,
-                              workers=self.config.workers)
+        stats = app.run_trace(shard, serve_batch=self.config.serve_batch)
         return stats.packets, stats.hits, time.perf_counter() - t0
 
     def _window(self, keys: np.ndarray, report: FleetReport,
@@ -760,18 +745,3 @@ class FleetController:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _canary(app: NetCacheApp) -> None:
-    """One packet through the candidate pipeline before commit: it must
-    process cleanly, and a migrated hot key must actually hit."""
-    if app._cached_keys:
-        key = next(iter(app._cached_keys))
-        result = app.pipeline.process(Packet(fields={"req_key": key}))
-        if not result.get("meta.kv_hit"):
-            raise CompileError(
-                f"canary failed: migrated key {key} missed in the "
-                "candidate pipeline"
-            )
-    else:
-        app.pipeline.process(Packet(fields={"req_key": 1}))

@@ -21,7 +21,7 @@ from .pipeline import (
     ValidationError,
     default_engine,
 )
-from .plan import PipelinePlan, StagePlan, UnitPlan, plan_taint
+from .plan import PipelinePlan, StagePlan, plan_taint
 from .registers import RegisterArray, RegisterError, RegisterFile
 from .results import BatchResults, PipelineResult
 from .sharded import (
@@ -70,7 +70,6 @@ __all__ = [
     "default_engine",
     "PipelinePlan",
     "StagePlan",
-    "UnitPlan",
     "plan_taint",
     "load_target",
     "save_target",

@@ -41,11 +41,11 @@ from .tables import MatchActionTable, TableEntry
 __all__ = ["Pipeline", "PipelineResult", "ValidationError",
            "ENGINES", "default_engine"]
 
-#: Available execution engines: the compile-once plan engine (see
-#: repro.pisa.compiled), the columnar whole-batch engine (see
-#: repro.pisa.vector — scalar plan for single packets, struct-of-arrays
-#: kernels for process_many/process_columns; the default), and the
-#: tree-walking reference interpreter.
+#: Available execution engines: the compile-once generated-code engine
+#: (see repro.pisa.compiled), the columnar whole-batch engine (see
+#: repro.pisa.vector — the generated code for single packets, struct-of-
+#: arrays kernels for process_many/process_columns; the default), and
+#: the tree-walking reference interpreter.
 ENGINES = ("compiled", "vector", "interp")
 
 
@@ -58,12 +58,6 @@ def default_engine() -> str:
             f"REPRO_PISA_ENGINE={engine!r} is not one of {ENGINES}"
         )
     return engine
-
-
-def default_workers() -> int:
-    """Sharded worker count used when a serving path gets ``workers=None``:
-    the ``REPRO_PISA_WORKERS`` environment variable, or 1."""
-    return max(1, int(os.environ.get("REPRO_PISA_WORKERS", "1")))
 
 
 class ValidationError(Exception):
@@ -98,7 +92,6 @@ class Pipeline:
             raise ValueError(f"unknown engine {self.engine!r}; "
                              f"choose one of {ENGINES}")
         self.plan = None
-        self._plan_run = None
         self.vplan = None
         #: Max packets per whole-batch vector kernel invocation; chunk
         #: boundaries are also quiesce drain points.
@@ -112,7 +105,6 @@ class Pipeline:
             from .compiled import build_plan
 
             self.plan = build_plan(self)
-            self._plan_run = self.plan.fast_run or self.plan.run
         if self.engine == "vector":
             from .vector import VectorPlan
 
@@ -448,7 +440,7 @@ class Pipeline:
             key = resolve(name)
             phv[key] = int(value) & masks[key]
         table_hits: dict[str, bool] = {}
-        self._plan_run(phv, table_hits)
+        self.plan.fast_run(phv, table_hits)
         self.packets_processed += 1
         return PipelineResult(phv=phv, table_hits=table_hits)
 

@@ -1,20 +1,14 @@
 """Execution-plan IR for the compiled pipeline engine.
 
 A :class:`PipelinePlan` is what the one-time lowering pass in
-:mod:`repro.pisa.compiled` produces from a placed program: per stage, a
-flat list of :class:`UnitPlan` closures with every static decision —
-field keys, register instances, hash seeds, constant subexpressions,
-guard predicates — already resolved, so the per-packet hot loop does no
-AST walking, no name resolution, and no full-PHV snapshots.
+:mod:`repro.pisa.compiled` produces from a placed program: per active
+stage a :class:`StagePlan` — the generated function that runs it, with
+every static decision (field keys, register instances, hash seeds,
+constant subexpressions) already resolved — so the per-packet hot loop
+does no AST walking, no name resolution, and no full-PHV snapshots.
 
-Closure calling conventions (shared with :mod:`compiled`):
-
-* expression: ``fn(phv, local, args) -> int`` — ``phv`` is the committed
-  PHV dict (read-only during a stage), ``local`` the unit's buffered
-  writes, ``args`` the bound action-data tuple (``()`` at unit level);
-* step (statement): ``fn(phv, local, args, hits) -> None`` — ``hits``
-  collects per-packet table-hit flags.
-
+Generated functions take ``(phv, hits)``: the packet's committed PHV
+dict, mutated in place, and the dict collecting its table-hit flags.
 Stage semantics are preserved without copying: commits are deferred to
 stage exit, so reads against the live ``phv`` dict during a stage *are*
 stage-entry reads. The per-stage read/write sets (lifted from the
@@ -24,126 +18,50 @@ dependency analysis) document exactly which fields a stage touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
-from .interp import SimulationError
-from .phv import PhvError
-
-__all__ = ["UnitPlan", "StagePlan", "PipelinePlan", "plan_taint"]
-
-
-@dataclass(frozen=True)
-class UnitPlan:
-    """One placed unit lowered to closures."""
-
-    label: str
-    guard: Optional[Callable]        # predicate or None (always runs)
-    steps: tuple                     # step closures, in statement order
-    reads: frozenset = frozenset()   # static read-set (field keys)
-    writes: frozenset = frozenset()  # static write-set (field keys)
-    registers: frozenset = frozenset()  # touched register families
-    module: Optional[str] = None     # owning module (linked programs)
+__all__ = ["StagePlan", "PipelinePlan", "plan_taint"]
 
 
 @dataclass(frozen=True)
 class StagePlan:
-    """All units of one (non-empty) stage plus its touched-field sets."""
+    """One active stage: its units, touched fields and generated code."""
 
     stage: int
-    units: tuple
-    reads: frozenset = frozenset()
-    writes: frozenset = frozenset()
+    units: tuple                     # unit labels, in placement order
+    reads: frozenset                 # static read-set (field keys)
+    writes: frozenset                # static write-set (field keys)
+    run: Callable = field(repr=False)  # generated ``fn(phv, hits)``
+    buffered: str = ""               # why not straight-line ("": it is)
 
 
 @dataclass
 class PipelinePlan:
-    """The compiled program's per-stage execution plan.
+    """The compiled program's execution plan.
 
-    Two execution tiers share this structure:
-
-    * :meth:`run` walks the closure plan — the generic tier, able to
-      execute anything the interpreter can;
-    * ``fast_run``, when set by the lowering pass, is a
-      ``compile()``-generated function that inlines every fully static
-      stage (direct dict operations, literal width masks, bound
-      register/hash methods) and calls back into :meth:`run_stage` for
-      stages with table applies, dynamic keys, or potentially
-      conflicting write-sets. ``fast_source`` keeps the generated code
-      for inspection.
+    ``fast_run(phv, hits)`` runs one packet through every stage — the
+    concatenation of the stages' generated code, each of which is also
+    callable alone as :attr:`StagePlan.run` (the vector engine runs its
+    scalar islands that way). ``fast_source`` keeps the generated module
+    for inspection; ``lowering`` is the resolver it was generated
+    against, which the vector lowerer shares.
     """
 
-    stages: list[StagePlan] = field(default_factory=list)
-    masks: dict[str, int] = field(default_factory=dict)  # field key -> width mask
-    fast_run: Optional[Callable] = field(default=None, repr=False)
-    fast_source: str = field(default="", repr=False)
-
-    def run(self, phv: dict, hits: dict) -> None:
-        """Execute one packet: mutate ``phv`` in place, record ``hits``.
-
-        Matches the interpreter's snapshot/commit semantics exactly:
-        every unit reads stage-entry values (the live dict, since
-        commits are deferred), writes buffer in a unit-local dict (a
-        unit's later statements see its earlier writes, unmasked), and
-        conflicting same-stage writes raise :class:`SimulationError`.
-        """
-        for splan in self.stages:
-            self.run_stage(splan, phv, hits)
-
-    def run_stage(self, splan: StagePlan, phv: dict, hits: dict) -> None:
-        """Execute one stage of the closure plan (the generic tier)."""
-        masks = self.masks
-        units = splan.units
-        if len(units) == 1:
-            unit = units[0]
-            local: dict = {}
-            if unit.guard is not None and not unit.guard(phv, local, ()):
-                return
-            for step in unit.steps:
-                step(phv, local, (), hits)
-            for key, value in local.items():
-                mask = masks.get(key)
-                if mask is None:
-                    raise PhvError(f"PHV field {key!r} was never allocated")
-                phv[key] = int(value) & mask
-            return
-        commits: dict = {}
-        owners: dict = {}
-        for unit in units:
-            local = {}
-            if unit.guard is not None and not unit.guard(phv, local, ()):
-                continue
-            for step in unit.steps:
-                step(phv, local, (), hits)
-            for key, value in local.items():
-                if key in commits:
-                    if commits[key] != value:
-                        raise SimulationError(
-                            f"stage {splan.stage}: units {owners[key]!r} and "
-                            f"{unit.label!r} write different values to {key!r}"
-                        )
-                else:
-                    commits[key] = value
-                    owners[key] = unit.label
-        for key, value in commits.items():
-            mask = masks.get(key)
-            if mask is None:
-                raise PhvError(f"PHV field {key!r} was never allocated")
-            phv[key] = int(value) & mask
-
-    def taint_map(self, register_owner: dict, app_module: str = "(app)"):
-        """Plan-level taint labels (see :func:`plan_taint`)."""
-        units = [u for splan in self.stages for u in splan.units]
-        return plan_taint(units, register_owner, app_module)
+    stages: list[StagePlan]
+    masks: dict[str, int]            # field key -> width mask
+    lowering: object = field(repr=False)
+    fast_run: Callable = field(repr=False)
+    fast_source: str = field(repr=False)
 
     def describe(self) -> str:
-        """Human-readable plan summary (stages, units, touched fields)."""
-        fast = " (codegen fast path active)" if self.fast_run is not None else ""
-        lines = [f"execution plan: {len(self.stages)} active stages{fast}"]
+        """Human-readable plan summary (stages, emission form, units,
+        touched fields)."""
+        lines = [f"execution plan: {len(self.stages)} active stages"]
         for splan in self.stages:
-            lines.append(
-                f"  stage {splan.stage}: "
-                + ", ".join(u.label for u in splan.units)
-            )
+            form = (f"buffered: {splan.buffered}" if splan.buffered
+                    else "straight-line")
+            lines.append(f"  stage {splan.stage} ({form}): "
+                         + ", ".join(splan.units))
             if splan.reads:
                 lines.append(f"    reads:  {', '.join(sorted(splan.reads))}")
             if splan.writes:
@@ -156,16 +74,16 @@ def plan_taint(
     register_owner: dict,
     app_module: str = "(app)",
 ) -> tuple[dict, dict]:
-    """Module-taint fixpoint over lowered plan units.
+    """Module-taint fixpoint over placed units.
 
     An independent re-implementation of the depgraph-level pass in
-    :mod:`repro.analysis.taint`, written against the execution-plan IR
-    (``module``/``reads``/``writes``/``registers`` on each unit) instead
-    of the elaborated action instances. The compiler driver cross-checks
-    the two: because both are monotone may-analyses over a finite
-    lattice, chaotic iteration converges to the same least fixpoint, so
-    any disagreement means lowering changed the dataflow — a bug worth
-    failing the compile over.
+    :mod:`repro.analysis.taint`, written against the placed units'
+    effect sets (``module``/``reads``/``writes``/``registers`` on each)
+    instead of the elaborated action instances. The compiler driver
+    cross-checks the two: because both are monotone may-analyses over a
+    finite lattice, chaotic iteration converges to the same least
+    fixpoint, so any disagreement means lowering changed the dataflow —
+    a bug worth failing the compile over.
 
     ``units`` is any iterable of objects with ``module`` (owning module
     name or ``None``), ``reads``/``writes`` (PHV field keys), and

@@ -31,11 +31,11 @@ placed unit *once more*, from its AST into whole-batch numpy kernels:
 * single-exact-key table applies use a sorted-key ``searchsorted``
   cache (invalidated by :attr:`MatchActionTable.version`); entries
   whose actions cannot be vectorized trigger a per-batch
-  :class:`_VectorBail` — the stage re-runs on the scalar plan.
+  :class:`_VectorBail` — the stage re-runs as a scalar island.
 
 Mixed-mode execution: vector stages feed scalar islands and resume.
-Islands materialize per-packet dicts, run the compiled closure plan's
-:meth:`~repro.pisa.plan.PipelinePlan.run_stage`, and scatter the dicts
+Islands materialize per-packet dicts, run the stage's generated scalar
+code (:attr:`~repro.pisa.plan.StagePlan.run`), and scatter the dicts
 back into columns — bit-for-bit the scalar semantics, paid only for
 stages the static analysis rejects (intra-batch same-register hazards
 across steps, dynamic keys, unsupported constructs, ``/ %`` or a table
@@ -53,7 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..lang import ast
-from .compiled import _REG_METHODS, _Lowering, _NotStatic, _fold
+from .compiled import _REG_METHODS, _NotStatic, _fold
 from .hashing import MultiplyShiftHash
 from .interp import SimulationError
 from .registers import RegisterArray
@@ -646,14 +646,7 @@ class _VecLowering:
         self.masks = plan.masks
         self.mask_i64 = mask_i64
         self.consts = pipeline.info.consts
-        self.low = _Lowering(
-            consts=pipeline.info.consts,
-            registers=pipeline.registers,
-            tables=pipeline.tables,
-            actions=pipeline.info.actions,
-            hash_fns=pipeline._hash_fns,
-            hash_factory=pipeline._hash_factory,
-        )
+        self.low = plan.lowering
         #: action name -> _VecAction (compiled on demand per table)
         self._vec_actions: dict[str, _VecAction] = {}
         self._action_ids: dict[str, int] = {}
@@ -676,7 +669,7 @@ class _VecLowering:
             return self._field_read(e.ident, env)
         if isinstance(e, (ast.Member, ast.Index)):
             key = self.low.field_key(e, scalars)
-            if not isinstance(key, str):
+            if key is None:
                 raise _NotVectorizable("dynamic field key")
             return self._field_read(key, env)
         if isinstance(e, ast.UnaryOp):
@@ -917,7 +910,7 @@ class _VecLowering:
         ``("table", name)`` tuples for the stage-level hazard rules."""
         if isinstance(s, ast.Assign):
             key = self.low.field_key(s.target, scalars)
-            if not isinstance(key, str):
+            if key is None:
                 raise _NotVectorizable("dynamic assignment target")
             if key not in self.masks:
                 # Scalar engines raise PhvError at commit, per packet.
@@ -944,14 +937,14 @@ class _VecLowering:
         if method not in _REG_METHODS:
             raise _NotVectorizable(f"register method {method!r}")
         array = self.low.register_array(func.base, scalars)
-        if callable(array) or type(array) is not RegisterArray:
+        if type(array) is not RegisterArray:
             raise _NotVectorizable("dynamic or unresolved register")
         kern = _RegKernels(array)
         dest_pos = _REG_METHODS[method]
         dest = None
         if dest_pos is not None:
             dest = self.low.field_key(call.args[dest_pos], scalars)
-            if not isinstance(dest, str) or dest not in self.masks:
+            if dest not in self.masks:
                 raise _NotVectorizable("dynamic register destination")
 
         def index(i):
@@ -1012,7 +1005,7 @@ class _VecLowering:
                     raise _NotVectorizable(
                         "non-assignment in table action")
                 key = self.low.field_key(s.target, scalars)
-                if not isinstance(key, str) or key not in self.masks:
+                if key not in self.masks:
                     raise _NotVectorizable("dynamic action target")
                 vf, env[key] = self.expr(s.value, scalars, env)
 
@@ -1142,7 +1135,7 @@ class _VecLowering:
                     step(cx, g)
                 if cx.local:
                     ran_units.append((label, g, cx.local, cx.wmask))
-            # Conflict-checked stage-exit commit (matches run_stage).
+            # Conflict-checked stage-exit commit (as the scalar engines').
             commits: dict[str, tuple] = {}
             for label, g, local, wmask in ran_units:
                 unit_mask = batch.all_true() if g is None else g
@@ -1185,7 +1178,7 @@ class _VecLowering:
 
 
 class VectorPlan:
-    """Per-stage vector kernels over a pipeline's compiled closure plan.
+    """Per-stage vector kernels over a pipeline's generated scalar plan.
 
     ``ok`` is False when the whole program must stay scalar (a register
     reachable from more than one stage — the stage-at-a-time batch
@@ -1296,16 +1289,15 @@ class VectorPlan:
 
     # -- scalar islands --------------------------------------------------------
     def _run_island(self, splan, batch: PhvBatch, hits: dict) -> None:
-        """Materialize per-packet dicts, run the compiled closure plan's
-        stage, scatter results back into columns."""
+        """Materialize per-packet dicts, run the stage's generated
+        scalar code, scatter results back into columns."""
         n = batch.n
         wide = self.wide
         dicts = column_rows(batch.cols, batch.present, n, wide)
-        run_stage = self.plan.run_stage
         hit_rows: list[dict] = []
         for phv in dicts:
             row: dict = {}
-            run_stage(splan, phv, row)
+            splan.run(phv, row)
             hit_rows.append(row)
         keys: dict[str, None] = dict.fromkeys(batch.cols)
         for d in dicts:

@@ -28,12 +28,10 @@ from typing import Callable
 
 from ..apps.netcache import NETCACHE_UTILITY, NetCacheApp, netcache_linked
 from ..core import CompileOptions, validate_layout
-from ..core.errors import CompileError
 from ..obs import bridge_telemetry
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
-from ..pisa import Packet
 from ..pisa.resources import TargetSpec
 from .migrate import MigrationReport, migrate_netcache_state
 from .monitor import TrafficMonitor
@@ -61,11 +59,25 @@ class RuntimeConfig:
     serve_batch: int | None = None    # serve sub-batch size; results
                                       # do not depend on it (0 = the
                                       # per-packet reference serve)
-    workers: int | None = None        # flow-sharded serve processes
-                                      # (>1: promotions lag a sub-batch);
-                                      # None = REPRO_PISA_WORKERS, or 1
     slo_rules: tuple | None = None    # SLO rules (None = defaults, see
                                       # repro.obs.slo.default_slo_rules)
+
+
+def _source_text(source) -> str:
+    return source if isinstance(source, str) else source.source
+
+
+def build_app(source, compiled, config) -> NetCacheApp:
+    """The app a controller installs for a planned artifact: ``source``
+    is a P4All string or a linked program, ``config`` the controller's
+    (:class:`RuntimeConfig` here, ``FleetConfig`` in the fabric)."""
+    return NetCacheApp(
+        compiled.target,
+        hot_threshold=config.hot_threshold,
+        source=_source_text(source),
+        compiled=compiled,
+        engine=config.engine,
+    )
 
 
 @dataclass
@@ -240,7 +252,7 @@ class ElasticRuntime:
 
         with trace.span("runtime.init", target=target.name) as span:
             plan = self.planner.plan(self.source, target, cause="initial")
-            self.app = self._build_app(plan.compiled)
+            self.app = build_app(self.source, plan.compiled, self.config)
             span.set_attrs(backend=plan.backend, fallback=plan.fallback)
         self.telemetry.emit(
             "configured",
@@ -254,7 +266,7 @@ class ElasticRuntime:
     @property
     def source_text(self) -> str:
         """The P4All source text regardless of how it was composed."""
-        return self.source if isinstance(self.source, str) else self.source.source
+        return _source_text(self.source)
 
     @property
     def tenants(self) -> list[str]:
@@ -262,15 +274,6 @@ class ElasticRuntime:
         source is a plain string with no module identity."""
         names = getattr(self.source, "module_names", None)
         return list(names) if names else ["app"]
-
-    def _build_app(self, compiled) -> NetCacheApp:
-        return NetCacheApp(
-            compiled.target,
-            hot_threshold=self.config.hot_threshold,
-            source=self.source_text,
-            compiled=compiled,
-            engine=self.config.engine,
-        )
 
     # -- operator interface ----------------------------------------------------
     def set_target(self, target: TargetSpec) -> None:
@@ -363,7 +366,7 @@ class ElasticRuntime:
         record.symbol_values = dict(plan.compiled.symbol_values)
         record.solver_stats = dict(plan.solver_stats)
         record.module_attribution = dict(plan.module_attribution)
-        new_app = self._build_app(plan.compiled)
+        new_app = build_app(self.source, plan.compiled, self.config)
 
         if self.config.migrate_state:
             with trace.span("runtime.migrate") as mspan:
@@ -388,7 +391,7 @@ class ElasticRuntime:
                         hash_unit_limits=self.planner.options.layout.hash_unit_limits,
                         table_memory=self.planner.options.layout.table_memory,
                     )
-                    self._canary(new_app)
+                    new_app.canary()
                 if self.pre_commit_check is not None:
                     self.pre_commit_check(new_app)
         except Exception as exc:  # roll back on *any* pre-commit failure
@@ -430,25 +433,6 @@ class ElasticRuntime:
         )
         return record
 
-    def _canary(self, app: NetCacheApp) -> None:
-        """One packet through the candidate pipeline before commit: it
-        must process cleanly, and a migrated hot key must actually hit.
-
-        The candidate runs the same engine the runtime is configured
-        with, so the canary also
-        exercises the candidate's freshly built execution plan before
-        traffic is cut over to it."""
-        if app._cached_keys:
-            key = next(iter(app._cached_keys))
-            result = app.pipeline.process(Packet(fields={"req_key": key}))
-            if not result.get("meta.kv_hit"):
-                raise CompileError(
-                    f"canary failed: migrated key {key} missed in the "
-                    "candidate pipeline"
-                )
-        else:
-            app.pipeline.process(Packet(fields={"req_key": 1}))
-
     # -- the control loop ------------------------------------------------------
     def run(self, stream, packets: int, report: RunReport | None = None) -> RunReport:
         """Drive ``packets`` keys from ``stream`` (anything with a
@@ -481,8 +465,7 @@ class ElasticRuntime:
                 with trace.span("runtime.window") as wspan:
                     keys = stream.sample(n)
                     stats = self.app.run_trace(
-                        keys, serve_batch=self.config.serve_batch,
-                        workers=self.config.workers)
+                        keys, serve_batch=self.config.serve_batch)
                     self.packets_processed += n
                     self.total_hits += stats.hits
                     report.packets += n

@@ -26,3 +26,12 @@ class TestEvalCli:
     def test_registry_covers_all_figures(self):
         assert {"fig01", "fig04", "fig07", "fig09", "fig11", "fig12",
                 "fig13", "runtime", "fleet", "ablations"} == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("flag", ["--engine", "--workers"])
+    def test_no_flag_writes_the_environment(self, flag, capsys):
+        # The engine is chosen by REPRO_PISA_ENGINE itself; sharded
+        # serving is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig09", flag, "vector"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -81,10 +81,11 @@ class TestExampleApps:
         pipe = Pipeline(compiled_app, engine="compiled")
         assert pipe.plan is not None
         assert pipe.plan.stages
-        # All three library apps are fully static: the codegen fast path
-        # must have kicked in (it is where the throughput target lives).
-        assert pipe.plan.fast_run is not None
+        # All three library apps are fully static: every stage is
+        # emitted straight-line (it is where the throughput target lives).
         assert "def _fast_run" in pipe.plan.fast_source
+        assert [sp.buffered for sp in pipe.plan.stages] == (
+            [""] * len(pipe.plan.stages))
 
 
 class TestCollisionBatches:
@@ -247,3 +248,215 @@ class TestGeneratedLinkedPrograms:
         assert compiled.verify is not None and compiled.verify.clean
         packets = [Packet(fields={"flow_id": f}) for f in flows]
         assert_equivalent(compiled, packets)
+
+
+TOTAL_TABLE = """
+struct metadata {
+    bit<32> dst;
+    bit<8> sel;
+    bit<16>[4] arr;
+    bit<32> egress;
+    bit<16> res;
+    bit<32> h;
+    bit<32> h2;
+    bit<64> q;
+    bit<32> cnt;
+}
+register<bit<32>>[8][2] bank;
+action set_port(bit<32> port) { meta.egress = port; }
+action put(bit<8> v) { meta.arr[v] = meta.arr[v] + 3; }
+action pick(bit<8> v) { meta.res = meta.arr[v]; }
+action rd() { meta.res = meta.arr[meta.sel]; }
+action wr() { meta.arr[meta.sel] = 9; }
+action seed(bit<8> s) { meta.h = hash(s, meta.dst); }
+action math(bit<8> d) {
+    meta.q = meta.dst / d + meta.dst % d + (meta.dst << d) + (meta.dst >> d);
+}
+action bump(bit<8> r) { bank[r].add_read(meta.cnt, meta.dst, 1); }
+table t {
+    key = { meta.dst : exact; }
+    actions = { set_port; put; pick; rd; wr; seed; math; bump; }
+    size = 32;
+}
+control Ingress(inout metadata meta) {
+    apply {
+        meta.h2 = hash(meta.sel, meta.dst);
+        t.apply();
+        // Registers are allocated where a unit names them statically;
+        // no test packet takes this branch, so bump() is bank's only
+        // writer.
+        if (meta.dst == 999) {
+            bank[0].add(meta.dst, 1);
+            bank[1].add(meta.dst, 1);
+        }
+    }
+}
+"""
+
+#: dst -> the entry it selects: action data, action-parameter and
+#: PHV-valued field indices (read and write), an action-parameter
+#: register instance and hash seed, and / % by zero, shifts >= 64.
+TOTAL_ENTRIES = {
+    1: ("set_port", (7,)), 2: ("put", (1,)), 3: ("pick", (2,)),
+    4: ("rd", ()), 5: ("wr", ()), 6: ("seed", (3,)), 7: ("math", (0,)),
+    8: ("math", (70,)), 9: ("math", (3,)), 10: ("bump", (1,)),
+}
+
+UNDECLARED = """
+struct metadata { bit<8> a; }
+control Ingress(inout metadata meta) {
+    apply { meta.ghost = meta.a + 1; }
+}
+"""
+
+GUARDED_FLOAT = """
+struct metadata { bit<8> a; bit<8> b; }
+control Ingress(inout metadata meta) {
+    apply { if (meta.a > 3) { meta.b = 1.5; } else { meta.b = meta.a; } }
+}
+"""
+
+WRITE_TWICE = """
+struct metadata { bit<16> a; bit<16> res; }
+control Ingress(inout metadata meta) {
+    apply {
+        meta.res = meta.a + 1;
+        meta.res = meta.a + 2;
+    }
+}
+"""
+
+
+def assert_every_stage_generated(compiled):
+    """Every active stage of the program is generated code — in
+    ``_fast_run`` and as the function the vector engine's islands and
+    bail re-runs call."""
+    pipe = Pipeline(compiled, engine="vector", validate=False)
+    plan = pipe.plan
+    assert [sp.stage for sp in plan.stages] == [
+        s for s, units in enumerate(pipe._stage_units) if units]
+    assert not hasattr(plan, "run")
+    for sp in plan.stages:
+        assert f"# stage {sp.stage}\n" in plan.fast_source
+        assert sp.run.__code__.co_filename == "<pisa-execution-plan>"
+        assert f"stage {sp.stage} (" in plan.describe()
+    assert [sp for sp, _kernel in pipe.vplan.stage_exec] == plan.stages
+    return pipe
+
+
+def outcomes(compiled, packets, prepare=None):
+    """Per engine, how ``process_many`` ends: the exception's type and
+    message, or None when the batch completes."""
+    ends = {}
+    for engine in ("interp", "compiled", "vector"):
+        pipe = Pipeline(compiled, engine=engine, validate=False)
+        if prepare is not None:
+            prepare(pipe)
+        try:
+            pipe.process_many(list(packets))
+            ends[engine] = None
+        except Exception as exc:  # the comparison *is* the assertion
+            ends[engine] = (type(exc).__name__, str(exc))
+    return ends
+
+
+class TestGeneratedTierIsTotal:
+    """The generated plan runs everything the interpreter can — there is
+    no other scalar tier behind it — and fails exactly as it does."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return small_target(stages=4, memory_kb=8)
+
+    @pytest.fixture(scope="class")
+    def table_program(self, tiny):
+        return compile_source(TOTAL_TABLE, tiny, source_name="total")
+
+    @staticmethod
+    def install(pipe, extra=()):
+        for dst, (action, data) in [*TOTAL_ENTRIES.items(), *extra]:
+            pipe.table_add("t", (dst,), action, data)
+
+    def test_table_actions_and_dynamic_names(self, table_program):
+        pipe = assert_every_stage_generated(table_program)
+        assert [sp.buffered for sp in pipe.plan.stages] == ["", "table apply"]
+        packets = [
+            Packet(fields={"dst": dst, "sel": sel, "arr[1]": 40 + dst,
+                           "arr[2]": 50})
+            for dst in range(12) for sel in (0, 2, 200)
+            if not (dst in (4, 5) and sel == 200)
+        ]
+        assert_equivalent(table_program, packets, prepare=self.install)
+
+    @pytest.mark.parametrize("entry, error", [
+        (("set_port", (1, 2)), "expects 1 data values, entry carries 2"),
+        (("set_port", ()), "expects 1 data values, entry carries 0"),
+        (("nope", ()), "selected unknown action 'nope'"),
+        (("bump", (5,)), "bank[5]"),
+        (("put", (9,)), "PHV field 'meta.arr[9]' was never allocated"),
+    ], ids=["arity-over", "arity-under", "unknown-action",
+            "register-instance", "field-index"])
+    def test_bad_entries_fail_identically(self, table_program, entry, error):
+        ends = outcomes(
+            table_program,
+            [Packet(fields={"dst": 1}), Packet(fields={"dst": 20})],
+            prepare=lambda pipe: self.install(pipe, [(20, entry)]))
+        assert ends["interp"] is not None and error in ends["interp"][1]
+        assert ends["compiled"] == ends["vector"] == ends["interp"]
+
+    def test_undeclared_field_write(self, tiny):
+        compiled = compile_source(UNDECLARED, tiny, source_name="ghost")
+        pipe = assert_every_stage_generated(compiled)
+        assert "never allocated" in pipe.plan.stages[0].buffered
+        ends = outcomes(compiled, [Packet(fields={"a": 1})])
+        assert ends["interp"] == (
+            "PhvError", "PHV field 'meta.ghost' was never allocated")
+        assert ends["compiled"] == ends["vector"] == ends["interp"]
+
+    def test_float_literal_raises_only_when_it_runs(self, tiny):
+        compiled = compile_source(GUARDED_FLOAT, tiny, source_name="float")
+        assert_every_stage_generated(compiled)
+        quiet = [Packet(fields={"a": a}) for a in (0, 3, 2)]
+        assert_equivalent(compiled, quiet)
+        ends = outcomes(compiled, quiet + [Packet(fields={"a": 4})])
+        assert ends["interp"] == (
+            "SimulationError",
+            "float literals cannot appear in data-plane code")
+        assert ends["compiled"] == ends["vector"] == ends["interp"]
+
+    def test_same_stage_write_conflict(self, tiny):
+        import dataclasses
+
+        compiled = compile_source(WRITE_TWICE, tiny, source_name="twice")
+        # The compiler schedules the two writes apart; put them back in
+        # one stage by hand.
+        compiled = dataclasses.replace(compiled, units=[
+            dataclasses.replace(unit, stage=0) for unit in compiled.units])
+        pipe = assert_every_stage_generated(compiled)
+        assert "overlapping write-sets" in pipe.plan.stages[0].buffered
+        ends = outcomes(compiled, [Packet(fields={"a": 1})] * 3)
+        assert ends["interp"] == (
+            "SimulationError", "stage 0: units 'op1' and 'op2' write "
+                               "different values to 'meta.res'")
+        assert ends["compiled"] == ends["vector"] == ends["interp"]
+
+    def test_six_apps_are_generated_end_to_end(self):
+        from .test_pipeline import APPS
+
+        for app, (build, _fields) in APPS.items():
+            pipe = assert_every_stage_generated(build())
+            assert pipe.vplan.island_stages == [], app
+
+    def test_one_resolver_per_pipeline(self, table_program, monkeypatch):
+        from repro.pisa import compiled as lowering
+
+        built = []
+        init = lowering._Lowering.__init__
+
+        def counting(self, pipeline):
+            built.append(pipeline)
+            init(self, pipeline)
+
+        monkeypatch.setattr(lowering._Lowering, "__init__", counting)
+        pipe = Pipeline(table_program, engine="vector")
+        assert built == [pipe]

@@ -70,16 +70,23 @@ class TestPlanStructure:
         assert "meta.cms_min" in writes
 
     def test_describe_mentions_fast_path(self, compiled_cms):
+        # Every stage runs generated code, so the summary says *how*
+        # each was emitted instead of whether a fast path exists.
         pipe = Pipeline(compiled_cms, engine="compiled")
         text = pipe.plan.describe()
         assert "execution plan" in text
-        assert "codegen fast path active" in text
+        for splan in pipe.plan.stages:
+            assert f"stage {splan.stage} (straight-line)" in text
+        assert not hasattr(pipe.plan, "run")
 
     def test_fast_source_is_inspectable(self, compiled_cms):
         pipe = Pipeline(compiled_cms, engine="compiled")
         source = pipe.plan.fast_source
         assert source.startswith("def _fast_run(phv, hits):")
         compile(source, "<check>", "exec")  # stays valid Python
+        for splan in pipe.plan.stages:
+            assert f"# stage {splan.stage}\n" in source
+            assert f"def _stage_{splan.stage}(phv, hits):" in source
 
 
 class TestProcessMany:

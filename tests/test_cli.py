@@ -208,9 +208,12 @@ class TestRunCommand:
         ["run", "--shard-mode", "pool"],
         ["fabric", "--shard-mode", "pool"],
         ["fabric", "--parallel"],
+        ["run", "--workers", "2"],
+        ["fabric", "--workers", "2"],
     ])
     def test_removed_mode_flags_are_rejected(self, argv, capsys):
-        # One way to shard, one way to run a fleet: nothing to select.
+        # One way to shard, one way to run a fleet, one exact serve:
+        # nothing to select.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
