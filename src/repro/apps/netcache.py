@@ -25,6 +25,7 @@ import numpy as np
 from ..core import CompileOptions, CompiledProgram, compile_source
 from ..core.errors import CompileError
 from ..pisa import Packet, Pipeline, TargetSpec, register_methods
+from ..pisa.hashing import stacked_vector
 from ..structures import (
     CountMinSketch,
     KeyValueStore,
@@ -220,14 +221,19 @@ class NetCacheApp:
         self.cms_rows = self.compiled.symbol_values.get("cms_rows", 0)
         self.cms_cols = self.compiled.symbol_values.get("cms_cols", 0)
         self._cached_keys: set[int] = set()
+        #: Row ``i``: the ``cms_sketch[i]`` hash of each key of an array.
+        self._cms_hash = stacked_vector(
+            [self.pipeline._hash_fn(row) for row in range(self.cms_rows)],
+            1 << 32)
         self._check_program()
 
     def _check_program(self) -> None:
         """The two facts :meth:`_serve_exact` rests on: the PHV reports
-        hit, estimate and counted sketch cells, and the data plane never
-        writes the store."""
+        hit, estimate, counted sketch cells and probed store slots, and
+        the data plane never writes the store."""
         fields = ["meta.kv_hit", "meta.cms_min"] + [
-            f"meta.cms_index[{row}]" for row in range(self.cms_rows)]
+            f"meta.cms_index[{row}]" for row in range(self.cms_rows)] + [
+            f"meta.kv_idx[{row}]" for row in range(self.kv_rows)]
         missing = [f for f in fields if f not in self.pipeline.phv_layout]
         if missing:
             raise NetCacheProgramError(
@@ -260,7 +266,11 @@ class NetCacheApp:
         return int(self.pipeline.registers.get(f"kv_keys[{row}]").read(idx))
 
     def _write_slot(self, row: int, key: int, value: int) -> None:
-        idx = self.pipeline.hash_value(100 + row, key, width=1 << 32)
+        self._write_at(
+            row, self.pipeline.hash_value(100 + row, key, width=1 << 32),
+            key, value)
+
+    def _write_at(self, row: int, idx: int, key: int, value: int) -> None:
         self.pipeline.registers.get(f"kv_keys[{row}]").write(idx, key)
         self.pipeline.registers.get(f"kv_val0[{row}]").write(idx, value)
 
@@ -437,9 +447,8 @@ class NetCacheApp:
         live = hot & ~hit                   # lanes where react() promotes
         lanes = np.flatnonzero(live)
         if lanes.size:
-            live[lanes] = np.fromiter(
-                (key not in self._cached_keys
-                 for key in keys[lanes].tolist()),
+            live[lanes] = ~np.fromiter(
+                map(self._cached_keys.__contains__, keys[lanes].tolist()),
                 dtype=bool, count=lanes.size)
             lanes = lanes[live[lanes]]
         if not lanes.size or not self.kv_rows:
@@ -448,39 +457,49 @@ class NetCacheApp:
             return
 
         registers = self.pipeline.registers
-        hash_values = self.pipeline.hash_values
         kv_keys = [registers.get(f"kv_keys[{row}]")
                    for row in range(self.kv_rows)]
-        sketch = []     # per CMS row: register, sorted cell * n + lane
-        for row in range(self.cms_rows):
-            register = registers.get(f"cms_sketch[{row}]")
-            cells = (results.column(f"meta.cms_index[{row}]").astype(np.int64)
-                     % register.cells)
-            sketch.append((register, np.sort(cells * n + np.arange(n))))
+        # Every counted cell of every CMS row in one sorted array of
+        # (cell * n + lane), a row's cells offset past the rows before
+        # it; ``stop[i]`` is where the cell of entry ``i`` ends (one
+        # sentinel entry of no cell closes both arrays).
+        sketch = [registers.get(f"cms_sketch[{row}]")
+                  for row in range(self.cms_rows)]
+        base = np.cumsum([0] + [register.cells for register in sketch])
+        row_base = base[:-1, None]
+        row_cells = np.diff(base)[:, None]
+        row_mask = np.array([register.mask for register in sketch],
+                            dtype=np.uint64)[:, None]
+        counted = np.concatenate([
+            results.column(f"meta.cms_index[{row}]").astype(np.int64)
+            % register.cells + base[row]
+            for row, register in enumerate(sketch)])
+        counted *= n
+        counted += np.tile(np.arange(n), self.cms_rows)
+        counted.sort()
+        cell_of = np.append(counted // n, -1)
+        last = np.flatnonzero(cell_of[1:] != cell_of[:-1])
+        stop = np.append(np.repeat(last + 1, np.diff(last, prepend=-1)), 0)
 
         def estimate_asof(occupants, at):
             """Sketch estimate of each occupant key once lane ``at`` has
             been counted: per cell, the register less the lanes after
             ``at`` that count on it."""
-            estimate = None
-            for row, (register, counted) in enumerate(sketch):
-                cells = hash_values(row, occupants, 1 << 32) % register.cells
-                later = (np.searchsorted(counted, (cells + 1) * n)
-                         - np.searchsorted(counted, cells * n + at,
-                                           side="right"))
-                count = ((register.read_cells(cells)
-                          - later.astype(np.uint64))
-                         & np.uint64(register.mask))
-                estimate = (count if estimate is None
-                            else np.minimum(estimate, count))
-            return estimate
+            cells = self._cms_hash(occupants) % row_cells + row_base
+            # The first entry past lane ``at``: of this cell, if any is.
+            nxt = np.searchsorted(counted, cells * n + at, side="right")
+            later = np.where(cell_of[nxt] == cells, stop[nxt] - nxt, 0)
+            counts = np.stack([register.read_cells(row) for register, row
+                               in zip(sketch, cells - row_base)])
+            return ((counts - later.astype(np.uint64)) & row_mask).min(axis=0)
 
         # Per lane and KV row: the slot the key probes, and for live
         # lanes its occupant (0 = free) and the occupant's estimate as
         # of that lane; ``choice`` is the row a live lane writes, -1 for
         # a rejection.
         slots = np.stack([
-            hash_values(100 + row, keys, 1 << 32) % kv_keys[row].cells
+            results.column(f"meta.kv_idx[{row}]").astype(np.int64)
+            % kv_keys[row].cells
             for row in range(self.kv_rows)])
         occupants = np.zeros((self.kv_rows, n), dtype=np.uint64)
         coldness = np.zeros((self.kv_rows, n), dtype=np.uint64)
@@ -528,20 +547,23 @@ class NetCacheApp:
             done = lane + 1
             row, key = int(choice[lane]), int(keys[lane])
             evicted = int(occupants[row, lane])
-            self._write_slot(row, key, self.value_of(key))
+            self._write_at(row, int(slots[row, lane]), key,
+                           self.value_of(key))
             self._cached_keys.add(key)
             if evicted:
                 self._cached_keys.discard(evicted)
                 stats.evictions += 1
             else:
                 stats.insertions += 1
-            # Later lanes of the two keys see the write in meta.kv_hit.
+            # Later lanes of the two keys see the write in meta.kv_hit:
+            # the key is stored now, the evicted one wherever else it is.
             mine, theirs = later_lanes(key, lane), later_lanes(evicted, lane)
-            hit[mine] = self._stored(key)
+            hit[mine] = True
             live[mine] = False
-            hit[theirs] = self._stored(evicted)
-            live[theirs] = (hot[theirs] & ~hit[theirs]
-                            & (evicted not in self._cached_keys))
+            if theirs.size:
+                hit[theirs] = self._stored(evicted)
+                live[theirs] = (hot[theirs] & ~hit[theirs]
+                                & (evicted not in self._cached_keys))
             # Re-decide what the write can change: later candidates
             # probing the written slot, and the evicted key's lanes.
             probing = done + np.flatnonzero(

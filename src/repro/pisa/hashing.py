@@ -20,7 +20,8 @@ import zlib
 
 import numpy as np
 
-__all__ = ["HashFunction", "MultiplyShiftHash", "Crc32Hash", "hash_family"]
+__all__ = ["HashFunction", "MultiplyShiftHash", "Crc32Hash", "hash_family",
+           "stacked_vector"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,39 +93,68 @@ class MultiplyShiftHash(HashFunction):
         return self._mix(*values) % width
 
     def vector(self, values: np.ndarray, width: int) -> np.ndarray:
-        if width <= 0:
-            raise ValueError("hash width must be positive")
-        keys = np.asarray(values, dtype=np.uint64)
-        mult = np.uint64(self._multiplier(0))
-        acc = np.uint64(self._addend) + mult * keys
-        return self._finalize(acc, width)
+        return self.bind_vector(1, width)(np.asarray(values, dtype=np.uint64))
 
     def vector_multi(self, columns, width: int) -> np.ndarray:
         """Vectorized multi-argument hash: one array per argument
-        position, combined with the same per-position odd multipliers as
-        :meth:`_mix`. All arithmetic stays in uint64 arrays (wraparound
-        mod 2**64), bit-identical to the scalar path; signed inputs are
-        C-cast, which equals the scalar's ``value & (2**64 - 1)``."""
-        if width <= 0:
-            raise ValueError("hash width must be positive")
-        acc = None
-        for pos, column in enumerate(columns):
-            keys = np.asarray(column).astype(np.uint64)
-            term = np.uint64(self._multiplier(pos)) * keys
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return np.asarray(self._mix() % width, dtype=np.int64)
-        acc = np.uint64(self._addend) + acc
-        return self._finalize(acc, width)
+        position, combined as in :meth:`_mix`. Signed inputs are C-cast,
+        which equals the scalar's ``value & (2**64 - 1)``."""
+        if not columns:
+            return np.asarray(self(width=width), dtype=np.int64)
+        return self.bind_vector(len(columns), width)(
+            *(np.asarray(c).astype(np.uint64) for c in columns))
 
-    @staticmethod
-    def _finalize(acc: np.ndarray, width: int) -> np.ndarray:
-        acc ^= acc >> np.uint64(30)
-        acc *= np.uint64(0xBF58476D1CE4E5B9)
-        acc ^= acc >> np.uint64(27)
-        acc *= np.uint64(0x94D049BB133111EB)
-        acc ^= acc >> np.uint64(31)
-        return (acc % np.uint64(width)).astype(np.int64)
+    def bind_vector(self, nargs: int, width: int):
+        """``hash(*args) % width`` as a function of whole columns, every
+        constant bound once: takes one 8-byte integer array per argument
+        and returns the ``int64`` hashes."""
+        return _multiply_shift(
+            [np.uint64(self._multiplier(pos)) for pos in range(nargs)],
+            np.uint64(self._addend), width)
+
+
+def _multiply_shift(mults: list, addend, width: int):
+    """The multiply-shift hash of one column per multiplier, in uint64
+    arrays (wraparound mod 2**64): :meth:`MultiplyShiftHash._mix`'s bits."""
+    if width <= 0:
+        raise ValueError("hash width must be positive")
+    u64 = np.uint64
+    s30, s27, s31 = u64(30), u64(27), u64(31)
+    c1, c2 = u64(0xBF58476D1CE4E5B9), u64(0x94D049BB133111EB)
+    # A power-of-two width (the hash unit's 2**32) is a mask.
+    low_bits = u64(width - 1) if width & (width - 1) == 0 else None
+    modulus = u64(width)
+
+    def hashed(first, *rest):
+        acc = first.view(u64) * mults[0]
+        for mult, column in zip(mults[1:], rest):
+            acc += column.view(u64) * mult
+        acc += addend
+        # Final avalanche (splitmix64 finalizer).
+        acc ^= acc >> s30
+        acc *= c1
+        acc ^= acc >> s27
+        acc *= c2
+        acc ^= acc >> s31
+        if low_bits is None:
+            acc %= modulus
+        else:
+            acc &= low_bits
+        return acc.view(np.int64)
+
+    return hashed
+
+
+def stacked_vector(fns: list, width: int):
+    """A function of one key array giving ``fns[i].vector(keys, width)``
+    in row ``i`` — multiply-shift functions in one two-dimensional pass."""
+    if all(type(fn) is MultiplyShiftHash for fn in fns):
+        def column(values):
+            return np.array(values, dtype=np.uint64)[:, None]
+
+        return _multiply_shift([column([fn._multiplier(0) for fn in fns])],
+                               column([fn._addend for fn in fns]), width)
+    return lambda keys: np.stack([fn.vector(keys, width) for fn in fns])
 
 
 class Crc32Hash(HashFunction):

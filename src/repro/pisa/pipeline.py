@@ -235,6 +235,21 @@ class Pipeline:
                 self.vplan.island_reasons.values()).items():
             islands.inc(stages, reason=reason)
 
+    def tier_report(self) -> list[dict]:
+        """Per active stage, the tier that runs it: ``stage``, ``units``,
+        the ``scalar`` plan's form and the ``vector`` plan's —
+        ``straight-line``, ``buffered: <why>`` or ``island: <why>`` (None:
+        no vector plan runs it). Empty on the interpreter: no plan."""
+        if self.plan is None:
+            return []
+        forms = self.vplan.forms if self.vplan else {}
+        return [{
+            "stage": sp.stage, "units": sp.units,
+            "scalar": (f"buffered: {sp.buffered}" if sp.buffered
+                       else "straight-line"),
+            "vector": forms.get(sp.stage),
+        } for sp in self.plan.stages]
+
     def validate(self) -> None:
         """Re-check every per-stage resource budget against the layout."""
         target = self.target

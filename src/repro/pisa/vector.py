@@ -1,59 +1,63 @@
 """Columnar (struct-of-arrays) batch execution: the ``vector`` engine.
 
-The compiled engine (:mod:`repro.pisa.compiled`) removed per-packet AST
-walking but still pushes one packet at a time through Python frames. A
-PISA stage is data-parallel by construction — the same stage program
-applies independently to every packet — so this module lowers each
-placed unit *once more*, from its AST into whole-batch numpy kernels:
+The compiled engine (:mod:`repro.pisa.compiled`) still pushes one packet
+at a time through Python frames. A PISA stage is data-parallel by
+construction — the same stage program applies independently to every
+packet — so this module lowers the placed program *once more*, into the
+source of **one numpy function per pipeline** (:attr:`VectorPlan.
+source`, ``compile()``-d once at :class:`~repro.pisa.pipeline.Pipeline`
+build) that runs a whole batch through every stage:
 
-* the PHV becomes a struct-of-arrays batch (:class:`PhvBatch`): one
-  ``int64`` column per field plus a presence mask, values always stored
+* the PHV is a struct-of-arrays batch (:class:`PhvBatch`): one ``int64``
+  column per field plus a presence mask, values always stored
   post-width-mask (64-bit fields as their two's-complement bit pattern);
+  inside the generated function the columns live in Python locals;
 * expressions evaluate on ``int64`` columns under a static *value kind*
-  per subexpression — ``Range(lo, hi)`` (the column is the value),
-  ``U64`` (a value in ``[0, 2**64)`` held as its bit pattern) or
-  ``Mod64`` (only the residue mod ``2**64`` is known; see
+  per subexpression — ``Range(lo, hi)``, ``U64`` or ``Mod64`` (see
   :func:`_kind`). Each operator is lowered only for the kinds on which
-  the column arithmetic is exact; anything else — and any construct the
-  lowering cannot prove total — demotes the whole stage to a *scalar
-  island*;
-* ``hash(seed, ...)`` vectorizes through
-  :meth:`~repro.pisa.hashing.MultiplyShiftHash.vector_multi` (uint64
-  wraparound, bit-identical to the scalar finalizer);
-* register operations become gather/scatter kernels that reproduce the
-  *sequential* per-packet semantics exactly, including same-key
-  collisions inside one batch: ``add``/``cond_add`` use ``np.add.at``
-  (commutative mod :math:`2^{64}`), ``add_read`` a segmented prefix sum
-  over index-sorted lanes, ``swap`` a group-chained shift, ``write``
-  last-writer-wins dedup, ``max/min_update`` ``np.maximum.at`` — all on
-  the cells' own ``uint64`` storage, so 64-bit cells need no special
-  case;
+  the column arithmetic is exact; anything else demotes the whole stage
+  to a *scalar island*. A committed field keeps its kind into the next
+  stage, so a constant (``meta.kv_hit = 0``) folds into its next use;
+* a stage is emitted in one of two forms, as in the scalar generator.
+  *Straight-line*: stage-entry reads and unit writes are locals, the
+  stage-exit commit is a rebind (masked only when the value's kind does
+  not already fit the field; a guard is one ``np.where``) — possible
+  when no key has two writers and the stage applies no table.
+  *Buffered* otherwise: each unit fills a write dict and module-level
+  helpers merge, conflict-check and commit them as the scalar engines do;
+* ``hash(seed, ...)`` calls a function with the seed's constants bound
+  once; register operations are module-level gather/scatter kernels
+  that reproduce the *sequential* per-packet semantics exactly,
+  same-cell collisions inside one batch included, on the cells' own
+  ``uint64`` storage (see "register kernels" below);
 * single-exact-key table applies use a sorted-key ``searchsorted``
-  cache (invalidated by :attr:`MatchActionTable.version`); entries
-  whose actions cannot be vectorized trigger a per-batch
-  :class:`_VectorBail` — the stage re-runs as a scalar island.
+  cache and one generated function per declared action; an entry whose
+  action has no vector form triggers a per-batch :class:`_VectorBail` —
+  the stage re-runs as a scalar island.
 
-Mixed-mode execution: vector stages feed scalar islands and resume.
-Islands materialize per-packet dicts, run the stage's generated scalar
-code (:attr:`~repro.pisa.plan.StagePlan.run`), and scatter the dicts
-back into columns — bit-for-bit the scalar semantics, paid only for
-stages the static analysis rejects (intra-batch same-register hazards
-across steps, dynamic keys, unsupported constructs, ``/ %`` or a table
-key on a 64-bit value).
+An island flushes the locals to the batch, runs the stage's generated
+scalar code (:attr:`~repro.pisa.plan.StagePlan.run`) over per-packet
+dicts and scatters them back into columns — the scalar semantics, bit
+for bit, paid only for stages the static analysis rejects.
 
 Safety of stage-at-a-time reordering rests on the pipeline invariant
 that a register lives in (and is only touched from) exactly one stage;
-:class:`VectorPlan` re-checks it and refuses to vectorize otherwise.
+:class:`VectorPlan` re-checks it — table actions included — and refuses
+to vectorize otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from ..lang import ast
-from .compiled import _REG_METHODS, _NotStatic, _fold
+from ..lang.pretty import pretty_expr
+from .alu import apply_binary, apply_unary
+from .compiled import (_HASH_WIDTH, _MASK64, _REG_METHODS, _Buffered,
+                       _NotStatic, _fold)
 from .hashing import MultiplyShiftHash
 from .interp import SimulationError
 from .registers import RegisterArray
@@ -61,18 +65,16 @@ from .results import BatchResults, column_rows
 
 __all__ = ["VectorPlan", "PhvBatch"]
 
-_MASK64 = (1 << 64) - 1
 #: int64 domain, excluding INT64_MIN for negation/abs headroom.
 _I64_MAX = (1 << 63) - 1
 _I64_MIN = -_I64_MAX
 #: Action-data values assumed in range by the static analysis; entries
 #: carrying anything else flip the per-batch scalar bail instead.
 _ACTION_DATA_MAX = (1 << 31) - 1
-_HASH_WIDTH = 1 << 32
-_ZERO = np.int64(0)
-_ADDITIVE_METHODS = frozenset({"add", "add_read", "cond_add", "cond_add_read"})
-_COMPARES = {"==": np.equal, "!=": np.not_equal, "<": np.less,
-             ">": np.greater, "<=": np.less_equal, ">=": np.greater_equal}
+#: Registers up to this many cells sort their indices as ``uint16``.
+_RADIX_CELLS = 1 << 16
+_ARITH = ("+", "-", "*", "&", "|", "^")
+_COMPARES = ("==", "!=", "<", ">", "<=", ">=")
 
 
 class _NotVectorizable(Exception):
@@ -81,28 +83,15 @@ class _NotVectorizable(Exception):
 
 class _VectorBail(Exception):
     """Runtime: discard this stage's buffered work, re-run it scalar.
-
-    Only raised before any register mutation of the stage (statically
-    guaranteed: stages with table applies carry no register-mutating
-    steps), so the island re-run sees untouched state.
-    """
+    Only raised before the stage's commit and any register mutation
+    (stages with table applies carry no register-mutating steps), so
+    the island re-run sees untouched state."""
 
 
-def _as_array(value, n: int) -> np.ndarray:
-    """Broadcast a scalar kernel result to a full batch column."""
-    if np.ndim(value) == 0:
-        return np.full(n, value, dtype=np.int64)
-    return value
-
-
-def _pattern(value: int) -> np.int64:
+def _pattern(value: int) -> int:
     """``value mod 2**64`` as the int64 holding that bit pattern."""
-    return np.uint64(value & _MASK64).view(np.int64)
-
-
-def _u64(value) -> np.ndarray:
-    """Reinterpret an int64 kernel result as the unsigned value it encodes."""
-    return np.asarray(value).view(np.uint64)
+    value &= _MASK64
+    return value - (1 << 64) if value > _I64_MAX else value
 
 
 # -- value kinds ----------------------------------------------------------------
@@ -139,13 +128,6 @@ def _bounds(kind, what: str) -> tuple[int, int]:
     return (0, _MASK64) if kind is _U64 else kind
 
 
-def _static(kind) -> Optional[int]:
-    """The value of a Range that pins it to one, else None."""
-    if isinstance(kind, tuple) and kind[0] == kind[1]:
-        return kind[0]
-    return None
-
-
 def _join(a, b):
     """Kind of a value that is an ``a`` on some lanes and a ``b`` on others."""
     if a is _MOD64 or b is _MOD64:
@@ -167,19 +149,20 @@ def _unsigned(kinds, what: str) -> bool:
     return True
 
 
-def _truth(fn, kind, what: str) -> Callable:
-    """Lower ``value != 0`` (a zero Mod64 column may hide ``2**64``)."""
-    _bounds(kind, what)
-    return lambda cx: np.asarray(fn(cx)) != 0
-
-
-def _bit_kind(op: str, a, b):
-    """Kind of ``a op b`` for ``&``/``|``/``^``. Column bit operations
-    are exact mod 2**64 for every operand kind, so only the bound on
-    the result matters."""
+def _arith_kind(op: str, a, b):
+    """Kind of ``a op b`` for ``+ - * & | ^``. The int64 column wraps
+    mod 2**64 and so is right for every operand kind; the bounds say
+    how much of the value it still pins down."""
     if a is _MOD64 or b is _MOD64:
         return _MOD64
     (alo, ahi), (blo, bhi) = _bounds(a, op), _bounds(b, op)
+    if op == "+":
+        return _kind(alo + blo, ahi + bhi)
+    if op == "-":
+        return _kind(alo - bhi, ahi - blo)
+    if op == "*":
+        corners = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
+        return _kind(min(corners), max(corners))
     if alo >= 0 and blo >= 0:
         if op == "&":
             return _kind(0, min(ahi, bhi))
@@ -191,44 +174,27 @@ def _bit_kind(op: str, a, b):
 class PhvBatch:
     """Struct-of-arrays PHV: one int64 column per field, post-mask values.
 
-    ``present`` tracks which lanes carry the field at all (scalar engines
-    materialize per-packet dicts containing only loaded + committed
-    keys, and the differential suite compares those dicts exactly).
-    Columns hold 0 in non-present lanes, so reads never consult the
-    presence mask — ``phv.get(key, 0)`` is just the column.
+    ``present`` tracks which lanes carry the field at all (the scalar
+    engines' per-packet dicts hold only loaded + committed keys, and the
+    differential suite compares those dicts exactly). Columns hold 0 in
+    non-present lanes, so ``phv.get(key, 0)`` is just the column.
     """
 
-    __slots__ = ("cols", "present", "n", "_all_true")
+    __slots__ = ("cols", "present", "n", "all_true")
 
     def __init__(self, cols: dict, present: dict, n: int):
         self.cols = cols
         self.present = present
         self.n = n
-        self._all_true: Optional[np.ndarray] = None
-
-    def all_true(self) -> np.ndarray:
-        if self._all_true is None:
-            self._all_true = np.ones(self.n, dtype=bool)
-        return self._all_true
+        #: The one read-only presence mask every field that all lanes
+        #: carry shares.
+        self.all_true = np.ones(n, dtype=bool)
+        self.all_true.flags.writeable = False
 
 
-class _Cx:
-    """Per-batch evaluation context one unit sees."""
-
-    __slots__ = ("cols", "local", "wmask", "args", "n", "hits")
-
-    def __init__(self, cols, n, hits):
-        self.cols = cols
-        self.local: dict[str, np.ndarray] = {}
-        #: key -> lanes a table action actually wrote. Absent for
-        #: unit-level writes, which cover every guarded lane; present
-        #: for action writes, which cover only the selecting lanes —
-        #: the stage commit must not mark miss lanes as carrying the
-        #: field (scalar engines leave them unallocated).
-        self.wmask: dict[str, np.ndarray] = {}
-        self.args: tuple = ()
-        self.n = n
-        self.hits = hits
+# ---------------------------------------------------------------------------
+# Run-time helpers of the generated module
+# ---------------------------------------------------------------------------
 
 
 def _merge_hits(buf: dict, name: str, hit: np.ndarray,
@@ -236,11 +202,8 @@ def _merge_hits(buf: dict, name: str, hit: np.ndarray,
     """Overwrite ``buf[name]`` under the ``ran`` lanes (None = all)."""
     prev = buf.get(name)
     if prev is None:
-        h = np.zeros(n, dtype=bool)
-        r = np.zeros(n, dtype=bool)
-        buf[name] = (h, r)
-    else:
-        h, r = prev
+        prev = buf[name] = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    h, r = prev
     if ran is None:
         h[:] = hit
         r[:] = True
@@ -249,206 +212,171 @@ def _merge_hits(buf: dict, name: str, hit: np.ndarray,
         r |= ran
 
 
-# ---------------------------------------------------------------------------
-# Register kernels — sequential semantics over whole-batch arrays
-# ---------------------------------------------------------------------------
+def _rd(w: dict, cols: dict, key: str, n: int) -> np.ndarray:
+    """A buffered unit's own write of ``key`` if it made one, else the
+    stage-entry column."""
+    col = w.get(key)
+    if col is None:
+        col = cols.get(key)
+    return np.zeros(n, dtype=np.int64) if col is None else col
 
 
-def _lane_select(arr: np.ndarray, g: Optional[np.ndarray]) -> np.ndarray:
-    return arr if g is None else arr[g]
+def _action_write(w: dict, wm: dict, cols: dict, key: str, values,
+                  m: np.ndarray, n: int) -> None:
+    """A table action's write: only the selecting lanes ``m`` take the
+    value and are marked as carrying the field (scalar engines leave it
+    unallocated on miss lanes)."""
+    w[key] = np.where(m, values, _rd(w, cols, key, n))
+    prev = wm.get(key)
+    wm[key] = m if prev is None else prev | m
 
 
-def _dest_merge(cx: _Cx, key: str, values: np.ndarray,
-                g: Optional[np.ndarray]) -> None:
-    """Write a register result into the unit-local buffer under ``g``.
+def _merge(commits: dict, w: dict, wm: dict, lanes: np.ndarray, label: str,
+           stage: int) -> None:
+    """Fold one buffered unit's writes into its stage's commit set:
+    units may write one key only where they agree on the value.
+    ``lanes`` is where the unit ran; ``wm`` narrows it per action key."""
+    for key, vals in w.items():
+        gm = wm.get(key, lanes)
+        prior = commits.get(key)
+        if prior is None:
+            commits[key] = (vals, gm, label)
+            continue
+        pv, pm, owner = prior
+        both = pm & gm
+        if both.any() and np.any(pv[both] != vals[both]):
+            raise SimulationError(
+                f"stage {stage}: units {owner!r} and "
+                f"{label!r} write different values to {key!r}"
+            )
+        commits[key] = (np.where(gm & ~pm, vals, pv), pm | gm, owner)
 
-    Always produces a fresh array: local entries may alias committed
-    columns (identity assigns), which in-place merges must not corrupt.
-    """
+
+def _commit(batch: PhvBatch, commits: dict, masks: dict, hits: dict,
+            stage_hits: dict) -> None:
+    """Buffered stage exit: merged writes land in the batch, masked,
+    on the lanes that wrote them; the stage's table hits join ``hits``."""
+    cols, present = batch.cols, batch.present
+    for key, (vals, m, _owner) in commits.items():
+        col = cols.get(key)
+        cols[key] = np.where(m, vals & masks[key], 0 if col is None else col)
+        present[key] = m if col is None else present[key] | m
+    for name, (h, r) in stage_hits.items():
+        _merge_hits(hits, name, h, None if r.all() else r, batch.n)
+
+
+def _divmod(ufunc, a, b, n: int) -> np.ndarray:
+    """``a / b`` or ``a % b`` per lane, 0 where ``b`` is."""
+    out = np.zeros(n, dtype=np.int64)
+    ufunc(a, b, out=out, where=b != 0)
+    return out
+
+
+def _shift_u64(ufunc, a, s: np.ndarray) -> np.ndarray:
+    """``a << min(s, 64)`` / logical ``a >> min(s, 64)`` on the bit
+    pattern: the bits ``<<`` drops off the top are exactly the multiples
+    of 2**64 every kind may drop (a Range result never loses any). C
+    leaves shifts by >= 64 undefined, so that case is spelled out."""
+    out = ufunc(np.asarray(a).view(np.uint64),
+                np.minimum(s, 63).view(np.uint64))
+    return np.where(s >= 64, 0, out.view(np.int64))
+
+
+# -- register kernels: sequential semantics over whole-batch arrays ----------
+#
+# ``idx`` is the cell (already reduced modulo the array size) of each
+# lane the unit's guard ``g`` selects (None: all ``n``). Stored values
+# arrive as the ``uint64`` view of an int64 column of any kind, already
+# masked to the cell width (exact: the width is at most 64).
+
+
+def _group_sort(idx: np.ndarray, sort_dtype):
+    """Stable sort of the lanes by cell: the order, the sorted cells and
+    the mask of each cell's first lane."""
+    order = np.argsort(idx.astype(sort_dtype, copy=False), kind="stable")
+    si = idx[order]
+    first = np.empty(si.size, dtype=bool)
+    first[0] = True
+    np.not_equal(si[1:], si[:-1], out=first[1:])
+    return order, si, first
+
+
+def _scatter_back(data, si, first, final, values, order, g, n) -> np.ndarray:
+    """Finish a sorted kernel: each touched cell takes what its last
+    lane leaves in ``final``; ``values`` return to lane order as an
+    int64 column (0 on the lanes ``g`` leaves out)."""
+    last = np.empty(si.size, dtype=bool)
+    last[-1] = True
+    last[:-1] = first[1:]
+    data[si[last]] = final[last]
+    res = np.empty(si.size, dtype=np.uint64)
+    res[order] = values
     if g is None:
-        cx.local[key] = values.copy() if values.base is not None else values
-        return
-    base = cx.local.get(key)
-    if base is None:
-        base = cx.cols.get(key)
-    out = base.copy() if base is not None else np.zeros(cx.n, dtype=np.int64)
-    out[g] = values[g]
-    cx.local[key] = out
+        return res.view(np.int64)
+    full = np.zeros(n, dtype=np.int64)
+    full[g] = res.view(np.int64)
+    return full
 
 
-def _segmented_groups(ii: np.ndarray):
-    """Stable index-sort + group structure for collision-exact kernels."""
-    order = np.argsort(ii, kind="stable")
-    si = ii[order]
-    k = si.size
-    boundary = np.empty(k, dtype=bool)
-    boundary[0] = True
-    np.not_equal(si[1:], si[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0]
-    gidx = np.cumsum(boundary) - 1
-    ends = np.empty(starts.size, dtype=np.int64)
-    ends[:-1] = starts[1:] - 1
-    ends[-1] = k - 1
-    return order, si, boundary, starts, ends, gidx
+def _add_read_const(data, mask_u, idx, sort_dtype, amount: int) -> np.ndarray:
+    """``add_read`` of a constant on every lane: a lane observes the
+    cell plus ``amount`` times its rank among the lanes on that cell."""
+    order, si, first = _group_sort(idx, sort_dtype)
+    pos = np.arange(si.size)
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    rank += 1
+    if amount != 1:
+        rank *= amount                      # wraps mod 2**64 — exact
+    post = data[si]
+    post += rank.view(np.uint64)
+    post &= mask_u
+    return _scatter_back(data, si, first, post, post, order, None, 0)
 
 
-class _RegKernels:
-    """Builds step closures ``step(cx, g)`` for one bound RegisterArray."""
+def _add_read(data, mask_u, idx, sort_dtype, amount, g, n: int) -> np.ndarray:
+    """``add_read``/``cond_add_read``: a lane observes the running
+    post-increment value its sequential position implies — a segmented
+    inclusive prefix sum over index-sorted lanes. ``cond_add_read`` zeroes
+    the amount where its condition fails (the scalar false branch *reads*
+    the running cell: a +0 in the running sum)."""
+    if not idx.size:
+        return np.zeros(n, dtype=np.int64)
+    order, si, first = _group_sort(idx, sort_dtype)
+    sa = amount[order]
+    cs = np.cumsum(sa)                      # wraps mod 2**64 — exact
+    base = (cs - sa)[first][np.cumsum(first) - 1]   # prefix before the cell
+    post = (data[si] + (cs - base)) & mask_u
+    return _scatter_back(data, si, first, post, post, order, g, n)
 
-    def __init__(self, array: RegisterArray):
-        self.array = array
-        self.data = array._data
-        self.cells = array.cells
-        # Values arrive as int64 columns of any kind and are stored mod
-        # 2**width: masking the bit pattern is exact because the width
-        # is at most 64, and for 64-bit cells the mask is the identity.
-        self.mask = _pattern(array.mask)
-        self.mask_u = np.uint64(array.mask)
 
-    def _indices(self, cx, g, idx_fn) -> np.ndarray:
-        idx = _as_array(idx_fn(cx), cx.n) % self.cells
-        return _lane_select(idx, g)
+def _reg_swap(data, idx, sort_dtype, values, g, n: int) -> np.ndarray:
+    """Per-lane old value = previous lane's write within its cell (the
+    cell's first lane reads the pre-batch cell)."""
+    if not idx.size:
+        return np.zeros(n, dtype=np.int64)
+    order, si, first = _group_sort(idx, sort_dtype)
+    sv = values[order]
+    old = np.empty_like(sv)
+    old[1:] = sv[:-1]
+    old[first] = data[si[first]]
+    return _scatter_back(data, si, first, sv, old, order, g, n)
 
-    def read(self, dest: str, idx_fn) -> Callable:
-        data, cells = self.data, self.cells
 
-        def step(cx, g):
-            idx = _as_array(idx_fn(cx), cx.n) % cells
-            _dest_merge(cx, dest, data[idx].astype(np.int64), g)
+def _reg_write(data, idx, values) -> None:
+    # Last writer wins (fancy-index assignment order is unspecified).
+    uniq, first_in_rev = np.unique(idx[::-1], return_index=True)
+    data[uniq] = values[idx.size - 1 - first_in_rev]
 
-        return step
 
-    def write(self, idx_fn, val_fn) -> Callable:
-        data, mask = self.data, self.mask
-
-        def step(cx, g):
-            ii = self._indices(cx, g, idx_fn)
-            if not ii.size:
-                return
-            vv = _lane_select(_as_array(val_fn(cx), cx.n) & mask, g)
-            # Last writer wins; duplicate fancy-index assignment order is
-            # unspecified, so dedupe explicitly via the reversed lanes.
-            uniq, first_in_rev = np.unique(ii[::-1], return_index=True)
-            last = ii.size - 1 - first_in_rev
-            data[uniq] = vv[last].astype(np.uint64)
-
-        return step
-
-    def add(self, idx_fn, amt_fn, cond_fn=None) -> Callable:
-        """``add``/``cond_add`` without a destination: pure scatter-add.
-
-        Per-packet masking commutes with summation because the cell
-        width divides 2**64, so one wraparound ``np.add.at`` plus a
-        final mask of the touched cells is bit-exact.
-        """
-        data, mask_u = self.data, self.mask_u
-
-        def step(cx, g):
-            ii = self._indices(cx, g, idx_fn)
-            if not ii.size:
-                return
-            amt = _lane_select(_as_array(amt_fn(cx), cx.n), g)
-            if cond_fn is not None:
-                cond = _lane_select(
-                    _as_array(cond_fn(cx), cx.n), g) != 0
-                amt = np.where(cond, amt, 0)
-            np.add.at(data, ii, amt.astype(np.uint64))
-            data[np.unique(ii)] &= mask_u
-
-        return step
-
-    def add_read(self, dest: str, idx_fn, amt_fn, cond_fn=None) -> Callable:
-        """``add_read``/``cond_add_read``: every lane must observe the
-        running post-increment value its sequential position implies —
-        a segmented inclusive prefix sum over index-sorted lanes.
-
-        ``cond_add_read`` reduces to ``add_read`` with the amount zeroed
-        where the condition fails (the scalar false branch *reads* the
-        running cell, which is exactly a +0 in the running sum).
-        """
-        data, mask_u, cells = self.data, self.mask_u, self.cells
-
-        def step(cx, g):
-            n = cx.n
-            idx_full = _as_array(idx_fn(cx), n) % cells
-            amt_full = _as_array(amt_fn(cx), n)
-            if cond_fn is not None:
-                cond = _as_array(cond_fn(cx), n) != 0
-                amt_full = np.where(cond, amt_full, 0)
-            ii = _lane_select(idx_full, g)
-            if not ii.size:
-                _dest_merge(cx, dest, np.zeros(n, dtype=np.int64),
-                            g if g is not None else np.zeros(n, dtype=bool))
-                return
-            aa = _lane_select(amt_full, g).astype(np.uint64)
-            order, si, _b, starts, ends, gidx = _segmented_groups(ii)
-            sa = aa[order]
-            cs = np.cumsum(sa)                      # wraps mod 2**64 — exact
-            base_excl = (cs - sa)[starts][gidx]     # prefix before each group
-            seg = cs - base_excl                    # inclusive within-group sum
-            init = data[si[starts]][gidx]
-            post = (init + seg) & mask_u
-            data[si[ends]] = post[ends]
-            res = np.empty(ii.size, dtype=np.uint64)
-            res[order] = post
-            res64 = res.astype(np.int64)
-            if g is None:
-                _dest_merge(cx, dest, res64, None)
-            else:
-                full = np.zeros(n, dtype=np.int64)
-                full[g] = res64
-                _dest_merge(cx, dest, full, g)
-
-        return step
-
-    def swap(self, dest: str, idx_fn, val_fn) -> Callable:
-        """Per-lane old value = previous lane's write within its index
-        group (the group head reads the pre-batch cell)."""
-        data, mask = self.data, self.mask
-
-        def step(cx, g):
-            n = cx.n
-            idx_full = _as_array(idx_fn(cx), n) % self.cells
-            val_full = _as_array(val_fn(cx), n) & mask
-            ii = _lane_select(idx_full, g)
-            if not ii.size:
-                _dest_merge(cx, dest, np.zeros(n, dtype=np.int64),
-                            g if g is not None else np.zeros(n, dtype=bool))
-                return
-            vv = _lane_select(val_full, g).astype(np.uint64)
-            order, si, boundary, starts, ends, gidx = _segmented_groups(ii)
-            sv = vv[order]
-            shifted = np.empty_like(sv)
-            shifted[0] = 0
-            shifted[1:] = sv[:-1]
-            init = data[si[starts]][gidx]
-            old = np.where(boundary, init, shifted)
-            data[si[ends]] = sv[ends]
-            res = np.empty(ii.size, dtype=np.uint64)
-            res[order] = old
-            res64 = res.astype(np.int64)
-            if g is None:
-                _dest_merge(cx, dest, res64, None)
-            else:
-                full = np.zeros(n, dtype=np.int64)
-                full[g] = res64
-                _dest_merge(cx, dest, full, g)
-
-        return step
-
-    def extremum(self, idx_fn, val_fn, is_max: bool) -> Callable:
-        """``max_update``/``min_update`` (no destination): order-free."""
-        data, mask = self.data, self.mask
-        scatter = np.maximum.at if is_max else np.minimum.at
-
-        def step(cx, g):
-            ii = self._indices(cx, g, idx_fn)
-            if not ii.size:
-                return
-            vv = _lane_select(_as_array(val_fn(cx), cx.n) & mask, g)
-            scatter(data, ii, vv.astype(np.uint64))
-
-        return step
+def _reg_add(data, mask_u, idx, amount) -> None:
+    """``add``/``cond_add``: pure scatter-add. Per-packet masking
+    commutes with summation (the cell width divides 2**64), so one
+    wraparound ``np.add.at`` plus a mask of the touched cells (``mask_u``
+    None: 64-bit cells) is bit-exact. ``amount`` is one ``uint64`` or a
+    column of them."""
+    np.add.at(data, idx, amount)
+    if mask_u is not None:
+        data[idx] &= mask_u
 
 
 # ---------------------------------------------------------------------------
@@ -456,739 +384,759 @@ class _RegKernels:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class _VecAction:
     """One declared action vector-compiled (or marked bail-only)."""
 
-    __slots__ = ("name", "nparams", "steps", "written", "ok")
-
-    def __init__(self, name, nparams, steps, written, ok):
-        self.name = name
-        self.nparams = nparams
-        self.steps = steps          # list of (cx, m) closures
-        self.written = written      # key -> value kind it leaves there
-        self.ok = ok                # False: selecting it bails to scalar
-
-
-class _TableCache:
-    """Sorted-key lookup state for one table version."""
-
-    __slots__ = ("version", "keys", "aid", "bail", "data", "row",
-                 "default_aid", "default_bail")
-
-    def __init__(self, version):
-        self.version = version
-        self.keys = np.empty(0, dtype=np.int64)
-        self.aid = np.empty(0, dtype=np.int64)     # action id per entry
-        self.bail = np.empty(0, dtype=bool)        # entry forces scalar
-        self.data: dict[int, np.ndarray] = {}      # aid -> (rows, nparams)
-        self.row = np.empty(0, dtype=np.int64)     # entry -> row in data[aid]
-        self.default_aid = -1                      # -1: miss runs nothing
-        self.default_bail = False
+    nparams: int
+    written: dict           # key -> value kind it leaves there
+    ok: bool                # False: selecting it bails to scalar
+    fn: object = None       # generated (w, wm, cols, m, n, *args)
 
 
 class _VecTable:
     """Vectorized apply of a single-exact-key table."""
 
-    def __init__(self, table, key_fn, actions: dict[str, _VecAction],
-                 action_ids: dict[str, int]):
+    def __init__(self, table, actions: dict[str, _VecAction]):
         self.table = table
-        self.key_fn = key_fn
-        self.actions = actions          # name -> _VecAction
-        self.by_id = {i: actions[n] for n, i in action_ids.items()}
-        self.action_ids = action_ids
-        self._cache: Optional[_TableCache] = None
-        self._errors: dict[int, str] = {}   # pseudo-aid -> error message
+        self.actions = actions
+        self.by_id = dict(enumerate(actions.values()))
+        self.ids = {name: i for i, name in enumerate(actions)}
+        self.version = None             # table version the index is of
 
-    def _action_id(self, name: str):
-        """Resolve an entry's action: id, bail flag, or error message."""
-        act = self.actions.get(name)
-        if act is None:
-            return None, False, (
-                f"table {self.table.name!r} selected unknown action {name!r}"
-            )
-        return self.action_ids[name], not act.ok, None
+    def _bails(self, action: str, data: tuple) -> bool:
+        """Whether selecting an entry sends the batch's stage to the
+        scalar code: an action with no vector form, data outside the
+        assumed range — or a bad entry (unknown action, wrong arity),
+        which raises there exactly what the scalar engines raise."""
+        act = self.actions.get(action)
+        return (act is None or not act.ok or len(data) != act.nparams
+                or any(not 0 <= v <= _ACTION_DATA_MAX for v in data))
 
-    def _build_cache(self) -> _TableCache:
+    def _reindex(self) -> None:
+        """Sorted-key lookup state for the table's current version."""
         table = self.table
-        cache = _TableCache(table.version)
-        entries = []
-        for key, entry in table._exact_index.items():
-            k = key[0]
-            if not (_I64_MIN <= k <= _I64_MAX):
-                continue                     # unmatchable by any int64 lane
-            entries.append((k, entry))
-        entries.sort(key=lambda it: it[0])
+        self.version = table.version
+        # A key outside int64 is unmatchable by any lane.
+        entries = sorted(((key[0], entry)
+                          for key, entry in table._exact_index.items()
+                          if _I64_MIN <= key[0] <= _I64_MAX),
+                         key=lambda it: it[0])
         n = len(entries)
-        cache.keys = np.fromiter((k for k, _ in entries), dtype=np.int64,
-                                 count=n)
-        aid = np.empty(n, dtype=np.int64)
-        bail = np.zeros(n, dtype=bool)
-        row = np.zeros(n, dtype=np.int64)
+        self.keys = np.fromiter((k for k, _ in entries), dtype=np.int64,
+                                count=n)
+        self.aid = np.full(n, -1, dtype=np.int64)   # action id per entry
+        self.bail = np.zeros(n, dtype=bool)         # entry forces scalar
+        self.row = np.zeros(n, dtype=np.int64)      # entry -> row of data[aid]
         grouped: dict[int, list] = {}
-        err_id = -10
-        self._errors = {}
         for pos, (_k, entry) in enumerate(entries):
-            a, b, err = self._action_id(entry.action)
             data = tuple(int(v) for v in entry.action_data)
-            if err is None and not b:
-                act = self.by_id[a]
-                if len(data) != act.nparams:
-                    err = (f"action {entry.action!r} expects {act.nparams} "
-                           f"data values, entry carries {len(data)}")
-                elif any(not (0 <= v <= _ACTION_DATA_MAX) for v in data):
-                    b = True                 # outside the assumed range
-            if err is not None:
-                err_id -= 1
-                self._errors[err_id] = err
-                aid[pos] = err_id
-                continue
-            aid[pos] = a
-            bail[pos] = b
-            if not b:
+            self.bail[pos] = self._bails(entry.action, data)
+            if not self.bail[pos]:
+                a = self.aid[pos] = self.ids[entry.action]
                 rows = grouped.setdefault(a, [])
-                row[pos] = len(rows)
+                self.row[pos] = len(rows)
                 rows.append(data)
-        cache.aid, cache.bail, cache.row = aid, bail, row
-        for a, rows in grouped.items():
-            nparams = self.by_id[a].nparams
-            cache.data[a] = np.array(rows, dtype=np.int64).reshape(
-                len(rows), nparams)
+        self.data = {a: np.array(rows, dtype=np.int64).reshape(
+                         len(rows), self.by_id[a].nparams)
+                     for a, rows in grouped.items()}
         default = table.default_action or "NoAction"
-        if default != "NoAction":
-            a, b, err = self._action_id(default)
-            if err is None and not b and self.by_id[a].nparams != 0:
-                err = (f"action {default!r} expects "
-                       f"{self.by_id[a].nparams} data values, "
-                       f"entry carries 0")
-            if err is not None:
-                err_id -= 1
-                self._errors[err_id] = err
-                cache.default_aid = err_id
-            else:
-                cache.default_aid = a
-                cache.default_bail = b
-                if b:
-                    cache.default_bail = True
-        return cache
+        self.default_bail = default != "NoAction" and self._bails(default, ())
+        # -1: a miss runs nothing (here).
+        self.default_aid = (-1 if default == "NoAction" or self.default_bail
+                            else self.ids[default])
 
-    def step(self, cx: _Cx, g: Optional[np.ndarray]) -> None:
-        table = self.table
-        cache = self._cache
-        if cache is None or cache.version != table.version:
-            cache = self._cache = self._build_cache()
-        n = cx.n
-        keys = _as_array(self.key_fn(cx), n)
-        nkeys = cache.keys.size
+    def apply(self, keys: np.ndarray, g: Optional[np.ndarray], w: dict,
+              wm: dict, hits: dict, cols: dict, n: int) -> None:
+        """Look ``keys`` up on the lanes ``g`` (None: all), record the
+        hits and run each selected action's generated function over its
+        lanes, writing into the unit's ``w``/``wm``."""
+        if self.version != self.table.version:
+            self._reindex()
+        nkeys = self.keys.size
         if nkeys:
-            pos = np.searchsorted(cache.keys, keys)
-            pos_c = np.minimum(pos, nkeys - 1)
-            hit = cache.keys[pos_c] == keys
-            entry = np.where(hit, pos_c, -1)
-            lane_aid = np.where(hit, cache.aid[pos_c],
-                                np.int64(cache.default_aid))
+            pos = np.minimum(np.searchsorted(self.keys, keys), nkeys - 1)
+            hit = self.keys[pos] == keys
+            entry = np.where(hit, pos, -1)
+            lane_aid = np.where(hit, self.aid[pos], self.default_aid)
         else:
             hit = np.zeros(n, dtype=bool)
             entry = np.full(n, -1, dtype=np.int64)
-            lane_aid = np.full(n, cache.default_aid, dtype=np.int64)
-        _merge_hits(cx.hits, table.name, hit, g, n)
-        live = hit if g is None else (hit & g)
-        ran = g if g is not None else None
-        # Any lane selecting a bail-flagged entry → scalar re-run.
-        if nkeys and np.any(cache.bail[entry[live]] if live.any() else False):
+            lane_aid = np.full(n, self.default_aid, dtype=np.int64)
+        _merge_hits(hits, self.table.name, hit, g, n)
+        ran = hit if g is None else hit & g
+        miss = ~hit if g is None else ~hit & g
+        if ((nkeys and self.bail[entry[ran]].any())
+                or (self.default_bail and miss.any())):
             raise _VectorBail
-        miss = ~hit if g is None else (~hit & g)
-        if cache.default_aid != -1 and miss.any():
-            if cache.default_aid in self._errors:
-                raise SimulationError(self._errors[cache.default_aid])
-            if cache.default_bail:
-                raise _VectorBail
-        sel_aids = lane_aid if ran is None else lane_aid[ran]
-        for a in np.unique(sel_aids).tolist():
+        for a in np.unique(lane_aid if g is None else lane_aid[g]).tolist():
             if a == -1:
                 continue
-            if a in self._errors:
-                raise SimulationError(self._errors[a])
             act = self.by_id[a]
             m = lane_aid == a
-            if ran is not None:
-                m &= ran
-            if not m.any():
-                continue
-            if act.nparams:
-                rows = cache.row[entry[m]]
-                mat = cache.data[a]
-                args = []
-                for j in range(act.nparams):
-                    col = np.zeros(n, dtype=np.int64)
-                    col[m] = mat[rows, j]
-                    args.append(col)
-                cx.args = tuple(args)
-            else:
-                cx.args = ()
-            try:
-                for astep in act.steps:
-                    astep(cx, m)
-            finally:
-                cx.args = ()
+            if g is not None:
+                m &= g
+            args = []
+            for j in range(act.nparams):
+                col = np.zeros(n, dtype=np.int64)
+                col[m] = self.data[a][self.row[entry[m]], j]
+                args.append(col)
+            act.fn(w, wm, cols, m, n, *args)
 
 
 # ---------------------------------------------------------------------------
-# Expression + statement lowering with range tracking
+# Source generation with kind tracking
 # ---------------------------------------------------------------------------
 
 
-class _VecLowering:
-    """Lowers unit ASTs to whole-batch kernels (shared per pipeline)."""
+@dataclass(frozen=True)
+class _V:
+    """A lowered subexpression: Python source for its int64 column (its
+    truth mask when ``bool``), its kind, and — exactly when the source
+    is a literal and not an array — its value."""
 
-    def __init__(self, pipeline, plan, mask_i64):
-        self.pipeline = pipeline
-        self.plan = plan
-        self.masks = plan.masks
-        self.mask_i64 = mask_i64
-        self.consts = pipeline.info.consts
-        self.low = plan.lowering
-        #: action name -> _VecAction (compiled on demand per table)
-        self._vec_actions: dict[str, _VecAction] = {}
-        self._action_ids: dict[str, int] = {}
+    src: str
+    kind: object
+    const: Optional[int] = None
+    bool: bool = False
 
-    # -- expressions -----------------------------------------------------------
-    def expr(self, e: ast.Expr, scalars: dict[str, int], env: dict):
-        """Lower to ``(fn(cx) -> int64 array-or-scalar, kind)``."""
-        if not isinstance(e, ast.Name) or e.ident not in scalars:
-            try:
-                value = _fold(e, self.consts, scalars)
-            except _NotStatic:
-                pass
-            else:
-                return self._const(value)
-        if isinstance(e, ast.Name):
-            if e.ident in scalars:
-                pos = scalars[e.ident]
-                return ((lambda cx, _p=pos: cx.args[_p]),
-                        (0, _ACTION_DATA_MAX))
-            return self._field_read(e.ident, env)
-        if isinstance(e, (ast.Member, ast.Index)):
-            key = self.low.field_key(e, scalars)
-            if key is None:
-                raise _NotVectorizable("dynamic field key")
-            return self._field_read(key, env)
-        if isinstance(e, ast.UnaryOp):
-            return self._unary(e, scalars, env)
-        if isinstance(e, ast.BinaryOp):
-            if e.op in ("&&", "||"):
-                return self._logical(e, scalars, env)
-            return self._binary(e, scalars, env)
-        if isinstance(e, ast.Ternary):
-            cf, ck = self.expr(e.cond, scalars, env)
-            known = _static(ck)
-            if known is not None:
-                # Like the scalar engines, never touch the dead branch.
-                live = e.if_true if known else e.if_false
-                return self.expr(live, scalars, env)
-            cond = _truth(cf, ck, "ternary condition")
-            tf, tk = self.expr(e.if_true, scalars, env)
-            ff, fk = self.expr(e.if_false, scalars, env)
-            return ((lambda cx: np.where(cond(cx), tf(cx), ff(cx))),
-                    _join(tk, fk))
-        if isinstance(e, ast.Call):
-            return self._call(e, scalars, env)
-        raise _NotVectorizable(f"cannot vectorize {type(e).__name__}")
+
+@dataclass(frozen=True)
+class _Field:
+    """What the generated function statically knows of one PHV field at
+    the current stage entry."""
+
+    val: _V
+    #: ``"T"`` — every lane carries it; a local holding its mask or None
+    #: at run time; None — ``present`` was not looked at yet.
+    pres: Optional[str] = None
+    dirty: bool = False     # the batch's dicts do not hold this value yet
+
+
+@dataclass
+class _Scope:
+    """Where one unit's or action's names resolve while it is emitted."""
+
+    #: ``"local"`` — straight-line unit, writes are locals; ``"dict"`` —
+    #: buffered unit, writes go to ``w``; ``"action"`` — table action,
+    #: writes go to ``w`` under the selecting lanes ``m``.
+    mode: str
+    #: Bound action parameter -> its argument's column.
+    scalars: dict = field(default_factory=dict)
+    env: dict = field(default_factory=dict)     # own writes so far: key -> _V
+    guard: Optional[str] = None                 # local holding the unit's lanes
+
+
+_PROLOGUE = ["def _vector_run(batch, hits):",
+             "    cols = batch.cols; present = batch.present; n = batch.n",
+             "    T = batch.all_true"]
+
+#: What every generated module sees besides its own bound objects.
+_NAMESPACE = {
+    "np": np, "_i64": np.int64, "_u64": np.uint64, "_u16": np.uint16,
+    "_full": np.full, "_zeros": np.zeros, "_VectorBail": _VectorBail,
+    **{fn.__name__: fn for fn in (
+        _rd, _action_write, _merge, _commit, _divmod, _shift_u64,
+        _add_read_const, _add_read, _reg_swap, _reg_write, _reg_add)},
+}
+
+
+class _VecGen:
+    """Generates the source of one pipeline's ``_vector_run(batch,
+    hits)`` and of a function per table action it may call."""
+
+    def __init__(self, vplan: "VectorPlan"):
+        self.pipeline = vplan.pipeline
+        self.masks = vplan.masks
+        self.consts = self.pipeline.info.consts
+        self.low = vplan.plan.lowering
+        self.ns: dict[str, object] = dict(
+            _NAMESPACE, _island=vplan._run_island, _masks=vplan.mask_i64)
+        self._names = 0
+        self.lines: list[str] = list(_PROLOGUE)
+        self.indent = "    "
+        self.defs: list[str] = []            # action functions
+        self.fields: dict[str, _Field] = {}
+        self._cse: dict[str, str] = {}
+        self.actions: dict[str, _VecAction] = {}
+
+    # -- emission --------------------------------------------------------------
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def _bind(self, obj, hint: str) -> str:
+        """A name of the generated module for ``obj``."""
+        self._names += 1
+        self.ns[f"_{hint}{self._names}"] = obj
+        return f"_{hint}{self._names}"
+
+    def _local(self, prefix: str, src: str) -> str:
+        """A fresh local holding ``src``; locals are never rebound."""
+        self._names += 1
+        self.emit(f"{prefix}{self._names} = {src}")
+        return f"{prefix}{self._names}"
+
+    def _shared(self, src: str, sc: _Scope) -> str:
+        """A local for ``src``, computed once per stage however many
+        units ask for it: locals are bound once, so equal source means
+        equal value (a write dict's entries are not, so not there)."""
+        if sc.mode != "local":
+            return src
+        if src not in self._cse:
+            self._cse[src] = self._local("t", src)
+        return self._cse[src]
+
+    # -- values ----------------------------------------------------------------
+    @staticmethod
+    def _const(value: int) -> _V:
+        lit = _pattern(value)
+        return _V(f"({lit})" if lit < 0 else str(lit), _kind(value, value),
+                  const=value)
 
     @staticmethod
-    def _const(value: int):
-        const = _pattern(value)
-        return (lambda cx, _v=const: _v), _kind(value, value)
+    def _i64(v: _V) -> str:
+        """Source of ``v`` as an int64 column, or its literal."""
+        return f"{v.src}.astype(_i64)" if v.bool else v.src
 
-    def _field_kind(self, key: str):
-        """Kind of a committed column: post-mask, so never Mod64 for a
-        field of at most 64 bits; a never-allocated field reads 0."""
-        return _kind(0, self.masks.get(key, 0))
+    def _arr(self, v: _V) -> str:
+        """Source of ``v`` as an int64 array even when it is a constant."""
+        return (self._i64(v) if v.const is None
+                else f"_full(n, {v.src}, _i64)")
 
-    def _field_read(self, key: str, env):
-        if env is not None and key in env:
-            # The local may be missing at runtime even though the env
-            # says "written earlier": table actions only materialize
-            # their writes for batches whose lanes select them.
-            def read_local(cx, _k=key):
-                val = cx.local.get(_k)
-                if val is not None:
-                    return val
-                col = cx.cols.get(_k)
-                return _ZERO if col is None else col
+    def _as_u64(self, v: _V) -> str:
+        """Source of the unsigned value a non-negative ``v`` encodes."""
+        return (f"{self._i64(v)}.view(_u64)" if v.const is None
+                else str(v.const))
 
-            return read_local, env[key]
+    @staticmethod
+    def _truth(v: _V, what: str) -> str:
+        """Source of ``v != 0`` (a zero Mod64 column may hide ``2**64``)."""
+        _bounds(v.kind, what)
+        return v.src if v.bool else f"({v.src} != 0)"
 
-        def read(cx, _k=key):
-            col = cx.cols.get(_k)
-            return _ZERO if col is None else col
+    def _masked(self, v: _V, mask: int) -> _V:
+        """``v`` as stored into ``mask`` bits: the ``&`` is emitted only
+        when the kind does not already fit (and never for 64 bits, where
+        the stored value is the bit pattern itself)."""
+        if v.const is not None:
+            return self._const(v.const & mask)
+        if isinstance(v.kind, tuple) and 0 <= v.kind[0] and v.kind[1] <= mask:
+            return v
+        if mask == _MASK64:
+            return _V(self._i64(v), _U64)
+        return _V(f"({self._i64(v)} & {mask})", _kind(0, mask))
 
-        return read, self._field_kind(key)
+    # -- fields ----------------------------------------------------------------
+    def _field(self, key: str) -> _Field:
+        """The stage-entry state of an allocated field, its column loaded
+        into a local on first use (absent: 0; post-mask: never Mod64)."""
+        f = self.fields.get(key)
+        if f is None:
+            var = self._local("f", f"cols.get({key!r})")
+            self.emit(f"if {var} is None: {var} = _zeros(n, _i64)")
+            f = self.fields[key] = _Field(_V(var, _kind(0, self.masks[key])))
+        return f
 
-    def _unary(self, e: ast.UnaryOp, scalars, env):
-        af, ak = self.expr(e.operand, scalars, env)
-        if e.op == "!":
-            truth = _truth(af, ak, "'!'")
-            return ((lambda cx: np.logical_not(truth(cx)).astype(np.int64)),
-                    (0, 1))
-        if e.op not in ("-", "~"):
+    def _field_read(self, key: str, sc: _Scope) -> _V:
+        own = sc.env.get(key)
+        if own is not None:
+            return own
+        if key not in self.masks:
+            return self._const(0)       # never allocated: reads 0
+        if sc.mode == "action":
+            # Shared by all stages: the entry is what the batch holds.
+            return _V(f"_rd(w, cols, {key!r}, n)", _kind(0, self.masks[key]))
+        return self._field(key).val
+
+    def _flush(self) -> None:
+        """Write every field the locals are ahead on back to the batch."""
+        for key, f in self.fields.items():
+            if f.dirty:
+                self.emit(f"cols[{key!r}] = {self._arr(f.val)}; "
+                          f"present[{key!r}] = {f.pres}")
+                self.fields[key] = _Field(f.val, f.pres)
+
+    def _commit_local(self, key: str, v: _V, guard: Optional[str]) -> None:
+        """Straight-line stage exit for one written key."""
+        v = self._masked(v, self.masks[key])
+        if guard is None:
+            if v.const is None and (v.bool or not v.src.isidentifier()):
+                v = _V(self._local("f", self._i64(v)), v.kind)
+            self.fields[key] = _Field(v, "T", True)
+            return
+        old = self._field(key)
+        var = self._local(
+            "f", f"np.where({guard}, {self._i64(v)}, {old.val.src})")
+        pres = old.pres
+        if pres != "T":
+            if pres is None:
+                pres = self._local("p", f"present.get({key!r})")
+            self.emit(f"{pres} = {guard} if {pres} is None "
+                      f"else {pres} | {guard}")
+        self.fields[key] = _Field(
+            _V(var, _join(v.kind, old.val.kind)), pres, True)
+
+    # -- expressions -----------------------------------------------------------
+    def expr(self, e: ast.Expr, sc: _Scope) -> _V:
+        """Lower ``e`` for a whole batch."""
+        if not isinstance(e, ast.Name) or e.ident not in sc.scalars:
+            try:
+                return self._const(_fold(e, self.consts, sc.scalars))
+            except _NotStatic:
+                pass
+        if isinstance(e, ast.Name) and e.ident in sc.scalars:
+            return _V(sc.scalars[e.ident], (0, _ACTION_DATA_MAX))
+        if isinstance(e, (ast.Name, ast.Member, ast.Index)):
+            key = self.low.field_key(e, sc.scalars)
+            if key is None:
+                raise _NotVectorizable("dynamic field key")
+            return self._field_read(key, sc)
+        if isinstance(e, ast.UnaryOp):
+            return self._unary(e, sc)
+        if isinstance(e, ast.BinaryOp):
+            if e.op in ("&&", "||"):
+                return self._logical(e, sc)
+            return self._binary(e, sc)
+        if isinstance(e, ast.Ternary):
+            c = self.expr(e.cond, sc)
+            if c.const is not None:
+                # Like the scalar engines, never touch the dead branch.
+                return self.expr(e.if_true if c.const else e.if_false, sc)
+            cond = self._truth(c, "ternary condition")
+            t, f = self.expr(e.if_true, sc), self.expr(e.if_false, sc)
+            if t.const == 1 and f.const == 0:
+                return _V(cond, (0, 1), bool=True)
+            return _V(f"np.where({cond}, {self._i64(t)}, {self._i64(f)})",
+                      _join(t.kind, f.kind))
+        if isinstance(e, ast.Call):
+            return self._call(e, sc)
+        raise _NotVectorizable(f"cannot vectorize {type(e).__name__}")
+
+    def _unary(self, e: ast.UnaryOp, sc: _Scope) -> _V:
+        a = self.expr(e.operand, sc)
+        if e.op not in ("!", "-", "~"):
             raise _NotVectorizable(f"unary {e.op!r}")
+        if a.const is not None:
+            return self._const(apply_unary(e.op, a.const))
+        if e.op == "!":
+            return _V(f"(~{self._truth(a, repr('!'))})", (0, 1), bool=True)
         # -v and ~v = -v - 1 wrap mod 2**64 exactly like the columns do.
         off = 0 if e.op == "-" else 1
         kind = _MOD64
-        if ak is not _MOD64:
-            lo, hi = _bounds(ak, e.op)
+        if a.kind is not _MOD64:
+            lo, hi = _bounds(a.kind, e.op)
             kind = _kind(-hi - off, -lo - off)
-        ufunc = np.negative if e.op == "-" else np.invert
-        return (lambda cx: ufunc(af(cx))), kind
+        return _V(f"({e.op}{self._i64(a)})", kind)
 
-    def _logical(self, e: ast.BinaryOp, scalars, env):
-        """``&&``/``||``. A left operand that folds decides the result or
-        leaves it to the right operand alone — the scalar engines
-        short-circuit, so the dead side must not be lowered (it may hold
-        a construct that only islands because it is never meant to run,
-        like SketchLearn's ``i == 0 || (flow_id >> (i - 1)) & 1 == 1``)."""
+    def _logical(self, e: ast.BinaryOp, sc: _Scope) -> _V:
+        """``&&``/``||``. The scalar engines short-circuit, so the side a
+        folded left operand kills must not be lowered (it may island for
+        being code never meant to run, like SketchLearn's ``i == 0 ||
+        (flow_id >> (i - 1)) & 1 == 1``)."""
         is_or = e.op == "||"
-        af, ak = self.expr(e.left, scalars, env)
-        known = _static(ak)
-        if known is not None and bool(known) == is_or:
+        a = self.expr(e.left, sc)
+        if a.const is not None and bool(a.const) == is_or:
             return self._const(int(is_or))
-        bf, bk = self.expr(e.right, scalars, env)
-        b = _truth(bf, bk, repr(e.op))
-        if known is not None:
-            return (lambda cx: b(cx).astype(np.int64)), (0, 1)
-        a = _truth(af, ak, repr(e.op))
-        combine = np.logical_or if is_or else np.logical_and
-        return (lambda cx: combine(a(cx), b(cx)).astype(np.int64)), (0, 1)
+        b = self.expr(e.right, sc)
+        if b.const is not None and bool(b.const) == is_or:
+            return self._const(int(is_or))
+        # What is left of a constant operand is neutral and drops out.
+        live = [self._truth(v, repr(e.op)) for v in (a, b) if v.const is None]
+        if not live:
+            return self._const(int(not is_or))
+        return _V(live[0] if len(live) == 1
+                  else f"({live[0]} {'|' if is_or else '&'} {live[1]})",
+                  (0, 1), bool=True)
 
-    def _binary(self, e: ast.BinaryOp, scalars, env):
-        af, ak = self.expr(e.left, scalars, env)
-        bf, bk = self.expr(e.right, scalars, env)
+    def _binary(self, e: ast.BinaryOp, sc: _Scope) -> _V:
+        a, b = self.expr(e.left, sc), self.expr(e.right, sc)
         op = e.op
-        if op in ("+", "-", "*"):
-            # int64 ufuncs wrap mod 2**64 (and, unlike the operators,
-            # do not warn on numpy scalars), so the column is right for
-            # every operand kind; the bounds say how much of the value
-            # it still pins down.
-            kind = _MOD64
-            if ak is not _MOD64 and bk is not _MOD64:
-                (alo, ahi), (blo, bhi) = _bounds(ak, op), _bounds(bk, op)
-                if op == "+":
-                    kind = _kind(alo + blo, ahi + bhi)
-                elif op == "-":
-                    kind = _kind(alo - bhi, ahi - blo)
-                else:
-                    corners = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
-                    kind = _kind(min(corners), max(corners))
-            ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
-            return (lambda cx: ufunc(af(cx), bf(cx))), kind
-        if op in ("&", "|", "^"):
-            ufunc = {"&": np.bitwise_and, "|": np.bitwise_or,
-                     "^": np.bitwise_xor}[op]
-            return ((lambda cx: ufunc(af(cx), bf(cx))),
-                    _bit_kind(op, ak, bk))
+        if op not in (*_ARITH, "/", "%", "<<", ">>", *_COMPARES):
+            raise _NotVectorizable(f"binary {op!r}")
+        if a.const is not None and b.const is not None:
+            return self._const(apply_binary(op, a.const, b.const))
+        if op in _ARITH:
+            if b.const == 0 and op in "+-|^":
+                return a
+            if a.const == 0 and op in "+|^":
+                return b
+            return _V(f"({self._i64(a)} {op} {self._i64(b)})",
+                      _arith_kind(op, a.kind, b.kind))
         if op in ("/", "%"):
-            if not (isinstance(ak, tuple) and isinstance(bk, tuple)):
+            if not (isinstance(a.kind, tuple) and isinstance(b.kind, tuple)):
                 raise _NotVectorizable(f"{op!r} on a 64-bit operand")
-            m = max(abs(v) for v in (ak if op == "/" else bk))
-            ufunc = np.floor_divide if op == "/" else np.mod
-
-            def divmod_(cx):
-                a = _as_array(af(cx), cx.n)
-                b = _as_array(bf(cx), cx.n)
-                out = np.zeros(cx.n, dtype=np.int64)
-                ufunc(a, b, out=out, where=b != 0)
-                return out
-
-            return divmod_, (-m, m)
+            m = max(abs(v) for v in (a.kind if op == "/" else b.kind))
+            ufunc = "np.floor_divide" if op == "/" else "np.mod"
+            return _V(f"_divmod({ufunc}, {self._i64(a)}, {self._i64(b)}, n)",
+                      (-m, m))
         if op in ("<<", ">>"):
-            return self._shift(op, af, ak, bf, bk)
-        if op in _COMPARES:
-            cmp = _COMPARES[op]
-            if _unsigned((ak, bk), repr(op)):
-                return ((lambda cx: cmp(_u64(af(cx)), _u64(bf(cx)))
-                         .astype(np.int64)), (0, 1))
-            return (lambda cx: cmp(af(cx), bf(cx)).astype(np.int64)), (0, 1)
-        raise _NotVectorizable(f"binary {op!r}")
+            return self._shift(op, a, b)
+        read = (self._as_u64 if _unsigned((a.kind, b.kind), repr(op))
+                else self._i64)
+        return _V(self._shared(f"({read(a)} {op} {read(b)})", sc), (0, 1),
+                  bool=True)
 
-    @staticmethod
-    def _shift(op, af, ak, bf, bk):
+    def _shift(self, op: str, a: _V, b: _V) -> _V:
         """``a << min(b, 64)`` / ``a >> min(b, 64)``."""
-        if not isinstance(bk, tuple):
+        if not isinstance(b.kind, tuple):
             raise _NotVectorizable("64-bit shift amount")
-        if bk[0] < 0:
+        if b.kind[0] < 0:
             # Negative shifts raise per-packet in the scalar engines.
             raise _NotVectorizable("possibly negative shift amount")
-        s_lo, s_hi = min(bk[0], 64), min(bk[1], 64)
-        if op == "<<":
-            kind = _MOD64
-            if ak is not _MOD64:
-                corners = [v << s for v in _bounds(ak, op)
-                           for s in (s_lo, s_hi)]
-                kind = _kind(min(corners), max(corners))
+        shifts = (min(b.kind[0], 64), min(b.kind[1], 64))
+        left = op == "<<"
+        kind = _MOD64
+        if not (left and a.kind is _MOD64):
+            corners = [v << s if left else v >> s
+                       for v in _bounds(a.kind, op) for s in shifts]
+            kind = _kind(min(corners), max(corners))
+        src, by = self._i64(a), self._i64(b)
+        if not left and isinstance(a.kind, tuple):
+            # Arithmetic; 63 already saturates an int64 to its sign.
+            by = (f"np.minimum({by}, 63)" if b.const is None
+                  else min(b.const, 63))
+            return _V(f"({src} >> {by})", kind)
+        if b.const is None:
+            ufunc = "np.left_shift" if left else "np.right_shift"
+            return _V(f"_shift_u64({ufunc}, {src}, {by})", kind)
+        if b.const >= 64:
+            return _V(f"({src} & 0)", kind)
+        if left:
+            return _V(f"({src} << {by})", kind)
+        return _V(f"({self._as_u64(a)} >> {by}).view(_i64)", kind)
 
-            # Shift the bit pattern: the bits that fall off the top are
-            # exactly the multiples of 2**64 every kind may drop (a
-            # Range result never loses any). C leaves shifts by >= 64
-            # undefined, so that case is spelled out.
-            def shl(cx):
-                s = np.asarray(bf(cx))
-                out = np.left_shift(
-                    _u64(af(cx)), np.minimum(s, 63).astype(np.uint64))
-                return np.where(s >= 64, _ZERO, out.view(np.int64))
-
-            return shl, kind
-        corners = [v >> s for v in _bounds(ak, op) for s in (s_lo, s_hi)]
-        kind = _kind(min(corners), max(corners))
-        if isinstance(ak, tuple):
-            # Arithmetic shift; 63 already saturates an int64 to its sign.
-            def shr(cx):
-                return np.right_shift(
-                    np.asarray(af(cx)), np.minimum(bf(cx), 63))
-
-            return shr, kind
-
-        def shr_u64(cx):
-            s = np.asarray(bf(cx))
-            out = np.right_shift(
-                _u64(af(cx)), np.minimum(s, 63).astype(np.uint64))
-            return np.where(s >= 64, _ZERO, out.view(np.int64))
-
-        return shr_u64, kind
-
-    def _call(self, call: ast.Call, scalars, env):
+    def _call(self, call: ast.Call, sc: _Scope) -> _V:
         func = call.func
         if not isinstance(func, ast.Name):
             raise _NotVectorizable("computed call")
         if func.ident == "hash":
-            if not call.args:
-                raise _NotVectorizable("hash() without seed")
-            try:
-                seed = _fold(call.args[0], self.consts, scalars)
-            except _NotStatic:
-                raise _NotVectorizable("dynamic hash seed") from None
-            fn = self.low.hash_fn(seed)
-            if type(fn) is not MultiplyShiftHash:
-                raise _NotVectorizable("non-multiply-shift hash family")
-            # The hash reads its arguments mod 2**64 (scalar: ``v &
-            # MASK64``, vector: a C cast of the column), so every kind
-            # hashes bit-identically.
-            value_fns = [self.expr(a, scalars, env)[0]
-                         for a in call.args[1:]]
-            if not value_fns:
-                return self._const(fn(width=_HASH_WIDTH))
+            return self._hash(call, sc)
+        if func.ident not in ("min", "max") or not call.args:
+            raise _NotVectorizable(f"call {func.ident!r}")
+        vals = [self.expr(a, sc) for a in call.args]
+        pick = min if func.ident == "min" else max
+        if all(v.const is not None for v in vals):
+            return self._const(pick(v.const for v in vals))
+        unsigned = _unsigned([v.kind for v in vals], func.ident)
+        bounds = [_bounds(v.kind, func.ident) for v in vals]
+        read = self._as_u64 if unsigned else self._i64
+        src = read(vals[0])
+        for v in vals[1:]:
+            src = f"np.{func.ident}imum({src}, {read(v)})"
+        return _V(src + ".view(_i64)" if unsigned else src,
+                  _kind(pick(lo for lo, _hi in bounds),
+                        pick(hi for _lo, hi in bounds)))
 
-            def vhash(cx, _f=fn, _v=value_fns):
-                cols = [_as_array(vf(cx), cx.n) for vf in _v]
-                return _f.vector_multi(cols, width=_HASH_WIDTH)
-
-            return vhash, (0, _HASH_WIDTH - 1)
-        if func.ident in ("min", "max") and call.args:
-            lowered = [self.expr(a, scalars, env) for a in call.args]
-            fns = [f for f, _k in lowered]
-            unsigned = _unsigned([k for _f, k in lowered], func.ident)
-            bounds = [_bounds(k, func.ident) for _f, k in lowered]
-            reducer = np.minimum if func.ident == "min" else np.maximum
-            pick = min if func.ident == "min" else max
-
-            def mm(cx):
-                vals = [f(cx) for f in fns]
-                if unsigned:
-                    vals = [_u64(v) for v in vals]
-                acc = vals[0]
-                for v in vals[1:]:
-                    acc = reducer(acc, v)
-                return acc.view(np.int64) if unsigned else acc
-
-            return mm, _kind(pick(lo for lo, _hi in bounds),
-                             pick(hi for _lo, hi in bounds))
-        raise _NotVectorizable(f"call {func.ident!r}")
+    def _hash(self, call: ast.Call, sc: _Scope) -> _V:
+        if not call.args:
+            raise _NotVectorizable("hash() without seed")
+        try:
+            seed = _fold(call.args[0], self.consts, sc.scalars)
+        except _NotStatic:
+            raise _NotVectorizable("dynamic hash seed") from None
+        fn = self.low.hash_fn(seed)
+        if type(fn) is not MultiplyShiftHash:
+            raise _NotVectorizable("non-multiply-shift hash family")
+        # The hash reads its arguments mod 2**64 (the column's uint64
+        # view), so every kind hashes bit-identically.
+        vals = [self.expr(a, sc) for a in call.args[1:]]
+        if all(v.const is not None for v in vals):
+            return self._const(fn(*(v.const for v in vals),
+                                  width=_HASH_WIDTH))
+        bound = self._bind(fn.bind_vector(len(vals), _HASH_WIDTH), "h")
+        cols = ", ".join(self._arr(v) for v in vals)
+        return _V(self._local("t", f"{bound}({cols})"), (0, _HASH_WIDTH - 1))
 
     # -- statements ------------------------------------------------------------
-    def stmt(self, s: ast.Stmt, scalars, env, effects: list):
-        """Lower one statement to ``step(cx, g)``; appends its register/
-        table effects to ``effects`` as ``("reg", name, mutates)`` /
-        ``("table", name)`` tuples for the stage-level hazard rules."""
+    def _store(self, key: str, v: _V, sc: _Scope) -> None:
+        """Record the unit's write of ``v`` to ``key``."""
+        if sc.mode == "local":
+            if v.const is None and not v.src.isidentifier():
+                v = _V(self._local("w", v.src), v.kind, bool=v.bool)
+        else:
+            if sc.mode == "dict":
+                self.emit(f"w[{key!r}] = {self._arr(v)}")
+            else:
+                self.emit(f"_action_write(w, wm, cols, {key!r}, "
+                          f"{self._i64(v)}, m, n)")
+            v = _V(f"w[{key!r}]", v.kind)
+        sc.env[key] = v
+
+    def _target(self, e: ast.Expr, sc: _Scope, what: str) -> str:
+        """The allocated field a statement writes (any other: PhvError
+        at commit, per packet, on the scalar engines)."""
+        key = self.low.field_key(e, sc.scalars)
+        if key not in self.masks:
+            raise _NotVectorizable(f"dynamic or unallocated {what}")
+        return key
+
+    def stmt(self, s: ast.Stmt, sc: _Scope, effects: list) -> None:
+        """Emit one statement; appends its register/table effects to
+        ``effects`` as ``("reg", name, mutates)`` / ``("table", name)``
+        tuples for the stage-level hazard rules."""
         if isinstance(s, ast.Assign):
-            key = self.low.field_key(s.target, scalars)
-            if key is None:
-                raise _NotVectorizable("dynamic assignment target")
-            if key not in self.masks:
-                # Scalar engines raise PhvError at commit, per packet.
-                raise _NotVectorizable("assignment to unallocated field")
-            # Any kind may be assigned: the commit masks the column to
-            # the field width, which is exact mod 2**64.
-            vf, env[key] = self.expr(s.value, scalars, env)
+            # Any kind: the commit masks to the field width, mod 2**64.
+            key = self._target(s.target, sc, "assignment target")
+            self._store(key, self.expr(s.value, sc), sc)
+        elif not (isinstance(s, ast.CallStmt)
+                  and isinstance(s.call.func, ast.Member)):
+            raise _NotVectorizable(f"statement {type(s).__name__}")
+        elif (s.call.func.name == "apply"
+              and isinstance(s.call.func.base, ast.Name)):
+            self._table_stmt(s.call.func.base.ident, sc, effects)
+        else:
+            self._register_stmt(s.call, sc, effects)
 
-            def step(cx, g, _k=key, _v=vf):
-                cx.local[_k] = _as_array(_v(cx), cx.n)
-
-            return step
-        if (isinstance(s, ast.CallStmt)
-                and isinstance(s.call.func, ast.Member)):
-            func = s.call.func
-            if func.name == "apply" and isinstance(func.base, ast.Name):
-                return self._table_stmt(func.base.ident, scalars, env,
-                                        effects)
-            return self._register_stmt(s.call, func, scalars, env, effects)
-        raise _NotVectorizable(f"statement {type(s).__name__}")
-
-    def _register_stmt(self, call, func, scalars, env, effects):
-        method = func.name
+    def _register_stmt(self, call, sc: _Scope, effects: list) -> None:
+        method = call.func.name
         if method not in _REG_METHODS:
             raise _NotVectorizable(f"register method {method!r}")
-        array = self.low.register_array(func.base, scalars)
+        array = self.low.register_array(call.func.base, sc.scalars)
         if type(array) is not RegisterArray:
             raise _NotVectorizable("dynamic or unresolved register")
-        kern = _RegKernels(array)
-        dest_pos = _REG_METHODS[method]
-        dest = None
-        if dest_pos is not None:
-            dest = self.low.field_key(call.args[dest_pos], scalars)
-            if dest not in self.masks:
-                raise _NotVectorizable("dynamic register destination")
+        # Arguments after the destination: index, [condition,] value.
+        dest, args = None, list(call.args)
+        if _REG_METHODS[method] is not None:
+            dest = self._target(args.pop(0), sc, "register destination")
+        cells, g = array.cells, sc.guard
+        on = f"[{g}]" if g else ""      # the lanes the unit runs on
+        data = self._bind(array._data, "d")
+        mask_u = self._bind(np.uint64(array.mask), "m")
+        sort = "_u16" if cells <= _RADIX_CELLS else "_i64"
 
-        def index(i):
-            fn, kind = self.expr(call.args[i], scalars, env)
-            if not isinstance(kind, tuple):
-                raise _NotVectorizable("64-bit register index")
-            return fn
-
-        def cond(i):
-            fn, kind = self.expr(call.args[i], scalars, env)
-            _bounds(kind, "register condition")
-            return fn
-
-        def value(i):
-            # Stored mod 2**width (see _RegKernels): any kind is exact.
-            return self.expr(call.args[i], scalars, env)[0]
+        v = self.expr(args[0], sc)
+        if not isinstance(v.kind, tuple):
+            raise _NotVectorizable("64-bit register index")
+        if v.const is not None:
+            idx = f"_full(n, {v.const % cells}, _i64)"
+        elif 0 <= v.kind[0] and v.kind[1] < cells:
+            idx = self._i64(v)
+        elif cells & (cells - 1) == 0:
+            idx = f"({self._i64(v)} & {cells - 1})"     # floor mod 2**k
+        else:
+            idx = self._shared(f"({self._i64(v)} % {cells})", sc)
 
         effects.append(("reg", array.name, method != "read"))
         if method == "read":
-            step = kern.read(dest, index(1))
-        elif method == "write":
-            step = kern.write(index(0), value(1))
-        elif method == "add":
-            step = kern.add(index(0), value(1))
-        elif method == "cond_add":
-            step = kern.add(index(0), value(2), cond_fn=cond(1))
-        elif method == "add_read":
-            step = kern.add_read(dest, index(1), value(2))
-        elif method == "cond_add_read":
-            step = kern.add_read(dest, index(1), value(3), cond_fn=cond(2))
-        elif method == "swap":
-            step = kern.swap(dest, index(1), value(2))
-        elif method == "max_update":
-            step = kern.extremum(index(0), value(1), is_max=True)
-        else:  # min_update
-            step = kern.extremum(index(0), value(1), is_max=False)
+            result = f"{data}[{idx}].view(_i64)"
+        elif "add" in method:
+            # The increment: one constant on every lane, or a column
+            # (zeroed where a cond_* condition fails).
+            v = self.expr(args[-1], sc)
+            if method.startswith("cond"):
+                c = self.expr(args[1], sc)
+                cond = self._truth(c, "register condition")
+                if c.const is None:
+                    v = _V(f"np.where({cond}, {self._i64(v)}, 0)", _MOD64)
+                elif not c.const:
+                    v = self._const(0)
+            everywhere = v.const is not None and g is None
+            amount = f"{self._arr(v)}.view(_u64){on}"
+            if not method.endswith("read"):
+                if everywhere:
+                    amount = self._bind(np.uint64(v.const & _MASK64), "k")
+                if array.mask == _MASK64:
+                    mask_u = None
+                self.emit(f"_reg_add({data}, {mask_u}, {idx}{on}, {amount})")
+            elif everywhere:
+                result = (f"_add_read_const({data}, {mask_u}, {idx}, {sort}, "
+                          f"{_pattern(v.const)})")
+            else:
+                result = (f"_add_read({data}, {mask_u}, {idx}{on}, {sort}, "
+                          f"{amount}, {g}, n)")
+        else:
+            # Stored as the cell keeps it: mod 2**width, any kind exact.
+            stored = self._arr(self._masked(self.expr(args[1], sc),
+                                            array.mask)) + f".view(_u64){on}"
+            if method == "swap":
+                result = (f"_reg_swap({data}, {idx}{on}, {sort}, {stored}, "
+                          f"{g}, n)")
+            elif method == "write":
+                self.emit(f"_reg_write({data}, {idx}{on}, {stored})")
+            else:   # max_update / min_update: order-free
+                self.emit(f"np.{method[:3]}imum.at({data}, {idx}{on}, "
+                          f"{stored})")
         if dest is not None:
-            env[dest] = _kind(0, array.mask)
-        return step
+            self._store(dest, _V(result, _kind(0, array.mask)), sc)
 
     # -- tables ----------------------------------------------------------------
     def _vec_action(self, name: str) -> _VecAction:
-        """Vector-compile one declared action (memoized). Failure does
-        not island the stage: the action is marked bail-only and only
-        batches whose lanes actually select it fall back to scalar."""
-        act = self._vec_actions.get(name)
+        """Vector-compile one declared action into a generated function
+        (memoized). Failure does not island the stage: the action is
+        bail-only, and only batches whose lanes select it run scalar."""
+        act = self.actions.get(name)
         if act is not None:
             return act
         decl = self.pipeline.info.actions[name]
-        scalars = {p.name: pos for pos, p in enumerate(decl.params)}
-        steps: list = []
-        written: dict = {}
-        ok = True
+        params = [f"a{pos}" for pos in range(len(decl.params))]
+        sc = _Scope("action", dict(zip((p.name for p in decl.params), params)))
+        outer = self.lines, self.indent, self._cse
+        self.lines, self.indent, self._cse = [], "    ", {}
         try:
-            env: dict = {}
             for s in decl.body.stmts:
                 if not isinstance(s, ast.Assign):
-                    raise _NotVectorizable(
-                        "non-assignment in table action")
-                key = self.low.field_key(s.target, scalars)
-                if key not in self.masks:
-                    raise _NotVectorizable("dynamic action target")
-                vf, env[key] = self.expr(s.value, scalars, env)
-
-                def astep(cx, m, _k=key, _v=vf):
-                    v = _as_array(_v(cx), cx.n)
-                    base = cx.local.get(_k)
-                    if base is None:
-                        base = cx.cols.get(_k)
-                    out = (base.copy() if base is not None
-                           else np.zeros(cx.n, dtype=np.int64))
-                    out[m] = v[m]
-                    cx.local[_k] = out
-                    prev = cx.wmask.get(_k)
-                    if prev is None:
-                        cx.wmask[_k] = m.copy()
-                    else:
-                        prev |= m
-
-                steps.append(astep)
-            written = env
+                    raise _NotVectorizable("non-assignment in table action")
+                key = self._target(s.target, sc, "action target")
+                self._store(key, self.expr(s.value, sc), sc)
+            written = {k: v.kind for k, v in sc.env.items()}
+            act = _VecAction(len(params), written, True)
+            self.defs.append(f"def _act_{name}(w, wm, cols, m, n"
+                             f"{''.join(', ' + p for p in params)}):")
+            self.defs.extend(self.lines or ["    pass"])
         except _NotVectorizable:
-            steps, written, ok = [], {}, False
-        act = _VecAction(name, len(decl.params), steps, written, ok)
-        self._vec_actions[name] = act
-        self._action_ids.setdefault(name, len(self._action_ids))
+            act = _VecAction(len(params), {}, False)
+        finally:
+            self.lines, self.indent, self._cse = outer
+        self.actions[name] = act
         return act
 
-    def _table_stmt(self, table_name: str, scalars, env, effects):
+    def _table_stmt(self, table_name: str, sc: _Scope, effects: list) -> None:
+        if sc.mode == "local":
+            raise _Buffered("table apply")
         table = self.pipeline.tables.get(table_name)
         if table is None:
             raise _NotVectorizable("unknown table")   # interp raises KeyError
         if table.match_kinds != ["exact"] or len(table.key_fields) != 1:
             raise _NotVectorizable("non single-exact-key table")
-        key_fn, key_kind = self._field_read(table.key_fields[0], env)
-        if not isinstance(key_kind, tuple):
+        key = self._field_read(table.key_fields[0], sc)
+        if not isinstance(key.kind, tuple):
             # The sorted-key cache matches int64 values, not bit patterns.
             raise _NotVectorizable("64-bit table key")
         actions = {name: self._vec_action(name)
                    for name in self.pipeline.info.actions}
-        vt = _VecTable(table, key_fn, actions, self._action_ids)
         effects.append(("table", table_name))
-        # After the apply, any key any action may have written holds
-        # either its prior value or the action's.
+        self.emit(f"{self._bind(_VecTable(table, actions), 't')}.apply("
+                  f"{self._arr(key)}, {sc.guard}, w, wm, sh, cols, n)")
+        # After the apply, a key any action may write holds its prior
+        # value or the action's — in ``w`` or not, known only at run time.
         for act in actions.values():
-            for key, kind in act.written.items():
-                prev = env.get(key)
-                if prev is None:
-                    prev = self._field_kind(key)
-                env[key] = _join(prev, kind)
-        return vt.step
+            for akey, kind in act.written.items():
+                prior = sc.env.get(akey, _V("", _kind(0, self.masks[akey])))
+                sc.env[akey] = _V(f"_rd(w, cols, {akey!r}, n)",
+                                  _join(prior.kind, kind))
 
     # -- stages ----------------------------------------------------------------
-    def stage_kernel(self, splan, units):
-        """Build one whole-batch stage kernel, or raise
-        :class:`_NotVectorizable` to demote the stage to an island."""
-        no_scalars: dict[str, int] = {}
-        unit_kernels = []
-        effects: list[tuple] = []
-        writers: dict[str, list] = {}
-        for unit in units:
-            inst = unit.instance
-            env: dict = {}
-            guard_fn = None
-            if inst.guard is not None:
-                gf, gk = self.expr(inst.guard, no_scalars, {})
-                known = _static(gk)
-                if known == 0:
-                    continue                # unit never runs
-                if known is None:
-                    guard_fn = _truth(gf, gk, "guard")
-            steps = []
-            if inst.table is not None:
-                steps.append(self._table_stmt(inst.table, no_scalars, env,
-                                              effects))
-            else:
-                for s in inst.body:
-                    steps.append(self.stmt(s, no_scalars, env, effects))
-            unit_kernels.append((unit.label, guard_fn, steps))
-            for key, kind in env.items():
-                writers.setdefault(key, []).append(kind)
-        # The stage-exit commit compares what two units wrote to one key
-        # column against column, which decides value equality only for
-        # kinds that also compare (see _unsigned).
-        for key, kinds in writers.items():
-            if len(kinds) > 1:
-                _unsigned(kinds, f"same-stage writes to {key!r}")
-        # Hazard rules: a register touched by >1 step (any of them
-        # mutating) needs per-packet interleaving; a table sharing a
-        # stage with a register mutation would make _VectorBail unsafe.
-        reg_steps: dict[str, int] = {}
-        reg_mut: dict[str, int] = {}
-        has_table = False
-        for eff in effects:
-            if eff[0] == "table":
-                has_table = True
-                continue
-            _tag, name, mutates = eff
-            reg_steps[name] = reg_steps.get(name, 0) + 1
-            if mutates:
-                reg_mut[name] = reg_mut.get(name, 0) + 1
-        for name, count in reg_steps.items():
-            if count > 1 and reg_mut.get(name, 0) > 0:
-                raise _NotVectorizable(
-                    f"register {name!r}: same-stage read/update interleaving"
-                )
-        if has_table and reg_mut:
+    def _guard(self, inst, sc: _Scope) -> bool:
+        """Lower the unit's guard into ``sc.guard``; False when it is
+        statically false and the unit never runs."""
+        if inst.guard is None:
+            return True
+        g = self.expr(inst.guard, sc)
+        if g.const is None:
+            sc.guard = self._local("g", self._truth(g, "guard"))
+        return g.const is None or bool(g.const)
+
+    @staticmethod
+    def _check_hazards(effects: list) -> None:
+        """A register touched by >1 step (any of them mutating) needs
+        per-packet interleaving; a table sharing a stage with a register
+        mutation would make _VectorBail unsafe."""
+        regs = [eff[1] for eff in effects if eff[0] == "reg"]
+        mutated = {eff[1] for eff in effects if eff[0] == "reg" and eff[2]}
+        for name in mutated:
+            if regs.count(name) > 1:
+                raise _NotVectorizable(f"register {name!r}: same-stage "
+                                       f"read/update interleaving")
+        if mutated and any(eff[0] == "table" for eff in effects):
             raise _NotVectorizable("table apply beside register mutation")
-        mask_i64 = self.mask_i64
-        stage_no = splan.stage
 
-        def kernel(batch: PhvBatch, hits: dict):
-            n = batch.n
-            stage_hits: dict = {}
-            ran_units = []
-            for label, guard_fn, steps in unit_kernels:
-                cx = _Cx(batch.cols, n, stage_hits)
-                g = None
-                if guard_fn is not None:
-                    g = guard_fn(cx)
-                    if np.ndim(g) == 0:
-                        if not g:
-                            continue
-                        g = None
-                    elif not g.any():
-                        continue
-                for step in steps:
-                    step(cx, g)
-                if cx.local:
-                    ran_units.append((label, g, cx.local, cx.wmask))
-            # Conflict-checked stage-exit commit (as the scalar engines').
-            commits: dict[str, tuple] = {}
-            for label, g, local, wmask in ran_units:
-                unit_mask = batch.all_true() if g is None else g
-                for key, vals in local.items():
-                    gm = wmask.get(key, unit_mask)
-                    vals = _as_array(vals, n)
-                    prior = commits.get(key)
-                    if prior is None:
-                        commits[key] = (vals, gm.copy(), label)
-                        continue
-                    pv, pm, owner = prior
-                    both = pm & gm
-                    if both.any() and np.any(pv[both] != vals[both]):
-                        raise SimulationError(
-                            f"stage {stage_no}: units {owner!r} and "
-                            f"{label!r} write different values to {key!r}"
-                        )
-                    merged = pv.copy()
-                    new_lanes = gm & ~pm
-                    merged[new_lanes] = vals[new_lanes]
-                    commits[key] = (merged, pm | gm, owner)
-            for key, (vals, m, _owner) in commits.items():
-                masked = vals & mask_i64[key]
-                col = batch.cols.get(key)
-                if col is None:
-                    batch.cols[key] = np.where(m, masked, _ZERO)
-                    batch.present[key] = m.copy()
-                else:
-                    batch.cols[key] = np.where(m, masked, col)
-                    batch.present[key] = batch.present[key] | m
-            for name, (h, r) in stage_hits.items():
-                _merge_hits(hits, name, h, r if not r.all() else None, n)
+    def _form(self, splan, units, mode: str) -> None:
+        """Emit the stage straight-line (``"local"``: all bodies against
+        the stage-entry locals, then all commits; :class:`_Buffered`
+        when that does not apply) or buffered (``"dict"``: per unit a
+        write dict, the steps and a conflict-checked merge, one commit
+        at stage exit; locals flushed before — actions and islands read
+        the batch — and dropped after)."""
+        buffered = mode == "dict"
+        if buffered:
+            self._flush()
+            self.emit("try:")
+            self.indent = "        "
+            self.emit("c = {}; sh = {}")
+        effects: list[tuple] = []
+        written: dict[str, list] = {}
+        for unit in units:
+            sc = _Scope(mode)
+            if not self._guard(unit.instance, sc):
+                continue
+            if buffered:
+                self.emit("w = {}; wm = {}")
+            for s in unit.instance.body:
+                self.stmt(s, sc, effects)
+            if buffered:
+                self.emit(f"_merge(c, w, wm, {sc.guard or 'T'}, "
+                          f"{unit.label!r}, {splan.stage})")
+            elif written.keys() & sc.env.keys():
+                raise _Buffered("units with overlapping write-sets")
+            for key, v in sc.env.items():
+                written.setdefault(key, []).append((v, sc.guard))
+        self._check_hazards(effects)
+        if not buffered:
+            for key, [(v, guard)] in written.items():
+                self._commit_local(key, v, guard)
+            return
+        # The commit compares what two units wrote to one key column
+        # against column, which decides value equality only for kinds
+        # that also compare (see _unsigned).
+        for key, writes in written.items():
+            if len(writes) > 1:
+                _unsigned([v.kind for v, _guard in writes],
+                          f"same-stage writes to {key!r}")
+        self.emit("_commit(batch, c, _masks, hits, sh)")
+        self.indent = "    "
+        self.emit("except _VectorBail:")
+        self.indent = "        "
+        self._island(splan)
 
-        return kernel
+    def _island(self, splan) -> None:
+        """The stage's scalar code over the (flushed) batch."""
+        self.emit(f"_island({self._bind(splan, 'sp')}, batch, hits)")
+        self.indent = "    "
+        self.fields.clear()
+
+    def stage(self, splan, units) -> str:
+        """Emit one stage; returns the form it took (``straight-line``,
+        ``buffered: <why>`` or ``island: <why>``)."""
+        self.emit(f"# stage {splan.stage}")
+        mark, entry = len(self.lines), dict(self.fields)
+        form = "straight-line"
+        for mode in ("local", "dict"):
+            self._cse = {}
+            try:
+                self._form(splan, units, mode)
+                return form
+            except (_Buffered, _NotVectorizable) as exc:
+                del self.lines[mark:]
+                self.indent, self.fields = "    ", dict(entry)
+                form, why = f"buffered: {exc}", exc
+                if isinstance(exc, _NotVectorizable):
+                    break
+        self._flush()
+        self._island(splan)
+        return f"island: {why}"
 
 
 # ---------------------------------------------------------------------------
-# The vector plan: per-stage kernels + scalar islands + batch front end
+# The vector plan: the generated function + scalar islands + batch front end
 # ---------------------------------------------------------------------------
 
 
 class VectorPlan:
-    """Per-stage vector kernels over a pipeline's generated scalar plan.
+    """One generated whole-batch function over a pipeline's scalar plan.
 
     ``ok`` is False when the whole program must stay scalar (a register
-    reachable from more than one stage — the stage-at-a-time batch
-    reordering would not be sequence-equivalent); :meth:`run_batch` must
-    not be called in that case.
+    reachable from more than one stage: running stage-at-a-time would
+    not be sequence-equivalent); nothing below may be called then.
 
-    64-bit PHV fields are carried as int64 *bit patterns* (value mod
-    2**64 in two's complement): loads, commits, and register traffic are
-    exact under that encoding, and expressions read them as ``U64``
-    values (see the value kinds above :func:`_kind`).
+    ``source`` is the generated module, compiled once here, and
+    ``run_stages(batch, hits)`` its ``_vector_run``: a pre-built batch
+    through every stage, in place (the worker pool calls it on
+    shared-memory column slices; :meth:`run_batch` wraps it with the
+    result container). Columns the batch came with are read, never
+    written: a field the program writes is rebound to a fresh array.
+    ``stage_exec`` pairs each :class:`~repro.pisa.plan.StagePlan` with
+    the function that runs it — that same one, stages being blocks of
+    it — or None for a scalar island; ``forms`` says how each was emitted.
     """
 
     def __init__(self, pipeline):
@@ -1199,32 +1147,67 @@ class VectorPlan:
         self.wide = frozenset(
             k for k, m in self.masks.items() if m > _I64_MAX)
         #: Commit masks; the int64 identity for 64-bit fields.
-        self.mask_i64 = {k: _pattern(m) for k, m in self.masks.items()}
-        self.ok = True
-        self.reason = ""
-        self.island_stages: list[int] = []
+        self.mask_i64 = {k: np.int64(_pattern(m))
+                         for k, m in self.masks.items()}
+        self.forms: dict[int, str] = {}
         self.island_reasons: dict[int, str] = {}
-        self.stage_exec: list[tuple] = []
-        reg_stages: dict[tuple, set[int]] = {}
-        for units in pipeline._stage_units:
-            for unit in units:
-                for ref in unit.instance.registers:
-                    reg_stages.setdefault(tuple(ref), set()).add(unit.stage)
-        shared = [r for r, stages in reg_stages.items() if len(stages) > 1]
-        if shared:
-            self.ok = False
-            self.reason = f"register {shared[0]} spans multiple stages"
+        self.island_stages: list[int] = []
+        self.stage_exec = [(splan, None) for splan in self.plan.stages]
+        self.source = ""
+        self.reason = self._shared_register()
+        self.ok = not self.reason
+        if not self.ok:
             return
-        lowering = _VecLowering(pipeline, self.plan, self.mask_i64)
+        gen = _VecGen(self)
         for splan in self.plan.stages:
-            units = pipeline._stage_units[splan.stage]
-            try:
-                kernel = lowering.stage_kernel(splan, units)
-            except _NotVectorizable as exc:
-                kernel = None
+            form = gen.stage(splan, pipeline._stage_units[splan.stage])
+            self.forms[splan.stage] = form
+            if form.startswith("island: "):
                 self.island_stages.append(splan.stage)
-                self.island_reasons[splan.stage] = str(exc)
-            self.stage_exec.append((splan, kernel))
+                self.island_reasons[splan.stage] = form[len("island: "):]
+        gen._flush()
+        self.source = "\n".join(gen.lines + gen.defs) + "\n"
+        exec(compile(self.source, "<pisa-vector-plan>", "exec"), gen.ns)
+        self.run_stages = gen.ns["_vector_run"]
+        for name, act in gen.actions.items():
+            act.fn = gen.ns.get(f"_act_{name}")
+        self.stage_exec = [
+            (splan,
+             None if splan.stage in self.island_reasons else self.run_stages)
+            for splan in self.plan.stages]
+
+    def _shared_register(self) -> str:
+        """Why stages cannot run batch-at-a-time: a register some second
+        stage reaches — through its units or through an action of the
+        table it applies — or "" when every register has one stage."""
+        info = self.pipeline.info
+        reg_stages: dict[str, set[int]] = {}
+        for unit in self.pipeline.compiled.units:
+            names = [f"{family}[{index}]"
+                     for family, index in unit.instance.registers]
+            # A tbl_* unit carries no register set of its own: what it
+            # touches is what its table's declared actions touch.
+            table = info.tables.get(unit.instance.table)
+            for name in table.actions if table else ():
+                action = info.actions.get(name)
+                for s in action.body.stmts if action else ():
+                    if not (isinstance(s, ast.CallStmt)
+                            and isinstance(s.call.func, ast.Member)
+                            and s.call.func.name in _REG_METHODS):
+                        continue
+                    base = s.call.func.base
+                    array = self.plan.lowering.register_array(
+                        base, {p.name for p in action.params})
+                    if array is None:
+                        return (f"action {name!r} of table {table.name!r} "
+                                f"reaches register {pretty_expr(base)} "
+                                f"through a dynamic instance")
+                    names.append(array.name)
+            for name in names:
+                reg_stages.setdefault(name, set()).add(unit.stage)
+        return next((f"register {name} spans multiple stages"
+                     for name, stages in reg_stages.items()
+                     if len(stages) > 1), "")
 
     # -- batch loading ---------------------------------------------------------
     def load_columns(self, columns: dict, n: int,
@@ -1233,30 +1216,28 @@ class VectorPlan:
         :class:`PhvBatch` of resolved, width-masked int64 columns.
 
         Values are integer arrays of any width (unsigned 64-bit values
-        keep their bit pattern; for 64-bit fields the mask is the int64
-        identity) or, for raw values outside 64 bits, object arrays of
-        Python ints, masked one by one. ``present`` maps a field to its
-        lane mask where not every lane carries it.
+        keep their bit pattern) or, for raw values outside 64 bits,
+        object arrays of Python ints, masked one by one. ``present`` maps
+        a field to its lane mask where not every lane carries it.
         """
         resolve = self.pipeline._packet_key
-        cols: dict[str, np.ndarray] = {}
-        lanes: dict[str, np.ndarray] = {}
+        batch = PhvBatch({}, {}, n)
         for name, values in columns.items():
             key = resolve(name)
             if values.dtype == object:
                 # The masked value is in [0, 2**64): go through uint64
                 # and reinterpret as the int64 bit pattern.
                 mask = self.masks[key]
-                cols[key] = np.fromiter(
+                batch.cols[key] = np.fromiter(
                     (int(v) & mask for v in values),
                     dtype=np.uint64, count=n).view(np.int64)
             else:
-                cols[key] = (values.astype(np.int64, copy=False)
-                             & self.mask_i64[key])
+                batch.cols[key] = (values.astype(np.int64, copy=False)
+                                   & self.mask_i64[key])
             carried = present.get(name) if present else None
-            lanes[key] = (np.ones(n, dtype=bool) if carried is None
-                          else carried)
-        return PhvBatch(cols, lanes, n)
+            batch.present[key] = (batch.all_true if carried is None
+                                  else carried)
+        return batch
 
     def _load(self, packets) -> PhvBatch:
         """``Packet`` front end of :meth:`load_columns`."""
@@ -1291,30 +1272,21 @@ class VectorPlan:
     def _run_island(self, splan, batch: PhvBatch, hits: dict) -> None:
         """Materialize per-packet dicts, run the stage's generated
         scalar code, scatter results back into columns."""
-        n = batch.n
-        wide = self.wide
+        n, wide = batch.n, self.wide
         dicts = column_rows(batch.cols, batch.present, n, wide)
         hit_rows: list[dict] = []
         for phv in dicts:
             row: dict = {}
             splan.run(phv, row)
             hit_rows.append(row)
-        keys: dict[str, None] = dict.fromkeys(batch.cols)
-        for d in dicts:
-            for key in d:
-                keys.setdefault(key)
-        for key in keys:
+        for key in dict.fromkeys([*batch.cols, *(k for d in dicts for k in d)]):
             dtype = np.uint64 if key in wide else np.int64
             batch.cols[key] = np.fromiter(
                 (d.get(key, 0) for d in dicts), dtype=dtype,
                 count=n).astype(np.int64, copy=False)
             batch.present[key] = np.fromiter(
                 (key in d for d in dicts), dtype=bool, count=n)
-        names: dict[str, None] = {}
-        for row in hit_rows:
-            for name in row:
-                names.setdefault(name)
-        for name in names:
+        for name in dict.fromkeys(name for row in hit_rows for name in row):
             hit = np.fromiter((row.get(name, False) for row in hit_rows),
                               dtype=bool, count=n)
             ran = np.fromiter((name in row for row in hit_rows),
@@ -1322,22 +1294,6 @@ class VectorPlan:
             _merge_hits(hits, name, hit, ran if not ran.all() else None, n)
 
     # -- execution -------------------------------------------------------------
-    def run_stages(self, batch: PhvBatch, hits: dict) -> None:
-        """Run a pre-built batch through every stage, in place.
-
-        The persistent worker pool (:mod:`repro.pisa.pool`) calls this
-        directly on shared-memory column slices; :meth:`run_batch` wraps
-        it with the result container.
-        """
-        for splan, kernel in self.stage_exec:
-            if kernel is None:
-                self._run_island(splan, batch, hits)
-            else:
-                try:
-                    kernel(batch, hits)
-                except _VectorBail:
-                    self._run_island(splan, batch, hits)
-
     def run_batch(self, batch: PhvBatch, collect: bool = True):
         """Run a loaded batch through all stages; returns its
         :class:`~repro.pisa.results.BatchResults` (columns kept, rows
@@ -1353,15 +1309,13 @@ class VectorPlan:
 
     # -- introspection ---------------------------------------------------------
     def describe(self) -> str:
-        """Human-readable vectorization summary."""
+        """Human-readable vectorization summary: per stage the form it
+        was emitted in (or why it is a scalar island) and its units."""
         if not self.ok:
             return f"vector plan disabled: {self.reason}"
         total = len(self.stage_exec)
-        vec = total - len(self.island_stages)
-        lines = [f"vector plan: {vec}/{total} stages vectorized"]
-        for stage in self.island_stages:
-            lines.append(
-                f"  stage {stage}: scalar island"
-                f" ({self.island_reasons.get(stage, 'unsupported')})"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            [f"vector plan: {total - len(self.island_stages)}/{total} "
+             f"stages vectorized"]
+            + [f"  stage {sp.stage} ({self.forms[sp.stage]}): "
+               + ", ".join(sp.units) for sp in self.plan.stages])

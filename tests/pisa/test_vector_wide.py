@@ -9,7 +9,9 @@ the five apps must not island at all.
 """
 
 import dataclasses
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -347,15 +349,49 @@ APPS = {
 }
 
 
+def calls_per_batch(pipe, columns) -> int:
+    """Python-level and C calls one ``process_columns`` batch makes — a
+    batch's fixed cost as a count, so the gate reads no clock."""
+    calls = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    pipe.process_columns(columns)
+    sys.setprofile(profiler)
+    try:
+        pipe.process_columns(columns)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def assert_generated(vplan):
+    """Zero islands, every stage a block of the one generated function."""
+    assert vplan.ok and vplan.island_stages == [], vplan.describe()
+    for splan, kernel in vplan.stage_exec:
+        form = vplan.forms[splan.stage]
+        assert form == "straight-line" or form.startswith("buffered: ")
+        assert f"# stage {splan.stage}\n" in vplan.source
+        assert kernel is not None
+    assert [sp for sp, _kernel in vplan.stage_exec] == vplan.plan.stages
+
+
 class TestAppsHaveNoIslands:
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_t6(self, app):
-        vplan = Pipeline(APPS[app](t6()), engine="vector").vplan
-        assert vplan.ok and vplan.island_stages == [], vplan.describe()
+        pipe = Pipeline(APPS[app](t6()), engine="vector")
+        assert_generated(pipe.vplan)
+        # The thousand-lane tax, as a count: 773 calls a batch when the
+        # stages were trees of closures.
+        field = {"cms": "flow_id", "netcache": "req_key"}.get(app)
+        if field is not None:
+            keys = (np.arange(512, dtype=np.uint64) * 2654435761) % 997
+            assert calls_per_batch(pipe, {field: keys}) <= 300
 
     # The ILP on the full 12-stage target is the slow part; the linked
     # program lowers from the same rendered source as plain NetCache.
     @pytest.mark.parametrize("app", ["cms", "netcache", "sketchlearn"])
     def test_tofino(self, app):
-        vplan = Pipeline(APPS[app](tofino()), engine="vector").vplan
-        assert vplan.ok and vplan.island_stages == [], vplan.describe()
+        assert_generated(Pipeline(APPS[app](tofino()), engine="vector").vplan)
