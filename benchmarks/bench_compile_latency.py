@@ -1,22 +1,15 @@
-"""Compile latency — cold vs warm-cache vs warm-started ILP.
+"""Compile latency — cold vs warm cache vs target change.
 
 The elastic runtime recompiles on its reconfiguration critical path, so
 recompile latency is a first-class metric. This benchmark measures the
-three acceleration tiers and emits ``BENCH_compile.json``:
+cache tiers and emits ``BENCH_compile.json``:
 
 * **cold** — NetCache on a 6-stage/64 KB target, empty cache (the full
   parse → IR → bounds → ILP → codegen pipeline, per-phase timings);
 * **warm cache** — the byte-identical recompile: served whole from the
   layout cache (acceptance: >= 10x faster than cold);
 * **target change** — same source, memory cut in half: the front-end
-  tiers hit (parse/IR skipped, bounds and the ILP re-run);
-* **warm-start ILP** — the branch-and-bound backend re-solving after a
-  target change, seeded with the previous layout as its initial
-  incumbent vs solving cold (same objective, fewer nodes).
-
-The warm-start leg uses the library CMS on the small 8-stage target:
-large enough for a real search tree, small enough that the from-scratch
-``bb`` backend finishes in well under a second.
+  tiers hit (parse/IR skipped, bounds and the ILP re-run).
 """
 
 import dataclasses
@@ -26,9 +19,7 @@ from pathlib import Path
 
 from repro.apps.netcache import netcache_source
 from repro.core import CompileCache, CompileOptions, compile_source
-from repro.pisa import small_target
 from repro.pisa.resources import tofino
-from repro.structures import CMS_SOURCE
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compile.json"
 
@@ -103,44 +94,11 @@ def _run() -> dict:
     linked_warm, linked_warm_wall = _timed(
         lambda: compile_linked(linked, _mini_target(), options=linked_opts))
 
-    # Warm-start leg: keep front-end reuse but disable the layout cache
-    # (max_layouts=0) so the solver genuinely re-runs, isolating the
-    # incumbent seeding from whole-result caching.
-    ws_cache = CompileCache(max_layouts=0)
-    bb_target = small_target(stages=8, memory_kb=64)
-    bb_cold, bb_cold_wall = _timed(lambda: compile_source(
-        CMS_SOURCE, bb_target,
-        options=CompileOptions(backend="bb", cache=ws_cache),
-        source_name="cms",
-    ))
-    bb_warm, bb_warm_wall = _timed(lambda: compile_source(
-        CMS_SOURCE, bb_target,
-        options=CompileOptions(backend="bb", cache=ws_cache,
-                               warm_start=bb_cold.solution),
-        source_name="cms",
-    ))
-
     return {
         "cold": {"wall_seconds": cold_wall, **_phases(cold)},
         "warm_cache": {"wall_seconds": warm_wall, **_phases(warm)},
         "target_change": {"wall_seconds": cut_wall, **_phases(cut)},
         "warm_cache_speedup": cold_wall / max(warm_wall, 1e-9),
-        "warm_start_ilp": {
-            "cold": {
-                "wall_seconds": bb_cold_wall,
-                "objective": bb_cold.solution.objective,
-                "nodes_explored": bb_cold.solution.nodes_explored,
-                "incumbent_source": bb_cold.solution.incumbent_source,
-                "symbols": dict(bb_cold.symbol_values),
-            },
-            "warm": {
-                "wall_seconds": bb_warm_wall,
-                "objective": bb_warm.solution.objective,
-                "nodes_explored": bb_warm.solution.nodes_explored,
-                "incumbent_source": bb_warm.solution.incumbent_source,
-                "symbols": dict(bb_warm.symbol_values),
-            },
-        },
         "linked_cold": {"wall_seconds": linked_cold_wall,
                         **_phases(linked_cold)},
         "linked_warm": {"wall_seconds": linked_warm_wall,
@@ -154,7 +112,6 @@ def _run() -> dict:
         "cache": cache.snapshot(),
         "linked_cache": linked_cache.snapshot(),
         "_cold": cold, "_warm": warm, "_cut": cut,
-        "_bb_cold": bb_cold, "_bb_warm": bb_warm,
         "_linked_cold": linked_cold, "_linked_warm": linked_warm,
     }
 
@@ -162,7 +119,6 @@ def _run() -> dict:
 def test_compile_latency(benchmark):
     results = benchmark.pedantic(_run, rounds=1, iterations=1)
     cold, warm, cut = results["_cold"], results["_warm"], results["_cut"]
-    bb_cold, bb_warm = results["_bb_cold"], results["_bb_warm"]
 
     # The identical recompile is served whole from the layout cache —
     # same artifact, flagged as cached, and >= 10x faster (in practice
@@ -196,15 +152,6 @@ def test_compile_latency(benchmark):
     # it must stay a dict hit, never a re-run fixpoint.
     assert linked_warm.stats.verify_seconds < 1e-3
 
-    # Warm-started branch-and-bound reaches the cold solve's answer.
-    # (Objectives compared with slack far below any utility step: the
-    # LP relaxation bounds carry ~1e-4 noise at this objective scale,
-    # so stage-bias-level tie-breaks can differ.)
-    assert bb_warm.solution.incumbent_source == "warm-start"
-    assert bb_warm.symbol_values == bb_cold.symbol_values
-    assert abs(bb_warm.solution.objective - bb_cold.solution.objective) < 1e-3
-    assert bb_warm.solution.nodes_explored <= bb_cold.solution.nodes_explored
-
     payload = {k: v for k, v in results.items() if not k.startswith("_")}
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {BENCH_JSON}")
@@ -216,8 +163,6 @@ def test_compile_latency(benchmark):
             "warm_cache_speedup": round(payload["warm_cache_speedup"], 1),
             "target_change_seconds": round(
                 payload["target_change"]["wall_seconds"], 4),
-            "bb_cold_nodes": payload["warm_start_ilp"]["cold"]["nodes_explored"],
-            "bb_warm_nodes": payload["warm_start_ilp"]["warm"]["nodes_explored"],
         },
         indent=2,
     ))

@@ -8,6 +8,10 @@ diminishing-returns example does exactly this).
 
 Only simple shapes contribute here — conjunctions of comparisons between
 one symbolic and a constant. Everything else is left to the ILP.
+
+:func:`false_assumes` is the other direction: given chosen values, which
+clauses do not hold. The greedy back end and ``validate_layout`` use it
+to agree with the ILP on what a feasible layout is.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import math
 from dataclasses import dataclass
 
 from ..lang import ast
+from ..lang.pretty import pretty_expr
 from ..lang.symbols import ProgramInfo, eval_static
 from ..lang.errors import SemanticError
 
-__all__ = ["NumericBounds", "extract_numeric_bounds"]
+__all__ = ["NumericBounds", "extract_numeric_bounds", "false_assumes"]
 
 
 @dataclass
@@ -108,3 +113,14 @@ def extract_numeric_bounds(info: ProgramInfo) -> dict[str, NumericBounds]:
                 f"(lower {entry.lower} > upper {entry.upper})"
             )
     return bounds
+
+
+def false_assumes(info: ProgramInfo, symbol_values: dict[str, int]) -> list[str]:
+    """The ``assume`` clauses, as source text, that do not hold at
+    ``symbol_values``."""
+    env = {**info.consts, **symbol_values}
+    return [
+        pretty_expr(assume.condition)
+        for assume in info.program.assumes()
+        if not eval_static(assume.condition, env)
+    ]

@@ -349,14 +349,12 @@ def _run_body(args) -> int:
         options=_compile_options(args),
         telemetry=telemetry,
         max_retries=args.max_retries,
-        race=args.race,
     )
     config = RuntimeConfig(
         window_packets=args.window,
         hot_threshold=args.hot_threshold,
         migrate_state=not args.no_migrate,
         engine=args.engine,
-        race=args.race,
         serve_batch=args.serve_batch,
     )
     print(f"compiling NetCache for {target.describe()}", file=sys.stderr)
@@ -685,10 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-retries", type=int, default=1,
                        help="ILP retries (with backoff) before the greedy "
                             "fallback (default: 1)")
-    p_run.add_argument("--race", action="store_true",
-                       help="race the ILP and the greedy layout per "
-                            "reconfiguration instead of the "
-                            "retry-then-fallback ladder")
     p_run.add_argument("--events", default=None, metavar="PATH",
                        help="stream telemetry events to a JSONL file")
     p_run.add_argument("--json", default=None, metavar="PATH",

@@ -35,12 +35,11 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..analysis import build_ir, compute_upper_bounds
+from ..analysis import compute_upper_bounds
 from ..analysis.unroll import UnrollBounds, UnrollOptions
-from ..lang import check_program, parse_program
 from ..obs import metrics as obs_metrics
 from ..pisa.resources import TargetSpec
 
@@ -106,15 +105,6 @@ class CacheStats:
         return self.frontend_hits + self.bounds_hits + self.layout_hits
 
 
-@dataclass
-class _FrontendEntry:
-    """Phases 1-2 artifacts: parsed program, semantic info, IR."""
-
-    program: Any
-    info: Any
-    ir: Any
-
-
 class CompileCache:
     """Memoizes compilation phases across recompiles.
 
@@ -132,42 +122,49 @@ class CompileCache:
 
     The layout tier is LRU-bounded by ``max_layouts`` (``0`` disables it
     entirely — useful for benchmarks that want front-end reuse but fresh
-    solves). All operations are thread-safe: the planner's parallel
-    candidate race compiles on worker threads against a shared cache.
+    solves). All operations are thread-safe: the fleet controller plans
+    its switches on concurrent threads against one shared cache.
     """
 
     def __init__(self, max_layouts: int = 64):
         self.max_layouts = max_layouts
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._frontend: dict[tuple, _FrontendEntry] = {}
+        self._frontend: dict[tuple, Any] = {}
         self._modules: dict[str, Any] = {}
         self._bounds: dict[tuple, UnrollBounds] = {}
         self._layouts: OrderedDict[tuple, "CompiledProgram"] = OrderedDict()
         self._verify: dict[tuple, Any] = {}
 
-    # -- phase 1-2: parse + check + IR -------------------------------------------
-    def frontend(self, source: str, entry: str, source_name: str = "<string>"):
-        """Return ``(program, info, ir, hit)`` for the source, memoized.
+    def _memo(self, tier: str, store: dict, key, build):
+        """``(value, hit)``: ``store[key]``, or ``build()`` stored there.
+        ``build`` runs outside the lock (a solve-sized wait would stall
+        every other tier); two threads missing one key both build."""
+        with self._lock:
+            cached = store.get(key)
+        hit = cached is not None
+        counter = f"{tier}_{'hits' if hit else 'misses'}"
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        _count_request(tier, hit)
+        if hit:
+            return cached, True
+        value = build()
+        with self._lock:
+            store[key] = value
+        return value, False
 
-        ``source_name`` only flavors diagnostics on a miss; hits reuse
-        the artifacts of whichever name compiled the text first.
+    # -- phase 1-2: parse + check + IR -------------------------------------------
+    def frontend(self, key_text: str, entry: str, build):
+        """Return ``(artifacts, hit)`` for one program's front end.
+
+        ``key_text`` is the source itself, or the ``"linked:" +
+        fingerprint`` pseudo-source of a linked program, so the bounds,
+        verify and layout tiers (and ``invalidate``) key the same text.
+        ``build`` runs parse → check → IR on a miss; what it returns is
+        stored as is.
         """
-        key = (source_fingerprint(source), entry)
-        with self._lock:
-            cached = self._frontend.get(key)
-        if cached is not None:
-            self.stats.frontend_hits += 1
-            _count_request("frontend", True)
-            return cached.program, cached.info, cached.ir, True
-        self.stats.frontend_misses += 1
-        _count_request("frontend", False)
-        program = parse_program(source, source_name)
-        info = check_program(program)
-        ir = build_ir(info, entry)
-        with self._lock:
-            self._frontend[key] = _FrontendEntry(program, info, ir)
-        return program, info, ir, False
+        key = (source_fingerprint(key_text), entry)
+        return self._memo("frontend", self._frontend, key, build)
 
     # -- per-module frontend tier -------------------------------------------------
     def module(self, key_text: str, build):
@@ -178,43 +175,7 @@ class CompileCache:
         module; every other module of the linked program is a hit.
         """
         key = source_fingerprint(key_text)
-        with self._lock:
-            cached = self._modules.get(key)
-        if cached is not None:
-            self.stats.module_hits += 1
-            _count_request("module", True)
-            return cached, True
-        self.stats.module_misses += 1
-        _count_request("module", False)
-        value = build()
-        with self._lock:
-            self._modules[key] = value
-        return value, False
-
-    def linked_frontend(self, linked, entry: str):
-        """Frontend a :class:`~repro.link.LinkedProgram`, memoized.
-
-        The linker already parsed each module; what remains is semantic
-        checking and IR construction over the merged AST. Keyed by the
-        linked program's fingerprint through a pseudo-source string so
-        the bounds/layout tiers (and ``invalidate``) compose unchanged.
-        """
-        key = ("linked:" + linked.fingerprint, entry)
-        with self._lock:
-            cached = self._frontend.get(key)
-        if cached is not None:
-            self.stats.frontend_hits += 1
-            _count_request("frontend", True)
-            return cached.program, cached.info, cached.ir, True
-        self.stats.frontend_misses += 1
-        _count_request("frontend", False)
-        program = linked.program
-        info = check_program(program)
-        info.namespace = linked.namespace
-        ir = build_ir(info, entry)
-        with self._lock:
-            self._frontend[key] = _FrontendEntry(program, info, ir)
-        return program, info, ir, False
+        return self._memo("module", self._modules, key, build)
 
     # -- phase 3: unroll bounds ----------------------------------------------------
     def bounds(
@@ -227,18 +188,9 @@ class CompileCache:
     ) -> tuple[UnrollBounds, bool]:
         """Return ``(bounds, hit)``; bounds depend on the target too."""
         key = (source_fingerprint(source), entry, target, options)
-        with self._lock:
-            cached = self._bounds.get(key)
-        if cached is not None:
-            self.stats.bounds_hits += 1
-            _count_request("bounds", True)
-            return cached, True
-        self.stats.bounds_misses += 1
-        _count_request("bounds", False)
-        computed = compute_upper_bounds(ir, target, options)
-        with self._lock:
-            self._bounds[key] = computed
-        return computed, False
+        return self._memo(
+            "bounds", self._bounds, key,
+            lambda: compute_upper_bounds(ir, target, options))
 
     # -- full-result layout tier ---------------------------------------------------
     def _layout_key(self, source: str, target: TargetSpec,
@@ -304,18 +256,7 @@ class CompileCache:
             target,
             tuple(sorted(symbol_values.items())),
         )
-        with self._lock:
-            cached = self._verify.get(key)
-        if cached is not None:
-            self.stats.verify_hits += 1
-            _count_request("verify", True)
-            return cached, True
-        self.stats.verify_misses += 1
-        _count_request("verify", False)
-        value = build()
-        with self._lock:
-            self._verify[key] = value
-        return value, False
+        return self._memo("verify", self._verify, key, build)
 
     # -- invalidation --------------------------------------------------------------
     def invalidate(self, source: str | None = None) -> int:

@@ -1,24 +1,26 @@
 """End-to-end P4All compilation driver.
 
-``compile_source`` runs the full pipeline of Figure 8:
+One pipeline (:func:`_compile`, Figure 8) with two inputs and one
+interchangeable part:
 
 1. parse + semantic checks (:mod:`repro.lang`),
 2. elaboration and dependency analysis (:mod:`repro.analysis`),
 3. loop-unrolling upper bounds (§4.2),
-4. layout ILP construction and solving (§4.3),
+4. the layout — the ILP of §4.3 (``backend`` ``auto``/``scipy``/``bb``)
+   or :func:`~repro.core.greedy.greedy_layout` (``backend="greedy"``),
 5. concrete-P4 code generation and stage-mapping extraction.
 
-Phase timings are recorded in :class:`CompileStats` — §6.1 reports that
-compile time is dominated by ILP solving, which the Figure-11 benchmark
-verifies.
+The inputs are a P4All string (:func:`compile_source`) and a linked
+program (:func:`compile_linked`); :class:`_Unit` holds what differs
+between them. Phase timings are recorded in :class:`CompileStats` —
+§6.1 reports that compile time is dominated by ILP solving, which the
+Figure-11 benchmark verifies.
 
-Besides the exact ILP backends (``auto``/``scipy``/``bb``), the driver
-accepts ``backend="greedy"``: the same front end feeding
-:func:`~repro.core.greedy.greedy_layout` instead of the ILP. The result
-is a fully assembled :class:`CompiledProgram` (loadable into the PISA
-simulator, validated by :func:`~repro.core.validate.validate_layout`)
-whose solution carries ``status=FEASIBLE`` — the degraded-but-safe
-artifact the elastic runtime falls back to when the ILP times out.
+A greedy compile is a fully assembled :class:`CompiledProgram` (loadable
+into the PISA simulator, validated by
+:func:`~repro.core.validate.validate_layout`) whose solution carries
+``status=FEASIBLE`` — the degraded-but-safe artifact the elastic runtime
+falls back to when the ILP times out.
 """
 
 from __future__ import annotations
@@ -26,20 +28,19 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
+from typing import Callable
 
 from ..analysis import build_ir, compute_upper_bounds
 from ..analysis.unroll import UnrollOptions
 from ..lang import check_program, parse_program
-from ..ilp import SolveStatus
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..pisa.resources import TargetSpec
 from .cache import CompileCache
 from .codegen import generate_p4
-from .errors import CompileError
-from .layout import LayoutBuilder, LayoutOptions, LayoutSolution
+from .greedy import greedy_layout
+from .layout import LayoutBuilder, LayoutOptions
 from .program import CompiledProgram, CompileStats, PlacedUnit, RegisterAlloc
-from .utility import utility_at
 
 __all__ = [
     "compile_source",
@@ -63,7 +64,6 @@ class CompileOptions:
         unroll: UnrollOptions | None = None,
         verify: bool = True,
         cache: CompileCache | None = None,
-        warm_start: LayoutSolution | None = None,
     ):
         self.entry = entry
         #: ILP backend (``auto``/``scipy``/``bb``) or ``greedy`` for the
@@ -81,10 +81,6 @@ class CompileOptions:
         #: front-end artifacts across recompiles and short-circuits
         #: identical compiles entirely.
         self.cache = cache
-        #: optional previous :class:`LayoutSolution` to seed the
-        #: branch-and-bound solver's incumbent (ignored by backends that
-        #: cannot use it).
-        self.warm_start = warm_start
 
     def replace(self, **updates) -> "CompileOptions":
         """A copy with the given fields updated (options are not frozen,
@@ -97,54 +93,71 @@ class CompileOptions:
             unroll=self.unroll,
             verify=self.verify,
             cache=self.cache,
-            warm_start=self.warm_start,
         )
         fields.update(updates)
         return CompileOptions(**fields)
 
 
-def _run_frontend(source, target, options, source_name, stats):
-    """Phases 1-3: parse, check, build IR, compute unroll bounds.
+@dataclasses.dataclass(frozen=True)
+class _Unit:
+    """What differs between the two compile inputs, a P4All string and a
+    linked program; everything else is :func:`_compile`."""
 
-    With a :class:`CompileCache` on the options, parse/check/IR are
-    served from the frontend tier (one lookup instead of three phases)
-    and bounds from the per-target bounds tier."""
+    name: str
+    #: what the cache tiers hash: the source itself, or the linked
+    #: fingerprint as a pseudo-source, so a linked program shares the
+    #: tiers (and ``invalidate``) unchanged with string compiles
+    key: str
+    #: ``() -> ast.Program`` — the linker already parsed its modules
+    parse: Callable
+    namespace: object = None
+    utility_terms: object = None
+    floors: dict | None = None
+    #: linked programs run the taint-verification phase
+    linked: bool = False
+
+
+def _frontend(unit: _Unit, target, options, stats):
+    """Phases 1-3: parse, check, build IR, compute unroll bounds — each
+    timed once. With a :class:`CompileCache` on the options parse/check/
+    IR sit behind the frontend tier (a hit costs the lookup, booked
+    under ``parse_seconds``) and bounds behind the per-target tier."""
     cache = options.cache
-    if cache is not None:
+
+    def build():
         t0 = time.perf_counter()
-        with trace.span("compile.frontend", source=source_name) as span:
-            program, info, ir, hit = cache.frontend(
-                source, options.entry, source_name
-            )
+        with trace.span("compile.parse", source=unit.name):
+            program = unit.parse()
+            info = check_program(program)
+            if unit.namespace is not None:
+                info.namespace = unit.namespace
+        stats.parse_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        with trace.span("compile.ir"):
+            ir = build_ir(info, options.entry)
+        stats.ir_seconds = time.perf_counter() - t0
+        return program, info, ir
+
+    if cache is None:
+        program, info, ir = build()
+    else:
+        t0 = time.perf_counter()
+        with trace.span("compile.frontend", source=unit.name) as span:
+            (program, info, ir), hit = cache.frontend(
+                unit.key, options.entry, build)
             span.set_attr("cached", hit)
         stats.frontend_cached = hit
-        stats.parse_seconds = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        with trace.span("compile.bounds") as span:
-            bounds, bhit = cache.bounds(
-                source, options.entry, ir, target, options.unroll
-            )
-            span.set_attr("cached", bhit)
-        stats.bounds_cached = bhit
-        stats.bounds_seconds = time.perf_counter() - t0
-        stats.analysis_seconds = stats.bounds_seconds
-        return program, info, ir, bounds
+        if hit:
+            stats.parse_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with trace.span("compile.parse", source=source_name):
-        program = parse_program(source, source_name)
-        info = check_program(program)
-    stats.parse_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with trace.span("compile.ir"):
-        ir = build_ir(info, options.entry)
-    stats.ir_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with trace.span("compile.bounds"):
-        bounds = compute_upper_bounds(ir, target, options.unroll)
+    with trace.span("compile.bounds") as span:
+        if cache is None:
+            bounds = compute_upper_bounds(ir, target, options.unroll)
+        else:
+            bounds, stats.bounds_cached = cache.bounds(
+                unit.key, options.entry, ir, target, options.unroll)
+            span.set_attr("cached", stats.bounds_cached)
     stats.bounds_seconds = time.perf_counter() - t0
     stats.analysis_seconds = stats.ir_seconds + stats.bounds_seconds
     return program, info, ir, bounds
@@ -155,7 +168,7 @@ def _assemble(
     instances,
     solution,
     options: CompileOptions,
-) -> CompiledProgram:
+) -> None:
     """Phase 5: placed units, register allocation, codegen, verification."""
     info = compiled.info
     stats = compiled.stats
@@ -205,10 +218,9 @@ def _assemble(
                 hash_unit_limits=options.layout.hash_unit_limits,
                 table_memory=options.layout.table_memory,
             )
-    return compiled
 
 
-def _verify_linked(compiled, pseudo_source, target, options, stats) -> None:
+def _verify_linked(compiled, key, target, options, stats) -> None:
     """Taint-verification phase for linked compiles (cached tier).
 
     Runs :func:`~repro.core.validate.verify_taint` — the depgraph-level
@@ -225,7 +237,7 @@ def _verify_linked(compiled, pseudo_source, target, options, stats) -> None:
     with trace.span("compile.verify", source=compiled.source_name) as span:
         if cache is not None:
             result, hit = cache.verify(
-                pseudo_source, options.entry, target,
+                key, options.entry, target,
                 compiled.symbol_values,
                 lambda: verify_taint(compiled),
             )
@@ -293,6 +305,93 @@ def _layout_hit(cached: CompiledProgram, lookup_seconds: float) -> CompiledProgr
     ))
 
 
+def _layout(unit, program, info, ir, bounds, target, options, stats):
+    """Phase 4, the interchangeable part: ``(instances, solution)`` from
+    the ILP (``auto``/``scipy``/``bb``) or the greedy first fit."""
+    optimize = program.optimize()
+    utility = optimize.utility if optimize is not None else None
+    if options.backend == "greedy":
+        t0 = time.perf_counter()
+        with trace.span("compile.greedy_layout"):
+            result = greedy_layout(ir, bounds, target)
+        stats.ilp_solve_seconds = time.perf_counter() - t0
+        return result.instances, result.to_solution(
+            info.consts, utility, unit.utility_terms, stats.ilp_solve_seconds)
+
+    t0 = time.perf_counter()
+    with trace.span("compile.ilp_build"):
+        builder = LayoutBuilder(ir, bounds, target, options.layout)
+        lm = builder.build()
+    stats.ilp_build_seconds = time.perf_counter() - t0
+    with trace.span("compile.ilp_solve", backend=options.backend) as span:
+        solution = builder.solve(
+            utility=utility,
+            backend=options.backend,
+            time_limit=options.time_limit,
+            utility_terms=unit.utility_terms,
+            floors=unit.floors,
+        )
+        span.set_attrs(
+            status=solution.status.value,
+            nodes_explored=solution.nodes_explored,
+            mip_gap=solution.mip_gap,
+        )
+    stats.ilp_solve_seconds = solution.solve_seconds
+    # Counted after the solve: linearizing the utility adds constraints.
+    stats.ilp_variables = lm.model.num_variables
+    stats.ilp_constraints = lm.model.num_constraints
+    return lm.instances, solution
+
+
+def _compile(unit: _Unit, target: TargetSpec,
+             options: CompileOptions | None) -> CompiledProgram:
+    """The Figure-8 pipeline, once: layout-tier lookup → front end →
+    layout → assemble → verify → layout-tier store → metrics."""
+    options = options or CompileOptions()
+    cache = options.cache
+    verify = options.verify and unit.linked
+    with trace.span("compile", source=unit.name, target=target.name,
+                    backend=options.backend, linked=unit.linked) as span:
+        t0 = time.perf_counter()
+        cached = cache.get_layout(unit.key, target, options) if cache else None
+        if cached is not None:
+            span.set_attr("layout_cached", True)
+            compiled = _layout_hit(cached, time.perf_counter() - t0)
+            if verify:
+                # The verify tier answers from cache (same program, same
+                # symbol values): isolation stays checked on every build
+                # without re-running the passes.
+                _verify_linked(compiled, unit.key, target, options,
+                               compiled.stats)
+        else:
+            stats = CompileStats()
+            program, info, ir, bounds = _frontend(unit, target, options, stats)
+            instances, solution = _layout(
+                unit, program, info, ir, bounds, target, options, stats)
+            compiled = CompiledProgram(
+                source_name=unit.name,
+                target=target,
+                info=info,
+                ir=ir,
+                bounds=bounds,
+                solution=solution,
+                stats=stats,
+            )
+            _assemble(compiled, instances, solution, options)
+            if verify:
+                _verify_linked(compiled, unit.key, target, options, stats)
+            if cache is not None:
+                cache.put_layout(unit.key, target, options, compiled)
+            span.set_attrs(status=solution.status.value,
+                           symbols=dict(solution.symbol_values))
+        _record_compile_metrics(compiled.stats, options.backend)
+        return compiled
+
+
+def _greedy(options: CompileOptions | None) -> CompileOptions:
+    return (options or CompileOptions()).replace(backend="greedy")
+
+
 def compile_source(
     source: str,
     target: TargetSpec,
@@ -300,73 +399,9 @@ def compile_source(
     source_name: str = "<string>",
 ) -> CompiledProgram:
     """Compile a P4All program for ``target``; returns the full artifact."""
-    options = options or CompileOptions()
-    if options.backend == "greedy":
-        return compile_source_greedy(source, target, options, source_name)
-    with trace.span(
-        "compile",
-        source=source_name,
-        target=target.name,
-        backend=options.backend,
-    ) as span:
-        cache = options.cache
-        if cache is not None:
-            t0 = time.perf_counter()
-            cached = cache.get_layout(source, target, options)
-            if cached is not None:
-                span.set_attr("layout_cached", True)
-                cached = _layout_hit(cached, time.perf_counter() - t0)
-                _record_compile_metrics(cached.stats, options.backend)
-                return cached
-        stats = CompileStats()
-        program, info, ir, bounds = _run_frontend(
-            source, target, options, source_name, stats
-        )
-
-        t0 = time.perf_counter()
-        with trace.span("compile.ilp_build"):
-            builder = LayoutBuilder(ir, bounds, target, options.layout)
-            lm = builder.build()
-        stats.ilp_build_seconds = time.perf_counter() - t0
-        stats.ilp_variables = lm.model.num_variables
-        stats.ilp_constraints = lm.model.num_constraints
-
-        optimize = program.optimize()
-        utility = optimize.utility if optimize is not None else None
-        with trace.span("compile.ilp_solve",
-                        backend=options.backend) as solve_span:
-            solution = builder.solve(
-                utility=utility,
-                backend=options.backend,
-                time_limit=options.time_limit,
-                warm_start=options.warm_start,
-            )
-            solve_span.set_attrs(
-                status=solution.status.value,
-                nodes_explored=solution.nodes_explored,
-                mip_gap=solution.mip_gap,
-            )
-        stats.ilp_solve_seconds = solution.solve_seconds
-        # Constraints may have been added during utility linearization.
-        stats.ilp_variables = lm.model.num_variables
-        stats.ilp_constraints = lm.model.num_constraints
-
-        compiled = CompiledProgram(
-            source_name=source_name,
-            target=target,
-            info=info,
-            ir=ir,
-            bounds=bounds,
-            solution=solution,
-            stats=stats,
-        )
-        compiled = _assemble(compiled, lm.instances, solution, options)
-        if cache is not None:
-            cache.put_layout(source, target, options, compiled)
-        span.set_attrs(status=solution.status.value,
-                       symbols=dict(solution.symbol_values))
-        _record_compile_metrics(stats, options.backend)
-        return compiled
+    unit = _Unit(source_name, source,
+                 lambda: parse_program(source, source_name))
+    return _compile(unit, target, options)
 
 
 def compile_source_greedy(
@@ -375,70 +410,9 @@ def compile_source_greedy(
     options: CompileOptions | None = None,
     source_name: str = "<string>",
 ) -> CompiledProgram:
-    """Compile with the greedy first-fit layout instead of the ILP.
-
-    Same front end, codegen, and verification as :func:`compile_source`;
-    only the layout phase differs. Used directly and as the elastic
-    runtime's fallback when the ILP backend hits its time limit.
-    """
-    from .greedy import greedy_layout
-
-    options = options or CompileOptions()
-    with trace.span(
-        "compile",
-        source=source_name,
-        target=target.name,
-        backend="greedy",
-    ) as span:
-        stats = CompileStats()
-        program, info, ir, bounds = _run_frontend(
-            source, target, options, source_name, stats
-        )
-
-        t0 = time.perf_counter()
-        with trace.span("compile.greedy_layout"):
-            result = greedy_layout(ir, bounds, target)
-        stats.ilp_solve_seconds = time.perf_counter() - t0
-
-        iteration_active = {
-            (inst.symbolic, inst.iteration):
-                result.instance_stage[inst.uid] is not None
-            for inst in result.instances
-            if inst.symbolic is not None
-        }
-        optimize = program.optimize()
-        objective, _ = utility_at(
-            result.symbol_values, info.consts,
-            optimize.utility if optimize is not None else None,
-        )
-        solution = LayoutSolution(
-            status=SolveStatus.FEASIBLE,
-            objective=objective,
-            symbol_values=result.symbol_values,
-            node_stage={},
-            instance_stage=result.instance_stage,
-            register_alloc=result.register_alloc,
-            iteration_active=iteration_active,
-            solve_seconds=stats.ilp_solve_seconds,
-            backend="greedy",
-            num_variables=0,
-            num_constraints=0,
-        )
-
-        compiled = CompiledProgram(
-            source_name=source_name,
-            target=target,
-            info=info,
-            ir=ir,
-            bounds=bounds,
-            solution=solution,
-            stats=stats,
-        )
-        compiled = _assemble(compiled, result.instances, solution, options)
-        span.set_attrs(status=solution.status.value,
-                       symbols=dict(solution.symbol_values))
-        _record_compile_metrics(stats, "greedy")
-        return compiled
+    """:func:`compile_source` with ``backend="greedy"``: the first-fit
+    layout instead of the ILP, everything else the same."""
+    return compile_source(source, target, _greedy(options), source_name)
 
 
 def compile_file(
@@ -453,66 +427,6 @@ def compile_file(
     )
 
 
-# ---------------------------------------------------------------------------
-# Linked-program compilation. ``linked`` is duck-typed on the
-# LinkedProgram surface (program/namespace/fingerprint/utility/
-# utility_terms/floors/name) so this module never imports repro.link.
-
-def _linked_pseudo_source(linked) -> str:
-    """Key the bounds/layout cache tiers by the linked fingerprint.
-
-    The tiers hash their ``source`` argument, so a stable pseudo-source
-    string lets a linked program share them unchanged with string
-    compiles (including ``invalidate``)."""
-    return "linked:" + linked.fingerprint
-
-
-def _run_frontend_linked(linked, target, options, stats):
-    """Phases 2-3 for an already-parsed linked program."""
-    cache = options.cache
-    if cache is not None:
-        t0 = time.perf_counter()
-        with trace.span("compile.frontend", source=linked.name,
-                        linked=True) as span:
-            program, info, ir, hit = cache.linked_frontend(
-                linked, options.entry
-            )
-            span.set_attr("cached", hit)
-        stats.frontend_cached = hit
-        stats.parse_seconds = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        with trace.span("compile.bounds") as span:
-            bounds, bhit = cache.bounds(
-                _linked_pseudo_source(linked), options.entry, ir, target,
-                options.unroll,
-            )
-            span.set_attr("cached", bhit)
-        stats.bounds_cached = bhit
-        stats.bounds_seconds = time.perf_counter() - t0
-        stats.analysis_seconds = stats.bounds_seconds
-        return program, info, ir, bounds
-
-    t0 = time.perf_counter()
-    with trace.span("compile.parse", source=linked.name, linked=True):
-        program = linked.program
-        info = check_program(program)
-        info.namespace = linked.namespace
-    stats.parse_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with trace.span("compile.ir"):
-        ir = build_ir(info, options.entry)
-    stats.ir_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with trace.span("compile.bounds"):
-        bounds = compute_upper_bounds(ir, target, options.unroll)
-    stats.bounds_seconds = time.perf_counter() - t0
-    stats.analysis_seconds = stats.ir_seconds + stats.bounds_seconds
-    return program, info, ir, bounds
-
-
 def compile_linked(
     linked,
     target: TargetSpec,
@@ -520,89 +434,20 @@ def compile_linked(
 ) -> CompiledProgram:
     """Compile a :class:`~repro.link.LinkedProgram` for ``target``.
 
-    Same pipeline as :func:`compile_source` from semantic checking
-    onward — the linker already ran the per-module front end — with the
-    objective built as the explicit weighted sum of per-module utility
-    terms (per-module floors become constraints) and the solution
-    carrying a per-module utility breakdown.
+    The same pipeline from semantic checking onward — the linker already
+    ran the per-module front end — with the objective built as the
+    explicit weighted sum of per-module utility terms (per-module floors
+    become constraints), the solution carrying a per-module utility
+    breakdown, and the taint-verification phase at the end. ``linked``
+    is duck-typed (program/namespace/fingerprint/utility_terms/floors/
+    name) so this module never imports :mod:`repro.link`.
     """
-    options = options or CompileOptions()
-    if options.backend == "greedy":
-        return compile_linked_greedy(linked, target, options)
-    with trace.span(
-        "compile",
-        source=linked.name,
-        target=target.name,
-        backend=options.backend,
-        linked=True,
-    ) as span:
-        cache = options.cache
-        pseudo = _linked_pseudo_source(linked)
-        if cache is not None:
-            t0 = time.perf_counter()
-            cached = cache.get_layout(pseudo, target, options)
-            if cached is not None:
-                span.set_attr("layout_cached", True)
-                cached = _layout_hit(cached, time.perf_counter() - t0)
-                if options.verify:
-                    # Warm recompile: the verify tier answers from cache
-                    # (same program, same symbol values), keeping the
-                    # isolation property checked on every build without
-                    # re-running the passes.
-                    _verify_linked(cached, pseudo, target, options,
-                                   cached.stats)
-                _record_compile_metrics(cached.stats, options.backend)
-                return cached
-        stats = CompileStats()
-        program, info, ir, bounds = _run_frontend_linked(
-            linked, target, options, stats
-        )
-
-        t0 = time.perf_counter()
-        with trace.span("compile.ilp_build"):
-            builder = LayoutBuilder(ir, bounds, target, options.layout)
-            lm = builder.build()
-        stats.ilp_build_seconds = time.perf_counter() - t0
-        stats.ilp_variables = lm.model.num_variables
-        stats.ilp_constraints = lm.model.num_constraints
-
-        with trace.span("compile.ilp_solve",
-                        backend=options.backend) as solve_span:
-            solution = builder.solve(
-                utility=linked.utility,
-                backend=options.backend,
-                time_limit=options.time_limit,
-                warm_start=options.warm_start,
-                utility_terms=linked.utility_terms,
-                floors=linked.floors,
-            )
-            solve_span.set_attrs(
-                status=solution.status.value,
-                nodes_explored=solution.nodes_explored,
-                mip_gap=solution.mip_gap,
-            )
-        stats.ilp_solve_seconds = solution.solve_seconds
-        stats.ilp_variables = lm.model.num_variables
-        stats.ilp_constraints = lm.model.num_constraints
-
-        compiled = CompiledProgram(
-            source_name=linked.name,
-            target=target,
-            info=info,
-            ir=ir,
-            bounds=bounds,
-            solution=solution,
-            stats=stats,
-        )
-        compiled = _assemble(compiled, lm.instances, solution, options)
-        if options.verify:
-            _verify_linked(compiled, pseudo, target, options, stats)
-        if cache is not None:
-            cache.put_layout(pseudo, target, options, compiled)
-        span.set_attrs(status=solution.status.value,
-                       symbols=dict(solution.symbol_values))
-        _record_compile_metrics(stats, options.backend)
-        return compiled
+    unit = _Unit(
+        linked.name, "linked:" + linked.fingerprint, lambda: linked.program,
+        namespace=linked.namespace, utility_terms=linked.utility_terms,
+        floors=linked.floors, linked=True,
+    )
+    return _compile(unit, target, options)
 
 
 def compile_linked_greedy(
@@ -610,65 +455,5 @@ def compile_linked_greedy(
     target: TargetSpec,
     options: CompileOptions | None = None,
 ) -> CompiledProgram:
-    """Greedy-layout counterpart of :func:`compile_linked`."""
-    options = options or CompileOptions()
-    span = trace.span("compile", source=linked.name, target=target.name,
-                      backend="greedy", linked=True)
-    with span:
-        return _compile_linked_greedy_body(linked, target, options, span)
-
-
-def _compile_linked_greedy_body(linked, target, options, span):
-    from .greedy import greedy_layout
-
-    stats = CompileStats()
-    program, info, ir, bounds = _run_frontend_linked(
-        linked, target, options, stats
-    )
-
-    t0 = time.perf_counter()
-    with trace.span("compile.greedy_layout"):
-        result = greedy_layout(ir, bounds, target)
-    stats.ilp_solve_seconds = time.perf_counter() - t0
-
-    iteration_active = {
-        (inst.symbolic, inst.iteration): result.instance_stage[inst.uid] is not None
-        for inst in result.instances
-        if inst.symbolic is not None
-    }
-    objective, breakdown = utility_at(
-        result.symbol_values, info.consts, linked.utility,
-        linked.utility_terms,
-    )
-    solution = LayoutSolution(
-        status=SolveStatus.FEASIBLE,
-        objective=objective,
-        symbol_values=result.symbol_values,
-        node_stage={},
-        instance_stage=result.instance_stage,
-        register_alloc=result.register_alloc,
-        iteration_active=iteration_active,
-        solve_seconds=stats.ilp_solve_seconds,
-        backend="greedy",
-        num_variables=0,
-        num_constraints=0,
-        utility_breakdown=breakdown,
-    )
-
-    compiled = CompiledProgram(
-        source_name=linked.name,
-        target=target,
-        info=info,
-        ir=ir,
-        bounds=bounds,
-        solution=solution,
-        stats=stats,
-    )
-    compiled = _assemble(compiled, result.instances, solution, options)
-    if options.verify:
-        _verify_linked(compiled, _linked_pseudo_source(linked), target,
-                       options, stats)
-    span.set_attrs(status=solution.status.value,
-                   symbols=dict(solution.symbol_values))
-    _record_compile_metrics(stats, "greedy")
-    return compiled
+    """:func:`compile_linked` with ``backend="greedy"``."""
+    return compile_linked(linked, target, _greedy(options))

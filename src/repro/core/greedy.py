@@ -15,7 +15,11 @@ baseline for the ablation benchmark:
 2. afterwards, split what each stage has left equally among the
    elastic register instances placed there (on top of their one cell),
    then shrink every family to its smallest per-instance share (the
-   equal-size rule).
+   equal-size rule) and to the upper bound its ``assume``s give the
+   size symbol;
+3. check every ``assume`` at the values reached: a layout the ILP would
+   call infeasible (``assume kv_rows >= 1`` with the store dropped) is a
+   :class:`CompileError` here too, not a silently smaller program.
 
 The ILP dominates this baseline whenever utility favors an allocation the
 greedy order cannot reach (e.g. reserving memory for a later, more
@@ -26,13 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.assumes import extract_numeric_bounds, false_assumes
 from ..analysis.dependencies import build_dependency_graph
 from ..analysis.ir import ProgramIR, instantiate
 from ..analysis.unroll import UnrollBounds
+from ..ilp import SolveStatus
 from ..lang import ast
 from ..lang.symbols import eval_static
 from ..pisa.resources import TargetSpec
 from .errors import CompileError
+from .layout import LayoutSolution
+from .utility import utility_at
 
 __all__ = ["GreedyResult", "greedy_layout"]
 
@@ -56,6 +64,32 @@ class GreedyResult:
         env: dict[str, float] = dict(consts)
         env.update(self.symbol_values)
         return float(eval_static(utility, env))
+
+    def to_solution(self, consts: dict[str, int], utility=None,
+                    utility_terms=None, seconds: float = 0.0) -> LayoutSolution:
+        """The layout in the shape the ILP decodes to: ``FEASIBLE``,
+        no variables, the objective :func:`utility_at` the values."""
+        objective, breakdown = utility_at(
+            self.symbol_values, consts, utility, utility_terms)
+        return LayoutSolution(
+            status=SolveStatus.FEASIBLE,
+            objective=objective,
+            symbol_values=self.symbol_values,
+            node_stage={},
+            instance_stage=self.instance_stage,
+            register_alloc=self.register_alloc,
+            iteration_active={
+                (inst.symbolic, inst.iteration):
+                    self.instance_stage[inst.uid] is not None
+                for inst in self.instances
+                if inst.symbolic is not None
+            },
+            solve_seconds=seconds,
+            backend="greedy",
+            num_variables=0,
+            num_constraints=0,
+            utility_breakdown=breakdown,
+        )
 
 
 def greedy_layout(
@@ -217,6 +251,10 @@ def greedy_layout(
             symbol_cells[size.ident] = min(
                 symbol_cells.get(size.ident, 1 << 62), cells
             )
+    # ... and stay under the cap its ``assume``s put on it.
+    for sym, bound in extract_numeric_bounds(info).items():
+        if sym in symbol_cells and bound.upper is not None:
+            symbol_cells[sym] = min(symbol_cells[sym], bound.upper)
     for fam in family_cells:
         size = info.registers[fam].decl.size
         if isinstance(size, ast.Name):
@@ -240,6 +278,13 @@ def greedy_layout(
             symbol_values.setdefault(reg.decl.size.ident, cells)
     for sym in info.symbolics:
         symbol_values.setdefault(sym, 0)
+    violated = false_assumes(info, symbol_values)
+    if violated:
+        raise CompileError(
+            "greedy layout: assume " + "; assume ".join(violated)
+            + " does not hold at "
+            + ", ".join(f"{k}={v}" for k, v in sorted(symbol_values.items()))
+        )
 
     placed = sum(1 for s in instance_stage.values() if s is not None)
     return GreedyResult(

@@ -161,7 +161,7 @@ class LayoutModel:
         self.loop_symbolics: list[str] = []
         self.counts: dict[str, int] = {}
         # min()-linearization aux vars with their arms, recorded by
-        # utility.linearize_term so warm-start encodings can repair them
+        # utility.linearize_term so encode_assignment can repair them
         # (aux := min over arm values) after assigning the real variables.
         self.min_aux: list[tuple[object, list[LinExpr]]] = []
 
@@ -742,7 +742,7 @@ class LayoutBuilder:
             for i in range(len(nodes) - 1):
                 self._order(nodes[i], nodes[i + 1], 0, f"symbreak[{sym},{i}]")
 
-    # ---------------------------------------------------------------- warm start --
+    # ------------------------------------------------------------ re-encoding --
     def encode_assignment(
         self,
         symbol_values: dict[str, int],
@@ -808,66 +808,16 @@ class LayoutBuilder:
             values[aux] = min(arm.value(values) for arm in arms)
         return values
 
-    def encode_warm_start(self, prev: LayoutSolution) -> dict | None:
-        """Encode a previous layout as a feasible incumbent, if it still is.
-
-        A layout solved for an earlier target often remains feasible
-        after a resource change (e.g. a memory *increase*, or a cut the
-        layout happened not to exceed); re-validated against the new
-        model it becomes a free lower bound for branch and bound. Returns
-        ``None`` when the old layout no longer fits."""
-        values = self.encode_assignment(
-            prev.symbol_values,
-            prev.instance_stage,
-            prev.register_alloc,
-            prev.iteration_active,
-        )
-        if values is None or not self.layout.model.is_feasible(values, tol=1e-6):
-            return None
-        return values
-
-    def greedy_warm_start(self) -> dict | None:
-        """Encode the greedy first-fit layout as an incumbent.
-
-        Always available (greedy never fails short of true
-        infeasibility), so it is the fallback seed when the previous
-        layout does not survive the target change."""
-        from .greedy import greedy_layout
-
-        result = greedy_layout(self.ir, self.bounds, self.target)
-        iteration_active = {
-            (inst.symbolic, inst.iteration):
-                result.instance_stage[inst.uid] is not None
-            for inst in result.instances
-            if inst.symbolic is not None
-        }
-        values = self.encode_assignment(
-            result.symbol_values,
-            result.instance_stage,
-            result.register_alloc,
-            iteration_active,
-        )
-        if values is None or not self.layout.model.is_feasible(values, tol=1e-6):
-            return None
-        return values
-
     # ------------------------------------------------------------------- solve --
     def solve(
         self,
         utility: ast.Expr | None = None,
         backend: str = "auto",
         time_limit: float | None = None,
-        warm_start: LayoutSolution | None = None,
         utility_terms=None,
         floors: dict[str, float] | None = None,
     ) -> LayoutSolution:
         """Build (if needed), attach the objective, solve, and decode.
-
-        ``warm_start`` is a previous :class:`LayoutSolution` to seed the
-        solver's incumbent: re-encoded and re-validated against *this*
-        model, with the greedy layout as fallback seed when the previous
-        layout no longer fits the target. Only the branch-and-bound
-        backend can exploit it; others ignore the seed.
 
         ``utility_terms`` — (module, weight, term-expr) triples from the
         linker — make the objective the explicit weighted sum of
@@ -911,15 +861,7 @@ class LayoutBuilder:
                 )
             lm.model.add_constr(lin >= float(floor),
                                 name=f"util_floor[{module}]")
-        warm_values = None
-        if warm_start is not None:
-            warm_values = self.encode_warm_start(warm_start)
-            if warm_values is None:
-                warm_values = self.greedy_warm_start()
-        solution = solve(
-            lm.model, backend=backend, time_limit=time_limit,
-            warm_start=warm_values,
-        )
+        solution = solve(lm.model, backend=backend, time_limit=time_limit)
         if solution.status is SolveStatus.INFEASIBLE:
             raise LayoutInfeasibleError(
                 "the layout ILP is infeasible: the program cannot fit on "

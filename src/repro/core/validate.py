@@ -9,14 +9,15 @@ what the compiler driver's ``verify`` flag and several tests use).
 Checks: per-stage memory (registers + table SRAM), stateful/stateless
 ALUs, hash units, PHV capacity, register/action co-location, equal sizes
 within register families, dependency ordering (precedence strictly
-increasing, exclusions in distinct stages), and iteration-prefix
-activation.
+increasing, exclusions in distinct stages), iteration-prefix
+activation, and every ``assume`` at the chosen symbol values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.assumes import false_assumes
 from ..analysis.dependencies import build_dependency_graph
 from ..analysis.ir import instantiate, module_of_instance
 from ..analysis.taint import cross_module_flows, propagate_taint
@@ -158,6 +159,10 @@ def validate_layout(
             _fail(f"symbolic {symbolic!r} value "
                   f"{compiled.symbol_values.get(symbolic)} != "
                   f"{len(iterations)} placed iterations")
+
+    # -- the user's assumes -------------------------------------------------------
+    for clause in false_assumes(info, compiled.symbol_values):
+        _fail(f"assume {clause} does not hold at the chosen symbol values")
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
 from ..pisa.resources import TargetSpec
-from ..runtime.controller import ReconfigRecord, build_app
+from ..runtime.controller import ReconfigRecord, build_app, validate_swap
 from ..runtime.migrate import migrate_netcache_state
 from ..runtime.planner import PlanError, PlanResult, ReconfigPlanner
 from ..runtime.telemetry import TelemetryBus
@@ -447,12 +447,12 @@ class FleetController:
             module_attribution=dict(plan.module_attribution),
         )
         with trace.span("fabric.swap", switch=name, cause=cause) as span:
-            new_app = build_app(self.source, plan.compiled, self.config)
-            if self.config.migrate_state and node.app is not None:
-                record.migration = migrate_netcache_state(node.app, new_app)
             try:
+                new_app = build_app(self.source, plan.compiled, self.config)
+                if self.config.migrate_state and node.app is not None:
+                    record.migration = migrate_netcache_state(node.app, new_app)
                 if self.config.validate_swap:
-                    new_app.canary()
+                    validate_swap(new_app, self.options.layout)
             except Exception as exc:
                 record.error = str(exc)
                 record.seconds = time.perf_counter() - started

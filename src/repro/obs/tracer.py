@@ -15,7 +15,7 @@ Design constraints, in order:
    The packet-processing hot path is never instrumented per-packet at
    all (only per batch), so the disabled tracer costs nothing there.
 2. **Thread-safe.** The active-span stack is thread-local (the
-   planner's candidate race compiles on worker threads); the finished-
+   fleet controller plans its switches on worker threads); the finished-
    span list is guarded by a lock. Spans started on a worker thread
    become roots of that thread's track in the Chrome trace view.
 3. **Plain data.** A finished span is just numbers, strings, and dicts,

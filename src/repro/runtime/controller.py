@@ -55,7 +55,6 @@ class RuntimeConfig:
     validate_swap: bool = True        # re-validate + canary before commit
     drift_reconfig: bool = True       # arm the drift trigger at all
     engine: str | None = None         # pipeline engine (None = default)
-    race: bool = False                # race ILP vs greedy in the planner
     serve_batch: int | None = None    # serve sub-batch size; results
                                       # do not depend on it (0 = the
                                       # per-packet reference serve)
@@ -78,6 +77,19 @@ def build_app(source, compiled, config) -> NetCacheApp:
         compiled=compiled,
         engine=config.engine,
     )
+
+
+def validate_swap(app: NetCacheApp, layout) -> None:
+    """The pre-commit check both controllers run on a candidate app when
+    ``validate_swap`` is set: its artifact re-validated under the
+    planner's :class:`~repro.core.LayoutOptions`, then a canary packet
+    through the migrated pipeline. Raises on any failure."""
+    validate_layout(
+        app.compiled,
+        hash_unit_limits=layout.hash_unit_limits,
+        table_memory=layout.table_memory,
+    )
+    app.canary()
 
 
 @dataclass
@@ -228,7 +240,7 @@ class ElasticRuntime:
             utility=utility, with_routing=False
         )
         self.planner = planner if planner is not None else ReconfigPlanner(
-            options=options, telemetry=self.telemetry, race=self.config.race
+            options=options, telemetry=self.telemetry
         )
         self.monitor = TrafficMonitor(
             baseline_windows=self.config.baseline_windows,
@@ -366,32 +378,25 @@ class ElasticRuntime:
         record.symbol_values = dict(plan.compiled.symbol_values)
         record.solver_stats = dict(plan.solver_stats)
         record.module_attribution = dict(plan.module_attribution)
-        new_app = build_app(self.source, plan.compiled, self.config)
-
-        if self.config.migrate_state:
-            with trace.span("runtime.migrate") as mspan:
-                record.migration = migrate_netcache_state(self.app, new_app)
-                mspan.set_attrs(
-                    kv_migrated=record.migration.kv_migrated,
-                    kv_entries_old=record.migration.kv_entries_old,
-                    kv_loss_fraction=record.migration.kv_loss_fraction,
-                )
-            self.telemetry.emit(
-                "migration",
-                packet_index=self.packets_processed,
-                **record.migration.to_dict(),
-            )
-
         try:
+            new_app = build_app(self.source, plan.compiled, self.config)
+            if self.config.migrate_state:
+                with trace.span("runtime.migrate") as mspan:
+                    record.migration = migrate_netcache_state(self.app, new_app)
+                    mspan.set_attrs(
+                        kv_migrated=record.migration.kv_migrated,
+                        kv_entries_old=record.migration.kv_entries_old,
+                        kv_loss_fraction=record.migration.kv_loss_fraction,
+                    )
+                self.telemetry.emit(
+                    "migration",
+                    packet_index=self.packets_processed,
+                    **record.migration.to_dict(),
+                )
             with trace.span("runtime.validate_swap",
                             validate=self.config.validate_swap):
                 if self.config.validate_swap:
-                    validate_layout(
-                        plan.compiled,
-                        hash_unit_limits=self.planner.options.layout.hash_unit_limits,
-                        table_memory=self.planner.options.layout.table_memory,
-                    )
-                    new_app.canary()
+                    validate_swap(new_app, self.planner.options.layout)
                 if self.pre_commit_check is not None:
                     self.pre_commit_check(new_app)
         except Exception as exc:  # roll back on *any* pre-commit failure

@@ -7,46 +7,32 @@ compile driver:
 
 1. solve the layout ILP under ``CompileOptions.time_limit``;
 2. on a structured :class:`~repro.core.errors.LayoutTimeoutError`
-   (time limit expired with no incumbent), retry with the limit scaled
-   by ``backoff`` — up to ``max_retries`` times;
-3. still timing out, degrade to the greedy first-fit layout
-   (:func:`~repro.core.driver.compile_source_greedy`) — feasible and
-   validated, just not utility-optimal;
+   (time limit expired with no incumbent) or an incumbent that placed
+   nothing, retry with the limit scaled by :data:`BACKOFF` — up to
+   ``max_retries`` times, and only when there is a limit to scale: the
+   same compile again gives the same answer;
+3. still without a layout, degrade to the greedy first fit (the same
+   compile with ``backend="greedy"``) — feasible and validated, just not
+   utility-optimal;
 4. only a genuinely infeasible program (no layout exists at any size)
    or a greedy failure surfaces as :class:`PlanError`, and the caller
    keeps the old pipeline running.
 
-A timeout *with* an incumbent is accepted as-is when
-``accept_incumbent`` (the default): the solver proved feasibility, just
-not optimality. Every attempt is emitted on the telemetry bus.
+A timeout *with* an incumbent that placed something is accepted as-is:
+the solver proved feasibility, just not optimality. Every attempt is
+emitted on the telemetry bus.
 
-Recompilation speed (this is the control path of an *elastic* system,
-so it is on the reconfiguration critical path):
-
-* The planner owns a :class:`~repro.core.cache.CompileCache` shared by
-  every compile it issues: front-end artifacts (parse/AST, IR) are
-  reused across recompiles of the same source, and a byte-identical
-  (source, target, options) recompile returns the previous artifact
-  outright. Cache counters are exported on the telemetry bus after each
-  cycle as a ``compile_cache`` event.
-* The previous cycle's layout is threaded into the next compile as a
-  **warm start**: the branch-and-bound backend re-validates it against
-  the new target (greedy layout as fallback seed) and uses it as the
-  initial incumbent, pruning instead of rediscovering.
-* With ``race=True`` the ILP and greedy candidates run **concurrently**
-  on a two-worker pool. With a time limit set, the ILP result is
-  preferred (it self-terminates at its limit) and a timeout adopts the
-  already-finished greedy layout instantly — replacing the sequential
-  retry → backoff → fallback ladder, so ``max_retries`` is ignored.
-  Without a time limit the first usable result wins, which in practice
-  is greedy (the quality-insensitive "give me anything now" mode).
+The planner owns a :class:`~repro.core.cache.CompileCache` shared by
+every compile it issues: front-end artifacts (parse/AST, IR) are reused
+across recompiles of the same source, and a byte-identical (source,
+target, options) recompile returns the previous artifact outright.
+Cache counters are exported on the telemetry bus after each cycle as a
+``compile_cache`` event.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 
 from ..core import (
@@ -55,20 +41,20 @@ from ..core import (
     LayoutInfeasibleError,
     LayoutTimeoutError,
     compile_linked,
-    compile_linked_greedy,
     compile_source,
-    compile_source_greedy,
     module_attribution,
 )
 from ..core.cache import CompileCache
 from ..core.errors import CompileError
-from ..ilp import SolveStatus
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..pisa.resources import TargetSpec
 from .telemetry import TelemetryBus
 
 __all__ = ["ReconfigPlanner", "PlanResult", "PlanError"]
+
+#: what a retry multiplies the ILP time limit by
+BACKOFF = 4.0
 
 
 class PlanError(CompileError):
@@ -108,55 +94,27 @@ class ReconfigPlanner:
         options: CompileOptions | None = None,
         telemetry: TelemetryBus | None = None,
         max_retries: int = 1,
-        backoff: float = 4.0,
-        accept_incumbent: bool = True,
         cache: CompileCache | None = None,
-        race: bool = False,
-        warm_start: bool = True,
     ):
         self.options = options or CompileOptions()
         # Explicit None-check: an empty TelemetryBus is falsy (len 0).
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.accept_incumbent = accept_incumbent
         #: Shared across every compile this planner issues. Pass
         #: ``CompileCache(max_layouts=0)`` to keep front-end reuse but
         #: force every layout to be re-solved.
         self.cache = cache if cache is not None else CompileCache()
-        self.race = race
-        self.warm_start = warm_start
-        self._last_solution = None    # LayoutSolution of the last plan
 
-    def _options_with(self, time_limit: float | None,
-                      **overrides) -> CompileOptions:
-        updates = dict(
-            time_limit=time_limit,
-            cache=self.cache,
-            warm_start=self._last_solution if self.warm_start else None,
-        )
-        updates.update(overrides)
-        return self.options.replace(**updates)
-
-    def _usable(self, compiled: CompiledProgram) -> bool:
-        """An incumbent that placed nothing is no better than a timeout."""
-        return bool(compiled.units)
-
-    # ``source`` may be a P4All source string or a LinkedProgram; the
-    # two compile entry points differ, everything downstream is shared.
-    @staticmethod
-    def _compile(source, target, options, source_name="runtime"):
+    def _compile(self, source, target, backend: str,
+                 time_limit: float | None) -> CompiledProgram:
+        """``source`` is a P4All string or a LinkedProgram; this is the
+        only place that cares."""
+        options = self.options.replace(
+            backend=backend, time_limit=time_limit, cache=self.cache)
         if isinstance(source, str):
             return compile_source(source, target, options,
-                                  source_name=source_name)
+                                  source_name="runtime")
         return compile_linked(source, target, options)
-
-    @staticmethod
-    def _compile_greedy(source, target, options, source_name="runtime"):
-        if isinstance(source, str):
-            return compile_source_greedy(source, target, options,
-                                         source_name=source_name)
-        return compile_linked_greedy(source, target, options)
 
     def _solver_stats(self, compiled: CompiledProgram) -> dict:
         sol = compiled.solution
@@ -179,22 +137,15 @@ class ReconfigPlanner:
         :class:`PlanError` when even the greedy path cannot produce a
         layout."""
         started = time.perf_counter()
-        racing = self.race and self.options.backend != "greedy"
-        mode = "race" if racing else "sequential"
-        with trace.span("plan", cause=cause, target=target.name,
-                        mode=mode) as span:
-            if racing:
-                result = self._plan_race(source, target, cause, started)
-            else:
-                result = self._plan_sequential(source, target, cause, started)
+        with trace.span("plan", cause=cause, target=target.name) as span:
+            result = self._plan(source, target, cause)
+            result.plan_seconds = time.perf_counter() - started
             span.set_attrs(backend=result.backend, fallback=result.fallback,
                            plan_seconds=result.plan_seconds)
         obs_metrics.histogram(
             "p4all_plan_seconds",
             help="Wall time of one planning cycle (compile + fallbacks).",
-            labels=("mode",),
-        ).observe(result.plan_seconds, mode=mode)
-        self._last_solution = result.compiled.solution
+        ).observe(result.plan_seconds)
         result.solver_stats = self._solver_stats(result.compiled)
         attribution = module_attribution(result.compiled)
         if attribution:
@@ -220,224 +171,64 @@ class ReconfigPlanner:
         relinked = linked.reweight(weights, floors=floors, cache=self.cache)
         return relinked, self.plan(relinked, target, cause=cause)
 
-    # ---------------------------------------------------------------- sequential --
-    def _plan_sequential(self, source, target: TargetSpec,
-                         cause: str, started: float) -> PlanResult:
+    def _plan(self, source, target: TargetSpec, cause: str) -> PlanResult:
         attempts: list[dict] = []
+        t0 = 0.0
+
+        def end(backend: str, time_limit: float | None, outcome: str,
+                **extra) -> None:
+            record = dict(backend=backend, time_limit=time_limit,
+                          attempt=len(attempts), outcome=outcome,
+                          seconds=time.perf_counter() - t0, **extra)
+            attempts.append(record)
+            self.telemetry.emit("compile_attempt", cause=cause, **record)
+
         time_limit = self.options.time_limit
         want_ilp = self.options.backend != "greedy"
-
         if want_ilp:
-            for attempt in range(self.max_retries + 1):
-                record = {
-                    "backend": self.options.backend,
-                    "time_limit": time_limit,
-                    "attempt": attempt,
-                }
+            for _ in range(self.max_retries + 1):
+                ilp = (self.options.backend, time_limit)
                 t0 = time.perf_counter()
                 try:
-                    compiled = self._compile(
-                        source, target, self._options_with(time_limit),
-                    )
+                    compiled = self._compile(source, target, *ilp)
                 except LayoutTimeoutError as exc:
-                    record.update(outcome="timeout",
-                                  seconds=time.perf_counter() - t0,
-                                  backend_used=exc.backend)
-                    attempts.append(record)
-                    self.telemetry.emit("compile_attempt", cause=cause, **record)
-                    if time_limit is not None:
-                        time_limit *= self.backoff
-                    continue
+                    end(*ilp, "timeout", backend_used=exc.backend)
                 except LayoutInfeasibleError as exc:
                     # Infeasible is a property of the program+target, not
                     # of solver effort: greedy cannot succeed either.
-                    record.update(outcome="infeasible",
-                                  seconds=time.perf_counter() - t0)
-                    attempts.append(record)
-                    self.telemetry.emit("compile_attempt", cause=cause, **record)
+                    end(*ilp, "infeasible")
                     raise PlanError(
                         f"program does not fit target {target.name!r}: {exc}"
                     ) from exc
-
-                status = compiled.solution.status
-                if not self._usable(compiled) or (
-                    status is SolveStatus.TIMEOUT and not self.accept_incumbent
-                ):
-                    record.update(outcome="degenerate-incumbent"
-                                  if not compiled.units else "timeout-incumbent",
-                                  seconds=time.perf_counter() - t0)
-                    attempts.append(record)
-                    self.telemetry.emit("compile_attempt", cause=cause, **record)
-                    if time_limit is not None:
-                        time_limit *= self.backoff
-                    continue
-
-                record.update(outcome="ok", seconds=time.perf_counter() - t0,
-                              status=status.value,
-                              symbols=dict(compiled.symbol_values),
-                              nodes_explored=compiled.solution.nodes_explored,
-                              incumbent_source=compiled.solution.incumbent_source,
-                              layout_cached=compiled.stats.layout_cached)
-                attempts.append(record)
-                self.telemetry.emit("compile_attempt", cause=cause, **record)
-                return PlanResult(
-                    compiled=compiled,
-                    backend="ilp",
-                    fallback=False,
-                    attempts=attempts,
-                    plan_seconds=time.perf_counter() - started,
-                )
-
+                else:
+                    if compiled.units:
+                        end(*ilp, "ok",
+                            status=compiled.solution.status.value,
+                            symbols=dict(compiled.symbol_values),
+                            nodes_explored=compiled.solution.nodes_explored,
+                            incumbent_source=compiled.solution.incumbent_source,
+                            layout_cached=compiled.stats.layout_cached)
+                        return PlanResult(compiled=compiled, backend="ilp",
+                                          fallback=False, attempts=attempts)
+                    # An incumbent that placed nothing is no better than
+                    # a timeout.
+                    end(*ilp, "degenerate-incumbent")
+                if time_limit is None:
+                    break
+                time_limit *= BACKOFF
             self.telemetry.emit(
                 "ilp_fallback", cause=cause,
                 attempts=len(attempts),
                 final_time_limit=time_limit,
             )
 
-        record = {"backend": "greedy", "time_limit": None,
-                  "attempt": len(attempts)}
         t0 = time.perf_counter()
         try:
-            compiled = self._compile_greedy(
-                source, target, self._options_with(None)
-            )
+            compiled = self._compile(source, target, "greedy", None)
         except CompileError as exc:
-            record.update(outcome="error", seconds=time.perf_counter() - t0,
-                          error=str(exc))
-            attempts.append(record)
-            self.telemetry.emit("compile_attempt", cause=cause, **record)
+            end("greedy", None, "error", error=str(exc))
             raise PlanError(f"greedy fallback failed: {exc}") from exc
-        record.update(outcome="ok", seconds=time.perf_counter() - t0,
-                      status=compiled.solution.status.value,
-                      symbols=dict(compiled.symbol_values))
-        attempts.append(record)
-        self.telemetry.emit("compile_attempt", cause=cause, **record)
-        return PlanResult(
-            compiled=compiled,
-            backend="greedy",
-            fallback=want_ilp,
-            attempts=attempts,
-            plan_seconds=time.perf_counter() - started,
-        )
-
-    # --------------------------------------------------------------------- race --
-    def _plan_race(self, source, target: TargetSpec,
-                   cause: str, started: float) -> PlanResult:
-        """Run ILP and greedy candidates concurrently; see module docs.
-
-        Both compiles share the planner's cache (it is thread-safe), so
-        whichever thread gets to the front end first populates it for
-        the other. The losing future is cancelled best-effort — a
-        compile already executing runs to completion in the background,
-        but nobody waits on it."""
-        attempts: list[dict] = []
-        time_limit = self.options.time_limit
-        pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="plan-race")
-        t0 = time.perf_counter()
-        ilp_future = pool.submit(
-            self._compile, source, target,
-            self._options_with(time_limit), "runtime",
-        )
-        greedy_future = pool.submit(
-            self._compile_greedy, source, target,
-            self._options_with(None, backend="greedy", warm_start=None),
-            "runtime",
-        )
-        backend_of = {ilp_future: self.options.backend,
-                      greedy_future: "greedy"}
-
-        def record_for(future, outcome, **extra) -> dict:
-            rec = {
-                "backend": backend_of[future],
-                "time_limit": time_limit if future is ilp_future else None,
-                "attempt": len(attempts),
-                "race": True,
-                "outcome": outcome,
-                "seconds": time.perf_counter() - t0,
-            }
-            rec.update(extra)
-            attempts.append(rec)
-            self.telemetry.emit("compile_attempt", cause=cause, **rec)
-            return rec
-
-        def harvest(future) -> CompiledProgram | None:
-            """Resolve one candidate; None when unusable."""
-            try:
-                compiled = future.result()
-            except LayoutTimeoutError as exc:
-                record_for(future, "timeout", backend_used=exc.backend)
-                return None
-            except LayoutInfeasibleError as exc:
-                record_for(future, "infeasible")
-                raise PlanError(
-                    f"program does not fit target {target.name!r}: {exc}"
-                ) from exc
-            except CompileError as exc:
-                record_for(future, "error", error=str(exc))
-                return None
-            status = compiled.solution.status
-            if not self._usable(compiled) or (
-                status is SolveStatus.TIMEOUT and not self.accept_incumbent
-            ):
-                record_for(future, "degenerate-incumbent"
-                           if not compiled.units else "timeout-incumbent")
-                return None
-            record_for(future, "ok", status=status.value,
-                       symbols=dict(compiled.symbol_values),
-                       nodes_explored=compiled.solution.nodes_explored,
-                       incumbent_source=compiled.solution.incumbent_source,
-                       layout_cached=compiled.stats.layout_cached)
-            return compiled
-
-        winner: CompiledProgram | None = None
-        winner_future = None
-        try:
-            if time_limit is not None:
-                # The ILP self-terminates at its limit; prefer its quality.
-                # On timeout the greedy candidate has been solving in
-                # parallel the whole time — adopt it with no extra wait.
-                winner = harvest(ilp_future)
-                winner_future = ilp_future
-                if winner is None:
-                    winner = harvest(greedy_future)
-                    winner_future = greedy_future
-            else:
-                # No limit: latency wins. First usable result is taken
-                # (greedy in practice; the ILP would run unbounded).
-                pending = {ilp_future, greedy_future}
-                while pending and winner is None:
-                    done, pending_set = futures_wait(
-                        pending, return_when=FIRST_COMPLETED
-                    )
-                    pending = set(pending_set)
-                    for future in done:
-                        winner = harvest(future)
-                        winner_future = future
-                        if winner is not None:
-                            break
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        if winner is None:
-            raise PlanError(
-                f"no candidate produced a usable layout for {target.name!r}"
-            )
-        won_ilp = winner_future is ilp_future
-        if not won_ilp:
-            self.telemetry.emit(
-                "ilp_fallback", cause=cause,
-                attempts=len(attempts), final_time_limit=time_limit,
-                race=True,
-            )
-        self.telemetry.emit(
-            "race_result", cause=cause,
-            winner="ilp" if won_ilp else "greedy",
-            seconds=time.perf_counter() - started,
-        )
-        return PlanResult(
-            compiled=winner,
-            backend="ilp" if won_ilp else "greedy",
-            fallback=not won_ilp,
-            attempts=attempts,
-            plan_seconds=time.perf_counter() - started,
-        )
+        end("greedy", None, "ok", status=compiled.solution.status.value,
+            symbols=dict(compiled.symbol_values))
+        return PlanResult(compiled=compiled, backend="greedy",
+                          fallback=want_ilp, attempts=attempts)

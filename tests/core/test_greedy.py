@@ -80,9 +80,9 @@ class TestGreedyVsIlp:
 
 
 class TestGreedyNetCache:
-    """Greedy is the runtime's timeout fallback and the B&B warm-start
-    seed: on the targets the runtime walks it must hand back a layout
-    ``validate_layout`` accepts, never better than the ILP's."""
+    """Greedy is the runtime's timeout fallback: on the targets the
+    runtime walks it must hand back a layout ``validate_layout``
+    accepts, never better than the ILP's."""
 
     def test_table_sram_counts_against_the_stage(self):
         # The 65 536-bit route table fills a t6 stage: first-fit used to

@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 from repro.analysis import build_ir, compute_upper_bounds
 from repro.apps import netcache_source
 from repro.core import (
+    CompileError,
     CompileOptions,
     LayoutInfeasibleError,
     compile_source,
@@ -246,8 +247,8 @@ class TestWindowSoundness:
         assert window["probe[1]"] == range(0, 3)
 
     def test_out_of_window_layout_encodes_to_none(self):
-        # A warm-start seed that puts a node where this model has no
-        # variable is declined, not a KeyError.
+        # A layout that puts a node where this model has no variable is
+        # declined, not a KeyError.
         builder, program = build(ZERO_ITERATIONS, small_target(stages=4))
         lm = builder.layout
         best = builder.solve(utility=program.optimize().utility)
@@ -313,8 +314,11 @@ class TestResolveSizes:
         builder, program = build(CMS_SOURCE, t6())
         utility = program.optimize().utility
         best = builder.solve(utility=utility)
-        values = builder.encode_warm_start(best)
+        values = builder.encode_assignment(
+            best.symbol_values, best.instance_stage, best.register_alloc,
+            best.iteration_active)
         model = builder.layout.model
+        assert model.is_feasible(values, tol=1e-6)
         at_optimum = Solution(SolveStatus.OPTIMAL,
                               model.objective.expr.value(values), values)
         again = builder.resolve_sizes(at_optimum)
@@ -372,10 +376,19 @@ class TestBackendsAgree:
         except LayoutInfeasibleError:
             with pytest.raises(LayoutInfeasibleError):
                 compile_source(source, target, CompileOptions(backend="bb"))
+            with pytest.raises(CompileError):
+                compile_source_greedy(source, target)
             return
         bb = compile_source(source, target, CompileOptions(backend="bb"))
         assert highs.solution.ok and bb.solution.ok
         assert bb.solution.objective == highs.solution.objective
-        greedy = compile_source_greedy(source, target)
+        try:
+            greedy = compile_source_greedy(source, target)
+        except CompileError as exc:
+            # First fit can strand a row the ILP keeps (an eager second
+            # increment takes the stage the first row's fold needed); it
+            # must then say so, not hand back ``rows = 0``.
+            assert "assume" in str(exc)
+            return
         validate_layout(greedy)
         assert greedy.solution.objective <= highs.solution.objective

@@ -1,14 +1,16 @@
-"""Warm-started branch-and-bound ≡ cold solve (differential).
+"""Seeded branch-and-bound ≡ cold solve (differential).
 
-Seeding the solver's incumbent must never change the answer, only the
-work to reach it. Objectives are compared with slack far below any real
+What is left of the warm start is its solver seam: a decoded layout goes
+back to a variable assignment through ``LayoutBuilder.encode_assignment``
+and ``ilp.solve(warm_start=)`` takes it as the incumbent (the driver and
+the planner no longer thread one through — HiGHS, the default back end,
+has no use for it). Seeding must never change the answer, only the work
+to reach it. Objectives are compared with slack far below any real
 utility step (>= 0.4 here) but above the ~1e-4 noise the LP relaxation
-carries at these objective scales: stage-bias-level (1e-5) tie-breaks
-can legitimately differ between runs.
+carries at these objective scales.
 
 The app set is the library modules the from-scratch ``bb`` backend
-solves in under a second on the small 8-stage target (the others need
-the HiGHS backend, which has no incumbent-seeding API).
+solves in under a second on the small 8-stage target.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import dataclasses
 
 import pytest
 
-from repro.core import CompileOptions, compile_source
+from repro.analysis import build_ir, compute_upper_bounds
+from repro.core import LayoutBuilder
+from repro.ilp import solve
+from repro.lang import check_program, parse_program
 from repro.pisa import small_target
 from repro.structures import LIBRARY_SOURCES
 
@@ -30,75 +35,74 @@ def target():
     return small_target(stages=8, memory_kb=64)
 
 
-def _bb(source, target, name, warm_start=None):
-    return compile_source(
-        source, target,
-        options=CompileOptions(backend="bb", warm_start=warm_start),
-        source_name=name,
-    )
+def _cold(name, target, backend="bb"):
+    """``(builder, utility, cold LayoutSolution)`` of a library app."""
+    program = parse_program(LIBRARY_SOURCES[name], name)
+    ir = build_ir(check_program(program), "Ingress")
+    builder = LayoutBuilder(ir, compute_upper_bounds(ir, target), target)
+    utility = program.optimize().utility
+    return builder, utility, builder.solve(utility=utility, backend=backend)
+
+
+def _seeded(builder, utility, seed, backend="bb"):
+    """Re-solve ``builder``'s model with ``seed`` (a LayoutSolution,
+    possibly of another model) as the incumbent; ``(decoded, seeded)``."""
+    values = builder.encode_assignment(
+        seed.symbol_values, seed.instance_stage, seed.register_alloc,
+        seed.iteration_active)
+    model = builder.layout.model
+    seeded = values is not None and model.is_feasible(values, tol=1e-6)
+    raw = solve(model, backend=backend, warm_start=values)
+    return builder._decode(builder.resolve_sizes(raw, backend), utility), seeded
 
 
 class TestWarmStartDifferential:
     @pytest.mark.parametrize("name", BB_APPS)
     def test_same_answer_as_cold(self, name, target):
-        source = LIBRARY_SOURCES[name]
-        cold = _bb(source, target, name)
-        warm = _bb(source, target, name, warm_start=cold.solution)
+        builder, utility, cold = _cold(name, target)
+        warm, seeded = _seeded(builder, utility, cold)
+        assert seeded            # an optimum is a feasible point of its model
         assert warm.symbol_values == cold.symbol_values
-        assert warm.solution.objective == pytest.approx(
-            cold.solution.objective, abs=1e-3
-        )
-        # The seed is the previous optimum: the search can only confirm
-        # it, never beat it, so warm never explores more than cold.
-        assert warm.solution.nodes_explored <= cold.solution.nodes_explored
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-3)
+        # The seed is the optimum: the search can only confirm it, never
+        # beat it, so warm never explores more than cold.
+        assert warm.nodes_explored <= cold.nodes_explored
 
     def test_incumbent_provenance(self, target):
-        source = LIBRARY_SOURCES["cms"]
-        cold = _bb(source, target, "cms")
-        warm = _bb(source, target, "cms", warm_start=cold.solution)
-        assert warm.solution.incumbent_source == "warm-start"
-        assert cold.solution.incumbent_source in ("search", "rounding")
+        builder, utility, cold = _cold("cms", target)
+        warm, _ = _seeded(builder, utility, cold)
+        assert warm.incumbent_source == "warm-start"
+        assert cold.incumbent_source in ("search", "rounding")
 
     def test_warm_start_across_target_change(self, target):
-        # The elastic-runtime case: the old layout seeds the re-solve
-        # after a memory cut. The old sizes exceed the new bounds; the
+        # The elastic-runtime case: the layout before a memory cut seeds
+        # the re-solve after it. The old sizes exceed the new bounds; the
         # encoder clamps them, and the answer matches a cold solve.
-        source = LIBRARY_SOURCES["cms"]
-        big = _bb(source, target, "cms")
+        _, _, big = _cold("cms", target)
         cut = dataclasses.replace(
             target, memory_bits_per_stage=target.memory_bits_per_stage // 2
         )
-        cold_cut = _bb(source, cut, "cms")
-        warm_cut = _bb(source, cut, "cms", warm_start=big.solution)
+        builder, utility, cold_cut = _cold("cms", cut)
+        warm_cut, _ = _seeded(builder, utility, big)
         assert warm_cut.symbol_values == cold_cut.symbol_values
-        assert warm_cut.solution.objective == pytest.approx(
-            cold_cut.solution.objective, abs=1e-3
-        )
+        assert warm_cut.objective == pytest.approx(cold_cut.objective, abs=1e-3)
 
     def test_foreign_solution_ignored(self, target):
-        # A warm start from a different program cannot be encoded onto
-        # this model; the solver quietly falls back to an unseeded (or
-        # greedy-seeded) search and still reaches the cold answer.
-        other = _bb(LIBRARY_SOURCES["bloom"], target, "bloom")
-        cold = _bb(LIBRARY_SOURCES["cms"], target, "cms")
-        warm = _bb(LIBRARY_SOURCES["cms"], target, "cms",
-                   warm_start=other.solution)
+        # A layout of a different program is not a point of this model:
+        # the encoder or the feasibility gate declines it and the search
+        # runs unseeded to the cold answer.
+        _, _, other = _cold("bloom", target)
+        builder, utility, cold = _cold("cms", target)
+        warm, seeded = _seeded(builder, utility, other)
+        assert not seeded
+        assert warm.incumbent_source != "warm-start"
         assert warm.symbol_values == cold.symbol_values
-        assert warm.solution.objective == pytest.approx(
-            cold.solution.objective, abs=1e-3
-        )
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-3)
 
     def test_scipy_accepts_and_ignores_warm_start(self, target):
-        # Backend interchangeability: passing a warm start to the HiGHS
-        # backend is a no-op, not an error.
-        source = LIBRARY_SOURCES["cms"]
-        cold = compile_source(
-            source, target, options=CompileOptions(backend="scipy"),
-            source_name="cms",
-        )
-        warm = compile_source(
-            source, target,
-            options=CompileOptions(backend="scipy", warm_start=cold.solution),
-            source_name="cms",
-        )
+        # Backend interchangeability: a seed handed to the HiGHS backend
+        # is a no-op, not an error.
+        builder, utility, cold = _cold("cms", target, backend="scipy")
+        warm, _ = _seeded(builder, utility, cold, backend="scipy")
         assert warm.symbol_values == cold.symbol_values
+        assert warm.incumbent_source != "warm-start"

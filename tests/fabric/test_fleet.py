@@ -1,6 +1,8 @@
 """Fleet controller: shared-cache installs, concurrent recompiles,
 sharded serving, scheduled cuts, skew rebalancing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,40 @@ class TestReconfiguration:
         assert controller.topology.node("s1").target == mini32
         # The other switches kept their layouts.
         assert controller.topology.node("s0").app.kv_cols == before_cols
+
+    @pytest.mark.parametrize("cells, error", [
+        (1 << 20, "exceed"),       # past the stage's memory
+        (1, "unequal sizes"),      # loads and canaries; only validate_layout sees it
+    ], ids=["past-memory", "unequal-family"])
+    def test_sabotaged_artifact_rolls_back(self, mini64, mini32, shared_cache,
+                                           monkeypatch, cells, error):
+        # The plan is fine; what reaches the swap is not (one register
+        # resized after planning). The pre-commit validation must catch
+        # it, as it does on the single switch.
+        controller = make_controller(mini64, shared_cache)
+        stream = ZipfGenerator(universe=3000, alpha=1.1, seed=7)
+        controller.run(stream, 1000)
+        node = controller.topology.node("s1")
+        old_app = node.app
+        planner = controller.planner_for("s1")
+        plan = planner.plan
+
+        def sabotaged(source, target, cause="unspecified"):
+            result = plan(source, target, cause=cause)
+            compiled = result.compiled
+            resized = dataclasses.replace(compiled.registers[0], cells=cells)
+            result.compiled = dataclasses.replace(
+                compiled, registers=[resized] + compiled.registers[1:])
+            return result
+
+        monkeypatch.setattr(planner, "plan", sabotaged)
+        record = controller.cut_switch("s1", mini32)
+        assert not record.committed
+        assert error in record.error
+        assert node.app is old_app and node.target == mini64
+        rollback = controller.telemetry.last_of("rollback")
+        assert rollback.data["switch"] == "s1"
+        assert controller.run(stream, 500).packets == 500
 
     def test_recompile_all_concurrent_uses_cache(self, mini64, mini32):
         cache = CompileCache()

@@ -6,6 +6,7 @@ from repro.core import CompileOptions
 from repro.pisa.resources import small_target
 from repro.runtime import PlanError, ReconfigPlanner, TelemetryBus
 
+from ..core.test_layout_encoding import ZERO_ITERATIONS
 from .conftest import RUNTIME_SOURCE
 
 
@@ -32,7 +33,6 @@ class TestTimeoutFallback:
             options=CompileOptions(time_limit=1e-4),
             telemetry=bus,
             max_retries=1,
-            backoff=2.0,
         )
         result = planner.plan(RUNTIME_SOURCE, mini64, cause="target-change")
         assert result.backend == "greedy"
@@ -53,16 +53,34 @@ class TestTimeoutFallback:
         assert fallbacks[0].data["attempts"] == 2
 
     def test_backoff_scales_time_limit(self, mini64):
+        # Timeout without an incumbent: retry at 4x, then fall back.
+        bus = TelemetryBus()
         planner = ReconfigPlanner(
             options=CompileOptions(time_limit=1e-4),
+            telemetry=bus,
             max_retries=2,
-            backoff=4.0,
         )
         result = planner.plan(RUNTIME_SOURCE, mini64)
         ilp_attempts = [a for a in result.attempts if a["backend"] != "greedy"]
         limits = [a["time_limit"] for a in ilp_attempts]
         assert limits == [pytest.approx(1e-4), pytest.approx(4e-4),
                           pytest.approx(1.6e-3)]
+        assert result.fallback and result.backend == "greedy"
+        fallback = bus.last_of("ilp_fallback")
+        assert fallback.data["final_time_limit"] == pytest.approx(6.4e-3)
+
+    def test_unusable_incumbent_without_a_limit_is_not_retried(self):
+        # The optimum of ``optimize 0 - n`` places nothing. With no time
+        # limit there is nothing to scale, and the same compile again
+        # gives the same answer: one ILP attempt, then greedy.
+        bus = TelemetryBus()
+        planner = ReconfigPlanner(telemetry=bus, max_retries=3)
+        result = planner.plan(ZERO_ITERATIONS, small_target(stages=4))
+        assert [(a["backend"], a["outcome"]) for a in result.attempts] == [
+            ("auto", "degenerate-incumbent"), ("greedy", "ok")]
+        assert result.fallback and result.compiled.units
+        assert bus.last_of("ilp_fallback").data["attempts"] == 1
+        assert planner.cache.stats.layout_hits == 0
 
     def test_greedy_backend_skips_ilp(self, mini64):
         bus = TelemetryBus()
@@ -85,10 +103,26 @@ class TestInfeasible:
         with pytest.raises(PlanError):
             planner.plan(RUNTIME_SOURCE, small_target(stages=6, memory_kb=64))
         attempts = bus.events_of("compile_attempt")
-        assert attempts[-1].data["outcome"] == "infeasible"
+        assert [a.data["outcome"] for a in attempts] == ["infeasible"]
+        assert attempts[0].data["backend"] != "greedy"   # greedy not tried
+        assert not bus.events_of("ilp_fallback")
+
+    def test_assume_the_greedy_layout_breaks_is_a_plan_error(self):
+        # 2 stateful ALUs a stage: first fit drops the key-value store,
+        # against ``assume kv_rows >= 1``. What used to be installed as
+        # a cache-less "fallback" is now a failed plan.
+        bus = TelemetryBus()
+        planner = ReconfigPlanner(
+            options=CompileOptions(backend="greedy"), telemetry=bus)
+        with pytest.raises(PlanError, match="assume kv_rows >= 1"):
+            planner.plan(RUNTIME_SOURCE, small_target(stages=8, memory_kb=64))
+        assert bus.last_of("compile_attempt").data["outcome"] == "error"
 
 
 class TestCacheAndWarmStart:
+    """The planner's shared cache (the class name predates the removal
+    of the cross-target warm start)."""
+
     def test_second_plan_reuses_frontend(self, mini64, mini32):
         """The memory-cut recompile skips parse/IR via the planner's
         shared cache; its solver stats record the reuse."""
@@ -114,53 +148,3 @@ class TestCacheAndWarmStart:
         events = bus.events_of("compile_cache")
         assert len(events) == 1
         assert events[0].data["cause"] == "initial"
-
-
-class TestRace:
-    def test_generous_limit_prefers_ilp(self, mini64):
-        bus = TelemetryBus()
-        planner = ReconfigPlanner(
-            options=CompileOptions(time_limit=120.0),
-            telemetry=bus, race=True,
-        )
-        result = planner.plan(RUNTIME_SOURCE, mini64, cause="initial")
-        assert result.backend == "ilp"
-        assert not result.fallback
-        assert result.compiled.units
-        races = bus.events_of("race_result")
-        assert len(races) == 1 and races[0].data["winner"] == "ilp"
-        assert not bus.events_of("ilp_fallback")
-
-    def test_tiny_limit_adopts_concurrent_greedy(self, mini64):
-        """The race replaces the retry ladder: on ILP timeout the
-        already-running greedy candidate is adopted with no backoff."""
-        bus = TelemetryBus()
-        planner = ReconfigPlanner(
-            options=CompileOptions(time_limit=1e-4),
-            telemetry=bus, race=True,
-        )
-        result = planner.plan(RUNTIME_SOURCE, mini64, cause="target-change")
-        assert result.backend == "greedy"
-        assert result.fallback
-        assert result.compiled.units
-        # Exactly one ILP attempt (no retries in race mode) + greedy.
-        ilp_attempts = [a for a in result.attempts if a["backend"] != "greedy"]
-        assert len(ilp_attempts) == 1
-        assert all(a.get("race") for a in result.attempts)
-        races = bus.events_of("race_result")
-        assert races[0].data["winner"] == "greedy"
-        fallbacks = bus.events_of("ilp_fallback")
-        assert len(fallbacks) == 1 and fallbacks[0].data["race"] is True
-
-    def test_no_limit_takes_first_usable(self, mini64):
-        planner = ReconfigPlanner(race=True)
-        result = planner.plan(RUNTIME_SOURCE, mini64)
-        assert result.compiled.units          # some usable layout, fast
-        assert result.backend in ("ilp", "greedy")
-
-    def test_race_infeasible_still_raises(self):
-        planner = ReconfigPlanner(
-            options=CompileOptions(time_limit=60.0), race=True
-        )
-        with pytest.raises(PlanError):
-            planner.plan(RUNTIME_SOURCE, small_target(stages=6, memory_kb=64))

@@ -210,10 +210,11 @@ class TestRunCommand:
         ["fabric", "--parallel"],
         ["run", "--workers", "2"],
         ["fabric", "--workers", "2"],
+        ["run", "--race"],
     ])
     def test_removed_mode_flags_are_rejected(self, argv, capsys):
-        # One way to shard, one way to run a fleet, one exact serve:
-        # nothing to select.
+        # One way to shard, one way to run a fleet, one exact serve, one
+        # planning path: nothing to select.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
