@@ -19,6 +19,7 @@ Two execution paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from ..structures import (
     compose,
     kv_module,
 )
+
+if TYPE_CHECKING:  # repro.runtime imports this module
+    from ..runtime.migrate import MigrationReport, RegisterSnapshot
 
 __all__ = [
     "netcache_source",
@@ -251,7 +255,7 @@ class NetCacheApp:
                 "controller may")
 
     # -- controller -------------------------------------------------------------
-    def _cms_estimate(self, key: int) -> int:
+    def estimate(self, key: int) -> int:
         """Query the data-plane sketch registers for a key's estimate."""
         est = None
         for row in range(self.cms_rows):
@@ -286,7 +290,7 @@ class NetCacheApp:
                 self._cached_keys.add(key)
                 stats.insertions += 1
                 return
-            occupant_est = self._cms_estimate(occupant)
+            occupant_est = self.estimate(occupant)
             if victim_est is None or occupant_est < victim_est:
                 victim_row, victim_est = row, occupant_est
         if victim_row is not None and estimate > victim_est:
@@ -307,18 +311,19 @@ class NetCacheApp:
         """The backing store's value for a key (synthetic: key + 7)."""
         return (key + 7) & ((1 << 64) - 1)
 
-    # -- control-plane introspection (used by the elastic runtime) --------------
-    @property
-    def cache_capacity(self) -> int:
-        return self.kv_rows * self.kv_cols
+    # -- the app's state, as the runtime and the fabric see it -----------------
+    def occupancy(self) -> dict[str, float]:
+        """Fraction of cache slots holding an entry (``kv``) and of
+        sketch counters touched (``cms``)."""
+        def filled(family: str, rows: int) -> float:
+            arrays = [self.pipeline.registers.get(f"{family}[{row}]")
+                      for row in range(rows)]
+            cells = sum(array.cells for array in arrays)
+            touched = sum(array.nonzero_cells() for array in arrays)
+            return touched / cells if cells else 0.0
 
-    def kv_occupancy(self) -> float:
-        """Fraction of key slots holding a cached entry."""
-        occupied = sum(
-            self.pipeline.registers.get(f"kv_keys[{row}]").nonzero_cells()
-            for row in range(self.kv_rows)
-        )
-        return occupied / self.cache_capacity if self.cache_capacity else 0.0
+        return {"kv": filled("kv_keys", self.kv_rows),
+                "cms": filled("cms_sketch", self.cms_rows)}
 
     def cached_entries(self) -> list[tuple[int, int, int]]:
         """All cached ``(row, key, value)`` triples, read from the data
@@ -341,18 +346,89 @@ class NetCacheApp:
                 return True
         return False
 
-    def canary(self) -> None:
+    def snapshot(self) -> tuple[RegisterSnapshot, set[int]]:
+        """This app's whole state — every register and the controller's
+        cached-key set — for :meth:`restore`."""
+        from ..runtime.migrate import snapshot_registers
+
+        return snapshot_registers(self.pipeline), set(self._cached_keys)
+
+    def restore(self, state: tuple[RegisterSnapshot, set[int]]) -> None:
+        """Put a :meth:`snapshot` of this app back, undoing every write
+        since it was taken."""
+        from ..runtime.migrate import restore_registers
+
+        registers, keys = state
+        restore_registers(registers, self.pipeline, fold=False)
+        self._cached_keys = set(keys)
+
+    def migrate_to(self, dst: NetCacheApp,
+                   accumulate: bool = False) -> MigrationReport:
+        """Populate ``dst``'s registers from this app's state; this app
+        is only read.
+
+        The sketch is snapshotted and fold-restored onto ``dst``'s
+        geometry — added onto ``dst``'s own counts with
+        ``accumulate=True`` (a fabric switch absorbing a drained peer),
+        replacing them otherwise — and the cached entries are re-admitted
+        hottest-first by this app's estimates, the coldest dropped where
+        ``dst`` has no free slot (see :mod:`repro.runtime.migrate`).
+        """
+        from ..runtime.migrate import (
+            MigrationReport,
+            readmit_by_heat,
+            restore_registers,
+            snapshot_registers,
+        )
+
+        report = MigrationReport()
+        sketch = snapshot_registers(self.pipeline, families=("cms_sketch",))
+        restored = restore_registers(sketch, dst.pipeline,
+                                     families=("cms_sketch",),
+                                     fold=True, accumulate=accumulate)
+        report.cms_rows_migrated = restored.migrated
+        report.cms_rows_dropped = restored.dropped
+        report.cms_exact_fold = restored.exact
+        report.cms_mass_old = restored.mass_in
+        report.cms_mass_new = restored.mass_out
+        if report.cms_rows_dropped:
+            report.notes.append(
+                f"{report.cms_rows_dropped} sketch rows dropped (fewer rows "
+                "in the new layout)"
+            )
+
+        entries = self.cached_entries()
+        report.kv_entries_old = len(entries)
+        report.kv_migrated, report.kv_dropped = readmit_by_heat(
+            ((key, value) for _row, key, value in entries),
+            heat=self.estimate,
+            install=dst.install,
+        )
+        if report.kv_dropped:
+            report.notes.append(
+                f"{report.kv_dropped} cache entries dropped (no free candidate "
+                "slot in the new layout)"
+            )
+        return report
+
+    def hottest_shared_key(self, other: NetCacheApp) -> int | None:
+        """The key this app's sketch rates hottest among those both apps
+        cache — after :meth:`migrate_to` ``other``, the migrated key to
+        :meth:`canary` there (None when no entry made it over)."""
+        shared = set(self._cached_keys) & set(other._cached_keys)
+        return max(shared, key=self.estimate) if shared else None
+
+    def canary(self, key: int | None = None) -> None:
         """One packet through this (candidate) pipeline before traffic is
         cut over to it: it must process cleanly — which also exercises
         the freshly built execution plan of the configured engine — and
-        a migrated hot key must actually hit. Raises
-        :class:`~repro.core.errors.CompileError` otherwise."""
-        if not self._cached_keys:
-            self.pipeline.process(Packet(fields={"req_key": 1}))
-            return
-        key = next(iter(self._cached_keys))
-        result = self.pipeline.process(Packet(fields={"req_key": key}))
-        if not result.get("meta.kv_hit"):
+        ``key`` (default: a cached key, if there is one) must hit.
+        Raises :class:`~repro.core.errors.CompileError` otherwise."""
+        if key is None:
+            key = next(iter(self._cached_keys), None)
+        result = self.pipeline.process(
+            Packet(fields={"req_key": 1 if key is None else key}))
+        if key is not None and not result.get("meta.kv_hit"):
             raise CompileError(
                 f"canary failed: migrated key {key} missed in the "
                 "candidate pipeline"

@@ -51,8 +51,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
 from ..pisa.resources import TargetSpec
-from ..runtime.controller import ReconfigRecord, build_app, validate_swap
-from ..runtime.migrate import migrate_netcache_state
+from ..runtime.controller import ReconfigRecord, build_app, hot_swap
 from ..runtime.planner import PlanError, PlanResult, ReconfigPlanner
 from ..runtime.telemetry import TelemetryBus
 from . import migration as fabric_migration
@@ -75,8 +74,6 @@ class FleetConfig:
                                      # rebalance (0 disables)
     max_move_fraction: float = 0.2   # moved-key bound per rebalance
     rebalance_cooldown: int = 5      # min windows between rebalances
-    migrate_state: bool = True       # migrate registers on swaps
-    validate_swap: bool = True       # validate + canary before commit
     engine: str | None = None        # pipeline engine (None = default)
     serve_batch: int | None = None   # serve sub-batch size; results
                                      # do not depend on it (0 = the
@@ -218,17 +215,8 @@ class FleetReport:
             "timeline": self.timeline,
             "per_switch": {n: s.to_dict() for n, s in self.per_switch.items()},
             "final_symbols": self.final_symbols,
-            "reconfigs": [
-                {"switch": name, "cause": r.cause,
-                 "packet_index": r.packet_index, "committed": r.committed,
-                 "backend": r.backend, "fallback": r.fallback,
-                 "seconds": r.seconds, "error": r.error,
-                 "symbol_values": r.symbol_values,
-                 "solver_stats": r.solver_stats,
-                 "migration": (r.migration.to_dict()
-                               if r.migration is not None else None)}
-                for name, r in self.reconfigs
-            ],
+            "reconfigs": [{"switch": name, **r.to_dict()}
+                          for name, r in self.reconfigs],
             "migrations": [m.to_dict() for m in self.migrations],
             "rebalances": self.rebalances,
             "slo_violations": list(self.slo_violations),
@@ -402,6 +390,7 @@ class FleetController:
         if isinstance(targets, TargetSpec):
             targets = {name: targets for name in self.topology.serving()}
         records: dict[str, ReconfigRecord] = {}
+        started = time.perf_counter()
         with trace.span("fabric.recompile", switches=len(targets),
                         cause=cause):
             try:
@@ -409,90 +398,36 @@ class FleetController:
             except PlanError as exc:
                 # No layout for at least one switch: nothing swaps; the
                 # fleet keeps serving its current configuration.
-                for name in targets:
-                    records[name] = ReconfigRecord(
-                        cause=cause, packet_index=self.packets_processed,
-                        committed=False, error=str(exc),
-                    )
-                self.telemetry.emit(
-                    "reconfig_failed",
-                    packet_index=self.packets_processed,
-                    cause=cause, error=str(exc),
-                )
-                return records
+                plans = dict.fromkeys(targets, exc)
             for name, plan in plans.items():
-                records[name] = self._swap_switch(
-                    name, plan, targets[name], cause
-                )
+                node = self.topology.node(name)
+                with trace.span("fabric.swap", switch=name,
+                                cause=cause) as span:
+                    # A failed plan is timed from the plan's start; a
+                    # swap, from its own (fabric.cut_s adds the plan).
+                    record, app = hot_swap(
+                        self, node.app, plan, cause,
+                        started if isinstance(plan, PlanError)
+                        else time.perf_counter(),
+                        switch=name)
+                    if app is not None:
+                        node.app, node.target = app, targets[name]
+                    span.set_attrs(committed=record.committed,
+                                   backend=record.backend,
+                                   error=record.error)
+                obs_metrics.counter(
+                    "p4all_fleet_reconfigs_total",
+                    help="Fleet reconfigurations with per-switch "
+                         "attribution.",
+                    labels=("switch", "cause", "outcome"),
+                ).inc(switch=name, cause=cause, outcome=record.outcome)
+                records[name] = record
         return records
 
     def cut_switch(self, switch: str, target: TargetSpec,
                    cause: str = "target-change") -> ReconfigRecord:
         """Re-provision one switch: replan + migrate + swap, alone."""
         return self.recompile_all({switch: target}, cause=cause)[switch]
-
-    def _swap_switch(self, name: str, plan: PlanResult,
-                     target: TargetSpec, cause: str) -> ReconfigRecord:
-        """Build/migrate/validate/commit one switch's new layout."""
-        node = self.topology.node(name)
-        started = time.perf_counter()
-        record = ReconfigRecord(
-            cause=cause,
-            packet_index=self.packets_processed,
-            committed=False,
-            backend=plan.backend,
-            fallback=plan.fallback,
-            symbol_values=dict(plan.compiled.symbol_values),
-            solver_stats=dict(plan.solver_stats),
-            module_attribution=dict(plan.module_attribution),
-        )
-        with trace.span("fabric.swap", switch=name, cause=cause) as span:
-            try:
-                new_app = build_app(self.source, plan.compiled, self.config)
-                if self.config.migrate_state and node.app is not None:
-                    record.migration = migrate_netcache_state(node.app, new_app)
-                if self.config.validate_swap:
-                    validate_swap(new_app, self.options.layout)
-            except Exception as exc:
-                record.error = str(exc)
-                record.seconds = time.perf_counter() - started
-                span.set_attrs(committed=False, error=record.error)
-                self.telemetry.emit(
-                    "rollback", packet_index=self.packets_processed,
-                    switch=name, cause=cause, error=str(exc),
-                )
-                self._count_reconfig(name, cause, "rolled-back")
-                self.slo.observe("reconfig_seconds", name, record.seconds,
-                                 packet_index=self.packets_processed)
-                return record
-            node.app = new_app
-            node.target = target
-            record.committed = True
-            record.seconds = time.perf_counter() - started
-            span.set_attrs(committed=True, backend=plan.backend)
-        self.slo.observe("reconfig_seconds", name, record.seconds,
-                         packet_index=self.packets_processed)
-        self.telemetry.emit(
-            "swap_committed",
-            packet_index=self.packets_processed,
-            switch=name, cause=cause, backend=plan.backend,
-            fallback=plan.fallback, seconds=record.seconds,
-            symbols=dict(plan.compiled.symbol_values),
-        )
-        self._count_reconfig(name, cause, "committed")
-        return record
-
-    def _count_reconfig(self, switch: str, cause: str, outcome: str) -> None:
-        obs_metrics.counter(
-            "p4all_fabric_reconfigs_total",
-            help="Per-switch fabric reconfigurations, by cause and outcome.",
-            labels=("cause", "outcome"),
-        ).inc(cause=cause, outcome=outcome)
-        obs_metrics.counter(
-            "p4all_fleet_reconfigs_total",
-            help="Fleet reconfigurations with per-switch attribution.",
-            labels=("switch", "cause", "outcome"),
-        ).inc(switch=switch, cause=cause, outcome=outcome)
 
     # -- migration ---------------------------------------------------------------
     def migrate(self, src: str, dst: str, cause: str = "migration",
@@ -556,8 +491,6 @@ class FleetController:
                 report.final_symbols[name] = dict(
                     app.compiled.symbol_values
                 )
-        report.packets = sum(s.packets for s in report.per_switch.values())
-        report.hits = sum(s.hits for s in report.per_switch.values())
         return report
 
     def _apply_due_cuts(self, report: FleetReport) -> None:
@@ -730,11 +663,11 @@ class FleetController:
 
     # -- teardown ----------------------------------------------------------------
     def close(self) -> None:
-        """Close the per-switch pipelines; idempotent.
+        """Close every installed switch's pipeline; idempotent.
 
-        Each installed pipeline may hold a persistent sharded worker
-        pool (:mod:`repro.pisa.pool`); closing it here keeps fleet
-        teardown from leaking pool children.
+        The fleet's serve never shards, so no switch holds a worker pool
+        unless a caller ran ``pipeline.process_many(workers > 1)`` on it
+        directly — :meth:`~repro.pisa.Pipeline.close` reaps that one.
         """
         for node in self.topology.switches.values():
             if node.app is not None and node.app.pipeline is not None:

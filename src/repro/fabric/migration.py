@@ -9,20 +9,21 @@ The protocol, driven by :func:`migrate_node`:
    (mid-stream, the run loop buffers the in-flight window's src-owned
    keys at the ingress; the buffered count is the migration's downtime
    in packets);
-2. **snapshot** — ``src``'s registers are captured at a quiesce point
-   via the structure-generic
-   :func:`~repro.runtime.migrate.snapshot_registers`;
-3. **copy** — the CMS sketch is fold-restored onto ``dst``
+2. **snapshot + copy** — the app moves its own state:
+   :meth:`NetCacheApp.migrate_to(dst, accumulate=True)
+   <repro.apps.netcache.NetCacheApp.migrate_to>` snapshots ``src``'s
+   sketch at a quiesce point and fold-restores it onto ``dst``
    *accumulating* onto its existing counts (``dst`` may already serve
-   its own shard), and the cached KV entries re-admit hottest-first by
+   its own shard), then re-admits the cached entries hottest-first by
    the source sketch's heat estimate;
-4. **shift routes** — the hash ring relabels every ``src`` point to
+3. **shift routes** — the hash ring relabels every ``src`` point to
    ``dst``: exactly ``src``'s keys move, all to ``dst``, nobody else's
    placement changes;
-5. **verify** — a canary packet for the hottest migrated key must hit
-   in ``dst``'s cache before the change commits. On any failure the
-   ring and ``dst``'s registers roll back to their pre-migration image
-   and ``src`` keeps serving.
+4. **verify** — :meth:`~repro.apps.netcache.NetCacheApp.canary` on
+   ``dst`` with the hottest migrated key must hit before the change
+   commits. On any failure the ring and ``dst``'s state (registers and
+   cached-key set, :meth:`~repro.apps.netcache.NetCacheApp.snapshot`)
+   roll back to their pre-migration image and ``src`` keeps serving.
 
 After commit ``src`` is marked ``drained`` (out of the ring, app still
 installed); a ``standby`` destination is promoted to a serving role.
@@ -31,23 +32,18 @@ installed); a ``standby`` destination is promoted to a serving role.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.errors import CompileError
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..pisa import Packet
-from ..runtime.migrate import (
-    migrate_netcache_state,
-    restore_registers,
-    snapshot_registers,
-)
+from ..runtime.migrate import MigrationReport
 
 __all__ = ["FabricMigrationReport", "migrate_node"]
 
 
-@dataclass
-class FabricMigrationReport:
+@dataclass(kw_only=True)
+class FabricMigrationReport(MigrationReport):
     """One live migration: what moved, how long traffic paused."""
 
     src: str
@@ -62,22 +58,8 @@ class FabricMigrationReport:
     downtime_packets: int = 0
     #: buffered keys replayed onto the destination after commit
     replayed_packets: int = 0
-    kv_entries_old: int = 0
-    kv_migrated: int = 0
-    kv_dropped: int = 0
-    cms_rows_migrated: int = 0
-    cms_exact_fold: bool = True
-    cms_mass_old: int = 0
-    cms_mass_new: int = 0
     canary_key: int | None = None
     error: str = ""
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def kv_loss_fraction(self) -> float:
-        if self.kv_entries_old == 0:
-            return 0.0
-        return self.kv_dropped / self.kv_entries_old
 
     def summary(self) -> str:
         outcome = ("committed" if self.committed
@@ -99,21 +81,14 @@ class FabricMigrationReport:
             "moved_fraction": self.moved_fraction,
             "downtime_packets": self.downtime_packets,
             "replayed_packets": self.replayed_packets,
-            "kv_entries_old": self.kv_entries_old,
-            "kv_migrated": self.kv_migrated,
-            "kv_dropped": self.kv_dropped,
-            "kv_loss_fraction": self.kv_loss_fraction,
-            "cms_rows_migrated": self.cms_rows_migrated,
-            "cms_exact_fold": self.cms_exact_fold,
-            "cms_mass_old": self.cms_mass_old,
-            "cms_mass_new": self.cms_mass_new,
+            **super().to_dict(),
             "canary_key": self.canary_key,
             "error": self.error,
             "notes": list(self.notes),
         }
 
 
-def _serving_role(topology, dst_node) -> str:
+def _serving_role(topology) -> str:
     """Role a promoted standby takes: match the fabric's serving kind."""
     for node in topology.switches.values():
         if node.serving:
@@ -135,8 +110,8 @@ def migrate_node(controller, src: str, dst: str,
     callback that drains that buffer — it runs after the commit/rollback
     decision but *before* the telemetry event, so the emitted
     ``replayed_packets`` reflects what actually replayed. Rollback
-    restores the ring and ``dst``'s register image, so a failed
-    migration leaves the fabric exactly as it was.
+    restores the ring and ``dst``'s state, so a failed migration leaves
+    the fabric exactly as it was.
     """
     topology = controller.topology
     src_node = topology.node(src)
@@ -158,57 +133,33 @@ def migrate_node(controller, src: str, dst: str,
     with trace.span("fleet.migrate", src=src, dst=dst,
                     cause=cause) as span:
         # Pre-image of the destination, for rollback.
-        dst_rollback = snapshot_registers(dst_node.pipeline)
-        dst_keys_rollback = set(dst_node.app._cached_keys)
+        dst_rollback = dst_node.app.snapshot()
         try:
             # copy: sketch accumulates onto dst's own counts; KV entries
             # re-admit hottest-first.
-            mig = migrate_netcache_state(src_node.app, dst_node.app,
-                                         accumulate=True)
-            report.kv_entries_old = mig.kv_entries_old
-            report.kv_migrated = mig.kv_migrated
-            report.kv_dropped = mig.kv_dropped
-            report.cms_rows_migrated = mig.cms_rows_migrated
-            report.cms_exact_fold = mig.cms_exact_fold
-            report.cms_mass_old = mig.cms_mass_old
-            report.cms_mass_new = mig.cms_mass_new
-            report.notes.extend(mig.notes)
+            mig = src_node.app.migrate_to(dst_node.app, accumulate=True)
+            vars(report).update(vars(mig))      # the base class's fields
 
             # shift routes: relabel src's arcs to dst.
             controller.ring.reassign(src, dst)
 
             # verify: the hottest migrated key must hit on dst before
             # the handover commits.
-            if controller.config.validate_swap:
-                migrated = (set(src_node.app._cached_keys)
-                            & set(dst_node.app._cached_keys))
-                if migrated:
-                    key = max(migrated, key=src_node.app._cms_estimate)
-                    report.canary_key = key
-                    result = dst_node.app.pipeline.process(
-                        Packet(fields={"req_key": key})
-                    )
-                    if not result.get("meta.kv_hit"):
-                        raise CompileError(
-                            f"canary failed: migrated key {key} missed "
-                            f"on {dst}"
-                        )
-                elif report.kv_entries_old:
-                    raise CompileError(
-                        "canary failed: no migrated entry survived on "
-                        f"{dst}"
-                    )
+            report.canary_key = src_node.app.hottest_shared_key(dst_node.app)
+            if report.canary_key is not None:
+                dst_node.app.canary(report.canary_key)
+            elif report.kv_entries_old:
+                raise CompileError(
+                    f"canary failed: no migrated entry survived on {dst}")
 
             # commit: src drains, a standby dst is promoted to serving.
             src_node.role = "drained"
             if dst_node.role == "standby":
-                dst_node.role = _serving_role(topology, dst_node)
+                dst_node.role = _serving_role(topology)
             report.committed = True
         except Exception as exc:
             controller.ring = old_ring
-            restore_registers(dst_rollback, dst_node.pipeline,
-                              fold=False, accumulate=False)
-            dst_node.app._cached_keys = dst_keys_rollback
+            dst_node.app.restore(dst_rollback)
             report.error = str(exc)
         report.seconds = time.perf_counter() - started
         span.set_attrs(committed=report.committed,
@@ -223,11 +174,6 @@ def _finish(controller, report: FabricMigrationReport,
     if replay is not None:
         replay(report)
     outcome = "committed" if report.committed else "rolled-back"
-    obs_metrics.counter(
-        "p4all_fabric_migrations_total",
-        help="Live app migrations between fabric switches, by outcome.",
-        labels=("outcome",),
-    ).inc(outcome=outcome)
     obs_metrics.counter(
         "p4all_fleet_migrations_total",
         help="Live app migrations with per-switch attribution.",

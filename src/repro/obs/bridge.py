@@ -67,34 +67,23 @@ def bridge_fleet_report(report, tracer: Tracer | None = None) -> None:
     Emits one ``fleet.report`` instant with the fleet-level summary and
     one ``fleet.reconfig`` instant per per-switch reconfiguration
     record, all inside whatever span is open (the fleet controller
-    calls this while its ``fabric.run`` span is still live). The same
-    records go to the flight recorder unconditionally.
+    calls this while its ``fabric.run`` span is still live). The
+    summary goes to the flight recorder unconditionally.
     """
     from . import flight
     from . import trace as default_tracer
 
     tracer = tracer if tracer is not None else default_tracer
     summary = {
-        "packets": getattr(report, "packets", 0),
-        "hits": getattr(report, "hits", 0),
-        "hit_rate": getattr(report, "hit_rate", 0.0),
-        "switches": len(getattr(report, "switch_stats", {}) or {}),
-        "reconfigs": len(getattr(report, "reconfigs", []) or []),
-        "migrations": len(getattr(report, "migrations", []) or []),
+        "packets": report.packets,
+        "hits": report.hits,
+        "hit_rate": report.hit_rate,
+        "switches": len(report.per_switch),
+        "reconfigs": len(report.reconfigs),
+        "migrations": len(report.migrations),
     }
     flight.note("fleet", "fleet_report", **summary)
     if tracer.enabled:
         tracer.event("fleet.report", **summary)
-        for item in getattr(report, "reconfigs", []) or []:
-            # FleetReport stores reconfigs as (switch, record) pairs.
-            if isinstance(item, tuple) and len(item) == 2:
-                attrs = {"switch": item[0]}
-                record = item[1]
-            else:
-                attrs = {}
-                record = item
-            if hasattr(record, "to_dict"):
-                attrs.update(record.to_dict())
-            elif isinstance(record, dict):
-                attrs.update(record)
-            tracer.event("fleet.reconfig", **attrs)
+        for switch, record in report.reconfigs:
+            tracer.event("fleet.reconfig", switch=switch, **record.to_dict())

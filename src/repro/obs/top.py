@@ -162,16 +162,13 @@ class TopDashboard:
 
     def _control_lines(self) -> list[str]:
         lines: list[str] = []
-        for name, label in (("p4all_reconfigs_total", "runtime reconfigs"),
-                            ("p4all_fabric_reconfigs_total",
-                             "fabric reconfigs")):
-            rows = self._samples(name)
-            if rows:
-                parts = ", ".join(
-                    f"{k.replace(',', '/')} ×{int(v)}"
-                    for k, v in sorted(rows.items())
-                )
-                lines.append(f"  {label}: {parts}")
+        # Runtime and fleet swaps alike (the fleet section has them per
+        # switch).
+        rows = self._samples("p4all_reconfigs_total")
+        if rows:
+            parts = ", ".join(f"{k.replace(',', '/')} ×{int(v)}"
+                              for k, v in sorted(rows.items()))
+            lines.append(f"  reconfigs: {parts}")
         mean = self._hist_mean("p4all_reconfig_seconds")
         if mean is not None:
             lines.append(f"  mean reconfig {mean:.3f}s")

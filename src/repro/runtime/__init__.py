@@ -10,15 +10,15 @@ every decision.
 
 Modules:
 
-* :mod:`~repro.runtime.monitor` — sliding-window hit rate / occupancy /
-  drift signals;
+* :mod:`~repro.runtime.monitor` — sliding-window hit rate / drift
+  signals;
 * :mod:`~repro.runtime.planner` — recompilation with timeout retry,
   backoff, and greedy fallback (never leaves the pipeline unconfigured);
-* :mod:`~repro.runtime.migrate` — register-state migration (CMS counter
-  folding, heat-ranked KV re-admission);
+* :mod:`~repro.runtime.migrate` — structure-generic register snapshot,
+  counter folding and heat-ranked re-admission;
 * :mod:`~repro.runtime.telemetry` — structured JSON event bus;
 * :mod:`~repro.runtime.controller` — :class:`ElasticRuntime`, the loop
-  tying them together.
+  tying them together, and the one hot swap it shares with the fleet.
 """
 
 from .controller import ElasticRuntime, ReconfigRecord, RunReport, RuntimeConfig
@@ -28,7 +28,6 @@ from .migrate import (
     RegisterSnapshot,
     RestoreReport,
     fold_counters,
-    migrate_netcache_state,
     readmit_by_heat,
     restore_registers,
     snapshot_registers,
@@ -47,7 +46,6 @@ __all__ = [
     "RegisterSnapshot",
     "RestoreReport",
     "fold_counters",
-    "migrate_netcache_state",
     "readmit_by_heat",
     "restore_registers",
     "snapshot_registers",

@@ -11,20 +11,20 @@ online*. Two triggers arm a reconfiguration:
 * **drift** — the monitor sees the windowed hit rate fall below the
   steady baseline (the hot set moved faster than the cache followed).
 
-A reconfiguration runs the full cycle: plan (ILP with retry/backoff,
-greedy fallback — see :mod:`repro.runtime.planner`), build the new
-pipeline, migrate register state onto it
-(:mod:`repro.runtime.migrate`), re-validate the populated layout with
-:func:`~repro.core.validate.validate_layout` plus a canary packet, and
-only then swap. Any failure rolls back to the still-running old
-pipeline. Every step lands on the telemetry bus.
+A reconfiguration plans (ILP with retry/backoff, greedy fallback — see
+:mod:`repro.runtime.planner`) and then runs :func:`hot_swap`, the one
+swap the fleet controller runs per switch too: build the new pipeline,
+migrate the app's state onto it (:meth:`NetCacheApp.migrate_to
+<repro.apps.netcache.NetCacheApp.migrate_to>`), re-validate the
+populated layout with :func:`~repro.core.validate.validate_layout` plus
+a canary packet, and only then swap. Any failure rolls back to the
+still-running old pipeline. Every step lands on the telemetry bus.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..apps.netcache import NETCACHE_UTILITY, NetCacheApp, netcache_linked
 from ..core import CompileOptions, validate_layout
@@ -33,9 +33,9 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
 from ..pisa.resources import TargetSpec
-from .migrate import MigrationReport, migrate_netcache_state
+from .migrate import MigrationReport
 from .monitor import TrafficMonitor
-from .planner import PlanError, ReconfigPlanner
+from .planner import PlanError, PlanResult, ReconfigPlanner
 from .telemetry import TelemetryBus
 
 __all__ = ["RuntimeConfig", "ReconfigRecord", "RunReport", "ElasticRuntime"]
@@ -52,7 +52,6 @@ class RuntimeConfig:
     cooldown_windows: int = 10        # min windows between drift reconfigs
     hot_threshold: int = 4            # NetCache promotion threshold
     migrate_state: bool = True        # run the state migrator on swap
-    validate_swap: bool = True        # re-validate + canary before commit
     drift_reconfig: bool = True       # arm the drift trigger at all
     engine: str | None = None         # pipeline engine (None = default)
     serve_batch: int | None = None    # serve sub-batch size; results
@@ -79,19 +78,6 @@ def build_app(source, compiled, config) -> NetCacheApp:
     )
 
 
-def validate_swap(app: NetCacheApp, layout) -> None:
-    """The pre-commit check both controllers run on a candidate app when
-    ``validate_swap`` is set: its artifact re-validated under the
-    planner's :class:`~repro.core.LayoutOptions`, then a canary packet
-    through the migrated pipeline. Raises on any failure."""
-    validate_layout(
-        app.compiled,
-        hash_unit_limits=layout.hash_unit_limits,
-        table_memory=layout.table_memory,
-    )
-    app.canary()
-
-
 @dataclass
 class ReconfigRecord:
     """One reconfiguration cycle, committed or rolled back."""
@@ -112,6 +98,31 @@ class ReconfigRecord:
     #: per-module stage/memory/ALU/utility attribution (module name →
     #: flat dict), populated when the runtime source is a LinkedProgram
     module_attribution: dict = field(default_factory=dict)
+
+    @property
+    def outcome(self) -> str:
+        """``committed``, ``rolled-back``, or ``plan-failed`` (no layout
+        was found, so nothing was built)."""
+        if self.committed:
+            return "committed"
+        return "rolled-back" if self.backend else "plan-failed"
+
+    def to_dict(self) -> dict:
+        return {
+            "cause": self.cause,
+            "packet_index": self.packet_index,
+            "committed": self.committed,
+            "backend": self.backend,
+            "fallback": self.fallback,
+            "seconds": self.seconds,
+            "baseline_rate": self.baseline_rate,
+            "error": self.error,
+            "symbol_values": self.symbol_values,
+            "solver_stats": self.solver_stats,
+            "module_attribution": self.module_attribution,
+            "migration": (self.migration.to_dict()
+                          if self.migration is not None else None),
+        }
 
 
 @dataclass
@@ -190,25 +201,109 @@ class RunReport:
             "recovery_ratio": self.recovery_ratio(),
             "module_attribution": self.module_attribution,
             "slo_violations": list(self.slo_violations),
-            "reconfigs": [
-                {
-                    "cause": r.cause,
-                    "packet_index": r.packet_index,
-                    "committed": r.committed,
-                    "backend": r.backend,
-                    "fallback": r.fallback,
-                    "seconds": r.seconds,
-                    "baseline_rate": r.baseline_rate,
-                    "error": r.error,
-                    "symbol_values": r.symbol_values,
-                    "solver_stats": r.solver_stats,
-                    "module_attribution": r.module_attribution,
-                    "migration": (r.migration.to_dict()
-                                  if r.migration is not None else None),
-                }
-                for r in self.reconfigs
-            ],
+            "reconfigs": [r.to_dict() for r in self.reconfigs],
         }
+
+
+def hot_swap(ctl, old: NetCacheApp | None, plan: PlanResult | PlanError,
+             cause: str, started: float, switch: str | None = None,
+             baseline_rate: float = 0.0,
+             ) -> tuple[ReconfigRecord, NetCacheApp | None]:
+    """The one hot swap, run by :class:`ElasticRuntime` and, per switch,
+    by the fleet's :class:`~repro.fabric.FleetController`.
+
+    ``plan`` is the planner's result — or the :class:`PlanError` it
+    raised, which is recorded and counted like any other failed swap.
+    From a plan: build the app, migrate ``old``'s state onto it
+    (:meth:`~repro.apps.netcache.NetCacheApp.migrate_to`; ``old=None``
+    starts it cold), re-validate the artifact under the controller's
+    layout options and canary it. ``ctl`` is the calling controller,
+    read for ``source``, ``config``, ``options``, ``telemetry``, ``slo``
+    and ``packets_processed``; ``record.seconds`` counts from
+    ``started``; ``switch`` names the fleet's switch on every event and
+    is the SLO subject (the runtime's is the cause).
+
+    Returns ``(record, app)``: ``app`` is the validated candidate the
+    caller installs, or None when the swap did not commit — the serving
+    app is never touched.
+    """
+    where = {"switch": switch} if switch is not None else {}
+    record = ReconfigRecord(cause=cause, packet_index=ctl.packets_processed,
+                            committed=False, baseline_rate=baseline_rate)
+    app = None
+    if isinstance(plan, PlanError):
+        record.error = str(plan)
+    else:
+        record.backend = plan.backend
+        record.fallback = plan.fallback
+        record.symbol_values = dict(plan.compiled.symbol_values)
+        record.solver_stats = dict(plan.solver_stats)
+        record.module_attribution = dict(plan.module_attribution)
+        try:
+            app = build_app(ctl.source, plan.compiled, ctl.config)
+            if old is not None:
+                with trace.span("runtime.migrate") as span:
+                    record.migration = old.migrate_to(app)
+                    span.set_attrs(
+                        kv_migrated=record.migration.kv_migrated,
+                        kv_entries_old=record.migration.kv_entries_old,
+                        kv_loss_fraction=record.migration.kv_loss_fraction,
+                    )
+                ctl.telemetry.emit("migration",
+                                   packet_index=ctl.packets_processed,
+                                   **where, **record.migration.to_dict())
+            with trace.span("runtime.validate_swap"):
+                layout = ctl.options.layout
+                validate_layout(app.compiled,
+                                hash_unit_limits=layout.hash_unit_limits,
+                                table_memory=layout.table_memory)
+                app.canary()
+            record.committed = True
+        except Exception as exc:  # roll back on *any* pre-commit failure
+            record.error = str(exc)
+            app = None
+    record.seconds = time.perf_counter() - started
+    if record.committed:
+        stats = plan.compiled.stats
+        ctl.telemetry.emit(
+            "swap_committed",
+            packet_index=ctl.packets_processed,
+            **where,
+            cause=cause,
+            backend=plan.backend,
+            fallback=plan.fallback,
+            seconds=record.seconds,
+            plan_seconds=plan.plan_seconds,
+            parse_seconds=stats.parse_seconds,
+            analysis_seconds=stats.analysis_seconds,
+            ilp_build_seconds=stats.ilp_build_seconds,
+            ilp_solve_seconds=stats.ilp_solve_seconds,
+            codegen_seconds=stats.codegen_seconds,
+            solver_stats=dict(plan.solver_stats),
+            symbols=dict(plan.compiled.symbol_values),
+            kv_loss=(record.migration.kv_loss_fraction
+                     if record.migration is not None else None),
+        )
+    else:
+        ctl.telemetry.emit(
+            "rollback" if record.backend else "reconfig_failed",
+            packet_index=ctl.packets_processed,
+            **where,
+            cause=cause,
+            error=record.error,
+        )
+    obs_metrics.counter(
+        "p4all_reconfigs_total",
+        help="Reconfiguration cycles, by trigger cause and outcome.",
+        labels=("cause", "outcome"),
+    ).inc(cause=cause, outcome=record.outcome)
+    obs_metrics.histogram(
+        "p4all_reconfig_seconds",
+        help="End-to-end wall time of one reconfiguration cycle.",
+    ).observe(record.seconds)
+    ctl.slo.observe("reconfig_seconds", switch or cause, record.seconds,
+                    packet_index=ctl.packets_processed)
+    return record, app
 
 
 class ElasticRuntime:
@@ -242,6 +337,7 @@ class ElasticRuntime:
         self.planner = planner if planner is not None else ReconfigPlanner(
             options=options, telemetry=self.telemetry
         )
+        self.options = self.planner.options
         self.monitor = TrafficMonitor(
             baseline_windows=self.config.baseline_windows,
             drop_threshold=self.config.drop_threshold,
@@ -258,9 +354,6 @@ class ElasticRuntime:
         #: string-composed sources.
         self.slo = SloMonitor(rules=self.config.slo_rules,
                               telemetry=self.telemetry)
-        #: test hook: called with the candidate app before commit; raising
-        #: aborts the swap (exercises the rollback path).
-        self.pre_commit_check: Callable[[NetCacheApp], None] | None = None
 
         with trace.span("runtime.init", target=target.name) as span:
             plan = self.planner.plan(self.source, target, cause="initial")
@@ -307,26 +400,34 @@ class ElasticRuntime:
 
     # -- reconfiguration cycle -------------------------------------------------
     def reconfigure(self, cause: str) -> ReconfigRecord:
-        """Plan → build → migrate → validate → swap (or roll back)."""
+        """Plan → :func:`hot_swap` (build → migrate → validate → swap, or
+        roll back). ``record.seconds`` includes the plan."""
+        started = time.perf_counter()
+        target = self._pending_target or self.target
+        self._pending_target = None
         with trace.span("runtime.reconfigure", cause=cause,
                         packet_index=self.packets_processed) as span:
-            record = self._reconfigure(cause)
+            baseline = self.monitor.steady_rate()
+            self.telemetry.emit(
+                "reconfig_triggered",
+                packet_index=self.packets_processed,
+                cause=cause,
+                baseline_rate=baseline,
+                target=target.name,
+                memory_bits_per_stage=target.memory_bits_per_stage,
+            )
+            try:
+                plan = self.planner.plan(self.source, target, cause=cause)
+            except PlanError as exc:
+                plan = exc
+            record, app = hot_swap(
+                self, self.app if self.config.migrate_state else None, plan,
+                cause, started, baseline_rate=baseline)
+            if app is not None:
+                self.app, self.target = app, target
+                self.monitor.reset_baseline()
             span.set_attrs(committed=record.committed, backend=record.backend,
                            fallback=record.fallback, error=record.error)
-        outcome = ("committed" if record.committed
-                   else "plan-failed" if not record.backend
-                   else "rolled-back")
-        obs_metrics.counter(
-            "p4all_reconfigs_total",
-            help="Reconfiguration cycles, by trigger cause and outcome.",
-            labels=("cause", "outcome"),
-        ).inc(cause=cause, outcome=outcome)
-        obs_metrics.histogram(
-            "p4all_reconfig_seconds",
-            help="End-to-end wall time of one reconfiguration cycle.",
-        ).observe(record.seconds)
-        self.slo.observe("reconfig_seconds", cause, record.seconds,
-                         packet_index=self.packets_processed)
         if record.committed and record.module_attribution:
             # Headroom of each tenant's weighted utility over its
             # declared floor: the ILP promised >= 0; tell the SLO
@@ -339,103 +440,6 @@ class ElasticRuntime:
                             - floors.get(module, 0.0))
                 self.slo.observe("utility_headroom", module, headroom,
                                  packet_index=self.packets_processed)
-        return record
-
-    def _reconfigure(self, cause: str) -> ReconfigRecord:
-        started = time.perf_counter()
-        new_target = self._pending_target or self.target
-        baseline = self.monitor.steady_rate()
-        record = ReconfigRecord(
-            cause=cause,
-            packet_index=self.packets_processed,
-            committed=False,
-            baseline_rate=baseline,
-        )
-        self.telemetry.emit(
-            "reconfig_triggered",
-            packet_index=self.packets_processed,
-            cause=cause,
-            baseline_rate=baseline,
-            target=new_target.name,
-            memory_bits_per_stage=new_target.memory_bits_per_stage,
-        )
-        try:
-            plan = self.planner.plan(self.source, new_target, cause=cause)
-        except PlanError as exc:
-            record.error = str(exc)
-            record.seconds = time.perf_counter() - started
-            self.telemetry.emit(
-                "reconfig_failed",
-                packet_index=self.packets_processed,
-                cause=cause,
-                error=str(exc),
-            )
-            self._pending_target = None
-            return record
-
-        record.backend = plan.backend
-        record.fallback = plan.fallback
-        record.symbol_values = dict(plan.compiled.symbol_values)
-        record.solver_stats = dict(plan.solver_stats)
-        record.module_attribution = dict(plan.module_attribution)
-        try:
-            new_app = build_app(self.source, plan.compiled, self.config)
-            if self.config.migrate_state:
-                with trace.span("runtime.migrate") as mspan:
-                    record.migration = migrate_netcache_state(self.app, new_app)
-                    mspan.set_attrs(
-                        kv_migrated=record.migration.kv_migrated,
-                        kv_entries_old=record.migration.kv_entries_old,
-                        kv_loss_fraction=record.migration.kv_loss_fraction,
-                    )
-                self.telemetry.emit(
-                    "migration",
-                    packet_index=self.packets_processed,
-                    **record.migration.to_dict(),
-                )
-            with trace.span("runtime.validate_swap",
-                            validate=self.config.validate_swap):
-                if self.config.validate_swap:
-                    validate_swap(new_app, self.planner.options.layout)
-                if self.pre_commit_check is not None:
-                    self.pre_commit_check(new_app)
-        except Exception as exc:  # roll back on *any* pre-commit failure
-            record.error = str(exc)
-            record.seconds = time.perf_counter() - started
-            self.telemetry.emit(
-                "rollback",
-                packet_index=self.packets_processed,
-                cause=cause,
-                error=str(exc),
-            )
-            self._pending_target = None
-            return record
-
-        self.app = new_app
-        self.target = new_target
-        self._pending_target = None
-        self.monitor.reset_baseline()
-        record.committed = True
-        record.seconds = time.perf_counter() - started
-        stats = plan.compiled.stats
-        self.telemetry.emit(
-            "swap_committed",
-            packet_index=self.packets_processed,
-            cause=cause,
-            backend=plan.backend,
-            fallback=plan.fallback,
-            seconds=record.seconds,
-            plan_seconds=plan.plan_seconds,
-            parse_seconds=stats.parse_seconds,
-            analysis_seconds=stats.analysis_seconds,
-            ilp_build_seconds=stats.ilp_build_seconds,
-            ilp_solve_seconds=stats.ilp_solve_seconds,
-            codegen_seconds=stats.codegen_seconds,
-            solver_stats=dict(plan.solver_stats),
-            symbols=dict(plan.compiled.symbol_values),
-            kv_loss=(record.migration.kv_loss_fraction
-                     if record.migration is not None else None),
-        )
         return record
 
     # -- the control loop ------------------------------------------------------
@@ -492,7 +496,7 @@ class ElasticRuntime:
                     packet_index=self.packets_processed,
                     window=sample.index,
                     hit_rate=sample.hit_rate,
-                    occupancy=TrafficMonitor.structure_occupancy(self.app),
+                    occupancy=self.app.occupancy(),
                 )
                 for tenant in self.tenants:
                     self.slo.observe("hit_rate", tenant, sample.hit_rate,

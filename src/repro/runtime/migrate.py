@@ -27,14 +27,11 @@ the structure-generic machinery both paths share:
   taken are dropped — the structure shrank, and the coldest entries are
   the ones to lose.
 
-:func:`migrate_netcache_state` — the single-switch hot-swap entry the
-elastic runtime has used since PR 1 — is now a thin wrapper composing
-the three: snapshot the CMS family, fold-restore it, heat-readmit the
-cached KV entries.
-
-The caller (runtime controller or fleet controller) validates the
-populated layout and rolls back if anything fails — the source app is
-never mutated here.
+:meth:`NetCacheApp.migrate_to <repro.apps.netcache.NetCacheApp.migrate_to>`
+composes the three: snapshot the CMS family, fold-restore it,
+heat-readmit the cached KV entries. The caller (the runtime's hot swap
+or the fabric's live migration) validates the populated app and rolls
+back if anything fails — the source app is never mutated.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "snapshot_registers",
     "restore_registers",
     "readmit_by_heat",
-    "migrate_netcache_state",
     "fold_counters",
 ]
 
@@ -162,21 +158,10 @@ class RestoreReport:
     exact: bool = True              #: every fold was an exact re-aggregation
     mass_in: int = 0                #: total cell mass read from the snapshot
     mass_out: int = 0               #: total cell mass written to the target
-    instances: list[str] = field(default_factory=list)
 
     @property
     def migrated(self) -> int:
         return self.loaded + self.folded
-
-    def to_dict(self) -> dict:
-        return {
-            "loaded": self.loaded,
-            "folded": self.folded,
-            "dropped": self.dropped,
-            "exact": self.exact,
-            "mass_in": self.mass_in,
-            "mass_out": self.mass_out,
-        }
 
 
 def _family_of(name: str) -> str:
@@ -256,7 +241,6 @@ def restore_registers(snapshot: RegisterSnapshot, pipeline,
             incoming = (incoming + dst.dump()) & np.uint64(dst.mask)
         dst.load(incoming)
         report.mass_out += int(incoming.sum())
-        report.instances.append(name)
     return report
 
 
@@ -286,49 +270,3 @@ def readmit_by_heat(
         else:
             dropped += 1
     return migrated, dropped
-
-
-# -- the NetCache hot-swap entry (thin wrapper over the generic API) ------------
-def migrate_netcache_state(old_app, new_app,
-                           accumulate: bool = False) -> MigrationReport:
-    """Populate ``new_app``'s registers from ``old_app``'s state.
-
-    Both arguments are :class:`~repro.apps.netcache.NetCacheApp`-shaped:
-    a ``pipeline`` with ``cms_sketch[r]`` / ``kv_keys[r]`` / ``kv_val0[r]``
-    register families plus ``cms_rows``/``kv_rows`` counts. ``old_app``
-    is only read. With ``accumulate=True`` the sketch is added onto
-    ``new_app``'s existing counts (fabric absorb-migration) instead of
-    replacing them.
-    """
-    report = MigrationReport()
-
-    # -- CMS fold (generic snapshot → fold-restore) ----------------------------
-    snap = snapshot_registers(old_app.pipeline, families=("cms_sketch",))
-    restored = restore_registers(snap, new_app.pipeline,
-                                 families=("cms_sketch",),
-                                 fold=True, accumulate=accumulate)
-    report.cms_rows_migrated = restored.migrated
-    report.cms_rows_dropped = restored.dropped
-    report.cms_exact_fold = restored.exact
-    report.cms_mass_old = restored.mass_in
-    report.cms_mass_new = restored.mass_out
-    if report.cms_rows_dropped:
-        report.notes.append(
-            f"{report.cms_rows_dropped} sketch rows dropped (fewer rows "
-            "in the new layout)"
-        )
-
-    # -- KV re-admission by heat ------------------------------------------------
-    entries = old_app.cached_entries()
-    report.kv_entries_old = len(entries)
-    report.kv_migrated, report.kv_dropped = readmit_by_heat(
-        ((key, value) for _row, key, value in entries),
-        heat=old_app._cms_estimate,
-        install=new_app.install,
-    )
-    if report.kv_dropped:
-        report.notes.append(
-            f"{report.kv_dropped} cache entries dropped (no free candidate "
-            "slot in the new layout)"
-        )
-    return report

@@ -1,10 +1,9 @@
-"""Traffic monitor: sliding-window hit rate, occupancy, and drift.
+"""Traffic monitor: sliding-window hit rate and drift.
 
 The monitor is the runtime's sensor. The packet loop reports each
 processed window (``record``); the monitor keeps a bounded history of
-per-window hit rates, an occupancy snapshot per structure, and a drift
-signal: the current window's hit rate falling a configured fraction
-below the steady baseline. A drift detection is what arms the
+per-window hit rates and a drift signal: the current window's hit rate
+falling a configured fraction below the steady baseline. A drift detection is what arms the
 reconfiguration planner when no explicit target change is pending —
 NetCache's "the hot set moved and the cache stopped following it".
 """
@@ -108,17 +107,3 @@ class TrafficMonitor:
         if baseline <= 0.0:
             return False
         return self.current_rate() < baseline * (1.0 - self.drop_threshold)
-
-    # -- occupancy -------------------------------------------------------------
-    @staticmethod
-    def structure_occupancy(app) -> dict[str, float]:
-        """Per-structure occupancy of a NetCache-style app: fraction of
-        cache slots filled and of sketch counters touched."""
-        out = {"kv": app.kv_occupancy()}
-        cells = touched = 0
-        for row in range(app.cms_rows):
-            array = app.pipeline.registers.get(f"cms_sketch[{row}]")
-            cells += array.cells
-            touched += array.nonzero_cells()
-        out["cms"] = touched / cells if cells else 0.0
-        return out

@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.cache import CompileCache
 from repro.fabric import FabricTopology, FleetConfig, FleetController
-from repro.runtime import TelemetryBus
+from repro.runtime import (
+    ElasticRuntime,
+    ReconfigPlanner,
+    RuntimeConfig,
+    TelemetryBus,
+)
 from repro.workloads import ZipfGenerator
 
 
@@ -191,6 +196,33 @@ class TestReconfiguration:
         report = controller.run(stream, 2000)
         assert (report.final_symbols["s2"]["kv_cols"]
                 < report.final_symbols["s0"]["kv_cols"])
+
+
+class TestOneSwap:
+    def test_runtime_swap_equals_fleet_cut(self, mini64, mini32,
+                                           shared_cache):
+        """The runtime and the fleet run the same hot swap: over the same
+        warmed trace, one switch cut 64 → 32 Kb migrates exactly what the
+        runtime's target change does, onto the same layout."""
+        keys = ZipfGenerator(universe=2000, alpha=1.2, seed=3)
+        runtime = ElasticRuntime(
+            mini64, config=RuntimeConfig(window_packets=500,
+                                         drift_reconfig=False),
+            telemetry=TelemetryBus(),
+            planner=ReconfigPlanner(cache=shared_cache))
+        runtime.run(keys, 2000)
+        runtime.set_target(mini32)
+        swapped = runtime.reconfigure("target-change")
+
+        keys = ZipfGenerator(universe=2000, alpha=1.2, seed=3)
+        controller = make_controller(mini64, shared_cache, n=1)
+        controller.run(keys, 2000)
+        cut = controller.cut_switch("s0", mini32)
+
+        assert swapped.committed and cut.committed
+        assert swapped.migration.kv_migrated > 0
+        assert swapped.migration.to_dict() == cut.migration.to_dict()
+        assert swapped.symbol_values == cut.symbol_values
 
 
 class TestServingModesAgree:

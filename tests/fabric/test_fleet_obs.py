@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.fabric import FabricTopology, FleetConfig, FleetController
+from repro.pisa import small_target
 from repro.runtime import TelemetryBus
 from repro.workloads import ZipfGenerator
 
@@ -87,6 +88,7 @@ class TestFleetSpans:
                      if e.name == "fleet.report"]
         assert summary.attrs["packets"] == report.packets
         assert summary.attrs["reconfigs"] == len(report.reconfigs)
+        assert summary.attrs["switches"] == 3
 
     def test_untraced_run_still_counts_fleet_metrics(self, mini64, mini32,
                                                      shared_cache):
@@ -97,3 +99,29 @@ class TestFleetSpans:
         controller.run(ZipfGenerator(3000, alpha=1.1, seed=5), 2000)
         assert _fleet_reconfigs("s2") == before + 1
         assert len(obs.trace) == 0
+
+
+class TestFailedPlan:
+    def test_failed_plan_is_timed_counted_and_observed(self, mini64,
+                                                       shared_cache):
+        """A cut to a target nothing fits takes the one swap path: the
+        record is timed, both reconfig counters see ``plan-failed`` and
+        the SLO monitor observes its ``reconfig_seconds``."""
+        controller = make_controller(mini64, shared_cache)
+        controller.install_all()
+        old_app = controller.topology.node("s0").app
+        before = _fleet_reconfigs("s0")
+        # Two stateful ALUs a stage: NetCache does not fit at all.
+        record = controller.cut_switch("s0", small_target(stages=6,
+                                                          memory_kb=64))
+        assert not record.committed and record.outcome == "plan-failed"
+        assert record.seconds > 0.0
+        assert controller.topology.node("s0").app is old_app
+        assert _fleet_reconfigs("s0") == before + 1
+        assert obs.metrics.get("p4all_fleet_reconfigs_total").value(
+            switch="s0", cause="target-change", outcome="plan-failed") >= 1
+        assert obs.metrics.get("p4all_reconfigs_total").value(
+            cause="target-change", outcome="plan-failed") >= 1
+        assert controller.slo.status()["reconfig_seconds:s0"]["samples"] == 1
+        failed = controller.telemetry.last_of("reconfig_failed")
+        assert failed.data["switch"] == "s0"

@@ -182,7 +182,6 @@ class TestPostMigration:
 
         from repro.apps.netcache import NetCacheApp, netcache_source
         from repro.pisa.resources import tofino
-        from repro.runtime import migrate_netcache_state
         from repro.workloads import ZipfGenerator
 
         mini64 = dataclasses.replace(
@@ -201,7 +200,7 @@ class TestPostMigration:
         for engine in ("compiled", "interp", "vector"):
             app = NetCacheApp(mini32, hot_threshold=4, compiled=compiled32,
                               engine=engine)
-            migrate_netcache_state(old, app)
+            old.migrate_to(app)
             new_apps[engine] = app
         ac = new_apps["compiled"]
         for other in ("interp", "vector"):

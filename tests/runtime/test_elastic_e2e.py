@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.apps.netcache import NetCacheApp
 from repro.core import CompileOptions
 from repro.runtime import (
     ElasticRuntime,
@@ -127,7 +128,7 @@ class TestServingModesAgree:
 
 
 class TestRollback:
-    def test_injected_failure_rolls_back(self, mini64, mini32):
+    def test_injected_failure_rolls_back(self, mini64, mini32, monkeypatch):
         bus = TelemetryBus()
         runtime = ElasticRuntime(
             mini64,
@@ -138,10 +139,10 @@ class TestRollback:
         stream = make_stream()
         runtime.run(stream, packets=2000)
 
-        def fail(_app):
+        def fail(_app, key=None):
             raise RuntimeError("injected pre-commit failure")
 
-        runtime.pre_commit_check = fail
+        monkeypatch.setattr(NetCacheApp, "canary", fail)
         runtime.set_target(mini32)
         report = runtime.run(stream, packets=1000)
 
@@ -159,19 +160,22 @@ class TestRollback:
         # The failed attempt is not retried in a loop: one record only.
         assert len(report.reconfigs) == 1
 
-    def test_runtime_survives_rollback_and_keeps_serving(self, mini64, mini32):
+    def test_runtime_survives_rollback_and_keeps_serving(self, mini64, mini32,
+                                                         monkeypatch):
         runtime = ElasticRuntime(
             mini64,
             config=RuntimeConfig(window_packets=500, drift_reconfig=False),
         )
         stream = make_stream()
         runtime.run(stream, packets=2000)
-        runtime.pre_commit_check = lambda app: (_ for _ in ()).throw(
-            ValueError("no")
-        )
-        runtime.set_target(mini32)
-        runtime.run(stream, packets=500)
-        runtime.pre_commit_check = None
+
+        def fail(_app, key=None):
+            raise ValueError("no")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NetCacheApp, "canary", fail)
+            runtime.set_target(mini32)
+            runtime.run(stream, packets=500)
         report = runtime.run(stream, packets=1500)
         assert report.hit_rate > 0.0
 

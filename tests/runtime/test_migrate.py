@@ -8,7 +8,6 @@ from repro.apps.netcache import NetCacheApp
 from repro.core import validate_layout
 from repro.runtime import (
     fold_counters,
-    migrate_netcache_state,
     readmit_by_heat,
     restore_registers,
     snapshot_registers,
@@ -66,7 +65,7 @@ def warm_old_app(compiled64, mini64):
 class TestMigrationRoundTrip:
     def test_round_trip_shrink(self, warm_old_app, compiled32, mini32):
         new_app = NetCacheApp(mini32, hot_threshold=4, compiled=compiled32)
-        report = migrate_netcache_state(warm_old_app, new_app)
+        report = warm_old_app.migrate_to(new_app)
 
         # Accounting adds up and something actually moved.
         assert report.kv_entries_old == len(warm_old_app.cached_entries())
@@ -95,33 +94,33 @@ class TestMigrationRoundTrip:
         # Count-min invariant: after an exact fold, a key's estimate in
         # the new sketch is at least its estimate in the old one.
         new_app = NetCacheApp(mini32, hot_threshold=4, compiled=compiled32)
-        migrate_netcache_state(warm_old_app, new_app)
+        warm_old_app.migrate_to(new_app)
         for key in list(warm_old_app._cached_keys)[:50]:
-            assert new_app._cms_estimate(key) >= warm_old_app._cms_estimate(key)
+            assert new_app.estimate(key) >= warm_old_app.estimate(key)
 
     def test_hottest_entries_survive(self, warm_old_app, compiled32, mini32):
         # Re-admission is heat-ranked: any dropped entry must be no
         # hotter than the coldest migrated one.
         new_app = NetCacheApp(mini32, hot_threshold=4, compiled=compiled32)
-        report = migrate_netcache_state(warm_old_app, new_app)
+        report = warm_old_app.migrate_to(new_app)
         if report.kv_dropped == 0:
             pytest.skip("nothing dropped at this cache ratio")
         migrated = {key for _r, key, _v in new_app.cached_entries()}
         dropped = {key for _r, key, _v in warm_old_app.cached_entries()
                    if key not in migrated}
-        max_dropped = max(warm_old_app._cms_estimate(k) for k in dropped)
-        min_migrated = min(warm_old_app._cms_estimate(k) for k in migrated)
+        max_dropped = max(warm_old_app.estimate(k) for k in dropped)
+        min_migrated = min(warm_old_app.estimate(k) for k in migrated)
         # Hash collisions can strand a hot key, but the orderings must
         # broadly agree; with exact heat ranking the boundary estimates
         # cannot invert by more than the collision slack.
         assert min_migrated >= 1
         assert max_dropped <= max(
-            warm_old_app._cms_estimate(k) for k in migrated
+            warm_old_app.estimate(k) for k in migrated
         )
 
     def test_values_preserved(self, warm_old_app, compiled32, mini32):
         new_app = NetCacheApp(mini32, hot_threshold=4, compiled=compiled32)
-        migrate_netcache_state(warm_old_app, new_app)
+        warm_old_app.migrate_to(new_app)
         old_values = {key: value
                       for _r, key, value in warm_old_app.cached_entries()}
         for _row, key, value in new_app.cached_entries():
@@ -134,7 +133,7 @@ class TestMigrationRoundTrip:
             for r in range(warm_old_app.cms_rows)
         ]
         new_app = NetCacheApp(mini32, hot_threshold=4, compiled=compiled32)
-        migrate_netcache_state(warm_old_app, new_app)
+        warm_old_app.migrate_to(new_app)
         assert sorted(warm_old_app.cached_entries()) == before_entries
         for row, dump in enumerate(before_sketch):
             now = warm_old_app.pipeline.registers.get(
@@ -144,7 +143,7 @@ class TestMigrationRoundTrip:
     def test_migrate_to_same_layout_is_lossless(self, warm_old_app,
                                                 compiled64, mini64):
         new_app = NetCacheApp(mini64, hot_threshold=4, compiled=compiled64)
-        report = migrate_netcache_state(warm_old_app, new_app)
+        report = warm_old_app.migrate_to(new_app)
         assert report.kv_dropped == 0
         assert report.kv_migrated == report.kv_entries_old
         assert report.cms_exact_fold
