@@ -18,7 +18,7 @@ Two execution paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -178,7 +178,6 @@ class NetCacheStats:
     insertions: int = 0
     evictions: int = 0
     rejected_insertions: int = 0
-    history: list[float] = field(default_factory=list)
 
     @property
     def hit_rate(self) -> float:
@@ -229,15 +228,40 @@ class NetCacheApp:
         self._cms_hash = stacked_vector(
             [self.pipeline._hash_fn(row) for row in range(self.cms_rows)],
             1 << 32)
+        self._cms_fields = [f"meta.cms_index[{row}]"
+                            for row in range(self.cms_rows)]
+        self._kv_fields = [f"meta.kv_idx[{row}]" for row in range(self.kv_rows)]
         self._check_program()
+        # The registers the controller reads and writes, bound once: they
+        # live as long as the pipeline (``load`` works in place).
+        registers = self.pipeline.registers
+        self._kv_keys = [registers.get(f"kv_keys[{row}]")
+                         for row in range(self.kv_rows)]
+        self._kv_vals = [registers.get(f"kv_val0[{row}]")
+                         for row in range(self.kv_rows)]
+        self._sketch = [registers.get(f"cms_sketch[{row}]")
+                        for row in range(self.cms_rows)]
+        # One column per row: a KV row's cell count; a CMS row's cell
+        # count, where its cells start in one flat index over every CMS
+        # row's cells, and (shaped for CMS row × KV row × lane) its mask.
+        self._kv_cells = np.array(
+            [register.cells for register in self._kv_keys],
+            dtype=np.int64)[:, None]
+        cells = np.array([register.cells for register in self._sketch],
+                         dtype=np.int64)
+        self._cms_cells = cells[:, None]
+        self._cms_base = (np.cumsum(cells) - cells)[:, None]
+        self._cms_size = int(cells.sum())
+        self._cms_mask = np.array(
+            [register.mask for register in self._sketch],
+            dtype=np.uint64)[:, None, None]
 
     def _check_program(self) -> None:
         """The two facts :meth:`_serve_exact` rests on: the PHV reports
         hit, estimate, counted sketch cells and probed store slots, and
         the data plane never writes the store."""
-        fields = ["meta.kv_hit", "meta.cms_min"] + [
-            f"meta.cms_index[{row}]" for row in range(self.cms_rows)] + [
-            f"meta.kv_idx[{row}]" for row in range(self.kv_rows)]
+        fields = ["meta.kv_hit", "meta.cms_min",
+                  *self._cms_fields, *self._kv_fields]
         missing = [f for f in fields if f not in self.pipeline.phv_layout]
         if missing:
             raise NetCacheProgramError(
@@ -258,16 +282,24 @@ class NetCacheApp:
     def estimate(self, key: int) -> int:
         """Query the data-plane sketch registers for a key's estimate."""
         est = None
-        for row in range(self.cms_rows):
+        for row, register in enumerate(self._sketch):
             idx = self.pipeline.hash_value(row, key, width=1 << 32)
-            count = int(self.pipeline.registers.get(f"cms_sketch[{row}]").read(idx))
+            count = register.read(idx)
             est = count if est is None else min(est, count)
         return est or 0
+
+    def _counters(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per CMS row and key of a ``uint64`` array: the sketch cell the
+        key counts on and that cell's counter, in one gather per row
+        (:meth:`estimate` is the least counter of a key)."""
+        cells = self._cms_hash(keys) % self._cms_cells
+        return cells, np.array([register.read_cells(row) for register, row
+                                in zip(self._sketch, cells)])
 
     def _slot_key(self, row: int, key: int) -> int:
         """Key occupying ``key``'s candidate slot in ``row`` (0 = free)."""
         idx = self.pipeline.hash_value(100 + row, key, width=1 << 32)
-        return int(self.pipeline.registers.get(f"kv_keys[{row}]").read(idx))
+        return self._kv_keys[row].read(idx)
 
     def _write_slot(self, row: int, key: int, value: int) -> None:
         self._write_at(
@@ -275,8 +307,8 @@ class NetCacheApp:
             key, value)
 
     def _write_at(self, row: int, idx: int, key: int, value: int) -> None:
-        self.pipeline.registers.get(f"kv_keys[{row}]").write(idx, key)
-        self.pipeline.registers.get(f"kv_val0[{row}]").write(idx, value)
+        self._kv_keys[row].write(idx, key)
+        self._kv_vals[row].write(idx, value)
 
     def _try_cache(self, key: int, value: int, estimate: int,
                    stats: NetCacheStats) -> None:
@@ -315,23 +347,20 @@ class NetCacheApp:
     def occupancy(self) -> dict[str, float]:
         """Fraction of cache slots holding an entry (``kv``) and of
         sketch counters touched (``cms``)."""
-        def filled(family: str, rows: int) -> float:
-            arrays = [self.pipeline.registers.get(f"{family}[{row}]")
-                      for row in range(rows)]
+        def filled(arrays) -> float:
             cells = sum(array.cells for array in arrays)
             touched = sum(array.nonzero_cells() for array in arrays)
             return touched / cells if cells else 0.0
 
-        return {"kv": filled("kv_keys", self.kv_rows),
-                "cms": filled("cms_sketch", self.cms_rows)}
+        return {"kv": filled(self._kv_keys), "cms": filled(self._sketch)}
 
     def cached_entries(self) -> list[tuple[int, int, int]]:
         """All cached ``(row, key, value)`` triples, read from the data
         plane's registers (the migrator's export view of the cache)."""
         entries: list[tuple[int, int, int]] = []
         for row in range(self.kv_rows):
-            keys = self.pipeline.registers.get(f"kv_keys[{row}]").dump()
-            vals = self.pipeline.registers.get(f"kv_val0[{row}]").dump()
+            keys = self._kv_keys[row].dump()
+            vals = self._kv_vals[row].dump()
             for idx in keys.nonzero()[0]:
                 entries.append((row, int(keys[idx]), int(vals[idx])))
         return entries
@@ -399,9 +428,13 @@ class NetCacheApp:
 
         entries = self.cached_entries()
         report.kv_entries_old = len(entries)
+        keys = np.array([key for _row, key, _value in entries],
+                        dtype=np.uint64)
+        heat = dict(zip(keys.tolist(),
+                        self._counters(keys)[1].min(axis=0).tolist()))
         report.kv_migrated, report.kv_dropped = readmit_by_heat(
             ((key, value) for _row, key, value in entries),
-            heat=self.estimate,
+            heat=heat.__getitem__,
             install=dst.install,
         )
         if report.kv_dropped:
@@ -512,7 +545,9 @@ class NetCacheApp:
         before it wrote the store; that holds up to the first lane that
         does write. Lanes before it are rejections and are bulk-counted;
         that one promotion is applied; only the lanes it can affect are
-        re-decided; and so on from there.
+        re-decided; and so on from there. A decision reads occupants'
+        estimates as of the lane only where a bound cannot settle it
+        (see :meth:`_victims`).
         """
         n = len(keys)
         results = self.pipeline.process_columns({"req_key": keys, "dst": dst})
@@ -521,7 +556,7 @@ class NetCacheApp:
         estimates = results.column("meta.cms_min")
         hot = estimates >= self.hot_threshold
         live = hot & ~hit                   # lanes where react() promotes
-        lanes = np.flatnonzero(live)
+        lanes = live.nonzero()[0]
         if lanes.size:
             live[lanes] = ~np.fromiter(
                 map(self._cached_keys.__contains__, keys[lanes].tolist()),
@@ -532,93 +567,49 @@ class NetCacheApp:
             stats.rejected_insertions += int(lanes.size)
             return
 
-        registers = self.pipeline.registers
-        kv_keys = [registers.get(f"kv_keys[{row}]")
-                   for row in range(self.kv_rows)]
-        # Every counted cell of every CMS row in one sorted array of
-        # (cell * n + lane), a row's cells offset past the rows before
-        # it; ``stop[i]`` is where the cell of entry ``i`` ends (one
-        # sentinel entry of no cell closes both arrays).
-        sketch = [registers.get(f"cms_sketch[{row}]")
-                  for row in range(self.cms_rows)]
-        base = np.cumsum([0] + [register.cells for register in sketch])
-        row_base = base[:-1, None]
-        row_cells = np.diff(base)[:, None]
-        row_mask = np.array([register.mask for register in sketch],
-                            dtype=np.uint64)[:, None]
-        counted = np.concatenate([
-            results.column(f"meta.cms_index[{row}]").astype(np.int64)
-            % register.cells + base[row]
-            for row, register in enumerate(sketch)])
-        counted *= n
-        counted += np.tile(np.arange(n), self.cms_rows)
-        counted.sort()
-        cell_of = np.append(counted // n, -1)
-        last = np.flatnonzero(cell_of[1:] != cell_of[:-1])
-        stop = np.append(np.repeat(last + 1, np.diff(last, prepend=-1)), 0)
+        # Per CMS row and lane, the flat sketch cell the lane counted on;
+        # per flat cell, how many lanes of this sub-batch counted on it.
+        counted = np.array([results.column(field)
+                            for field in self._cms_fields], dtype=np.int64)
+        counted %= self._cms_cells
+        counted += self._cms_base
+        on_cell = np.bincount(counted.ravel(), minlength=self._cms_size)
 
-        def estimate_asof(occupants, at):
-            """Sketch estimate of each occupant key once lane ``at`` has
-            been counted: per cell, the register less the lanes after
-            ``at`` that count on it."""
-            cells = self._cms_hash(occupants) % row_cells + row_base
-            # The first entry past lane ``at``: of this cell, if any is.
-            nxt = np.searchsorted(counted, cells * n + at, side="right")
-            later = np.where(cell_of[nxt] == cells, stop[nxt] - nxt, 0)
-            counts = np.stack([register.read_cells(row) for register, row
-                               in zip(sketch, cells - row_base)])
-            return ((counts - later.astype(np.uint64)) & row_mask).min(axis=0)
-
-        # Per lane and KV row: the slot the key probes, and for live
-        # lanes its occupant (0 = free) and the occupant's estimate as
-        # of that lane; ``choice`` is the row a live lane writes, -1 for
-        # a rejection.
-        slots = np.stack([
-            results.column(f"meta.kv_idx[{row}]").astype(np.int64)
-            % kv_keys[row].cells
-            for row in range(self.kv_rows)])
+        # Per KV row and lane: the slot the key probes, and for live lanes
+        # its occupant (0 = free); ``choice`` is the row a live lane
+        # writes, -1 for a rejection.
+        slots = np.array([results.column(field)
+                          for field in self._kv_fields], dtype=np.int64)
+        slots %= self._kv_cells
         occupants = np.zeros((self.kv_rows, n), dtype=np.uint64)
-        coldness = np.zeros((self.kv_rows, n), dtype=np.uint64)
         choice = np.full(n, -1, dtype=np.int64)
 
-        def choose(at):
-            """_try_cache's pick on lanes ``at``: the first free row, else
-            the first coldest occupant's if strictly colder."""
-            free = occupants[:, at] == 0
-            taken = ~free.any(axis=0)
-            cold = coldness[:, at]
-            victim = cold.argmin(axis=0)
-            evict = estimates[at] > cold[victim, np.arange(at.size)]
-            choice[at] = np.where(
-                taken, np.where(evict, victim, -1), free.argmax(axis=0))
-
         def decide(at):
-            for row, register in enumerate(kv_keys):
-                occupants[row, at] = register.read_cells(slots[row, at])
-            full = at[(occupants[:, at] != 0).all(axis=0)]
-            for row in range(self.kv_rows):
-                coldness[row, full] = estimate_asof(occupants[row, full], full)
-            choose(at)
-
-        decide(lanes)
-        by_key = sorted_keys = None         # built at the first write
+            """_try_cache's pick on lanes ``at``: the first free row, else
+            the coldest occupant's (see _victims)."""
+            held = np.array([register.read_cells(row) for register, row
+                             in zip(self._kv_keys, slots[:, at])])
+            occupants[:, at] = held
+            free = held == 0
+            choice[at] = free.argmax(axis=0)
+            full = ~free.any(axis=0)
+            if full.any():
+                at = at[full]
+                choice[at] = self._victims(held[:, full], at, estimates[at],
+                                           counted, on_cell)
 
         def later_lanes(key, lane):
             """Lanes after ``lane`` that request ``key``, ascending."""
-            key = np.uint64(key)
-            found = by_key[np.searchsorted(sorted_keys, key):
-                           np.searchsorted(sorted_keys, key, side="right")]
-            return found[found > lane]
+            return lane + 1 + (keys[lane + 1:] == np.uint64(key)).nonzero()[0]
 
+        decide(lanes)
         done = 0                            # lanes below are final
-        while True:
-            writers = np.flatnonzero(live[done:] & (choice[done:] >= 0))
-            if not writers.size:
+        while done < n:
+            writes = live[done:] & (choice[done:] >= 0)
+            lane = int(writes.argmax())
+            if not writes[lane]:
                 break
-            if by_key is None:
-                by_key = np.argsort(keys, kind="stable")
-                sorted_keys = keys[by_key]
-            lane = done + int(writers[0])
+            lane += done
             stats.rejected_insertions += int(np.count_nonzero(live[done:lane]))
             done = lane + 1
             row, key = int(choice[lane]), int(keys[lane])
@@ -642,8 +633,8 @@ class NetCacheApp:
                                 & (evicted not in self._cached_keys))
             # Re-decide what the write can change: later candidates
             # probing the written slot, and the evicted key's lanes.
-            probing = done + np.flatnonzero(
-                live[done:] & (slots[row, done:] == slots[row, lane]))
+            probing = done + (live[done:] & (slots[row, done:]
+                                             == slots[row, lane])).nonzero()[0]
             theirs = theirs[live[theirs]]
             if theirs.size:
                 probing = np.union1d(probing, theirs)
@@ -651,6 +642,63 @@ class NetCacheApp:
                 decide(probing)
         stats.rejected_insertions += int(np.count_nonzero(live[done:]))
         stats.hits += int(np.count_nonzero(hit))
+
+    def _victims(self, held: np.ndarray, lanes: np.ndarray,
+                 estimates: np.ndarray, counted: np.ndarray,
+                 on_cell: np.ndarray) -> np.ndarray:
+        """Per lane of ``lanes``, whose candidate (of estimate
+        ``estimates``) finds every KV row's slot taken by the occupants
+        ``held`` (KV row × lane): the row :meth:`_try_cache` evicts — the
+        first coldest occupant's by the sketch as of the lane, if strictly
+        colder than the candidate — or -1.
+
+        A bound settles most lanes as rejections. No occupant is colder
+        as of any lane than before the sub-batch: per cell, the register
+        now less the sub-batch's lanes on it (``on_cell``) — unless the
+        counter wrapped inside the sub-batch, where the bound is 0. A
+        candidate no hotter than every occupant's bound evicts nothing.
+        The lanes left open read their occupants' exact estimates: the
+        register now less only the lanes after the lane that counted on
+        the cell (``counted``: flat cells by CMS row and lane)."""
+        rows, width = held.shape
+        cells, now = self._counters(held.ravel())
+        cells += self._cms_base
+        before = on_cell[cells].astype(np.uint64)
+        floor = (now - np.minimum(now, before)).min(axis=0)
+        victims = np.full(width, -1)
+        open_lanes = (estimates
+                      > floor.reshape(rows, width).min(axis=0)).nonzero()[0]
+        if open_lanes.size:
+            # CMS row × KV row × open lane.
+            shape = (len(self._sketch), rows, width)
+            later = self._later_on(counted,
+                                   cells.reshape(shape)[..., open_lanes],
+                                   lanes[open_lanes])
+            exact = ((now.reshape(shape)[..., open_lanes] - later)
+                     & self._cms_mask).min(axis=0)
+            victims[open_lanes] = np.where(
+                estimates[open_lanes] > exact.min(axis=0),
+                exact.argmin(axis=0), -1)
+        return victims
+
+    def _later_on(self, counted: np.ndarray, cells: np.ndarray,
+                  lanes: np.ndarray) -> np.ndarray:
+        """Per flat cell of ``cells`` (any shape, lanes along its last
+        axis): how many lanes after that lane of ``lanes`` counted on the
+        cell, as ``uint64``. Sorts only the lanes that counted on one of
+        ``cells``."""
+        n = counted.shape[1]
+        asked = np.zeros(self._cms_size, dtype=bool)
+        asked[cells] = True
+        on = asked[counted]
+        # (cell * n + lane) of those lanes, ascending: one cell's lanes
+        # sit together, in lane order.
+        ordered = counted[on] * n + on.nonzero()[1]
+        ordered.sort()
+        start = cells * n
+        later = (ordered.searchsorted(start + (n - 1), side="right")
+                 - ordered.searchsorted(start + lanes, side="right"))
+        return later.astype(np.uint64)
 
 
 def simulate_netcache(

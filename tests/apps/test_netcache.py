@@ -222,21 +222,88 @@ class TestExactServing:
         assert stats.rejected_insertions > 0
         assert first in app._cached_keys and second not in app._cached_keys
 
+    @staticmethod
+    def near_wrap(app):
+        """Every 32-bit sketch counter three short of wrapping."""
+        for row in range(app.cms_rows):
+            register = app.pipeline.registers.get(f"cms_sketch[{row}]")
+            register.load(np.full(register.cells, (1 << 32) - 3))
+
     def test_sketch_counters_wrapping(self, layouts):
         """32-bit counters three short of wrapping: estimates, and the
         occupants' estimates as of each lane, cross zero mid-batch."""
-        def near_wrap(app):
-            for row in range(app.cms_rows):
-                register = app.pipeline.registers.get(f"cms_sketch[{row}]")
-                register.load(np.full(register.cells, (1 << 32) - 3))
-
         keys = ZipfGenerator(300, alpha=1.0, seed=37).sample(400)
         for kv_rows in (1, 3):
             app, stats = self.check_all_equal_reference(
-                layouts[kv_rows], keys, 4, prepare=near_wrap)
+                layouts[kv_rows], keys, 4, prepare=self.near_wrap)
             assert stats.insertions > 0 and stats.evictions > 0
             wrapped = app.pipeline.register_dump("cms_sketch", 0)
             assert 0 < int(wrapped.max()) < 1 << 31
+
+    @staticmethod
+    def rivals(app, key, count):
+        """``count`` keys that probe ``key``'s store slot (one KV row)
+        and share none of its sketch cells."""
+        def slot(k):
+            return app.pipeline.hash_value(100, k, width=1 << 32) % app.kv_cols
+
+        def cells(k):
+            return [app.pipeline.hash_value(row, k, width=1 << 32)
+                    % app.cms_cols for row in range(app.cms_rows)]
+
+        return [k for k in range(1, 5000) if k != key
+                and slot(k) == slot(key)
+                and all(a != b for a, b in zip(cells(k), cells(key)))][:count]
+
+    @staticmethod
+    def count_exact_reads(monkeypatch):
+        """Calls of the replay's exact as-of path, as they happen."""
+        calls = []
+        exact = NetCacheApp._later_on
+
+        def counted(self, *args):
+            calls.append(args)
+            return exact(self, *args)
+
+        monkeypatch.setattr(NetCacheApp, "_later_on", counted)
+        return calls
+
+    def test_bound_settles_every_candidate(self, layouts, monkeypatch):
+        """A cached key counted 40 times before the trace, and rivals for
+        its slot that never get that hot: every candidate is a rejection
+        the bound settles, with no exact as-of read."""
+        compiled = layouts[1]
+        probe = NetCacheApp(compiled.target, compiled=compiled)
+        cached = 5
+        rivals = self.rivals(probe, cached, 3)
+        exact_reads = self.count_exact_reads(monkeypatch)
+        _app, stats = self.check_all_equal_reference(
+            compiled, [key for key in rivals for _ in range(6)], 4,
+            prepare=lambda app: app.run_trace([cached] * 40, serve_batch=0))
+        assert stats.rejected_insertions > 0
+        assert stats.insertions == stats.evictions == 0
+        assert exact_reads == []
+
+    def test_occupant_wraps_inside_a_sub_batch(self, layouts, monkeypatch):
+        """The cached key's sketch cells wrap to 0 inside the sub-batch,
+        so their value before it bounds nothing: the rival stays open, and
+        its exact as-of read evicts the wrapped key."""
+        compiled = layouts[1]
+        probe = NetCacheApp(compiled.target, compiled=compiled)
+        cached = 5
+        (rival,) = self.rivals(probe, cached, 1)
+
+        def cached_near_wrap(app):
+            self.near_wrap(app)
+            assert app.install(cached, app.value_of(cached))
+
+        exact_reads = self.count_exact_reads(monkeypatch)
+        app, stats = self.check_all_equal_reference(
+            compiled, [cached] * 3 + [rival] * 2, 4,
+            prepare=cached_near_wrap)
+        assert stats.evictions == 1 and stats.rejected_insertions == 0
+        assert rival in app._cached_keys and cached not in app._cached_keys
+        assert exact_reads
 
     def test_empty_and_one_key_traces(self, layouts):
         for keys in ([], [41]):

@@ -3,13 +3,16 @@
 However a key trace is cut into sub-batches — any partition, served by
 consecutive ``run_trace`` calls, at any ``serve_batch`` — the counters,
 every register and the cached-key set equal the unsplit default serve
-and the per-packet reference (``serve_batch=0``).
+and the per-packet reference (``serve_batch=0``); also from sketch
+counters a few counts short of the 32-bit wrap, where they wrap inside a
+sub-batch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import NetCacheApp, netcache_source
@@ -47,8 +50,14 @@ def split_traces(draw):
     return trace, [trace[a:b] for a, b in zip(edges, edges[1:])]
 
 
-def serve(parts, hot_threshold, serve_batch):
+def serve(parts, hot_threshold, serve_batch, short_of_wrap=None):
+    """Serve ``parts`` in turn on a fresh app, every sketch counter
+    preloaded to ``2**32 - short_of_wrap`` when that is given."""
     app = NetCacheApp(TARGET, compiled=COMPILED, hot_threshold=hot_threshold)
+    if short_of_wrap is not None:
+        for row in range(app.cms_rows):
+            register = app.pipeline.registers.get(f"cms_sketch[{row}]")
+            register.load(np.full(register.cells, (1 << 32) - short_of_wrap))
     totals = [0, 0, 0, 0, 0]
     for part in parts:
         stats = app.run_trace(part, serve_batch=serve_batch)
@@ -64,11 +73,13 @@ def serve(parts, hot_threshold, serve_batch):
 
 class TestAnySubBatching:
     @given(split=split_traces(), hot_threshold=st.integers(1, 5),
-           serve_batch=st.sampled_from([None, 1, 3, 50]))
+           serve_batch=st.sampled_from([None, 1, 3, 50]),
+           short_of_wrap=st.none() | st.integers(1, 12))
     @_SETTINGS
     def test_partition_equals_unsplit_equals_per_packet(
-            self, split, hot_threshold, serve_batch):
+            self, split, hot_threshold, serve_batch, short_of_wrap):
         trace, parts = split
-        reference = serve([trace], hot_threshold, 0)
-        assert serve([trace], hot_threshold, None) == reference
-        assert serve(parts, hot_threshold, serve_batch) == reference
+        reference = serve([trace], hot_threshold, 0, short_of_wrap)
+        assert serve([trace], hot_threshold, None, short_of_wrap) == reference
+        assert serve(parts, hot_threshold, serve_batch,
+                     short_of_wrap) == reference
