@@ -122,8 +122,10 @@ class CompileCache:
 
     The layout tier is LRU-bounded by ``max_layouts`` (``0`` disables it
     entirely — useful for benchmarks that want front-end reuse but fresh
-    solves). All operations are thread-safe: the fleet controller plans
-    its switches on concurrent threads against one shared cache.
+    solves). All operations are thread-safe. The fleet controller plans
+    its switches one after another through one planner and this cache,
+    so every switch after the first with the same target is a
+    layout-tier hit.
     """
 
     def __init__(self, max_layouts: int = 64):

@@ -8,10 +8,11 @@ the program to each switch's resources; this package stretches the
   flat load-balancer generators), per-switch targets, routing;
 * :mod:`~repro.fabric.shard` — consistent-hash flow sharding with
   virtual nodes, exact moved-fraction accounting;
-* :mod:`~repro.fabric.controller` — :class:`FleetController`: installs
-  per-switch layouts through a shared compile cache, shards live
-  traffic, recompiles switches concurrently on resource cuts, and
-  rebalances hot spots;
+* :mod:`~repro.fabric.controller` — :class:`FleetController`, the one
+  control loop (the single-switch runtime is a one-switch fleet):
+  installs per-switch layouts through one planner and compile cache,
+  shards live traffic, reconfigures a switch on a resource cut or
+  hit-rate drift, and rebalances hot spots;
 * :mod:`~repro.fabric.migration` — live app migration between switches
   (drain → snapshot → copy → shift → verify, with rollback).
 
@@ -21,6 +22,10 @@ makespan accounting (``FleetReport.makespan_seconds``), never claimed
 as wall clock.
 """
 
+# ``repro.runtime`` re-exports ElasticRuntime, a one-switch fleet built
+# on this package's controller: loading it first lets it finish loading
+# that controller, whichever of the two packages is imported first.
+from .. import runtime as _runtime  # noqa: F401
 from .controller import (
     FleetConfig,
     FleetController,

@@ -1,79 +1,84 @@
-"""The fleet-level elastic controller: shard, watch, recompile, migrate.
+"""The elastic control loop: shard, watch, recompile, migrate.
 
-:class:`FleetController` is the fabric analogue of the single-switch
-:class:`~repro.runtime.ElasticRuntime`: it installs one elastic P4All
-program onto every serving switch of a :class:`~repro.fabric.topology.
-FabricTopology` (each compiled for *that switch's* target spec), shards
-a live key stream across them with a consistent-hash ring, and keeps the
-fleet configured as conditions change:
+:class:`FleetController` is the one control loop. It installs one
+elastic P4All program on every serving switch of a
+:class:`~repro.fabric.topology.FabricTopology` (each compiled for that
+switch's target), shards a live key stream across them with a
+consistent-hash ring, and keeps every switch configured; the
+single-switch :class:`~repro.runtime.ElasticRuntime` is this loop over
+``FabricTopology.flat(1, target)``. Triggers, per switch:
 
-* **per-switch resource cuts** — an operator re-provisions one box;
-  only that switch replans and hot-swaps, state migrated, the rest of
-  the fleet keeps serving;
-* **fleet recompiles** — a change touching many switches plans them
-  *concurrently* on a thread pool. Compiles share one
-  :class:`~repro.core.cache.CompileCache`: per (source, target) group a
-  leader compiles first, then the rest of the group fans out and is
-  served from the layout cache (the PR 3 machinery makes the marginal
-  switch nearly free);
-* **hot-spot skew** — when one switch's window share exceeds the
-  configured ratio, virtual-node arcs are donated from the hottest to
-  the coldest switch, with the moved-key fraction bounded by
-  ``max_move_fraction`` (consistent hashing moves only the donated
-  arcs);
-* **live app migration** — :meth:`migrate` drains a switch, snapshots
-  its registers at a quiesce point, folds/readmits them into the target
-  switch, shifts the ring, and canaries before committing (see
-  :mod:`repro.fabric.migration`).
+* **resource cut** (:meth:`~FleetController.schedule_cut`) — only that
+  switch replans and swaps; the rest of the fleet keeps serving;
+* **hit-rate drift** — the switch's :class:`~repro.runtime.monitor.
+  TrafficMonitor` sees its window hit rate fall below its steady
+  baseline, and the switch replans for its current target;
+* **hot-spot skew** — virtual-node arcs move from the hottest to the
+  coldest switch, the moved-key fraction bounded by
+  ``max_move_fraction``;
+* **live migration** (:meth:`~FleetController.migrate`, see
+  :mod:`repro.fabric.migration`) — a switch's state and shard move to
+  another switch.
 
-Per-switch results aggregate into a :class:`FleetReport`. Throughput is
-accounted two ways: ``busy`` (total simulation CPU time) and
-``makespan`` (per-window maximum across switches — the wall time of a
-real fabric, whose switches are independent hardware running in
-parallel; the simulator executes them serially in one process, so the
-makespan figures are a model, not a measurement).
+Every reconfiguration takes one path, :meth:`~FleetController.
+cut_switch`: plan (:mod:`repro.runtime.planner`) → build →
+``migrate_to`` → ``validate_layout`` + canary → commit, or roll back to
+the still-serving app. All switches plan through one
+:class:`~repro.runtime.planner.ReconfigPlanner` and its compile cache,
+so the N-th identical (source, target) plan is a layout-cache hit.
+
+Throughput is accounted two ways: ``busy`` (total simulation CPU time)
+and ``makespan`` (per-window maximum across switches, the wall time of
+a fabric of independent switches; the simulator serves them serially,
+so makespan figures are a model, not a measurement).
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..apps.netcache import netcache_linked
-from ..core import CompileOptions
+from ..apps.netcache import NetCacheApp, netcache_linked
+from ..core import CompileOptions, validate_layout
 from ..core.cache import CompileCache
 from ..obs import bridge_fleet_report, bridge_telemetry
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
 from ..pisa.resources import TargetSpec
-from ..runtime.controller import ReconfigRecord, build_app, hot_swap
+from ..runtime.migrate import MigrationReport
+from ..runtime.monitor import TrafficMonitor
 from ..runtime.planner import PlanError, PlanResult, ReconfigPlanner
 from ..runtime.telemetry import TelemetryBus
 from . import migration as fabric_migration
 from .shard import HashRing
 from .topology import FabricTopology
 
-__all__ = ["FleetConfig", "FleetWindow", "SwitchStats", "FleetReport",
-           "FleetController"]
+__all__ = ["FleetConfig", "ReconfigRecord", "FleetWindow", "SwitchStats",
+           "FleetReport", "FleetController"]
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Fleet control-loop knobs."""
+    """Control-loop knobs (``RuntimeConfig`` is this type)."""
 
     window_packets: int = 2000       # sharding/monitoring window size
     vnodes: int = 64                 # virtual nodes per switch on the ring
     hot_threshold: int = 4           # NetCache promotion threshold
-    recompile_workers: int = 4       # thread pool for fleet recompiles
     skew_threshold: float = 0.0      # max/mean window share arming a
                                      # rebalance (0 disables)
     max_move_fraction: float = 0.2   # moved-key bound per rebalance
     rebalance_cooldown: int = 5      # min windows between rebalances
+    drop_threshold: float = 0.25     # relative hit-rate drop that means drift
+    baseline_windows: int = 5        # windows forming the steady baseline
+    warmup_windows: int = 4          # windows ignored after start/swap
+    cooldown_windows: int = 10       # min windows between a switch's
+                                     # reconfigs and its drift reconfig
+    drift_reconfig: bool = True      # arm the drift trigger at all
+    migrate_state: bool = True       # migrate the app's state on swap
     engine: str | None = None        # pipeline engine (None = default)
     serve_batch: int | None = None   # serve sub-batch size; results
                                      # do not depend on it (0 = the
@@ -82,10 +87,75 @@ class FleetConfig:
                                      # repro.obs.slo.default_slo_rules)
 
 
+def _source_text(source) -> str:
+    return source if isinstance(source, str) else source.source
+
+
+def build_app(source, compiled, config: FleetConfig) -> NetCacheApp:
+    """The app installed for a planned artifact: ``source`` is a P4All
+    string or a linked program."""
+    return NetCacheApp(
+        compiled.target,
+        hot_threshold=config.hot_threshold,
+        source=_source_text(source),
+        compiled=compiled,
+        engine=config.engine,
+    )
+
+
+@dataclass
+class ReconfigRecord:
+    """One reconfiguration cycle of one switch, committed or rolled back."""
+
+    cause: str
+    packet_index: int
+    committed: bool
+    backend: str = ""
+    fallback: bool = False
+    #: wall time from the start of the plan to commit or rollback
+    seconds: float = 0.0
+    baseline_rate: float = 0.0
+    migration: MigrationReport | None = None
+    error: str = ""
+    symbol_values: dict[str, int] = field(default_factory=dict)
+    #: solver/cache observability from the planner (nodes explored,
+    #: incumbent source, cache hit/miss counters)
+    solver_stats: dict = field(default_factory=dict)
+    #: per-module stage/memory/ALU/utility attribution (module name →
+    #: flat dict), populated when the source is a LinkedProgram
+    module_attribution: dict = field(default_factory=dict)
+
+    @property
+    def outcome(self) -> str:
+        """``committed``, ``rolled-back``, or ``plan-failed`` (no layout
+        was found, so nothing was built)."""
+        if self.committed:
+            return "committed"
+        return "rolled-back" if self.backend else "plan-failed"
+
+    def to_dict(self) -> dict:
+        return {
+            "cause": self.cause,
+            "packet_index": self.packet_index,
+            "committed": self.committed,
+            "backend": self.backend,
+            "fallback": self.fallback,
+            "seconds": self.seconds,
+            "baseline_rate": self.baseline_rate,
+            "error": self.error,
+            "symbol_values": self.symbol_values,
+            "solver_stats": self.solver_stats,
+            "module_attribution": self.module_attribution,
+            "migration": (self.migration.to_dict()
+                          if self.migration is not None else None),
+        }
+
+
 @dataclass
 class FleetWindow:
     """One sharded window across the fleet."""
 
+    #: controller-lifetime window index
     index: int
     packets: int
     hits: int
@@ -224,7 +294,7 @@ class FleetReport:
 
 
 class FleetController:
-    """Elastic control plane for a multi-switch fabric."""
+    """Elastic control plane for a fabric of one or more switches."""
 
     def __init__(
         self,
@@ -234,43 +304,51 @@ class FleetController:
         config: FleetConfig | None = None,
         telemetry: TelemetryBus | None = None,
         cache: CompileCache | None = None,
+        planner: ReconfigPlanner | None = None,
     ):
         self.topology = topology
         self.config = config or FleetConfig()
         # Explicit None-checks: an empty TelemetryBus is falsy (len 0).
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
+        # Mirror telemetry events into the active trace/metrics so a
+        # traced run interleaves control-plane events with spans.
         bridge_telemetry(self.telemetry)
-        self.options = options or CompileOptions()
-        #: One cache for the whole fleet: every switch's planner shares
-        #: it, so the N-th identical (source, target) compile is a
-        #: layout-cache hit.
-        self.cache = cache if cache is not None else CompileCache()
+        #: The one planner every switch plans through; a given planner
+        #: brings its own options and cache.
+        self.planner = planner if planner is not None else ReconfigPlanner(
+            options=options, telemetry=self.telemetry, cache=cache)
+        self.options = self.planner.options
+        self.cache = self.planner.cache
         self.source = source or netcache_linked(with_routing=False)
         serving = topology.serving()
         if not serving:
             raise ValueError("topology has no serving switches")
         self.ring = HashRing(serving, vnodes=self.config.vnodes)
-        self._planners: dict[str, ReconfigPlanner] = {}
         self.packets_processed = 0
+        #: windows served over the controller's lifetime; the clock of
+        #: every cooldown and of the window event
+        self.windows = 0
+        self.monitors: defaultdict[str, TrafficMonitor] = defaultdict(
+            lambda: TrafficMonitor(
+                baseline_windows=self.config.baseline_windows,
+                drop_threshold=self.config.drop_threshold,
+                warmup_windows=self.config.warmup_windows,
+            ))
+        self._last_reconfig_window: dict[str, int] = {}
+        self._last_rebalance_window = -(10 ** 9)
         self._scheduled_cuts: list[tuple[int, str, TargetSpec]] = []
         self._scheduled_migrations: list[tuple[int, str, str]] = []
-        self._last_rebalance_window = -(10 ** 9)
         self._installed = False
-        #: Per-switch SLO monitoring (subjects are switch names here;
-        #: the single-switch runtime uses tenant modules).
+        #: SLO monitoring: hit rate and reconfiguration time per switch,
+        #: utility headroom per linked module.
         self.slo = SloMonitor(rules=self.config.slo_rules,
                               telemetry=self.telemetry)
 
     # -- construction -----------------------------------------------------------
-    def planner_for(self, name: str) -> ReconfigPlanner:
-        planner = self._planners.get(name)
-        if planner is None:
-            planner = ReconfigPlanner(
-                options=self.options, telemetry=self.telemetry,
-                cache=self.cache,
-            )
-            self._planners[name] = planner
-        return planner
+    @property
+    def source_text(self) -> str:
+        """The P4All source text regardless of how it was composed."""
+        return _source_text(self.source)
 
     def _installable(self) -> list[str]:
         """Switches that host an app: serving plus warm standbys."""
@@ -279,81 +357,32 @@ class FleetController:
 
     def install_all(self) -> dict[str, PlanResult]:
         """Compile and install the program on every serving/standby
-        switch; returns per-switch plan results.
+        switch, one after another; returns per-switch plan results.
 
-        Per (target) group a leader compiles first, then the remaining
-        switches plan concurrently — they hit the shared layout cache,
-        so fleet boot costs one real solve per distinct target.
+        Every switch after the first with the same target is a
+        layout-cache hit, so fleet boot costs one real solve per
+        distinct target.
         """
         names = self._installable()
         started = time.perf_counter()
+        plans: dict[str, PlanResult] = {}
         with trace.span("fleet.install", switches=len(names)):
-            plans = self._plan_concurrent(
-                {name: self.topology.node(name).target for name in names},
-                cause="initial",
-            )
-            for name, plan in plans.items():
+            for name in names:
                 node = self.topology.node(name)
-                node.app = build_app(self.source, plan.compiled,
+                plans[name] = self.planner.plan(self.source, node.target,
+                                                cause="initial")
+                node.app = build_app(self.source, plans[name].compiled,
                                      self.config)
         self._installed = True
         self.telemetry.emit(
-            "fleet_configured",
+            "configured",
             packet_index=0,
-            switches=len(names),
             seconds=time.perf_counter() - started,
             cache=self.cache.snapshot(),
-            symbols={n: dict(p.compiled.symbol_values)
-                     for n, p in plans.items()},
-        )
-        return plans
-
-    def _plan_concurrent(self, targets: dict[str, TargetSpec],
-                         cause: str) -> dict[str, PlanResult]:
-        """Plan every switch in ``targets``; grouped leader-then-fanout.
-
-        The leader of each distinct target warms the layout cache; the
-        rest of its group plans concurrently on the thread pool and is
-        served from cache. Raises :class:`~repro.runtime.planner.
-        PlanError` if any switch cannot be laid out.
-        """
-        groups: dict[TargetSpec, list[str]] = defaultdict(list)
-        for name, target in targets.items():
-            groups[target].append(name)
-        plans: dict[str, PlanResult] = {}
-        started = time.perf_counter()
-        with trace.span("fleet.plan", switches=len(targets),
-                        cause=cause) as plan_span:
-            for target, names in groups.items():
-                leader = names[0]
-                plans[leader] = self.planner_for(leader).plan(
-                    self.source, target, cause=cause
-                )
-            rest = [name for name in targets if name not in plans]
-            workers = min(self.config.recompile_workers, len(rest)) or 1
-            if rest:
-                with ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="fleet-plan"
-                ) as pool:
-                    futures = {
-                        name: pool.submit(
-                            self.planner_for(name).plan,
-                            self.source, targets[name], cause,
-                        )
-                        for name in rest
-                    }
-                    for name, future in futures.items():
-                        plans[name] = future.result()
-            plan_span.set_attrs(groups=len(groups), concurrent=len(rest))
-        self.telemetry.emit(
-            "fleet_recompile",
-            packet_index=self.packets_processed,
-            cause=cause,
-            switches=len(targets),
-            concurrent=len(rest),
-            workers=workers,
-            seconds=time.perf_counter() - started,
-            cache=self.cache.snapshot(),
+            switches={name: {"backend": plan.backend,
+                             "fallback": plan.fallback,
+                             "symbols": dict(plan.compiled.symbol_values)}
+                      for name, plan in plans.items()},
         )
         return plans
 
@@ -377,57 +406,144 @@ class FleetController:
         self._scheduled_migrations.sort(key=lambda item: item[0])
 
     # -- reconfiguration ---------------------------------------------------------
+    def cut_switch(self, switch: str, target: TargetSpec,
+                   cause: str = "target-change") -> ReconfigRecord:
+        """The one reconfiguration path, for one switch: plan → build →
+        migrate the serving app's state onto the candidate → validate
+        the artifact and canary the app → commit, or roll back.
+
+        ``record.seconds`` counts from the start of the plan. A plan
+        that fails (:class:`~repro.runtime.planner.PlanError`) or a
+        candidate that fails any pre-commit step leaves the serving app
+        untouched.
+        """
+        started = time.perf_counter()
+        node = self.topology.node(switch)
+        monitor = self.monitors[switch]
+        where = dict(packet_index=self.packets_processed, switch=switch)
+        record = ReconfigRecord(cause=cause,
+                                packet_index=self.packets_processed,
+                                committed=False,
+                                baseline_rate=monitor.steady_rate())
+        self._last_reconfig_window[switch] = self.windows
+        with trace.span("fleet.reconfigure", switch=switch, cause=cause,
+                        packet_index=self.packets_processed) as span:
+            self.telemetry.emit(
+                "reconfig_triggered", **where, cause=cause,
+                baseline_rate=record.baseline_rate, target=target.name,
+                memory_bits_per_stage=target.memory_bits_per_stage)
+            try:
+                plan = self.planner.plan(self.source, target, cause=cause)
+            except PlanError as exc:
+                record.error = str(exc)
+            else:
+                app = self._candidate(switch, plan, record)
+                if app is not None:
+                    node.app, node.target = app, target
+                    record.committed = True
+            record.seconds = time.perf_counter() - started
+            if record.committed:
+                monitor.reset_baseline()
+                stats = plan.compiled.stats
+                self.telemetry.emit(
+                    "swap_committed", **where,
+                    cause=cause,
+                    backend=plan.backend,
+                    fallback=plan.fallback,
+                    seconds=record.seconds,
+                    plan_seconds=plan.plan_seconds,
+                    parse_seconds=stats.parse_seconds,
+                    analysis_seconds=stats.analysis_seconds,
+                    ilp_build_seconds=stats.ilp_build_seconds,
+                    ilp_solve_seconds=stats.ilp_solve_seconds,
+                    codegen_seconds=stats.codegen_seconds,
+                    solver_stats=dict(plan.solver_stats),
+                    symbols=dict(plan.compiled.symbol_values),
+                    kv_loss=(record.migration.kv_loss_fraction
+                             if record.migration is not None else None),
+                )
+            else:
+                self.telemetry.emit(
+                    "rollback" if record.backend else "reconfig_failed",
+                    **where, cause=cause, error=record.error)
+            span.set_attrs(committed=record.committed, backend=record.backend,
+                           fallback=record.fallback, error=record.error)
+        obs_metrics.counter(
+            "p4all_reconfigs_total",
+            help="Reconfiguration cycles, by switch, trigger cause and "
+                 "outcome.",
+            labels=("switch", "cause", "outcome"),
+        ).inc(switch=switch, cause=cause, outcome=record.outcome)
+        obs_metrics.histogram(
+            "p4all_reconfig_seconds",
+            help="End-to-end wall time of one reconfiguration cycle.",
+        ).observe(record.seconds)
+        self.slo.observe("reconfig_seconds", switch, record.seconds,
+                         packet_index=self.packets_processed)
+        if record.committed:
+            # Headroom of each tenant's weighted utility over its
+            # declared floor: the ILP promised >= 0; tell the SLO
+            # monitor what the committed layout actually delivers.
+            floors = getattr(self.source, "floors", None) or {}
+            for module, attrib in record.module_attribution.items():
+                if module != "(app)":
+                    self.slo.observe(
+                        "utility_headroom", module,
+                        attrib.get("utility", 0.0) - floors.get(module, 0.0),
+                        packet_index=self.packets_processed)
+        return record
+
+    def _candidate(self, switch: str, plan: PlanResult,
+                   record: ReconfigRecord) -> NetCacheApp | None:
+        """Build the planned app, migrate the serving app's state onto
+        it, validate the artifact and canary the app. Returns the
+        candidate, or None (with ``record.error``) when any step fails;
+        the serving app is never mutated."""
+        old = self.topology.node(switch).app
+        record.backend = plan.backend
+        record.fallback = plan.fallback
+        record.symbol_values = dict(plan.compiled.symbol_values)
+        record.solver_stats = dict(plan.solver_stats)
+        record.module_attribution = dict(plan.module_attribution)
+        try:
+            app = build_app(self.source, plan.compiled, self.config)
+            if old is not None and self.config.migrate_state:
+                with trace.span("fleet.reconfigure.migrate") as span:
+                    record.migration = old.migrate_to(app)
+                    span.set_attrs(
+                        kv_migrated=record.migration.kv_migrated,
+                        kv_entries_old=record.migration.kv_entries_old,
+                        kv_loss_fraction=record.migration.kv_loss_fraction,
+                    )
+                self.telemetry.emit("migration",
+                                    packet_index=self.packets_processed,
+                                    switch=switch,
+                                    **record.migration.to_dict())
+            with trace.span("fleet.reconfigure.validate"):
+                layout = self.options.layout
+                validate_layout(app.compiled,
+                                hash_unit_limits=layout.hash_unit_limits,
+                                table_memory=layout.table_memory)
+                app.canary()
+        except Exception as exc:  # roll back on *any* pre-commit failure
+            record.error = str(exc)
+            return None
+        return app
+
     def recompile_all(self, targets: dict[str, TargetSpec] | TargetSpec,
                       cause: str = "fleet-recompile",
                       ) -> dict[str, ReconfigRecord]:
-        """Recompile (and hot-swap) a set of switches concurrently.
+        """Reconfigure a set of switches, one after another.
 
         ``targets`` is either one spec applied to every serving switch
-        or a per-switch dict. Planning fans out on the thread pool
-        (shared cache); swaps — migrate, validate, canary, commit — run
-        in the control thread, per switch, with per-switch rollback.
+        or a per-switch dict. Each switch takes :meth:`cut_switch` on
+        its own: a switch whose plan or swap fails keeps serving while
+        the others still swap.
         """
         if isinstance(targets, TargetSpec):
-            targets = {name: targets for name in self.topology.serving()}
-        records: dict[str, ReconfigRecord] = {}
-        started = time.perf_counter()
-        with trace.span("fabric.recompile", switches=len(targets),
-                        cause=cause):
-            try:
-                plans = self._plan_concurrent(targets, cause=cause)
-            except PlanError as exc:
-                # No layout for at least one switch: nothing swaps; the
-                # fleet keeps serving its current configuration.
-                plans = dict.fromkeys(targets, exc)
-            for name, plan in plans.items():
-                node = self.topology.node(name)
-                with trace.span("fabric.swap", switch=name,
-                                cause=cause) as span:
-                    # A failed plan is timed from the plan's start; a
-                    # swap, from its own (fabric.cut_s adds the plan).
-                    record, app = hot_swap(
-                        self, node.app, plan, cause,
-                        started if isinstance(plan, PlanError)
-                        else time.perf_counter(),
-                        switch=name)
-                    if app is not None:
-                        node.app, node.target = app, targets[name]
-                    span.set_attrs(committed=record.committed,
-                                   backend=record.backend,
-                                   error=record.error)
-                obs_metrics.counter(
-                    "p4all_fleet_reconfigs_total",
-                    help="Fleet reconfigurations with per-switch "
-                         "attribution.",
-                    labels=("switch", "cause", "outcome"),
-                ).inc(switch=name, cause=cause, outcome=record.outcome)
-                records[name] = record
-        return records
-
-    def cut_switch(self, switch: str, target: TargetSpec,
-                   cause: str = "target-change") -> ReconfigRecord:
-        """Re-provision one switch: replan + migrate + swap, alone."""
-        return self.recompile_all({switch: target}, cause=cause)[switch]
+            targets = dict.fromkeys(self.topology.serving(), targets)
+        return {name: self.cut_switch(name, target, cause=cause)
+                for name, target in targets.items()}
 
     # -- migration ---------------------------------------------------------------
     def migrate(self, src: str, dst: str, cause: str = "migration",
@@ -446,20 +562,17 @@ class FleetController:
         )
 
     def _resolve_hottest(self, report: FleetReport) -> str:
-        ranked = sorted(
-            ((stats.packets, name) for name, stats in report.per_switch.items()
-             if name in self.ring.names),
-            reverse=True,
-        )
-        if not ranked:
-            return self.ring.names[0]
-        return ranked[0][1]
+        served = [(stats.packets, name)
+                  for name, stats in report.per_switch.items()
+                  if name in self.ring.names]
+        return max(served)[1] if served else self.ring.names[0]
 
     # -- the control loop --------------------------------------------------------
     def run(self, stream, packets: int,
             report: FleetReport | None = None) -> FleetReport:
-        """Shard ``packets`` keys from ``stream`` across the fleet,
-        window by window, firing scheduled cuts/migrations and skew
+        """Shard ``packets`` keys from ``stream`` (anything with a
+        ``sample(count)`` method) across the fleet, window by window,
+        firing scheduled cuts, drift reconfigs, migrations and skew
         rebalances as they come due. Passing a ``report`` continues it."""
         if not self._installed:
             self.install_all()
@@ -467,33 +580,35 @@ class FleetController:
         for name in self._installable():
             report.per_switch.setdefault(name, SwitchStats())
         end = self.packets_processed + packets
-        with trace.span("fabric.run", packets=packets) as run_span:
+        with trace.span("fleet.run", packets=packets) as run_span:
             while self.packets_processed < end:
-                self._apply_due_cuts(report)
+                reconfigured = self._apply_due_cuts(report)
+                if self.config.drift_reconfig:
+                    self._reconfigure_drifted(report, reconfigured)
                 n = min(self.config.window_packets,
                         end - self.packets_processed)
                 keys = np.asarray(stream.sample(n))
                 migration_due = self._pop_due_migration(report)
                 self._window(keys, report, migration_due)
-            run_span.set_attrs(hit_rate=report.hit_rate,
-                               windows=len(report.windows))
             report.packets = sum(
                 s.packets for s in report.per_switch.values())
             report.hits = sum(s.hits for s in report.per_switch.values())
             report.slo_violations = list(self.slo.violations)
-            # Mirror the fleet outcome into the still-open fabric.run
-            # span (and the flight recorder) the way runtime telemetry
-            # already lands in the span tree.
+            run_span.set_attrs(hit_rate=report.hit_rate,
+                               windows=len(report.windows),
+                               reconfigs=len(report.reconfigs))
+            # Mirror the fleet outcome into the still-open fleet.run
+            # span (and the flight recorder) the way telemetry already
+            # lands in the span tree.
             bridge_fleet_report(report)
         for name in self.ring.names:
-            app = self.topology.node(name).app
-            if app is not None:
-                report.final_symbols[name] = dict(
-                    app.compiled.symbol_values
-                )
+            report.final_symbols[name] = dict(
+                self.topology.node(name).app.compiled.symbol_values)
         return report
 
-    def _apply_due_cuts(self, report: FleetReport) -> None:
+    def _apply_due_cuts(self, report: FleetReport) -> set[str]:
+        """Fire every cut that has come due; returns the cut switches."""
+        cut = set()
         while (self._scheduled_cuts
                and self._scheduled_cuts[0][0] <= self.packets_processed):
             _at, name, target = self._scheduled_cuts.pop(0)
@@ -502,9 +617,26 @@ class FleetController:
                 packet_index=self.packets_processed,
                 switch=name, target=target.name,
                 memory_bits_per_stage=target.memory_bits_per_stage,
+                stages=target.stages,
             )
-            record = self.cut_switch(name, target)
-            report.reconfigs.append((name, record))
+            report.reconfigs.append((name, self.cut_switch(name, target)))
+            cut.add(name)
+        return cut
+
+    def _reconfigure_drifted(self, report: FleetReport,
+                             reconfigured: set[str]) -> None:
+        """Replan, for its current target, every serving switch whose
+        monitor signals drift — unless it was reconfigured at this
+        boundary or within ``cooldown_windows``."""
+        for name in self.ring.names:
+            last = self._last_reconfig_window.get(name, -(10 ** 9))
+            if (name in reconfigured
+                    or self.windows - last < self.config.cooldown_windows
+                    or not self.monitors[name].drift_detected()):
+                continue
+            target = self.topology.node(name).target
+            report.reconfigs.append(
+                (name, self.cut_switch(name, target, cause="hit-rate-drop")))
 
     def _pop_due_migration(self, report: FleetReport):
         if (self._scheduled_migrations
@@ -534,7 +666,7 @@ class FleetController:
         shifts, and the buffer replays onto the destination. The
         buffered count is the migration's downtime in packets.
         """
-        index = len(report.windows)
+        index = self.windows
         shards = self.ring.shard(keys)
         served: dict[str, tuple[int, int, float]] = {}
         buffered = np.empty(0, dtype=keys.dtype)
@@ -542,7 +674,7 @@ class FleetController:
             src, _dst = migration_due
             buffered = shards.pop(src, buffered)
 
-        with trace.span("fabric.window", index=index,
+        with trace.span("fleet.window", window=index,
                         packets=len(keys)) as span:
             for name, shard in shards.items():
                 served[name] = self._run_shard(name, shard)
@@ -581,6 +713,8 @@ class FleetController:
             span.set_attrs(hit_rate=window.hit_rate,
                            makespan=window.makespan_seconds)
 
+        self.packets_processed += len(keys)
+        self.windows += 1
         dropped = len(keys) - window.packets
         if dropped > 0:
             report.dropped_packets += dropped
@@ -596,21 +730,27 @@ class FleetController:
                 labels=("switch",),
             ).inc(pkts, switch=name)
             if pkts:
+                self.monitors[name].record(hits, pkts)
                 self.slo.observe("hit_rate", name, hits / pkts,
                                  packet_index=self.packets_processed)
+        obs_metrics.counter(
+            "p4all_windows_total",
+            help="Monitoring windows completed by the control loop.",
+        ).inc()
         obs_metrics.gauge(
-            "p4all_fabric_window_hit_rate",
-            help="Fleet-wide hit rate of the most recent window.",
+            "p4all_window_hit_rate",
+            help="Hit rate of the most recent monitoring window.",
         ).set(window.hit_rate)
         report.windows.append(window)
-        self.packets_processed += len(keys)
         self.telemetry.emit(
-            "fabric_window",
+            "window",
             packet_index=self.packets_processed,
             window=index,
             hit_rate=window.hit_rate,
             per_switch=dict(window.per_switch),
             makespan_seconds=window.makespan_seconds,
+            occupancy={name: self.topology.node(name).app.occupancy()
+                       for name in served},
         )
         self._maybe_rebalance(window, report)
 

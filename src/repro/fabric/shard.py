@@ -223,6 +223,9 @@ class HashRing:
     def shard(self, keys) -> dict[str, np.ndarray]:
         """Split a key batch into per-owner sub-batches (order kept)."""
         keys = np.atleast_1d(np.asarray(keys))
+        if len(self.names) == 1:
+            # One owner holds every point: the split needs no hashing.
+            return {self.names[0]: keys} if len(keys) else {}
         idx = self.lookup_many(keys)
         return {
             self.names[i]: keys[idx == i]

@@ -5,7 +5,7 @@ The telemetry bus predates the tracing layer and remains the runtime's
 source of structured control-plane events (tests and the run report
 consume it directly). This bridge subscribes to a bus and mirrors every
 event into the active span as a ``telemetry.<kind>`` instant event —
-so a ``swap_committed`` lands *inside* the ``runtime.reconfigure`` span
+so a ``swap_committed`` lands *inside* the ``fleet.reconfigure`` span
 that produced it on the exported timeline, instead of living in a
 parallel universe — and counts events per kind on the metrics registry.
 
@@ -67,7 +67,7 @@ def bridge_fleet_report(report, tracer: Tracer | None = None) -> None:
     Emits one ``fleet.report`` instant with the fleet-level summary and
     one ``fleet.reconfig`` instant per per-switch reconfiguration
     record, all inside whatever span is open (the fleet controller
-    calls this while its ``fabric.run`` span is still live). The
+    calls this while its ``fleet.run`` span is still live). The
     summary goes to the flight recorder unconditionally.
     """
     from . import flight

@@ -95,7 +95,7 @@ class TopDashboard:
     def _fleet_lines(self, dt: float | None) -> list[str]:
         lines: list[str] = []
         per_switch = self._samples("p4all_fabric_packets_total")
-        reconfigs = self._samples("p4all_fleet_reconfigs_total")
+        reconfigs = self._samples("p4all_reconfigs_total")
         migrations = self._samples("p4all_fleet_migrations_total")
         for switch in sorted(per_switch):
             pkts = per_switch[switch]
@@ -108,7 +108,7 @@ class TopDashboard:
                 f"{self._rate('p4all_fabric_packets_total', switch, pkts, dt)}"
                 f"{extra}"
             )
-        hit = self._samples("p4all_fabric_window_hit_rate").get("")
+        hit = self._samples("p4all_window_hit_rate").get("")
         if hit is not None:
             lines.append(f"  window hit rate {hit:6.3f}  {_bar(hit)}")
         if migrations:
@@ -138,9 +138,6 @@ class TopDashboard:
         if batches:
             total = sum(batches.values())
             lines.append(f"  shard batches {_fmt_num(total)}")
-        hit = self._samples("p4all_window_hit_rate").get("")
-        if hit is not None:
-            lines.append(f"  window hit rate {hit:6.3f}  {_bar(hit)}")
         return lines
 
     def _tenant_lines(self) -> list[str]:
@@ -162,8 +159,7 @@ class TopDashboard:
 
     def _control_lines(self) -> list[str]:
         lines: list[str] = []
-        # Runtime and fleet swaps alike (the fleet section has them per
-        # switch).
+        # Every switch's swaps (the fleet section counts them per switch).
         rows = self._samples("p4all_reconfigs_total")
         if rows:
             parts = ", ".join(f"{k.replace(',', '/')} ×{int(v)}"
@@ -242,7 +238,7 @@ def run_top(mode: str = "fabric", packets: int = 8000, switches: int = 3,
     dash = TopDashboard()
 
     def repaint(event) -> None:
-        if event.kind not in ("fabric_window", "window"):
+        if event.kind != "window":
             return
         frame = dash.render()
         if use_ansi:

@@ -17,8 +17,9 @@ Modules:
 * :mod:`~repro.runtime.migrate` — structure-generic register snapshot,
   counter folding and heat-ranked re-admission;
 * :mod:`~repro.runtime.telemetry` — structured JSON event bus;
-* :mod:`~repro.runtime.controller` — :class:`ElasticRuntime`, the loop
-  tying them together, and the one hot swap it shares with the fleet.
+* :mod:`~repro.runtime.controller` — :class:`ElasticRuntime`, the
+  control loop over one switch: a :class:`~repro.fabric.FleetController`
+  over a one-switch fabric, with :class:`RunReport` as its report view.
 """
 
 from .controller import ElasticRuntime, ReconfigRecord, RunReport, RuntimeConfig

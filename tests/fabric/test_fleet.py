@@ -1,5 +1,6 @@
-"""Fleet controller: shared-cache installs, concurrent recompiles,
-sharded serving, scheduled cuts, skew rebalancing."""
+"""Fleet controller: shared-cache installs, per-switch recompiles,
+sharded serving, scheduled cuts, drift, skew rebalancing, and the
+single-switch runtime as a one-switch fleet."""
 
 import dataclasses
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.core.cache import CompileCache
 from repro.fabric import FabricTopology, FleetConfig, FleetController
+from repro.pisa import small_target
 from repro.runtime import (
     ElasticRuntime,
     ReconfigPlanner,
@@ -29,8 +31,8 @@ def make_controller(mini64, cache, n=3, standby=0, **config):
 
 class TestInstall:
     def test_install_all_hits_layout_cache(self, mini64):
-        # 4 identical switches from a cold cache: the leader solves, the
-        # other 3 fan out concurrently and land layout-cache hits.
+        # 4 identical switches from a cold cache: the first solves, the
+        # other 3 land layout-cache hits.
         cache = CompileCache()
         controller = make_controller(mini64, cache, n=4)
         plans = controller.install_all()
@@ -66,9 +68,9 @@ class TestInstall:
     def test_install_emits_fleet_configured(self, mini64, shared_cache):
         controller = make_controller(mini64, shared_cache)
         controller.install_all()
-        events = controller.telemetry.events_of("fleet_configured")
+        events = controller.telemetry.events_of("configured")
         assert len(events) == 1
-        assert events[0].data["switches"] == 3
+        assert set(events[0].data["switches"]) == {"s0", "s1", "s2"}
 
     def test_empty_fleet_rejected(self, mini64):
         fabric = FabricTopology()
@@ -141,7 +143,7 @@ class TestReconfiguration:
         controller.run(stream, 1000)
         node = controller.topology.node("s1")
         old_app = node.app
-        planner = controller.planner_for("s1")
+        planner = controller.planner
         plan = planner.plan
 
         def sabotaged(source, target, cause="unspecified"):
@@ -161,7 +163,7 @@ class TestReconfiguration:
         assert rollback.data["switch"] == "s1"
         assert controller.run(stream, 500).packets == 500
 
-    def test_recompile_all_concurrent_uses_cache(self, mini64, mini32):
+    def test_recompile_all_hits_layout_cache(self, mini64, mini32):
         cache = CompileCache()
         controller = make_controller(mini64, cache, n=4)
         controller.install_all()
@@ -172,9 +174,28 @@ class TestReconfiguration:
         # One new solve for the new target; the other 3 switches hit.
         assert snap["layout_misses"] == before["layout_misses"] + 1
         assert snap["layout_hits"] >= before["layout_hits"] + 3
-        events = controller.telemetry.events_of("fleet_recompile")
-        fleet_cut = [e for e in events if e.data["cause"] == "fleet-cut"]
-        assert fleet_cut and fleet_cut[0].data["concurrent"] == 3
+        # Switch by switch, in order: the first solves, the rest hit.
+        cached = [r.solver_stats["layout_cached"] for r in records.values()]
+        assert list(records) == ["s0", "s1", "s2", "s3"]
+        assert cached == [False, True, True, True]
+
+    def test_recompile_all_failed_plan_keeps_serving(self, mini64, mini32,
+                                                     shared_cache):
+        """A switch whose plan fails keeps its app; the others swap."""
+        controller = make_controller(mini64, shared_cache, n=2)
+        stream = ZipfGenerator(universe=3000, alpha=1.1, seed=7)
+        controller.run(stream, 1000)
+        old = controller.topology.node("s1").app
+        # Two stateful ALUs a stage: NetCache does not fit at all.
+        records = controller.recompile_all(
+            {"s0": mini32, "s1": small_target(stages=6, memory_kb=64)})
+        assert records["s0"].committed
+        assert records["s1"].outcome == "plan-failed"
+        assert controller.topology.node("s0").target == mini32
+        assert controller.topology.node("s1").app is old
+        report = controller.run(stream, 1000)
+        assert report.per_switch["s1"].packets > 0
+        assert report.dropped_packets == 0
 
     def test_scheduled_cut_fires_in_run(self, mini64, mini32,
                                         shared_cache):
@@ -198,31 +219,83 @@ class TestReconfiguration:
                 < report.final_symbols["s0"]["kv_cols"])
 
 
+def _without_seconds(record) -> dict:
+    out = record.to_dict()
+    del out["seconds"]
+    return out
+
+
 class TestOneSwap:
-    def test_runtime_swap_equals_fleet_cut(self, mini64, mini32,
-                                           shared_cache):
-        """The runtime and the fleet run the same hot swap: over the same
-        warmed trace, one switch cut 64 → 32 Kb migrates exactly what the
-        runtime's target change does, onto the same layout."""
-        keys = ZipfGenerator(universe=2000, alpha=1.2, seed=3)
+    def test_runtime_swap_equals_fleet_cut(self, mini64, mini32):
+        """A runtime is a one-switch fleet: ``ElasticRuntime`` with a
+        scheduled target change and ``FleetController(flat(1))`` with the
+        same ``schedule_cut``, over the same stream, serve the same
+        windows, record the same reconfiguration and end with the same
+        registers. (Fresh caches on both sides, so the records' cache
+        counters agree too.)"""
+        config = RuntimeConfig(window_packets=500)
         runtime = ElasticRuntime(
-            mini64, config=RuntimeConfig(window_packets=500,
-                                         drift_reconfig=False),
-            telemetry=TelemetryBus(),
-            planner=ReconfigPlanner(cache=shared_cache))
-        runtime.run(keys, 2000)
-        runtime.set_target(mini32)
-        swapped = runtime.reconfigure("target-change")
+            mini64, config=config, telemetry=TelemetryBus(),
+            planner=ReconfigPlanner(cache=CompileCache()))
+        runtime.schedule_target_change(2000, mini32)
+        ours = runtime.run(ZipfGenerator(universe=2000, alpha=1.2, seed=3),
+                           4000)
 
-        keys = ZipfGenerator(universe=2000, alpha=1.2, seed=3)
-        controller = make_controller(mini64, shared_cache, n=1)
-        controller.run(keys, 2000)
-        cut = controller.cut_switch("s0", mini32)
+        fleet = FleetController(FabricTopology.flat(1, mini64),
+                                config=config, telemetry=TelemetryBus(),
+                                cache=CompileCache())
+        fleet.schedule_cut(2000, "s0", mini32)
+        theirs = fleet.run(ZipfGenerator(universe=2000, alpha=1.2, seed=3),
+                           4000)
 
-        assert swapped.committed and cut.committed
+        assert ours.timeline == theirs.timeline and len(ours.timeline) == 8
+        [swapped] = ours.reconfigs
+        [(name, cut)] = theirs.reconfigs
+        assert name == "s0" and swapped.committed
         assert swapped.migration.kv_migrated > 0
-        assert swapped.migration.to_dict() == cut.migration.to_dict()
-        assert swapped.symbol_values == cut.symbol_values
+        assert _without_seconds(swapped) == _without_seconds(cut)
+        assert ours.final_symbols == theirs.final_symbols["s0"]
+        mine = runtime.app.pipeline.registers.export_state()
+        other = fleet.topology.node("s0").app.pipeline.registers.export_state()
+        assert mine.keys() == other.keys()
+        assert all(np.array_equal(mine[reg], other[reg]) for reg in mine)
+
+
+class ShardChurn:
+    """Uniform keys over 50 hot keys per switch of a 2-switch ring; from
+    packet ``at`` on, ``s1``'s hot set is replaced by 50 keys it has
+    never seen, while ``s0``'s stays put."""
+
+    def __init__(self, ring, at):
+        self.pools = ring.shard(np.arange(1, 20_001))
+        self.rng = np.random.default_rng(5)
+        self.at = at
+        self.sent = 0
+
+    def sample(self, count):
+        s1 = self.pools["s1"]
+        hot = np.concatenate([
+            self.pools["s0"][:50],
+            s1[:50] if self.sent < self.at else s1[50:100],
+        ])
+        self.sent += count
+        return self.rng.choice(hot, size=count)
+
+
+class TestDrift:
+    def test_only_the_churned_switch_reconfigures(self, mini64,
+                                                  shared_cache):
+        """Drift is a per-switch fleet trigger: the switch whose hot set
+        moved replans, the other keeps its app."""
+        controller = make_controller(mini64, shared_cache, n=2)
+        controller.install_all()
+        untouched = controller.topology.node("s0").app
+        report = controller.run(ShardChurn(controller.ring, at=5000), 6000)
+        [(name, record)] = report.reconfigs
+        assert name == "s1" and record.cause == "hit-rate-drop"
+        assert record.committed and record.packet_index == 5500
+        assert record.baseline_rate > 0.5
+        assert controller.topology.node("s0").app is untouched
 
 
 class TestServingModesAgree:
@@ -258,23 +331,37 @@ class TestServingModesAgree:
         assert len(outcomes[0][0]) == 8 and outcomes[0][1] > 0
 
 
+class Hammer:
+    """Every key identical: one switch takes the whole window."""
+
+    def sample(self, count):
+        return np.full(count, 7, dtype=np.int64)
+
+
 class TestRebalance:
     def test_skew_triggers_bounded_rebalance(self, mini64, shared_cache):
         controller = make_controller(mini64, shared_cache,
                                      skew_threshold=1.5,
                                      max_move_fraction=0.15)
-
-        class Hammer:
-            """Every key identical: one switch takes the whole window."""
-
-            def sample(self, count):
-                return np.full(count, 7, dtype=np.int64)
-
         report = controller.run(Hammer(), 3000)
         assert report.rebalances
         for entry in report.rebalances:
             assert entry["moved_fraction"] <= 0.15
             assert entry["load_ratio"] >= 1.5
+
+    def test_cooldown_counts_controller_windows(self, mini64,
+                                                shared_cache):
+        """A second ``run()`` with a fresh report keeps the rebalance
+        clock: the cooldown counts the controller's windows, not the
+        report's."""
+        controller = make_controller(mini64, shared_cache,
+                                     skew_threshold=1.5,
+                                     rebalance_cooldown=2)
+        first = controller.run(Hammer(), 3000)
+        assert [e["window"] for e in first.rebalances] == [0, 2, 4]
+        second = controller.run(Hammer(), 1000)
+        assert [e["window"] for e in second.rebalances] == [6]
+        assert [w.index for w in second.windows] == [6, 7]
 
     def test_no_rebalance_when_disabled(self, mini64, shared_cache):
         controller = make_controller(mini64, shared_cache)

@@ -51,6 +51,21 @@ class TestLookup:
         rebuilt = np.sort(np.concatenate(list(shards.values())))
         assert np.array_equal(rebuilt, np.sort(keys))
 
+    @pytest.mark.parametrize("count", [0, 1, 500])
+    def test_one_member_shard_equals_hashed_split(self, count):
+        # A one-switch ring splits without hashing; the result must be
+        # the hashed split, keys in the same order.
+        keys = sample_keys(count)
+        merged = ring_of(2, 64, "")
+        merged.reassign("sw0", "sw1")
+        for ring in (ring_of(1, 64, ""), merged):
+            idx = ring.lookup_many(keys)
+            hashed = {ring.names[i]: keys[idx == i] for i in np.unique(idx)}
+            shards = ring.shard(keys)
+            assert list(shards) == list(hashed)
+            for name, part in hashed.items():
+                assert np.array_equal(shards[name], part)
+
     def test_empty_ring_rejected(self):
         with pytest.raises(ValueError, match="empty ring"):
             HashRing().lookup(1)

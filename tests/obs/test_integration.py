@@ -110,17 +110,19 @@ class TestTracedRuntime:
         report = runtime.run(ChurningZipf(800, alpha=1.3, seed=3), 3000)
         assert report.packets == 3000
 
+        # The runtime is a one-switch fleet: the fleet's span tree.
         children = _span_tree(obs.trace)
-        assert "plan" in children["runtime.init"]
-        assert "runtime.window" in children["runtime.run"]
-        assert "runtime.reconfigure" in children["runtime.run"]
-        rec_kids = children["runtime.reconfigure"]
+        assert "plan" in children["fleet.install"]
+        assert "fleet.window" in children["fleet.run"]
+        assert "fleet.reconfigure" in children["fleet.run"]
+        rec_kids = children["fleet.reconfigure"]
         assert "plan" in rec_kids
-        assert "runtime.migrate" in rec_kids
-        assert "runtime.validate_swap" in rec_kids
+        assert "fleet.reconfigure.migrate" in rec_kids
+        assert "fleet.reconfigure.validate" in rec_kids
 
         # Bridged telemetry landed inside spans, not in a parallel stream.
-        [rec] = obs.trace.spans_named("runtime.reconfigure")
+        [rec] = obs.trace.spans_named("fleet.reconfigure")
+        assert rec.attrs["switch"] == "s0"
         kinds = {e.name for e in rec.events}
         assert "telemetry.reconfig_triggered" in kinds
         assert "telemetry.swap_committed" in kinds
@@ -128,11 +130,11 @@ class TestTracedRuntime:
         obj = chrome_trace(obs.trace)
         assert validate_chrome_trace(obj) > 0
         rendered = summarize_chrome_trace(obj)
-        assert "runtime.run" in rendered
+        assert "fleet.run" in rendered
 
         # Metrics cover the control loop and the data path.
         assert obs.metrics.get("p4all_reconfigs_total").value(
-            cause="target-change", outcome="committed") == 1
+            switch="s0", cause="target-change", outcome="committed") == 1
         windows = obs.metrics.get("p4all_windows_total").value()
         assert windows == report.packets // 500
         assert obs.metrics.get("p4all_packets_total") is not None

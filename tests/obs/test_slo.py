@@ -160,7 +160,9 @@ class TestRuntimeE2E:
         report = runtime.run(ChurningZipf(800, alpha=1.3, seed=3), 2000)
         assert report.slo_violations, report
         assert report.slo_violations[0]["rule"] == "hit_rate"
-        assert {v["subject"] for v in report.slo_violations} <= {"cms", "kv"}
+        # The hit-rate subject is the switch: one series, not one copy
+        # of the same app-wide rate per linked module.
+        assert {v["subject"] for v in report.slo_violations} == {"s0"}
 
         path = tmp_path / "trace.json"
         write_chrome_trace(obs.trace, path)

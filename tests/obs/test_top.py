@@ -32,13 +32,9 @@ def _populated_registry() -> MetricsRegistry:
         50, worker="0", shard_mode="pool")
     reg.counter("p4all_fabric_packets_total", labels=("switch",)).inc(
         40, switch="s0")
-    reg.counter("p4all_fleet_reconfigs_total",
-                labels=("switch", "cause", "outcome")).inc(
-        switch="s0", cause="cut", outcome="committed")
     reg.counter("p4all_fleet_migrations_total",
                 labels=("src", "dst", "result")).inc(
         src="s0", dst="s1", result="committed")
-    reg.gauge("p4all_fabric_window_hit_rate").set(0.5)
     reg.gauge("p4all_window_hit_rate").set(0.75)
     reg.gauge("p4all_slo_ewma", labels=("rule", "subject")).set(
         0.3, rule="hit_rate", subject="cms")
@@ -47,8 +43,9 @@ def _populated_registry() -> MetricsRegistry:
         rule="hit_rate", subject="cms")
     reg.counter("p4all_telemetry_events_total", labels=("kind",)).inc(
         3, kind="window")
-    reg.counter("p4all_reconfigs_total", labels=("cause", "outcome")).inc(
-        cause="target-change", outcome="committed")
+    reg.counter("p4all_reconfigs_total",
+                labels=("switch", "cause", "outcome")).inc(
+        switch="s0", cause="target-change", outcome="committed")
     reg.histogram("p4all_reconfig_seconds", buckets=(1, 10)).observe(2.0)
     return reg
 
@@ -61,6 +58,8 @@ class TestDashboard:
                       "control plane"):
             assert title in frame
         assert "s0" in frame and "reconfigs 1" in frame
+        assert "window hit rate  0.750" in frame
+        assert "s0/target-change/committed ×1" in frame
         assert "s0→s1" in frame
         assert "w0[pool]" in frame
         assert "VIOLATIONS 1" in frame

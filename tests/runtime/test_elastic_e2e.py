@@ -197,9 +197,9 @@ class TestTimeoutFallbackAtRuntime:
             planner=planner,
         )
         assert bus.events_of("ilp_fallback")
-        configured = bus.last_of("configured")
-        assert configured.data["backend"] == "greedy"
-        assert configured.data["fallback"] is True
+        [configured] = bus.events_of("configured")
+        assert configured.data["switches"]["s0"]["backend"] == "greedy"
+        assert configured.data["switches"]["s0"]["fallback"] is True
         # The greedy-configured pipeline actually serves traffic.
         report = runtime.run(make_stream(), packets=2000)
         assert report.hit_rate > 0.3
