@@ -241,20 +241,34 @@ class NetCacheApp:
                          for row in range(self.kv_rows)]
         self._sketch = [registers.get(f"cms_sketch[{row}]")
                         for row in range(self.cms_rows)]
-        # One column per row: a KV row's cell count; a CMS row's cell
-        # count, where its cells start in one flat index over every CMS
-        # row's cells, and (shaped for CMS row × KV row × lane) its mask.
-        self._kv_cells = np.array(
-            [register.cells for register in self._kv_keys],
-            dtype=np.int64)[:, None]
-        cells = np.array([register.cells for register in self._sketch],
-                         dtype=np.int64)
-        self._cms_cells = cells[:, None]
-        self._cms_base = (np.cumsum(cells) - cells)[:, None]
-        self._cms_size = int(cells.sum())
+        # Every store slot's key and every sketch counter, flat: their
+        # families' blocks (see RegisterFile.create_family).
+        empty = np.zeros(0, dtype=np.uint64)
+        self._slot_keys = (registers.block("kv_keys") if self.kv_rows
+                           else empty)
+        self._counts = (registers.block("cms_sketch") if self.cms_rows
+                        else empty)
+        # One column per row: a KV row's cell count and where its slots
+        # start among the flat slots; a CMS row's cell count, where its
+        # counters start among the flat ones, and (shaped for CMS row ×
+        # KV row × lane) its mask.
+        def column(arrays, attribute):
+            return np.array([getattr(array, attribute) for array in arrays],
+                            dtype=np.int64)[:, None]
+
+        self._kv_cells = column(self._kv_keys, "cells")
+        self._kv_base = column(self._kv_keys, "offset")
+        self._cms_cells = column(self._sketch, "cells")
+        self._cms_base = column(self._sketch, "offset")
+        self._cms_size = self._counts.size
         self._cms_mask = np.array(
             [register.mask for register in self._sketch],
             dtype=np.uint64)[:, None, None]
+        #: Per CMS row and flat slot: the flat counter the slot's key
+        #: counts on. Every write sets its column, so the replay reads an
+        #: occupant's counters without hashing it.
+        self._occupants = np.zeros((self.cms_rows, self._slot_keys.size),
+                                   dtype=np.int64)
 
     def _check_program(self) -> None:
         """The two facts :meth:`_serve_exact` rests on: the PHV reports
@@ -288,27 +302,38 @@ class NetCacheApp:
             est = count if est is None else min(est, count)
         return est or 0
 
-    def _counters(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per CMS row and key of a ``uint64`` array: the sketch cell the
-        key counts on and that cell's counter, in one gather per row
-        (:meth:`estimate` is the least counter of a key)."""
-        cells = self._cms_hash(keys) % self._cms_cells
-        return cells, np.array([register.read_cells(row) for register, row
-                                in zip(self._sketch, cells)])
+    def _cells_of(self, keys: np.ndarray) -> np.ndarray:
+        """Per CMS row and key of a ``uint64`` array: the flat counter the
+        key counts on (:meth:`estimate` is the least of them)."""
+        return self._cms_hash(keys) % self._cms_cells + self._cms_base
+
+    def _slot(self, row: int, key: int) -> int:
+        """Index in ``row`` of ``key``'s candidate slot."""
+        return (self.pipeline.hash_value(100 + row, key, width=1 << 32)
+                % self._kv_keys[row].cells)
 
     def _slot_key(self, row: int, key: int) -> int:
         """Key occupying ``key``'s candidate slot in ``row`` (0 = free)."""
-        idx = self.pipeline.hash_value(100 + row, key, width=1 << 32)
-        return self._kv_keys[row].read(idx)
+        return self._kv_keys[row].read(self._slot(row, key))
 
     def _write_slot(self, row: int, key: int, value: int) -> None:
-        self._write_at(
-            row, self.pipeline.hash_value(100 + row, key, width=1 << 32),
-            key, value)
+        self._write_at(row, self._slot(row, key), key, value,
+                       self._cells_of(np.array([key], dtype=np.uint64))[:, 0])
 
-    def _write_at(self, row: int, idx: int, key: int, value: int) -> None:
+    def _write_at(self, row: int, idx: int, key: int, value: int,
+                  cells) -> None:
+        """Store ``key`` -> ``value`` at slot ``idx`` of ``row``, with
+        ``cells`` its flat counters (one per CMS row). The one writer of
+        the store: it keeps ``_cached_keys`` the set of stored keys (key
+        0 marks a free slot, so storing it caches nothing) and each
+        slot's ``_occupants`` column its key's counters."""
+        slot = int(self._kv_base[row, 0]) + idx
+        self._cached_keys.discard(int(self._slot_keys[slot]))
         self._kv_keys[row].write(idx, key)
         self._kv_vals[row].write(idx, value)
+        self._occupants[:, slot] = cells
+        if key:
+            self._cached_keys.add(key)
 
     def _try_cache(self, key: int, value: int, estimate: int,
                    stats: NetCacheStats) -> None:
@@ -319,17 +344,13 @@ class NetCacheApp:
             occupant = self._slot_key(row, key)
             if occupant == 0:
                 self._write_slot(row, key, value)
-                self._cached_keys.add(key)
                 stats.insertions += 1
                 return
             occupant_est = self.estimate(occupant)
             if victim_est is None or occupant_est < victim_est:
                 victim_row, victim_est = row, occupant_est
         if victim_row is not None and estimate > victim_est:
-            evicted = self._slot_key(victim_row, key)
-            self._cached_keys.discard(evicted)
             self._write_slot(victim_row, key, value)
-            self._cached_keys.add(key)
             stats.evictions += 1
         else:
             stats.rejected_insertions += 1
@@ -367,11 +388,13 @@ class NetCacheApp:
 
     def install(self, key: int, value: int) -> bool:
         """Install ``key`` into the first row with a free candidate slot
-        (control-plane insertion, no eviction). Returns success."""
+        (control-plane insertion, no eviction). Returns success; a key
+        already cached stays where it is (True)."""
+        if key in self._cached_keys:
+            return True
         for row in range(self.kv_rows):
             if self._slot_key(row, key) == 0:
                 self._write_slot(row, key, value)
-                self._cached_keys.add(key)
                 return True
         return False
 
@@ -384,12 +407,14 @@ class NetCacheApp:
 
     def restore(self, state: tuple[RegisterSnapshot, set[int]]) -> None:
         """Put a :meth:`snapshot` of this app back, undoing every write
-        since it was taken."""
+        since it was taken (the occupants' counters are re-derived from
+        the restored store)."""
         from ..runtime.migrate import restore_registers
 
         registers, keys = state
         restore_registers(registers, self.pipeline, fold=False)
         self._cached_keys = set(keys)
+        self._occupants[:] = self._cells_of(self._slot_keys)
 
     def migrate_to(self, dst: NetCacheApp,
                    accumulate: bool = False) -> MigrationReport:
@@ -428,10 +453,10 @@ class NetCacheApp:
 
         entries = self.cached_entries()
         report.kv_entries_old = len(entries)
-        keys = np.array([key for _row, key, _value in entries],
-                        dtype=np.uint64)
-        heat = dict(zip(keys.tolist(),
-                        self._counters(keys)[1].min(axis=0).tolist()))
+        stored = self._slot_keys.nonzero()[0]
+        heat = dict(zip(self._slot_keys[stored].tolist(),
+                        self._counts[self._occupants[:, stored]]
+                        .min(axis=0).tolist()))
         report.kv_migrated, report.kv_dropped = readmit_by_heat(
             ((key, value) for _row, key, value in entries),
             heat=heat.__getitem__,
@@ -555,13 +580,10 @@ class NetCacheApp:
         hit = results.column("meta.kv_hit") != 0
         estimates = results.column("meta.cms_min")
         hot = estimates >= self.hot_threshold
-        live = hot & ~hit                   # lanes where react() promotes
+        # Lanes where react() promotes: a miss's key is not stored, so it
+        # is not cached either (_write_at keeps the two the same set).
+        live = hot & ~hit
         lanes = live.nonzero()[0]
-        if lanes.size:
-            live[lanes] = ~np.fromiter(
-                map(self._cached_keys.__contains__, keys[lanes].tolist()),
-                dtype=bool, count=lanes.size)
-            lanes = lanes[live[lanes]]
         if not lanes.size or not self.kv_rows:
             stats.hits += int(np.count_nonzero(hit))
             stats.rejected_insertions += int(lanes.size)
@@ -575,27 +597,28 @@ class NetCacheApp:
         counted += self._cms_base
         on_cell = np.bincount(counted.ravel(), minlength=self._cms_size)
 
-        # Per KV row and lane: the slot the key probes, and for live lanes
-        # its occupant (0 = free); ``choice`` is the row a live lane
-        # writes, -1 for a rejection.
+        # Per KV row and lane: the slot the key probes (in the row, and
+        # among the flat slots), and for live lanes its occupant (0 =
+        # free); ``choice`` is the row a live lane writes, -1 for a
+        # rejection.
         slots = np.array([results.column(field)
                           for field in self._kv_fields], dtype=np.int64)
         slots %= self._kv_cells
+        flat = slots + self._kv_base
         occupants = np.zeros((self.kv_rows, n), dtype=np.uint64)
         choice = np.full(n, -1, dtype=np.int64)
 
         def decide(at):
             """_try_cache's pick on lanes ``at``: the first free row, else
             the coldest occupant's (see _victims)."""
-            held = np.array([register.read_cells(row) for register, row
-                             in zip(self._kv_keys, slots[:, at])])
+            held = self._slot_keys[flat[:, at]]
             occupants[:, at] = held
             free = held == 0
             choice[at] = free.argmax(axis=0)
             full = ~free.any(axis=0)
             if full.any():
                 at = at[full]
-                choice[at] = self._victims(held[:, full], at, estimates[at],
+                choice[at] = self._victims(flat[:, at], at, estimates[at],
                                            counted, on_cell)
 
         def later_lanes(key, lane):
@@ -614,11 +637,10 @@ class NetCacheApp:
             done = lane + 1
             row, key = int(choice[lane]), int(keys[lane])
             evicted = int(occupants[row, lane])
+            # The lane counted the key on the cells it now occupies.
             self._write_at(row, int(slots[row, lane]), key,
-                           self.value_of(key))
-            self._cached_keys.add(key)
+                           self.value_of(key), counted[:, lane])
             if evicted:
-                self._cached_keys.discard(evicted)
                 stats.evictions += 1
             else:
                 stats.insertions += 1
@@ -629,8 +651,7 @@ class NetCacheApp:
             live[mine] = False
             if theirs.size:
                 hit[theirs] = self._stored(evicted)
-                live[theirs] = (hot[theirs] & ~hit[theirs]
-                                & (evicted not in self._cached_keys))
+                live[theirs] = hot[theirs] & ~hit[theirs]
             # Re-decide what the write can change: later candidates
             # probing the written slot, and the evicted key's lanes.
             probing = done + (live[done:] & (slots[row, done:]
@@ -643,14 +664,15 @@ class NetCacheApp:
         stats.rejected_insertions += int(np.count_nonzero(live[done:]))
         stats.hits += int(np.count_nonzero(hit))
 
-    def _victims(self, held: np.ndarray, lanes: np.ndarray,
+    def _victims(self, taken: np.ndarray, lanes: np.ndarray,
                  estimates: np.ndarray, counted: np.ndarray,
                  on_cell: np.ndarray) -> np.ndarray:
         """Per lane of ``lanes``, whose candidate (of estimate
-        ``estimates``) finds every KV row's slot taken by the occupants
-        ``held`` (KV row × lane): the row :meth:`_try_cache` evicts — the
+        ``estimates``) finds every KV row's slot taken (``taken``: flat
+        slots, KV row × lane): the row :meth:`_try_cache` evicts — the
         first coldest occupant's by the sketch as of the lane, if strictly
-        colder than the candidate — or -1.
+        colder than the candidate — or -1. An occupant's counters are
+        its slot's ``_occupants`` column, read from the flat sketch.
 
         A bound settles most lanes as rejections. No occupant is colder
         as of any lane than before the sub-batch: per cell, the register
@@ -660,21 +682,17 @@ class NetCacheApp:
         The lanes left open read their occupants' exact estimates: the
         register now less only the lanes after the lane that counted on
         the cell (``counted``: flat cells by CMS row and lane)."""
-        rows, width = held.shape
-        cells, now = self._counters(held.ravel())
-        cells += self._cms_base
+        # CMS row × KV row × lane.
+        cells = self._occupants[:, taken]
+        now = self._counts[cells]
         before = on_cell[cells].astype(np.uint64)
         floor = (now - np.minimum(now, before)).min(axis=0)
-        victims = np.full(width, -1)
-        open_lanes = (estimates
-                      > floor.reshape(rows, width).min(axis=0)).nonzero()[0]
+        victims = np.full(taken.shape[1], -1)
+        open_lanes = (estimates > floor.min(axis=0)).nonzero()[0]
         if open_lanes.size:
-            # CMS row × KV row × open lane.
-            shape = (len(self._sketch), rows, width)
-            later = self._later_on(counted,
-                                   cells.reshape(shape)[..., open_lanes],
+            later = self._later_on(counted, cells[..., open_lanes],
                                    lanes[open_lanes])
-            exact = ((now.reshape(shape)[..., open_lanes] - later)
+            exact = ((now[..., open_lanes] - later)
                      & self._cms_mask).min(axis=0)
             victims[open_lanes] = np.where(
                 estimates[open_lanes] > exact.min(axis=0),

@@ -145,15 +145,21 @@ def _multiply_shift(mults: list, addend, width: int):
     return hashed
 
 
-def stacked_vector(fns: list, width: int):
-    """A function of one key array giving ``fns[i].vector(keys, width)``
-    in row ``i`` — multiply-shift functions in one two-dimensional pass."""
+def stacked_vector(fns: list, width: int, nargs: int = 1):
+    """A function of ``nargs`` key arrays giving ``fns[i]``'s hash of
+    them in row ``i`` — multiply-shift functions in one two-dimensional
+    pass (other families hash one key array, row by row)."""
     if all(type(fn) is MultiplyShiftHash for fn in fns):
         def column(values):
             return np.array(values, dtype=np.uint64)[:, None]
 
-        return _multiply_shift([column([fn._multiplier(0) for fn in fns])],
-                               column([fn._addend for fn in fns]), width)
+        return _multiply_shift(
+            [column([fn._multiplier(pos) for fn in fns])
+             for pos in range(nargs)],
+            column([fn._addend for fn in fns]), width)
+    if nargs != 1:
+        raise ValueError("only multiply-shift hashes stack over several "
+                         "arguments")
     return lambda keys: np.stack([fn.vector(keys, width) for fn in fns])
 
 

@@ -133,14 +133,15 @@ class Pipeline:
         return layout
 
     def _build_registers(self) -> RegisterFile:
+        """Every register instance, a family's in one flat block (see
+        ``RegisterFile.create_family``)."""
         regs = RegisterFile()
+        families: dict[str, list] = {}
         for alloc in self.compiled.registers:
-            regs.create(
-                name=f"{alloc.family}[{alloc.index}]",
-                cells=alloc.cells,
-                width=alloc.width,
-                stage=alloc.stage,
-            )
+            families.setdefault(alloc.family, []).append(
+                (alloc.index, alloc.cells, alloc.width, alloc.stage))
+        for family, rows in families.items():
+            regs.create_family(family, rows)
         return regs
 
     def _build_tables(self) -> dict[str, MatchActionTable]:
@@ -239,15 +240,19 @@ class Pipeline:
         """Per active stage, the tier that runs it: ``stage``, ``units``,
         the ``scalar`` plan's form and the ``vector`` plan's —
         ``straight-line``, ``buffered: <why>`` or ``island: <why>`` (None:
-        no vector plan runs it). Empty on the interpreter: no plan."""
+        no vector plan runs it) — and ``rerolled``, the vector plan's
+        stacked hashes and re-rolled register families that run in the
+        stage for later ones too. Empty on the interpreter: no plan."""
         if self.plan is None:
             return []
         forms = self.vplan.forms if self.vplan else {}
+        rerolls = self.vplan.rerolls if self.vplan else {}
         return [{
             "stage": sp.stage, "units": sp.units,
             "scalar": (f"buffered: {sp.buffered}" if sp.buffered
                        else "straight-line"),
             "vector": forms.get(sp.stage),
+            "rerolled": list(rerolls.get(sp.stage, ())),
         } for sp in self.plan.stages]
 
     def validate(self) -> None:

@@ -23,9 +23,15 @@ class RegisterError(Exception):
 
 
 class RegisterArray:
-    """A vector of ``cells`` unsigned integers, each ``width`` bits wide."""
+    """A vector of ``cells`` unsigned integers, each ``width`` bits wide.
 
-    def __init__(self, name: str, cells: int, width: int):
+    Its cells are ``block[offset:offset + cells]`` when ``block`` — its
+    family's one flat array (see :meth:`RegisterFile.create_family`) —
+    is given, else an array of its own.
+    """
+
+    def __init__(self, name: str, cells: int, width: int,
+                 block: np.ndarray | None = None, offset: int = 0):
         if cells <= 0:
             raise RegisterError(f"register {name!r}: cell count must be positive")
         if not 1 <= width <= 64:
@@ -34,7 +40,9 @@ class RegisterArray:
         self.cells = cells
         self.width = width
         self.mask = (1 << width) - 1
-        self._data = np.zeros(cells, dtype=np.uint64)
+        self.block, self.offset = block, offset
+        self._data = (np.zeros(cells, dtype=np.uint64) if block is None
+                      else block[offset:offset + cells])
 
     @property
     def size_bits(self) -> int:
@@ -92,10 +100,6 @@ class RegisterArray:
     def dump(self) -> np.ndarray:
         """Copy of the raw cell values."""
         return self._data.copy()
-
-    def read_cells(self, idx) -> np.ndarray:
-        """:meth:`read` of every index in an array (control-plane gather)."""
-        return self._data[np.asarray(idx, dtype=np.int64) % self.cells]
 
     def nonzero_cells(self) -> int:
         """Occupied (non-zero) cells — the runtime monitor's occupancy signal."""
@@ -158,14 +162,37 @@ class RegisterFile:
     def __init__(self):
         self._arrays: dict[str, RegisterArray] = {}
         self._stage_of: dict[str, int] = {}
+        self._blocks: dict[str, np.ndarray] = {}
 
-    def create(self, name: str, cells: int, width: int, stage: int) -> RegisterArray:
+    def create(self, name: str, cells: int, width: int, stage: int,
+               block: np.ndarray | None = None,
+               offset: int = 0) -> RegisterArray:
         if name in self._arrays:
             raise RegisterError(f"register instance {name!r} created twice")
-        array = RegisterArray(name, cells, width)
+        array = RegisterArray(name, cells, width, block, offset)
         self._arrays[name] = array
         self._stage_of[name] = stage
         return array
+
+    def create_family(self, family: str,
+                      rows: list[tuple[int, int, int, int]]) -> np.ndarray:
+        """Instances ``family[i]``, one per ``(i, cells, width, stage)``
+        of ``rows``, as consecutive slices, in index order, of one flat
+        array: the family's block, so a kernel over several rows gathers
+        and scatters once. Returns the block."""
+        rows = sorted(rows)
+        block = np.zeros(sum(row[1] for row in rows), dtype=np.uint64)
+        offset = 0
+        for index, cells, width, stage in rows:
+            self.create(f"{family}[{index}]", cells, width, stage,
+                        block=block, offset=offset)
+            offset += cells
+        self._blocks[family] = block
+        return block
+
+    def block(self, family: str) -> np.ndarray | None:
+        """The :meth:`create_family` block of ``family``, if it has one."""
+        return self._blocks.get(family)
 
     def get(self, name: str) -> RegisterArray:
         try:

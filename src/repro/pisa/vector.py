@@ -48,6 +48,8 @@ to vectorize otherwise.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,7 +60,7 @@ from ..lang.pretty import pretty_expr
 from .alu import apply_binary, apply_unary
 from .compiled import (_HASH_WIDTH, _MASK64, _REG_METHODS, _Buffered,
                        _NotStatic, _fold)
-from .hashing import MultiplyShiftHash
+from .hashing import MultiplyShiftHash, stacked_vector
 from .interp import SimulationError
 from .registers import RegisterArray
 from .results import BatchResults, column_rows
@@ -290,15 +292,62 @@ def _shift_u64(ufunc, a, s: np.ndarray) -> np.ndarray:
 # masked to the cell width (exact: the width is at most 64).
 
 
-def _group_sort(idx: np.ndarray, sort_dtype):
-    """Stable sort of the lanes by cell: the order, the sorted cells and
-    the mask of each cell's first lane."""
-    order = np.argsort(idx.astype(sort_dtype, copy=False), kind="stable")
-    si = idx[order]
+def _firsts(si: np.ndarray) -> np.ndarray:
+    """The mask of each cell's first lane in cell-sorted ``si``."""
     first = np.empty(si.size, dtype=bool)
     first[0] = True
     np.not_equal(si[1:], si[:-1], out=first[1:])
-    return order, si, first
+    return first
+
+
+def _group_sort(idx: np.ndarray, sort_dtype):
+    """Stable sort of the lanes by cell: the order, the sorted cells and
+    the mask of each cell's first lane."""
+    order = idx.astype(sort_dtype, copy=False).argsort(kind="stable")
+    si = idx[order]
+    return order, si, _firsts(si)
+
+
+def _family_sort(x: np.ndarray, offs: np.ndarray, per_row):
+    """:func:`_group_sort` of a family's rows × lanes: ``x`` holds the
+    in-row cells, ``offs`` (rows × 1) each row's first cell in the
+    block, and the result is over the flat (row-major) lanes and block
+    cells. ``per_row`` None: one ``uint16`` sort of the flat cells (the
+    block has at most :data:`_RADIX_CELLS` cells); else one stable sort
+    per row of the in-row cells as that dtype — rows never share a
+    cell, so the rows' sorted runs concatenated are grouped by cell."""
+    flat = (x + offs).reshape(-1)
+    if per_row is None:
+        return _group_sort(flat, np.uint16)
+    order = x.astype(per_row).argsort(axis=1, kind="stable")
+    order += np.arange(0, flat.size, x.shape[1])[:, None]
+    order = order.reshape(-1)
+    si = flat[order]
+    return order, si, _firsts(si)
+
+
+def _post_const(data, mask_u, si, first, amount: int) -> np.ndarray:
+    """What each cell-sorted lane observes when every lane adds the
+    constant ``amount``: the cell plus ``amount`` times the lane's rank
+    among the lanes on that cell."""
+    pos = np.arange(si.size)
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    rank += 1
+    if amount != 1:
+        rank *= amount                      # wraps mod 2**64 — exact
+    post = data[si]
+    post += rank.view(np.uint64)
+    post &= mask_u
+    return post
+
+
+def _post_sum(data, mask_u, si, first, sa) -> np.ndarray:
+    """What each cell-sorted lane observes when it adds ``sa`` (in the
+    same order): the running post-increment value its sequential
+    position implies — a segmented inclusive prefix sum."""
+    cs = sa.cumsum()                        # wraps mod 2**64 — exact
+    base = (cs - sa)[first][first.cumsum() - 1]     # prefix before the cell
+    return (data[si] + (cs - base)) & mask_u
 
 
 def _scatter_back(data, si, first, final, values, order, g, n) -> np.ndarray:
@@ -319,34 +368,37 @@ def _scatter_back(data, si, first, final, values, order, g, n) -> np.ndarray:
 
 
 def _add_read_const(data, mask_u, idx, sort_dtype, amount: int) -> np.ndarray:
-    """``add_read`` of a constant on every lane: a lane observes the
-    cell plus ``amount`` times its rank among the lanes on that cell."""
+    """``add_read`` of a constant on every lane (see :func:`_post_const`)."""
     order, si, first = _group_sort(idx, sort_dtype)
-    pos = np.arange(si.size)
-    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
-    rank += 1
-    if amount != 1:
-        rank *= amount                      # wraps mod 2**64 — exact
-    post = data[si]
-    post += rank.view(np.uint64)
-    post &= mask_u
+    post = _post_const(data, mask_u, si, first, amount)
     return _scatter_back(data, si, first, post, post, order, None, 0)
 
 
 def _add_read(data, mask_u, idx, sort_dtype, amount, g, n: int) -> np.ndarray:
-    """``add_read``/``cond_add_read``: a lane observes the running
-    post-increment value its sequential position implies — a segmented
-    inclusive prefix sum over index-sorted lanes. ``cond_add_read`` zeroes
-    the amount where its condition fails (the scalar false branch *reads*
-    the running cell: a +0 in the running sum)."""
+    """``add_read``/``cond_add_read`` (see :func:`_post_sum`).
+    ``cond_add_read`` zeroes the amount where its condition fails (the
+    scalar false branch *reads* the running cell: a +0 in the running
+    sum)."""
     if not idx.size:
         return np.zeros(n, dtype=np.int64)
     order, si, first = _group_sort(idx, sort_dtype)
-    sa = amount[order]
-    cs = np.cumsum(sa)                      # wraps mod 2**64 — exact
-    base = (cs - sa)[first][np.cumsum(first) - 1]   # prefix before the cell
-    post = (data[si] + (cs - base)) & mask_u
+    post = _post_sum(data, mask_u, si, first, amount[order])
     return _scatter_back(data, si, first, post, post, order, g, n)
+
+
+def _family_add_read(data, mask_u, x, offs, per_row, amount) -> np.ndarray:
+    """``add_read`` of several rows of one family block as one kernel
+    (see :func:`_family_sort` for ``x``, ``offs`` and ``per_row``):
+    ``data`` is the flat block, ``amount`` one int every lane adds or a
+    rows × lanes ``uint64`` array. Returns the values observed, rows ×
+    lanes."""
+    order, si, first = _family_sort(x, offs, per_row)
+    post = (_post_const(data, mask_u, si, first, amount)
+            if type(amount) is int
+            else _post_sum(data, mask_u, si, first,
+                           amount.reshape(-1)[order]))
+    return _scatter_back(data, si, first, post, post, order, None,
+                         0).reshape(x.shape)
 
 
 def _reg_swap(data, idx, sort_dtype, values, g, n: int) -> np.ndarray:
@@ -454,6 +506,10 @@ class _VecTable:
         if self.version != self.table.version:
             self._reindex()
         nkeys = self.keys.size
+        if not nkeys and self.default_aid == -1 and not self.default_bail:
+            # Nothing to select: every lane misses and runs nothing.
+            _merge_hits(hits, self.table.name, np.zeros(n, dtype=bool), g, n)
+            return
         if nkeys:
             pos = np.minimum(np.searchsorted(self.keys, keys), nkeys - 1)
             hit = self.keys[pos] == keys
@@ -527,6 +583,49 @@ class _Scope:
     guard: Optional[str] = None                 # local holding the unit's lanes
 
 
+@dataclass(eq=False)
+class _Site:
+    """A line :meth:`_VecGen.finish` writes once the whole function is
+    known: alone, or as one row of a re-rolled operation (``text`` None:
+    folded into an earlier line)."""
+
+    stage: int
+    indent: str
+    name: Optional[str]                 # the local the line binds, if any
+    text: Optional[str] = None
+    at: int = -1                        # its index in the function's lines
+
+    @property
+    def top(self) -> bool:
+        """At function level, so it runs on every call: not inside a
+        buffered stage's ``try``."""
+        return self.indent == "    "
+
+
+@dataclass(eq=False)
+class _HashSite(_Site):
+    """``name = hash(seed, *args)``; ``args`` are column sources."""
+
+    fn: Optional[MultiplyShiftHash] = None
+    args: tuple = ()
+
+
+@dataclass(eq=False)
+class _RegSite(_Site):
+    """One ``add``/``add_read`` (``cond_`` ones included) of a family
+    block's row: ``single`` is its own line; ``idx`` (the in-row cell),
+    ``amount`` (an int, or a ``uint64`` column source) and ``guard`` are
+    over every lane, for a re-rolled kernel; an ``add_read`` binds
+    ``name``."""
+
+    array: Optional[RegisterArray] = None
+    kernel: str = ""                    # "add" or "add_read"
+    idx: str = ""
+    amount: object = None
+    guard: Optional[str] = None
+    single: str = ""
+
+
 _PROLOGUE = ["def _vector_run(batch, hits):",
              "    cols = batch.cols; present = batch.present; n = batch.n",
              "    T = batch.all_true"]
@@ -534,11 +633,26 @@ _PROLOGUE = ["def _vector_run(batch, hits):",
 #: What every generated module sees besides its own bound objects.
 _NAMESPACE = {
     "np": np, "_i64": np.int64, "_u64": np.uint64, "_u16": np.uint16,
-    "_full": np.full, "_zeros": np.zeros, "_VectorBail": _VectorBail,
+    "_full": np.full, "_zeros": np.zeros, "_empty": np.empty,
+    "_VectorBail": _VectorBail,
     **{fn.__name__: fn for fn in (
         _rd, _action_write, _merge, _commit, _divmod, _shift_u64,
-        _add_read_const, _add_read, _reg_swap, _reg_write, _reg_add)},
+        _add_read_const, _add_read, _family_add_read, _reg_swap, _reg_write,
+        _reg_add)},
 }
+
+#: Names an expression source may use besides the function's own
+#: locals that are pure: recomputing it anywhere its locals are bound
+#: gives the same column (see :meth:`_VecGen._ready`).
+_PURE = frozenset({
+    "np", "where", "minimum", "maximum", "floor_divide", "mod",
+    "left_shift", "right_shift", "astype", "view", "_i64", "_u64", "_full",
+    "_divmod", "_shift_u64", "n"})
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+class _NotReady(Exception):
+    """A source reads a value not yet computed where it is wanted."""
 
 
 class _VecGen:
@@ -553,12 +667,24 @@ class _VecGen:
         self.ns: dict[str, object] = dict(
             _NAMESPACE, _island=vplan._run_island, _masks=vplan.mask_i64)
         self._names = 0
-        self.lines: list[str] = list(_PROLOGUE)
+        #: The function's lines; a :class:`_Site` stands for a line
+        #: :meth:`finish` writes.
+        self.lines: list = list(_PROLOGUE)
+        self.main = self.lines
         self.indent = "    "
         self.defs: list[str] = []            # action functions
         self.fields: dict[str, _Field] = {}
         self._cse: dict[str, str] = {}
         self.actions: dict[str, _VecAction] = {}
+        self.stage_no = -1
+        #: Every local's name; the source of each the function binds to
+        #: an expression, and the line at which each function-level one
+        #: is bound (see :meth:`_ready`).
+        self.bound: set[str] = set()
+        self.local_src: dict[str, str] = {}
+        self.born: dict[str, int] = {}
+        #: Per stage, what :meth:`finish` re-rolled there.
+        self.rerolls: dict[int, list[str]] = {}
 
     # -- emission --------------------------------------------------------------
     def emit(self, line: str) -> None:
@@ -570,11 +696,29 @@ class _VecGen:
         self.ns[f"_{hint}{self._names}"] = obj
         return f"_{hint}{self._names}"
 
+    def _fresh(self, prefix: str) -> str:
+        """A fresh name for a local."""
+        self._names += 1
+        self.bound.add(f"{prefix}{self._names}")
+        return f"{prefix}{self._names}"
+
     def _local(self, prefix: str, src: str) -> str:
         """A fresh local holding ``src``; locals are never rebound."""
-        self._names += 1
-        self.emit(f"{prefix}{self._names} = {src}")
-        return f"{prefix}{self._names}"
+        name = self._fresh(prefix)
+        if self.lines is self.main:
+            self.local_src[name] = src
+            if self.indent == "    ":
+                self.born[name] = len(self.lines)
+        self.emit(f"{name} = {src}")
+        return name
+
+    def _site(self, site: _Site) -> None:
+        """Leave ``site``'s line to :meth:`finish`; a local it binds is
+        bound there (until :meth:`finish` moves it)."""
+        site.at = len(self.lines)
+        if site.name and site.top:
+            self.born[site.name] = site.at
+        self.lines.append(site)
 
     def _shared(self, src: str, sc: _Scope) -> str:
         """A local for ``src``, computed once per stage however many
@@ -843,9 +987,19 @@ class _VecGen:
         if all(v.const is not None for v in vals):
             return self._const(fn(*(v.const for v in vals),
                                   width=_HASH_WIDTH))
-        bound = self._bind(fn.bind_vector(len(vals), _HASH_WIDTH), "h")
-        cols = ", ".join(self._arr(v) for v in vals)
-        return _V(self._local("t", f"{bound}({cols})"), (0, _HASH_WIDTH - 1))
+        args = tuple(self._arr(v) for v in vals)
+        kind = (0, _HASH_WIDTH - 1)
+        if self.lines is not self.main:
+            return _V(self._local("t", self._hash_call(fn, args)), kind)
+        site = _HashSite(self.stage_no, self.indent, self._fresh("t"),
+                         fn=fn, args=args)
+        self._site(site)
+        return _V(site.name, kind)
+
+    def _hash_call(self, fn, args: tuple) -> str:
+        """Source of one hash over the column sources ``args``."""
+        bound = self._bind(fn.bind_vector(len(args), _HASH_WIDTH), "h")
+        return f"{bound}({', '.join(args)})"
 
     # -- statements ------------------------------------------------------------
     def _store(self, key: str, v: _V, sc: _Scope) -> None:
@@ -931,19 +1085,25 @@ class _VecGen:
                 elif not c.const:
                     v = self._const(0)
             everywhere = v.const is not None and g is None
-            amount = f"{self._arr(v)}.view(_u64){on}"
+            amount = f"{self._arr(v)}.view(_u64)"
+            lanes = amount + on
             if not method.endswith("read"):
                 if everywhere:
-                    amount = self._bind(np.uint64(v.const & _MASK64), "k")
+                    lanes = self._bind(np.uint64(v.const & _MASK64), "k")
                 if array.mask == _MASK64:
                     mask_u = None
-                self.emit(f"_reg_add({data}, {mask_u}, {idx}{on}, {amount})")
+                call = f"_reg_add({data}, {mask_u}, {idx}{on}, {lanes})"
             elif everywhere:
-                result = (f"_add_read_const({data}, {mask_u}, {idx}, {sort}, "
-                          f"{_pattern(v.const)})")
+                call = (f"_add_read_const({data}, {mask_u}, {idx}, {sort}, "
+                        f"{_pattern(v.const)})")
             else:
-                result = (f"_add_read({data}, {mask_u}, {idx}{on}, {sort}, "
-                          f"{amount}, {g}, n)")
+                call = (f"_add_read({data}, {mask_u}, {idx}{on}, {sort}, "
+                        f"{lanes}, {g}, n)")
+            result = self._add(sc, call, _RegSite(
+                self.stage_no, self.indent, None, array=array,
+                kernel="add_read" if method.endswith("read") else "add",
+                idx=idx, guard=g,
+                amount=amount if v.const is None else v.const & _MASK64))
         else:
             # Stored as the cell keeps it: mod 2**width, any kind exact.
             stored = self._arr(self._masked(self.expr(args[1], sc),
@@ -958,6 +1118,23 @@ class _VecGen:
                           f"{stored})")
         if dest is not None:
             self._store(dest, _V(result, _kind(0, array.mask)), sc)
+
+    def _add(self, sc: _Scope, call: str, site: _RegSite) -> Optional[str]:
+        """Emit the ``add`` statement ``call``, or return the ``add_read``
+        expression ``call``. In a straight-line stage, on a row of a
+        family block, ``site`` leaves the line to :meth:`finish` instead
+        (which may re-roll it with its family's other rows) and an
+        ``add_read``'s value is the local it binds."""
+        if sc.mode != "local" or site.array.block is None:
+            if site.kernel == "add":
+                self.emit(call)
+            return call
+        if site.kernel == "add_read":
+            site.name = self._fresh("w")
+            call = f"{site.name} = {call}"
+        site.single = self.indent + call
+        self._site(site)
+        return site.name
 
     # -- tables ----------------------------------------------------------------
     def _vec_action(self, name: str) -> _VecAction:
@@ -1098,6 +1275,7 @@ class _VecGen:
         """Emit one stage; returns the form it took (``straight-line``,
         ``buffered: <why>`` or ``island: <why>``)."""
         self.emit(f"# stage {splan.stage}")
+        self.stage_no = splan.stage
         mark, entry = len(self.lines), dict(self.fields)
         form = "straight-line"
         for mode in ("local", "dict"):
@@ -1114,6 +1292,175 @@ class _VecGen:
         self._flush()
         self._island(splan)
         return f"island: {why}"
+
+    # -- re-rolling ------------------------------------------------------------
+    #
+    # P4All unrolls a loop over symbolic rows into one instance per row,
+    # each in a stage of its own, so the function computes the rows' hashes
+    # and runs their register kernels one stage at a time. ``finish`` runs
+    # them as one 2-D operation at the first row's line where that is
+    # legal. A hash is pure and a local is bound once, so hashing earlier
+    # changes no value. A register lives in one stage, where an ``add`` or
+    # ``add_read`` row is the only operation on it (``_check_hazards``), so
+    # running the row earlier changes no value either — provided its index,
+    # amount and guard are known by then (:meth:`_ready`).
+
+    def finish(self) -> str:
+        """The generated module's source, every :class:`_Site` written."""
+        sites = [line for line in self.lines if isinstance(line, _Site)]
+        self._stack_hashes([s for s in sites if isinstance(s, _HashSite)])
+        self._reroll_rows([s for s in sites if isinstance(s, _RegSite)])
+        lines = [line if isinstance(line, str) else line.text
+                 for line in self.lines]
+        return "\n".join(self._live([line for line in lines if line])
+                         + self.defs) + "\n"
+
+    def _live(self, lines: list[str]) -> list[str]:
+        """``lines`` less those binding a pure local that no line reads:
+        a row's own copy of a column its re-rolled kernel computes."""
+        binds = {f"    {name} = {src}": name
+                 for name, src in self.local_src.items() if self._pure(src)}
+        while True:
+            reads = Counter(_NAME.findall("\n".join(lines)))
+            dead = {line for line in lines
+                    if line in binds and reads[binds[line]] == 1}
+            if not dead:
+                return lines
+            lines = [line for line in lines if line not in dead]
+
+    def _pure(self, src: str) -> bool:
+        """Whether ``src`` only computes a column from the function's
+        locals (no register, batch or write-dict access, no kernel)."""
+        return ("'" not in src and "[" not in src
+                and all(word in _PURE or word in self.bound
+                        for word in _NAME.findall(src)))
+
+    def _note(self, stage: int, what: str) -> None:
+        self.rerolls.setdefault(stage, []).append(what)
+
+    def _stack_hashes(self, sites: list) -> None:
+        """The hashes of the same argument sources, from the first one at
+        function level on, as one stacked multiply-shift pass there."""
+        groups: dict[tuple, list] = {}
+        for site in sites:
+            groups.setdefault(site.args, []).append(site)
+        for args, group in groups.items():
+            lead = next((k for k, s in enumerate(group) if s.top), len(group))
+            alone, rows = group[:lead], group[lead:]
+            if len(rows) < 2:
+                alone, rows = group, []
+            for site in alone:
+                site.text = (f"{site.indent}{site.name} = "
+                             f"{self._hash_call(site.fn, args)}")
+            if not rows:
+                continue
+            stacked = self._bind(stacked_vector(
+                [site.fn for site in rows], _HASH_WIDTH, len(args)), "hs")
+            rows[0].text = (f"{rows[0].indent}"
+                            f"{', '.join(site.name for site in rows)} = "
+                            f"{stacked}({', '.join(args)})")
+            for site in rows[1:]:
+                self.born[site.name] = rows[0].at
+            self._note(rows[0].stage, f"stacked hash: {len(rows)} rows "
+                       f"(seeds {', '.join(str(s.fn.seed) for s in rows)})")
+
+    def _reroll_rows(self, sites: list) -> None:
+        """From each first function-level row on: the later rows of the
+        same family block, kernel, cell count and width that are ready at
+        its line, as one kernel over a rows × lanes index there."""
+        pending = list(sites)
+        while pending:
+            lead = pending.pop(0)
+            rows, srcs = [lead], [(lead.idx, lead.amount, lead.guard)]
+            for site in list(pending) if lead.top else ():
+                if not (site.top and site.kernel == lead.kernel
+                        and site.array.block is lead.array.block
+                        and site.array.cells == lead.array.cells
+                        and site.array.mask == lead.array.mask):
+                    continue
+                try:
+                    srcs.append(self._ready_row(site, lead.at))
+                except _NotReady:
+                    continue
+                rows.append(site)
+                pending.remove(site)
+            if len(rows) < 2:
+                lead.text = lead.single
+            else:
+                self._fuse(rows, srcs)
+
+    def _ready_row(self, site: _RegSite, at: int) -> tuple:
+        """The row's index, amount and guard as of line ``at``."""
+        amount = site.amount
+        return (self._ready(site.idx, at),
+                amount if type(amount) is int else self._ready(amount, at),
+                site.guard and self._ready(site.guard, at))
+
+    def _ready(self, src: str, at: int) -> str:
+        """``src`` rewritten to give the same column at function-level
+        line ``at``: a local bound after that line is replaced by its own
+        source, when that is pure. Raises :class:`_NotReady` when the
+        column reads something not computed by then — a register cell, a
+        field's load, a kernel's result."""
+        if not self._pure(src):
+            raise _NotReady(src)
+
+        def name(match) -> str:
+            word = match.group()
+            if word in _PURE or self.born.get(word, at) < at:
+                return word
+            if word not in self.local_src:
+                raise _NotReady(word)
+            return f"({self._ready(self.local_src[word], at)})"
+
+        return _NAME.sub(name, src)
+
+    def _fuse(self, rows: list, srcs: list) -> None:
+        """Write ``rows`` (their ready ``srcs``) as one kernel at the
+        first row's line: the in-row cells as a rows × lanes array ``x``,
+        each row's amount zeroed off its guard (a +0 leaves a cell as it
+        is, and an unguarded lane's ``add_read`` value is never read)."""
+        lead, count = rows[0], len(rows)
+        array = lead.array
+        x = self._fresh("x")
+        parts = [f"{x} = _empty(({count}, n), _i64)"]
+        parts += [f"{x}[{k}] = {idx}" for k, (idx, _a, _g) in enumerate(srcs)]
+        amount = srcs[0][1]
+        if (type(amount) is not int
+                or any(a != amount or g for _i, a, g in srcs)):
+            amount = self._fresh("a")
+            parts.append(f"{amount} = _empty(({count}, n), _u64)")
+            for k, (_i, a, g) in enumerate(srcs):
+                parts.append(f"{amount}[{k}] = {a}")
+                if g:
+                    parts.append(f"{amount}[{k}] *= {g}")
+        data = self._bind(array.block, "b")
+        offs = self._bind(np.array([[site.array.offset] for site in rows],
+                                   dtype=np.int64), "o")
+        if lead.kernel == "add":
+            mask = (None if array.mask == _MASK64
+                    else self._bind(np.uint64(array.mask), "m"))
+            amount = (self._bind(np.uint64(amount), "k")
+                      if type(amount) is int else f"{amount}.reshape(-1)")
+            parts.append(f"_reg_add({data}, {mask}, ({x} + {offs})"
+                         f".reshape(-1), {amount})")
+            sort = "no sort"
+        else:
+            per_row = (None if array.block.size <= _RADIX_CELLS
+                       else "_u16" if array.cells <= _RADIX_CELLS else "_i64")
+            if type(amount) is int:
+                amount = _pattern(amount)
+            parts.append(
+                f"{', '.join(site.name for site in rows)} = _family_add_read("
+                f"{data}, {self._bind(np.uint64(array.mask), 'm')}, {x}, "
+                f"{offs}, {per_row}, {amount})")
+            sort = "flat sort" if per_row is None else "per-row sort"
+            for site in rows[1:]:
+                self.born[site.name] = lead.at
+        lead.text = lead.indent + "; ".join(parts)
+        self._note(lead.stage, f"re-rolled {lead.kernel}: "
+                   f"{', '.join(site.array.name for site in rows)} "
+                   f"({count} rows, {sort})")
 
 
 # ---------------------------------------------------------------------------
@@ -1150,6 +1497,9 @@ class VectorPlan:
         self.mask_i64 = {k: np.int64(_pattern(m))
                          for k, m in self.masks.items()}
         self.forms: dict[int, str] = {}
+        #: Per stage, the stacked hashes and re-rolled register families
+        #: that run there (see ``_VecGen.finish``).
+        self.rerolls: dict[int, list[str]] = {}
         self.island_reasons: dict[int, str] = {}
         self.island_stages: list[int] = []
         self.stage_exec = [(splan, None) for splan in self.plan.stages]
@@ -1166,7 +1516,8 @@ class VectorPlan:
                 self.island_stages.append(splan.stage)
                 self.island_reasons[splan.stage] = form[len("island: "):]
         gen._flush()
-        self.source = "\n".join(gen.lines + gen.defs) + "\n"
+        self.source = gen.finish()
+        self.rerolls = gen.rerolls
         exec(compile(self.source, "<pisa-vector-plan>", "exec"), gen.ns)
         self.run_stages = gen.ns["_vector_run"]
         for name, act in gen.actions.items():
@@ -1310,12 +1661,15 @@ class VectorPlan:
     # -- introspection ---------------------------------------------------------
     def describe(self) -> str:
         """Human-readable vectorization summary: per stage the form it
-        was emitted in (or why it is a scalar island) and its units."""
+        was emitted in (or why it is a scalar island), its units, and the
+        stacked hashes and re-rolled register families that start there."""
         if not self.ok:
             return f"vector plan disabled: {self.reason}"
         total = len(self.stage_exec)
-        return "\n".join(
-            [f"vector plan: {total - len(self.island_stages)}/{total} "
-             f"stages vectorized"]
-            + [f"  stage {sp.stage} ({self.forms[sp.stage]}): "
-               + ", ".join(sp.units) for sp in self.plan.stages])
+        lines = [f"vector plan: {total - len(self.island_stages)}/{total} "
+                 f"stages vectorized"]
+        for sp in self.plan.stages:
+            lines.append(f"  stage {sp.stage} ({self.forms[sp.stage]}): "
+                         + ", ".join(sp.units))
+            lines += [f"    {what}" for what in self.rerolls.get(sp.stage, ())]
+        return "\n".join(lines)

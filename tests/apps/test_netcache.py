@@ -149,23 +149,24 @@ ENGINES = ("vector", "compiled", "interp")
 SERVE_BATCHES = (None, 1, 7, 300, 4096)
 
 
+@pytest.fixture(scope="module")
+def layouts(mini_tofino):
+    """Crowded 16-column layouts with one and three KV rows."""
+    compiled = {}
+    for kv_rows in (1, 3):
+        source = netcache_source(max_cols=16).replace(
+            "assume kv_rows >= 1;",
+            f"assume kv_rows >= 1 && kv_rows <= {kv_rows};")
+        compiled[kv_rows] = compile_source(source, mini_tofino,
+                                           source_name="netcache")
+        assert compiled[kv_rows].symbol_values["kv_rows"] == kv_rows
+    return compiled
+
+
 class TestExactServing:
     """Every batched serve equals the per-packet reference
     (``serve_batch=0``) bit for bit: the five counters, every register
     and the cached-key set, on every engine, for every sub-batch size."""
-
-    @pytest.fixture(scope="class")
-    def layouts(self, mini_tofino):
-        """Crowded 16-column layouts with one and three KV rows."""
-        compiled = {}
-        for kv_rows in (1, 3):
-            source = netcache_source(max_cols=16).replace(
-                "assume kv_rows >= 1;",
-                f"assume kv_rows >= 1 && kv_rows <= {kv_rows};")
-            compiled[kv_rows] = compile_source(source, mini_tofino,
-                                               source_name="netcache")
-            assert compiled[kv_rows].symbol_values["kv_rows"] == kv_rows
-        return compiled
 
     def serve(self, compiled, keys, hot_threshold, engine, serve_batch,
               prepare=None):
@@ -315,6 +316,74 @@ class TestExactServing:
         app = NetCacheApp(layouts[1].target, compiled=layouts[1])
         with pytest.raises(ValueError, match="serve_batch"):
             app.run_trace([1, 2, 3], serve_batch=-1)
+
+
+class TestControllerState:
+    """What the controller keeps beside the store — the cached-key set
+    and each slot's occupant counters — is what the store implies, after
+    anything that writes it. The replay leans on both: a miss is a
+    candidate (its key is not stored, so not cached), and an occupant's
+    counters come from its slot, not from hashing it."""
+
+    @staticmethod
+    def assert_consistent(app):
+        slots = app._slot_keys.nonzero()[0]
+        stored = app._slot_keys[slots]
+        assert app._cached_keys == set(stored.tolist())
+        np.testing.assert_array_equal(app._occupants[:, slots],
+                                      app._cells_of(stored))
+
+    @staticmethod
+    def listed(app, key):
+        return [k for _row, k, _value in app.cached_entries()].count(key)
+
+    def test_installing_a_cached_key_keeps_one_copy(self, layouts):
+        compiled = layouts[3]
+        app = NetCacheApp(compiled.target, compiled=compiled)
+        dst = NetCacheApp(compiled.target, compiled=compiled)
+        key = 7
+        for cache in (app, app, dst):
+            assert cache.install(key, cache.value_of(key))
+        assert self.listed(app, key) == 1
+        app.migrate_to(dst, accumulate=True)
+        assert self.listed(dst, key) == 1
+        self.assert_consistent(app)
+        self.assert_consistent(dst)
+
+    @pytest.mark.parametrize("serve_batch", [0, None])
+    def test_state_follows_every_write(self, layouts, serve_batch):
+        compiled = layouts[3]
+        keys = ZipfGenerator(300, alpha=1.0, seed=38).sample(900)
+        app = NetCacheApp(compiled.target, compiled=compiled,
+                          hot_threshold=2)
+        app.run_trace(keys[:300], serve_batch=serve_batch)
+        self.assert_consistent(app)
+        state = app.snapshot()
+        app.run_trace(keys[300:600], serve_batch=serve_batch)
+        self.assert_consistent(app)
+        app.restore(state)
+        self.assert_consistent(app)
+        for key in (100_001, 100_002, 100_003):
+            app.install(key, app.value_of(key))
+            self.assert_consistent(app)
+        dst = NetCacheApp(compiled.target, compiled=compiled,
+                          hot_threshold=2)
+        dst.run_trace(keys[600:], serve_batch=serve_batch)
+        app.migrate_to(dst, accumulate=True)
+        self.assert_consistent(dst)
+        assert app.run_trace(keys[600:], serve_batch=serve_batch).packets
+
+    def test_key_zero_is_never_cached(self, layouts):
+        """Key 0 marks a free slot: storing it frees the slot and caches
+        nothing, so the cached set stays the set of stored keys."""
+        compiled = layouts[1]
+        app = NetCacheApp(compiled.target, compiled=compiled)
+        rival = next(k for k in range(1, 500)
+                     if app._slot(0, k) == app._slot(0, 0))
+        assert app.install(rival, app.value_of(rival))
+        app._write_slot(0, 0, app.value_of(0))
+        assert app._cached_keys == set() and app.cached_entries() == []
+        self.assert_consistent(app)
 
 
 class TestProgramCheck:

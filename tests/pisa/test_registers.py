@@ -111,6 +111,19 @@ class TestRegisterFile:
         rf.clear_all()
         assert rf.get("a[0]").read(0) == 0
 
+    def test_family_rows_are_slices_of_one_block(self):
+        rf = RegisterFile()
+        block = rf.create_family("cms", [(1, 4, 8, 3), (0, 2, 8, 2)])
+        assert rf.block("cms") is block and block.shape == (6,)
+        assert rf.stage_of("cms[1]") == 3
+        rf.get("cms[0]").write(1, 5)
+        rf.get("cms[1]").load([1, 2, 3, 300])   # in place, masked
+        assert block.tolist() == [0, 5, 1, 2, 3, 300 & 255]
+        assert rf.get("cms[1]").offset == 2
+        assert rf.block("ghost") is None
+        with pytest.raises(RegisterError, match="created twice"):
+            rf.create_family("dup", [(0, 2, 8, 0), (0, 2, 8, 1)])
+
 
 class TestOccupancy:
     def test_nonzero_cells_and_occupancy(self):
