@@ -18,14 +18,16 @@ Two execution paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core import CompileOptions, CompiledProgram, compile_source
 from ..core.errors import CompileError
-from ..pisa import Packet, Pipeline, TargetSpec, register_methods
+from ..obs import trace
+from ..pisa import Packet, Pipeline, RegisterBanks, TargetSpec, register_methods
 from ..pisa.hashing import stacked_vector
 from ..structures import (
     CountMinSketch,
@@ -44,6 +46,7 @@ __all__ = [
     "NetCacheApp",
     "NetCacheProgramError",
     "NetCacheStats",
+    "serve",
     "simulate_netcache",
     "NETCACHE_UTILITY",
     "NETCACHE_UTILITY_FLIPPED",
@@ -171,13 +174,17 @@ class NetCacheProgramError(Exception):
 
 @dataclass
 class NetCacheStats:
-    """Outcome of one trace run."""
+    """Outcome of one trace run. ``busy_seconds`` and ``batches`` say
+    what serving it cost (see :func:`serve`); they are not part of the
+    outcome, so ``==`` ignores them."""
 
     packets: int = 0
     hits: int = 0
     insertions: int = 0
     evictions: int = 0
     rejected_insertions: int = 0
+    busy_seconds: float = field(default=0.0, compare=False)
+    batches: int = field(default=0, compare=False)
 
     @property
     def hit_rate(self) -> float:
@@ -203,21 +210,25 @@ class NetCacheApp:
         source: str | None = None,
         compiled: CompiledProgram | None = None,
         engine: str | None = None,
+        banks: RegisterBanks | None = None,
+        bank: int = 0,
     ):
         """Pass ``compiled`` to load an existing artifact instead of
         compiling — the elastic runtime compiles through its planner
         (with timeout fallback) and hands the artifact in here.
         ``engine`` selects the pipeline execution engine (default: see
-        :func:`repro.pisa.default_engine`). Raises
-        :class:`NetCacheProgramError` if the program is not one
-        :meth:`run_trace` can serve."""
+        :func:`repro.pisa.default_engine`); ``banks``/``bank`` place the
+        app's registers in a bank set (see :class:`~repro.pisa.Pipeline`
+        and :func:`serve`). Raises :class:`NetCacheProgramError` if the
+        program is not one :meth:`run_trace` can serve."""
         self.source = source or netcache_source(
             utility=utility, kv_min_total_bits=kv_min_total_bits
         )
         self.compiled: CompiledProgram = compiled or compile_source(
             self.source, target, options=options, source_name="netcache"
         )
-        self.pipeline = Pipeline(self.compiled, engine=engine)
+        self.pipeline = Pipeline(self.compiled, engine=engine, banks=banks,
+                                 bank=bank)
         self.hot_threshold = hot_threshold
         self.kv_rows = self.compiled.symbol_values.get("kv_rows", 0)
         self.kv_cols = self.compiled.symbol_values.get("kv_cols", 0)
@@ -231,7 +242,12 @@ class NetCacheApp:
         self._cms_fields = [f"meta.cms_index[{row}]"
                             for row in range(self.cms_rows)]
         self._kv_fields = [f"meta.kv_idx[{row}]" for row in range(self.kv_rows)]
+        #: The result columns :meth:`_replay` reads.
+        self._fields = ["meta.kv_hit", "meta.cms_min",
+                        *self._cms_fields, *self._kv_fields]
         self._check_program()
+        self._key_mask = np.uint64(
+            (1 << self.pipeline.phv_layout.width("meta.req_key")) - 1)
         # The registers the controller reads and writes, bound once: they
         # live as long as the pipeline (``load`` works in place).
         registers = self.pipeline.registers
@@ -271,12 +287,11 @@ class NetCacheApp:
                                    dtype=np.int64)
 
     def _check_program(self) -> None:
-        """The two facts :meth:`_serve_exact` rests on: the PHV reports
-        hit, estimate, counted sketch cells and probed store slots, and
-        the data plane never writes the store."""
-        fields = ["meta.kv_hit", "meta.cms_min",
-                  *self._cms_fields, *self._kv_fields]
-        missing = [f for f in fields if f not in self.pipeline.phv_layout]
+        """The two facts :meth:`_replay` rests on: the PHV takes the
+        requested key and reports hit, estimate, counted sketch cells and
+        probed store slots, and the data plane never writes the store."""
+        missing = [f for f in ("meta.req_key", *self._fields)
+                   if f not in self.pipeline.phv_layout]
         if missing:
             raise NetCacheProgramError(
                 f"the program's PHV lacks {', '.join(missing)}")
@@ -368,12 +383,10 @@ class NetCacheApp:
     def occupancy(self) -> dict[str, float]:
         """Fraction of cache slots holding an entry (``kv``) and of
         sketch counters touched (``cms``)."""
-        def filled(arrays) -> float:
-            cells = sum(array.cells for array in arrays)
-            touched = sum(array.nonzero_cells() for array in arrays)
-            return touched / cells if cells else 0.0
+        def filled(block) -> float:
+            return np.count_nonzero(block) / block.size if block.size else 0.0
 
-        return {"kv": filled(self._kv_keys), "cms": filled(self._sketch)}
+        return {"kv": filled(self._slot_keys), "cms": filled(self._counts)}
 
     def cached_entries(self) -> list[tuple[int, int, int]]:
         """All cached ``(row, key, value)`` triples, read from the data
@@ -505,29 +518,24 @@ class NetCacheApp:
         the cached-key set equal the controller reacting between every
         two packets, on every engine and for every ``serve_batch`` — a
         sub-batch size changes how fast the trace is served, never what
-        it decides (see :meth:`_serve_exact` for why).
+        it decides (see :meth:`_replay` for why).
 
         ``serve_batch=0`` is that per-packet reference itself:
         :meth:`Pipeline.process_many`'s callback mode, one ``Packet`` and
         one controller call per key.
 
         Keys are ``meta.req_key`` values: wider ones are truncated to the
-        field on entry, as the parser would.
+        field on entry, as the parser would. This is :func:`serve` of
+        this app alone.
         """
-        if serve_batch is not None and serve_batch < 0:
-            raise ValueError(f"serve_batch must be >= 0, got {serve_batch}")
+        return serve([self], [keys], serve_batch, dst)[0]
+
+    def _request_keys(self, keys) -> np.ndarray:
+        """A trace as ``meta.req_key`` values: ``uint64``, truncated to
+        the field."""
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(list(keys), dtype=np.uint64)
-        keys = keys.astype(np.uint64, copy=False) & np.uint64(
-            (1 << self.pipeline.phv_layout.width("meta.req_key")) - 1)
-        stats = NetCacheStats()
-        if serve_batch == 0:
-            self._serve_per_packet(keys.tolist(), dst, stats)
-            return stats
-        step = serve_batch or self.pipeline.vector_chunk
-        for start in range(0, len(keys), step):
-            self._serve_exact(keys[start:start + step], dst, stats)
-        return stats
+        return keys.astype(np.uint64, copy=False) & self._key_mask
 
     def _serve_per_packet(self, keys: list[int], dst: int,
                           stats: NetCacheStats) -> None:
@@ -549,10 +557,11 @@ class NetCacheApp:
             callback=lambda result: react(next(result_keys), result),
         )
 
-    def _serve_exact(self, keys: np.ndarray, dst: int,
-                     stats: NetCacheStats) -> None:
-        """One sub-batch through the pipeline at once, then an exact
-        replay of the per-packet controller over its result columns.
+    def _replay(self, keys: np.ndarray, columns: dict,
+                stats: NetCacheStats) -> None:
+        """The exact replay of the per-packet controller over one
+        sub-batch the pipeline already ran: ``keys`` and, per field of
+        :attr:`_fields`, its result ``columns`` over the same lanes.
 
         Two facts about the compiled program (checked at construction)
         make that possible. The data plane only *reads* the ``kv_*``
@@ -575,10 +584,9 @@ class NetCacheApp:
         (see :meth:`_victims`).
         """
         n = len(keys)
-        results = self.pipeline.process_columns({"req_key": keys, "dst": dst})
         stats.packets += n
-        hit = results.column("meta.kv_hit") != 0
-        estimates = results.column("meta.cms_min")
+        hit = columns["meta.kv_hit"] != 0
+        estimates = columns["meta.cms_min"]
         hot = estimates >= self.hot_threshold
         # Lanes where react() promotes: a miss's key is not stored, so it
         # is not cached either (_write_at keeps the two the same set).
@@ -591,8 +599,8 @@ class NetCacheApp:
 
         # Per CMS row and lane, the flat sketch cell the lane counted on;
         # per flat cell, how many lanes of this sub-batch counted on it.
-        counted = np.array([results.column(field)
-                            for field in self._cms_fields], dtype=np.int64)
+        counted = np.array([columns[name] for name in self._cms_fields],
+                           dtype=np.int64)
         counted %= self._cms_cells
         counted += self._cms_base
         on_cell = np.bincount(counted.ravel(), minlength=self._cms_size)
@@ -601,8 +609,8 @@ class NetCacheApp:
         # among the flat slots), and for live lanes its occupant (0 =
         # free); ``choice`` is the row a live lane writes, -1 for a
         # rejection.
-        slots = np.array([results.column(field)
-                          for field in self._kv_fields], dtype=np.int64)
+        slots = np.array([columns[name] for name in self._kv_fields],
+                         dtype=np.int64)
         slots %= self._kv_cells
         flat = slots + self._kv_base
         occupants = np.zeros((self.kv_rows, n), dtype=np.uint64)
@@ -717,6 +725,92 @@ class NetCacheApp:
         later = (ordered.searchsorted(start + (n - 1), side="right")
                  - ordered.searchsorted(start + lanes, side="right"))
         return later.astype(np.uint64)
+
+
+def serve(apps: list[NetCacheApp], shards: list, serve_batch: int | None = None,
+          dst: int = 1) -> list[NetCacheStats]:
+    """Serve each app of ``apps`` its key trace in ``shards``; returns
+    each app's :class:`NetCacheStats`, exactly those of
+    :meth:`NetCacheApp.run_trace` of the app alone.
+
+    The apps are banks of one :class:`~repro.pisa.RegisterBanks` set:
+    switches that run one layout. On the vector engine each round of
+    sub-batches is *one* kernel call: the apps' ``j``-th sub-batches of
+    ``serve_batch`` keys, concatenated in the order of ``apps``, run as
+    one banked :meth:`~repro.pisa.Pipeline.process_columns` batch, and
+    then each app replays its controller over its own lanes (an
+    ``apps.replay`` span). That is exact because an app's lanes touch
+    only its bank's registers, keep their trace order, and its replay
+    reads only its own registers. ``serve_batch=0`` (the per-packet
+    reference) and the scalar engines serve the apps one after another.
+
+    Serving cost: ``batches`` counts the kernel calls, a banked call on
+    the first app; ``busy_seconds`` is each app's share of every kernel
+    call it rode, by lanes, plus its own replays.
+    """
+    if serve_batch is not None and serve_batch < 0:
+        raise ValueError(f"serve_batch must be >= 0, got {serve_batch}")
+    stats = [NetCacheStats() for _ in apps]
+    if not apps:
+        return stats
+    members = [(app, app._request_keys(keys), stat)
+               for app, keys, stat in zip(apps, shards, stats)]
+    pipeline = apps[0].pipeline
+    if serve_batch == 0:
+        for app, keys, stat in members:
+            started = time.perf_counter()
+            app._serve_per_packet(keys.tolist(), dst, stat)
+            stat.busy_seconds = time.perf_counter() - started
+            stat.batches = 1
+        return stats
+    step = serve_batch or pipeline.vector_chunk
+    if pipeline.vplan is not None and pipeline.vplan.ok:
+        if len(apps) > 1 and any(app.pipeline.banks is not pipeline.banks
+                                 for app in apps):
+            raise ValueError("serve: the apps are not banks of one set")
+        _serve_rounds(members, step, dst)
+    else:
+        for member in members:
+            _serve_rounds([member], step, dst)
+    return stats
+
+
+def _serve_rounds(members: list, step: int, dst: int) -> None:
+    """:func:`serve`'s rounds of sub-batches for ``(app, keys, stats)``
+    ``members``: one kernel call each, then every member's replay."""
+    lead, longest, lead_stats = members[0]
+    alone = len(members) == 1
+    if not alone:
+        banks = [app.pipeline.bank for app, _keys, _stat in members]
+        # The longest trace sets the number of rounds.
+        longest = max((keys for _app, keys, _stat in members), key=len)
+    for start in range(0, len(longest), step):
+        parts = [keys[start:start + step] for _app, keys, _stat in members]
+        if alone:
+            batch, bank = parts[0], None
+        else:
+            batch = np.concatenate(parts)
+            bank = np.repeat(banks, [len(part) for part in parts])
+        started = time.perf_counter()
+        results = lead.pipeline.process_columns(
+            {"req_key": batch, "dst": dst}, bank=bank)
+        at = time.perf_counter()
+        lead_stats.batches += 1
+        per_lane = (at - started) / len(batch)
+        columns = {name: results.column(name) for name in lead._fields}
+        lo = 0
+        for (app, _keys, stat), part in zip(members, parts):
+            hi = lo + len(part)
+            if hi == lo:
+                continue
+            with trace.span("apps.replay", bank=app.pipeline.bank,
+                            lanes=hi - lo):
+                app._replay(part, columns if alone else {
+                    name: column[lo:hi] for name, column in columns.items()},
+                    stat)
+            now = time.perf_counter()
+            stat.busy_seconds += per_lane * (hi - lo) + (now - at)
+            at, lo = now, hi
 
 
 def simulate_netcache(

@@ -27,10 +27,17 @@ the still-serving app. All switches plan through one
 :class:`~repro.runtime.planner.ReconfigPlanner` and its compile cache,
 so the N-th identical (source, target) plan is a layout-cache hit.
 
+Switches that run one layout keep their registers as banks of one
+:class:`~repro.pisa.RegisterBanks` set, so a window serves each set's
+switches in one vector batch per sub-batch (:func:`~repro.apps.netcache.
+serve`).
+
 Throughput is accounted two ways: ``busy`` (total simulation CPU time)
 and ``makespan`` (per-window maximum across switches, the wall time of
 a fabric of independent switches; the simulator serves them serially,
-so makespan figures are a model, not a measurement).
+so makespan figures are a model, not a measurement). A set's kernel
+call is shared out over its switches by lanes, so ``busy`` too is a
+model below the window.
 """
 
 from __future__ import annotations
@@ -41,13 +48,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..apps.netcache import NetCacheApp, netcache_linked
+from ..apps.netcache import NetCacheApp, netcache_linked, serve
 from ..core import CompileOptions, validate_layout
 from ..core.cache import CompileCache
 from ..obs import bridge_fleet_report, bridge_telemetry
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
+from ..pisa import RegisterBanks
 from ..pisa.resources import TargetSpec
 from ..runtime.migrate import MigrationReport
 from ..runtime.monitor import TrafficMonitor
@@ -91,16 +99,43 @@ def _source_text(source) -> str:
     return source if isinstance(source, str) else source.source
 
 
-def build_app(source, compiled, config: FleetConfig) -> NetCacheApp:
+def build_app(source, compiled, config: FleetConfig,
+              banks: RegisterBanks | None = None, bank: int = 0
+              ) -> NetCacheApp:
     """The app installed for a planned artifact: ``source`` is a P4All
-    string or a linked program."""
+    string or a linked program; ``banks``/``bank`` its registers' bank
+    (default: a set of its own)."""
     return NetCacheApp(
         compiled.target,
         hot_threshold=config.hot_threshold,
         source=_source_text(source),
         compiled=compiled,
         engine=config.engine,
+        banks=banks,
+        bank=bank,
     )
+
+
+def _bank_sets(plans: dict[str, PlanResult]) -> list[list[str]]:
+    """The switches of ``plans`` grouped into register bank sets: one per
+    layout — the same target, symbol values and emitted P4 source — in
+    first-seen order. A layout that applies a match-action table is
+    never banked: each switch owns its table entries."""
+    sets: list[tuple[tuple | None, list[str]]] = []
+    for name, plan in plans.items():
+        compiled = plan.compiled
+        if any(unit.instance.table is not None for unit in compiled.units):
+            sets.append((None, [name]))
+            continue
+        layout = (compiled.target, compiled.symbol_values,
+                  compiled.p4_source)
+        for key, names in sets:
+            if key == layout:
+                names.append(name)
+                break
+        else:
+            sets.append((layout, [name]))
+    return [names for _key, names in sets]
 
 
 @dataclass
@@ -361,18 +396,23 @@ class FleetController:
 
         Every switch after the first with the same target is a
         layout-cache hit, so fleet boot costs one real solve per
-        distinct target.
+        distinct target. Switches with equal layouts are banks of one
+        register bank set (see :func:`_bank_sets`), served together.
         """
         names = self._installable()
         started = time.perf_counter()
         plans: dict[str, PlanResult] = {}
         with trace.span("fleet.install", switches=len(names)):
             for name in names:
-                node = self.topology.node(name)
-                plans[name] = self.planner.plan(self.source, node.target,
-                                                cause="initial")
-                node.app = build_app(self.source, plans[name].compiled,
-                                     self.config)
+                plans[name] = self.planner.plan(
+                    self.source, self.topology.node(name).target,
+                    cause="initial")
+            for members in _bank_sets(plans):
+                banks = RegisterBanks(len(members))
+                for bank, name in enumerate(members):
+                    self.topology.node(name).app = build_app(
+                        self.source, plans[name].compiled, self.config,
+                        banks, bank)
         self._installed = True
         self.telemetry.emit(
             "configured",
@@ -648,13 +688,29 @@ class FleetController:
             return src, dst
         return None
 
-    def _run_shard(self, name: str, shard: np.ndarray,
-                   ) -> tuple[int, int, float]:
-        """Serve one switch's sub-batch; returns (packets, hits, busy)."""
-        app = self.topology.node(name).app
-        t0 = time.perf_counter()
-        stats = app.run_trace(shard, serve_batch=self.config.serve_batch)
-        return stats.packets, stats.hits, time.perf_counter() - t0
+    def _serve(self, shards: dict[str, np.ndarray],
+               served: dict[str, tuple[int, int, float]]) -> int:
+        """Serve each switch of ``shards`` its keys: one :func:`serve`
+        call per register bank set, its switches in bank order. Adds
+        each switch's (packets, hits, busy seconds) into ``served`` and
+        returns the kernel calls made."""
+        sets: dict[int, list] = {}
+        for name, shard in shards.items():
+            app = self.topology.node(name).app
+            sets.setdefault(id(app.pipeline.banks), []).append(
+                (app.pipeline.bank, name, app, shard))
+        batches = 0
+        for members in sets.values():
+            members.sort(key=lambda member: member[0])
+            stats = serve([app for _bank, _name, app, _shard in members],
+                          [shard for _bank, _name, _app, shard in members],
+                          self.config.serve_batch)
+            for (_bank, name, _app, _shard), stat in zip(members, stats):
+                pkts, hits, busy = served.get(name, (0, 0, 0.0))
+                served[name] = (pkts + stat.packets, hits + stat.hits,
+                                busy + stat.busy_seconds)
+                batches += stat.batches
+        return batches
 
     def _window(self, keys: np.ndarray, report: FleetReport,
                 migration_due: tuple[str, str] | None) -> None:
@@ -665,6 +721,10 @@ class FleetController:
         rest of the fleet serves normally, the state moves, the ring
         shifts, and the buffer replays onto the destination. The
         buffered count is the migration's downtime in packets.
+
+        A switch's ``busy`` is a model: its lanes' share of each kernel
+        call of its bank set plus its own replay time (see
+        :func:`~repro.apps.netcache.serve`).
         """
         index = self.windows
         shards = self.ring.shard(keys)
@@ -676,8 +736,7 @@ class FleetController:
 
         with trace.span("fleet.window", window=index,
                         packets=len(keys)) as span:
-            for name, shard in shards.items():
-                served[name] = self._run_shard(name, shard)
+            batches = self._serve(shards, served)
 
             if migration_due is not None:
                 src, dst = migration_due
@@ -686,14 +745,12 @@ class FleetController:
                     # Drain the buffer onto the new owner (or back onto
                     # src after a rollback) before the migration event
                     # is emitted, so its replayed_packets is final.
+                    nonlocal batches
                     if not len(buffered):
                         return
                     name = dst if mig.committed else src
-                    pkts, hits, busy = self._run_shard(name, buffered)
-                    mig.replayed_packets = pkts
-                    prev = served.get(name, (0, 0, 0.0))
-                    served[name] = (prev[0] + pkts, prev[1] + hits,
-                                    prev[2] + busy)
+                    batches += self._serve({name: buffered}, served)
+                    mig.replayed_packets = len(buffered)
 
                 mig = self.migrate(src, dst, cause="scheduled",
                                    downtime_packets=int(len(buffered)),
@@ -711,7 +768,8 @@ class FleetController:
                 per_switch={n: p for n, (p, _h, _b) in served.items()},
             )
             span.set_attrs(hit_rate=window.hit_rate,
-                           makespan=window.makespan_seconds)
+                           makespan=window.makespan_seconds,
+                           batches=batches)
 
         self.packets_processed += len(keys)
         self.windows += 1

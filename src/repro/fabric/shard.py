@@ -17,8 +17,12 @@ controller depends on:
   (Python's builtin ``hash`` is never used). A fabric controller and its
   per-switch workers therefore always agree on key placement.
 
-Key lookup is vectorized (numpy hash + ``searchsorted``) so per-window
-sharding costs microseconds, not a Python loop over the batch.
+Key lookup is vectorized and mostly a table read: a hash's top 16 bits
+name one of 2**16 buckets of the ring, and a bucket no ring point falls
+in has one owner, kept in a table (as a Tofino ``ActionSelector`` maps a
+flow hash to a member through a table). Only hashes in the few buckets
+that hold a point — at most one per virtual node — need a
+``searchsorted`` of the ring.
 
 :class:`RebalancePlan` measures the *exact* keyspace fraction whose
 owner differs between two rings — by arc measure, not sampling — which
@@ -39,6 +43,8 @@ __all__ = ["HashRing", "RebalancePlan", "key_hash", "RING_SPACE"]
 RING_SPACE = 1 << 64
 
 _U64 = np.uint64
+#: Bits of a hash that pick its bucket of the owner table.
+_BUCKET_BITS = 16
 
 
 def key_hash(keys) -> np.ndarray:
@@ -204,6 +210,27 @@ class HashRing:
             (self.names.index(o) for o in self._owners),
             dtype=np.int64, count=len(self._owners),
         ) if self._owners else np.empty(0, dtype=np.int64)
+        self._table = self._bucket_owners() if self._owners else None
+
+    def _bucket_owners(self) -> np.ndarray:
+        """Per bucket (a hash's top :data:`_BUCKET_BITS` bits): the owner
+        index of every hash in it, or -1 where a ring point falls inside
+        and the owner depends on the rest of the hash."""
+        shift = _U64(64 - _BUCKET_BITS)
+        starts = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << shift
+        # A bucket without a point: every hash in it has the same first
+        # point at or after it, the one at or after the bucket's start.
+        table = self._owners_at(starts).astype(
+            np.int8 if len(self.names) <= 127 else np.int32)
+        table[self._points >> shift] = -1
+        return table
+
+    def _owners_at(self, h: np.ndarray) -> np.ndarray:
+        """Owner index of each ring position: the first point at or after
+        it, wrapping to the first point."""
+        slot = np.searchsorted(self._points, h, side="left")
+        slot[slot == len(self._points)] = 0
+        return self._owner_idx[slot]
 
     # -- lookup -----------------------------------------------------------------
     def lookup(self, key: int) -> str:
@@ -215,23 +242,35 @@ class HashRing:
         if not self.names:
             raise ValueError("lookup on an empty ring")
         h = key_hash(keys)
-        # Owner = first point clockwise at-or-after h, wrapping to 0.
-        slot = np.searchsorted(self._points, h, side="left")
-        slot[slot == len(self._points)] = 0
-        return self._owner_idx[slot]
+        owners = self._table[h >> _U64(64 - _BUCKET_BITS)]
+        # Hashes in a bucket a point falls in: first point clockwise
+        # at-or-after h, wrapping to the first.
+        marked = (owners < 0).nonzero()[0]
+        if marked.size:
+            owners[marked] = self._owners_at(h[marked])
+        return owners
 
-    def shard(self, keys) -> dict[str, np.ndarray]:
-        """Split a key batch into per-owner sub-batches (order kept)."""
+    def split(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """A key batch in owner order — :attr:`names` order, each owner's
+        keys in batch order — and the count per owner."""
         keys = np.atleast_1d(np.asarray(keys))
         if len(self.names) == 1:
             # One owner holds every point: the split needs no hashing.
-            return {self.names[0]: keys} if len(keys) else {}
-        idx = self.lookup_many(keys)
-        return {
-            self.names[i]: keys[idx == i]
-            for i in range(len(self.names))
-            if np.any(idx == i)
-        }
+            return keys, np.array([len(keys)])
+        owners = self.lookup_many(keys)
+        order = owners.argsort(kind="stable")      # a radix sort
+        return keys[order], np.bincount(owners, minlength=len(self.names))
+
+    def shard(self, keys) -> dict[str, np.ndarray]:
+        """Split a key batch into per-owner sub-batches (order kept; an
+        owner with no keys is left out): views of :meth:`split`."""
+        ordered, counts = self.split(keys)
+        shards, end = {}, 0
+        for name, count in zip(self.names, counts.tolist()):
+            if count:
+                shards[name] = ordered[end:end + count]
+                end += count
+        return shards
 
     # -- arc measure ------------------------------------------------------------
     def _arcs(self) -> tuple[np.ndarray, list[str]]:
@@ -273,9 +312,7 @@ class HashRing:
         breakpoints = np.union1d(self._points, other._points)
 
         def owner_at(ring: "HashRing", pts: np.ndarray) -> list[str]:
-            slot = np.searchsorted(ring._points, pts, side="left")
-            slot[slot == len(ring._points)] = 0
-            return [ring._owners[int(s)] for s in slot]
+            return [ring.names[i] for i in ring._owners_at(pts).tolist()]
 
         old_owner = owner_at(self, breakpoints)
         new_owner = owner_at(other, breakpoints)

@@ -22,7 +22,7 @@ from .pipeline import (
     default_engine,
 )
 from .plan import PipelinePlan, StagePlan, plan_taint
-from .registers import RegisterArray, RegisterError, RegisterFile
+from .registers import RegisterArray, RegisterBanks, RegisterError, RegisterFile
 from .results import BatchResults, PipelineResult
 from .sharded import (
     classify_registers,
@@ -76,6 +76,7 @@ __all__ = [
     "target_from_dict",
     "target_to_dict",
     "RegisterArray",
+    "RegisterBanks",
     "RegisterError",
     "RegisterFile",
     "classify_registers",

@@ -33,7 +33,7 @@ from .hashing import hash_family
 from .interp import ExecContext, SimulationError, eval_expr, exec_unit_body
 from .packet import Packet
 from .phv import PhvLayout
-from .registers import RegisterFile
+from .registers import RegisterBanks, RegisterFile
 from .resources import TargetSpec
 from .results import BatchResults, PipelineResult
 from .tables import MatchActionTable, TableEntry
@@ -65,12 +65,23 @@ class ValidationError(Exception):
 
 
 class Pipeline:
-    """Executable pipeline built from a compiled program."""
+    """Executable pipeline built from a compiled program.
+
+    ``banks``/``bank``: the :class:`~repro.pisa.registers.RegisterBanks`
+    set whose bank ``bank`` holds this pipeline's registers (default: a
+    set of its own). Pipelines of one set run one layout, and the vector
+    plan of any of them serves every member's lanes in one batch (see
+    :meth:`process_columns`).
+    """
 
     def __init__(self, compiled, hash_kind: str = "multiply-shift",
                  validate: bool = True, meta_prefix: str = "meta",
-                 engine: str | None = None):
+                 engine: str | None = None,
+                 banks: RegisterBanks | None = None, bank: int = 0):
         self.compiled = compiled
+        self.banks = banks if banks is not None else RegisterBanks(1)
+        self.bank = bank
+        self.banks.join(bank, self)
         self.target: TargetSpec = compiled.target
         self.info = compiled.info
         self.meta_prefix = meta_prefix
@@ -134,14 +145,16 @@ class Pipeline:
 
     def _build_registers(self) -> RegisterFile:
         """Every register instance, a family's in one flat block (see
-        ``RegisterFile.create_family``)."""
+        ``RegisterFile.create_family``): this pipeline's row of the
+        family's bank block."""
         regs = RegisterFile()
         families: dict[str, list] = {}
         for alloc in self.compiled.registers:
             families.setdefault(alloc.family, []).append(
                 (alloc.index, alloc.cells, alloc.width, alloc.stage))
         for family, rows in families.items():
-            regs.create_family(family, rows)
+            block = self.banks.block(family, sum(row[1] for row in rows))
+            regs.create_family(family, rows, block[self.bank])
         return regs
 
     def _build_tables(self) -> dict[str, MatchActionTable]:
@@ -242,7 +255,8 @@ class Pipeline:
         ``straight-line``, ``buffered: <why>`` or ``island: <why>`` (None:
         no vector plan runs it) — and ``rerolled``, the vector plan's
         stacked hashes and re-rolled register families that run in the
-        stage for later ones too. Empty on the interpreter: no plan."""
+        stage for later ones too — and ``banks``, the register banks one
+        vector batch serves. Empty on the interpreter: no plan."""
         if self.plan is None:
             return []
         forms = self.vplan.forms if self.vplan else {}
@@ -253,6 +267,7 @@ class Pipeline:
                        else "straight-line"),
             "vector": forms.get(sp.stage),
             "rerolled": list(rerolls.get(sp.stage, ())),
+            "banks": self.banks.k,
         } for sp in self.plan.stages]
 
     def validate(self) -> None:
@@ -562,8 +577,8 @@ class Pipeline:
                                        shard_field),
             vector=callback is None, workers=workers)
 
-    def process_columns(self, columns: dict,
-                        collect: bool = True) -> BatchResults | int:
+    def process_columns(self, columns: dict, collect: bool = True,
+                        bank=None) -> BatchResults | int:
         """:meth:`process_many` for a batch given as columns.
 
         ``columns`` maps packet field names to integer arrays of one
@@ -575,6 +590,14 @@ class Pipeline:
         the packets ever existing: the vector engine loads the columns
         directly (the loader ``process_many`` reaches through its
         ``Packet`` front end), the scalar engines walk the rows.
+
+        ``bank`` (vector engine only): per lane, the bank of this
+        pipeline's :class:`~repro.pisa.registers.RegisterBanks` set whose
+        switch the lane is a packet of. Lane ``i`` then runs against bank
+        ``bank[i]``'s registers, so one call serves the lanes of several
+        switches that run this layout; each bank's lanes see exactly what
+        they would alone, in lane order. By default every lane is this
+        pipeline's.
         """
         arrays = {}
         for name, values in columns.items():
@@ -591,8 +614,19 @@ class Pipeline:
         n = lengths.pop()[0] if lengths else 1
         arrays = {name: np.broadcast_to(a, (n,))
                   for name, a in arrays.items()}
-        return self._batch(lambda: self._process_columns(arrays, n, collect),
-                           vector=True)
+        if bank is not None:
+            if self.vplan is None or not self.vplan.ok:
+                raise ValueError("process_columns: bank lanes need a "
+                                 "vector plan")
+            bank = np.asarray(bank, dtype=np.int64)
+            if bank.shape != (n,) or not (
+                    0 <= bank.min(initial=0)
+                    and bank.max(initial=0) < self.banks.k):
+                raise ValueError(f"process_columns: bank must be {n} "
+                                 f"indexes below {self.banks.k}")
+        return self._batch(
+            lambda: self._process_columns(arrays, n, collect, bank),
+            vector=True)
 
     def _batch(self, run, vector: bool, workers: int = 1):
         """``run()`` as one instrumented batch: in-batch flag and quiesce
@@ -657,14 +691,15 @@ class Pipeline:
                 self._drain_quiesce()
         return count
 
-    def _process_columns(self, arrays: dict, n: int,
-                         collect: bool) -> BatchResults | int:
+    def _process_columns(self, arrays: dict, n: int, collect: bool,
+                         bank=None) -> BatchResults | int:
         if self.vplan is not None and self.vplan.ok:
             return self._process_vector(
                 n,
                 lambda start, stop: self.vplan.load_columns(
                     {name: a[start:stop] for name, a in arrays.items()},
-                    stop - start),
+                    stop - start,
+                    bank=None if bank is None else bank[start:stop]),
                 collect)
         names = list(arrays)
         rows = zip(*(a.tolist() for a in arrays.values()))

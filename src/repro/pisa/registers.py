@@ -9,13 +9,18 @@ min/max-update) — each costs one stateful ALU in the resource model.
 Indices are reduced modulo the array size: the compiler sizes hash ranges
 to the array, and the hardware equivalent is the hash unit's output width;
 the modulo here makes the simulator total rather than trapping.
+
+Switches that run one layout can keep their registers as *banks* of one
+:class:`RegisterBanks` set: each family is one ``(k, F)`` block, row
+``i`` switch ``i``'s, so one vector batch can serve every switch's lanes
+(see :mod:`repro.pisa.vector`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RegisterArray", "RegisterFile", "RegisterError"]
+__all__ = ["RegisterArray", "RegisterBanks", "RegisterFile", "RegisterError"]
 
 
 class RegisterError(Exception):
@@ -41,6 +46,8 @@ class RegisterArray:
         self.width = width
         self.mask = (1 << width) - 1
         self.block, self.offset = block, offset
+        #: The family whose block this array is a slice of, if any.
+        self.family: str | None = None
         self._data = (np.zeros(cells, dtype=np.uint64) if block is None
                       else block[offset:offset + cells])
 
@@ -151,6 +158,49 @@ class RegisterArray:
         return f"RegisterArray({self.name!r}, cells={self.cells}, width={self.width})"
 
 
+class RegisterBanks:
+    """The registers of ``k`` switches that run one layout.
+
+    Each register family is one zeroed ``(k, F)`` ``uint64`` block; row
+    ``i`` is bank ``i``'s family block, from which switch ``i``'s
+    :class:`RegisterFile` slices its arrays. Everything per switch works
+    on those row views unchanged. A vector plan built over a ``k > 1``
+    set reads and writes the whole block, each lane in its own bank's
+    row, so one batch serves every switch's lanes. A lone pipeline is a
+    one-bank set.
+    """
+
+    def __init__(self, k: int = 1):
+        if k < 1:
+            raise RegisterError(f"a bank set needs at least one bank, not {k}")
+        self.k = k
+        #: Family -> its ``(k, F)`` block.
+        self.blocks: dict[str, np.ndarray] = {}
+        #: The pipeline each bank belongs to, once built.
+        self.members: list = [None] * k
+
+    def block(self, family: str, cells: int) -> np.ndarray:
+        """The ``(k, cells)`` block of ``family``, zeroed on first use;
+        every bank's layout must give the family the same cell count."""
+        block = self.blocks.get(family)
+        if block is None:
+            block = self.blocks[family] = np.zeros((self.k, cells),
+                                                   dtype=np.uint64)
+        elif block.shape[1] != cells:
+            raise RegisterError(
+                f"family {family!r} has {block.shape[1]} cells per bank, "
+                f"not {cells}: the banks do not share one layout")
+        return block
+
+    def join(self, bank: int, member) -> None:
+        """Record ``member`` as bank ``bank``'s pipeline (once)."""
+        if not 0 <= bank < self.k:
+            raise RegisterError(f"bank {bank} outside a {self.k}-bank set")
+        if self.members[bank] is not None:
+            raise RegisterError(f"bank {bank} already has a pipeline")
+        self.members[bank] = member
+
+
 class RegisterFile:
     """All register arrays of a pipeline, keyed by instance name.
 
@@ -175,17 +225,26 @@ class RegisterFile:
         return array
 
     def create_family(self, family: str,
-                      rows: list[tuple[int, int, int, int]]) -> np.ndarray:
+                      rows: list[tuple[int, int, int, int]],
+                      block: np.ndarray | None = None) -> np.ndarray:
         """Instances ``family[i]``, one per ``(i, cells, width, stage)``
         of ``rows``, as consecutive slices, in index order, of one flat
         array: the family's block, so a kernel over several rows gathers
-        and scatters once. Returns the block."""
+        and scatters once. ``block`` is the caller's zeroed array of the
+        rows' total cell count (a bank's row, see :class:`RegisterBanks`);
+        by default the family gets one of its own. Returns the block."""
         rows = sorted(rows)
-        block = np.zeros(sum(row[1] for row in rows), dtype=np.uint64)
+        cells = sum(row[1] for row in rows)
+        if block is None:
+            block = np.zeros(cells, dtype=np.uint64)
+        elif block.shape != (cells,):
+            raise RegisterError(f"family {family!r}: block of shape "
+                                f"{block.shape} for {cells} cells")
         offset = 0
         for index, cells, width, stage in rows:
-            self.create(f"{family}[{index}]", cells, width, stage,
-                        block=block, offset=offset)
+            array = self.create(f"{family}[{index}]", cells, width, stage,
+                                block=block, offset=offset)
+            array.family = family
             offset += cells
         self._blocks[family] = block
         return block

@@ -182,12 +182,16 @@ class PhvBatch:
     non-present lanes, so ``phv.get(key, 0)`` is just the column.
     """
 
-    __slots__ = ("cols", "present", "n", "all_true")
+    __slots__ = ("cols", "present", "n", "all_true", "bank")
 
-    def __init__(self, cols: dict, present: dict, n: int):
+    def __init__(self, cols: dict, present: dict, n: int, bank=0):
         self.cols = cols
         self.present = present
         self.n = n
+        #: Whose registers each lane runs against: a bank of the
+        #: pipeline's :class:`~repro.pisa.registers.RegisterBanks` set,
+        #: one for every lane or a column of them.
+        self.bank = bank
         #: The one read-only presence mask every field that all lanes
         #: carry shares.
         self.all_true = np.ones(n, dtype=bool)
@@ -315,7 +319,9 @@ def _family_sort(x: np.ndarray, offs: np.ndarray, per_row):
     cells. ``per_row`` None: one ``uint16`` sort of the flat cells (the
     block has at most :data:`_RADIX_CELLS` cells); else one stable sort
     per row of the in-row cells as that dtype — rows never share a
-    cell, so the rows' sorted runs concatenated are grouped by cell."""
+    cell, so the rows' sorted runs concatenated are grouped by cell. In
+    a banked plan ``x`` and ``data`` span every bank (``x`` is a row's
+    cell plus ``bank * F``), so either sort orders lanes by (bank, cell)."""
     flat = (x + offs).reshape(-1)
     if per_row is None:
         return _group_sort(flat, np.uint16)
@@ -685,6 +691,18 @@ class _VecGen:
         self.born: dict[str, int] = {}
         #: Per stage, what :meth:`finish` re-rolled there.
         self.rerolls: dict[int, list[str]] = {}
+        #: The register banks the function serves. With more than one,
+        #: a lane's cells sit ``bank * F`` further into the flat
+        #: ``(k, F)`` family block than bank 0's (see :meth:`_banked`);
+        #: per family size ``F``, the local holding that offset.
+        self.banks = self.pipeline.banks
+        self._bank_offs: dict[int, str] = {}
+        if self.banks.k > 1:
+            self.emit("bank = batch.bank")
+            self.bound.add("bank")
+            for cells in sorted({block.shape[1]
+                                 for block in self.banks.blocks.values()}):
+                self._bank_offs[cells] = self._local("bo", f"bank * {cells}")
 
     # -- emission --------------------------------------------------------------
     def emit(self, line: str) -> None:
@@ -1054,9 +1072,10 @@ class _VecGen:
             dest = self._target(args.pop(0), sc, "register destination")
         cells, g = array.cells, sc.guard
         on = f"[{g}]" if g else ""      # the lanes the unit runs on
-        data = self._bind(array._data, "d")
+        cells_of, bank_off, reach = self._banked(array)
+        data = self._bind(cells_of, "d")
         mask_u = self._bind(np.uint64(array.mask), "m")
-        sort = "_u16" if cells <= _RADIX_CELLS else "_i64"
+        sort = "_u16" if reach <= _RADIX_CELLS else "_i64"
 
         v = self.expr(args[0], sc)
         if not isinstance(v.kind, tuple):
@@ -1069,6 +1088,8 @@ class _VecGen:
             idx = f"({self._i64(v)} & {cells - 1})"     # floor mod 2**k
         else:
             idx = self._shared(f"({self._i64(v)} % {cells})", sc)
+        if bank_off is not None:
+            idx = self._shared(f"({idx} + {bank_off})", sc)
 
         effects.append(("reg", array.name, method != "read"))
         if method == "read":
@@ -1119,6 +1140,24 @@ class _VecGen:
         if dest is not None:
             self._store(dest, _V(result, _kind(0, array.mask)), sc)
 
+    def _banked(self, array: RegisterArray, whole: bool = False):
+        """``(cells, offset, reach)`` of a kernel on ``array`` (``whole``:
+        on its family block): the ``uint64`` cells it indexes, the local
+        holding each lane's bank offset into them (None: one bank, whose
+        cells are the array's own) and one past the largest index a lane
+        reaches. Bank ``b``'s cell ``i`` is ``b * F + i`` of the flat
+        bank block, counted from the array's first cell."""
+        k = self.banks.k
+        if k == 1:
+            cells = array.block if whole else array._data
+            return cells, None, cells.size
+        block = self.banks.blocks[array.family]
+        size = block.shape[1]
+        flat = block.reshape(-1)
+        return ((flat, self._bank_offs[size], k * size) if whole
+                else (flat[array.offset:], self._bank_offs[size],
+                      (k - 1) * size + array.cells))
+
     def _add(self, sc: _Scope, call: str, site: _RegSite) -> Optional[str]:
         """Emit the ``add`` statement ``call``, or return the ``add_read``
         expression ``call``. In a straight-line stage, on a row of a
@@ -1168,6 +1207,9 @@ class _VecGen:
         return act
 
     def _table_stmt(self, table_name: str, sc: _Scope, effects: list) -> None:
+        if self.banks.k > 1:
+            # Each switch owns its table entries.
+            raise _NotVectorizable("table apply in a banked plan")
         if sc.mode == "local":
             raise _Buffered("table apply")
         table = self.pipeline.tables.get(table_name)
@@ -1434,7 +1476,8 @@ class _VecGen:
                 parts.append(f"{amount}[{k}] = {a}")
                 if g:
                     parts.append(f"{amount}[{k}] *= {g}")
-        data = self._bind(array.block, "b")
+        block, _off, reach = self._banked(array, whole=True)
+        data = self._bind(block, "b")
         offs = self._bind(np.array([[site.array.offset] for site in rows],
                                    dtype=np.int64), "o")
         if lead.kernel == "add":
@@ -1446,8 +1489,11 @@ class _VecGen:
                          f".reshape(-1), {amount})")
             sort = "no sort"
         else:
-            per_row = (None if array.block.size <= _RADIX_CELLS
-                       else "_u16" if array.cells <= _RADIX_CELLS else "_i64")
+            # ``x`` holds a row's cells as its bank's (``_banked``): one
+            # row's sort orders them by (bank, cell).
+            per_row = (None if reach <= _RADIX_CELLS
+                       else "_u16" if self._banked(array)[2] <= _RADIX_CELLS
+                       else "_i64")
             if type(amount) is int:
                 amount = _pattern(amount)
             parts.append(
@@ -1484,6 +1530,14 @@ class VectorPlan:
     ``stage_exec`` pairs each :class:`~repro.pisa.plan.StagePlan` with
     the function that runs it — that same one, stages being blocks of
     it — or None for a scalar island; ``forms`` says how each was emitted.
+
+    Over a pipeline of a ``k > 1`` :class:`~repro.pisa.registers.
+    RegisterBanks` set the function is *banked*: every register index
+    gains ``bank * F`` (``PhvBatch.bank``; ``F`` the family's cells per
+    bank), so each lane works on its own bank's row of the family blocks
+    and one batch serves every member's lanes. A stage a banked plan
+    cannot run — a scalar island, or a table apply, whose entries are
+    per switch — fails the build.
     """
 
     def __init__(self, pipeline):
@@ -1515,6 +1569,11 @@ class VectorPlan:
             if form.startswith("island: "):
                 self.island_stages.append(splan.stage)
                 self.island_reasons[splan.stage] = form[len("island: "):]
+        if self.island_stages and pipeline.banks.k > 1:
+            raise ValueError(
+                f"a {pipeline.banks.k}-bank plan cannot run stage "
+                f"{self.island_stages[0]} as a scalar island "
+                f"({self.island_reasons[self.island_stages[0]]})")
         gen._flush()
         self.source = gen.finish()
         self.rerolls = gen.rerolls
@@ -1562,7 +1621,8 @@ class VectorPlan:
 
     # -- batch loading ---------------------------------------------------------
     def load_columns(self, columns: dict, n: int,
-                     present: Optional[dict] = None) -> PhvBatch:
+                     present: Optional[dict] = None,
+                     bank=None) -> PhvBatch:
         """The one loader: ``{packet field: n raw values}`` to a
         :class:`PhvBatch` of resolved, width-masked int64 columns.
 
@@ -1570,9 +1630,11 @@ class VectorPlan:
         keep their bit pattern) or, for raw values outside 64 bits,
         object arrays of Python ints, masked one by one. ``present`` maps
         a field to its lane mask where not every lane carries it.
+        ``bank`` is each lane's register bank (default: the pipeline's).
         """
         resolve = self.pipeline._packet_key
-        batch = PhvBatch({}, {}, n)
+        batch = PhvBatch({}, {}, n,
+                         self.pipeline.bank if bank is None else bank)
         for name, values in columns.items():
             key = resolve(name)
             if values.dtype == object:
@@ -1651,7 +1713,14 @@ class VectorPlan:
         built on demand) or, with ``collect=False``, the lane count."""
         hits: dict = {}
         self.run_stages(batch, hits)
-        self.pipeline.packets_processed += batch.n
+        if isinstance(batch.bank, np.ndarray):
+            members = self.pipeline.banks.members
+            for bank, count in enumerate(np.bincount(
+                    batch.bank, minlength=len(members)).tolist()):
+                if count:
+                    members[bank].packets_processed += count
+        else:
+            self.pipeline.packets_processed += batch.n
         if not collect:
             return batch.n
         results = BatchResults(wide=self.wide)
@@ -1666,8 +1735,10 @@ class VectorPlan:
         if not self.ok:
             return f"vector plan disabled: {self.reason}"
         total = len(self.stage_exec)
+        banks = self.pipeline.banks.k
         lines = [f"vector plan: {total - len(self.island_stages)}/{total} "
-                 f"stages vectorized"]
+                 f"stages vectorized, {banks} register "
+                 f"bank{'s' if banks > 1 else ''}"]
         for sp in self.plan.stages:
             lines.append(f"  stage {sp.stage} ({self.forms[sp.stage]}): "
                          + ", ".join(sp.units))

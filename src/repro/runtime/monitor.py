@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 __all__ = ["WindowSample", "TrafficMonitor"]
 
@@ -80,11 +81,18 @@ class TrafficMonitor:
     def current_rate(self) -> float:
         return self.samples[-1].hit_rate if self.samples else 0.0
 
+    def _tail(self, count: int, skip: int = 0) -> list[WindowSample]:
+        """The ``count`` newest samples before the ``skip`` newest, oldest
+        first (``count`` 0: all of them). Reads only those: the drift
+        check runs every window, and the history holds thousands."""
+        newest = reversed(self.samples)
+        return list(islice(newest, skip, skip + count if count else None)
+                    )[::-1]
+
     def steady_rate(self, windows: int | None = None) -> float:
         """Mean hit rate over the last ``windows`` full windows
         (excluding none — this *includes* the newest)."""
-        windows = windows or self.baseline_windows
-        recent = list(self.samples)[-windows:]
+        recent = self._tail(windows or self.baseline_windows)
         if not recent:
             return 0.0
         return sum(s.hit_rate for s in recent) / len(recent)
@@ -92,7 +100,7 @@ class TrafficMonitor:
     def baseline_rate(self) -> float:
         """Steady reference: mean of the ``baseline_windows`` windows
         preceding the current one."""
-        prior = list(self.samples)[:-1][-self.baseline_windows:]
+        prior = self._tail(self.baseline_windows, skip=1)
         if not prior:
             return 0.0
         return sum(s.hit_rate for s in prior) / len(prior)

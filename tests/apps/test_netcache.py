@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import (
     NetCacheApp,
@@ -9,8 +11,10 @@ from repro.apps import (
     netcache_source,
     simulate_netcache,
 )
+from repro.apps.netcache import serve
 from repro.core import compile_source
 from repro.lang import check_program, parse_program
+from repro.pisa import Pipeline, RegisterBanks
 from repro.structures import CMS_SOURCE
 from repro.workloads import ZipfGenerator
 
@@ -149,18 +153,31 @@ ENGINES = ("vector", "compiled", "interp")
 SERVE_BATCHES = (None, 1, 7, 300, 4096)
 
 
-@pytest.fixture(scope="module")
-def layouts(mini_tofino):
+def crowded(target, with_routing=True):
     """Crowded 16-column layouts with one and three KV rows."""
     compiled = {}
     for kv_rows in (1, 3):
-        source = netcache_source(max_cols=16).replace(
+        source = netcache_source(
+            max_cols=16, with_routing=with_routing).replace(
             "assume kv_rows >= 1;",
             f"assume kv_rows >= 1 && kv_rows <= {kv_rows};")
-        compiled[kv_rows] = compile_source(source, mini_tofino,
+        compiled[kv_rows] = compile_source(source, target,
                                            source_name="netcache")
         assert compiled[kv_rows].symbol_values["kv_rows"] == kv_rows
     return compiled
+
+
+@pytest.fixture(scope="module")
+def layouts(mini_tofino):
+    return crowded(mini_tofino)
+
+
+@pytest.fixture(scope="module")
+def unrouted(mini_tofino):
+    """:func:`crowded` without the routing table: a layout switches can
+    bank (each switch owns its table entries, so a table is never
+    banked)."""
+    return crowded(mini_tofino, with_routing=False)
 
 
 class TestExactServing:
@@ -318,6 +335,78 @@ class TestExactServing:
             app.run_trace([1, 2, 3], serve_batch=-1)
 
 
+
+class TestBankedServing:
+    """``serve`` of k apps banked in one register set — one kernel call
+    per round of sub-batches — equals each app serving its trace alone:
+    counters, registers, cached keys and occupant counters."""
+
+    @staticmethod
+    def one_below_wrap(app):
+        for register in app._sketch:
+            register.load(np.full(register.cells, (1 << 32) - 1))
+
+    @staticmethod
+    def banked(compiled, k, hot_threshold=4):
+        banks = RegisterBanks(k)
+        return [NetCacheApp(compiled.target, hot_threshold=hot_threshold,
+                            compiled=compiled, banks=banks, bank=bank)
+                for bank in range(k)]
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_each_app_alone(self, unrouted, data):
+        compiled = unrouted[data.draw(st.sampled_from([1, 3]), "kv_rows")]
+        k = data.draw(st.integers(1, 4), "k")
+        traces = data.draw(st.lists(
+            st.lists(st.integers(1, 40), max_size=150),
+            min_size=k, max_size=k), "traces")
+        serve_batch = data.draw(st.one_of(st.none(), st.integers(0, 64)),
+                                "serve_batch")
+        hot_threshold = data.draw(st.sampled_from([1, 2, 4]), "threshold")
+        wrapped = data.draw(st.lists(st.booleans(), min_size=k, max_size=k),
+                            "wrapped")
+        banked = self.banked(compiled, k, hot_threshold)
+        alone = [NetCacheApp(compiled.target, hot_threshold=hot_threshold,
+                             compiled=compiled) for _ in range(k)]
+        for pair, wrap in zip(zip(banked, alone), wrapped):
+            for app in pair if wrap else ():
+                self.one_below_wrap(app)
+        stats = serve(banked, traces, serve_batch)
+        for app, reference, trace, stat in zip(banked, alone, traces, stats):
+            expected = reference.run_trace(trace, serve_batch=serve_batch)
+            assert outcome(app, stat) == outcome(reference, expected)
+            np.testing.assert_array_equal(app._occupants,
+                                          reference._occupants)
+            assert app.pipeline.packets_processed == len(trace)
+
+    def test_one_kernel_call_per_round(self, unrouted, monkeypatch):
+        """Three apps, one with no lanes: rounds of 50-key sub-batches
+        are one banked call each, counted on the first app."""
+        calls = []
+        process_columns = Pipeline.process_columns
+
+        def counted(pipeline, columns, *args, **kwargs):
+            calls.append(kwargs.get("bank"))
+            return process_columns(pipeline, columns, *args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "process_columns", counted)
+        apps = self.banked(unrouted[3], 3)
+        keys = ZipfGenerator(300, alpha=1.0, seed=38).sample(120)
+        stats = serve(apps, [keys, [], keys[:30]], serve_batch=50)
+        assert len(calls) == 3 == stats[0].batches
+        assert [s.batches for s in stats[1:]] == [0, 0]
+        assert calls[0].tolist() == [0] * 50 + [2] * 30
+        assert [s.packets for s in stats] == [120, 0, 30]
+        assert stats[1].busy_seconds == 0.0 < stats[2].busy_seconds
+
+    def test_apps_of_other_sets_are_refused(self, layouts):
+        first, second = (NetCacheApp(layouts[1].target, compiled=layouts[1])
+                         for _ in range(2))
+        with pytest.raises(ValueError, match="banks of one set"):
+            serve([first, second], [[1], [2]])
+
+
 class TestControllerState:
     """What the controller keeps beside the store — the cached-key set
     and each slot's occupant counters — is what the store implies, after
@@ -372,6 +461,22 @@ class TestControllerState:
         app.migrate_to(dst, accumulate=True)
         self.assert_consistent(dst)
         assert app.run_trace(keys[600:], serve_batch=serve_batch).packets
+
+    def test_occupancy_is_the_filled_share_of_each_store(self, layouts):
+        """Read from the two family blocks, equal to summing every row."""
+        app = NetCacheApp(layouts[3].target, hot_threshold=2,
+                          compiled=layouts[3])
+        assert app.occupancy() == {"kv": 0.0, "cms": 0.0}
+        app.run_trace(ZipfGenerator(300, alpha=1.0, seed=39).sample(200))
+
+        def filled(arrays):
+            return (sum(array.nonzero_cells() for array in arrays)
+                    / sum(array.cells for array in arrays))
+
+        occupancy = app.occupancy()
+        assert occupancy == {"kv": filled(app._kv_keys),
+                             "cms": filled(app._sketch)}
+        assert 0.0 < occupancy["kv"] < 1.0
 
     def test_key_zero_is_never_cached(self, layouts):
         """Key 0 marks a free slot: storing it frees the slot and caches

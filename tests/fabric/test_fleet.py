@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.cache import CompileCache
 from repro.fabric import FabricTopology, FleetConfig, FleetController
-from repro.pisa import small_target
+from repro.pisa import Pipeline, small_target
 from repro.runtime import (
     ElasticRuntime,
     ReconfigPlanner,
@@ -368,3 +368,99 @@ class TestRebalance:
         stream = ZipfGenerator(universe=50, alpha=1.4, seed=1)
         report = controller.run(stream, 2000)
         assert report.rebalances == []
+
+
+def kernel_calls_per_window(controller, stream) -> int:
+    """``process_columns`` calls one window of ``controller.run`` makes
+    — the serve's kernel calls, as a count a gate can read."""
+    calls = 0
+    process_columns = Pipeline.process_columns
+
+    def counted(pipeline, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return process_columns(pipeline, *args, **kwargs)
+
+    Pipeline.process_columns = counted
+    try:
+        controller.run(stream, controller.config.window_packets)
+    finally:
+        Pipeline.process_columns = process_columns
+    return calls
+
+
+class TestBankSets:
+    """Switches with one layout are banks of one register set, served by
+    one kernel call per window; a cut switch leaves its set."""
+
+    def test_one_call_per_set_with_lanes(self, mini64, mini32,
+                                         shared_cache):
+        controller = make_controller(mini64, shared_cache, n=4, standby=1)
+        controller.install_all()
+        apps = [controller.topology.node(f"s{i}").app for i in range(5)]
+        banks = apps[0].pipeline.banks
+        assert banks.k == 5
+        assert [app.pipeline.banks for app in apps] == [banks] * 5
+        assert [app.pipeline.bank for app in apps] == list(range(5))
+        stream = ZipfGenerator(universe=3000, alpha=1.1, seed=21)
+        controller.run(stream, 1000)
+        assert kernel_calls_per_window(controller, stream) == 1
+
+        controller.cut_switch("s0", mini32)
+        assert controller.topology.node("s0").app.pipeline.banks.k == 1
+        assert controller.migrate("s1", "s4").committed
+        assert controller.topology.node("s4").app.pipeline.banks is banks
+        assert kernel_calls_per_window(controller, stream) == 2
+
+    def test_window_span_counts_batches_and_replays(self, mini64,
+                                                    shared_cache):
+        from repro import obs
+
+        controller = make_controller(mini64, shared_cache)
+        controller.install_all()
+        obs.trace.enable()
+        try:
+            controller.run(ZipfGenerator(universe=3000, alpha=1.1, seed=5),
+                           500)
+            [window] = obs.trace.spans_named("fleet.window")
+            replays = obs.trace.spans_named("apps.replay")
+        finally:
+            obs.trace.disable()
+            obs.trace.reset()
+        assert window.attrs["batches"] == 1
+        assert len(replays) == 3
+        assert {span.parent_id for span in replays} == {window.span_id}
+        assert sum(span.attrs["lanes"] for span in replays) == 500
+
+    def test_busy_is_shared_out_by_lanes(self, mini64, shared_cache):
+        controller = make_controller(mini64, shared_cache)
+        report = controller.run(
+            ZipfGenerator(universe=3000, alpha=1.1, seed=6), 1500)
+        for stats in report.per_switch.values():
+            assert stats.packets and stats.busy_seconds > 0.0
+
+    def test_routed_fleet_is_unbanked_and_exact(self, mini64, shared_cache):
+        """A program with a table is never banked: every switch keeps a
+        set of its own, and the batched serve still equals per-packet."""
+        from repro.apps import netcache_linked
+
+        outcomes = []
+        for serve_batch in (None, 0):
+            controller = FleetController(
+                FabricTopology.flat(3, mini64),
+                source=netcache_linked(with_routing=True),
+                config=FleetConfig(window_packets=500, vnodes=32,
+                                   serve_batch=serve_batch),
+                telemetry=TelemetryBus(), cache=shared_cache)
+            report = controller.run(
+                ZipfGenerator(universe=3000, alpha=1.1, seed=8), 1500)
+            apps = [node.app for node in controller.topology.switches.values()
+                    if node.app is not None]
+            assert [app.pipeline.banks.k for app in apps] == [1, 1, 1]
+            outcomes.append((
+                report.timeline,
+                {n: (s.packets, s.hits) for n, s in report.per_switch.items()},
+                [{reg: cells.tolist() for reg, cells in
+                  app.pipeline.registers.export_state().items()}
+                 for app in apps]))
+        assert outcomes[0] == outcomes[1]

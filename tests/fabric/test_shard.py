@@ -77,6 +77,86 @@ class TestLookup:
         assert int(key_hash(0)[0]) == 16294208416658607535
 
 
+
+_M64 = (1 << 64) - 1
+
+
+def _unhash(h: int) -> int:
+    """The key :func:`key_hash` maps onto ring position ``h`` (splitmix64's
+    finalizer is a bijection: undo each xorshift and multiply)."""
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    x = unshift(h, 31)
+    x = unshift((x * pow(0x94D049BB133111EB, -1, 1 << 64)) & _M64, 27)
+    x = unshift((x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _M64, 30)
+    return (x - 0x9E3779B97F4A7C15) & _M64
+
+
+class TestOwnerTable:
+    """The bucket table answers what ``searchsorted`` of the ring would,
+    above all where a hash sits on a ring point or next to one."""
+
+    @staticmethod
+    def edge_keys(ring: HashRing) -> np.ndarray:
+        """Keys hashing onto every ring point, one either side of it, 0,
+        2**64 - 1 and both ends of every bucket a point falls in."""
+        shift = 64 - 16
+        positions = {0, _M64}
+        for point in ring._points.tolist():
+            positions |= {(point - 1) & _M64, point, (point + 1) & _M64}
+            bucket = point >> shift
+            positions |= {bucket << shift, ((bucket + 1) << shift) - 1}
+        keys = np.array([_unhash(h) for h in sorted(positions)],
+                        dtype=np.uint64)
+        assert sorted(key_hash(keys).tolist()) == sorted(positions)
+        return keys
+
+    @staticmethod
+    def searched(ring: HashRing, keys) -> np.ndarray:
+        """Owner indexes by ``searchsorted`` of the ring: the first point
+        at or after the key's hash, wrapping to the first."""
+        slot = np.searchsorted(ring._points, key_hash(keys), side="left")
+        slot[slot == len(ring._points)] = 0
+        return ring._owner_idx[slot]
+
+    def check(self, ring: HashRing) -> None:
+        keys = np.concatenate([self.edge_keys(ring),
+                               sample_keys(20_000).astype(np.uint64)])
+        assert np.array_equal(ring.lookup_many(keys),
+                              self.searched(ring, keys))
+        ordered, counts = ring.split(keys)
+        shards = ring.shard(keys)
+        assert list(shards) == [name for name, count
+                                in zip(ring.names, counts) if count]
+        assert np.array_equal(ordered, np.concatenate(list(shards.values())))
+        for name, part in shards.items():
+            owner = ring.names.index(name)
+            assert np.array_equal(part, keys[ring.lookup_many(keys) == owner])
+
+    def test_edges_after_every_membership_change(self):
+        ring = ring_of(4, 64, "")
+        self.check(ring)
+        ring.reassign("sw1", "standby")
+        self.check(ring)
+        ring.donate("sw2", "sw0", 0.3)
+        self.check(ring)
+        ring.remove("sw3")
+        self.check(ring)
+        ring.add("late")
+        self.check(ring)
+
+    def test_one_owner_splits_without_hashing(self):
+        ring = ring_of(1, 64, "")
+        keys = sample_keys(100)
+        ordered, counts = ring.split(keys)
+        assert np.array_equal(ordered, keys)
+        assert counts.tolist() == [100]
+
+
 class TestStability:
     @given(**RING_SHAPES)
     @settings(max_examples=25, deadline=None)

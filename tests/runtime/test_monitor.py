@@ -86,3 +86,39 @@ class TestDrift:
             TrafficMonitor(drop_threshold=0.0)
         with pytest.raises(ValueError):
             TrafficMonitor(drop_threshold=1.0)
+
+
+class TestTailReads:
+    """The rates read only the history's tail, and equal the mean over a
+    copy of the whole history, bit for bit (the summation order is
+    oldest first either way)."""
+
+    @staticmethod
+    def copied_rates(mon, windows=None):
+        """The rates as a full copy of the history computes them."""
+        samples = list(mon.samples)
+        recent = samples[-(windows or mon.baseline_windows):]
+        prior = samples[:-1][-mon.baseline_windows:]
+
+        def mean(part):
+            return sum(s.hit_rate for s in part) / len(part) if part else 0.0
+
+        return mean(recent), mean(prior)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 200])
+    @pytest.mark.parametrize("baseline_windows", [1, 5, 13])
+    def test_rates_equal_a_full_copy(self, count, baseline_windows):
+        import random
+
+        rng = random.Random(count * 31 + baseline_windows)
+        # history=64: the larger counts fill the deque and roll it.
+        mon = TrafficMonitor(baseline_windows=baseline_windows, history=64)
+        for _ in range(count):
+            packets = rng.randint(1, 997)
+            mon.record(rng.randint(0, packets), packets)
+        steady, baseline = self.copied_rates(mon)
+        assert mon.steady_rate() == steady
+        assert mon.baseline_rate() == baseline
+        for windows in (1, 3, 100):
+            assert mon.steady_rate(windows) == self.copied_rates(
+                mon, windows)[0]
