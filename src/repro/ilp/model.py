@@ -6,7 +6,7 @@ small, self-contained modeling layer (variables, linear expressions,
 constraints, objective) that can be handed to interchangeable exact
 solvers:
 
-* :mod:`repro.ilp.solver_scipy` — scipy's HiGHS-backed ``milp``.
+* :mod:`repro.ilp.solver_scipy` — HiGHS, through the binding scipy bundles.
 * :mod:`repro.ilp.solver_bb` — a from-scratch branch-and-bound solver
   built on LP relaxations, used as a fallback and as a cross-check.
 

@@ -1,7 +1,8 @@
 """Backend dispatch for MILP solving.
 
-``solve(model)`` picks the best available exact backend: scipy's HiGHS
-MILP engine when importable, otherwise the built-in branch and bound.
+``solve(model)`` picks the best available exact backend: HiGHS, through
+the binding scipy bundles, when it loads, otherwise the built-in branch
+and bound.
 Callers can force a backend by name, which the cross-check tests and the
 solver-ablation benchmark use.
 """
@@ -20,9 +21,11 @@ _BACKENDS = ("scipy", "bb")
 
 def available_backends() -> tuple[str, ...]:
     """Names of usable backends, preferred first."""
+    from .solver_scipy import highs_core
+
     try:
-        from scipy.optimize import milp  # noqa: F401
-    except ImportError:  # pragma: no cover
+        highs_core()
+    except SolverError:  # pragma: no cover - scipy is a hard dependency
         return ("bb",)
     return _BACKENDS
 
@@ -39,8 +42,9 @@ def solve(
 
     ``backend`` is ``"auto"`` (prefer HiGHS), ``"scipy"``, or ``"bb"``.
     ``warm_start`` is an optional feasible assignment (Var → value) used
-    to seed the incumbent; backends without warm-start support (scipy's
-    ``milp`` exposes none) accept and ignore it. ``fixed`` (Var → value)
+    to seed the incumbent; backends without warm-start support (the HiGHS
+    backend solves as ``scipy.optimize.milp`` does, which seeds none)
+    accept and ignore it. ``fixed`` (Var → value)
     pins variables, leaving the restricted problem over the rest.
     ``rel_gap`` is the relative optimality gap to stop at: HiGHS defaults
     to 1e-4; the branch and bound always searches to zero gap and

@@ -1,12 +1,25 @@
-"""MILP backend on top of :func:`scipy.optimize.milp` (HiGHS).
+"""MILP backend on top of HiGHS, through the binding scipy bundles.
 
 This is the primary solver: HiGHS is an exact branch-and-cut MILP solver,
 standing in for the Gurobi Optimizer the paper's prototype invoked.
+
+scipy ships HiGHS's own pybind11 binding as the extension module
+``scipy.optimize._highspy._core``. :func:`highs_core` loads that one file
+without running ``scipy/optimize/__init__.py``, whose import costs about
+half a second and 40 MB before the first solve; :func:`solve_scipy` then
+drives ``_Highs`` exactly as ``scipy.optimize.milp`` does (same matrix,
+options and status mapping), so every solve takes the same search path.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -14,14 +27,95 @@ from ..obs import trace
 from .model import Model, VarType
 from .solution import Solution, SolveStatus, SolverError
 
-__all__ = ["solve_scipy"]
+__all__ = ["highs_core", "solve_scipy"]
 
-_STATUS_MAP = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.TIMEOUT,  # iteration/time limit
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-}
+_CORE = "scipy.optimize._highspy._core"
+_REQUIRES = ("the HiGHS backend needs scipy >= 1.17, whose "
+             f"{_CORE} extension provides the _Highs binding")
+
+
+@functools.cache
+def highs_core():
+    """scipy's HiGHS binding module, loaded once per process.
+
+    Reuses the module when ``scipy.optimize`` already imported it;
+    otherwise loads the extension file on its own and registers it under
+    its name, so a later ``import scipy.optimize`` shares it. Falls back
+    to the regular import when the file is not where scipy keeps it.
+    """
+    core = sys.modules.get(_CORE) or _load_extension()
+    if core is None:
+        try:
+            from scipy.optimize._highspy import _core as core
+        except ImportError as exc:
+            raise SolverError(_REQUIRES) from exc
+    if not hasattr(core, "_Highs"):
+        raise SolverError(_REQUIRES)
+    return core
+
+
+def _load_extension():
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "optimize",
+                     "_highspy"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(_CORE)
+    if spec is None:
+        return None
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return core
+
+
+def _status(core, model_status) -> SolveStatus:
+    """``milp``'s status mapping, from HiGHS's model status."""
+    kind = core.HighsModelStatus
+    if model_status == kind.kOptimal:
+        return SolveStatus.OPTIMAL
+    if model_status in (kind.kTimeLimit, kind.kIterationLimit):
+        return SolveStatus.TIMEOUT
+    # milp reports a model HiGHS refused to load as infeasible.
+    if model_status in (kind.kInfeasible, kind.kModelError):
+        return SolveStatus.INFEASIBLE
+    if model_status == kind.kUnbounded:
+        return SolveStatus.UNBOUNDED
+    return SolveStatus.ERROR
+
+
+def _highs_lp(core, c, a, lo, hi, lbs, ubs, integrality):
+    """The column-wise ``HighsLp`` that ``milp`` builds from a dense ``a``."""
+    rows, cols = a.shape
+    # Column-major nonzeros: the (column, row) order of a csc_array.
+    col_of, row_of = np.nonzero(a.T)
+    lp = core.HighsLp()
+    lp.num_col_ = cols
+    lp.num_row_ = rows
+    lp.a_matrix_.num_col_ = cols
+    lp.a_matrix_.num_row_ = rows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = lbs
+    lp.col_upper_ = ubs
+    lp.row_lower_ = lo
+    lp.row_upper_ = hi
+    lp.a_matrix_.start_ = np.concatenate(
+        ([0], np.cumsum(np.bincount(col_of, minlength=cols)))
+    ).astype(np.int32)
+    lp.a_matrix_.index_ = row_of.astype(np.int32)
+    lp.a_matrix_.value_ = a.T[col_of, row_of]
+    kinds = (core.HighsVarType(0), core.HighsVarType(1))
+    lp.integrality_ = [kinds[i] for i in integrality]
+    return lp
 
 
 def solve_scipy(
@@ -31,53 +125,69 @@ def solve_scipy(
     fixed: dict | None = None,
     rel_gap: float | None = None,
 ) -> Solution:
-    """Solve ``model`` with scipy's HiGHS MILP solver.
+    """Solve ``model`` with HiGHS's MILP solver.
 
     Integer variable values in the returned solution are rounded to the
     nearest integer (HiGHS returns them within tolerance of integrality).
     ``warm_start`` is accepted for backend interchangeability but unused:
-    ``scipy.optimize.milp`` exposes no incumbent-seeding API. ``fixed``
-    pins variables to values; ``rel_gap`` overrides HiGHS's default
-    ``mip_rel_gap`` of 1e-4 — the gap at which it calls a solution
-    optimal, reported back as :attr:`Solution.mip_gap`.
+    the solve mirrors ``scipy.optimize.milp``, which seeds no incumbent
+    (HiGHS's ``setSolution`` could). ``fixed`` pins variables to values;
+    ``rel_gap`` overrides HiGHS's default ``mip_rel_gap`` of 1e-4 — the
+    gap at which it calls a solution optimal, reported back as
+    :attr:`Solution.mip_gap`.
     """
     del warm_start
-    try:
-        from scipy.optimize import LinearConstraint, milp
-        from scipy.optimize import Bounds
-    except ImportError as exc:  # pragma: no cover - scipy is a hard dependency
-        raise SolverError("scipy.optimize.milp unavailable") from exc
-
+    core = highs_core()
     c, a, lo, hi, (lbs, ubs), integrality = model.to_matrix_form(fixed)
-    options = {}
+    integrality = integrality.astype(np.uint8)
+    options = {"log_to_console": False}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if rel_gap is not None:
         options["mip_rel_gap"] = float(rel_gap)
 
-    constraints = [LinearConstraint(a, lo, hi)] if len(model.constraints) else []
     started = time.perf_counter()
     with trace.span(
         "ilp.scipy",
         variables=len(model.variables),
         time_limit=time_limit,
     ) as span:
-        result = milp(
-            c=c,
-            constraints=constraints,
-            bounds=Bounds(lbs, ubs),
-            integrality=integrality,
-            options=options,
-        )
-        status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
-        nodes = int(getattr(result, "mip_node_count", 0) or 0)
-        # HiGHS bounds the minimised ``c @ x``; report the model's sense.
-        dual_bound = getattr(result, "mip_dual_bound", None)
-        if dual_bound is not None:
-            sign = -1.0 if model.objective.maximize else 1.0
-            dual_bound = sign * float(dual_bound) + model.objective.expr.constant
-        gap = getattr(result, "mip_gap", None)
-        gap = None if gap is None else float(gap)
+        highs = core._Highs()
+        for key, val in options.items():
+            # HiGHS keeps the default for a value out of range, as milp does.
+            if highs.setOptionValue(key, val) != core.HighsStatus.kOk:
+                warnings.warn(f"HiGHS rejected {key}={val!r}; using its "
+                              "default", RuntimeWarning, stacklevel=2)
+        x = None
+        nodes, dual_bound, gap = 0, None, None
+        lp = _highs_lp(core, c, a, lo, hi, lbs, ubs, integrality)
+        if highs.passModel(lp) == core.HighsStatus.kError:
+            model_status = core.HighsModelStatus.kModelError
+        elif highs.run() == core.HighsStatus.kError:
+            model_status = highs.getModelStatus()
+        else:
+            model_status = highs.getModelStatus()
+            info = highs.getInfo()
+            is_mip = bool(integrality.sum())
+            limits = (core.HighsModelStatus.kTimeLimit,
+                      core.HighsModelStatus.kIterationLimit,
+                      core.HighsModelStatus.kSolutionLimit)
+            # A MIP stopped at a limit has a solution iff it has an
+            # incumbent; an LP has one only at optimality.
+            if model_status == core.HighsModelStatus.kOptimal or (
+                is_mip and model_status in limits
+                and info.objective_function_value != core.kHighsInf
+            ):
+                x = np.array(highs.getSolution().col_value)
+                if is_mip:
+                    nodes = int(info.mip_node_count)
+                    # HiGHS bounds the minimised ``c @ x``; report the
+                    # model's sense.
+                    sign = -1.0 if model.objective.maximize else 1.0
+                    dual_bound = sign * float(info.mip_dual_bound) \
+                        + model.objective.expr.constant
+                    gap = float(info.mip_gap)
+        status = _status(core, model_status)
         span.set_attrs(
             status=status.value,
             nodes_explored=nodes,
@@ -85,12 +195,12 @@ def solve_scipy(
             mip_gap=gap,
         )
     elapsed = time.perf_counter() - started
-    if result.x is None:
+    if x is None:
         return Solution(status=status, solve_seconds=elapsed, backend="scipy-highs")
 
     values = {}
     for var in model.variables:
-        val = float(result.x[var.index])
+        val = float(x[var.index])
         if var.vartype is not VarType.CONTINUOUS:
             val = float(round(val))
         values[var] = val

@@ -13,6 +13,7 @@ trusted) with ``PYTHONPATH=src python tests/core/test_layout_pins.py``.
 """
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -99,18 +100,58 @@ def solve_case(program: str, target) -> dict | None:
 PINS = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
 
 
+def _solve_once(case: str):
+    """One compile of ``case``: ``(compiled, search_only)``, or ``(None,
+    None)`` when nothing fits. ``search_only`` is the layout the HiGHS
+    search itself found — ``resolve_sizes``' input, decoded as the
+    resolved output is — so it is what a compile with the re-solve
+    switched off returns, without a second search."""
+    searched = []
+    resolve_sizes, decode = LayoutBuilder.resolve_sizes, LayoutBuilder._decode
+
+    def record(self, solution, *args, **kwargs):
+        searched.append(solution)
+        return resolve_sizes(self, solution, *args, **kwargs)
+
+    def decode_both(self, solution, utility=None, utility_terms=None):
+        searched[-1] = decode(self, searched[-1], utility, utility_terms)
+        return decode(self, solution, utility, utility_terms)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LayoutBuilder, "resolve_sizes", record)
+        patch.setattr(LayoutBuilder, "_decode", decode_both)
+        try:
+            compiled = compile_case(*CASES[case])
+        except LayoutInfeasibleError:
+            return None, None
+    (search_only,) = searched
+    return compiled, search_only
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """``_solve_once``, memoised for this module: every test of a case
+    reads the same compile."""
+    memo = functools.cache(_solve_once)
+    yield memo
+    memo.cache_clear()
+
+
 @pytest.mark.parametrize("resolve", [True, False],
                          ids=["resolved", "search-only"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_matches_pinned_optimum(case, resolve, monkeypatch):
+def test_matches_pinned_optimum(case, resolve, solved):
     # The windows make the search itself land on the optimum at HiGHS's
     # default gap; the fixed-structure re-solve is the guarantee, not
     # what these rows lean on — so they hold with it switched off too.
-    if not resolve:
-        monkeypatch.setattr(LayoutBuilder, "resolve_sizes",
-                            lambda self, solution, *args, **kwargs: solution)
-    program, target = CASES[case]
-    got = solve_case(program, target)
+    compiled, search_only = solved(case)
+    got = None
+    if compiled is not None:
+        solution = compiled.solution if resolve else search_only
+        got = {
+            "symbols": dict(solution.symbol_values),
+            "utility": solution.objective,
+        }
     want = PINS[case]
     if want is None:
         assert got is None
@@ -121,11 +162,11 @@ def test_matches_pinned_optimum(case, resolve, monkeypatch):
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED))
-def test_objective_is_the_utility_at_the_symbol_values(key):
+def test_objective_is_the_utility_at_the_symbol_values(key, solved):
     # Not the solver's objective: that carries the stage-bias tie-break
     # (which is how expected.json, recorded before, sits a hair lower).
-    program, target = CASES[key]
-    compiled = compile_case(program, target)
+    program, _target = CASES[key]
+    compiled, _search_only = solved(key)
     solution = compiled.solution
     env = {**compiled.info.consts, **compiled.symbol_values}
     if program == "netcache-linked":
