@@ -18,8 +18,8 @@ Subcommands::
                                                  # summarize observability
                                                  # artifacts (--format json
                                                  # for machine-readable)
-    p4all top                                    # live fleet dashboard over
-                                                 # an embedded scenario
+    p4all top {run,fabric} [flags] [--no-clear]  # the same run, with a live
+                                                 # metrics view per window
 
 ``compile`` and ``run`` accept ``--trace PATH`` (Chrome trace-event
 JSON of the command's span timeline — load it in Perfetto or
@@ -184,17 +184,17 @@ def _add_serve_args(parser: argparse.ArgumentParser,
         )
 
 
-def _with_obs(args, body) -> int:
-    """Run a command body under the observability exporter.
+def _with_obs(args) -> int:
+    """Run the command's ``args.body`` under the observability exporter.
 
-    The artifacts are written even when ``body`` raises, so a failed
+    The artifacts are written even when the body raises, so a failed
     compile still leaves its partial timeline behind for diagnosis.
     """
     from .obs import observed
 
     with observed(getattr(args, "trace", None), getattr(args, "metrics", None),
                   flight_path=getattr(args, "flight", None)):
-        result = body(args)
+        result = args.body(args)
     if getattr(args, "trace", None):
         print(f"wrote trace to {args.trace}", file=sys.stderr)
     if getattr(args, "metrics", None):
@@ -202,10 +202,6 @@ def _with_obs(args, body) -> int:
     if getattr(args, "flight", None):
         print(f"wrote flight recording to {args.flight}", file=sys.stderr)
     return result
-
-
-def _cmd_compile(args) -> int:
-    return _with_obs(args, _compile_body)
 
 
 def _compile_body(args) -> int:
@@ -248,10 +244,6 @@ def _compile_body(args) -> int:
     if args.report:
         print(layout_report(compiled), file=sys.stderr)
     return 0
-
-
-def _cmd_verify(args) -> int:
-    return _with_obs(args, _verify_body)
 
 
 def _verify_body(args) -> int:
@@ -332,11 +324,7 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    return _with_obs(args, _run_body)
-
-
-def _run_body(args) -> int:
+def _run_body(args, on_event=None) -> int:
     import dataclasses
     import json
 
@@ -345,6 +333,8 @@ def _run_body(args) -> int:
 
     target = _resolve_target(args)
     telemetry = TelemetryBus(sink=args.events)
+    if on_event is not None:
+        telemetry.subscribe(on_event)
     planner = ReconfigPlanner(
         options=_compile_options(args),
         telemetry=telemetry,
@@ -396,11 +386,7 @@ def _run_body(args) -> int:
     return 0
 
 
-def _cmd_fabric(args) -> int:
-    return _with_obs(args, _fabric_body)
-
-
-def _fabric_body(args) -> int:
+def _fabric_body(args, on_event=None) -> int:
     import dataclasses
     import json
 
@@ -419,6 +405,8 @@ def _fabric_body(args) -> int:
                                      standby=args.standby)
     print(fabric.describe(), file=sys.stderr)
     telemetry = TelemetryBus(sink=args.events)
+    if on_event is not None:
+        telemetry.subscribe(on_event)
     config = FleetConfig(
         window_packets=args.window,
         vnodes=args.vnodes,
@@ -470,61 +458,65 @@ def _fabric_body(args) -> int:
 def _cmd_obs(args) -> int:
     import json
 
-    from .obs.summary import (
-        flight_summary_data,
-        prometheus_summary_data,
-        summarize_flight_file,
-        summarize_prometheus_file,
-        summarize_trace_file,
-        trace_summary_data,
-    )
+    from .obs.view import render, snapshot
 
     if (args.trace_file is None and args.metrics_file is None
             and args.flight_file is None):
         print("error: nothing to summarize — give a trace file, "
               "--metrics FILE, and/or --flight FILE", file=sys.stderr)
         return 2
+
+    def read(path):
+        return None if path is None else Path(path).read_text()
+
+    trace = read(args.trace_file)
+    try:
+        snap = snapshot(
+            trace=None if trace is None else json.loads(trace),
+            metrics=read(args.metrics_file), flight=read(args.flight_file),
+            depth=args.depth, top=args.top,
+        )
+    except ValueError as exc:  # a malformed artifact, JSON or Prometheus
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
-        out: dict = {}
-        if args.trace_file is not None:
-            out["trace"] = trace_summary_data(
-                json.loads(Path(args.trace_file).read_text()), top=args.top)
-        if args.metrics_file is not None:
-            out["metrics"] = prometheus_summary_data(
-                Path(args.metrics_file).read_text())
-        if args.flight_file is not None:
-            out["flight"] = flight_summary_data(args.flight_file)
-        print(json.dumps(out, indent=2, sort_keys=True, default=str))
-        return 0
-    sections = []
-    if args.trace_file is not None:
-        sections.append(summarize_trace_file(
-            args.trace_file, tree_depth=args.depth, top=args.top))
-    if args.metrics_file is not None:
-        sections.append(summarize_prometheus_file(args.metrics_file))
-    if args.flight_file is not None:
-        sections.append(summarize_flight_file(args.flight_file))
-    print("\n\n".join(sections))
+        print(json.dumps(snap, indent=2, sort_keys=True, default=str))
+    else:
+        print(render(snap))
     return 0
 
 
 def _cmd_top(args) -> int:
-    from .obs.top import run_top
+    """Run the ``run`` or ``fabric`` scenario itself, painting a frame
+    of the metrics view at every window and once at the end; the
+    scenario's own report follows the final frame."""
+    import contextlib
+    import functools
+    import io
 
-    return run_top(
-        mode="run" if args.run else "fabric",
-        packets=args.packets,
-        switches=args.switches,
-        window=args.window,
-        universe=args.universe,
-        alpha=args.alpha,
-        seed=args.seed,
-        engine=args.engine,
-        cut=not args.no_cut,
-        clear=False if args.no_clear else None,
-        target=_resolve_target(args),
-        options=_compile_options(args),
-    )
+    from .obs import metrics
+    from .obs.view import live
+
+    out = sys.stdout
+    ansi = not args.no_clear and out.isatty()
+    frames = live(metrics)
+
+    def paint() -> None:
+        out.write(("\x1b[H\x1b[2J" if ansi else "") + next(frames)
+                  + ("\n" if ansi else "\n\n"))
+        out.flush()
+
+    def on_event(event) -> None:
+        if event.kind == "window":
+            paint()
+
+    args.body = functools.partial(args.body, on_event=on_event)
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        rc = _with_obs(args)
+    paint()
+    out.write(report.getvalue())
+    return rc
 
 
 def _cmd_targets(_args) -> int:
@@ -549,108 +541,8 @@ def _cmd_library(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="p4all",
-        description="P4All elastic switch-program compiler (reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compile = sub.add_parser(
-        "compile",
-        help="compile one .p4all program — or link several into a joint "
-             "layout — and emit P4",
-    )
-    p_compile.add_argument(
-        "programs", nargs="+", metavar="program",
-        help="path(s) to .p4all sources; two or more are linked into one "
-             "program with per-module utility weighting and attribution",
-    )
-    p_compile.add_argument(
-        "--weights", default=None, metavar="NAME=W,...",
-        help="per-module utility weights for linked compiles, e.g. "
-             "cms=2,kv=1 (module names are the file stems)",
-    )
-    p_compile.add_argument(
-        "--floors", default=None, metavar="NAME=F,...",
-        help="per-module minimum weighted utility for linked compiles "
-             "(added as ILP constraints)",
-    )
-    p_compile.add_argument("-o", "--output", help="output .p4 path (default: stdout)")
-    p_compile.add_argument("--entry", default="Ingress", help="ingress control name")
-    p_compile.add_argument("--report", action="store_true",
-                           help="print the per-stage layout report")
-    p_compile.add_argument("--stats", action="store_true",
-                           help="print per-phase wall times (parse / IR / "
-                                "bounds / ILP build / solve / codegen)")
-    p_compile.add_argument("--profile", nargs="?",
-                           const="p4all_compile_profile.txt",
-                           default=None, metavar="PATH",
-                           help="profile the compile with cProfile and write "
-                                "sorted cumulative stats to PATH "
-                                "(default: p4all_compile_profile.txt)")
-    _add_target_arg(p_compile)
-    _add_solver_args(p_compile)
-    _add_obs_args(p_compile)
-    p_compile.set_defaults(func=_cmd_compile)
-
-    p_verify = sub.add_parser(
-        "verify",
-        help="link modules and print the cross-tenant state-flow matrix "
-             "with witness paths; exits 1 on any cross-module flow",
-    )
-    p_verify.add_argument(
-        "programs", nargs="*", metavar="program",
-        help="path(s) to .p4all sources to link and verify",
-    )
-    p_verify.add_argument(
-        "--netcache", action="store_true",
-        help="verify the built-in NetCache module pair instead of files",
-    )
-    p_verify.add_argument(
-        "--weights", default=None, metavar="NAME=W,...",
-        help="per-module utility weights, e.g. cms=2,kv=1",
-    )
-    p_verify.add_argument(
-        "--floors", default=None, metavar="NAME=F,...",
-        help="per-module minimum weighted utility (ILP constraints)",
-    )
-    p_verify.add_argument(
-        "--allow-cross-module-state", action="store_true",
-        help="report flows but exit 0 (the linked program sanctions "
-             "cross-module state sharing)",
-    )
-    p_verify.add_argument("--entry", default="Ingress",
-                          help="ingress control name")
-    _add_target_arg(p_verify)
-    _add_solver_args(p_verify)
-    _add_obs_args(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_bounds = sub.add_parser("bounds", help="show loop-unrolling upper bounds")
-    p_bounds.add_argument("program")
-    p_bounds.add_argument("--entry", default="Ingress")
-    _add_target_arg(p_bounds)
-    _add_solver_args(p_bounds)
-    p_bounds.set_defaults(func=_cmd_bounds)
-
-    p_graph = sub.add_parser(
-        "graph", help="emit the dependency graph (DOT) at the unroll bound"
-    )
-    p_graph.add_argument("program")
-    p_graph.add_argument("--entry", default="Ingress")
-    p_graph.add_argument("--unroll", type=int, default=None,
-                         help="override the iteration count for all loops")
-    _add_target_arg(p_graph)
-    _add_solver_args(p_graph)
-    p_graph.set_defaults(func=_cmd_graph)
-
-    p_run = sub.add_parser(
-        "run",
-        help="drive the elastic runtime: NetCache under a churning Zipf "
-             "stream with a mid-run memory cut, online recompile + state "
-             "migration + hot swap",
-    )
+def _add_run_args(p_run: argparse.ArgumentParser) -> None:
+    """The ``run`` scenario's flags (also ``top run``'s)."""
     p_run.add_argument("--packets", type=int, default=16_000,
                        help="total packets to process (default: 16000)")
     p_run.add_argument("--window", type=int, default=500,
@@ -696,14 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_arg(p_run)
     _add_solver_args(p_run)
     _add_obs_args(p_run)
-    p_run.set_defaults(func=_cmd_run)
 
-    p_fabric = sub.add_parser(
-        "fabric",
-        help="drive a multi-switch fabric: NetCache sharded over a "
-             "consistent-hash ring of PISA switches, with optional "
-             "mid-run per-switch memory cuts and live app migration",
-    )
+
+def _add_fabric_args(p_fabric: argparse.ArgumentParser) -> None:
+    """The ``fabric`` scenario's flags (also ``top fabric``'s)."""
     p_fabric.add_argument("--switches", type=int, default=4,
                           help="serving switches (default: 4)")
     p_fabric.add_argument("--standby", type=int, default=0,
@@ -760,7 +648,121 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_arg(p_fabric)
     _add_solver_args(p_fabric)
     _add_obs_args(p_fabric)
-    p_fabric.set_defaults(func=_cmd_fabric)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="p4all",
+        description="P4All elastic switch-program compiler (reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_compile = sub.add_parser(
+        "compile",
+        help="compile one .p4all program — or link several into a joint "
+             "layout — and emit P4",
+    )
+    p_compile.add_argument(
+        "programs", nargs="+", metavar="program",
+        help="path(s) to .p4all sources; two or more are linked into one "
+             "program with per-module utility weighting and attribution",
+    )
+    p_compile.add_argument(
+        "--weights", default=None, metavar="NAME=W,...",
+        help="per-module utility weights for linked compiles, e.g. "
+             "cms=2,kv=1 (module names are the file stems)",
+    )
+    p_compile.add_argument(
+        "--floors", default=None, metavar="NAME=F,...",
+        help="per-module minimum weighted utility for linked compiles "
+             "(added as ILP constraints)",
+    )
+    p_compile.add_argument("-o", "--output", help="output .p4 path (default: stdout)")
+    p_compile.add_argument("--entry", default="Ingress", help="ingress control name")
+    p_compile.add_argument("--report", action="store_true",
+                           help="print the per-stage layout report")
+    p_compile.add_argument("--stats", action="store_true",
+                           help="print per-phase wall times (parse / IR / "
+                                "bounds / ILP build / solve / codegen)")
+    p_compile.add_argument("--profile", nargs="?",
+                           const="p4all_compile_profile.txt",
+                           default=None, metavar="PATH",
+                           help="profile the compile with cProfile and write "
+                                "sorted cumulative stats to PATH "
+                                "(default: p4all_compile_profile.txt)")
+    _add_target_arg(p_compile)
+    _add_solver_args(p_compile)
+    _add_obs_args(p_compile)
+    p_compile.set_defaults(func=_with_obs, body=_compile_body)
+
+    p_verify = sub.add_parser(
+        "verify",
+        help="link modules and print the cross-tenant state-flow matrix "
+             "with witness paths; exits 1 on any cross-module flow",
+    )
+    p_verify.add_argument(
+        "programs", nargs="*", metavar="program",
+        help="path(s) to .p4all sources to link and verify",
+    )
+    p_verify.add_argument(
+        "--netcache", action="store_true",
+        help="verify the built-in NetCache module pair instead of files",
+    )
+    p_verify.add_argument(
+        "--weights", default=None, metavar="NAME=W,...",
+        help="per-module utility weights, e.g. cms=2,kv=1",
+    )
+    p_verify.add_argument(
+        "--floors", default=None, metavar="NAME=F,...",
+        help="per-module minimum weighted utility (ILP constraints)",
+    )
+    p_verify.add_argument(
+        "--allow-cross-module-state", action="store_true",
+        help="report flows but exit 0 (the linked program sanctions "
+             "cross-module state sharing)",
+    )
+    p_verify.add_argument("--entry", default="Ingress",
+                          help="ingress control name")
+    _add_target_arg(p_verify)
+    _add_solver_args(p_verify)
+    _add_obs_args(p_verify)
+    p_verify.set_defaults(func=_with_obs, body=_verify_body)
+
+    p_bounds = sub.add_parser("bounds", help="show loop-unrolling upper bounds")
+    p_bounds.add_argument("program")
+    p_bounds.add_argument("--entry", default="Ingress")
+    _add_target_arg(p_bounds)
+    _add_solver_args(p_bounds)
+    p_bounds.set_defaults(func=_cmd_bounds)
+
+    p_graph = sub.add_parser(
+        "graph", help="emit the dependency graph (DOT) at the unroll bound"
+    )
+    p_graph.add_argument("program")
+    p_graph.add_argument("--entry", default="Ingress")
+    p_graph.add_argument("--unroll", type=int, default=None,
+                         help="override the iteration count for all loops")
+    _add_target_arg(p_graph)
+    _add_solver_args(p_graph)
+    p_graph.set_defaults(func=_cmd_graph)
+
+    p_run = sub.add_parser(
+        "run",
+        help="drive the elastic runtime: NetCache under a churning Zipf "
+             "stream with a mid-run memory cut, online recompile + state "
+             "migration + hot swap",
+    )
+    _add_run_args(p_run)
+    p_run.set_defaults(func=_with_obs, body=_run_body)
+
+    p_fabric = sub.add_parser(
+        "fabric",
+        help="drive a multi-switch fabric: NetCache sharded over a "
+             "consistent-hash ring of PISA switches, with optional "
+             "mid-run per-switch memory cuts and live app migration",
+    )
+    _add_fabric_args(p_fabric)
+    p_fabric.set_defaults(func=_with_obs, body=_fabric_body)
 
     p_obs = sub.add_parser(
         "obs",
@@ -791,34 +793,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_top = sub.add_parser(
         "top",
-        help="live terminal dashboard: drive an embedded fabric (or "
-             "--run elastic-runtime) scenario and repaint fleet / "
-             "pipeline / tenant-SLO metrics at every window",
+        help="run the 'run' or 'fabric' scenario with a live view of its "
+             "metrics — fleet, pipeline, tenant SLOs, control plane — "
+             "repainted at every window",
     )
-    p_top.add_argument("--run", action="store_true",
-                       help="drive the single-switch elastic runtime "
-                            "instead of the fabric fleet")
-    p_top.add_argument("--packets", type=int, default=8000,
-                       help="total packets to process (default: 8000)")
-    p_top.add_argument("--switches", type=int, default=3,
-                       help="fabric switches (default: 3)")
-    p_top.add_argument("--window", type=int, default=1000,
-                       help="monitoring window in packets (default: 1000)")
-    p_top.add_argument("--universe", type=int, default=4000,
-                       help="key universe size (default: 4000)")
-    p_top.add_argument("--alpha", type=float, default=1.1,
-                       help="Zipf skew (default: 1.1)")
-    p_top.add_argument("--seed", type=int, default=42,
-                       help="workload seed (default: 42)")
-    _add_serve_args(p_top, serve_batch=False)
-    p_top.add_argument("--no-cut", action="store_true",
-                       help="run without the scheduled mid-run memory cut")
-    p_top.add_argument("--no-clear", action="store_true",
-                       help="append frames instead of clearing the screen "
-                            "(for logs and pipes)")
-    _add_target_arg(p_top)
-    _add_solver_args(p_top)
-    p_top.set_defaults(func=_cmd_top)
+    scenarios = p_top.add_subparsers(dest="scenario", required=True)
+    for name, add_args, body in (("run", _add_run_args, _run_body),
+                                 ("fabric", _add_fabric_args, _fabric_body)):
+        p_scenario = scenarios.add_parser(
+            name, help=f"the 'p4all {name}' scenario, with the same flags")
+        add_args(p_scenario)
+        p_scenario.add_argument(
+            "--no-clear", action="store_true",
+            help="append frames instead of clearing the screen "
+                 "(for logs and pipes)")
+        p_scenario.set_defaults(func=_cmd_top, body=body)
 
     p_targets = sub.add_parser("targets", help="list known target specifications")
     p_targets.set_defaults(func=_cmd_targets)

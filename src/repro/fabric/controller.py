@@ -51,7 +51,7 @@ import numpy as np
 from ..apps.netcache import NetCacheApp, netcache_linked, serve
 from ..core import CompileOptions, validate_layout
 from ..core.cache import CompileCache
-from ..obs import bridge_fleet_report, bridge_telemetry
+from ..obs import bridge_fleet_report
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs.slo import SloMonitor
@@ -345,9 +345,6 @@ class FleetController:
         self.config = config or FleetConfig()
         # Explicit None-checks: an empty TelemetryBus is falsy (len 0).
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
-        # Mirror telemetry events into the active trace/metrics so a
-        # traced run interleaves control-plane events with spans.
-        bridge_telemetry(self.telemetry)
         #: The one planner every switch plans through; a given planner
         #: brings its own options and cache.
         self.planner = planner if planner is not None else ReconfigPlanner(
@@ -376,8 +373,7 @@ class FleetController:
         self._installed = False
         #: SLO monitoring: hit rate and reconfiguration time per switch,
         #: utility headroom per linked module.
-        self.slo = SloMonitor(rules=self.config.slo_rules,
-                              telemetry=self.telemetry)
+        self.slo = SloMonitor(self.telemetry, rules=self.config.slo_rules)
 
     # -- construction -----------------------------------------------------------
     @property

@@ -7,14 +7,19 @@ One substrate for all measurement (see docs/OBSERVABILITY.md):
   instrumentation site); enabled by ``p4all ... --trace out.json``,
   ``REPRO_TRACE=1``, or :meth:`~repro.obs.tracer.Tracer.enable`.
   Exports to Chrome trace-event JSON (open in Perfetto /
-  ``chrome://tracing``) and JSONL.
+  ``chrome://tracing``).
 * :data:`metrics` — the process-wide
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
   histograms; always on (updates are batch-level, never per-packet).
   Exports to the Prometheus text exposition format.
-* :func:`~repro.obs.bridge.bridge_telemetry` — mirrors a runtime
-  :class:`~repro.runtime.telemetry.TelemetryBus` into the active span
-  tree so control-plane events land on the same timeline.
+* :data:`flight` — the process-wide
+  :class:`~repro.obs.record.FlightRecorder` ring of recent activity.
+
+A runtime :class:`~repro.runtime.telemetry.TelemetryBus` reaches all
+three on every ``emit`` (a per-kind counter, a flight note, and an
+instant in the active span), so control-plane events land on the same
+timeline. :mod:`repro.obs.view` renders the exported artifacts
+(``p4all obs``) and the live registry (``p4all top``) as one view.
 
 Instrumentation sites just do::
 
@@ -41,7 +46,7 @@ from .aggregate import (
     obs_control,
     snapshot_metrics,
 )
-from .bridge import bridge_fleet_report, bridge_telemetry
+from .bridge import bridge_fleet_report
 from .export import (
     chrome_trace,
     validate_chrome_trace,
@@ -50,7 +55,6 @@ from .export import (
     validate_prometheus_text,
     write_chrome_trace,
     write_prometheus,
-    write_trace_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricError, MetricsRegistry
 from .record import FlightRecorder, install_flight_dump, maybe_install_from_env
@@ -86,10 +90,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricError",
-    "bridge_telemetry",
     "chrome_trace",
     "write_chrome_trace",
-    "write_trace_jsonl",
     "write_prometheus",
     "validate_chrome_trace",
     "validate_chrome_trace_file",

@@ -1,68 +1,21 @@
-"""Bridge the runtime :class:`~repro.runtime.telemetry.TelemetryBus`
-into the tracer's span tree.
+"""Mirror a fleet run's outcome into the tracer's span tree.
 
-The telemetry bus predates the tracing layer and remains the runtime's
-source of structured control-plane events (tests and the run report
-consume it directly). This bridge subscribes to a bus and mirrors every
-event into the active span as a ``telemetry.<kind>`` instant event —
-so a ``swap_committed`` lands *inside* the ``fleet.reconfigure`` span
-that produced it on the exported timeline, instead of living in a
-parallel universe — and counts events per kind on the metrics registry.
-
-Bridging is idempotent per (bus, tracer) pair and costs one callback
-per telemetry event (control-plane frequency, never per packet). With
-the tracer disabled the mirror is a cheap enabled-check; the event
-counter stays on.
+Runtime telemetry reaches the trace by itself — ``TelemetryBus.emit``
+lands every event in the active span. :func:`bridge_fleet_report` does
+the same for the closing :class:`~repro.fabric.controller.FleetReport`,
+which is a return value rather than an event.
 """
 
 from __future__ import annotations
 
-from .metrics import MetricsRegistry
 from .tracer import Tracer
 
-__all__ = ["bridge_telemetry", "bridge_fleet_report"]
-
-
-def bridge_telemetry(bus, tracer: Tracer | None = None,
-                     registry: MetricsRegistry | None = None):
-    """Subscribe a mirror of ``bus`` onto ``tracer`` (default: the
-    global tracer/registry). Returns ``bus``; safe to call twice."""
-    from . import metrics as default_registry
-    from . import trace as default_tracer
-
-    tracer = tracer if tracer is not None else default_tracer
-    registry = registry if registry is not None else default_registry
-    bridged = getattr(bus, "_obs_bridged", None)
-    if bridged is None:
-        bridged = set()
-        bus._obs_bridged = bridged
-    key = (id(tracer), id(registry))
-    if key in bridged:
-        return bus
-    counter = registry.counter(
-        "p4all_telemetry_events_total",
-        help="Telemetry bus events mirrored into the span tree, by kind.",
-        labels=("kind",),
-    )
-
-    from . import flight
-
-    def _mirror(event) -> None:
-        counter.inc(kind=event.kind)
-        # Control-plane events always land in the flight recorder ring
-        # — that is the record a post-crash dump is for.
-        flight.note("telemetry", event.kind, **event.data)
-        if tracer.enabled:
-            tracer.event("telemetry." + event.kind, **event.to_dict())
-
-    bus.subscribe(_mirror)
-    bridged.add(key)
-    return bus
+__all__ = ["bridge_fleet_report"]
 
 
 def bridge_fleet_report(report, tracer: Tracer | None = None) -> None:
     """Mirror a :class:`~repro.fabric.controller.FleetReport` into the
-    active span tree, the way runtime telemetry already lands there.
+    active span tree, the way runtime telemetry lands there.
 
     Emits one ``fleet.report`` instant with the fleet-level summary and
     one ``fleet.reconfig`` instant per per-switch reconfiguration

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, Prometheus textfile, JSONL.
+"""Exporters: Chrome trace-event JSON and the Prometheus textfile.
 
 The Chrome trace-event format (the ``chrome://tracing`` / Perfetto
 "JSON Object Format") is the tracing interchange target: every finished
@@ -30,7 +30,6 @@ from .tracer import Tracer
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "write_trace_jsonl",
     "write_prometheus",
     "validate_chrome_trace",
     "validate_chrome_trace_file",
@@ -138,19 +137,6 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
     path.write_text(json.dumps(chrome_trace(tracer), indent=1,
                                sort_keys=True))
     return path
-
-
-def write_trace_jsonl(tracer: Tracer, path: str | Path) -> int:
-    """One JSON object per finished span; returns the span count."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    spans = tracer.spans
-    with path.open("w") as fh:
-        for span in spans:
-            fh.write(json.dumps(_json_safe(span.to_dict()),
-                                sort_keys=True) + "\n")
-    return len(spans)
 
 
 def write_prometheus(registry: MetricsRegistry, path: str | Path) -> Path:

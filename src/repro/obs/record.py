@@ -3,9 +3,10 @@
 Tracing is opt-in and metrics are aggregates — when a run crashes you
 want the *last few seconds of raw events*, which neither gives you. The
 :class:`FlightRecorder` keeps a ``deque(maxlen=...)`` of recent entries
-(finished spans via a tracer sink, batch notes from the engines,
-telemetry events via the bridge, SLO violations) at a cost of one bool
-check plus one tuple append per entry — cheap enough to leave on.
+(finished spans via a tracer sink, batch notes from the engines, and
+telemetry events — SLO violations among them — noted by the bus) at a
+cost of one bool check plus one tuple append per entry — cheap enough
+to leave on.
 
 The ring dumps to JSONL:
 

@@ -8,14 +8,12 @@ latency — smooths each (rule, subject) series with an EWMA, and raises
 a structured ``slo_violation`` exactly once per excursion (with a
 matching ``slo_recovered`` when the series comes back).
 
-Violations go everywhere an operator might be looking:
-
-* the runtime's :class:`~repro.runtime.telemetry.TelemetryBus` (so the
-  runtime/fleet controllers and run reports consume them, and the
-  bridge mirrors them into the active span for ``p4all obs``);
-* the ``p4all_slo_violations_total{rule,subject}`` counter and the
-  ``p4all_slo_ewma{rule,subject}`` gauge;
-* the flight recorder ring.
+Each transition is one event on the runtime's
+:class:`~repro.runtime.telemetry.TelemetryBus`, whose ``emit`` carries
+it on to the trace, the flight ring and the per-kind event counter; the
+controllers, run reports and ``p4all obs`` all read that one event.
+Violations also bump ``p4all_slo_violations_total{rule,subject}``, and
+every sample sets the ``p4all_slo_ewma{rule,subject}`` gauge.
 
 :class:`SloMonitor` is deliberately passive — controllers feed it via
 :meth:`~SloMonitor.observe` from signals they already compute, so it
@@ -28,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .metrics import MetricsRegistry
-from .tracer import Tracer
 
 __all__ = ["SloRule", "SloMonitor", "default_slo_rules"]
 
@@ -94,24 +91,15 @@ class _Series:
 class SloMonitor:
     """Tracks (rule, subject) series and raises structured violations."""
 
-    def __init__(self, rules=None, telemetry=None,
-                 tracer: Tracer | None = None,
-                 registry: MetricsRegistry | None = None,
-                 recorder=None):
-        if tracer is None:
-            from . import trace as tracer
+    def __init__(self, telemetry, rules=None,
+                 registry: MetricsRegistry | None = None):
         if registry is None:
             from . import metrics as registry
-        if recorder is None:
-            from . import flight as recorder
         self.rules: dict[str, SloRule] = {
             r.name: r for r in (rules if rules is not None
                                 else default_slo_rules())
         }
         self.telemetry = telemetry
-        self.tracer = tracer
-        self.registry = registry
-        self.recorder = recorder
         self._series: dict[tuple[str, str], _Series] = {}
         self.violations: list[dict[str, Any]] = []
         self._ewma_gauge = registry.gauge(
@@ -145,15 +133,20 @@ class SloMonitor:
         breached = rule.breached(series.ewma)
         if breached and not series.violating:
             series.violating = True
-            return self._raise(rule, subject, value, series, packet_index)
+            self._violation_counter.inc(rule=rule_name, subject=subject)
+            record = self._emit("slo_violation", rule, subject, value,
+                                series, packet_index)
+            self.violations.append(record)
+            return record
         if not breached and series.violating:
             series.violating = False
             self._emit("slo_recovered", rule, subject, value, series,
                        packet_index)
         return None
 
-    def _raise(self, rule: SloRule, subject: str, value: float,
-               series: _Series, packet_index) -> dict[str, Any]:
+    def _emit(self, kind: str, rule: SloRule, subject: str, value: float,
+              series: _Series, packet_index) -> dict[str, Any]:
+        """Put one transition on the bus; returns its record."""
         record = {
             "rule": rule.name,
             "subject": subject,
@@ -161,31 +154,9 @@ class SloMonitor:
             "ewma": series.ewma,
             "threshold": rule.threshold,
             "direction": rule.direction,
-            "packet_index": packet_index,
         }
-        self.violations.append(record)
-        self._violation_counter.inc(rule=rule.name, subject=subject)
-        self.recorder.note("slo", "slo_violation", **record)
-        self._emit("slo_violation", rule, subject, value, series,
-                   packet_index)
-        return record
-
-    def _emit(self, kind: str, rule: SloRule, subject: str, value: float,
-              series: _Series, packet_index) -> None:
-        if self.telemetry is not None:
-            # The bridge mirrors bus events into the span tree, so
-            # emitting here reaches the trace too (no double event).
-            self.telemetry.emit(
-                kind, packet_index=packet_index, rule=rule.name,
-                subject=subject, value=float(value), ewma=series.ewma,
-                threshold=rule.threshold, direction=rule.direction,
-            )
-        else:
-            self.tracer.event(
-                "slo." + kind, rule=rule.name, subject=subject,
-                value=float(value), ewma=series.ewma,
-                threshold=rule.threshold,
-            )
+        self.telemetry.emit(kind, packet_index=packet_index, **record)
+        return {**record, "packet_index": packet_index}
 
     # -- introspection ---------------------------------------------------------
     def status(self) -> dict[str, Any]:

@@ -3,8 +3,8 @@
 A :class:`Tracer` records a tree of timed :class:`Span`\\ s — one node
 per interesting region of work (a compile phase, an ILP solve, a state
 migration) — plus point-in-time events attached to whichever span was
-active when they fired (the runtime's telemetry bus is bridged in this
-way, see :mod:`repro.obs.bridge`). The result is one coherent timeline
+active when they fired (every runtime telemetry event lands this way,
+see :meth:`repro.runtime.telemetry.TelemetryBus.emit`). The result is one coherent timeline
 of a reconfiguration instead of three disjoint peepholes.
 
 Design constraints, in order:

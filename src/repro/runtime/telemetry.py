@@ -7,9 +7,10 @@ are plain data (JSON-serializable dicts), so the same stream feeds the
 in-memory assertions the tests make, the ``p4all run`` report, the
 runtime eval experiment, and an optional JSON-lines sink on disk.
 
-The bus also feeds the observability layer:
-:func:`repro.obs.bridge.bridge_telemetry` subscribes a mirror that
-turns every event into a span-tree instant and a per-kind counter.
+:meth:`TelemetryBus.emit` is also the one path from an event to the
+observability layer: it counts ``p4all_telemetry_events_total{kind}``,
+notes the event in the flight ring, and — when tracing is on — lands it
+in the active span as a ``telemetry.<kind>`` instant.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, TextIO
+
+from ..obs import flight, metrics, trace
 
 __all__ = ["TelemetryEvent", "TelemetryBus"]
 
@@ -100,6 +103,16 @@ class TelemetryBus:
         )
         self._seq += 1
         self.events.append(event)
+        metrics.counter(
+            "p4all_telemetry_events_total",
+            help="Telemetry bus events, by kind.",
+            labels=("kind",),
+        ).inc(kind=kind)
+        # Control-plane events always land in the flight ring — that is
+        # the record a post-crash dump is for.
+        flight.note("telemetry", kind, **data)
+        if trace.enabled:
+            trace.event("telemetry." + kind, **event.to_dict())
         if self._sink_path is not None:
             if self._sink_fh is None:
                 self._sink_fh = self._sink_path.open("a")
@@ -132,14 +145,6 @@ class TelemetryBus:
             if event.kind == kind:
                 return event
         return None
-
-    def write_jsonl(self, path: str | Path) -> int:
-        """Dump every collected event to ``path``; returns the count."""
-        path = Path(path)
-        with path.open("w") as fh:
-            for event in self.events:
-                fh.write(event.to_json() + "\n")
-        return len(self.events)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -20,7 +20,7 @@ from repro.obs.aggregate import (
     obs_control,
     snapshot_metrics,
 )
-from repro.obs.summary import trace_summary_data
+from repro.obs.view import snapshot
 from repro.pisa import Packet, Pipeline, small_target
 from repro.structures import CMS_SOURCE
 
@@ -253,7 +253,7 @@ class TestPoolTraceMerge:
 
         obj = chrome_trace(obs.trace)
         assert validate_chrome_trace(obj) > 0
-        data = trace_summary_data(obj)
+        data = snapshot(trace=obj)["trace"]
         assert data["workers"] == [0, 1, 2, 3]
 
         [batch] = obs.trace.spans_named("pisa.batch")

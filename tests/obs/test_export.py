@@ -14,7 +14,6 @@ from repro.obs import (
     validate_prometheus_text,
     write_chrome_trace,
     write_prometheus,
-    write_trace_jsonl,
 )
 
 
@@ -75,12 +74,6 @@ class TestChromeTrace:
         path = tmp_path / "sub" / "trace.json"
         write_chrome_trace(_traced(), path)
         assert validate_chrome_trace_file(path) > 0
-
-    def test_write_trace_jsonl(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        assert write_trace_jsonl(_traced(), path) == 2
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert {l["name"] for l in lines} == {"compile", "ilp.solve"}
 
 
 class TestChromeTraceValidator:

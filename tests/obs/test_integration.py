@@ -11,7 +11,7 @@ import json
 from repro import obs
 from repro.core import CompileOptions, compile_source
 from repro.obs import chrome_trace, validate_chrome_trace
-from repro.obs.summary import summarize_chrome_trace
+from repro.obs.view import render, snapshot
 from repro.pisa.resources import small_target
 
 SOURCE = """
@@ -120,7 +120,7 @@ class TestTracedRuntime:
         assert "fleet.reconfigure.migrate" in rec_kids
         assert "fleet.reconfigure.validate" in rec_kids
 
-        # Bridged telemetry landed inside spans, not in a parallel stream.
+        # Telemetry landed inside spans, not in a parallel stream.
         [rec] = obs.trace.spans_named("fleet.reconfigure")
         assert rec.attrs["switch"] == "s0"
         kinds = {e.name for e in rec.events}
@@ -129,7 +129,7 @@ class TestTracedRuntime:
 
         obj = chrome_trace(obs.trace)
         assert validate_chrome_trace(obj) > 0
-        rendered = summarize_chrome_trace(obj)
+        rendered = render(snapshot(trace=obj))
         assert "fleet.run" in rendered
 
         # Metrics cover the control loop and the data path.

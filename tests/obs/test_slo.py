@@ -7,19 +7,17 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.obs import MetricsRegistry, Tracer
-from repro.obs.record import FlightRecorder
+from repro.obs import MetricsRegistry
 from repro.obs.slo import SloMonitor, SloRule, default_slo_rules
+from repro.obs.view import snapshot
 from repro.runtime import TelemetryBus
 
 
 def make_monitor(rules, telemetry=None):
-    tracer = Tracer(enabled=True)
+    bus = telemetry if telemetry is not None else TelemetryBus()
     registry = MetricsRegistry()
-    recorder = FlightRecorder()
-    monitor = SloMonitor(rules=rules, telemetry=telemetry, tracer=tracer,
-                         registry=registry, recorder=recorder)
-    return monitor, tracer, registry, recorder
+    monitor = SloMonitor(bus, rules=rules, registry=registry)
+    return monitor, bus, registry
 
 
 RULE = SloRule("hit_rate", threshold=0.5, direction="min", alpha=0.5,
@@ -48,27 +46,27 @@ class TestRule:
 
 class TestMonitor:
     def test_first_sample_seeds_then_ewma_smooths(self):
-        monitor, _, registry, _ = make_monitor([RULE])
+        monitor, _, registry = make_monitor([RULE])
         monitor.observe("hit_rate", "cms", 1.0)
         monitor.observe("hit_rate", "cms", 0.0)
         gauge = registry.get("p4all_slo_ewma")
         assert gauge.value(rule="hit_rate", subject="cms") == 0.5
 
     def test_no_verdict_before_min_samples(self):
-        monitor, _, _, _ = make_monitor([RULE])
+        monitor, _, _ = make_monitor([RULE])
         assert monitor.observe("hit_rate", "cms", 0.0) is None
         assert not monitor.violations
 
     def test_warmup_consumed_before_evaluation(self):
         rule = SloRule("hit_rate", threshold=0.5, alpha=1.0,
                        min_samples=1, warmup=3)
-        monitor, _, _, _ = make_monitor([rule])
+        monitor, _, _ = make_monitor([rule])
         for _ in range(3):
             assert monitor.observe("hit_rate", "cms", 0.0) is None
         assert monitor.observe("hit_rate", "cms", 0.0) is not None
 
     def test_fires_once_per_excursion(self):
-        monitor, _, registry, _ = make_monitor([RULE])
+        monitor, _, registry = make_monitor([RULE])
         monitor.observe("hit_rate", "cms", 0.0)
         record = monitor.observe("hit_rate", "cms", 0.0)
         assert record is not None and record["rule"] == "hit_rate"
@@ -78,18 +76,17 @@ class TestMonitor:
         assert counter.value(rule="hit_rate", subject="cms") == 1
 
     def test_recovery_rearms_the_rule(self):
-        monitor, tracer, _, _ = make_monitor([RULE])
+        monitor, bus, _ = make_monitor([RULE])
         monitor.observe("hit_rate", "cms", 0.0)
         monitor.observe("hit_rate", "cms", 0.0)          # fires
         monitor.observe("hit_rate", "cms", 1.0)          # ewma 0.5: recovers
         monitor.observe("hit_rate", "cms", 0.0)          # ewma 0.25: re-fires
         assert len(monitor) == 2
-        names = [e.name for e in tracer.orphan_events]
-        assert names.count("slo.slo_violation") == 2
-        assert names.count("slo.slo_recovered") == 1
+        assert len(bus.events_of("slo_violation")) == 2
+        assert len(bus.events_of("slo_recovered")) == 1
 
     def test_subjects_tracked_independently(self):
-        monitor, _, _, _ = make_monitor([RULE])
+        monitor, _, _ = make_monitor([RULE])
         monitor.observe("hit_rate", "cms", 0.0)
         monitor.observe("hit_rate", "cms", 0.0)
         monitor.observe("hit_rate", "kv", 0.9)
@@ -100,35 +97,58 @@ class TestMonitor:
         assert not status["hit_rate:kv"]["violating"]
 
     def test_unknown_rule_is_ignored(self):
-        monitor, _, _, _ = make_monitor([RULE])
+        monitor, _, _ = make_monitor([RULE])
         assert monitor.observe("no_such_rule", "cms", 0.0) is None
 
     def test_telemetry_bus_preferred_over_direct_tracer(self):
         bus = TelemetryBus()
         events = []
         bus.subscribe(events.append)
-        monitor, tracer, _, _ = make_monitor([RULE], telemetry=bus)
-        monitor.observe("hit_rate", "cms", 0.0, packet_index=1000)
-        monitor.observe("hit_rate", "cms", 0.0, packet_index=1500)
+        monitor, _, _ = make_monitor([RULE], telemetry=bus)
+        obs.trace.enable()
+        with obs.trace.span("window") as span:
+            monitor.observe("hit_rate", "cms", 0.0, packet_index=1000)
+            monitor.observe("hit_rate", "cms", 0.0, packet_index=1500)
         [event] = [e for e in events if e.kind == "slo_violation"]
         assert event.data["rule"] == "hit_rate"
         assert event.data["subject"] == "cms"
         assert event.packet_index == 1500
-        # No duplicate direct tracer event when the bus carries it.
-        assert not tracer.orphan_events
+        # The bus is the only road to the trace: one instant, by its name.
+        assert [e.name for e in span.events] == ["telemetry.slo_violation"]
+        assert not obs.trace.orphan_events
 
     def test_violation_lands_in_flight_ring(self):
-        monitor, _, _, recorder = make_monitor([RULE])
+        monitor, _, _ = make_monitor([RULE])
+        obs.flight.clear()
         monitor.observe("hit_rate", "cms", 0.0)
         monitor.observe("hit_rate", "cms", 0.0)
-        [entry] = [e for e in recorder.entries() if e["kind"] == "slo"]
-        assert entry["name"] == "slo_violation"
+        [entry] = [e for e in obs.flight.entries()
+                   if e["name"] == "slo_violation"]
+        assert entry["kind"] == "telemetry"
         assert entry["data"]["subject"] == "cms"
+
+    def test_one_violation_is_one_flight_entry(self, tmp_path, capsys):
+        """A breach reaches the flight ring once, so ``p4all obs
+        --flight`` counts one violation, not one per route."""
+        from repro.cli import main
+
+        monitor, _, _ = make_monitor([RULE])
+        obs.flight.clear()
+        monitor.observe("hit_rate", "cms", 0.0)
+        monitor.observe("hit_rate", "cms", 0.0)
+        assert len(monitor) == 1
+        path = tmp_path / "flight.jsonl"
+        obs.flight.dump(path, registry=MetricsRegistry())
+        flight = snapshot(flight=path.read_text())["flight"]
+        assert len(flight["slo_violations"]) == 1
+        assert flight["by_kind"] == {"telemetry": 1}
+        assert main(["obs", "--flight", str(path)]) == 0
+        assert "SLO violations (1):" in capsys.readouterr().out
 
     def test_max_direction_rule(self):
         rule = SloRule("reconfig_seconds", threshold=1.0, direction="max",
                        alpha=1.0, min_samples=1)
-        monitor, _, _, _ = make_monitor([rule])
+        monitor, _, _ = make_monitor([rule])
         assert monitor.observe("reconfig_seconds", "swap", 0.5) is None
         record = monitor.observe("reconfig_seconds", "swap", 5.0)
         assert record is not None and record["direction"] == "max"

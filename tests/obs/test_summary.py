@@ -1,19 +1,12 @@
-"""Summary renderers and their structured ``*_data`` companions:
-empty inputs, deep trees, SLO sections, worker attribution, and the
-combined ``p4all obs --format json`` output."""
+"""The ``p4all obs`` view: :func:`snapshot` data and its :func:`render`
+text — empty inputs, deep trees, SLO sections, worker attribution, and
+the combined ``p4all obs --format json`` output."""
 
 import json
 
 from repro.obs import MetricsRegistry, Tracer, chrome_trace
 from repro.obs.record import FlightRecorder
-from repro.obs.summary import (
-    flight_summary_data,
-    prometheus_summary_data,
-    summarize_chrome_trace,
-    summarize_flight_file,
-    summarize_prometheus_text,
-    trace_summary_data,
-)
+from repro.obs.view import render, snapshot
 
 
 def _nested_trace(depth: int) -> dict:
@@ -34,14 +27,13 @@ def _nested_trace(depth: int) -> dict:
 
 class TestTraceSummary:
     def test_empty_trace(self):
-        assert summarize_chrome_trace({"traceEvents": []}) \
+        assert render(snapshot(trace={"traceEvents": []})) \
             == "trace contains no spans"
-        data = trace_summary_data({"traceEvents": []})
+        data = snapshot(trace={"traceEvents": []})["trace"]
         assert data["spans"] == 0 and data["aggregates"] == []
 
     def test_deep_tree_capped_at_tree_depth(self):
-        rendered = summarize_chrome_trace(_nested_trace(10), tree_depth=3,
-                                          top=5)
+        rendered = render(snapshot(trace=_nested_trace(10), depth=3, top=5))
         # The aggregate table is capped too, so the deepest levels only
         # exist past both caps — and must not be rendered.
         assert "slowest root span" in rendered
@@ -50,11 +42,11 @@ class TestTraceSummary:
         assert "more span names" in rendered
 
     def test_slo_violations_called_out(self):
-        data = trace_summary_data(_nested_trace(2))
+        data = snapshot(trace=_nested_trace(2))["trace"]
         [record] = data["slo_violations"]
         assert record["rule"] == "hit_rate"
         assert "span_id" not in record
-        rendered = summarize_chrome_trace(_nested_trace(2))
+        rendered = render(snapshot(trace=_nested_trace(2)))
         assert "SLO violations (1):" in rendered
         assert "hit_rate on cms" in rendered
 
@@ -64,10 +56,10 @@ class TestTraceSummary:
             span.event("telemetry.window")
             span.event("telemetry.window")
             span.event("telemetry.swap_committed")
-        data = trace_summary_data(chrome_trace(tracer))
+        data = snapshot(trace=chrome_trace(tracer))["trace"]
         assert data["events_by_name"] == {"telemetry.window": 2,
                                           "telemetry.swap_committed": 1}
-        rendered = summarize_chrome_trace(chrome_trace(tracer))
+        rendered = render(snapshot(trace=chrome_trace(tracer)))
         assert "events by name:" in rendered
 
     def test_worker_attribution_collected(self):
@@ -77,38 +69,49 @@ class TestTraceSummary:
                 pass
             with tracer.span("pisa.worker.batch", worker=0):
                 pass
-        data = trace_summary_data(chrome_trace(tracer))
+        data = snapshot(trace=chrome_trace(tracer))["trace"]
         assert data["workers"] == [0, 1]
 
 
 class TestPrometheusSummary:
     def test_empty_text(self):
-        assert summarize_prometheus_text("") == "no metrics"
-        assert prometheus_summary_data("")["families"] == {}
+        assert render(snapshot(metrics="")) == "no metrics"
+        assert snapshot(metrics="")["metrics"]["families"] == {}
 
     def test_histogram_suffixes_fold_into_one_family(self):
         reg = MetricsRegistry()
         reg.counter("p4all_packets_total", labels=("engine",)).inc(
             5, engine="vector")
         reg.histogram("p4all_reconfig_seconds", buckets=(1, 10)).observe(2)
-        data = prometheus_summary_data(reg.to_prometheus())
-        assert set(data["order"]) == {"p4all_packets_total",
-                                      "p4all_reconfig_seconds"}
-        hist = data["families"]["p4all_reconfig_seconds"]
+        families = snapshot(
+            metrics=reg.to_prometheus())["metrics"]["families"]
+        assert set(families) == {"p4all_packets_total",
+                                 "p4all_reconfig_seconds"}
+        hist = families["p4all_reconfig_seconds"]
         assert hist["type"] == "histogram"
         # _bucket/_sum/_count samples all land under the base family.
-        suffixes = {s.split("{")[0].split()[0] for s in hist["samples"]}
+        suffixes = {s["name"] for s in hist["samples"]}
         assert "p4all_reconfig_seconds_sum" in suffixes
-        rendered = summarize_prometheus_text(reg.to_prometheus())
+        [total] = families["p4all_packets_total"]["samples"]
+        assert total["labels"] == {"engine": "vector"}
+        assert total["value"] == 5
+        rendered = render(snapshot(metrics=reg.to_prometheus()))
         assert "2 metric families" in rendered
+
+    def test_malformed_sample_is_a_clean_cli_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.prom"
+        path.write_text("# TYPE c counter\nc{x=\"1\" 3\n")
+        assert main(["obs", "--metrics", str(path)]) == 1
+        assert "malformed sample" in capsys.readouterr().err
 
     def test_sample_overflow_is_elided(self):
         reg = MetricsRegistry()
         c = reg.counter("many_total", labels=("i",))
         for i in range(12):
             c.inc(i=str(i))
-        rendered = summarize_prometheus_text(reg.to_prometheus(),
-                                             max_samples=8)
+        rendered = render(snapshot(metrics=reg.to_prometheus()))
         assert "... and 4 more" in rendered
 
 
@@ -118,17 +121,17 @@ class TestFlightSummary:
         reg.counter("c_total").inc()
         rec = FlightRecorder()
         rec.note("batch", "pisa.batch", packets=100)
-        rec.note("slo", "slo_violation", rule="hit_rate", subject="cms",
-                 ewma=0.1, threshold=0.25)
+        rec.note("telemetry", "slo_violation", rule="hit_rate",
+                 subject="cms", ewma=0.1, threshold=0.25)
         path = tmp_path / "flight.jsonl"
         rec.dump(path, registry=reg)
-        data = flight_summary_data(path)
+        data = snapshot(flight=path.read_text())["flight"]
         assert data["entries"] == 2
-        assert data["by_kind"] == {"batch": 1, "slo": 1}
+        assert data["by_kind"] == {"batch": 1, "telemetry": 1}
         assert data["metrics_families"] == 1
         [violation] = data["slo_violations"]
         assert violation["data"]["rule"] == "hit_rate"
-        rendered = summarize_flight_file(path)
+        rendered = render(snapshot(flight=path.read_text()))
         assert "2 flight entries" in rendered
         assert "SLO violations (1):" in rendered
         assert "hit_rate on cms" in rendered
@@ -136,7 +139,8 @@ class TestFlightSummary:
     def test_empty_dump(self, tmp_path):
         path = tmp_path / "flight.jsonl"
         FlightRecorder().dump(path, registry=MetricsRegistry())
-        assert summarize_flight_file(path) == "flight dump is empty"
+        assert render(snapshot(flight=path.read_text())) \
+            == "flight dump is empty"
 
 
 class TestObsJsonFormat:

@@ -49,14 +49,6 @@ class TestTelemetryBus:
         assert len(lines) == 2
         assert json.loads(lines[1])["kind"] == "b"
 
-    def test_write_jsonl_dump(self, tmp_path):
-        bus = TelemetryBus()
-        bus.emit("a")
-        bus.emit("b")
-        path = tmp_path / "dump.jsonl"
-        assert bus.write_jsonl(path) == 2
-        assert len(path.read_text().strip().splitlines()) == 2
-
     def test_sink_handle_is_held_open(self, tmp_path):
         # The sink is opened once (lazily) and reused — not reopened per
         # emit. Every event is flushed, so readers see it immediately.
