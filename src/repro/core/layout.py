@@ -51,18 +51,26 @@ The rows are written for a tight LP relaxation — every one is exact
 * **#10** — ``Σ_s m[g,s] ≤ cells`` needs no big-M (the total is 0 or
   ``cells``); only the ``≥`` side carries the unplaced slack.
 
-HiGHS stops at a relative gap of 1e-4, so the sizes it returns may sit a
-few cells under the optimum of the structure it found.
-:meth:`LayoutBuilder.resolve_sizes` therefore re-solves the sizes at zero
-gap with ``x`` and ``it`` fixed — milliseconds — after every solve.
+The search maximises the utility alone, at HiGHS's default relative gap
+of 1e-4. Two zero-gap passes follow it, each milliseconds:
 
-The solver maximises utility plus a ``stage_bias`` tie-break;
-:attr:`LayoutSolution.objective` is the utility alone, evaluated at the
-decoded symbol values (:func:`~repro.core.utility.utility_at`).
+* :meth:`LayoutBuilder.resolve_sizes` re-solves the sizes with ``x`` and
+  ``it`` fixed, since the sizes the search stops at may sit a few cells
+  under the optimum of the structure it found;
+* :meth:`LayoutBuilder.canonical_placement` then fixes ``it`` and the
+  sizes — so the utility too — and picks the placement with the least
+  stage sum, each node weighted by its id. Many placements are optimal,
+  and which one the search stopped at depends on its path; after this
+  pass ``node_stage``, the emitted P4 and the generated vector source
+  depend on the symbol values alone, not on where the search stopped.
+
+:attr:`LayoutSolution.objective` is the utility evaluated at the decoded
+symbol values (:func:`~repro.core.utility.utility_at`).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -99,7 +107,6 @@ __all__ = ["LayoutBuilder", "LayoutModel", "LayoutSolution", "RegisterFamily",
 class LayoutOptions:
     """Tunables for the ILP construction."""
 
-    stage_bias: float = 1e-5          # tiny pull toward early stages (determinism)
     symmetry_breaking: bool = True    # monotone stages for first elastic template
     hash_unit_limits: bool = True     # §4.4 extension
     table_memory: bool = True         # §4.4 extension: table SRAM in stage M
@@ -206,9 +213,9 @@ class LayoutSolution:
 
     status: SolveStatus
     #: the utility — the ``optimize`` expression, or the weighted sum of
-    #: the linked per-module terms — at ``symbol_values``. No tie-break
-    #: term, no solver tolerance: equal symbol values give an equal
-    #: objective, whichever back end or encoding found them
+    #: the linked per-module terms — at ``symbol_values``. No solver
+    #: tolerance: equal symbol values give an equal objective, whichever
+    #: back end or encoding found them
     objective: float
     symbol_values: dict[str, int]
     node_stage: dict[int, int | None]
@@ -221,10 +228,9 @@ class LayoutSolution:
     num_constraints: int
     nodes_explored: int = 0
     incumbent_source: str = ""
-    #: the solver's best proven bound and the relative gap it stopped at,
-    #: in *solver* terms (utility plus the ``stage_bias`` tie-break), so
-    #: comparable with each other and not with ``objective``; ``None``
-    #: for greedy layouts
+    #: the search's best proven bound on the utility and the relative gap
+    #: it stopped at (the bound is ≥ ``objective``, up to the solver's
+    #: tolerances); ``None`` for greedy layouts
     mip_dual_bound: float | None = None
     mip_gap: float | None = None
     #: per-module objective contribution (weighted), when the program
@@ -829,7 +835,9 @@ class LayoutBuilder:
 
         Every solve ends with :meth:`resolve_sizes`, so the sizes
         returned are optimal for the structure found and not merely
-        within the solver's stopping gap of it."""
+        within the solver's stopping gap of it, and then with
+        :meth:`canonical_placement`, so the stages do not depend on where
+        the search stopped."""
         from .utility import linearize_term, linearize_utility
 
         lm = self.layout
@@ -847,10 +855,6 @@ class LayoutBuilder:
                 objective += lin
         elif utility is not None:
             objective += linearize_utility(utility, lm, self.info)
-        if self.options.stage_bias:
-            for (_node_id, s), var in lm.x.items():
-                objective.terms[var] = objective.terms.get(var, 0.0) \
-                    - self.options.stage_bias * s
         lm.model.maximize(objective, terms=term_exprs)
         for module, floor in sorted((floors or {}).items()):
             lin = term_exprs.get(module)
@@ -875,6 +879,7 @@ class LayoutBuilder:
                 backend=solution.backend,
             )
         solution = self.resolve_sizes(solution, backend, time_limit)
+        solution = self.canonical_placement(solution, backend, time_limit)
         return self._decode(solution, utility, utility_terms)
 
     def resolve_sizes(
@@ -919,12 +924,56 @@ class LayoutBuilder:
             mip_gap=gap,
         )
 
+    def canonical_placement(
+        self,
+        solution: Solution,
+        backend: str = "auto",
+        time_limit: float | None = None,
+    ) -> Solution:
+        """Pick one stage placement for ``solution``'s symbol values.
+
+        Fixes ``it`` and every size and free symbolic at ``solution``'s
+        values, so the utility is fixed too, and minimises
+        ``Σ s·(1 + rank(n)/(N+1)²)·x[n,s]`` at zero gap, ``rank`` being
+        the node's position in ascending id order: a stage sum with a
+        weight of its own per node, so two placements rarely tie. The
+        result depends on the symbol values, not on where in HiGHS's
+        1e-4 gap the search stopped. Returns ``solution`` with
+        the placement's values when the pass is OPTIMAL, and
+        ``solution`` itself otherwise (under a ``time_limit``, say); the
+        status, node count and bound stay the search's, the seconds add
+        up.
+        """
+        lm = self.layout
+        fixed = {
+            var: solution.values[var]
+            for var in (*lm.it.values(), *lm.size_vars.values(),
+                        *lm.free_sym_vars.values())
+        }
+        rank = {nid: r for r, nid in
+                enumerate(sorted(node.node_id for node in lm.graph.nodes))}
+        tie = 1.0 / (len(rank) + 1) ** 2
+        earliest = copy.copy(lm.model)     # same rows, its own objective
+        earliest.minimize(LinExpr({
+            var: s * (1.0 + rank[nid] * tie) for (nid, s), var in lm.x.items()
+        }))
+        placed = solve(
+            earliest, backend=backend, time_limit=time_limit,
+            warm_start=solution.values, fixed=fixed, rel_gap=0.0,
+        )
+        seconds = solution.solve_seconds + placed.solve_seconds
+        if placed.status is not SolveStatus.OPTIMAL:
+            return dataclasses.replace(solution, solve_seconds=seconds)
+        return dataclasses.replace(solution, values=placed.values,
+                                   solve_seconds=seconds)
+
     def _decode(self, solution: Solution, utility: ast.Expr | None = None,
                 utility_terms=None) -> LayoutSolution:
         """Read the layout off ``solution``. ``objective`` (and the
-        per-module breakdown) is the utility at the decoded symbol
-        values, not ``solution.objective``: that one also carries the
-        ``stage_bias`` tie-break, a term far inside the solver's gap."""
+        per-module breakdown) is the utility evaluated at the decoded
+        symbol values, not ``solution.objective``: on integers, equal
+        symbol values give a bit-equal utility, whichever pass, back end
+        or term order produced them."""
         from .utility import utility_at
 
         lm = self.layout

@@ -31,7 +31,7 @@ def stats_report(compiled: CompiledProgram) -> str:
     compile served whole from the layout tier ran no phase and shows the
     lookup alone. When this compile ran an ILP search the last line says
     why it took what it took: nodes, seconds, and the gap left to the
-    solver's proven bound (solver terms: utility plus tie-break)."""
+    search's proven bound on the utility."""
     s = compiled.stats
     solution = compiled.solution
     front = " (cached)" if s.frontend_cached else ""

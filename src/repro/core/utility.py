@@ -177,10 +177,10 @@ def utility_at(
     What every back end reports as :attr:`LayoutSolution.objective`: the
     ``optimize`` expression — or, linked, the weighted sum of the
     per-module ``utility_terms``, which then takes precedence — at the
-    decoded integers. A solver's own objective also carries its
-    tie-breaks and stops anywhere inside its gap; this does neither, so
-    two back ends (or two encodings) that choose the same symbol values
-    report the same number, bit for bit.
+    decoded integers. A solver's own objective is the linearised form,
+    summed in its own term order and read off floats within tolerance;
+    this is not, so two back ends (or two encodings) that choose the
+    same symbol values report the same number, bit for bit.
     """
     env = {**consts, **symbol_values}
     breakdown: dict[str, float] = {}

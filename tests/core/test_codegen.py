@@ -60,10 +60,11 @@ class TestGeneratedP4:
 
 class TestTablePassthrough:
     def test_tables_render(self):
-        from repro.apps import netcache_source
         from repro.pisa.resources import tofino
 
-        compiled = compile_source(netcache_source(), tofino())
+        from ..pisa.test_vector_wide import compiled_app
+
+        compiled = compiled_app("netcache", tofino())
         assert "table route {" in compiled.p4_source
         assert "meta.dst : exact;" in compiled.p4_source
         assert "route.apply();" in compiled.p4_source

@@ -69,10 +69,12 @@ class TestGreedyVsIlp:
         from repro.apps import netcache_source
         from repro.pisa.resources import tofino
 
+        from ..pisa.test_vector_wide import compiled_app
+
         source = netcache_source()
         target = tofino()
         info, greedy = greedy_for(source, target)
-        compiled = compile_source(source, target)
+        compiled = compiled_app("netcache", target)
         opt = info.program.optimize().utility
         env = dict(info.consts)
         env.update(compiled.symbol_values)

@@ -167,9 +167,9 @@ class TestOptimality:
 
 class TestApplicationLayouts:
     def test_netcache_layout_resources(self):
-        from repro.apps import netcache_source
+        from ..pisa.test_vector_wide import compiled_app
 
-        compiled = compile_source(netcache_source(), tofino())
+        compiled = compiled_app("netcache", tofino())
         verify_resource_model(compiled)
 
     def test_precision_layout_resources(self):

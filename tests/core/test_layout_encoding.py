@@ -272,9 +272,9 @@ class TestWindowSoundness:
 # -- the fixed-structure re-solve -----------------------------------------------
 
 class TestResolveSizes:
-    """``Solution.objective`` is the solver's (utility plus stage-bias
-    tie-break); ``LayoutSolution.objective`` the utility alone. Each
-    assertion stays on one side."""
+    """``Solution.objective`` is the solver's linearised utility;
+    ``LayoutSolution.objective`` the utility evaluated at the symbol
+    values. Each assertion stays on one side."""
 
     def _two_short(self, builder, best):
         """``best`` re-encoded with ``kv_cols`` two under its value."""
@@ -328,7 +328,8 @@ class TestResolveSizes:
     def test_search_keeps_the_default_gap(self, monkeypatch):
         # Equality with the recorded optima must come from the re-solve,
         # not from a tightened search gap: the search runs at the
-        # solver's default, only the fixed-structure pass at zero.
+        # solver's default, only the fixed-structure passes at zero —
+        # the size re-solve, then the placement with the sizes fixed.
         from repro.core import layout
 
         calls = []
@@ -342,9 +343,11 @@ class TestResolveSizes:
         builder, program = build(CMS_SOURCE, t6())
         solution = builder.solve(utility=program.optimize().utility)
         lm = builder.layout
-        assert calls == [(None, 0), (0.0, len(lm.x) + len(lm.it))]
-        # The bound is the solver's: it sits within HiGHS's gap of the
-        # utility, below it by at most the tie-break it also carries.
+        assert calls == [
+            (None, 0), (0.0, len(lm.x) + len(lm.it)),
+            (0.0, len(lm.it) + len(lm.size_vars) + len(lm.free_sym_vars))]
+        # The bound is the search's, on the utility: within HiGHS's gap
+        # of it.
         assert 0 <= solution.mip_gap <= 1e-4
         assert solution.mip_dual_bound == pytest.approx(solution.objective,
                                                         rel=2e-4)

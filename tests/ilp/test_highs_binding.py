@@ -167,9 +167,10 @@ class TestSameAsMilp:
     @pytest.mark.parametrize("target", ["t6", "tofino"])
     @pytest.mark.parametrize("app", APPS)
     def test_layout_models(self, app, target, monkeypatch):
-        # Every solve of the compile — the search and the size re-solve
-        # with the structure fixed at zero gap — against milp on the
-        # model as it stands at that call.
+        # Every solve of the compile — the search, the size re-solve
+        # with the structure fixed and the placement pass with the sizes
+        # fixed, both at zero gap — against milp on the model as it
+        # stands at that call.
         calls = []
 
         def differential(model, backend="auto", time_limit=None,
@@ -183,7 +184,7 @@ class TestSameAsMilp:
 
         monkeypatch.setattr(layout_module, "solve", differential)
         compile_case(app, t6() if target == "t6" else tofino())
-        assert len(calls) == 2
+        assert len(calls) == 3
         for got, want in calls:
             assert got == want
 

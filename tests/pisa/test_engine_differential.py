@@ -378,7 +378,7 @@ class TestGeneratedTierIsTotal:
 
     def test_table_actions_and_dynamic_names(self, table_program):
         pipe = assert_every_stage_generated(table_program)
-        assert [sp.buffered for sp in pipe.plan.stages] == ["", "table apply"]
+        assert [sp.buffered for sp in pipe.plan.stages] == ["table apply", ""]
         packets = [
             Packet(fields={"dst": dst, "sel": sel, "arr[1]": 40 + dst,
                            "arr[2]": 50})

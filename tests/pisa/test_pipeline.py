@@ -1,22 +1,16 @@
 """Pipeline-simulator semantics: stage snapshots, guards, validation."""
 
-import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.apps import (
-    conquest_source,
-    netcache_linked,
-    netcache_source,
-    precision_source,
-    sketchlearn_source,
-)
-from repro.core import compile_linked, compile_source
-from repro.pisa import ENGINES, Packet, Pipeline, small_target, tofino
+from repro.core import compile_source
+from repro.pisa import ENGINES, Packet, Pipeline, small_target
 from repro.pisa.interp import SimulationError
-from repro.structures import CMS_SOURCE
+
+from .test_vector_wide import compiled_app, t6
 
 
 def build(source: str, **target_kwargs):
@@ -178,24 +172,18 @@ class TestValidation:
         assert pipe.packets_processed == 5
 
 
-def _t6():
-    return dataclasses.replace(tofino(), stages=6,
-                               memory_bits_per_stage=64 * 1024)
-
-
-#: The six apps: how to compile each, and the packet fields it reads.
+#: The six apps: how to compile each (on ``t6``), and the packet fields
+#: it reads.
 APPS = {
-    "cms": (lambda: compile_source(CMS_SOURCE, _t6()), ("flow_id",)),
-    "netcache": (lambda: compile_source(netcache_source(), _t6()),
-                 ("req_key", "dst")),
-    "netcache-linked": (lambda: compile_linked(netcache_linked(), _t6()),
-                        ("req_key", "dst")),
-    "sketchlearn": (lambda: compile_source(sketchlearn_source(), _t6()),
-                    ("flow_id",)),
-    "conquest": (lambda: compile_source(conquest_source(), _t6()),
-                 ("flow_id", "window", "pkt_bytes")),
-    "precision": (lambda: compile_source(precision_source(), _t6()),
-                  ("flow_id",)),
+    app: (functools.partial(compiled_app, app, t6()), fields)
+    for app, fields in {
+        "cms": ("flow_id",),
+        "netcache": ("req_key", "dst"),
+        "netcache-linked": ("req_key", "dst"),
+        "sketchlearn": ("flow_id",),
+        "conquest": ("flow_id", "window", "pkt_bytes"),
+        "precision": ("flow_id",),
+    }.items()
 }
 
 
@@ -205,13 +193,7 @@ class TestProcessColumns:
 
     @pytest.fixture(scope="class")
     def compiled(self):
-        cache = {}
-
-        def get(app):
-            if app not in cache:
-                cache[app] = APPS[app][0]()
-            return cache[app]
-        return get
+        return lambda app: APPS[app][0]()
 
     @staticmethod
     def columns(fields, n=200):

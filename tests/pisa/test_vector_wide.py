@@ -9,6 +9,7 @@ the five apps must not island at all.
 """
 
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -350,6 +351,14 @@ APPS = {
 }
 
 
+@functools.cache
+def compiled_app(app: str, target):
+    """``APPS[app](target)``, compiled once for the whole test session:
+    the compiler is deterministic and a pipeline never changes the
+    artifact it is built from."""
+    return APPS[app](target)
+
+
 def count_calls(run) -> int:
     """Python-level and C calls ``run()`` makes — a fixed cost as a
     count, so a gate on it reads no clock."""
@@ -399,7 +408,7 @@ def warm_shard():
     500-lane calls — a full store, so the replay mostly rejects — and the
     next 500 requests."""
     app = NetCacheApp(t6(), hot_threshold=4,
-                      compiled=APPS["netcache-linked"](t6()))
+                      compiled=compiled_app("netcache-linked", t6()))
     keys = ZipfGenerator(10_000, alpha=0.9, seed=4).sample(80_500)
     for start in range(0, 80_000, 500):
         app.run_trace(keys[start:start + 500])
@@ -441,7 +450,7 @@ def assert_generated(vplan):
 class TestAppsHaveNoIslands:
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_t6(self, app):
-        pipe = Pipeline(APPS[app](t6()), engine="vector")
+        pipe = Pipeline(compiled_app(app, t6()), engine="vector")
         assert_generated(pipe.vplan)
         # The thousand-lane tax, as a count: 773 calls a batch when the
         # stages were trees of closures.
@@ -453,7 +462,8 @@ class TestAppsHaveNoIslands:
     # program lowers from the same rendered source as plain NetCache.
     @pytest.mark.parametrize("app", ["cms", "netcache", "sketchlearn"])
     def test_tofino(self, app):
-        assert_generated(Pipeline(APPS[app](tofino()), engine="vector").vplan)
+        assert_generated(Pipeline(compiled_app(app, tofino()),
+                                  engine="vector").vplan)
 
 
 def test_calls_per_warm_run_trace():
