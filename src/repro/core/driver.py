@@ -334,6 +334,8 @@ def _layout(unit, program, info, ir, bounds, target, options, stats):
         span.set_attrs(
             status=solution.status.value,
             nodes_explored=solution.nodes_explored,
+            incumbent_source=solution.incumbent_source,
+            mip_dual_bound=solution.mip_dual_bound,
             mip_gap=solution.mip_gap,
         )
     stats.ilp_solve_seconds = solution.solve_seconds

@@ -52,7 +52,13 @@ The rows are written for a tight LP relaxation — every one is exact
   ``cells``); only the ``≥`` side carries the unplaced slack.
 
 The search maximises the utility alone, at HiGHS's default relative gap
-of 1e-4. Two zero-gap passes follow it, each milliseconds:
+of 1e-4. A start step comes first (:meth:`LayoutBuilder.search`): the
+LP relaxation gives a bound B, and a layout rounded from it — ``it`` at
+⌊Σ it⌋ of the LP, then the restricted LP rounded or, failing that, the
+first placement that fits ⌊sizes⌋ — is the start. A start within 1e-4
+of B is accepted with no search, since the search would stop there too;
+otherwise it seeds the search. Two zero-gap passes follow, each
+milliseconds:
 
 * :meth:`LayoutBuilder.resolve_sizes` re-solves the sizes with ``x`` and
   ``it`` fixed, since the sizes the search stops at may sit a few cells
@@ -60,9 +66,10 @@ of 1e-4. Two zero-gap passes follow it, each milliseconds:
 * :meth:`LayoutBuilder.canonical_placement` then fixes ``it`` and the
   sizes — so the utility too — and picks the placement with the least
   stage sum, each node weighted by its id. Many placements are optimal,
-  and which one the search stopped at depends on its path; after this
-  pass ``node_stage``, the emitted P4 and the generated vector source
-  depend on the symbol values alone, not on where the search stopped.
+  and which one the search (or the start) stopped at depends on its
+  path; after this pass ``node_stage``, the emitted P4 and the generated
+  vector source depend on the symbol values alone, not on where the
+  search stopped.
 
 :attr:`LayoutSolution.objective` is the utility evaluated at the decoded
 symbol values (:func:`~repro.core.utility.utility_at`).
@@ -72,6 +79,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from ..analysis.depgraph import DependencyGraph, DepNode
@@ -101,6 +109,12 @@ from .errors import (
 
 __all__ = ["LayoutBuilder", "LayoutModel", "LayoutSolution", "RegisterFamily",
            "CellGroup", "LayoutOptions"]
+
+#: HiGHS's default ``mip_rel_gap``: the search stops once its incumbent
+#: is this close, relatively, to its bound, and so does the start step
+_REL_GAP = 1e-4
+#: slack on ⌊·⌋ of an LP value that is an integer up to float error
+_INT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -227,6 +241,10 @@ class LayoutSolution:
     num_variables: int
     num_constraints: int
     nodes_explored: int = 0
+    #: the path the layout took (:meth:`LayoutBuilder.search`):
+    #: ``"lp-certified"`` — the LP-rounded start, within 1e-4 of the LP
+    #: bound, so no search ran; ``"seeded"`` — the search, seeded with
+    #: that start; ``""`` — the plain search (or a greedy layout)
     incumbent_source: str = ""
     #: the search's best proven bound on the utility and the relative gap
     #: it stopped at (the bound is ≥ ``objective``, up to the solver's
@@ -833,7 +851,9 @@ class LayoutBuilder:
         ``utility_terms`` is given it takes precedence over ``utility``
         (the latter is the same expression unsplit).
 
-        Every solve ends with :meth:`resolve_sizes`, so the sizes
+        The layout comes from :meth:`search` (the start step, then the
+        search if the start needs one). Every solve ends with
+        :meth:`resolve_sizes`, so the sizes
         returned are optimal for the structure found and not merely
         within the solver's stopping gap of it, and then with
         :meth:`canonical_placement`, so the stages do not depend on where
@@ -865,7 +885,7 @@ class LayoutBuilder:
                 )
             lm.model.add_constr(lin >= float(floor),
                                 name=f"util_floor[{module}]")
-        solution = solve(lm.model, backend=backend, time_limit=time_limit)
+        solution = self.search(backend, time_limit)
         if solution.status is SolveStatus.INFEASIBLE:
             raise LayoutInfeasibleError(
                 "the layout ILP is infeasible: the program cannot fit on "
@@ -881,6 +901,123 @@ class LayoutBuilder:
         solution = self.resolve_sizes(solution, backend, time_limit)
         solution = self.canonical_placement(solution, backend, time_limit)
         return self._decode(solution, utility, utility_terms)
+
+    def search(self, backend: str = "auto",
+               time_limit: float | None = None) -> Solution:
+        """The start step, then the search when the start needs one.
+
+        :meth:`start` gives the LP bound B and, mostly, a feasible
+        layout rounded from the LP. A start whose utility is within
+        HiGHS's own stopping rule (1e-4 relative) of B is one the search
+        would stop at, so it is returned unsearched:
+        ``incumbent_source`` ``"lp-certified"``, no nodes, bound B.
+        Otherwise the search runs seeded with the start (``"seeded"``),
+        or plain when there is none (``""``). Every solve takes
+        ``backend`` and ``time_limit``; the seconds add up.
+        """
+        lp, start = self.start(backend, time_limit)
+        if lp.status is SolveStatus.INFEASIBLE:
+            return lp           # no fractional layout, so no integral one
+        if start is not None:
+            bound, utility = lp.objective, start.objective
+            gap = max(0.0, bound - utility) / max(1.0, abs(utility))
+            if gap <= _REL_GAP:
+                return dataclasses.replace(
+                    start, status=SolveStatus.OPTIMAL,
+                    solve_seconds=lp.solve_seconds,
+                    incumbent_source="lp-certified",
+                    mip_dual_bound=bound, mip_gap=gap,
+                )
+        searched = solve(self.layout.model, backend=backend,
+                         time_limit=time_limit,
+                         warm_start=None if start is None else start.values)
+        return dataclasses.replace(
+            searched,
+            solve_seconds=lp.solve_seconds + searched.solve_seconds,
+            incumbent_source="" if start is None else "seeded",
+        )
+
+    def start(self, backend: str = "auto", time_limit: float | None = None
+              ) -> tuple[Solution, Solution | None]:
+        """``(LP relaxation, start)``: the relaxation's optimum, whose
+        objective bounds the utility, and a feasible layout built from
+        it, or None. The relaxation's ``solve_seconds`` are those of the
+        whole step.
+
+        Each loop symbolic takes ⌊Σᵢ itᵢ⌋ iterations of the relaxation,
+        the first ones (#16 order), and the relaxation is solved again
+        with ``it`` fixed there. Its point with the integer variables
+        rounded is the start when it is feasible. Otherwise the sizes
+        and free symbolics are fixed at ⌊value⌋ as well and a
+        zero-objective solve over the placement takes the first
+        feasible one it finds; when there is none there is no start.
+        ``min()`` aux variables take the least of their arms, so the
+        start's objective is its utility.
+        """
+        lm = self.layout
+        relaxed = lm.model.relaxation()
+        lp = solve(relaxed, backend=backend, time_limit=time_limit)
+        values, seconds = None, lp.solve_seconds
+        if lp.status is SolveStatus.OPTIMAL:
+            values, seconds = self._start_point(relaxed, lp, backend,
+                                                time_limit)
+        lp = dataclasses.replace(lp, solve_seconds=seconds)
+        if values is None:
+            return lp, None
+        return lp, Solution(
+            status=SolveStatus.FEASIBLE,
+            objective=lm.model.objective.expr.value(values),
+            values=values,
+            backend=lp.backend,
+        )
+
+    def _start_point(self, relaxed, lp: Solution, backend: str,
+                     time_limit: float | None) -> tuple[dict | None, float]:
+        """:meth:`start`'s layout from the relaxation's optimum ``lp``,
+        or None; with the seconds of ``lp`` and of the solves here."""
+        lm = self.layout
+        seconds = lp.solve_seconds
+        fixed = {}
+        for sym, count in lm.counts.items():
+            active = math.floor(_INT_TOL + sum(
+                lp.values[lm.it[(sym, i)]] for i in range(count)))
+            fixed.update((lm.it[(sym, i)], float(i < active))
+                         for i in range(count))
+        restricted = lp                     # no loop symbolic to fix
+        if fixed:
+            restricted = solve(relaxed, backend=backend,
+                               time_limit=time_limit, fixed=fixed)
+            seconds += restricted.solve_seconds
+            if restricted.status is not SolveStatus.OPTIMAL:
+                return None, seconds
+        values = self._rounded(restricted.values)
+        if lm.model.is_feasible(values):
+            return values, seconds
+        fixed.update(
+            (var, float(math.floor(restricted.values[var] + _INT_TOL)))
+            for var in (*lm.size_vars.values(), *lm.free_sym_vars.values()))
+        placement = copy.copy(lm.model)     # same rows, no objective
+        placement.minimize(LinExpr())
+        placed = solve(placement, backend=backend, time_limit=time_limit,
+                       fixed=fixed)
+        seconds += placed.solve_seconds
+        if not placed.has_incumbent:
+            return None, seconds
+        return self._rounded(placed.values), seconds
+
+    def _rounded(self, values) -> dict:
+        """``values`` with the model's integer variables rounded and
+        each ``min()`` aux variable at the least of its arms: the most
+        its rows allow, and the term's value."""
+        lm = self.layout
+        out = {
+            var: values[var] if var.vartype is VarType.CONTINUOUS
+            else float(round(values[var]))
+            for var in lm.model.variables
+        }
+        for aux, arms in lm.min_aux:
+            out[aux] = min(arm.value(out) for arm in arms)
+        return out
 
     def resolve_sizes(
         self,
@@ -907,7 +1044,7 @@ class LayoutBuilder:
         }
         polished = solve(
             lm.model, backend=backend, time_limit=time_limit,
-            warm_start=solution.values, fixed=fixed, rel_gap=0.0,
+            fixed=fixed, rel_gap=0.0,
         )
         seconds = solution.solve_seconds + polished.solve_seconds
         if not polished.status.ok or polished.objective <= solution.objective:
@@ -959,7 +1096,7 @@ class LayoutBuilder:
         }))
         placed = solve(
             earliest, backend=backend, time_limit=time_limit,
-            warm_start=solution.values, fixed=fixed, rel_gap=0.0,
+            fixed=fixed, rel_gap=0.0,
         )
         seconds = solution.solve_seconds + placed.solve_seconds
         if placed.status is not SolveStatus.OPTIMAL:

@@ -29,9 +29,11 @@ def stats_report(compiled: CompiledProgram) -> str:
     Phases served from a :class:`~repro.core.cache.CompileCache` are
     flagged ``(cached)`` — their time is the lookup, not the work; a
     compile served whole from the layout tier ran no phase and shows the
-    lookup alone. When this compile ran an ILP search the last line says
-    why it took what it took: nodes, seconds, and the gap left to the
-    search's proven bound on the utility."""
+    lookup alone. When this compile ran the ILP the last line says why it
+    took what it took: nodes, seconds, which path the layout took (an
+    ``lp-certified`` start ran no search, a ``seeded`` search began from
+    the start, neither means a plain search), and the gap left to the
+    proven bound on the utility."""
     s = compiled.stats
     solution = compiled.solution
     front = " (cached)" if s.frontend_cached else ""
@@ -55,14 +57,13 @@ def stats_report(compiled: CompiledProgram) -> str:
     lines.append(
         f"  ILP size: {s.ilp_variables} variables, "
         f"{s.ilp_constraints} constraints "
-        f"({solution.backend or 'n/a'}"
-        + (f", incumbent from {solution.incumbent_source}"
-           if solution.incumbent_source else "")
-        + ")"
+        f"({solution.backend or 'n/a'})"
     )
     if s.ilp_solve_seconds and solution.backend != "greedy":
         search = f"  ILP search: {solution.nodes_explored} nodes in " \
                  f"{solution.solve_seconds:.3f} s"
+        if solution.incumbent_source:
+            search += f" ({solution.incumbent_source})"
         if solution.mip_gap is not None:
             search += f", gap {solution.mip_gap:.4%} to bound " \
                       f"{solution.mip_dual_bound:.6g}"

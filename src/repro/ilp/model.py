@@ -21,6 +21,8 @@ The modeling style intentionally mirrors common MILP APIs::
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -342,6 +344,18 @@ class Model:
 
     def integer_variables(self) -> list[Var]:
         return [v for v in self.variables if v.vartype is not VarType.CONTINUOUS]
+
+    def relaxation(self) -> "Model":
+        """The LP relaxation: the same rows and objective with every
+        variable continuous. Its variables compare equal to this model's
+        (same model id and index), so an assignment of one is an
+        assignment of the other."""
+        relaxed = copy.copy(self)
+        relaxed.variables = [
+            dataclasses.replace(var, vartype=VarType.CONTINUOUS)
+            for var in self.variables
+        ]
+        return relaxed
 
     def is_feasible(self, assignment: Mapping[Var, float], tol: float = 1e-6) -> bool:
         """Check an assignment against bounds, integrality, and constraints."""

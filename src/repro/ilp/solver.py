@@ -42,9 +42,9 @@ def solve(
 
     ``backend`` is ``"auto"`` (prefer HiGHS), ``"scipy"``, or ``"bb"``.
     ``warm_start`` is an optional feasible assignment (Var → value) used
-    to seed the incumbent; backends without warm-start support (the HiGHS
-    backend solves as ``scipy.optimize.milp`` does, which seeds none)
-    accept and ignore it. ``fixed`` (Var → value)
+    to seed the incumbent: HiGHS takes it through ``setSolution``, the
+    branch and bound as its first incumbent; both drop an infeasible
+    one. ``fixed`` (Var → value)
     pins variables, leaving the restricted problem over the rest.
     ``rel_gap`` is the relative optimality gap to stop at: HiGHS defaults
     to 1e-4; the branch and bound always searches to zero gap and

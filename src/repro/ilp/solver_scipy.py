@@ -7,17 +7,27 @@ scipy ships HiGHS's own pybind11 binding as the extension module
 ``scipy.optimize._highspy._core``. :func:`highs_core` loads that one file
 without running ``scipy/optimize/__init__.py``, whose import costs about
 half a second and 40 MB before the first solve; :func:`solve_scipy` then
-drives ``_Highs`` exactly as ``scipy.optimize.milp`` does (same matrix,
-options and status mapping), so every solve takes the same search path.
+drives ``_Highs`` as ``scipy.optimize.milp`` does (same matrix, options
+and status mapping), so an unseeded solve takes the same search path.
+Unlike ``milp`` it can seed the search: a ``warm_start`` assignment goes
+to HiGHS as its first incumbent (``_Highs.setSolution``).
+
+HiGHS prints a few lines from C straight onto file descriptor 1, whatever
+``log_to_console`` says; :func:`solve_scipy` points descriptor 1 at 2
+while HiGHS runs, so a caller's stdout (``p4all compile`` writes the P4
+there) carries none of them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 import time
 import warnings
 
@@ -118,6 +128,50 @@ def _highs_lp(core, c, a, lo, hi, lbs, ubs, integrality):
     return lp
 
 
+#: held while descriptor 1 points at 2, so two threads never save and
+#: restore it crosswise (HiGHS holds the interpreter lock as it runs, so
+#: no solve overlaps another anyway)
+_REDIRECT = threading.Lock()
+
+
+@functools.cache
+def _libc():
+    return ctypes.CDLL(None)
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at 2 for the block, then restore it.
+    Python's and C stdio's buffers are flushed at both ends, so what was
+    written before reaches the real stdout and nothing written inside
+    does (C stdio buffers a stdout that is a file or a pipe)."""
+    with _REDIRECT:
+        sys.stdout.flush()
+        _libc().fflush(None)
+        saved = os.dup(1)
+        try:
+            os.dup2(2, 1)
+            try:
+                yield
+            finally:
+                sys.stdout.flush()
+                _libc().fflush(None)
+                os.dup2(saved, 1)
+        finally:
+            os.close(saved)
+
+
+def _seed(core, highs, model: Model, warm_start: dict) -> None:
+    """Hand ``warm_start`` (Var → value) to HiGHS as its first
+    incumbent. HiGHS checks the point itself and ignores one that is
+    not feasible, so the search then starts unseeded."""
+    seed = core.HighsSolution()
+    seed.col_value = [float(warm_start.get(var, 0.0))
+                      for var in model.variables]
+    seed.value_valid = True
+    highs.setSolution(seed)
+
+
 def solve_scipy(
     model: Model,
     time_limit: float | None = None,
@@ -129,14 +183,12 @@ def solve_scipy(
 
     Integer variable values in the returned solution are rounded to the
     nearest integer (HiGHS returns them within tolerance of integrality).
-    ``warm_start`` is accepted for backend interchangeability but unused:
-    the solve mirrors ``scipy.optimize.milp``, which seeds no incumbent
-    (HiGHS's ``setSolution`` could). ``fixed`` pins variables to values;
-    ``rel_gap`` overrides HiGHS's default ``mip_rel_gap`` of 1e-4 — the
-    gap at which it calls a solution optimal, reported back as
-    :attr:`Solution.mip_gap`.
+    ``warm_start`` (Var → value) seeds the search with that incumbent;
+    without one the solve is the one ``scipy.optimize.milp`` makes.
+    ``fixed`` pins variables to values; ``rel_gap`` overrides HiGHS's
+    default ``mip_rel_gap`` of 1e-4 — the gap at which it calls a
+    solution optimal, reported back as :attr:`Solution.mip_gap`.
     """
-    del warm_start
     core = highs_core()
     c, a, lo, hi, (lbs, ubs), integrality = model.to_matrix_form(fixed)
     integrality = integrality.astype(np.uint8)
@@ -161,12 +213,16 @@ def solve_scipy(
         x = None
         nodes, dual_bound, gap = 0, None, None
         lp = _highs_lp(core, c, a, lo, hi, lbs, ubs, integrality)
-        if highs.passModel(lp) == core.HighsStatus.kError:
+        ran = highs.passModel(lp) != core.HighsStatus.kError
+        if not ran:
             model_status = core.HighsModelStatus.kModelError
-        elif highs.run() == core.HighsStatus.kError:
-            model_status = highs.getModelStatus()
         else:
+            if warm_start is not None:
+                _seed(core, highs, model, warm_start)
+            with _stdout_to_stderr():
+                ran = highs.run() != core.HighsStatus.kError
             model_status = highs.getModelStatus()
+        if ran:
             info = highs.getInfo()
             is_mip = bool(integrality.sum())
             limits = (core.HighsModelStatus.kTimeLimit,

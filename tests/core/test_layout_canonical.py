@@ -7,12 +7,14 @@ solution at zero gap with the sizes fixed, which must make the
 placement a function of the (program, target) pair alone.
 
 The check moves the search and nothing else: it wraps
-``repro.core.layout.solve`` and, for the search call only (the one with
-nothing fixed), adds ``δ·s`` to the coefficient of every ``x[n, s]``,
-δ ∈ {±1e-5, ±3e-4}: pulls toward early and toward late stages, the
-smaller one inside HiGHS's gap, the larger one outside it. Every case
-must give one ``node_stage`` and one set of symbol values under every
-pull and without one.
+``repro.core.layout.solve`` and, for the calls with nothing fixed — the
+LP relaxation the start step rounds and certifies from, and the search
+— adds ``δ·s`` to the coefficient of every ``x[n, s]``, δ ∈ {±1e-5,
+±3e-4}: pulls toward early and toward late stages, the smaller one
+inside HiGHS's gap, the larger one outside it. Pulling the relaxation
+too moves the start of a case the LP bound certifies, which never
+reaches the search. Every case must give one ``node_stage`` and one set
+of symbol values under every pull and without one.
 
 Tier-1 samples the cases below, each under one of the four pulls. The
 full run allows one exception, named in :data:`GAP_STOPS`. Run the check with all four pulls over every case of
@@ -55,10 +57,11 @@ GAP_STOPS = frozenset({"netcache.s4m1792"})
 
 @contextlib.contextmanager
 def pulled(delta: float):
-    """Compiles inside this block run their search with ``delta·s``
-    added to every ``x[n, s]`` objective coefficient. The search's
-    solution is returned with its objective re-evaluated under the real
-    objective, so the passes after it see only where it stopped."""
+    """Compiles inside this block run their LP relaxation and their
+    search with ``delta·s`` added to every ``x[n, s]`` objective
+    coefficient. Each solution is returned with its objective
+    re-evaluated under the real objective, so the steps after it see
+    only where it stopped."""
     built = []
     build, layout_solve = LayoutBuilder.build, layout_module.solve
 
@@ -69,7 +72,8 @@ def pulled(delta: float):
     def search(model, **kwargs):
         if kwargs.get("fixed") is not None:
             return layout_solve(model, **kwargs)
-        lm = next(lm for lm in built if lm.model is model)
+        # The relaxation is a copy of the model, with its variables.
+        lm = next(lm for lm in built if lm.model.model_id == model.model_id)
         expr = model.objective.expr.copy()
         for (_nid, s), var in lm.x.items():
             expr.terms[var] = expr.terms.get(var, 0.0) + delta * s

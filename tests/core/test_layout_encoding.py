@@ -327,30 +327,46 @@ class TestResolveSizes:
 
     def test_search_keeps_the_default_gap(self, monkeypatch):
         # Equality with the recorded optima must come from the re-solve,
-        # not from a tightened search gap: the search runs at the
-        # solver's default, only the fixed-structure passes at zero —
-        # the size re-solve, then the placement with the sizes fixed.
+        # not from a tightened search gap: the start step and the search
+        # run at the solver's default, only the fixed-structure passes
+        # at zero — the size re-solve, then the placement with the sizes
+        # fixed. Each call: (rel_gap, variables fixed, seeded).
         from repro.core import layout
 
         calls = []
 
         def recording_solve(model, **kwargs):
-            calls.append((kwargs.get("rel_gap"), len(kwargs.get("fixed") or ())))
+            calls.append((kwargs.get("rel_gap"), len(kwargs.get("fixed") or ()),
+                          kwargs.get("warm_start") is not None))
             return layout_solve(model, **kwargs)
 
         layout_solve = layout.solve
         monkeypatch.setattr(layout, "solve", recording_solve)
-        builder, program = build(CMS_SOURCE, t6())
-        solution = builder.solve(utility=program.optimize().utility)
-        lm = builder.layout
-        assert calls == [
-            (None, 0), (0.0, len(lm.x) + len(lm.it)),
-            (0.0, len(lm.it) + len(lm.size_vars) + len(lm.free_sym_vars))]
-        # The bound is the search's, on the utility: within HiGHS's gap
-        # of it.
-        assert 0 <= solution.mip_gap <= 1e-4
-        assert solution.mip_dual_bound == pytest.approx(solution.objective,
-                                                        rel=2e-4)
+        for source, path in ((CMS_SOURCE, "lp-certified"),
+                             (netcache_source(), "seeded")):
+            calls.clear()
+            builder, program = build(source, t6())
+            solution = builder.solve(utility=program.optimize().utility)
+            lm = builder.layout
+            fixed = len(lm.it) + len(lm.size_vars) + len(lm.free_sym_vars)
+            # The LP relaxation, then the relaxation with ``it`` fixed.
+            start = [(None, 0, False), (None, len(lm.it), False)]
+            if path == "lp-certified":
+                # CMS's rounded point is not feasible: the sizes are
+                # fixed too and a placement found, which the LP bound
+                # certifies. No search.
+                start.append((None, fixed, False))
+            else:
+                # NetCache's rounded point seeds the search.
+                start.append((None, 0, True))
+            assert solution.incumbent_source == path
+            assert calls == [*start, (0.0, len(lm.x) + len(lm.it), False),
+                             (0.0, fixed, False)]
+            # The bound is the LP's or the search's, on the utility:
+            # within HiGHS's gap of it.
+            assert 0 <= solution.mip_gap <= 1e-4
+            assert solution.mip_dual_bound == pytest.approx(
+                solution.objective, rel=2e-4)
 
 
 # -- the three layout back ends agree (ROADMAP 4d) --------------------------------

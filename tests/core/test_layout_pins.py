@@ -188,6 +188,35 @@ def test_objective_is_the_utility_at_the_symbol_values(key, solved):
     assert solution.mip_dual_bound is not None
 
 
+#: the path the layout of each ``compile-cold`` program with a known
+#: path takes (``LayoutBuilder.search``): the start step's gain, checked
+#: without a clock
+START_PATHS = {
+    "netcache.tofino": "lp-certified",
+    "cms.tofino": "lp-certified",
+    "netcache-linked.t6": "seeded",    # its start is 1.02e-4 under B
+    "sketchlearn.t6": "",              # no start: the plain search
+}
+
+
+@pytest.mark.parametrize("case", sorted(START_PATHS))
+def test_start_path(case, solved):
+    solution = solved(case).solution
+    assert solution.incumbent_source == START_PATHS[case]
+    if START_PATHS[case] == "lp-certified":
+        assert solution.nodes_explored == 0
+        assert solution.mip_gap <= 1e-4
+
+
+def test_most_cases_skip_the_search(solved):
+    # 61 of the 86 feasible cases are certified by the LP bound: their
+    # compile runs no search at all.
+    paths = [solved(case).solution.incumbent_source for case in sorted(CASES)
+             if PINS[case] is not None]
+    assert len(paths) == 86
+    assert paths.count("lp-certified") >= 61
+
+
 def test_pins_cover_the_benchmark_and_the_sweep():
     assert set(PINS) == set(CASES)
     assert len(PINS) == 16 + 4 * 5 * 4

@@ -1,13 +1,15 @@
 """The HiGHS backend drives scipy's bundled ``_Highs`` binding directly.
 
-It must reach HiGHS without importing ``scipy.optimize`` and must solve
-exactly as ``scipy.optimize.milp`` did: ``solve_with_milp`` below is that
-former backend, kept here as the reference only. Status, values,
-objective, dual bound, gap and node count must agree exactly on random
-MILPs, on every layout model the six apps build on two targets, and on
-the edge cases.
+It must reach HiGHS without importing ``scipy.optimize`` and, unseeded,
+must solve exactly as ``scipy.optimize.milp`` did: ``solve_with_milp``
+below is that former backend, kept here as the reference only. Status,
+values, objective, dual bound, gap and node count must agree exactly on
+random MILPs, on every unseeded solve of the layouts the six apps get on
+two targets, and on the edge cases. A seeded search (``warm_start``,
+which milp cannot take) must reach the unseeded one's decisions.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import layout as layout_module
+from repro.core.layout import LayoutBuilder
 from repro.ilp import (
     LinExpr,
     Model,
@@ -32,7 +35,7 @@ from repro.ilp.solver_scipy import highs_core, solve_scipy
 from repro.pisa import tofino
 
 from ..core.test_layout_encoding import t6
-from ..core.test_layout_pins import SOURCES, compile_case
+from ..core.test_layout_pins import BOUND_TOLERANCE, SOURCES, compile_case
 from .test_cross_check import random_milp
 from .test_solvers import knapsack_model
 
@@ -127,6 +130,75 @@ def test_compile_leaves_scipy_optimize_unimported():
     assert done.stdout.strip().endswith("ok")
 
 
+def test_highs_chatter_stays_off_stdout(monkeypatch, capfd):
+    # HiGHS prints some lines from C onto descriptor 1 whatever
+    # log_to_console says; stdout is where `p4all compile` writes the P4.
+    # The stub writes there whichever path the search takes.
+    core = highs_core()
+
+    class Chatty(core._Highs):
+        def run(self):
+            os.write(1, b"HighsMipSolverData::chatter\n")
+            return super().run()
+
+    monkeypatch.setattr(core, "_Highs", Chatty)
+    model, _xs = knapsack_model()
+    assert solve_scipy(model).status is SolveStatus.OPTIMAL
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "HighsMipSolverData::chatter\n"
+
+
+def test_buffered_c_stdio_keeps_its_order():
+    # A stdout that is a file is fully buffered by C stdio unless Python
+    # runs unbuffered: C output from before a solve must still reach
+    # stdout, and C output from inside it must not.
+    script = textwrap.dedent("""
+        import ctypes
+        from repro.ilp import LinExpr, Model, VarType
+        from repro.ilp.solver_scipy import highs_core, solve_scipy
+
+        libc = ctypes.CDLL(None)
+        core = highs_core()
+
+        class Chatty(core._Highs):
+            def run(self):
+                status = super().run()
+                libc.printf(b"inside\\n")
+                return status
+
+        core._Highs = Chatty
+        model = Model()
+        x = model.add_var("x", ub=3, vartype=VarType.INTEGER)
+        model.maximize(LinExpr.from_term(x))
+        libc.printf(b"before\\n")
+        assert solve_scipy(model).objective == 3
+        libc.printf(b"after\\n")
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before\nafter\n"
+    assert done.stderr == "inside\n"
+
+
+def test_seed_is_the_first_incumbent():
+    # Stopped before it finds anything itself, a seeded search still
+    # holds the seed; an infeasible seed is dropped.
+    model = market_split()
+    slack = {var: float(var.ub) for var in model.variables
+             if var.vartype is VarType.CONTINUOUS}
+    seed = {var: slack.get(var, 0.0) for var in model.variables}
+    assert model.is_feasible(seed)
+    got = solve_scipy(model, time_limit=0.0, warm_start=seed)
+    assert got.status is SolveStatus.TIMEOUT and got.has_incumbent
+    assert got.values == seed
+    bad = {var: 5.0 for var in model.variables}
+    got = solve_scipy(model, time_limit=0.0, warm_start=bad)
+    assert got.status is SolveStatus.TIMEOUT and not got.has_incumbent
+
+
 def test_loader_reuses_a_loaded_binding():
     assert highs_core() is sys.modules["scipy.optimize._highspy._core"]
 
@@ -167,11 +239,20 @@ class TestSameAsMilp:
     @pytest.mark.parametrize("target", ["t6", "tofino"])
     @pytest.mark.parametrize("app", APPS)
     def test_layout_models(self, app, target, monkeypatch):
-        # Every solve of the compile — the search, the size re-solve
-        # with the structure fixed and the placement pass with the sizes
-        # fixed, both at zero gap — against milp on the model as it
-        # stands at that call.
-        calls = []
+        # Every solve of the compile against milp on the model as it
+        # stands at that call. The unseeded ones — the LP relaxation and
+        # the start step's restricted solves, a search with no start,
+        # the size re-solve and the placement pass — agree bit for bit.
+        # milp cannot seed a search, so a search seeded with the start
+        # is held to what decides the compile: it stops at the unseeded
+        # search's symbol values, and its bound is no lower than the
+        # utility the compile returns (the pin, in test_layout_pins).
+        built, calls = [], []
+        build = LayoutBuilder.build
+
+        def recording_build(builder):
+            built.append(builder.layout)
+            return build(builder)
 
         def differential(model, backend="auto", time_limit=None,
                          warm_start=None, fixed=None, rel_gap=None):
@@ -179,14 +260,29 @@ class TestSameAsMilp:
                         warm_start=warm_start, fixed=fixed, rel_gap=rel_gap)
             want = solve_with_milp(model, time_limit=time_limit, fixed=fixed,
                                    rel_gap=rel_gap)
-            calls.append((decisions(got), decisions(want)))
+            calls.append((warm_start is not None, got, want))
             return got
 
+        monkeypatch.setattr(LayoutBuilder, "build", recording_build)
         monkeypatch.setattr(layout_module, "solve", differential)
-        compile_case(app, t6() if target == "t6" else tofino())
-        assert len(calls) == 3
-        for got, want in calls:
-            assert got == want
+        compiled = compile_case(app, t6() if target == "t6" else tofino())
+        (lm,) = built
+        symbolics = (*lm.loop_symbolics, *lm.size_vars, *lm.free_sym_vars)
+
+        def symbols(solution):
+            return {sym: lm.symbolic_expr(sym).value(solution.values)
+                    for sym in symbolics}
+
+        assert 3 <= len(calls) <= 6
+        assert sum(seeded for seeded, _got, _want in calls) <= 1
+        for seeded, got, want in calls:
+            if not seeded:
+                assert decisions(got) == decisions(want)
+                continue
+            assert got.status is want.status is SolveStatus.OPTIMAL
+            assert symbols(got) == symbols(want)
+            assert got.mip_dual_bound >= compiled.solution.objective \
+                * (1 - BOUND_TOLERANCE)
 
 
 # ------------------------------------------------------------ edge cases --

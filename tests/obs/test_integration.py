@@ -59,6 +59,21 @@ class TestTracedCompile:
         obj = chrome_trace(obs.trace)
         assert validate_chrome_trace(obj) > 0
 
+    def test_layout_path_on_the_solve_span(self):
+        # The layout solve says which path it took: here the LP-rounded
+        # start is certified by the LP bound, so no search ran; the
+        # solves under it are the start step's LP solves and the two
+        # zero-gap passes, none of them seeded.
+        obs.trace.enable()
+        compile_source(SOURCE, small_target(stages=3))
+        (solve,) = [s for s in obs.trace.spans if s.name == "compile.ilp_solve"]
+        assert solve.attrs["incumbent_source"] == "lp-certified"
+        assert solve.attrs["nodes_explored"] == 0
+        assert solve.attrs["mip_dual_bound"] is not None
+        calls = [s for s in obs.trace.spans if s.name == "ilp.solve"]
+        assert len(calls) >= 3
+        assert not any(s.attrs["warm_start"] for s in calls)
+
     def test_compile_metrics_recorded(self):
         obs.metrics.reset()
         compile_source(SOURCE, small_target(stages=3))

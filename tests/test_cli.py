@@ -34,15 +34,28 @@ class TestCompileCommand:
         _out, err = capsys.readouterr()
         assert "stage 0" in err
 
-    def test_stats_say_how_the_search_went(self, cms_file, capsys):
+    def test_stats_say_how_the_search_went(self, cms_file, tmp_path, capsys):
         import re
 
         assert main(["compile", str(cms_file), "--target", "small",
                      "--stats"]) == 0
         _out, err = capsys.readouterr()
+        # CMS's LP-rounded start is within 1e-4 of the LP bound: no
+        # search, no nodes, and the gap is to the LP bound.
         assert re.search(
-            r"ILP search: \d+ nodes in \d+\.\d+ s, gap \d+\.\d+% to bound \S+",
-            err)
+            r"ILP search: 0 nodes in \d+\.\d+ s \(lp-certified\), "
+            r"gap \d+\.\d+% to bound \S+", err)
+        # NetCache's start is not, and seeds the search.
+        from repro.apps import netcache_source
+
+        netcache = tmp_path / "netcache.p4all"
+        netcache.write_text(netcache_source())
+        assert main(["compile", str(netcache), "--target", "tofino",
+                     "--stages", "6", "--memory", "65536", "--stats",
+                     "-o", str(tmp_path / "netcache.p4")]) == 0
+        assert re.search(
+            r"ILP search: \d+ nodes in \d+\.\d+ s \(seeded\), "
+            r"gap \d+\.\d+% to bound \S+", capsys.readouterr().err)
         # Greedy searches nothing, so it has nothing to say.
         assert main(["compile", str(cms_file), "--target", "small",
                      "--stats", "--backend", "greedy"]) == 0
