@@ -1,7 +1,7 @@
-"""Ablation — ILP solver backends on the same layout models.
+"""Ablation — ILP solvers on the same layout models.
 
-HiGHS (scipy) vs the built-in branch-and-bound: both are exact, so the
-optimal objective must agree; runtimes are reported for the record (the
+HiGHS (the compiler's solver) vs the built-in branch-and-bound, called
+by name: both are exact, so the optimal objective must agree; runtimes are reported for the record (the
 paper used Gurobi — any exact solver reproduces its results).
 """
 

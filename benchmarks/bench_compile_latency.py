@@ -64,17 +64,17 @@ def _run() -> dict:
 
     cold, cold_wall = _timed(lambda: compile_source(
         source, _mini_target(),
-        options=CompileOptions(backend="scipy", cache=cache),
+        options=CompileOptions(cache=cache),
         source_name="netcache",
     ))
     warm, warm_wall = _timed(lambda: compile_source(
         source, _mini_target(),
-        options=CompileOptions(backend="scipy", cache=cache),
+        options=CompileOptions(cache=cache),
         source_name="netcache",
     ))
     cut, cut_wall = _timed(lambda: compile_source(
         source, _mini_target(32 * 1024),
-        options=CompileOptions(backend="scipy", cache=cache),
+        options=CompileOptions(cache=cache),
         source_name="netcache",
     ))
 
@@ -88,7 +88,7 @@ def _run() -> dict:
 
     linked_cache = CompileCache()
     linked = netcache_linked(with_routing=False, cache=linked_cache)
-    linked_opts = CompileOptions(backend="scipy", cache=linked_cache)
+    linked_opts = CompileOptions(cache=linked_cache)
     linked_cold, linked_cold_wall = _timed(
         lambda: compile_linked(linked, _mini_target(), options=linked_opts))
     linked_warm, linked_warm_wall = _timed(

@@ -29,10 +29,9 @@ the accumulated counters/gauges/histograms), and ``--flight PATH``
 or on crash). ``p4all obs`` renders any of the artifacts as a terminal
 summary. See docs/OBSERVABILITY.md.
 
-Every program-compiling subcommand accepts the same solver flags:
-``--backend`` (``auto``/``scipy``/``bb``/``greedy``) and
-``--time-limit`` (seconds; expiry degrades structuredly instead of
-failing opaquely).
+Every program-compiling subcommand lays the program out with one
+solver, HiGHS, and accepts ``--time-limit`` (seconds; expiry degrades
+structuredly instead of failing opaquely).
 """
 
 from __future__ import annotations
@@ -71,12 +70,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     """Uniform layout-solver flags, shared by every subcommand that can
     compile a program."""
     parser.add_argument(
-        "--backend", default="auto",
-        choices=["auto", "scipy", "bb", "greedy"],
-        help="layout backend: auto (prefer HiGHS), scipy, bb, or the "
-             "greedy first-fit heuristic (default: auto)",
-    )
-    parser.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS",
         help="ILP solver time limit in seconds; on expiry the best "
              "incumbent is used, or a structured timeout is raised "
@@ -87,7 +80,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
 def _compile_options(args) -> "CompileOptions":
     return CompileOptions(
         entry=getattr(args, "entry", "Ingress"),
-        backend=args.backend,
         time_limit=args.time_limit,
     )
 
@@ -335,11 +327,8 @@ def _run_body(args, on_event=None) -> int:
     telemetry = TelemetryBus(sink=args.events)
     if on_event is not None:
         telemetry.subscribe(on_event)
-    planner = ReconfigPlanner(
-        options=_compile_options(args),
-        telemetry=telemetry,
-        max_retries=args.max_retries,
-    )
+    planner = ReconfigPlanner(options=_compile_options(args),
+                              telemetry=telemetry)
     config = RuntimeConfig(
         window_packets=args.window,
         hot_threshold=args.hot_threshold,
@@ -572,9 +561,6 @@ def _add_run_args(p_run: argparse.ArgumentParser) -> None:
     p_run.add_argument("--no-migrate", action="store_true",
                        help="swap without migrating register state "
                             "(cold-start comparison)")
-    p_run.add_argument("--max-retries", type=int, default=1,
-                       help="ILP retries (with backoff) before the greedy "
-                            "fallback (default: 1)")
     p_run.add_argument("--events", default=None, metavar="PATH",
                        help="stream telemetry events to a JSONL file")
     p_run.add_argument("--json", default=None, metavar="PATH",

@@ -116,9 +116,13 @@ class CompileCache:
     frontend  AST + semantic info + IR                    (source hash, entry)
     bounds    loop-unroll upper bounds                    + (target, unroll opts)
     verify    taint/isolation verification result         + chosen symbol values
-    layout    the full ``CompiledProgram``                + (backend, time
-                                                          limit, layout opts)
+    layout    the full ILP ``CompiledProgram``            + (time limit,
+                                                          layout opts)
     ========  ==========================================  =====================
+
+    A greedy compile (``compile_*_greedy``) shares the first three tiers
+    but never reads or writes the layout tier: its key has no room for
+    the solver, and a first fit must not answer an ILP compile.
 
     The layout tier is LRU-bounded by ``max_layouts`` (``0`` disables it
     entirely — useful for benchmarks that want front-end reuse but fresh
@@ -201,7 +205,6 @@ class CompileCache:
             source_fingerprint(source),
             options.entry,
             target,
-            options.backend,
             options.time_limit,
             options.layout,
             options.unroll,

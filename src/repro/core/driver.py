@@ -1,13 +1,11 @@
 """End-to-end P4All compilation driver.
 
-One pipeline (:func:`_compile`, Figure 8) with two inputs and one
-interchangeable part:
+One pipeline (:func:`_compile`, Figure 8) with two inputs:
 
 1. parse + semantic checks (:mod:`repro.lang`),
 2. elaboration and dependency analysis (:mod:`repro.analysis`),
 3. loop-unrolling upper bounds (§4.2),
-4. the layout — the ILP of §4.3 (``backend`` ``auto``/``scipy``/``bb``)
-   or :func:`~repro.core.greedy.greedy_layout` (``backend="greedy"``),
+4. the layout — the ILP of §4.3, solved by HiGHS,
 5. concrete-P4 code generation and stage-mapping extraction.
 
 The inputs are a P4All string (:func:`compile_source`) and a linked
@@ -16,11 +14,15 @@ between them. Phase timings are recorded in :class:`CompileStats` —
 §6.1 reports that compile time is dominated by ILP solving, which the
 Figure-11 benchmark verifies.
 
-A greedy compile is a fully assembled :class:`CompiledProgram` (loadable
-into the PISA simulator, validated by
-:func:`~repro.core.validate.validate_layout`) whose solution carries
-``status=FEASIBLE`` — the degraded-but-safe artifact the elastic runtime
-falls back to when the ILP times out.
+:func:`compile_source_greedy` and :func:`compile_linked_greedy` run the
+same pipeline with :func:`~repro.core.greedy.greedy_layout`'s first fit
+as step 4: the baseline the ILP is measured against, and the
+degraded-but-safe artifact the elastic runtime falls back to when the
+ILP times out. A greedy compile is fully assembled (loadable into the
+PISA simulator, validated by :func:`~repro.core.validate.validate_layout`),
+its solution carries ``status=FEASIBLE``, and it shares a cache's
+front-end tiers but never its layout tier, so an ILP compile of the same
+source and target is never answered with a first fit.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class CompileOptions:
     def __init__(
         self,
         entry: str = "Ingress",
-        backend: str = "auto",
         time_limit: float | None = None,
         layout: LayoutOptions | None = None,
         unroll: UnrollOptions | None = None,
@@ -66,9 +67,6 @@ class CompileOptions:
         cache: CompileCache | None = None,
     ):
         self.entry = entry
-        #: ILP backend (``auto``/``scipy``/``bb``) or ``greedy`` for the
-        #: first-fit heuristic layout (no ILP at all).
-        self.backend = backend
         self.time_limit = time_limit
         self.layout = layout or LayoutOptions()
         self.unroll = unroll or UnrollOptions(
@@ -87,7 +85,6 @@ class CompileOptions:
         but callers treat them as immutable once a compile starts)."""
         fields = dict(
             entry=self.entry,
-            backend=self.backend,
             time_limit=self.time_limit,
             layout=self.layout,
             unroll=self.unroll,
@@ -115,6 +112,19 @@ class _Unit:
     floors: dict | None = None
     #: linked programs run the taint-verification phase
     linked: bool = False
+
+
+def _source_unit(source: str, source_name: str) -> _Unit:
+    return _Unit(source_name, source,
+                 lambda: parse_program(source, source_name))
+
+
+def _linked_unit(linked) -> _Unit:
+    return _Unit(
+        linked.name, "linked:" + linked.fingerprint, lambda: linked.program,
+        namespace=linked.namespace, utility_terms=linked.utility_terms,
+        floors=linked.floors, linked=True,
+    )
 
 
 def _frontend(unit: _Unit, target, options, stats):
@@ -269,7 +279,8 @@ def _record_compile_metrics(stats: CompileStats, backend: str) -> None:
     """Per-compile counters and phase-latency histograms."""
     obs_metrics.counter(
         "p4all_compiles_total",
-        help="Completed compiles, by layout backend and layout-cache outcome.",
+        help="Completed compiles, by the solver that laid the program out "
+             "and layout-cache outcome.",
         labels=("backend", "cached"),
     ).inc(backend=backend, cached=str(stats.layout_cached).lower())
     phases = obs_metrics.histogram(
@@ -305,12 +316,13 @@ def _layout_hit(cached: CompiledProgram, lookup_seconds: float) -> CompiledProgr
     ))
 
 
-def _layout(unit, program, info, ir, bounds, target, options, stats):
-    """Phase 4, the interchangeable part: ``(instances, solution)`` from
-    the ILP (``auto``/``scipy``/``bb``) or the greedy first fit."""
+def _layout(unit, program, info, ir, bounds, target, options, stats,
+            greedy: bool):
+    """Phase 4: ``(instances, solution)`` from the layout ILP, or from the
+    first fit for a greedy compile."""
     optimize = program.optimize()
     utility = optimize.utility if optimize is not None else None
-    if options.backend == "greedy":
+    if greedy:
         t0 = time.perf_counter()
         with trace.span("compile.greedy_layout"):
             result = greedy_layout(ir, bounds, target)
@@ -323,15 +335,15 @@ def _layout(unit, program, info, ir, bounds, target, options, stats):
         builder = LayoutBuilder(ir, bounds, target, options.layout)
         lm = builder.build()
     stats.ilp_build_seconds = time.perf_counter() - t0
-    with trace.span("compile.ilp_solve", backend=options.backend) as span:
+    with trace.span("compile.ilp_solve") as span:
         solution = builder.solve(
             utility=utility,
-            backend=options.backend,
             time_limit=options.time_limit,
             utility_terms=unit.utility_terms,
             floors=unit.floors,
         )
         span.set_attrs(
+            backend=solution.backend,
             status=solution.status.value,
             nodes_explored=solution.nodes_explored,
             incumbent_source=solution.incumbent_source,
@@ -346,16 +358,20 @@ def _layout(unit, program, info, ir, bounds, target, options, stats):
 
 
 def _compile(unit: _Unit, target: TargetSpec,
-             options: CompileOptions | None) -> CompiledProgram:
+             options: CompileOptions | None,
+             greedy: bool = False) -> CompiledProgram:
     """The Figure-8 pipeline, once: layout-tier lookup → front end →
-    layout → assemble → verify → layout-tier store → metrics."""
+    layout → assemble → verify → layout-tier store → metrics. ``greedy``
+    takes the first fit for the layout and bypasses the layout tier."""
     options = options or CompileOptions()
     cache = options.cache
+    layouts = None if greedy else cache
     verify = options.verify and unit.linked
     with trace.span("compile", source=unit.name, target=target.name,
-                    backend=options.backend, linked=unit.linked) as span:
+                    linked=unit.linked) as span:
         t0 = time.perf_counter()
-        cached = cache.get_layout(unit.key, target, options) if cache else None
+        cached = (layouts.get_layout(unit.key, target, options)
+                  if layouts else None)
         if cached is not None:
             span.set_attr("layout_cached", True)
             compiled = _layout_hit(cached, time.perf_counter() - t0)
@@ -369,7 +385,8 @@ def _compile(unit: _Unit, target: TargetSpec,
             stats = CompileStats()
             program, info, ir, bounds = _frontend(unit, target, options, stats)
             instances, solution = _layout(
-                unit, program, info, ir, bounds, target, options, stats)
+                unit, program, info, ir, bounds, target, options, stats,
+                greedy)
             compiled = CompiledProgram(
                 source_name=unit.name,
                 target=target,
@@ -382,16 +399,13 @@ def _compile(unit: _Unit, target: TargetSpec,
             _assemble(compiled, instances, solution, options)
             if verify:
                 _verify_linked(compiled, unit.key, target, options, stats)
-            if cache is not None:
-                cache.put_layout(unit.key, target, options, compiled)
+            if layouts is not None:
+                layouts.put_layout(unit.key, target, options, compiled)
             span.set_attrs(status=solution.status.value,
                            symbols=dict(solution.symbol_values))
-        _record_compile_metrics(compiled.stats, options.backend)
+        span.set_attr("backend", compiled.solution.backend)
+        _record_compile_metrics(compiled.stats, compiled.solution.backend)
         return compiled
-
-
-def _greedy(options: CompileOptions | None) -> CompileOptions:
-    return (options or CompileOptions()).replace(backend="greedy")
 
 
 def compile_source(
@@ -401,9 +415,7 @@ def compile_source(
     source_name: str = "<string>",
 ) -> CompiledProgram:
     """Compile a P4All program for ``target``; returns the full artifact."""
-    unit = _Unit(source_name, source,
-                 lambda: parse_program(source, source_name))
-    return _compile(unit, target, options)
+    return _compile(_source_unit(source, source_name), target, options)
 
 
 def compile_source_greedy(
@@ -412,9 +424,10 @@ def compile_source_greedy(
     options: CompileOptions | None = None,
     source_name: str = "<string>",
 ) -> CompiledProgram:
-    """:func:`compile_source` with ``backend="greedy"``: the first-fit
-    layout instead of the ILP, everything else the same."""
-    return compile_source(source, target, _greedy(options), source_name)
+    """:func:`compile_source` with the first-fit layout instead of the
+    ILP, everything else the same."""
+    return _compile(_source_unit(source, source_name), target, options,
+                    greedy=True)
 
 
 def compile_file(
@@ -444,12 +457,7 @@ def compile_linked(
     is duck-typed (program/namespace/fingerprint/utility_terms/floors/
     name) so this module never imports :mod:`repro.link`.
     """
-    unit = _Unit(
-        linked.name, "linked:" + linked.fingerprint, lambda: linked.program,
-        namespace=linked.namespace, utility_terms=linked.utility_terms,
-        floors=linked.floors, linked=True,
-    )
-    return _compile(unit, target, options)
+    return _compile(_linked_unit(linked), target, options)
 
 
 def compile_linked_greedy(
@@ -457,5 +465,6 @@ def compile_linked_greedy(
     target: TargetSpec,
     options: CompileOptions | None = None,
 ) -> CompiledProgram:
-    """:func:`compile_linked` with ``backend="greedy"``."""
-    return compile_linked(linked, target, _greedy(options))
+    """:func:`compile_linked` with the first-fit layout instead of the
+    ILP."""
+    return _compile(_linked_unit(linked), target, options, greedy=True)

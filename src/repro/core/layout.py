@@ -836,7 +836,6 @@ class LayoutBuilder:
     def solve(
         self,
         utility: ast.Expr | None = None,
-        backend: str = "auto",
         time_limit: float | None = None,
         utility_terms=None,
         floors: dict[str, float] | None = None,
@@ -885,7 +884,7 @@ class LayoutBuilder:
                 )
             lm.model.add_constr(lin >= float(floor),
                                 name=f"util_floor[{module}]")
-        solution = self.search(backend, time_limit)
+        solution = self.search(time_limit)
         if solution.status is SolveStatus.INFEASIBLE:
             raise LayoutInfeasibleError(
                 "the layout ILP is infeasible: the program cannot fit on "
@@ -898,12 +897,11 @@ class LayoutBuilder:
                 time_limit=time_limit,
                 backend=solution.backend,
             )
-        solution = self.resolve_sizes(solution, backend, time_limit)
-        solution = self.canonical_placement(solution, backend, time_limit)
+        solution = self.resolve_sizes(solution, time_limit)
+        solution = self.canonical_placement(solution, time_limit)
         return self._decode(solution, utility, utility_terms)
 
-    def search(self, backend: str = "auto",
-               time_limit: float | None = None) -> Solution:
+    def search(self, time_limit: float | None = None) -> Solution:
         """The start step, then the search when the start needs one.
 
         :meth:`start` gives the LP bound B and, mostly, a feasible
@@ -913,9 +911,9 @@ class LayoutBuilder:
         ``incumbent_source`` ``"lp-certified"``, no nodes, bound B.
         Otherwise the search runs seeded with the start (``"seeded"``),
         or plain when there is none (``""``). Every solve takes
-        ``backend`` and ``time_limit``; the seconds add up.
+        ``time_limit``; the seconds add up.
         """
-        lp, start = self.start(backend, time_limit)
+        lp, start = self.start(time_limit)
         if lp.status is SolveStatus.INFEASIBLE:
             return lp           # no fractional layout, so no integral one
         if start is not None:
@@ -928,8 +926,7 @@ class LayoutBuilder:
                     incumbent_source="lp-certified",
                     mip_dual_bound=bound, mip_gap=gap,
                 )
-        searched = solve(self.layout.model, backend=backend,
-                         time_limit=time_limit,
+        searched = solve(self.layout.model, time_limit=time_limit,
                          warm_start=None if start is None else start.values)
         return dataclasses.replace(
             searched,
@@ -937,7 +934,7 @@ class LayoutBuilder:
             incumbent_source="" if start is None else "seeded",
         )
 
-    def start(self, backend: str = "auto", time_limit: float | None = None
+    def start(self, time_limit: float | None = None
               ) -> tuple[Solution, Solution | None]:
         """``(LP relaxation, start)``: the relaxation's optimum, whose
         objective bounds the utility, and a feasible layout built from
@@ -956,11 +953,10 @@ class LayoutBuilder:
         """
         lm = self.layout
         relaxed = lm.model.relaxation()
-        lp = solve(relaxed, backend=backend, time_limit=time_limit)
+        lp = solve(relaxed, time_limit=time_limit)
         values, seconds = None, lp.solve_seconds
         if lp.status is SolveStatus.OPTIMAL:
-            values, seconds = self._start_point(relaxed, lp, backend,
-                                                time_limit)
+            values, seconds = self._start_point(relaxed, lp, time_limit)
         lp = dataclasses.replace(lp, solve_seconds=seconds)
         if values is None:
             return lp, None
@@ -971,8 +967,8 @@ class LayoutBuilder:
             backend=lp.backend,
         )
 
-    def _start_point(self, relaxed, lp: Solution, backend: str,
-                     time_limit: float | None) -> tuple[dict | None, float]:
+    def _start_point(self, relaxed, lp: Solution, time_limit: float | None
+                     ) -> tuple[dict | None, float]:
         """:meth:`start`'s layout from the relaxation's optimum ``lp``,
         or None; with the seconds of ``lp`` and of the solves here."""
         lm = self.layout
@@ -985,8 +981,7 @@ class LayoutBuilder:
                          for i in range(count))
         restricted = lp                     # no loop symbolic to fix
         if fixed:
-            restricted = solve(relaxed, backend=backend,
-                               time_limit=time_limit, fixed=fixed)
+            restricted = solve(relaxed, time_limit=time_limit, fixed=fixed)
             seconds += restricted.solve_seconds
             if restricted.status is not SolveStatus.OPTIMAL:
                 return None, seconds
@@ -998,8 +993,7 @@ class LayoutBuilder:
             for var in (*lm.size_vars.values(), *lm.free_sym_vars.values()))
         placement = copy.copy(lm.model)     # same rows, no objective
         placement.minimize(LinExpr())
-        placed = solve(placement, backend=backend, time_limit=time_limit,
-                       fixed=fixed)
+        placed = solve(placement, time_limit=time_limit, fixed=fixed)
         seconds += placed.solve_seconds
         if not placed.has_incumbent:
             return None, seconds
@@ -1022,7 +1016,6 @@ class LayoutBuilder:
     def resolve_sizes(
         self,
         solution: Solution,
-        backend: str = "auto",
         time_limit: float | None = None,
     ) -> Solution:
         """Re-solve the sizes to zero gap with the structure fixed.
@@ -1042,10 +1035,8 @@ class LayoutBuilder:
             var: solution.values[var]
             for var in (*lm.x.values(), *lm.it.values())
         }
-        polished = solve(
-            lm.model, backend=backend, time_limit=time_limit,
-            fixed=fixed, rel_gap=0.0,
-        )
+        polished = solve(lm.model, time_limit=time_limit, fixed=fixed,
+                         rel_gap=0.0)
         seconds = solution.solve_seconds + polished.solve_seconds
         if not polished.status.ok or polished.objective <= solution.objective:
             return dataclasses.replace(solution, solve_seconds=seconds)
@@ -1064,7 +1055,6 @@ class LayoutBuilder:
     def canonical_placement(
         self,
         solution: Solution,
-        backend: str = "auto",
         time_limit: float | None = None,
     ) -> Solution:
         """Pick one stage placement for ``solution``'s symbol values.
@@ -1094,10 +1084,8 @@ class LayoutBuilder:
         earliest.minimize(LinExpr({
             var: s * (1.0 + rank[nid] * tie) for (nid, s), var in lm.x.items()
         }))
-        placed = solve(
-            earliest, backend=backend, time_limit=time_limit,
-            fixed=fixed, rel_gap=0.0,
-        )
+        placed = solve(earliest, time_limit=time_limit, fixed=fixed,
+                       rel_gap=0.0)
         seconds = solution.solve_seconds + placed.solve_seconds
         if placed.status is not SolveStatus.OPTIMAL:
             return dataclasses.replace(solution, solve_seconds=seconds)

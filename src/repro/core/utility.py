@@ -137,7 +137,7 @@ def eval_utility_term(expr: ast.Expr, env: dict) -> float:
     """Numerically evaluate a utility term at concrete symbol values.
 
     Unlike :func:`~repro.lang.symbols.eval_static`, this supports the
-    ``min``/``max`` calls allowed in utilities, so the greedy backend
+    ``min``/``max`` calls allowed in utilities, so the greedy first fit
     (and per-module attribution) can score any objective the ILP can.
     ``env`` maps symbolic/const names to values.
     """

@@ -9,8 +9,8 @@
 * **Bound tightness** — how often the ILP uses fewer iterations than the
   unroll bound offered (§4.2's "coarse approximation" vs the "finer
   analysis via ILP").
-* **Solver backends** — HiGHS vs the built-in branch and bound on the
-  same models (objective must agree; time may not).
+* **Solvers** — HiGHS, the compiler's solver, vs the built-in branch
+  and bound on the same models (objective must agree; time may not).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from ..analysis import build_ir, compute_upper_bounds
 from ..analysis.unroll import UnrollOptions
 from ..core import CompileOptions, LayoutOptions, compile_source, greedy_layout
 from ..core.layout import LayoutBuilder
+from ..ilp.solver_bb import solve_branch_and_bound
 from ..lang import check_program, parse_program
 from ..lang.symbols import eval_static
 from ..pisa.resources import TargetSpec
@@ -83,13 +84,10 @@ def compare_greedy_vs_ilp(
     source: str,
     target: TargetSpec,
     name: str = "program",
-    backend: str = "auto",
 ) -> GreedyVsIlp:
     """Run both allocators on one program and compare achieved utility."""
     t0 = time.perf_counter()
-    compiled = compile_source(
-        source, target, options=CompileOptions(backend=backend), source_name=name
-    )
+    compiled = compile_source(source, target, source_name=name)
     ilp_seconds = time.perf_counter() - t0
 
     info = check_program(parse_program(source, name))
@@ -135,18 +133,14 @@ def compare_exclusion_handling(
     source: str,
     target: TargetSpec,
     name: str = "program",
-    backend: str = "auto",
 ) -> ExclusionAblation:
     """Compile with real exclusion edges vs the all-precedence prototype."""
     info = check_program(parse_program(source, name))
-    full = compile_source(
-        source, target, options=CompileOptions(backend=backend), source_name=name
-    )
+    full = compile_source(source, target, source_name=name)
     degraded = compile_source(
         source,
         target,
         options=CompileOptions(
-            backend=backend,
             layout=LayoutOptions(exclusion_as_precedence=True),
             unroll=UnrollOptions(exclusion_as_precedence=True),
         ),
@@ -187,15 +181,12 @@ def measure_bound_tightness(
     source: str,
     target: TargetSpec,
     name: str = "program",
-    backend: str = "auto",
 ) -> BoundTightness:
     """Unroll bound vs the iteration count the ILP actually kept."""
     info = check_program(parse_program(source, name))
     ir = build_ir(info, "Ingress")
     bounds = compute_upper_bounds(ir, target)
-    compiled = compile_source(
-        source, target, options=CompileOptions(backend=backend), source_name=name
-    )
+    compiled = compile_source(source, target, source_name=name)
     return BoundTightness(
         name=name,
         bounds=bounds.as_counts(),
@@ -207,7 +198,7 @@ def measure_bound_tightness(
 
 
 # ---------------------------------------------------------------------------
-# Solver backends
+# Solvers
 # ---------------------------------------------------------------------------
 
 
@@ -225,9 +216,9 @@ class SolverComparison:
 
     def format(self) -> str:
         parts = [
-            f"{backend}: obj {self.objectives[backend]:.2f} "
-            f"in {self.seconds[backend]:.3f}s"
-            for backend in self.objectives
+            f"{solver}: obj {self.objectives[solver]:.2f} "
+            f"in {self.seconds[solver]:.3f}s"
+            for solver in self.objectives
         ]
         status = "AGREE" if self.agree else "DISAGREE"
         return f"{self.name}: " + "; ".join(parts) + f" [{status}]"
@@ -237,23 +228,22 @@ def compare_solvers(
     source: str,
     target: TargetSpec,
     name: str = "program",
-    backends: tuple[str, ...] = ("scipy", "bb"),
     time_limit: float | None = 60.0,
 ) -> SolverComparison:
-    """Solve one program's layout ILP with each backend."""
+    """Lay one program out as the compiler does (HiGHS), then solve the
+    same layout ILP with the from-scratch branch and bound."""
     info = check_program(parse_program(source, name))
     ir = build_ir(info, "Ingress")
     bounds = compute_upper_bounds(ir, target)
-    out = SolverComparison(name=name)
     utility = info.program.optimize()
-    for backend in backends:
-        builder = LayoutBuilder(ir, bounds, target)
-        builder.build()
-        solution = builder.solve(
-            utility=utility.utility if utility else None,
-            backend=backend,
-            time_limit=time_limit,
-        )
-        out.objectives[backend] = solution.objective
-        out.seconds[backend] = solution.solve_seconds
+    builder = LayoutBuilder(ir, bounds, target)
+    builder.build()
+    out = SolverComparison(name=name)
+    for solution in (
+        builder.solve(utility=utility.utility if utility else None,
+                      time_limit=time_limit),
+        solve_branch_and_bound(builder.layout.model, time_limit=time_limit),
+    ):
+        out.objectives[solution.backend] = solution.objective
+        out.seconds[solution.backend] = solution.solve_seconds
     return out

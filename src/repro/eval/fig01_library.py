@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import CompileOptions, compile_source
+from ..core import compile_source
 from ..pisa.resources import TargetSpec, small_target, tofino
 from ..structures import LIBRARY_SOURCES
 from .tables import render_table
@@ -60,7 +60,6 @@ class LibraryDemo:
 def run_library_demo(
     small: TargetSpec | None = None,
     large: TargetSpec | None = None,
-    backend: str = "auto",
 ) -> LibraryDemo:
     """Compile each library module on a small and a large target."""
     # 6 stages: the 9-level hierarchical sketch needs ceil(9/F) = 5
@@ -69,14 +68,8 @@ def run_library_demo(
     large = large or tofino()
     demo = LibraryDemo()
     for name, source in LIBRARY_SOURCES.items():
-        compiled_small = compile_source(
-            source, small, options=CompileOptions(backend=backend),
-            source_name=name,
-        )
-        compiled_large = compile_source(
-            source, large, options=CompileOptions(backend=backend),
-            source_name=name,
-        )
+        compiled_small = compile_source(source, small, source_name=name)
+        compiled_large = compile_source(source, large, source_name=name)
         demo.rows.append(
             LibraryRow(
                 module=name,

@@ -61,7 +61,6 @@ def run_layout(
     kv_min_total_bits: int | None = NETCACHE_KV_FLOOR_BITS,
     max_cms_cols: int = 16384,
     target=None,
-    backend: str = "auto",
 ) -> LayoutFacts:
     """Compile NetCache and extract the Figure-7 facts.
 
@@ -75,12 +74,7 @@ def run_layout(
         kv_min_total_bits=kv_min_total_bits,
         max_cols=65536,
     ).replace("assume cms_cols <= 65536;", f"assume cms_cols <= {max_cms_cols};")
-    from ..core import CompileOptions
-
-    compiled = compile_source(
-        source, target, options=CompileOptions(backend=backend),
-        source_name="netcache",
-    )
+    compiled = compile_source(source, target, source_name="netcache")
     syms = compiled.symbol_values
     cms_stages = sorted({
         r.stage for r in compiled.registers if r.family == "cms_sketch"

@@ -23,7 +23,7 @@ from ..apps import (
     precision_source,
     sketchlearn_source,
 )
-from ..core import CompileOptions, compile_source
+from ..core import compile_source
 from ..pisa.resources import TargetSpec, tofino
 from .tables import render_table
 
@@ -87,7 +87,6 @@ class AppBenchmark:
 
 def run_app_benchmark(
     target: TargetSpec | None = None,
-    backend: str = "auto",
 ) -> AppBenchmark:
     """Compile all four applications and collect the Figure-11 columns."""
     target = target or tofino()
@@ -99,10 +98,8 @@ def run_app_benchmark(
     }
     bench = AppBenchmark()
     for name, source in sources.items():
-        compiled = compile_source(
-            source, target, options=CompileOptions(backend=backend),
-            source_name=name.lower(),
-        )
+        compiled = compile_source(source, target,
+                                  source_name=name.lower())
         bench.rows.append(
             AppRow(
                 name=name,

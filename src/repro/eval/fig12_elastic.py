@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..apps.netcache import NETCACHE_UTILITY, netcache_source
-from ..core import CompileOptions, compile_source
+from ..core import compile_source
 from ..pisa.resources import tofino
 from .tables import render_table
 
@@ -67,16 +67,13 @@ class ElasticitySweep:
         )
 
 
-def _compile_point(source: str, mbit: float, backend: str) -> ElasticityPoint:
+def _compile_point(source: str, mbit: float) -> ElasticityPoint:
     """Compile one memory cut. Module-level (and closure-free) so it can
     cross a process boundary: HiGHS holds the GIL while solving, so the
     parallel sweep needs processes, not threads."""
     bits = int(mbit * MEGABIT)
     target = dataclasses.replace(tofino(), memory_bits_per_stage=bits)
-    compiled = compile_source(
-        source, target, options=CompileOptions(backend=backend),
-        source_name="netcache",
-    )
+    compiled = compile_source(source, target, source_name="netcache")
     syms = compiled.symbol_values
     cms_bits = sum(
         r.size_bits for r in compiled.registers if r.family == "cms_sketch"
@@ -100,7 +97,6 @@ def run_memory_sweep(
     utility: str = NETCACHE_UTILITY,
     max_cms_cols: int = 16384,
     kv_min_total_bits: int | None = None,
-    backend: str = "auto",
     workers: int | None = None,
 ) -> ElasticitySweep:
     """Compile NetCache at several per-stage memory sizes.
@@ -130,11 +126,9 @@ def run_memory_sweep(
                     _compile_point,
                     [source] * len(memory_options_mbit),
                     memory_options_mbit,
-                    [backend] * len(memory_options_mbit),
                 ))
             return sweep
         except OSError:  # no process spawning (sandboxes, some CI)
             pass
-    sweep.points = [_compile_point(source, m, backend)
-                    for m in memory_options_mbit]
+    sweep.points = [_compile_point(source, m) for m in memory_options_mbit]
     return sweep

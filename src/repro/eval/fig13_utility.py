@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..apps.netcache import netcache_source
-from ..core import CompileOptions, compile_source
+from ..core import compile_source
 from ..pisa.resources import tofino
 from .fig07_layout import NETCACHE_KV_FLOOR_BITS
 from .tables import render_table
@@ -97,7 +97,6 @@ class UtilityComparison:
 def run_utility_comparison(
     kv_min_total_bits: int = NETCACHE_KV_FLOOR_BITS,
     max_cms_cols: int = 16384,
-    backend: str = "auto",
 ) -> UtilityComparison:
     """Compile NetCache under both Figure-13 utilities."""
     target = tofino()  # M = 1.75 Mb/stage by default
@@ -109,10 +108,7 @@ def run_utility_comparison(
         source = netcache_source(
             utility=utility, kv_min_total_bits=kv_min_total_bits
         ).replace("assume cms_cols <= 65536;", f"assume cms_cols <= {max_cms_cols};")
-        compiled = compile_source(
-            source, target, options=CompileOptions(backend=backend),
-            source_name="netcache",
-        )
+        compiled = compile_source(source, target, source_name="netcache")
         syms = compiled.symbol_values
         cms_bits = sum(
             r.size_bits for r in compiled.registers if r.family == "cms_sketch"

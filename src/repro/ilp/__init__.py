@@ -5,14 +5,16 @@ problem through this package. It provides:
 
 * :class:`Model`, :class:`Var`, :class:`LinExpr`, :class:`Constraint` —
   a small modeling layer (:mod:`repro.ilp.model`);
-* :func:`solve` — backend dispatch over scipy-HiGHS and a from-scratch
-  branch-and-bound solver (:mod:`repro.ilp.solver`).
+* :func:`solve` — HiGHS, the one solver a compile calls
+  (:mod:`repro.ilp.solver`);
+* :func:`~repro.ilp.solver_bb.solve_branch_and_bound` — a from-scratch
+  branch and bound, kept as the tests' independent reference.
 """
 
 from .lpwriter import model_to_lp, write_lp
 from .model import Constraint, LinExpr, Model, ModelError, Sense, Var, VarType
 from .solution import Solution, SolveStatus, SolverError
-from .solver import available_backends, solve
+from .solver import solve
 
 __all__ = [
     "model_to_lp",
@@ -27,6 +29,5 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "SolverError",
-    "available_backends",
     "solve",
 ]

@@ -265,7 +265,7 @@ class Model:
     """A mixed-integer linear program.
 
     Holds variables, constraints and an objective. Solving is delegated to
-    the backends in :mod:`repro.ilp.solver`.
+    :func:`repro.ilp.solver.solve`.
     """
 
     _next_model_id = 0

@@ -8,11 +8,12 @@ Implements classic LP-relaxation branch and bound:
 * a best-bound node order with incumbent pruning keeps the tree small;
 * a rounding heuristic seeds the incumbent early.
 
-This is not meant to beat HiGHS's own MILP engine — it exists as an
-independent exact solver so the layout ILPs can be cross-checked
-(``tests/ilp/test_cross_check.py``) and so the system has no single
-proprietary-ish dependency in its critical path, mirroring how the paper's
-design is solver-agnostic even though its prototype called Gurobi.
+This is not meant to beat HiGHS's own MILP engine, and no compile calls
+it: it exists as an independent exact solver that HiGHS is
+cross-checked against, on small models (``tests/ilp/test_cross_check.py``)
+and on whole compiles with it put in the place of HiGHS — optimal
+objective values are solver-independent, as the paper's design is even
+though its prototype called Gurobi.
 """
 
 from __future__ import annotations

@@ -25,11 +25,11 @@ Instrumentation sites just do::
 
     from ..obs import trace, metrics
 
-    with trace.span("ilp.solve", backend=backend) as sp:
+    with trace.span("ilp.solve", variables=n) as sp:
         solution = ...
         sp.set_attr("status", solution.status.value)
     metrics.counter("p4all_ilp_solves_total", labels=("backend",)) \\
-        .inc(backend=backend)
+        .inc(backend=solution.backend)
 
 This package imports nothing from the rest of :mod:`repro`, so every
 layer (lang → core → ilp → pisa → runtime) may depend on it without

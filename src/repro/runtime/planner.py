@@ -8,12 +8,12 @@ compile driver:
 1. solve the layout ILP under ``CompileOptions.time_limit``;
 2. on a structured :class:`~repro.core.errors.LayoutTimeoutError`
    (time limit expired with no incumbent) or an incumbent that placed
-   nothing, retry with the limit scaled by :data:`BACKOFF` — up to
-   ``max_retries`` times, and only when there is a limit to scale: the
-   same compile again gives the same answer;
-3. still without a layout, degrade to the greedy first fit (the same
-   compile with ``backend="greedy"``) — feasible and validated, just not
-   utility-optimal;
+   nothing, retry once with the limit scaled by :data:`BACKOFF` — only
+   when there is a limit to scale: the same compile again gives the
+   same answer;
+3. still without a layout, degrade to the greedy first fit
+   (``compile_source_greedy``/``compile_linked_greedy``) — feasible and
+   validated, just not utility-optimal;
 4. only a genuinely infeasible program (no layout exists at any size)
    or a greedy failure surfaces as :class:`PlanError`, and the caller
    keeps the old pipeline running.
@@ -41,7 +41,9 @@ from ..core import (
     LayoutInfeasibleError,
     LayoutTimeoutError,
     compile_linked,
+    compile_linked_greedy,
     compile_source,
+    compile_source_greedy,
     module_attribution,
 )
 from ..core.cache import CompileCache
@@ -53,7 +55,7 @@ from .telemetry import TelemetryBus
 
 __all__ = ["ReconfigPlanner", "PlanResult", "PlanError"]
 
-#: what a retry multiplies the ILP time limit by
+#: what the one retry multiplies the ILP time limit by
 BACKOFF = 4.0
 
 
@@ -93,28 +95,27 @@ class ReconfigPlanner:
         self,
         options: CompileOptions | None = None,
         telemetry: TelemetryBus | None = None,
-        max_retries: int = 1,
         cache: CompileCache | None = None,
     ):
         self.options = options or CompileOptions()
         # Explicit None-check: an empty TelemetryBus is falsy (len 0).
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
-        self.max_retries = max_retries
         #: Shared across every compile this planner issues. Pass
         #: ``CompileCache(max_layouts=0)`` to keep front-end reuse but
         #: force every layout to be re-solved.
         self.cache = cache if cache is not None else CompileCache()
 
-    def _compile(self, source, target, backend: str,
-                 time_limit: float | None) -> CompiledProgram:
+    def _compile(self, source, target, time_limit: float | None,
+                 greedy: bool = False) -> CompiledProgram:
         """``source`` is a P4All string or a LinkedProgram; this is the
         only place that cares."""
-        options = self.options.replace(
-            backend=backend, time_limit=time_limit, cache=self.cache)
+        options = self.options.replace(time_limit=time_limit,
+                                       cache=self.cache)
         if isinstance(source, str):
-            return compile_source(source, target, options,
-                                  source_name="runtime")
-        return compile_linked(source, target, options)
+            compile_ = compile_source_greedy if greedy else compile_source
+            return compile_(source, target, options, source_name="runtime")
+        compile_ = compile_linked_greedy if greedy else compile_linked
+        return compile_(source, target, options)
 
     def _solver_stats(self, compiled: CompiledProgram) -> dict:
         sol = compiled.solution
@@ -184,51 +185,49 @@ class ReconfigPlanner:
             self.telemetry.emit("compile_attempt", cause=cause, **record)
 
         time_limit = self.options.time_limit
-        want_ilp = self.options.backend != "greedy"
-        if want_ilp:
-            for _ in range(self.max_retries + 1):
-                ilp = (self.options.backend, time_limit)
-                t0 = time.perf_counter()
-                try:
-                    compiled = self._compile(source, target, *ilp)
-                except LayoutTimeoutError as exc:
-                    end(*ilp, "timeout", backend_used=exc.backend)
-                except LayoutInfeasibleError as exc:
-                    # Infeasible is a property of the program+target, not
-                    # of solver effort: greedy cannot succeed either.
-                    end(*ilp, "infeasible")
-                    raise PlanError(
-                        f"program does not fit target {target.name!r}: {exc}"
-                    ) from exc
-                else:
-                    if compiled.units:
-                        end(*ilp, "ok",
-                            status=compiled.solution.status.value,
-                            symbols=dict(compiled.symbol_values),
-                            nodes_explored=compiled.solution.nodes_explored,
-                            incumbent_source=compiled.solution.incumbent_source,
-                            layout_cached=compiled.stats.layout_cached)
-                        return PlanResult(compiled=compiled, backend="ilp",
-                                          fallback=False, attempts=attempts)
-                    # An incumbent that placed nothing is no better than
-                    # a timeout.
-                    end(*ilp, "degenerate-incumbent")
-                if time_limit is None:
-                    break
-                time_limit *= BACKOFF
-            self.telemetry.emit(
-                "ilp_fallback", cause=cause,
-                attempts=len(attempts),
-                final_time_limit=time_limit,
-            )
+        for _ in range(2):              # the first attempt and one retry
+            ilp = ("ilp", time_limit)
+            t0 = time.perf_counter()
+            try:
+                compiled = self._compile(source, target, time_limit)
+            except LayoutTimeoutError as exc:
+                end(*ilp, "timeout", backend_used=exc.backend)
+            except LayoutInfeasibleError as exc:
+                # Infeasible is a property of the program+target, not
+                # of solver effort: greedy cannot succeed either.
+                end(*ilp, "infeasible")
+                raise PlanError(
+                    f"program does not fit target {target.name!r}: {exc}"
+                ) from exc
+            else:
+                if compiled.units:
+                    end(*ilp, "ok",
+                        status=compiled.solution.status.value,
+                        symbols=dict(compiled.symbol_values),
+                        nodes_explored=compiled.solution.nodes_explored,
+                        incumbent_source=compiled.solution.incumbent_source,
+                        layout_cached=compiled.stats.layout_cached)
+                    return PlanResult(compiled=compiled, backend="ilp",
+                                      fallback=False, attempts=attempts)
+                # An incumbent that placed nothing is no better than a
+                # timeout.
+                end(*ilp, "degenerate-incumbent")
+            if time_limit is None:
+                break
+            time_limit *= BACKOFF
+        self.telemetry.emit(
+            "ilp_fallback", cause=cause,
+            attempts=len(attempts),
+            final_time_limit=time_limit,
+        )
 
         t0 = time.perf_counter()
         try:
-            compiled = self._compile(source, target, "greedy", None)
+            compiled = self._compile(source, target, None, greedy=True)
         except CompileError as exc:
             end("greedy", None, "error", error=str(exc))
             raise PlanError(f"greedy fallback failed: {exc}") from exc
         end("greedy", None, "ok", status=compiled.solution.status.value,
             symbols=dict(compiled.symbol_values))
         return PlanResult(compiled=compiled, backend="greedy",
-                          fallback=want_ilp, attempts=attempts)
+                          fallback=True, attempts=attempts)

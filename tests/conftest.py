@@ -7,6 +7,8 @@ are per-test, since pipelines hold mutable register state).
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.core import CompiledProgram, compile_source
@@ -51,3 +53,30 @@ def compiled_cms(small8) -> CompiledProgram:
 def cms_pipeline(compiled_cms) -> Pipeline:
     """A fresh pipeline (clean registers) per test."""
     return Pipeline(compiled_cms)
+
+
+@contextlib.contextmanager
+def bb_solves():
+    """Inside the block every ``ilp.solve`` runs the from-scratch branch
+    and bound instead of HiGHS: the one solve seam, swapped, so whole
+    compiles can be cross-checked against the independent solver. The
+    branch and bound always searches to zero gap (``rel_gap`` is
+    dropped)."""
+    from repro.ilp import solver
+    from repro.ilp.solver_bb import solve_branch_and_bound
+
+    def bb(model, time_limit=None, warm_start=None, fixed=None,
+           rel_gap=None):
+        return solve_branch_and_bound(model, time_limit=time_limit,
+                                      warm_start=warm_start, fixed=fixed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "solve_scipy", bb)
+        yield
+
+
+@pytest.fixture()
+def bb_solver():
+    """The whole test solves with the branch and bound (:func:`bb_solves`)."""
+    with bb_solves():
+        yield

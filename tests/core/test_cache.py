@@ -35,7 +35,7 @@ def target():
 def _compile(source, target, cache, **opts):
     return compile_source(
         source, target,
-        options=CompileOptions(backend="scipy", cache=cache, **opts),
+        options=CompileOptions(cache=cache, **opts),
         source_name="cms",
     )
 

@@ -13,6 +13,8 @@ from repro.core.errors import CompileError
 from repro.pisa.resources import small_target
 from repro.structures import CMS_SOURCE
 
+from ..conftest import bb_solves
+
 
 class TestDriver:
     def test_stats_populated(self, compiled_cms):
@@ -52,9 +54,9 @@ class TestDriver:
     def test_bb_backend_agrees_with_scipy(self):
         target = small_target(stages=4, memory_kb=4)
         a = compile_source(CMS_SOURCE, target)
-        b = compile_source(
-            CMS_SOURCE, target, options=CompileOptions(backend="bb")
-        )
+        with bb_solves():
+            b = compile_source(CMS_SOURCE, target)
+        assert (a.solution.backend, b.solution.backend) == ("scipy-highs", "bb")
         assert a.solution.objective == pytest.approx(
             b.solution.objective, rel=1e-4
         )

@@ -9,6 +9,7 @@ tests show objective equality does not hang on where HiGHS stops inside
 its 1e-4 gap.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -20,7 +21,6 @@ from repro.analysis import build_ir, compute_upper_bounds
 from repro.apps import netcache_source
 from repro.core import (
     CompileError,
-    CompileOptions,
     LayoutInfeasibleError,
     compile_source,
     compile_source_greedy,
@@ -33,6 +33,8 @@ from repro.lang import check_program, parse_program
 from repro.pisa import tofino
 from repro.pisa.resources import TargetSpec, small_target
 from repro.structures import BLOOM_SOURCE, CMS_SOURCE
+
+from ..conftest import bb_solves
 
 
 def t6(memory_kb: int = 64):
@@ -292,6 +294,7 @@ class TestResolveSizes:
 
     @pytest.mark.parametrize("backend", ["scipy", "bb"])
     def test_repairs_a_two_short_incumbent(self, backend):
+        solver = bb_solves if backend == "bb" else contextlib.nullcontext
         builder, program = build(netcache_source(), t6())
         utility = program.optimize().utility
         best = builder.solve(utility=utility)
@@ -301,7 +304,8 @@ class TestResolveSizes:
         loss = 0.6 * best.symbol_values["kv_rows"] * 2
         assert builder._decode(short, utility).objective == pytest.approx(
             best.objective - loss, rel=1e-12)
-        repaired = builder.resolve_sizes(short, backend=backend)
+        with solver():
+            repaired = builder.resolve_sizes(short)
         assert repaired.objective == pytest.approx(short.objective + loss,
                                                    rel=1e-9)
         decoded = builder._decode(repaired, utility)
@@ -390,15 +394,15 @@ class TestBackendsAgree:
     def test_highs_equals_branch_and_bound_and_greedy_is_no_better(
             self, target, source):
         try:
-            highs = compile_source(source, target,
-                                   CompileOptions(backend="scipy"))
+            highs = compile_source(source, target)
         except LayoutInfeasibleError:
-            with pytest.raises(LayoutInfeasibleError):
-                compile_source(source, target, CompileOptions(backend="bb"))
+            with pytest.raises(LayoutInfeasibleError), bb_solves():
+                compile_source(source, target)
             with pytest.raises(CompileError):
                 compile_source_greedy(source, target)
             return
-        bb = compile_source(source, target, CompileOptions(backend="bb"))
+        with bb_solves():
+            bb = compile_source(source, target)
         assert highs.solution.ok and bb.solution.ok
         assert bb.solution.objective == highs.solution.objective
         try:

@@ -2,13 +2,16 @@
 
 ``_compile`` replaced four bodies (source/linked × ILP/greedy) over two
 front ends with a cached and an uncached arm each. Whatever the input,
-the layout arm and the cache state, the artifact must be the same and
-the stats must say which tiers answered.
+the layout step and the cache state, the artifact must be the same and
+the stats must say which tiers answered. The ILP is the only layout a
+``CompileOptions`` can ask for; greedy is reached by name
+(``compile_*_greedy``) and never touches the layout tier.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -34,8 +37,10 @@ from repro.core import (
     greedy_layout,
     validate_layout,
 )
+from repro.ilp import solver
 from repro.lang import check_program, parse_program
 from repro.pisa import small_target, tofino
+from repro.runtime import ReconfigPlanner
 from repro.structures import CMS_SOURCE
 
 from .test_layout_encoding import t6
@@ -46,6 +51,8 @@ INPUTS = {
     "netcache-linked": lambda: (
         compile_linked, netcache_linked(with_routing=False), t6()),
 }
+GREEDY = {compile_source: compile_source_greedy,
+          compile_linked: compile_linked_greedy}
 
 
 def same_artifact(a, b) -> None:
@@ -57,28 +64,35 @@ def same_artifact(a, b) -> None:
     assert a.registers == b.registers
 
 
-@pytest.mark.parametrize("backend", ["auto", "greedy"])
+@pytest.mark.parametrize("greedy", [False, True], ids=["auto", "greedy"])
 @pytest.mark.parametrize("name", INPUTS)
-def test_same_artifact_whatever_the_cache_state(name, backend):
+def test_same_artifact_whatever_the_cache_state(name, greedy):
     compile_, program, target = INPUTS[name]()
+    if greedy:
+        compile_ = GREEDY[compile_]
     linked = name == "netcache-linked"
-    plain = compile_(program, target, CompileOptions(backend=backend))
+    plain = compile_(program, target, CompileOptions())
     cache = CompileCache()
-    options = CompileOptions(backend=backend, cache=cache)
+    options = CompileOptions(cache=cache)
     cold = compile_(program, target, options)
     warm = compile_(program, target, options)
     for other in (cold, warm):
         same_artifact(plain, other)
         assert (other.verify is not None) == linked
     assert plain.solution.backend == cold.solution.backend
-    assert (backend == "greedy") == (plain.solution.backend == "greedy")
+    assert greedy == (plain.solution.backend == "greedy")
 
     flags = lambda c: (c.stats.frontend_cached, c.stats.bounds_cached,   # noqa: E731
                        c.stats.layout_cached, c.stats.verify_cached)
     assert flags(plain) == flags(cold) == (False, False, False, False)
-    assert flags(warm) == (False, False, True, linked)
-    assert warm.units is cold.units             # the artifact is shared
-    assert cache.stats.layout_hits == 1 and cache.stats.layout_misses == 1
+    if greedy:
+        # The first fit shares the front end but never the layout tier.
+        assert flags(warm) == (True, True, False, linked)
+        assert cache.stats.layout_hits == cache.stats.layout_misses == 0
+    else:
+        assert flags(warm) == (False, False, True, linked)
+        assert warm.units is cold.units             # the artifact is shared
+        assert cache.stats.layout_hits == 1 and cache.stats.layout_misses == 1
 
     # A front-end miss splits its time like an uncached compile does.
     for stats in (plain.stats, cold.stats):
@@ -88,41 +102,46 @@ def test_same_artifact_whatever_the_cache_state(name, backend):
             stats.parse_seconds + stats.ir_seconds + stats.bounds_seconds
             + stats.ilp_build_seconds + stats.ilp_solve_seconds
             + stats.codegen_seconds + stats.verify_seconds)
-    assert warm.stats.lookup_seconds > 0 and warm.stats.parse_seconds == 0
+    if not greedy:
+        assert warm.stats.lookup_seconds > 0 and warm.stats.parse_seconds == 0
 
     # A new target: front-end hit (the lookup, no IR time), layout miss
-    # — whichever layout arm runs behind it.
+    # — whichever layout step runs behind it.
     longer = dataclasses.replace(target, stages=target.stages + 1)
-    moved = compile_(program, longer, options.replace(backend="greedy"))
+    moved = GREEDY.get(compile_, compile_)(program, longer, options)
     assert flags(moved)[:3] == (True, False, False)
     assert moved.stats.parse_seconds > 0 and moved.stats.ir_seconds == 0
 
 
-def test_greedy_has_its_own_layout_entry():
+def test_greedy_never_touches_the_layout_tier():
+    # The layout tier's key names no solver: a first fit stored there
+    # would answer the ILP compile of the same source and target.
     cache = CompileCache()
     target = small_target(stages=6, memory_kb=32)
-    auto = CompileOptions(cache=cache)
-    greedy = CompileOptions(backend="greedy", cache=cache)
-    optimum = compile_source(CMS_SOURCE, target, auto)
-    first = compile_source(CMS_SOURCE, target, greedy)
-    assert not first.stats.layout_cached and first.stats.frontend_cached
-    again = compile_source_greedy(CMS_SOURCE, target, auto)   # same key
-    assert again.stats.layout_cached and again.units is first.units
-    assert again.solution.backend == "greedy"
-    kept = compile_source(CMS_SOURCE, target, auto)
+    options = CompileOptions(cache=cache)
+    first = compile_source_greedy(CMS_SOURCE, target, options)
+    assert not first.stats.layout_cached and not first.stats.frontend_cached
+    optimum = compile_source(CMS_SOURCE, target, options)
+    assert optimum.stats.frontend_cached and not optimum.stats.layout_cached
+    assert optimum.solution.backend == "scipy-highs"
+    again = compile_source_greedy(CMS_SOURCE, target, options)
+    assert not again.stats.layout_cached and again.solution.backend == "greedy"
+    kept = compile_source(CMS_SOURCE, target, options)
     assert kept.stats.layout_cached and kept.units is optimum.units
-    assert cache.snapshot()["layout_entries"] == 2
+    assert cache.snapshot()["layout_entries"] == 1
 
 
-def test_greedy_entry_points_are_the_backend_option():
-    target = small_target(stages=6, memory_kb=32)
-    same_artifact(
-        compile_source(CMS_SOURCE, target, CompileOptions(backend="greedy")),
-        compile_source_greedy(CMS_SOURCE, target))
-    linked = netcache_linked(with_routing=False)
-    same_artifact(
-        compile_linked(linked, t6(), CompileOptions(backend="greedy")),
-        compile_linked_greedy(linked, t6()))
+def test_solver_knobs_are_gone():
+    # One solver, HiGHS, behind one seam; greedy is called by name.
+    with pytest.raises(TypeError):
+        CompileOptions(backend="greedy")
+    with pytest.raises(TypeError):
+        ReconfigPlanner(max_retries=2)
+    assert not hasattr(solver, "available_backends")
+    for fn in (solver.solve, LayoutBuilder.solve, LayoutBuilder.search,
+               LayoutBuilder.start, LayoutBuilder._start_point,
+               LayoutBuilder.resolve_sizes, LayoutBuilder.canonical_placement):
+        assert "backend" not in inspect.signature(fn).parameters, fn
 
 
 # -- greedy and the ILP agree on what a layout is -------------------------------

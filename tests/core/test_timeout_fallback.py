@@ -1,10 +1,10 @@
-"""Structured solver-timeout surfacing and the greedy compile backend.
+"""Structured solver-timeout surfacing and the greedy compile.
 
 A solver time-limit expiry used to "succeed" with every symbol at zero —
 a silently unconfigured pipeline. Now: no incumbent at the limit raises
 a structured :class:`LayoutTimeoutError`; an incumbent is kept and
-tagged ``SolveStatus.TIMEOUT``; and ``backend="greedy"`` compiles
-through the first-fit heuristic without the ILP at all.
+tagged ``SolveStatus.TIMEOUT``; and ``compile_source_greedy``
+compiles through the first-fit heuristic without the ILP at all.
 """
 
 import pytest
@@ -55,12 +55,6 @@ class TestGreedyBackend:
         assert compiled.units
         assert compiled.symbol_values["cms_rows"] >= 1
         validate_layout(compiled)
-
-    def test_backend_option_routes_to_greedy(self, small8):
-        compiled = compile_source(
-            CMS_SOURCE, small8, options=CompileOptions(backend="greedy")
-        )
-        assert compiled.solution.backend == "greedy"
 
     def test_greedy_artifact_executes(self, small8):
         compiled = compile_source_greedy(CMS_SOURCE, small8)

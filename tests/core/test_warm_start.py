@@ -10,8 +10,11 @@ work to reach it. Objectives are compared with slack far below any real
 utility step (>= 0.4 here) but above the ~1e-4 noise the LP relaxation
 carries at these objective scales.
 
-The app set is the library modules the from-scratch ``bb`` backend
-solves in under a second on the small 8-stage target.
+The tests run the from-scratch branch and bound in HiGHS's place
+(the ``bb_solver`` fixture swaps it in at ``ilp.solve``), except the
+one that checks HiGHS takes the seed. The app set is the library
+modules the branch and bound solves in under a second on the small
+8-stage target.
 """
 
 from __future__ import annotations
@@ -36,16 +39,16 @@ def target():
     return small_target(stages=8, memory_kb=64)
 
 
-def _cold(name, target, backend="bb"):
+def _cold(name, target):
     """``(builder, utility, cold LayoutSolution)`` of a library app."""
     program = parse_program(LIBRARY_SOURCES[name], name)
     ir = build_ir(check_program(program), "Ingress")
     builder = LayoutBuilder(ir, compute_upper_bounds(ir, target), target)
     utility = program.optimize().utility
-    return builder, utility, builder.solve(utility=utility, backend=backend)
+    return builder, utility, builder.solve(utility=utility)
 
 
-def _seeded(builder, utility, seed, backend="bb"):
+def _seeded(builder, utility, seed):
     """Re-solve ``builder``'s model with ``seed`` (a LayoutSolution,
     possibly of another model) as the incumbent; ``(decoded, seeded)``."""
     values = builder.encode_assignment(
@@ -53,11 +56,15 @@ def _seeded(builder, utility, seed, backend="bb"):
         seed.iteration_active)
     model = builder.layout.model
     seeded = values is not None and model.is_feasible(values, tol=1e-6)
-    raw = solve(model, backend=backend, warm_start=values)
-    return builder._decode(builder.resolve_sizes(raw, backend), utility), seeded
+    raw = solve(model, warm_start=values)
+    return builder._decode(builder.resolve_sizes(raw), utility), seeded
+
+
+bb = pytest.mark.usefixtures("bb_solver")
 
 
 class TestWarmStartDifferential:
+    @bb
     @pytest.mark.parametrize("name", BB_APPS)
     def test_same_answer_as_cold(self, name, target):
         builder, utility, cold = _cold(name, target)
@@ -69,6 +76,7 @@ class TestWarmStartDifferential:
         # beat it, so warm never explores more than cold.
         assert warm.nodes_explored <= cold.nodes_explored
 
+    @bb
     def test_incumbent_provenance(self, target):
         # A compile reports the path its layout took: CMS's start is
         # within 1e-4 of the LP bound, so no search ran. A raw solve
@@ -79,6 +87,7 @@ class TestWarmStartDifferential:
         assert cold.incumbent_source == "lp-certified"
         assert cold.nodes_explored == 0
 
+    @bb
     def test_warm_start_across_target_change(self, target):
         # The elastic-runtime case: the layout before a memory cut seeds
         # the re-solve after it. The old sizes exceed the new bounds; the
@@ -92,6 +101,7 @@ class TestWarmStartDifferential:
         assert warm_cut.symbol_values == cold_cut.symbol_values
         assert warm_cut.objective == pytest.approx(cold_cut.objective, abs=1e-3)
 
+    @bb
     def test_foreign_solution_ignored(self, target):
         # A layout of a different program is not a point of this model:
         # the encoder or the feasibility gate declines it and the search
@@ -107,8 +117,8 @@ class TestWarmStartDifferential:
     def test_scipy_seeded_same_answer(self, target):
         # HiGHS takes the seed as its first incumbent and searches on to
         # the cold answer; it keeps no provenance of its own.
-        builder, utility, cold = _cold("cms", target, backend="scipy")
-        warm, seeded = _seeded(builder, utility, cold, backend="scipy")
+        builder, utility, cold = _cold("cms", target)
+        warm, seeded = _seeded(builder, utility, cold)
         assert seeded
         assert warm.symbol_values == cold.symbol_values
         assert warm.objective == cold.objective

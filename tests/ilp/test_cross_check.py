@@ -1,9 +1,11 @@
-"""Property test: both exact solvers agree on random small MILPs."""
+"""Property test: both exact solvers (HiGHS through ``ilp.solve``, the
+branch and bound by name) agree on random small MILPs."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ilp import LinExpr, Model, SolveStatus, VarType, solve
+from repro.ilp.solver_bb import solve_branch_and_bound
 
 
 @st.composite
@@ -32,8 +34,8 @@ class TestSolverAgreement:
     @settings(max_examples=40, deadline=None)
     @given(random_milp())
     def test_backends_agree_on_objective(self, model):
-        a = solve(model, backend="scipy")
-        b = solve(model, backend="bb")
+        a = solve(model)
+        b = solve_branch_and_bound(model)
         assert a.status == b.status
         if a.status is SolveStatus.OPTIMAL:
             assert a.objective == pytest.approx(b.objective, abs=1e-5)

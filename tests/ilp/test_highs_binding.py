@@ -223,7 +223,7 @@ def test_missing_binding_fails_loudly(monkeypatch):
         with pytest.raises(SolverError, match=r"scipy >= 1\.17"):
             highs_core()
         with pytest.raises(SolverError, match=r"scipy >= 1\.17"):
-            solve(Model(), backend="scipy")
+            solve(Model())
     finally:
         highs_core.cache_clear()
 
@@ -254,10 +254,10 @@ class TestSameAsMilp:
             built.append(builder.layout)
             return build(builder)
 
-        def differential(model, backend="auto", time_limit=None,
-                         warm_start=None, fixed=None, rel_gap=None):
-            got = solve(model, backend=backend, time_limit=time_limit,
-                        warm_start=warm_start, fixed=fixed, rel_gap=rel_gap)
+        def differential(model, time_limit=None, warm_start=None,
+                         fixed=None, rel_gap=None):
+            got = solve(model, time_limit=time_limit, warm_start=warm_start,
+                        fixed=fixed, rel_gap=rel_gap)
             want = solve_with_milp(model, time_limit=time_limit, fixed=fixed,
                                    rel_gap=rel_gap)
             calls.append((warm_start is not None, got, want))

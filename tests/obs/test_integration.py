@@ -9,7 +9,7 @@ import dataclasses
 import json
 
 from repro import obs
-from repro.core import CompileOptions, compile_source
+from repro.core import CompileOptions, compile_source, compile_source_greedy
 from repro.obs import chrome_trace, validate_chrome_trace
 from repro.obs.view import render, snapshot
 from repro.pisa.resources import small_target
@@ -87,8 +87,7 @@ class TestTracedCompile:
 
     def test_disabled_tracer_records_nothing(self):
         assert not obs.trace.enabled
-        compile_source(SOURCE, small_target(stages=3),
-                       CompileOptions(backend="greedy"))
+        compile_source_greedy(SOURCE, small_target(stages=3))
         assert len(obs.trace) == 0
 
     def test_cached_recompile_marks_span(self):
@@ -169,7 +168,6 @@ class TestCli:
         metrics_path = tmp_path / "metrics.prom"
         rc = main([
             "compile", str(prog), "--target", "small",
-            "--backend", "greedy",
             "--trace", str(trace_path), "--metrics", str(metrics_path),
             "-o", str(tmp_path / "out.p4"),
         ])
@@ -191,7 +189,6 @@ class TestCli:
         metrics_path = tmp_path / "metrics.prom"
         assert main([
             "compile", str(prog), "--target", "small",
-            "--backend", "greedy",
             "--trace", str(trace_path), "--metrics", str(metrics_path),
             "-o", str(tmp_path / "out.p4"),
         ]) == 0

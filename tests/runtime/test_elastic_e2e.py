@@ -188,7 +188,6 @@ class TestTimeoutFallbackAtRuntime:
         planner = ReconfigPlanner(
             options=CompileOptions(time_limit=1e-4),
             telemetry=bus,
-            max_retries=1,
         )
         runtime = ElasticRuntime(
             mini64,

@@ -1,4 +1,8 @@
-"""Reconfiguration planner: retry, backoff, fallback, telemetry."""
+"""Reconfiguration planner: retry, backoff, fallback, telemetry.
+
+The planner retries a timed-out ILP once, at ``BACKOFF``× the limit,
+then falls back to ``compile_*_greedy``; there is no retry count or
+solver to configure."""
 
 import pytest
 
@@ -32,7 +36,6 @@ class TestTimeoutFallback:
         planner = ReconfigPlanner(
             options=CompileOptions(time_limit=1e-4),
             telemetry=bus,
-            max_retries=1,
         )
         result = planner.plan(RUNTIME_SOURCE, mini64, cause="target-change")
         assert result.backend == "greedy"
@@ -53,45 +56,50 @@ class TestTimeoutFallback:
         assert fallbacks[0].data["attempts"] == 2
 
     def test_backoff_scales_time_limit(self, mini64):
-        # Timeout without an incumbent: retry at 4x, then fall back.
+        # Timeout without an incumbent: one retry at 4x, then fall back.
         bus = TelemetryBus()
         planner = ReconfigPlanner(
             options=CompileOptions(time_limit=1e-4),
             telemetry=bus,
-            max_retries=2,
         )
         result = planner.plan(RUNTIME_SOURCE, mini64)
         ilp_attempts = [a for a in result.attempts if a["backend"] != "greedy"]
+        assert {a["backend"] for a in ilp_attempts} == {"ilp"}
         limits = [a["time_limit"] for a in ilp_attempts]
-        assert limits == [pytest.approx(1e-4), pytest.approx(4e-4),
-                          pytest.approx(1.6e-3)]
+        assert limits == [pytest.approx(1e-4), pytest.approx(4e-4)]
         assert result.fallback and result.backend == "greedy"
         fallback = bus.last_of("ilp_fallback")
-        assert fallback.data["final_time_limit"] == pytest.approx(6.4e-3)
+        assert fallback.data["final_time_limit"] == pytest.approx(1.6e-3)
+
+    def test_fallback_is_not_served_as_a_cached_ilp_plan(self, mini64):
+        # The layout tier's key names no solver, so the greedy fallback
+        # stays out of it: a re-plan of the same source, target and
+        # limit runs the ILP again instead of taking the first fit as
+        # an "ok" ILP layout.
+        planner = ReconfigPlanner(options=CompileOptions(time_limit=1e-4))
+        first = planner.plan(RUNTIME_SOURCE, mini64)
+        again = planner.plan(RUNTIME_SOURCE, mini64)
+        for result in (first, again):
+            assert result.backend == "greedy" and result.fallback
+            assert [a["outcome"] for a in result.attempts] == [
+                "timeout", "timeout", "ok"]
+        assert not again.compiled.stats.layout_cached
+        assert again.compiled.stats.frontend_cached
+        assert planner.cache.stats.layout_hits == 0
+        assert planner.cache.snapshot()["layout_entries"] == 0
 
     def test_unusable_incumbent_without_a_limit_is_not_retried(self):
         # The optimum of ``optimize 0 - n`` places nothing. With no time
         # limit there is nothing to scale, and the same compile again
         # gives the same answer: one ILP attempt, then greedy.
         bus = TelemetryBus()
-        planner = ReconfigPlanner(telemetry=bus, max_retries=3)
+        planner = ReconfigPlanner(telemetry=bus)
         result = planner.plan(ZERO_ITERATIONS, small_target(stages=4))
         assert [(a["backend"], a["outcome"]) for a in result.attempts] == [
-            ("auto", "degenerate-incumbent"), ("greedy", "ok")]
+            ("ilp", "degenerate-incumbent"), ("greedy", "ok")]
         assert result.fallback and result.compiled.units
         assert bus.last_of("ilp_fallback").data["attempts"] == 1
         assert planner.cache.stats.layout_hits == 0
-
-    def test_greedy_backend_skips_ilp(self, mini64):
-        bus = TelemetryBus()
-        planner = ReconfigPlanner(
-            options=CompileOptions(backend="greedy"), telemetry=bus
-        )
-        result = planner.plan(RUNTIME_SOURCE, mini64)
-        assert result.backend == "greedy"
-        assert not result.fallback            # greedy was requested, not forced
-        assert len(result.attempts) == 1
-        assert not bus.events_of("ilp_fallback")
 
 
 class TestInfeasible:
@@ -110,13 +118,15 @@ class TestInfeasible:
     def test_assume_the_greedy_layout_breaks_is_a_plan_error(self):
         # 2 stateful ALUs a stage: first fit drops the key-value store,
         # against ``assume kv_rows >= 1``. What used to be installed as
-        # a cache-less "fallback" is now a failed plan.
+        # a cache-less "fallback" is now a failed plan. The first fit is
+        # reached the way the runtime reaches it, through forced timeouts.
         bus = TelemetryBus()
         planner = ReconfigPlanner(
-            options=CompileOptions(backend="greedy"), telemetry=bus)
+            options=CompileOptions(time_limit=1e-4), telemetry=bus)
         with pytest.raises(PlanError, match="assume kv_rows >= 1"):
             planner.plan(RUNTIME_SOURCE, small_target(stages=8, memory_kb=64))
         assert bus.last_of("compile_attempt").data["outcome"] == "error"
+        assert len(bus.events_of("ilp_fallback")) == 1
 
 
 class TestCacheAndWarmStart:

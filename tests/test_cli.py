@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.core import compile_source_greedy, stats_report
+from repro.pisa.resources import get_target
 from repro.structures import CMS_SOURCE
 
 
@@ -57,9 +59,8 @@ class TestCompileCommand:
             r"ILP search: \d+ nodes in \d+\.\d+ s \(seeded\), "
             r"gap \d+\.\d+% to bound \S+", capsys.readouterr().err)
         # Greedy searches nothing, so it has nothing to say.
-        assert main(["compile", str(cms_file), "--target", "small",
-                     "--stats", "--backend", "greedy"]) == 0
-        assert "ILP search" not in capsys.readouterr().err
+        greedy = compile_source_greedy(CMS_SOURCE, get_target("small"))
+        assert "ILP search" not in stats_report(greedy)
 
     def test_target_overrides(self, cms_file, capsys):
         code = main([
@@ -148,17 +149,20 @@ class TestOtherCommands:
 
 class TestSolverFlags:
     def test_backend_choices_rejected(self, cms_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["compile", str(cms_file), "--backend", "cplex"])
-
-    def test_greedy_backend_compiles(self, cms_file, capsys):
-        code = main([
-            "compile", str(cms_file), "--target", "small",
-            "--backend", "greedy",
-        ])
-        assert code == 0
-        out, _err = capsys.readouterr()
-        assert "register<bit<32>>" in out
+        # One solver: no subcommand has a backend to choose, nor ``run``
+        # a retry count.
+        program = [str(cms_file)]
+        for argv in (
+            *([sub, *program, "--backend", backend]
+              for sub in ("compile", "verify", "bounds", "graph")
+              for backend in ("auto", "scipy", "bb", "greedy")),
+            *([sub, "--backend", "greedy"] for sub in ("run", "fabric")),
+            ["run", "--max-retries", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_tiny_time_limit_reports_structured_error(self, cms_file, capsys):
         code = main([
@@ -173,13 +177,11 @@ class TestSolverFlags:
         from repro.cli import build_parser
 
         parser = build_parser()
-        for sub in ("compile", "bounds", "graph"):
-            args = parser.parse_args(
-                [sub, str(cms_file), "--backend", "bb", "--time-limit", "2"]
-            )
-            assert args.backend == "bb" and args.time_limit == 2.0
-        args = parser.parse_args(["run", "--backend", "greedy"])
-        assert args.backend == "greedy"
+        for sub in ("compile", "verify", "bounds", "graph"):
+            args = parser.parse_args([sub, str(cms_file), "--time-limit", "2"])
+            assert args.time_limit == 2.0
+        for sub in ("run", "fabric"):
+            assert parser.parse_args([sub, "--time-limit", "2"]).time_limit == 2.0
 
 
 class TestRunCommand:
