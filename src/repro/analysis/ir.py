@@ -228,12 +228,34 @@ class ElasticSegment:
 
 
 @dataclass
+class _Expansion:
+    """One template at one iteration: the substituted body and guard and
+    the effects :class:`_EffectCollector` reads off them. Shared,
+    read-only, by every instance :func:`instantiate` makes of it."""
+
+    body: list
+    guard: Optional[ast.Expr]
+    reads: frozenset
+    writes: frozenset
+    registers: frozenset
+    cost: ActionCost
+    commutative: dict
+
+
+@dataclass
 class ProgramIR:
     """Elaborated program: ordered segments plus the symbol summary."""
 
     info: ProgramInfo
     segments: list  # InelasticSegment | ElasticSegment
     entry: str      # name of the ingress control that was elaborated
+    #: (segment, template, iteration) positions → :class:`_Expansion`,
+    #: filled by :func:`instantiate`. An instance depends on its
+    #: template, its iteration and ``info`` alone (the loop variable is
+    #: the only name substituted, by a literal), so each is expanded
+    #: once per IR, whichever counts ask for it
+    _expansions: dict = dc_field(default_factory=dict, repr=False,
+                                 compare=False)
 
     @property
     def loop_symbolics(self) -> list[str]:
@@ -597,27 +619,36 @@ class _EffectCollector:
                     self.stateless += 1
 
 
-def _effects(instance: ActionInstance, info: ProgramInfo) -> ActionInstance:
-    """Fill in read/write/register sets, cost, and commutativity."""
-    collector = _EffectCollector(info)
-    if instance.guard is not None:
-        collector.read_expr(instance.guard)
-    if instance.table is not None:
-        collector.visit_table(instance.table)
+def _expand(ir: ProgramIR, tpl: UnitTemplate,
+            iteration: int | None) -> _Expansion:
+    """``tpl`` at ``iteration`` (None: inelastic): the loop variable
+    substituted, read/write/register sets, cost and commutativity."""
+    bindings = {}
+    if tpl.loop_var is not None and iteration is not None:
+        bindings = {tpl.loop_var: ast.IntLit(value=iteration)}
+    body = [substitute(s, bindings) for s in tpl.body]
+    guard = substitute(tpl.guard, bindings) if tpl.guard is not None else None
+    collector = _EffectCollector(ir.info)
+    if guard is not None:
+        collector.read_expr(guard)
+    if tpl.table is not None:
+        collector.visit_table(tpl.table)
     else:
-        for stmt in instance.body:
-            collector.visit_stmt(stmt, instance.guard)
-
-    instance.reads = frozenset(collector.reads)
-    instance.writes = frozenset(collector.writes)
-    instance.registers = frozenset(collector.registers)
-    instance.commutative = collector.commutative
-    instance.cost = ActionCost(
-        stateful_ops=collector.stateful,
-        stateless_ops=collector.stateless,
-        hash_ops=collector.hashes,
+        for stmt in body:
+            collector.visit_stmt(stmt, guard)
+    return _Expansion(
+        body=body,
+        guard=guard,
+        reads=frozenset(collector.reads),
+        writes=frozenset(collector.writes),
+        registers=frozenset(collector.registers),
+        cost=ActionCost(
+            stateful_ops=collector.stateful,
+            stateless_ops=collector.stateless,
+            hash_ops=collector.hashes,
+        ),
+        commutative=collector.commutative,
     )
-    return instance
 
 
 def instantiate(ir: ProgramIR, counts: dict[str, int]) -> list[ActionInstance]:
@@ -625,45 +656,40 @@ def instantiate(ir: ProgramIR, counts: dict[str, int]) -> list[ActionInstance]:
 
     Returns instances in program order. Symbolics missing from ``counts``
     default to 1 iteration (the conservative assumption of §4.2 for
-    analyzing one loop at a time).
+    analyzing one loop at a time). Every call returns fresh instances
+    (own ``uid``, ``source_order`` and ``commutative``); their statement
+    and expression trees come from the IR's expansion memo and are
+    shared, so no consumer may mutate them.
     """
     out: list[ActionInstance] = []
-    uid = 0
-    order = 0
-    for seg in ir.segments:
+
+    def emit(key, tpl, symbolic=None, iteration=None):
+        exp = ir._expansions.get(key)
+        if exp is None:
+            exp = ir._expansions[key] = _expand(ir, tpl, iteration)
+        out.append(ActionInstance(
+            uid=len(out),
+            name=tpl.name,
+            body=exp.body,
+            symbolic=symbolic,
+            iteration=iteration,
+            guard=exp.guard,
+            reads=exp.reads,
+            writes=exp.writes,
+            registers=exp.registers,
+            cost=exp.cost,
+            commutative=dict(exp.commutative),
+            source_order=len(out),
+            table=tpl.table,
+        ))
+
+    for s, seg in enumerate(ir.segments):
         if isinstance(seg, InelasticSegment):
-            tpl = seg.template
-            inst = ActionInstance(
-                uid=uid,
-                name=tpl.name,
-                body=[copy.deepcopy(s) for s in tpl.body],
-                guard=copy.deepcopy(tpl.guard),
-                source_order=order,
-                table=tpl.table,
-            )
-            out.append(_effects(inst, ir.info))
-            uid += 1
-            order += 1
+            emit((s, 0, None), seg.template)
             continue
-        k = counts.get(seg.symbolic, 1)
-        for i in range(k):
-            for tpl in seg.templates:
-                bindings = {tpl.loop_var: ast.IntLit(value=i)} if tpl.loop_var else {}
-                body = [substitute(s, bindings) for s in tpl.body]
-                guard = substitute(tpl.guard, bindings) if tpl.guard is not None else None
-                inst = ActionInstance(
-                    uid=uid,
-                    name=tpl.name,
-                    body=body,
-                    symbolic=seg.symbolic,
-                    iteration=i,
-                    guard=guard,
-                    source_order=order,
-                    table=tpl.table,
-                )
-                out.append(_effects(inst, ir.info))
-                uid += 1
-                order += 1
+        for i in range(counts.get(seg.symbolic, 1)):
+            for t, tpl in enumerate(seg.templates):
+                emit((s, t, i), tpl, seg.symbolic, i)
     return out
 
 

@@ -105,6 +105,44 @@ class TestElaboration:
 
 
 class TestInstantiation:
+    def test_each_iteration_is_expanded_once_per_ir(self, monkeypatch):
+        # A whole compile — the bound loop's K = 1, 2, …, the layout
+        # model, the index check, the taint passes — expands each
+        # (template, iteration) of its IR at most once.
+        import dataclasses
+        from collections import Counter
+
+        from repro.analysis import ir as ir_module
+        from repro.apps import netcache_linked
+        from repro.core import compile_linked
+        from repro.pisa import tofino
+
+        expanded = Counter()
+        expand = ir_module._expand
+
+        def counting(ir, tpl, iteration):
+            expanded[(id(ir), id(tpl), iteration)] += 1
+            return expand(ir, tpl, iteration)
+
+        monkeypatch.setattr(ir_module, "_expand", counting)
+        compile_linked(netcache_linked(with_routing=False),
+                       dataclasses.replace(tofino(), stages=6,
+                                           memory_bits_per_stage=65536))
+        assert len(expanded) > 20
+        assert max(expanded.values()) == 1
+
+    def test_instances_are_equal_but_not_shared(self):
+        ir = make_ir(CMS_LIKE)
+        first, again = instantiate(ir, {"rows": 2}), instantiate(ir, {"rows": 2})
+        assert first == again
+        for a, b in zip(first, again):
+            assert a is not b
+            assert a.commutative is not b.commutative
+        # A smaller count is a prefix of each loop, renumbered.
+        fewer = instantiate(ir, {"rows": 1})
+        assert [i.label for i in fewer] == ["op1", "touch[0]", "pick[0]"]
+        assert [i.uid for i in fewer] == [0, 1, 2]
+
     def test_iteration_substitution(self):
         ir = make_ir(CMS_LIKE)
         instances = instantiate(ir, {"rows": 2})
