@@ -102,27 +102,24 @@ def _status(core, model_status) -> SolveStatus:
     return SolveStatus.ERROR
 
 
-def _highs_lp(core, c, a, lo, hi, lbs, ubs, integrality):
-    """The column-wise ``HighsLp`` that ``milp`` builds from a dense ``a``."""
-    rows, cols = a.shape
-    # Column-major nonzeros: the (column, row) order of a csc_array.
-    col_of, row_of = np.nonzero(a.T)
+def _highs_lp(core, c, matrix, lo, hi, lbs, ubs, integrality):
+    """The column-wise ``HighsLp`` of :meth:`Model.to_sparse_form`'s
+    arrays: the one ``milp`` builds from the same matrix."""
+    start, index, value = matrix
     lp = core.HighsLp()
-    lp.num_col_ = cols
-    lp.num_row_ = rows
-    lp.a_matrix_.num_col_ = cols
-    lp.a_matrix_.num_row_ = rows
+    lp.num_col_ = len(c)
+    lp.num_row_ = len(lo)
+    lp.a_matrix_.num_col_ = len(c)
+    lp.a_matrix_.num_row_ = len(lo)
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.col_cost_ = c
     lp.col_lower_ = lbs
     lp.col_upper_ = ubs
     lp.row_lower_ = lo
     lp.row_upper_ = hi
-    lp.a_matrix_.start_ = np.concatenate(
-        ([0], np.cumsum(np.bincount(col_of, minlength=cols)))
-    ).astype(np.int32)
-    lp.a_matrix_.index_ = row_of.astype(np.int32)
-    lp.a_matrix_.value_ = a.T[col_of, row_of]
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     kinds = (core.HighsVarType(0), core.HighsVarType(1))
     lp.integrality_ = [kinds[i] for i in integrality]
     return lp
@@ -190,7 +187,7 @@ def solve_scipy(
     solution optimal, reported back as :attr:`Solution.mip_gap`.
     """
     core = highs_core()
-    c, a, lo, hi, (lbs, ubs), integrality = model.to_matrix_form(fixed)
+    c, matrix, lo, hi, (lbs, ubs), integrality = model.to_sparse_form(fixed)
     integrality = integrality.astype(np.uint8)
     options = {"log_to_console": False}
     if time_limit is not None:
@@ -212,7 +209,7 @@ def solve_scipy(
                               "default", RuntimeWarning, stacklevel=2)
         x = None
         nodes, dual_bound, gap = 0, None, None
-        lp = _highs_lp(core, c, a, lo, hi, lbs, ubs, integrality)
+        lp = _highs_lp(core, c, matrix, lo, hi, lbs, ubs, integrality)
         ran = highs.passModel(lp) != core.HighsStatus.kError
         if not ran:
             model_status = core.HighsModelStatus.kModelError

@@ -35,7 +35,7 @@ from repro.ilp.solver_scipy import highs_core, solve_scipy
 from repro.pisa import tofino
 
 from ..core.test_layout_encoding import t6
-from ..core.test_layout_pins import BOUND_TOLERANCE, SOURCES, compile_case
+from ..core.test_layout_pins import BOUND_TOLERANCE, CASES, SOURCES, compile_case
 from .test_cross_check import random_milp
 from .test_solvers import knapsack_model
 
@@ -283,6 +283,54 @@ class TestSameAsMilp:
             assert symbols(got) == symbols(want)
             assert got.mip_dual_bound >= compiled.solution.objective \
                 * (1 - BOUND_TOLERANCE)
+
+
+#: the six (program, target) pairs the ``compile-cold`` workload compiles
+COMPILE_COLD = ("cms.t6", "conquest.t6", "netcache-linked.t6",
+                "netcache.tofino", "precision.t6", "sketchlearn.t6")
+
+
+def dense_csc(a):
+    """The column-wise arrays HiGHS got when the backend built them from
+    the dense matrix on every call."""
+    col_of, row_of = np.nonzero(a.T)
+    start = np.concatenate(
+        ([0], np.cumsum(np.bincount(col_of, minlength=a.shape[1])))
+    ).astype(np.int32)
+    return start, row_of.astype(np.int32), a.T[col_of, row_of]
+
+
+@pytest.mark.parametrize("case", COMPILE_COLD)
+def test_sparse_rows_are_the_dense_matrix(case, monkeypatch):
+    # The rows are built once per model and shared by its copies; on
+    # every solve of a compile HiGHS still receives exactly the arrays
+    # the dense matrix gives, so no search path can move.
+    from repro.ilp import solver
+
+    dense, passed = [], []
+    solve_highs, highs_lp = solver.solve_scipy, solver_scipy._highs_lp
+
+    def recording(model, fixed=None, **kwargs):
+        dense.append(model.to_matrix_form(fixed))
+        return solve_highs(model, fixed=fixed, **kwargs)
+
+    def capturing(core, *arrays):
+        passed.append(arrays)
+        return highs_lp(core, *arrays)
+
+    monkeypatch.setattr(solver, "solve_scipy", recording)
+    monkeypatch.setattr(solver_scipy, "_highs_lp", capturing)
+    compile_case(*CASES[case])
+    assert len(passed) == len(dense) >= 3
+    for (c, a, lo, hi, (lbs, ubs), integrality), got in zip(dense, passed):
+        got_c, got_matrix, got_lo, got_hi, got_lbs, got_ubs, got_int = got
+        for want_array, got_array in zip(dense_csc(a), got_matrix):
+            assert want_array.dtype == got_array.dtype
+            assert np.array_equal(want_array, got_array)
+        for want_array, got_array in ((c, got_c), (lo, got_lo), (hi, got_hi),
+                                      (lbs, got_lbs), (ubs, got_ubs),
+                                      (integrality, got_int)):
+            assert np.array_equal(want_array, got_array)
 
 
 # ------------------------------------------------------------ edge cases --
