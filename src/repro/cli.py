@@ -718,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("program")
     p_bounds.add_argument("--entry", default="Ingress")
     _add_target_arg(p_bounds)
-    _add_solver_args(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_graph = sub.add_parser(
@@ -729,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--unroll", type=int, default=None,
                          help="override the iteration count for all loops")
     _add_target_arg(p_graph)
-    _add_solver_args(p_graph)
     p_graph.set_defaults(func=_cmd_graph)
 
     p_run = sub.add_parser(

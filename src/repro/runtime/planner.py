@@ -14,9 +14,12 @@ compile driver:
 3. still without a layout, degrade to the greedy first fit
    (``compile_source_greedy``/``compile_linked_greedy``) — feasible and
    validated, just not utility-optimal;
-4. only a genuinely infeasible program (no layout exists at any size)
-   or a greedy failure surfaces as :class:`PlanError`, and the caller
-   keeps the old pipeline running.
+4. only a genuinely infeasible program (no layout exists at any size),
+   a program the compiler rejects at this target (any
+   :class:`~repro.lang.errors.P4AllError` or other compile error — an
+   index out of bounds at the sizes chosen, say) or a greedy failure
+   surfaces as :class:`PlanError`, and the caller keeps the old
+   pipeline running.
 
 A timeout *with* an incumbent that placed something is accepted as-is:
 the solver proved feasibility, just not optimality. Every attempt is
@@ -48,6 +51,7 @@ from ..core import (
 )
 from ..core.cache import CompileCache
 from ..core.errors import CompileError
+from ..lang.errors import P4AllError
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..pisa.resources import TargetSpec
@@ -199,6 +203,13 @@ class ReconfigPlanner:
                 raise PlanError(
                     f"program does not fit target {target.name!r}: {exc}"
                 ) from exc
+            except (P4AllError, CompileError) as exc:
+                # The compiler rejects the program at this target: no
+                # solver effort or first fit changes that.
+                end(*ilp, "error", error=str(exc))
+                raise PlanError(
+                    f"program does not compile for target "
+                    f"{target.name!r}: {exc}") from exc
             else:
                 if compiled.units:
                     end(*ilp, "ok",
@@ -218,13 +229,13 @@ class ReconfigPlanner:
         self.telemetry.emit(
             "ilp_fallback", cause=cause,
             attempts=len(attempts),
-            final_time_limit=time_limit,
+            final_time_limit=attempts[-1]["time_limit"],
         )
 
         t0 = time.perf_counter()
         try:
             compiled = self._compile(source, target, None, greedy=True)
-        except CompileError as exc:
+        except (P4AllError, CompileError) as exc:
             end("greedy", None, "error", error=str(exc))
             raise PlanError(f"greedy fallback failed: {exc}") from exc
         end("greedy", None, "ok", status=compiled.solution.status.value,

@@ -163,6 +163,32 @@ class TestReconfiguration:
         assert rollback.data["switch"] == "s1"
         assert controller.run(stream, 500).packets == 500
 
+    def test_rejected_compile_keeps_the_old_app_serving(
+            self, mini64, mini32, shared_cache, monkeypatch):
+        # A compile that raises a P4AllError (here the index check's
+        # SemanticError) reaches cut_switch as a PlanError: the cut is
+        # recorded as failed and the switch serves on with its old app.
+        from repro.analysis.bounds_check import IndexBoundsError
+
+        controller = make_controller(mini64, shared_cache)
+        stream = ZipfGenerator(universe=3000, alpha=1.1, seed=7)
+        controller.run(stream, 1000)
+        node = controller.topology.node("s1")
+        old_app = node.app
+
+        def rejected(*_args, **_kwargs):
+            raise IndexBoundsError("b_mark[2]: index 2 out of bounds for "
+                                   "elastic array 'a_cnt' (extent 2)")
+
+        monkeypatch.setattr(controller.planner, "_compile", rejected)
+        record = controller.cut_switch("s1", mini32)
+        assert not record.committed
+        assert "out of bounds" in record.error
+        assert node.app is old_app and node.target == mini64
+        failed = controller.telemetry.last_of("reconfig_failed")
+        assert failed.data["switch"] == "s1"
+        assert controller.run(stream, 500).packets == 500
+
     def test_recompile_all_hits_layout_cache(self, mini64, mini32):
         cache = CompileCache()
         controller = make_controller(mini64, cache, n=4)

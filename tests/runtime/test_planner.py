@@ -68,8 +68,9 @@ class TestTimeoutFallback:
         limits = [a["time_limit"] for a in ilp_attempts]
         assert limits == [pytest.approx(1e-4), pytest.approx(4e-4)]
         assert result.fallback and result.backend == "greedy"
+        # The last limit an attempt ran with, not one step past it.
         fallback = bus.last_of("ilp_fallback")
-        assert fallback.data["final_time_limit"] == pytest.approx(1.6e-3)
+        assert fallback.data["final_time_limit"] == pytest.approx(4e-4)
 
     def test_fallback_is_not_served_as_a_cached_ilp_plan(self, mini64):
         # The layout tier's key names no solver, so the greedy fallback
@@ -127,6 +128,55 @@ class TestInfeasible:
             planner.plan(RUNTIME_SOURCE, small_target(stages=8, memory_kb=64))
         assert bus.last_of("compile_attempt").data["outcome"] == "error"
         assert len(bus.events_of("ilp_fallback")) == 1
+
+
+#: safe at 64 Kb a stage, where both loops run four times; at 32 Kb the
+#: best layout has ``a_rows`` 2, and ``b_mark[2]`` reads ``a_cnt[2]``
+INDEX_UNSAFE_AT_32KB = """
+symbolic int a_rows;
+symbolic int b_rows;
+assume a_rows >= 1 && a_rows <= 4;
+assume b_rows >= 1 && b_rows <= 4;
+struct metadata {
+    bit<32> flow;
+    bit<32>[a_rows] a_cnt;
+    bit<32>[b_rows] b_cnt;
+}
+register<bit<32>>[1024][a_rows] a_reg;
+register<bit<32>>[1024][b_rows] b_reg;
+action a_mark()[int i] {
+    a_reg[i].add_read(meta.a_cnt[i], meta.flow, 1);
+}
+action b_mark()[int i] {
+    b_reg[i].add_read(meta.b_cnt[i], meta.a_cnt[i], 1);
+}
+control Ingress(inout metadata meta) {
+    apply {
+        for (i < a_rows) { a_mark()[i]; }
+        for (i < b_rows) { b_mark()[i]; }
+    }
+}
+optimize a_rows + 2 * b_rows;
+"""
+
+
+class TestCompileErrors:
+    def test_a_rejected_compile_is_a_plan_error(self, mini64, mini32):
+        # The compile's own index check rejects the 32 Kb layout with an
+        # IndexBoundsError, a SemanticError: the planner's contract turns
+        # it into a PlanError, and the first fit is not tried.
+        from repro.analysis.bounds_check import IndexBoundsError
+
+        bus = TelemetryBus()
+        planner = ReconfigPlanner(telemetry=bus)
+        assert planner.plan(INDEX_UNSAFE_AT_32KB, mini64).symbol_values == {
+            "a_rows": 4, "b_rows": 4}
+        with pytest.raises(PlanError, match="out of bounds") as exc:
+            planner.plan(INDEX_UNSAFE_AT_32KB, mini32)
+        assert isinstance(exc.value.__cause__, IndexBoundsError)
+        last = bus.last_of("compile_attempt").data
+        assert (last["backend"], last["outcome"]) == ("ilp", "error")
+        assert not bus.events_of("ilp_fallback")
 
 
 class TestCacheAndWarmStart:
