@@ -11,6 +11,13 @@ the rows compare exactly. Any exact rewrite of the encoding must
 reproduce every one. Regenerate (only from a commit whose encoding is
 trusted) with ``PYTHONPATH=src python tests/core/test_layout_pins.py``.
 
+Each feasible case also pins what the compile emits
+(:func:`artifact_row`): sha256 digests of the P4 text, ``node_stage``
+and ``register_alloc``, and every ``BoundResult``, recorded at commit
+e938f00. A change that claims to move no artifact — a speed-up of the
+front end, the bounds loop or the solve path — must leave all of them
+equal.
+
 Each case has two rows. ``resolved`` is the compile's answer: the
 search at HiGHS's default 1e-4 gap, then the zero-gap size re-solve
 and canonical placement; it must equal the pin. ``search-only`` is the
@@ -28,6 +35,7 @@ row holds regardless.
 
 import dataclasses
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -98,8 +106,33 @@ def compile_case(program: str, target):
     return compile_source(SOURCES[program](), target, source_name=program)
 
 
+def _sha256(value) -> str:
+    text = value if isinstance(value, str) else json.dumps(value)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def artifact_row(compiled) -> dict:
+    """What a compile emits beside its symbols: digests of the P4 text,
+    the stage of every dependency node and the register allocation, and
+    every unroll bound with the criterion, the K that fired and the
+    longest path at each K (:class:`~repro.analysis.unroll.BoundResult`)."""
+    solution = compiled.solution
+    return {
+        "p4_sha256": _sha256(compiled.p4_source),
+        "node_stage_sha256": _sha256(sorted(solution.node_stage.items())),
+        "register_alloc_sha256": _sha256(
+            sorted(solution.register_alloc.items())),
+        "bounds": {
+            sym: [res.bound, res.criterion, res.tested_k,
+                  list(res.path_lengths)]
+            for sym, res in sorted(compiled.bounds.results.items())
+        },
+    }
+
+
 def solve_case(program: str, target) -> dict | None:
-    """Symbol values and utility, or None when nothing fits."""
+    """Symbol values, utility and :func:`artifact_row`, or None when
+    nothing fits."""
     try:
         compiled = compile_case(program, target)
     except LayoutInfeasibleError:
@@ -107,6 +140,7 @@ def solve_case(program: str, target) -> dict | None:
     return {
         "symbols": dict(compiled.symbol_values),
         "utility": compiled.solution.objective,
+        **artifact_row(compiled),
     }
 
 
@@ -163,6 +197,20 @@ def test_matches_pinned_optimum(case, resolve, solved):
     else:
         assert solution.mip_dual_bound >= \
             want["utility"] * (1 - BOUND_TOLERANCE)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_pins(case, solved):
+    # The P4 text, the stage map, the register allocation and every
+    # unroll bound are those the pins were recorded with: a change to the
+    # compiler that claims to move no artifact is held to every case.
+    compiled = solved(case)
+    want = PINS[case]
+    if want is None:
+        assert compiled is None
+        return
+    got = artifact_row(compiled)
+    assert got == {key: want[key] for key in got}
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED))
