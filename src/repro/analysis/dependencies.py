@@ -22,26 +22,33 @@ ablation benchmark.
 
 from __future__ import annotations
 
-from .depgraph import DependencyGraph, DepNode
+import bisect
+
+from .depgraph import DependencyGraph
 from .ir import ActionInstance, UpdateKind
 
-__all__ = ["build_dependency_graph", "AnalysisError", "classify_pair"]
+__all__ = ["build_dependency_graph", "DependencyGraphBuilder", "AnalysisError",
+           "classify_pair"]
+
+_PRECEDENCE = "precedence"
+_EXCLUSION = "exclusion"
 
 
 class AnalysisError(Exception):
     """Contradictory dependencies (e.g. ordering within one stage group)."""
 
 
-def _commutative_fields(a: ActionInstance, b: ActionInstance) -> set[str]:
+def _commutative_fields(a: ActionInstance, b: ActionInstance) -> frozenset[str]:
     """Shared written fields updated commutatively with the same kind."""
-    shared = set(a.writes) & set(b.writes)
-    out = set()
-    for field in shared:
-        ka = a.commutative.get(field, UpdateKind.PLAIN)
-        kb = b.commutative.get(field, UpdateKind.PLAIN)
-        if ka == kb and ka != UpdateKind.PLAIN:
-            out.add(field)
-    return out
+    shared = a.writes & b.writes
+    if not shared:
+        return frozenset()
+    plain = UpdateKind.PLAIN
+    return frozenset(
+        field for field in shared
+        if a.commutative.get(field, plain) == b.commutative.get(field, plain)
+        != plain
+    )
 
 
 def classify_pair(a: ActionInstance, b: ActionInstance) -> str | None:
@@ -50,16 +57,138 @@ def classify_pair(a: ActionInstance, b: ActionInstance) -> str | None:
     Returns ``"precedence"``, ``"exclusion"``, or ``None`` (independent).
     """
     comm = _commutative_fields(a, b)
-
-    def conflict(fields_a, fields_b) -> bool:
-        return bool((set(fields_a) & set(fields_b)) - comm)
-
-    if conflict(a.writes, b.reads) or conflict(a.reads, b.writes) \
-            or conflict(a.writes, b.writes):
-        return "precedence"
+    if (a.writes & b.reads) - comm or (a.reads & b.writes) - comm \
+            or (a.writes & b.writes) - comm:
+        return _PRECEDENCE
     if comm:
-        return "exclusion"
+        return _EXCLUSION
     return None
+
+
+def _in_order(a: ActionInstance, b: ActionInstance) -> str | None:
+    """:func:`classify_pair` of two instances taken in program order."""
+    if a.source_order <= b.source_order:
+        return classify_pair(a, b)
+    return classify_pair(b, a)
+
+
+def _source_order(inst: ActionInstance) -> int:
+    return inst.source_order
+
+
+class _Group:
+    """One node in the making: the instances that share a register, in
+    program order, and the strongest dependency to each other group."""
+
+    __slots__ = ("members", "edges")
+
+    def __init__(self, members: list[ActionInstance]):
+        self.members = members
+        self.edges: dict[_Group, str] = {}
+
+    def link(self, other: "_Group", kind: str) -> None:
+        """Record ``kind`` between the two, unless a precedence is there."""
+        if kind == _PRECEDENCE or other not in self.edges:
+            self.edges[other] = other.edges[self] = kind
+
+
+class DependencyGraphBuilder:
+    """A dependency graph grown one batch of instances at a time.
+
+    :meth:`add` groups each new instance with the nodes it shares a
+    register with — merging them when it touches several — and
+    classifies it against the members of every other node only, so the
+    pairs already classified are never looked at again. :meth:`graph`
+    lays out the graph of everything added so far: nodes in program
+    order of their earliest member, edges as :func:`build_dependency_graph`
+    describes. The instances added over all calls must have distinct
+    ``uid`` and ``source_order`` values, in one program order.
+    """
+
+    def __init__(self, exclusion_as_precedence: bool = False):
+        self.exclusion_as_precedence = exclusion_as_precedence
+        self._groups: list[_Group] = []
+        self._by_register: dict[tuple, _Group] = {}
+
+    def add(self, instances: list[ActionInstance]) -> None:
+        for inst in instances:
+            self._add(inst)
+
+    def _add(self, inst: ActionInstance) -> None:
+        hit: list[_Group] = []
+        for reg in inst.registers:
+            group = self._by_register.get(reg)
+            if group is not None and group not in hit:
+                hit.append(group)
+        if hit:
+            group = hit[0]
+            for other in hit[1:]:
+                self._merge(group, other)
+            for member in group.members:
+                _same_stage(inst, member)
+            bisect.insort(group.members, inst, key=_source_order)
+        else:
+            group = _Group([inst])
+            self._groups.append(group)
+        for reg in inst.registers:
+            self._by_register[reg] = group
+        for other in self._groups:
+            if other is group or group.edges.get(other) == _PRECEDENCE:
+                continue
+            found = None
+            for member in other.members:
+                kind = _in_order(inst, member)
+                if kind == _PRECEDENCE:
+                    found = kind
+                    break
+                if kind is not None:
+                    found = kind
+            if found is not None:
+                group.link(other, found)
+
+    def _merge(self, keep: _Group, other: _Group) -> None:
+        """Fold ``other`` into ``keep``: a new instance shares a register
+        with both."""
+        for a in other.members:
+            for b in keep.members:
+                _same_stage(a, b)
+        keep.members = sorted(keep.members + other.members, key=_source_order)
+        self._groups.remove(other)
+        for peer, kind in other.edges.items():
+            del peer.edges[other]
+            if peer is not keep:
+                keep.link(peer, kind)
+        for member in other.members:
+            for reg in member.registers:
+                self._by_register[reg] = keep
+
+    def graph(self) -> DependencyGraph:
+        """The graph of every instance added so far."""
+        graph = DependencyGraph()
+        ordered = sorted(self._groups, key=lambda g: g.members[0].source_order)
+        rank = {group: r for r, group in enumerate(ordered)}
+        nodes = [graph.add_node(group.members) for group in ordered]
+        for r, group in enumerate(ordered):
+            # Later nodes in program order, as the pairs i < j are taken.
+            for peer in sorted((p for p in group.edges if rank[p] > r),
+                               key=rank.__getitem__):
+                first, second = nodes[r], nodes[rank[peer]]
+                if group.edges[peer] == _PRECEDENCE or \
+                        self.exclusion_as_precedence:
+                    graph.add_precedence(first, second)
+                else:
+                    graph.add_exclusion(first, second)
+        return graph
+
+
+def _same_stage(a: ActionInstance, b: ActionInstance) -> None:
+    """Raise unless ``a`` and ``b`` (one register) can share a stage."""
+    if _in_order(a, b) == _PRECEDENCE:
+        early, late = (a, b) if a.source_order <= b.source_order else (b, a)
+        raise AnalysisError(
+            f"actions {early.label} and {late.label} must share a stage "
+            f"(common register) but also have an ordering dependency"
+        )
 
 
 def build_dependency_graph(
@@ -68,83 +197,14 @@ def build_dependency_graph(
 ) -> DependencyGraph:
     """Group instances into nodes and add precedence/exclusion edges.
 
-    ``instances`` must be in program order. With
+    ``instances`` must be in program order. Nodes are numbered in
+    program order of their earliest member; the dependency between two
+    nodes is the strongest over their member pairs, and a precedence
+    edge runs from the earlier node to the later. With
     ``exclusion_as_precedence`` set, commutative conflicts produce
     precedence edges in program order instead (the prototype limitation
     described in §5).
     """
-    graph = DependencyGraph()
-
-    # -- same-stage grouping (union-find over shared register instances) -----
-    parent = {inst.uid: inst.uid for inst in instances}
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def union(u: int, v: int) -> None:
-        parent[find(u)] = find(v)
-
-    by_register: dict[tuple, list[ActionInstance]] = {}
-    for inst in instances:
-        for reg in inst.registers:
-            by_register.setdefault(reg, []).append(inst)
-    for members in by_register.values():
-        for other in members[1:]:
-            union(members[0].uid, other.uid)
-
-    groups: dict[int, list[ActionInstance]] = {}
-    for inst in instances:
-        groups.setdefault(find(inst.uid), []).append(inst)
-    # Preserve program order of groups (by earliest member).
-    ordered_groups = sorted(groups.values(), key=lambda g: g[0].source_order)
-    nodes: list[DepNode] = [graph.add_node(group) for group in ordered_groups]
-
-    # -- intra-node sanity: ordering inside one stage is impossible ------------
-    for node in nodes:
-        members = sorted(node.instances, key=lambda m: m.source_order)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if classify_pair(a, b) == "precedence":
-                    raise AnalysisError(
-                        f"actions {a.label} and {b.label} must share a stage "
-                        f"(common register) but also have an ordering dependency"
-                    )
-
-    # -- inter-node edges ---------------------------------------------------------
-    for i, node_a in enumerate(nodes):
-        for node_b in nodes[i + 1:]:
-            kind = _classify_nodes(node_a, node_b)
-            if kind is None:
-                continue
-            first, second = _order_nodes(node_a, node_b)
-            if kind == "precedence":
-                graph.add_precedence(first, second)
-            elif exclusion_as_precedence:
-                graph.add_precedence(first, second)
-            else:
-                graph.add_exclusion(node_a, node_b)
-    return graph
-
-
-def _order_nodes(a: DepNode, b: DepNode) -> tuple[DepNode, DepNode]:
-    """Program order of two nodes (by earliest member instance)."""
-    a_first = min(m.source_order for m in a.instances)
-    b_first = min(m.source_order for m in b.instances)
-    return (a, b) if a_first <= b_first else (b, a)
-
-
-def _classify_nodes(node_a: DepNode, node_b: DepNode) -> str | None:
-    """Strongest dependency between any member pair of two nodes."""
-    found_exclusion = False
-    for a in node_a.instances:
-        for b in node_b.instances:
-            early, late = (a, b) if a.source_order <= b.source_order else (b, a)
-            kind = classify_pair(early, late)
-            if kind == "precedence":
-                return "precedence"
-            if kind == "exclusion":
-                found_exclusion = True
-    return "exclusion" if found_exclusion else None
+    builder = DependencyGraphBuilder(exclusion_as_precedence)
+    builder.add(instances)
+    return builder.graph()

@@ -19,6 +19,13 @@ individually switchable — tighten bounds the ILP could never use anyway:
    family they instantiate, within the pipeline's total memory.
 
 Numeric caps from ``assume`` clauses (§3.2.1) short-circuit the search.
+
+G_v is grown, not rebuilt: going from K to K + 1 adds iteration K of
+every loop over ``v`` (:func:`~repro.analysis.ir.instantiate_iteration`)
+to one :class:`~repro.analysis.dependencies.DependencyGraphBuilder`,
+which groups and classifies only the new instances. The graph at each
+K is the one :func:`~repro.analysis.dependencies.build_dependency_graph`
+builds from scratch over the same instances, node numbers included.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from ..lang.errors import SemanticError
 from ..lang import ast
 from ..pisa.resources import TargetSpec
 from .assumes import extract_numeric_bounds
-from .dependencies import build_dependency_graph
-from .ir import ProgramIR, instantiate
+from .dependencies import DependencyGraphBuilder
+from .ir import ProgramIR, instantiate_iteration
 
 __all__ = ["BoundResult", "UnrollBounds", "compute_upper_bounds", "UnrollOptions"]
 
@@ -114,6 +121,10 @@ def _upper_bound_for(
     phv_budget = target.phv_bits - info.metadata_fixed_bits()
     cap = options.hard_cap if assume_cap is None else min(assume_cap, options.hard_cap)
     path_lengths: list[int] = []
+    # G_v grows by one iteration per K: only the new instances are
+    # grouped and classified, against the nodes already there.
+    builder = DependencyGraphBuilder(options.exclusion_as_precedence)
+    alus = 0
 
     k = 0
     while k < cap:
@@ -126,22 +137,15 @@ def _upper_bound_for(
                 and k_next * reg_bits > target.total_memory_bits:
             return BoundResult(symbolic, k, "memory", k_next, path_lengths)
 
-        counts = {symbolic: k_next}
-        instances = [
-            inst
-            for inst in instantiate(ir, counts)
-            if inst.symbolic == symbolic
-        ]
-        if not instances:
+        added = instantiate_iteration(ir, symbolic, k, cap)
+        if not added:
             return BoundResult(symbolic, 0, "no-loops", 0, [])
-        graph = build_dependency_graph(
-            instances, exclusion_as_precedence=options.exclusion_as_precedence
-        )
-        path = graph.longest_simple_path(cutoff=target.stages)
+        builder.add(added)
+        path = builder.graph().longest_simple_path(cutoff=target.stages)
         path_lengths.append(path)
         if path > target.stages:
             return BoundResult(symbolic, max(k, 1), "stages", k_next, path_lengths)
-        alus = sum(target.hf(i.cost) + target.hl(i.cost) for i in instances)
+        alus += sum(target.hf(i.cost) + target.hl(i.cost) for i in added)
         if alus > target.total_alus:
             return BoundResult(symbolic, max(k, 1), "alus", k_next, path_lengths)
         k = k_next
