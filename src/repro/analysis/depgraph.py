@@ -24,6 +24,7 @@ with two optimizations that exploit the symmetry of unrolled loops:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .ir import ActionInstance
@@ -38,11 +39,13 @@ class DepNode:
     node_id: int
     instances: list[ActionInstance] = field(default_factory=list)
 
-    @property
+    # Both are read once per edge and per stage; a node's members never
+    # change once it is in a graph.
+    @functools.cached_property
     def label(self) -> str:
         return "+".join(inst.label for inst in self.instances)
 
-    @property
+    @functools.cached_property
     def template_key(self) -> tuple:
         """Symmetry class key: the multiset of member action templates."""
         return tuple(sorted(inst.name for inst in self.instances))
