@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from repro.analysis import build_ir, compute_upper_bounds
-from repro.apps import netcache_source
+from repro.apps import netcache_linked, netcache_source
 from repro.core import (
     CompileError,
     LayoutInfeasibleError,
+    compile_linked,
     compile_source,
     compile_source_greedy,
 )
@@ -364,9 +365,10 @@ class TestResolveSizes:
                      (0.0, fixed, False)]
             resolve = (0.0, len(lm.x) + len(lm.it), False)
             if path == "seeded":
-                # NetCache's start seeds the search, whose placement the
-                # canonical pass then replaces.
-                passes = [(None, 0, True), resolve, (0.0, fixed, False)]
+                # NetCache's start seeds the search, which ends at the
+                # start's symbol values: the start's placement is the
+                # canonical one, so no second placement solve follows.
+                passes = [(None, 0, True), resolve]
             else:
                 # The LP bound certifies CMS's start, and the size
                 # re-solve keeps it: its placement is already canonical.
@@ -378,6 +380,32 @@ class TestResolveSizes:
             assert 0 <= solution.mip_gap <= 1e-4
             assert solution.mip_dual_bound == pytest.approx(
                 solution.objective, rel=2e-4)
+
+    def test_seeded_compile_places_once(self, monkeypatch):
+        # Linked NetCache at 32 Kb per stage, the memory cut both control
+        # loops compile: its start's canonical placement and the final
+        # one would be the same zero-gap solve with the same symbol
+        # columns fixed, so it runs once, before the seeded search.
+        from repro.core import layout
+
+        calls = []
+
+        def recording_solve(model, rel_gap=None, fixed=None, warm_start=None,
+                            **kwargs):
+            if rel_gap is None:
+                calls.append("lp" if warm_start is None else "search")
+            elif any(var.name.startswith("x[") for var in fixed):
+                calls.append("resolve")     # x and it fixed
+            else:
+                calls.append("place")       # it, sizes, free symbolics fixed
+            return layout_solve(model, rel_gap=rel_gap, fixed=fixed,
+                                warm_start=warm_start, **kwargs)
+
+        layout_solve = layout.solve
+        monkeypatch.setattr(layout, "solve", recording_solve)
+        compiled = compile_linked(netcache_linked(with_routing=False), t6(32))
+        assert compiled.solution.incumbent_source == "seeded"
+        assert calls == ["lp", "lp", "place", "search", "resolve"]
 
 
 # -- the three layout back ends agree (ROADMAP 4d) --------------------------------
