@@ -490,7 +490,7 @@ class _Checker:
                     )
         opt = self.program.optimize()
         if opt is not None:
-            for name in static_names(opt.utility):
+            for name in _utility_names(opt.utility):
                 if name not in allowed:
                     raise SemanticError(
                         f"utility function references '{name}', "
@@ -498,6 +498,19 @@ class _Checker:
                         opt.loc,
                         self.source,
                     )
+
+
+def _utility_names(expr: ast.Expr) -> set[str]:
+    """:func:`static_names` of a utility, less the callee of each
+    ``min(...)``: the one function a utility may call (the layout
+    linearises it, :mod:`repro.core.utility`)."""
+    if isinstance(expr, ast.Name):
+        return {expr.ident}
+    children = expr.children()
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
+            and expr.func.ident == "min":
+        children = expr.args
+    return set().union(*map(_utility_names, children))
 
 
 def check_program(program: ast.Program) -> ProgramInfo:

@@ -17,9 +17,10 @@ import pytest
 
 from repro.analysis import build_ir, compute_upper_bounds
 from repro.apps import netcache_linked, netcache_source
+from repro.core import compile_source
 from repro.core.layout import LayoutBuilder
 from repro.ilp import solve
-from repro.lang import check_program, parse_expression, parse_program
+from repro.lang import check_program, parse_program
 from repro.pisa import small_target, tofino
 from repro.structures import CMS_SOURCE
 
@@ -28,11 +29,10 @@ from .test_layout_encoding import t6
 from .test_layout_pins import SOURCES
 
 
-def solved_builder(program: str, target, utility: str | None = None):
+def solved_builder(program: str, target):
     """``(builder, solution)`` after the builder's own solve, so the
     objective is attached; ``program`` is a key of ``SOURCES``,
-    ``"netcache-linked"`` or P4All source text, and ``utility`` an
-    expression to maximise instead of the program's own."""
+    ``"netcache-linked"`` or P4All source text."""
     if program == "netcache-linked":
         linked = netcache_linked(with_routing=False)
         info = check_program(linked.program)
@@ -41,8 +41,7 @@ def solved_builder(program: str, target, utility: str | None = None):
     else:
         source = SOURCES[program]() if program in SOURCES else program
         info = check_program(parse_program(source))
-        objective = dict(utility=info.program.optimize().utility
-                         if utility is None else parse_expression(utility))
+        objective = dict(utility=info.program.optimize().utility)
     ir = build_ir(info, "Ingress")
     builder = LayoutBuilder(ir, compute_upper_bounds(ir, target), target)
     return builder, builder.solve(**objective)
@@ -77,15 +76,28 @@ def test_netcache_start_is_certified_on_the_lattice():
     assert solution.mip_dual_bound < lp.objective
 
 
+#: CMS under a ``min()`` utility, written in the source
+CMS_MIN_SOURCE = CMS_SOURCE.replace(
+    "optimize cms_rows * cms_cols;",
+    "optimize min(cms_rows * cms_cols, 512 * cms_rows);")
+
+
 def test_min_utility_has_no_lattice():
     # The min() aux column is continuous and on no lattice: the start is
     # held to the LP bound itself.
-    builder, solution = solved_builder(
-        "cms", t6(), utility="min(cms_rows * cms_cols, 512 * cms_rows)")
+    assert CMS_MIN_SOURCE != CMS_SOURCE
+    builder, solution = solved_builder(CMS_MIN_SOURCE, t6())
     assert builder.utility_lattice() is None
     lp, _start = builder.start()
     assert solution.incumbent_source == "lp-certified"
     assert solution.mip_dual_bound == lp.objective
+
+
+def test_min_utility_compiles_from_source():
+    compiled = compile_source(CMS_MIN_SOURCE, t6())
+    symbols = compiled.symbol_values
+    assert compiled.solution.objective == min(
+        symbols["cms_rows"] * symbols["cms_cols"], 512 * symbols["cms_rows"])
 
 
 #: lattice-certified cases small enough for the branch and bound: the

@@ -121,6 +121,17 @@ class TestRejections:
         with pytest.raises(SemanticError, match="utility function references"):
             check("optimize bogus * 2;")
 
+    def test_utility_may_take_a_min(self):
+        # The layout linearises min() with an aux column; an assume and
+        # any other function stay names that must be declared.
+        check("symbolic int a; symbolic int b; optimize min(a * 2, b, 7);")
+        with pytest.raises(SemanticError, match="references 'max'"):
+            check("symbolic int a; symbolic int b; optimize max(a, b);")
+        with pytest.raises(SemanticError, match="references 'bogus'"):
+            check("symbolic int a; optimize min(a, bogus);")
+        with pytest.raises(SemanticError, match="assume references 'min'"):
+            check("symbolic int a; assume min(a, 4) <= 2;")
+
     def test_unknown_function_in_expression(self):
         with pytest.raises(SemanticError, match="unknown function"):
             check(
