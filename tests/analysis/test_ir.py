@@ -143,6 +143,29 @@ class TestInstantiation:
         assert [i.label for i in fewer] == ["op1", "touch[0]", "pick[0]"]
         assert [i.uid for i in fewer] == [0, 1, 2]
 
+    def test_iterations_share_their_unbound_subtrees(self):
+        ir = make_ir(CMS_LIKE)
+        touch0, touch1 = (i for i in instantiate(ir, {"rows": 2})
+                          if i.name == "touch")
+        # sk[i].add_read(meta.count[i], meta.flow_id, 1)
+        call0, call1 = touch0.body[0].call, touch1.body[0].call
+        assert call0 is not call1
+        assert call0.args[0] is not call1.args[0]      # meta.count[i]
+        assert call0.args[0].base is call1.args[0].base  # meta.count
+        assert call0.args[1] is call1.args[1]          # meta.flow_id
+        assert call0.func.name == call1.func.name == "add_read"
+
+    def test_iteration_instances_are_numbered_as_at_the_count(self):
+        from repro.analysis.ir import instantiate_iteration
+
+        ir = make_ir(CMS_LIKE)
+        full = [i for i in instantiate(ir, {"rows": 3}) if i.symbolic]
+        one_by_one = [inst for k in range(3)
+                      for inst in instantiate_iteration(ir, "rows", k, 3)]
+        assert sorted(one_by_one, key=lambda i: i.source_order) == full
+        assert [i.uid for i in sorted(one_by_one, key=lambda i: i.uid)] == \
+            [i.uid for i in full]
+
     def test_iteration_substitution(self):
         ir = make_ir(CMS_LIKE)
         instances = instantiate(ir, {"rows": 2})
@@ -247,6 +270,21 @@ class TestSubstitute:
         replaced = substitute(expr, {"i": ast.IntLit(value=3)})
         names = [n.ident for n in ast.walk(replaced) if isinstance(n, ast.Name)]
         assert "i" not in names
+
+    def test_unbound_subtrees_are_shared(self):
+        stmt = parse_program(
+            "control C(inout metadata m) { apply { m.a = m.b + i; } }"
+        ).control("C").apply.stmts[0]
+        three = ast.IntLit(value=3)
+        # Nothing bound: the very same tree comes back.
+        assert substitute(stmt, {"j": three}) is stmt
+        # Only the path down to the bound name is new.
+        replaced = substitute(stmt, {"i": three})
+        assert replaced is not stmt and replaced.value is not stmt.value
+        assert replaced.target is stmt.target
+        assert replaced.value.left is stmt.value.left
+        assert replaced.value.right is three
+        assert replaced.loc is stmt.loc
 
     def test_original_ast_untouched(self):
         stmt = parse_program(
