@@ -62,6 +62,7 @@ __all__ = [
     "ControlDecl",
     "Program",
     "walk",
+    "rebuild",
 ]
 
 
@@ -553,3 +554,32 @@ def walk(node: Node) -> Iterator[Node]:
     yield node
     for child in node.children():
         yield from walk(child)
+
+
+def rebuild(node: Node, transform, arg) -> Node:
+    """``node`` with each child subtree ``c`` replaced by
+    ``transform(c, arg)``. When every child comes back as the same object,
+    ``node`` itself is returned; otherwise a new node of its class over
+    a copy of its ``__dict__``, so the children ``transform`` left alone
+    are shared with ``node``, never copied."""
+    changed = None
+    for attr, value in vars(node).items():
+        if isinstance(value, Node):
+            new = transform(value, arg)
+        elif isinstance(value, list):
+            new = [transform(v, arg) if isinstance(v, Node) else v
+                   for v in value]
+            if all(a is b for a, b in zip(new, value)):
+                continue
+        else:
+            continue
+        if new is not value:
+            if changed is None:
+                changed = {}
+            changed[attr] = new
+    if changed is None:
+        return node
+    clone = object.__new__(type(node))
+    clone.__dict__.update(vars(node))
+    clone.__dict__.update(changed)
+    return clone

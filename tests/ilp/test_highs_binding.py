@@ -308,18 +308,18 @@ def test_sparse_rows_are_the_dense_matrix(case, monkeypatch):
     from repro.ilp import solver
 
     dense, passed = [], []
-    solve_highs, highs_lp = solver.solve_scipy, solver_scipy._highs_lp
+    solve_highs, pass_model = solver.solve_scipy, solver_scipy._pass_model
 
     def recording(model, fixed=None, **kwargs):
         dense.append(model.to_matrix_form(fixed))
         return solve_highs(model, fixed=fixed, **kwargs)
 
-    def capturing(core, *arrays):
+    def capturing(core, highs, *arrays):
         passed.append(arrays)
-        return highs_lp(core, *arrays)
+        return pass_model(core, highs, *arrays)
 
     monkeypatch.setattr(solver, "solve_scipy", recording)
-    monkeypatch.setattr(solver_scipy, "_highs_lp", capturing)
+    monkeypatch.setattr(solver_scipy, "_pass_model", capturing)
     compile_case(*CASES[case])
     assert len(passed) == len(dense) >= 3
     for (c, a, lo, hi, (lbs, ubs), integrality), got in zip(dense, passed):
