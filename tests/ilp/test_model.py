@@ -99,6 +99,30 @@ class TestModel:
         assert not m.is_feasible({x: 5.0})   # bound
         assert not m.is_feasible({x: 2.5})   # integrality
 
+    def test_is_feasible_is_the_row_by_row_check(self):
+        # is_feasible runs on the cached CSC arrays; the loop it replaced
+        # is the reference, on a compile's layout model and assignments
+        # around its solution.
+        from repro.structures import CMS_SOURCE
+
+        from ..core.test_layout_encoding import build, t6
+
+        builder, program = build(CMS_SOURCE, t6())
+        best = builder.solve(utility=program.optimize().utility)
+        model = builder.layout.model
+        values = builder.encode_assignment(
+            best.symbol_values, best.instance_stage, best.register_alloc,
+            best.iteration_active)
+        rng = np.random.default_rng(7)
+        cases = [values, {}]
+        for step in (1.0, -1.0, 0.5, 1e-7, 1e-3):
+            for var in rng.choice(model.variables, size=12, replace=False):
+                cases.append({**values, var: values[var] + step})
+        verdicts = [model.is_feasible(case) for case in cases]
+        assert verdicts == [_is_feasible_by_rows(model, case)
+                            for case in cases]
+        assert verdicts[0] and True in verdicts[2:] and False in verdicts
+
     def test_matrix_form(self):
         m = Model()
         x = m.add_var("x", ub=10)
@@ -115,3 +139,35 @@ class TestModel:
         assert lo[2] == hi[2] == 4
         assert integrality.tolist() == [0, 1]
         assert ubs.tolist() == [10, 10]
+
+
+def _is_feasible_by_rows(model, assignment, tol=1e-6):
+    """The check ``Model.is_feasible`` was, variable by variable and row
+    by row: the reference for the array form."""
+    for var in model.variables:
+        val = assignment.get(var, 0.0)
+        if val < var.lb - tol or val > var.ub + tol:
+            return False
+        if var.vartype is not VarType.CONTINUOUS and \
+                abs(val - round(val)) > tol:
+            return False
+    return all(c.satisfied(assignment, tol) for c in model.constraints)
+
+
+def test_solution_values_round_as_round_does():
+    from repro.ilp.solver_scipy import _values
+
+    m = Model()
+    raw = [-0.4, 0.5, 1.5, 2.5, -2.5, 3.0000001, -0.0, 7.49, 0.2, -0.3]
+    kinds = [VarType.INTEGER, VarType.BINARY, VarType.INTEGER,
+             VarType.INTEGER, VarType.INTEGER, VarType.INTEGER,
+             VarType.INTEGER, VarType.CONTINUOUS, VarType.CONTINUOUS,
+             VarType.CONTINUOUS]
+    xs = [m.add_var(f"x{i}", lb=-10, ub=10, vartype=kind)
+          for i, kind in enumerate(kinds)]
+    got = _values(m, np.array(raw))
+    for var, value in zip(xs, raw):
+        want = value if var.vartype is VarType.CONTINUOUS \
+            else float(round(value))
+        assert got[var] == want
+        assert math.copysign(1.0, got[var]) == math.copysign(1.0, want)
