@@ -367,7 +367,9 @@ class _Elaborator:
                 )
                 if stmt.else_block is not None:
                     negated = ast.UnaryOp(op="!", operand=stmt.cond)
-                    self._elaborate_loop_block(stmt.else_block, negated, loop, segment)
+                    self._elaborate_loop_block(
+                        stmt.else_block, self._conj(guard, negated), loop, segment
+                    )
             elif isinstance(stmt, ast.Block):
                 self._elaborate_loop_block(stmt, guard, loop, segment)
             elif isinstance(stmt, ast.CallStmt):

@@ -216,8 +216,8 @@ class NetCacheApp:
         """Pass ``compiled`` to load an existing artifact instead of
         compiling — the elastic runtime compiles through its planner
         (with timeout fallback) and hands the artifact in here.
-        ``engine`` selects the pipeline execution engine (default: see
-        :func:`repro.pisa.default_engine`); ``banks``/``bank`` place the
+        ``engine`` selects the pipeline execution engine (default:
+        ``"vector"``); ``banks``/``bank`` place the
         app's registers in a bank set (see :class:`~repro.pisa.Pipeline`
         and :func:`serve`). Raises :class:`NetCacheProgramError` if the
         program is not one :meth:`run_trace` can serve."""

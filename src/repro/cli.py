@@ -163,8 +163,7 @@ def _add_serve_args(parser: argparse.ArgumentParser,
         "--engine", default=None, choices=["compiled", "vector", "interp"],
         help="pipeline execution engine: the generated-code scalar "
              "engine, the columnar whole-batch vector engine, or the "
-             "reference tree-walking interpreter (default: vector, or "
-             "REPRO_PISA_ENGINE)",
+             "reference tree-walking interpreter (default: vector)",
     )
     if serve_batch:
         parser.add_argument(

@@ -68,6 +68,10 @@ from .topology import FabricTopology
 __all__ = ["FleetConfig", "ReconfigRecord", "FleetWindow", "SwitchStats",
            "FleetReport", "FleetController"]
 
+#: Minimum controller windows between a switch's reconfiguration and
+#: its next drift reconfiguration.
+DRIFT_COOLDOWN_WINDOWS = 10
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -83,8 +87,6 @@ class FleetConfig:
     drop_threshold: float = 0.25     # relative hit-rate drop that means drift
     baseline_windows: int = 5        # windows forming the steady baseline
     warmup_windows: int = 4          # windows ignored after start/swap
-    cooldown_windows: int = 10       # min windows between a switch's
-                                     # reconfigs and its drift reconfig
     drift_reconfig: bool = True      # arm the drift trigger at all
     migrate_state: bool = True       # migrate the app's state on swap
     engine: str | None = None        # pipeline engine (None = default)
@@ -663,11 +665,11 @@ class FleetController:
                              reconfigured: set[str]) -> None:
         """Replan, for its current target, every serving switch whose
         monitor signals drift — unless it was reconfigured at this
-        boundary or within ``cooldown_windows``."""
+        boundary or within ``DRIFT_COOLDOWN_WINDOWS``."""
         for name in self.ring.names:
             last = self._last_reconfig_window.get(name, -(10 ** 9))
             if (name in reconfigured
-                    or self.windows - last < self.config.cooldown_windows
+                    or self.windows - last < DRIFT_COOLDOWN_WINDOWS
                     or not self.monitors[name].drift_detected()):
                 continue
             target = self.topology.node(name).target

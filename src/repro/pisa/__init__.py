@@ -15,12 +15,7 @@ from .packet import Packet, make_flow_packets
 from .parser import Deparser, FieldSpec, PacketParser, ParseState
 from .parser import ParseError as PacketParseError
 from .phv import Phv, PhvError, PhvLayout
-from .pipeline import (
-    ENGINES,
-    Pipeline,
-    ValidationError,
-    default_engine,
-)
+from .pipeline import ENGINES, Pipeline, ValidationError
 from .plan import PipelinePlan, StagePlan, plan_taint
 from .registers import RegisterArray, RegisterBanks, RegisterError, RegisterFile
 from .results import BatchResults, PipelineResult
@@ -67,7 +62,6 @@ __all__ = [
     "PipelineResult",
     "BatchResults",
     "ValidationError",
-    "default_engine",
     "PipelinePlan",
     "StagePlan",
     "plan_taint",

@@ -19,7 +19,6 @@ control-plane helpers (:meth:`table_add`, :meth:`register_dump`, ...).
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import numpy as np
@@ -38,8 +37,7 @@ from .resources import TargetSpec
 from .results import BatchResults, PipelineResult
 from .tables import MatchActionTable, TableEntry
 
-__all__ = ["Pipeline", "PipelineResult", "ValidationError",
-           "ENGINES", "default_engine"]
+__all__ = ["Pipeline", "PipelineResult", "ValidationError", "ENGINES"]
 
 #: Available execution engines: the compile-once generated-code engine
 #: (see repro.pisa.compiled), the columnar whole-batch engine (see
@@ -47,17 +45,6 @@ __all__ = ["Pipeline", "PipelineResult", "ValidationError",
 #: arrays kernels for process_many/process_columns; the default), and
 #: the tree-walking reference interpreter.
 ENGINES = ("compiled", "vector", "interp")
-
-
-def default_engine() -> str:
-    """Engine used when ``Pipeline(engine=None)``: the ``REPRO_PISA_ENGINE``
-    environment variable, or ``"vector"``."""
-    engine = os.environ.get("REPRO_PISA_ENGINE", "vector")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"REPRO_PISA_ENGINE={engine!r} is not one of {ENGINES}"
-        )
-    return engine
 
 
 class ValidationError(Exception):
@@ -98,7 +85,7 @@ class Pipeline:
         self._packet_keys: dict[str, str] = {}
         self._in_batch = False
         self._quiesce_pending: list = []
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = engine if engine is not None else "vector"
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; "
                              f"choose one of {ENGINES}")

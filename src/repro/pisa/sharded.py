@@ -40,7 +40,7 @@ Landing on inline **is loud**: a ``pisa.shard.degraded`` trace event
 plus the ``p4all_shard_degraded_total`` counter fire, and the report's
 ``mode`` says ``"inline"`` — callers can always tell they got
 sequential execution. Each worker reports its busy seconds so callers
-(the throughput benchmark, the fleet controller) can compute a
+(the end-to-end benchmark, the fleet controller) can compute a
 makespan-modeled aggregate next to honest wall-clock numbers; the
 parent records both on ``pipeline.last_shard_report``.
 """

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.lang import SemanticError, ast, check_program, parse_program
+from repro.lang import (
+    SemanticError, ast, check_program, parse_program, pretty_expr,
+)
 from repro.analysis import (
     ElasticSegment,
     InelasticSegment,
@@ -87,6 +89,30 @@ class TestElaboration:
         assert [sorted(i.registers) for i in instances] == [
             [("regs", 0)], [("regs", 1)], [("regs", 2)],
         ]
+
+    def test_loop_body_else_keeps_the_enclosing_guard(self):
+        ir = make_ir(
+            """
+            symbolic int n;
+            struct metadata { bit<32> a; bit<32> b; bit<32>[n] c; }
+            control Ingress(inout metadata meta) {
+                apply {
+                    for (i < n) {
+                        if (meta.a == 1) {
+                            if (meta.b == 2) { meta.c[i] = 1; }
+                            else { meta.c[i] = 2; }
+                        }
+                    }
+                }
+            }
+            """
+        )
+        then_unit, else_unit = ir.segments[0].templates
+        assert pretty_expr(then_unit.guard) == "meta.a == 1 && meta.b == 2"
+        assert pretty_expr(else_unit.guard) == "meta.a == 1 && !(meta.b == 2)"
+        instance = next(i for i in instantiate(ir, {"n": 1})
+                        if i.name == else_unit.name)
+        assert "meta.a" in instance.reads
 
     def test_directly_nested_loops_rejected(self):
         with pytest.raises(SemanticError, match="nested"):

@@ -29,8 +29,8 @@ class TestEvalCli:
 
     @pytest.mark.parametrize("flag", ["--engine", "--workers"])
     def test_no_flag_writes_the_environment(self, flag, capsys):
-        # The engine is chosen by REPRO_PISA_ENGINE itself; sharded
-        # serving is gone.
+        # The harness runs on the default engine; sharded serving is
+        # gone.
         with pytest.raises(SystemExit) as exc:
             main(["fig09", flag, "vector"])
         assert exc.value.code == 2

@@ -9,11 +9,14 @@ import dataclasses
 import pytest
 
 from repro.eval import (
+    FleetScenario,
     compare_exclusion_handling,
     compare_greedy_vs_ilp,
     compare_solvers,
     measure_bound_tightness,
     render_table,
+    run_elastic_runtime,
+    run_fleet,
     run_quality_sweep,
     run_unroll_example,
 )
@@ -79,6 +82,53 @@ class TestAblationHarnesses:
         target = small_target(stages=4, memory_kb=8)
         result = compare_solvers(CMS_SOURCE, target, name="cms")
         assert result.agree, result.format()
+
+
+class TestRuntimeHarness:
+    """``python -m repro.eval runtime``: the memory cut, migrated and
+    cold; every assertion here reads no clock."""
+
+    def test_migrated_and_cold_swaps(self):
+        comparison = run_elastic_runtime()
+        migrated, cold = comparison.outcomes
+        assert (migrated.label, cold.label) == ("migrated", "cold")
+        assert migrated.backend == "ilp"
+        # The cut recompile reuses the boot compile's front end.
+        assert "incumbent_source" in migrated.solver_stats
+        assert migrated.solver_stats["frontend_hits"] >= 1
+        # The shrink, not the migrator, loses entries.
+        assert migrated.kv_migrated > 0
+        assert 0.0 <= migrated.kv_loss < 1.0
+        assert migrated.recovery >= 0.9
+        assert migrated.post_swap_first_window > cold.post_swap_first_window
+        # Per-module attribution; the utility shares partition the
+        # objective.
+        assert {"kv", "cms"} <= set(migrated.module_attribution)
+        shares = [a["utility_share"]
+                  for a in migrated.module_attribution.values()
+                  if a.get("utility_share") is not None]
+        assert shares and sum(shares) == pytest.approx(1.0)
+        assert "first window" in comparison.format()
+
+
+class TestFleetHarness:
+    """``python -m repro.eval fleet``: scale-out and a live migration;
+    every assertion here reads no clock."""
+
+    def test_scale_and_migration(self):
+        scenario = FleetScenario(fleet_sizes=(1, 2, 4, 8))
+        outcome = run_fleet(scenario)
+        # The marginal switch's compile is a layout-cache hit.
+        for point in outcome.scale:
+            assert point.layout_cache_hits >= point.switches - 1
+        mig = outcome.migration
+        assert mig["committed"], mig["error"]
+        assert mig["kv_dropped"] == 0
+        assert mig["kv_migrated"] == mig["kv_entries_old"] > 0
+        assert mig["replayed_packets"] == mig["downtime_packets"]
+        assert mig["dropped_packets"] == 0
+        assert 0 < mig["downtime_packets"] <= scenario.window_packets
+        assert "Live migration" in outcome.format()
 
 
 class TestRenderTable:

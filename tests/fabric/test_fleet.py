@@ -15,6 +15,7 @@ from repro.runtime import (
     ReconfigPlanner,
     RuntimeConfig,
     TelemetryBus,
+    TrafficMonitor,
 )
 from repro.workloads import ZipfGenerator
 
@@ -394,6 +395,30 @@ class TestRebalance:
         stream = ZipfGenerator(universe=50, alpha=1.4, seed=1)
         report = controller.run(stream, 2000)
         assert report.rebalances == []
+
+
+class TestDriftCooldown:
+    def test_no_drift_replan_within_ten_windows(self, mini64, mini32,
+                                                shared_cache, monkeypatch):
+        """With every monitor signalling drift, a switch replans at
+        window 0, is cut at window 2, and replans again no sooner than
+        window 2 + 10; the other switch keeps its own clock."""
+        monkeypatch.setattr(TrafficMonitor, "drift_detected",
+                            lambda self: True)
+        controller = make_controller(mini64, shared_cache, n=2)
+        controller.schedule_cut(1000, "s0", mini32)
+        report = controller.run(ZipfGenerator(universe=3000, seed=3),
+                                14 * 500)
+        windows = {"s0": [], "s1": []}
+        for name, record in report.reconfigs:
+            assert record.committed
+            windows[name].append((record.packet_index // 500, record.cause))
+        assert windows == {
+            "s0": [(0, "hit-rate-drop"), (2, "target-change"),
+                   (12, "hit-rate-drop")],
+            "s1": [(0, "hit-rate-drop"), (10, "hit-rate-drop")],
+        }
+        controller.close()
 
 
 def kernel_calls_per_window(controller, stream) -> int:

@@ -10,7 +10,6 @@ from repro.pisa import (
     Packet,
     Pipeline,
     SimulationError,
-    default_engine,
     small_target,
 )
 from repro.structures import CMS_SOURCE
@@ -23,23 +22,10 @@ def compiled_cms():
 
 
 class TestEngineSelection:
-    def test_default_is_vector(self, compiled_cms, monkeypatch):
-        monkeypatch.delenv("REPRO_PISA_ENGINE", raising=False)
-        assert default_engine() == "vector"
+    def test_default_is_vector(self, compiled_cms):
         pipe = Pipeline(compiled_cms)
         assert pipe.engine == "vector"
         assert pipe.plan is not None and pipe.vplan.ok
-
-    def test_env_var_selects_interp(self, compiled_cms, monkeypatch):
-        monkeypatch.setenv("REPRO_PISA_ENGINE", "interp")
-        pipe = Pipeline(compiled_cms)
-        assert pipe.engine == "interp"
-        assert pipe.plan is None
-
-    def test_env_var_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PISA_ENGINE", "turbo")
-        with pytest.raises(ValueError, match="turbo"):
-            default_engine()
 
     def test_explicit_engine_rejects_unknown(self, compiled_cms):
         with pytest.raises(ValueError, match="turbo"):

@@ -27,18 +27,29 @@ def make_stream():
                         hot_ranks=200, seed=11)
 
 
-@pytest.fixture(scope="module")
-def cut_run(mini64, mini32):
-    """One full memory-cut run shared by the assertions below."""
+def memory_cut_run(mini64, mini32, **config):
     bus = TelemetryBus()
     runtime = ElasticRuntime(
         mini64,
-        config=RuntimeConfig(window_packets=500, drift_reconfig=False),
+        config=RuntimeConfig(window_packets=500, drift_reconfig=False,
+                             **config),
         telemetry=bus,
     )
     runtime.schedule_target_change(6000, mini32)
     report = runtime.run(make_stream(), packets=12_000)
     return runtime, report, bus
+
+
+@pytest.fixture(scope="module")
+def cut_run(mini64, mini32):
+    """One full memory-cut run shared by the assertions below."""
+    return memory_cut_run(mini64, mini32)
+
+
+@pytest.fixture(scope="module")
+def cold_cut_run(mini64, mini32):
+    """The same run with a cold swap (``p4all run --no-migrate``)."""
+    return memory_cut_run(mini64, mini32, migrate_state=False)
 
 
 class TestMemoryCutRecovery:
@@ -74,6 +85,17 @@ class TestMemoryCutRecovery:
         committed = [r for r in report.reconfigs if r.committed][0]
         first_after = report.timeline[6000 // 500]
         assert first_after >= committed.baseline_rate * 0.9
+
+    def test_cold_swap_starts_colder(self, cut_run, cold_cut_run):
+        # Migration is what keeps the first post-swap window warm: the
+        # cold swap commits with no migration and serves that window
+        # from an empty cache.
+        _rt, cold, _bus = cold_cut_run
+        [record] = [r for r in cold.reconfigs if r.committed]
+        assert record.migration is None
+        _rt, migrated, _bus = cut_run
+        first_after = 6000 // 500
+        assert cold.timeline[first_after] < migrated.timeline[first_after]
 
     def test_telemetry_narrates_the_cycle(self, cut_run):
         _rt, _report, bus = cut_run
