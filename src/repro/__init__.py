@@ -31,7 +31,6 @@ from .core import (
     CompiledProgram,
     CompileError,
     CompileOptions,
-    LayoutOptions,
     compile_file,
     compile_source,
     layout_report,
@@ -44,7 +43,6 @@ __all__ = [
     "CompiledProgram",
     "CompileError",
     "CompileOptions",
-    "LayoutOptions",
     "compile_file",
     "compile_source",
     "layout_report",

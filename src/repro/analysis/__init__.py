@@ -45,7 +45,6 @@ from .taint import (
 from .unroll import (
     BoundResult,
     UnrollBounds,
-    UnrollOptions,
     compute_upper_bounds,
 )
 
@@ -86,6 +85,5 @@ __all__ = [
     "taint_program",
     "BoundResult",
     "UnrollBounds",
-    "UnrollOptions",
     "compute_upper_bounds",
 ]

@@ -11,8 +11,8 @@ Following Figure 9 (where K = 3 makes the path too long "hence the loop
 is unrolled twice"), the returned bound is the largest K at which neither
 criterion fires.
 
-Two further refinements — both conservative in the safe direction and
-individually switchable — tighten bounds the ILP could never use anyway:
+Two further refinements — both conservative in the safe direction —
+tighten bounds the ILP could never use anyway:
 
 3. PHV: K iterations of elastic metadata cannot exceed ``P − P_fixed``;
 4. memory: K iterations each need at least one cell of every register
@@ -30,31 +30,19 @@ builds from scratch over the same instances, node numbers included.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from ..lang.symbols import ProgramInfo, eval_static
-from ..lang.errors import SemanticError
+from ..lang.symbols import ProgramInfo
 from ..lang import ast
 from ..pisa.resources import TargetSpec
 from .assumes import extract_numeric_bounds
 from .dependencies import DependencyGraphBuilder
 from .ir import ProgramIR, instantiate_iteration
 
-__all__ = ["BoundResult", "UnrollBounds", "compute_upper_bounds", "UnrollOptions"]
+__all__ = ["BoundResult", "UnrollBounds", "compute_upper_bounds"]
 
 # Safety cap when no criterion ever fires (degenerate loop bodies).
 _HARD_CAP = 256
-
-
-@dataclass(frozen=True)
-class UnrollOptions:
-    """Switches for the bound computation (ablation hooks)."""
-
-    use_phv_criterion: bool = True
-    use_memory_criterion: bool = True
-    exclusion_as_precedence: bool = False
-    hard_cap: int = _HARD_CAP
 
 
 @dataclass
@@ -112,29 +100,27 @@ def _upper_bound_for(
     ir: ProgramIR,
     symbolic: str,
     target: TargetSpec,
-    options: UnrollOptions,
+    exclusion_as_precedence: bool,
     assume_cap: int | None,
 ) -> BoundResult:
     info = ir.info
     meta_bits = _elastic_metadata_bits_per_iteration(info, symbolic)
     reg_bits = _min_register_bits_per_iteration(info, symbolic)
     phv_budget = target.phv_bits - info.metadata_fixed_bits()
-    cap = options.hard_cap if assume_cap is None else min(assume_cap, options.hard_cap)
+    cap = _HARD_CAP if assume_cap is None else min(assume_cap, _HARD_CAP)
     path_lengths: list[int] = []
     # G_v grows by one iteration per K: only the new instances are
     # grouped and classified, against the nodes already there.
-    builder = DependencyGraphBuilder(options.exclusion_as_precedence)
+    builder = DependencyGraphBuilder(exclusion_as_precedence)
     alus = 0
 
     k = 0
     while k < cap:
         k_next = k + 1
         # Fast arithmetic criteria first (no graph needed).
-        if options.use_phv_criterion and meta_bits > 0 \
-                and k_next * meta_bits > phv_budget:
+        if meta_bits > 0 and k_next * meta_bits > phv_budget:
             return BoundResult(symbolic, k, "phv", k_next, path_lengths)
-        if options.use_memory_criterion and reg_bits > 0 \
-                and k_next * reg_bits > target.total_memory_bits:
+        if reg_bits > 0 and k_next * reg_bits > target.total_memory_bits:
             return BoundResult(symbolic, k, "memory", k_next, path_lengths)
 
         added = instantiate_iteration(ir, symbolic, k, cap)
@@ -157,21 +143,24 @@ def _upper_bound_for(
 def compute_upper_bounds(
     ir: ProgramIR,
     target: TargetSpec,
-    options: UnrollOptions | None = None,
+    exclusion_as_precedence: bool = False,
 ) -> UnrollBounds:
     """Compute unroll bounds for every loop symbolic in the program.
+
+    ``exclusion_as_precedence`` grows G_v with every exclusion edge
+    turned into a precedence edge (the ablation's prototype mode).
 
     Nested-loop note: elaboration forbids directly nested for-loops, so
     each symbolic is analyzed with every *other* symbolic held at one
     iteration — the paper's "most conservative assumption about the other
     loops".
     """
-    options = options or UnrollOptions()
     numeric = extract_numeric_bounds(ir.info)
     results: dict[str, BoundResult] = {}
     for symbolic in ir.loop_symbolics:
         cap = None
         if symbolic in numeric and numeric[symbolic].upper is not None:
             cap = max(numeric[symbolic].upper, 1)
-        results[symbolic] = _upper_bound_for(ir, symbolic, target, options, cap)
+        results[symbolic] = _upper_bound_for(
+            ir, symbolic, target, exclusion_as_precedence, cap)
     return UnrollBounds(results=results)

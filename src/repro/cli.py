@@ -147,6 +147,14 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """A count that must be at least 1 (``--window``)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
 def _sub_batch(text: str) -> int:
     """``--serve-batch`` value: a sub-batch size, 0 for per-packet."""
     size = int(text)
@@ -533,7 +541,7 @@ def _add_run_args(p_run: argparse.ArgumentParser) -> None:
     """The ``run`` scenario's flags (also ``top run``'s)."""
     p_run.add_argument("--packets", type=int, default=16_000,
                        help="total packets to process (default: 16000)")
-    p_run.add_argument("--window", type=int, default=500,
+    p_run.add_argument("--window", type=_positive_int, default=500,
                        help="monitoring window in packets (default: 500)")
     p_run.add_argument("--universe", type=int, default=2000,
                        help="key universe size (default: 2000)")
@@ -590,7 +598,7 @@ def _add_fabric_args(p_fabric: argparse.ArgumentParser) -> None:
                                "(default: 2)")
     p_fabric.add_argument("--packets", type=int, default=16_000,
                           help="total packets to shard (default: 16000)")
-    p_fabric.add_argument("--window", type=int, default=2000,
+    p_fabric.add_argument("--window", type=_positive_int, default=2000,
                           help="sharding window in packets (default: 2000)")
     p_fabric.add_argument("--universe", type=int, default=10_000,
                           help="key universe size (default: 10000)")

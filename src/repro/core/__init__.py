@@ -4,7 +4,8 @@ Public entry points:
 
 * :func:`compile_source` / :func:`compile_file` — full compilation
   (parse → analyze → bound → ILP → codegen);
-* :class:`CompileOptions`, :class:`LayoutOptions` — compiler knobs;
+* :class:`CompileOptions` — the compiler's entry point, time limit,
+  exclusion mode and cache;
 * :class:`CompiledProgram` — the result artifact (symbol assignment,
   stage map, register allocation, concrete P4, timings);
 * :func:`layout_report` — Figure-7-style stage map rendering;
@@ -30,7 +31,7 @@ from .errors import (
     UtilityError,
 )
 from .greedy import GreedyResult, greedy_layout
-from .layout import LayoutBuilder, LayoutModel, LayoutOptions, LayoutSolution
+from .layout import LayoutBuilder, LayoutModel, LayoutSolution
 from .program import CompiledProgram, CompileStats, PlacedUnit, RegisterAlloc
 from .report import (
     ModuleAttribution,
@@ -68,7 +69,6 @@ __all__ = [
     "greedy_layout",
     "LayoutBuilder",
     "LayoutModel",
-    "LayoutOptions",
     "LayoutSolution",
     "CompiledProgram",
     "CompileStats",

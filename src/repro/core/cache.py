@@ -5,7 +5,7 @@ only the target geometry (a memory cut, a stage change) or the utility
 varies between triggers. A cold compile re-runs every phase of
 Figure 8, yet the front-end artifacts (parse/AST, semantic info, IR)
 depend only on the source text, and the unroll bounds only on
-(source, target, unroll options). :class:`CompileCache` memoizes those
+(source, target, exclusion mode). :class:`CompileCache` memoizes those
 phases, plus the *full* compile result, so that:
 
 * a recompile with only a changed :class:`~repro.pisa.resources.TargetSpec`
@@ -17,8 +17,8 @@ phases, plus the *full* compile result, so that:
   programs are immutable once assembled — pipelines built from them
   hold their own register state — so sharing is safe).
 
-Keys are content hashes of the source plus the frozen option/target
-dataclasses, never object identities, so two textually identical
+Keys are content hashes of the source plus the frozen target dataclass
+and the option values, never object identities, so two textually identical
 programs share cache entries. Hit/miss counters are kept per tier and
 can be exported on the runtime telemetry bus
 (:meth:`CompileCache.emit`); the :class:`~repro.runtime.planner.ReconfigPlanner`
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..analysis import compute_upper_bounds
-from ..analysis.unroll import UnrollBounds, UnrollOptions
+from ..analysis.unroll import UnrollBounds
 from ..obs import metrics as obs_metrics
 from ..pisa.resources import TargetSpec
 
@@ -47,7 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .driver import CompileOptions
     from .program import CompiledProgram
 
-__all__ = ["CompileCache", "CacheStats", "source_fingerprint"]
+__all__ = ["CompileCache", "CacheStats", "source_fingerprint", "MAX_LAYOUTS"]
+
+#: Layout-tier capacity: the least recently used artifact goes first.
+MAX_LAYOUTS = 64
 
 
 def source_fingerprint(source: str) -> str:
@@ -69,7 +72,7 @@ def _count_request(tier: str, hit: bool) -> None:
 @dataclass
 class CacheStats:
     """Hit/miss counters per cache tier (monotone; never reset by
-    eviction or invalidation, so rates stay meaningful over a run)."""
+    eviction, so rates stay meaningful over a run)."""
 
     frontend_hits: int = 0
     frontend_misses: int = 0
@@ -81,7 +84,6 @@ class CacheStats:
     layout_misses: int = 0
     verify_hits: int = 0
     verify_misses: int = 0
-    invalidations: int = 0
     evictions: int = 0
 
     def to_dict(self) -> dict[str, int]:
@@ -96,7 +98,6 @@ class CacheStats:
             "layout_misses": self.layout_misses,
             "verify_hits": self.verify_hits,
             "verify_misses": self.verify_misses,
-            "invalidations": self.invalidations,
             "evictions": self.evictions,
         }
 
@@ -114,26 +115,24 @@ class CompileCache:
     tier      holds                                       keyed by
     ========  ==========================================  =====================
     frontend  AST + semantic info + IR                    (source hash, entry)
-    bounds    loop-unroll upper bounds                    + (target, unroll opts)
+    bounds    loop-unroll upper bounds                    + (target, exclusion
+                                                          mode)
     verify    taint/isolation verification result         + chosen symbol values
     layout    the full ILP ``CompiledProgram``            + (time limit,
-                                                          layout opts)
+                                                          exclusion mode)
     ========  ==========================================  =====================
 
     A greedy compile (``compile_*_greedy``) shares the first three tiers
     but never reads or writes the layout tier: its key has no room for
     the solver, and a first fit must not answer an ILP compile.
 
-    The layout tier is LRU-bounded by ``max_layouts`` (``0`` disables it
-    entirely — useful for benchmarks that want front-end reuse but fresh
-    solves). All operations are thread-safe. The fleet controller plans
-    its switches one after another through one planner and this cache,
-    so every switch after the first with the same target is a
-    layout-tier hit.
+    The layout tier is LRU-bounded by :data:`MAX_LAYOUTS`. All
+    operations are thread-safe. The fleet controller plans its switches
+    one after another through one planner and this cache, so every
+    switch after the first with the same target is a layout-tier hit.
     """
 
-    def __init__(self, max_layouts: int = 64):
-        self.max_layouts = max_layouts
+    def __init__(self):
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._frontend: dict[tuple, Any] = {}
@@ -165,7 +164,7 @@ class CompileCache:
 
         ``key_text`` is the source itself, or the ``"linked:" +
         fingerprint`` pseudo-source of a linked program, so the bounds,
-        verify and layout tiers (and ``invalidate``) key the same text.
+        verify and layout tiers key the same text.
         ``build`` runs parse → check → IR on a miss; what it returns is
         stored as is.
         """
@@ -190,13 +189,14 @@ class CompileCache:
         entry: str,
         ir,
         target: TargetSpec,
-        options: UnrollOptions,
+        exclusion_as_precedence: bool,
     ) -> tuple[UnrollBounds, bool]:
         """Return ``(bounds, hit)``; bounds depend on the target too."""
-        key = (source_fingerprint(source), entry, target, options)
+        key = (source_fingerprint(source), entry, target,
+               exclusion_as_precedence)
         return self._memo(
             "bounds", self._bounds, key,
-            lambda: compute_upper_bounds(ir, target, options))
+            lambda: compute_upper_bounds(ir, target, exclusion_as_precedence))
 
     # -- full-result layout tier ---------------------------------------------------
     def _layout_key(self, source: str, target: TargetSpec,
@@ -206,14 +206,11 @@ class CompileCache:
             options.entry,
             target,
             options.time_limit,
-            options.layout,
-            options.unroll,
+            options.exclusion_as_precedence,
         )
 
     def get_layout(self, source: str, target: TargetSpec,
                    options: "CompileOptions") -> "CompiledProgram | None":
-        if self.max_layouts <= 0:
-            return None
         key = self._layout_key(source, target, options)
         with self._lock:
             compiled = self._layouts.get(key)
@@ -229,13 +226,11 @@ class CompileCache:
 
     def put_layout(self, source: str, target: TargetSpec,
                    options: "CompileOptions", compiled: "CompiledProgram") -> None:
-        if self.max_layouts <= 0:
-            return
         key = self._layout_key(source, target, options)
         with self._lock:
             self._layouts[key] = compiled
             self._layouts.move_to_end(key)
-            while len(self._layouts) > self.max_layouts:
+            while len(self._layouts) > MAX_LAYOUTS:
                 self._layouts.popitem(last=False)
                 self.stats.evictions += 1
                 obs_metrics.counter(
@@ -251,9 +246,9 @@ class CompileCache:
         Taint verification depends only on the program text, the entry
         point, and the chosen symbolic values (the unroll depth fixes
         which instances exist) — the target matters only through those
-        values, but it is part of the key so invalidation stays simple
-        and a target change can never alias. Warm recompiles of an
-        unchanged program therefore skip re-verification entirely.
+        values, but it is part of the key so a target change can never
+        alias. Warm recompiles of an unchanged program therefore skip
+        re-verification entirely.
         """
         key = (
             source_fingerprint(source),
@@ -262,45 +257,6 @@ class CompileCache:
             tuple(sorted(symbol_values.items())),
         )
         return self._memo("verify", self._verify, key, build)
-
-    # -- invalidation --------------------------------------------------------------
-    def invalidate(self, source: str | None = None) -> int:
-        """Drop cached artifacts; returns the number of entries removed.
-
-        With ``source`` given, only entries derived from that text are
-        dropped (the operator edited one program); with ``None``,
-        everything goes.
-        """
-        with self._lock:
-            if source is None:
-                removed = (len(self._frontend) + len(self._modules)
-                           + len(self._bounds) + len(self._layouts)
-                           + len(self._verify))
-                self._frontend.clear()
-                self._modules.clear()
-                self._bounds.clear()
-                self._layouts.clear()
-                self._verify.clear()
-            else:
-                fp = source_fingerprint(source)
-                removed = 0
-                for store in (self._frontend, self._bounds, self._layouts,
-                              self._verify):
-                    stale = [k for k in store if k[0] == fp]
-                    for k in stale:
-                        del store[k]
-                    removed += len(stale)
-        if removed:
-            self.stats.invalidations += 1
-            obs_metrics.counter(
-                "p4all_cache_invalidations_total",
-                help="Explicit CompileCache invalidations that removed entries.",
-            ).inc()
-        return removed
-
-    def clear(self) -> int:
-        """Alias for full invalidation."""
-        return self.invalidate()
 
     # -- introspection ---------------------------------------------------------------
     def snapshot(self) -> dict[str, int]:

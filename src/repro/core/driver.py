@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Callable
 
 from ..analysis import build_ir, compute_upper_bounds
-from ..analysis.unroll import UnrollOptions
 from ..lang import check_program, parse_program
 from ..obs import metrics as obs_metrics
 from ..obs import trace
@@ -41,7 +40,7 @@ from ..pisa.resources import TargetSpec
 from .cache import CompileCache
 from .codegen import generate_p4
 from .greedy import greedy_layout
-from .layout import LayoutBuilder, LayoutOptions
+from .layout import LayoutBuilder
 from .program import CompiledProgram, CompileStats, PlacedUnit, RegisterAlloc
 
 __all__ = [
@@ -54,45 +53,24 @@ __all__ = [
 ]
 
 
+@dataclasses.dataclass
 class CompileOptions:
     """All compiler knobs in one place."""
 
-    def __init__(
-        self,
-        entry: str = "Ingress",
-        time_limit: float | None = None,
-        layout: LayoutOptions | None = None,
-        unroll: UnrollOptions | None = None,
-        verify: bool = True,
-        cache: CompileCache | None = None,
-    ):
-        self.entry = entry
-        self.time_limit = time_limit
-        self.layout = layout or LayoutOptions()
-        self.unroll = unroll or UnrollOptions(
-            exclusion_as_precedence=self.layout.exclusion_as_precedence
-        )
-        #: re-check the produced layout against every resource/dependency
-        #: rule (cheap; catches formulation bugs at the source).
-        self.verify = verify
-        #: optional :class:`~repro.core.cache.CompileCache` — reuses
-        #: front-end artifacts across recompiles and short-circuits
-        #: identical compiles entirely.
-        self.cache = cache
+    entry: str = "Ingress"
+    time_limit: float | None = None
+    #: the prototype-mode ablation: both the unroll bounds and the layout
+    #: treat every exclusion edge as a precedence edge
+    exclusion_as_precedence: bool = False
+    #: optional :class:`~repro.core.cache.CompileCache` — reuses
+    #: front-end artifacts across recompiles and short-circuits
+    #: identical compiles entirely.
+    cache: CompileCache | None = None
 
     def replace(self, **updates) -> "CompileOptions":
-        """A copy with the given fields updated (options are not frozen,
-        but callers treat them as immutable once a compile starts)."""
-        fields = dict(
-            entry=self.entry,
-            time_limit=self.time_limit,
-            layout=self.layout,
-            unroll=self.unroll,
-            verify=self.verify,
-            cache=self.cache,
-        )
-        fields.update(updates)
-        return CompileOptions(**fields)
+        """A copy with the given fields updated (callers treat options
+        as immutable once a compile starts)."""
+        return dataclasses.replace(self, **updates)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,7 +81,7 @@ class _Unit:
     name: str
     #: what the cache tiers hash: the source itself, or the linked
     #: fingerprint as a pseudo-source, so a linked program shares the
-    #: tiers (and ``invalidate``) unchanged with string compiles
+    #: tiers unchanged with string compiles
     key: str
     #: ``() -> ast.Program`` — the linker already parsed its modules
     parse: Callable
@@ -163,10 +141,12 @@ def _frontend(unit: _Unit, target, options, stats):
     t0 = time.perf_counter()
     with trace.span("compile.bounds") as span:
         if cache is None:
-            bounds = compute_upper_bounds(ir, target, options.unroll)
+            bounds = compute_upper_bounds(ir, target,
+                                          options.exclusion_as_precedence)
         else:
             bounds, stats.bounds_cached = cache.bounds(
-                unit.key, options.entry, ir, target, options.unroll)
+                unit.key, options.entry, ir, target,
+                options.exclusion_as_precedence)
             span.set_attr("cached", stats.bounds_cached)
     stats.bounds_seconds = time.perf_counter() - t0
     stats.analysis_seconds = stats.ir_seconds + stats.bounds_seconds
@@ -177,7 +157,6 @@ def _assemble(
     compiled: CompiledProgram,
     instances,
     solution,
-    options: CompileOptions,
 ) -> None:
     """Phase 5: placed units, register allocation, codegen, verification."""
     info = compiled.info
@@ -210,24 +189,20 @@ def _assemble(
         compiled.p4_source = generate_p4(compiled)
     stats.codegen_seconds = time.perf_counter() - t0
 
-    if options.verify:
-        from ..analysis.bounds_check import check_index_bounds
-        from .validate import validate_layout
+    from ..analysis.bounds_check import check_index_bounds
+    from .validate import validate_layout
 
-        with trace.span("compile.validate"):
-            # §7 verification: every elastic-array index provably in
-            # bounds at the chosen symbolic values.
-            check_index_bounds(
-                compiled.ir,
-                {sym: compiled.symbol_values.get(sym, 1)
-                 for sym in compiled.bounds.as_counts()},
-            )
-
-            validate_layout(
-                compiled,
-                hash_unit_limits=options.layout.hash_unit_limits,
-                table_memory=options.layout.table_memory,
-            )
+    with trace.span("compile.validate"):
+        # §7 verification: every elastic-array index provably in bounds
+        # at the chosen symbolic values, then every resource and
+        # dependency rule re-checked (catches formulation bugs at the
+        # source).
+        check_index_bounds(
+            compiled.ir,
+            {sym: compiled.symbol_values.get(sym, 1)
+             for sym in compiled.bounds.as_counts()},
+        )
+        validate_layout(compiled)
 
 
 def _verify_linked(compiled, key, target, options, stats) -> None:
@@ -332,7 +307,8 @@ def _layout(unit, program, info, ir, bounds, target, options, stats,
 
     t0 = time.perf_counter()
     with trace.span("compile.ilp_build"):
-        builder = LayoutBuilder(ir, bounds, target, options.layout)
+        builder = LayoutBuilder(ir, bounds, target,
+                                options.exclusion_as_precedence)
         lm = builder.build()
     stats.ilp_build_seconds = time.perf_counter() - t0
     with trace.span("compile.ilp_solve") as span:
@@ -366,7 +342,6 @@ def _compile(unit: _Unit, target: TargetSpec,
     options = options or CompileOptions()
     cache = options.cache
     layouts = None if greedy else cache
-    verify = options.verify and unit.linked
     with trace.span("compile", source=unit.name, target=target.name,
                     linked=unit.linked) as span:
         t0 = time.perf_counter()
@@ -375,7 +350,7 @@ def _compile(unit: _Unit, target: TargetSpec,
         if cached is not None:
             span.set_attr("layout_cached", True)
             compiled = _layout_hit(cached, time.perf_counter() - t0)
-            if verify:
+            if unit.linked:
                 # The verify tier answers from cache (same program, same
                 # symbol values): isolation stays checked on every build
                 # without re-running the passes.
@@ -396,8 +371,8 @@ def _compile(unit: _Unit, target: TargetSpec,
                 solution=solution,
                 stats=stats,
             )
-            _assemble(compiled, instances, solution, options)
-            if verify:
+            _assemble(compiled, instances, solution)
+            if unit.linked:
                 _verify_linked(compiled, unit.key, target, options, stats)
             if layouts is not None:
                 layouts.put_layout(unit.key, target, options, compiled)

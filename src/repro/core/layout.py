@@ -112,25 +112,16 @@ from .errors import (
     LayoutTimeoutError,
     UtilityError,
 )
+from .tablemem import table_memory_bits
 
 __all__ = ["LayoutBuilder", "LayoutModel", "LayoutSolution", "RegisterFamily",
-           "CellGroup", "LayoutOptions"]
+           "CellGroup"]
 
 #: HiGHS's default ``mip_rel_gap``: the search stops once its incumbent
 #: is this close, relatively, to its bound, and so does the start step
 _REL_GAP = 1e-4
 #: slack on ⌊·⌋ of an LP value that is an integer up to float error
 _INT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class LayoutOptions:
-    """Tunables for the ILP construction."""
-
-    symmetry_breaking: bool = True    # monotone stages for first elastic template
-    hash_unit_limits: bool = True     # §4.4 extension
-    table_memory: bool = True         # §4.4 extension: table SRAM in stage M
-    exclusion_as_precedence: bool = False  # prototype-mode ablation
 
 
 @dataclass
@@ -168,10 +159,9 @@ class CellGroup:
 class LayoutModel:
     """The constructed ILP plus handles for solution extraction."""
 
-    def __init__(self, ir: ProgramIR, target: TargetSpec, options: LayoutOptions):
+    def __init__(self, ir: ProgramIR, target: TargetSpec):
         self.ir = ir
         self.target = target
-        self.options = options
         self.model = Model("p4all-layout")
         self.instances: list[ActionInstance] = []
         self.graph: DependencyGraph | None = None
@@ -284,14 +274,16 @@ class LayoutBuilder:
         ir: ProgramIR,
         bounds: UnrollBounds,
         target: TargetSpec,
-        options: LayoutOptions | None = None,
+        exclusion_as_precedence: bool = False,
     ):
         self.ir = ir
         self.info = ir.info
         self.bounds = bounds
         self.target = target
-        self.options = options or LayoutOptions()
-        self.layout = LayoutModel(ir, target, self.options)
+        #: the prototype-mode ablation: every exclusion edge of the
+        #: dependency graph becomes a precedence edge
+        self.exclusion_as_precedence = exclusion_as_precedence
+        self.layout = LayoutModel(ir, target)
         #: the start's values when its placement came from the canonical
         #: objective (:meth:`_start_point`): a layout with its symbol
         #: columns needs no :meth:`canonical_placement`
@@ -305,7 +297,7 @@ class LayoutBuilder:
         lm.instances = instantiate(self.ir, lm.counts)
         lm.graph = build_dependency_graph(
             lm.instances,
-            exclusion_as_precedence=self.options.exclusion_as_precedence,
+            exclusion_as_precedence=self.exclusion_as_precedence,
         )
         self._make_register_families()
         self._make_cell_groups()
@@ -317,8 +309,7 @@ class LayoutBuilder:
         self._memory_constraints()              # #8, #9, #10
         self._phv_constraints()                 # #13, #14
         self._assume_constraints()
-        if self.options.symmetry_breaking:
-            self._symmetry_breaking()
+        self._symmetry_breaking()
         return lm
 
     # -- register families -------------------------------------------------------
@@ -570,10 +561,9 @@ class LayoutBuilder:
              lambda inst: self.target.hf(inst.cost)),
             ("alus_l", self.target.stateless_alus_per_stage,
              lambda inst: self.target.hl(inst.cost)),
+            ("hash_units", self.target.hash_units_per_stage,
+             lambda inst: inst.cost.hash_ops),
         ]
-        if self.options.hash_unit_limits:
-            rows.append(("hash_units", self.target.hash_units_per_stage,
-                         lambda inst: inst.cost.hash_ops))
         for name, limit, cost_of in rows:
             usage = [{} for _ in range(self.target.stages)]
             for node in lm.graph.nodes:
@@ -600,24 +590,21 @@ class LayoutBuilder:
         lm = self.layout
         model = lm.model
         # #8: per-stage memory in bits — a cell of a group costs the
-        # widths of all its members; table SRAM (§4.4 extension,
-        # flag-controlled) comes out of the same budget.
+        # widths of all its members; table SRAM (§4.4 extension) comes
+        # out of the same budget.
         usage = [{} for _ in range(self.target.stages)]
         for group in lm.groups:
             for s in lm.window[group.anchor.node_id]:
                 usage[s][lm.m[(group.gid, s)]] = float(group.bits_per_cell)
-        if self.options.table_memory:
-            from .tablemem import table_memory_bits
-
-            for node in lm.graph.nodes:
-                bits = sum(
-                    table_memory_bits(self.info.tables[inst.table], self.info)
-                    for inst in node.instances
-                    if inst.table is not None
-                )
-                if bits:
-                    for s in lm.window[node.node_id]:
-                        usage[s][lm.x[(node.node_id, s)]] = float(bits)
+        for node in lm.graph.nodes:
+            bits = sum(
+                table_memory_bits(self.info.tables[inst.table], self.info)
+                for inst in node.instances
+                if inst.table is not None
+            )
+            if bits:
+                for s in lm.window[node.node_id]:
+                    usage[s][lm.x[(node.node_id, s)]] = float(bits)
         for s, terms in enumerate(usage):
             if terms:
                 self._row(terms, Sense.LE, self.target.memory_bits_per_stage,

@@ -2,10 +2,9 @@
 
 The paper's ILP "does not consider the placement of match-action tables"
 but notes there is "no fundamental reason" it could not. This
-reproduction places table-apply units like actions and, with
-``LayoutOptions.table_memory`` (default on), charges each table's SRAM
-footprint — entries × (key bits + action-data overhead) — against the
-memory of the stage it lands in. The PISA simulator validates the same
+reproduction places table-apply units like actions and always charges
+each table's SRAM footprint — entries × (key bits + action-data
+overhead) — against the memory of the stage it lands in. The PISA simulator validates the same
 accounting at load time.
 """
 

@@ -55,17 +55,10 @@ def _fail(message: str) -> None:
     raise LayoutValidationError(message)
 
 
-def validate_layout(
-    compiled: CompiledProgram,
-    hash_unit_limits: bool = True,
-    table_memory: bool = True,
-) -> None:
-    """Raise :class:`LayoutValidationError` on any violated rule.
-
-    ``hash_unit_limits``/``table_memory`` mirror the corresponding
-    :class:`~repro.core.layout.LayoutOptions` flags, so layouts compiled
-    with an extension disabled validate under the same rules.
-    """
+def validate_layout(compiled: CompiledProgram) -> None:
+    """Raise :class:`LayoutValidationError` on any violated rule —
+    including the §4.4 extensions the layout ILP enforces: table SRAM
+    out of the stage memory and the per-stage hash-unit limit."""
     target = compiled.target
     info = compiled.info
 
@@ -74,12 +67,11 @@ def validate_layout(
         units = compiled.units_in_stage(stage)
         regs = compiled.registers_in_stage(stage)
         memory = sum(r.size_bits for r in regs)
-        if table_memory:
-            memory += sum(
-                table_memory_bits(info.tables[u.instance.table], info)
-                for u in units
-                if u.instance.table is not None
-            )
+        memory += sum(
+            table_memory_bits(info.tables[u.instance.table], info)
+            for u in units
+            if u.instance.table is not None
+        )
         if memory > target.memory_bits_per_stage:
             _fail(f"stage {stage}: memory {memory} exceeds "
                   f"{target.memory_bits_per_stage} bits")
@@ -91,11 +83,10 @@ def validate_layout(
         if stateless > target.stateless_alus_per_stage:
             _fail(f"stage {stage}: {stateless} stateless ALUs exceed "
                   f"{target.stateless_alus_per_stage}")
-        if hash_unit_limits:
-            hashes = sum(u.instance.cost.hash_ops for u in units)
-            if hashes > target.hash_units_per_stage:
-                _fail(f"stage {stage}: {hashes} hash ops exceed "
-                      f"{target.hash_units_per_stage} units")
+        hashes = sum(u.instance.cost.hash_ops for u in units)
+        if hashes > target.hash_units_per_stage:
+            _fail(f"stage {stage}: {hashes} hash ops exceed "
+                  f"{target.hash_units_per_stage} units")
 
     # -- PHV ---------------------------------------------------------------
     env = dict(info.consts)

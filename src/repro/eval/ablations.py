@@ -19,8 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..analysis import build_ir, compute_upper_bounds
-from ..analysis.unroll import UnrollOptions
-from ..core import CompileOptions, LayoutOptions, compile_source, greedy_layout
+from ..core import CompileOptions, compile_source, greedy_layout
 from ..core.layout import LayoutBuilder
 from ..ilp.solver_bb import solve_branch_and_bound
 from ..lang import check_program, parse_program
@@ -140,10 +139,7 @@ def compare_exclusion_handling(
     degraded = compile_source(
         source,
         target,
-        options=CompileOptions(
-            layout=LayoutOptions(exclusion_as_precedence=True),
-            unroll=UnrollOptions(exclusion_as_precedence=True),
-        ),
+        options=CompileOptions(exclusion_as_precedence=True),
         source_name=name,
     )
     return ExclusionAblation(

@@ -71,6 +71,8 @@ __all__ = ["FleetConfig", "ReconfigRecord", "FleetWindow", "SwitchStats",
 #: Minimum controller windows between a switch's reconfiguration and
 #: its next drift reconfiguration.
 DRIFT_COOLDOWN_WINDOWS = 10
+#: Minimum controller windows between two skew rebalances.
+REBALANCE_COOLDOWN_WINDOWS = 5
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,18 @@ class FleetConfig:
     skew_threshold: float = 0.0      # max/mean window share arming a
                                      # rebalance (0 disables)
     max_move_fraction: float = 0.2   # moved-key bound per rebalance
-    rebalance_cooldown: int = 5      # min windows between rebalances
-    drop_threshold: float = 0.25     # relative hit-rate drop that means drift
-    baseline_windows: int = 5        # windows forming the steady baseline
-    warmup_windows: int = 4          # windows ignored after start/swap
     drift_reconfig: bool = True      # arm the drift trigger at all
     migrate_state: bool = True       # migrate the app's state on swap
     engine: str | None = None        # pipeline engine (None = default)
     serve_batch: int | None = None   # serve sub-batch size; results
                                      # do not depend on it (0 = the
                                      # per-packet reference serve)
-    slo_rules: tuple | None = None   # SLO rules (None = defaults, see
-                                     # repro.obs.slo.default_slo_rules)
+
+    def __post_init__(self):
+        # The run loop draws min(window_packets, ...) keys per window: a
+        # window below one packet would never advance it.
+        if self.window_packets < 1:
+            raise ValueError("window_packets must be positive")
 
 
 def _source_text(source) -> str:
@@ -351,7 +353,6 @@ class FleetController:
         #: brings its own options and cache.
         self.planner = planner if planner is not None else ReconfigPlanner(
             options=options, telemetry=self.telemetry, cache=cache)
-        self.options = self.planner.options
         self.cache = self.planner.cache
         self.source = source or netcache_linked(with_routing=False)
         serving = topology.serving()
@@ -363,11 +364,7 @@ class FleetController:
         #: every cooldown and of the window event
         self.windows = 0
         self.monitors: defaultdict[str, TrafficMonitor] = defaultdict(
-            lambda: TrafficMonitor(
-                baseline_windows=self.config.baseline_windows,
-                drop_threshold=self.config.drop_threshold,
-                warmup_windows=self.config.warmup_windows,
-            ))
+            TrafficMonitor)
         self._last_reconfig_window: dict[str, int] = {}
         self._last_rebalance_window = -(10 ** 9)
         self._scheduled_cuts: list[tuple[int, str, TargetSpec]] = []
@@ -375,7 +372,7 @@ class FleetController:
         self._installed = False
         #: SLO monitoring: hit rate and reconfiguration time per switch,
         #: utility headroom per linked module.
-        self.slo = SloMonitor(self.telemetry, rules=self.config.slo_rules)
+        self.slo = SloMonitor(self.telemetry)
 
     # -- construction -----------------------------------------------------------
     @property
@@ -558,10 +555,7 @@ class FleetController:
                                     switch=switch,
                                     **record.migration.to_dict())
             with trace.span("fleet.reconfigure.validate"):
-                layout = self.options.layout
-                validate_layout(app.compiled,
-                                hash_unit_limits=layout.hash_unit_limits,
-                                table_memory=layout.table_memory)
+                validate_layout(app.compiled)
                 app.canary()
         except Exception as exc:  # roll back on *any* pre-commit failure
             record.error = str(exc)
@@ -816,7 +810,7 @@ class FleetController:
         if self.config.skew_threshold <= 0 or len(self.ring) < 2:
             return
         if (window.index - self._last_rebalance_window
-                < self.config.rebalance_cooldown):
+                < REBALANCE_COOLDOWN_WINDOWS):
             return
         loads = {name: window.per_switch.get(name, 0)
                  for name in self.ring.names}

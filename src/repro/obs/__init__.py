@@ -58,7 +58,7 @@ from .export import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricError, MetricsRegistry
 from .record import FlightRecorder, install_flight_dump, maybe_install_from_env
-from .slo import SloMonitor, SloRule, default_slo_rules
+from .slo import DEFAULT_SLO_RULES, SloMonitor, SloRule
 from .tracer import NULL_SPAN, Span, SpanEvent, Tracer
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
     "maybe_install_from_env",
     "SloMonitor",
     "SloRule",
-    "default_slo_rules",
+    "DEFAULT_SLO_RULES",
     "WorkerObsCapture",
     "obs_control",
     "apply_obs_control",

@@ -5,8 +5,7 @@ want the *last few seconds of raw events*, which neither gives you. The
 :class:`FlightRecorder` keeps a ``deque(maxlen=...)`` of recent entries
 (finished spans via a tracer sink, batch notes from the engines, and
 telemetry events — SLO violations among them — noted by the bus) at a
-cost of one bool check plus one tuple append per entry — cheap enough
-to leave on.
+cost of one tuple append per entry — cheap enough to leave on.
 
 The ring dumps to JSONL:
 
@@ -37,7 +36,11 @@ __all__ = [
     "FlightRecorder",
     "install_flight_dump",
     "maybe_install_from_env",
+    "CAPACITY",
 ]
+
+#: Ring entries kept: the newest win.
+CAPACITY = 4096
 
 
 def _json_safe(value: Any):
@@ -58,26 +61,19 @@ class FlightRecorder:
     no lock on the hot side.
     """
 
-    def __init__(self, capacity: int = 4096, enabled: bool = True):
-        self.capacity = capacity
-        self.enabled = enabled
-        self._ring: collections.deque = collections.deque(maxlen=capacity)
+    def __init__(self):
+        self._ring: collections.deque = collections.deque(maxlen=CAPACITY)
         self._seq = itertools.count(1)
 
     # -- recording -------------------------------------------------------------
     def note(self, kind: str, name: str, **data: Any) -> None:
-        """Append one entry. The always-on call sites guard nothing —
-        this bool check *is* the disabled path."""
-        if not self.enabled:
-            return
+        """Append one entry. The always-on call sites guard nothing."""
         self._ring.append(
             (next(self._seq), time.time(), kind, name, data or None)
         )
 
     def on_span(self, span) -> None:
         """Tracer sink: record each finished span's shape and timing."""
-        if not self.enabled:
-            return
         self._ring.append(
             (next(self._seq), time.time(), "span", span.name,
              {"duration": span.duration, "attrs": dict(span.attrs)})

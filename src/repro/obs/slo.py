@@ -22,12 +22,12 @@ adds no measurement of its own to the hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .metrics import MetricsRegistry
 
-__all__ = ["SloRule", "SloMonitor", "default_slo_rules"]
+__all__ = ["SloRule", "SloMonitor", "DEFAULT_SLO_RULES"]
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,22 @@ class SloRule:
         return ewma > self.threshold
 
 
-def default_slo_rules() -> tuple[SloRule, ...]:
-    """The rules the runtime and fleet controllers install by default."""
-    return (
-        # Per-tenant windowed hit rate: fire when the smoothed rate
-        # sinks below 25%. Warm up past the cold-cache windows first.
-        SloRule("hit_rate", threshold=0.25, direction="min",
-                alpha=0.35, min_samples=3, warmup=5),
-        # Weighted utility minus the tenant's declared floor: any
-        # negative headroom means the ILP's floor promise is broken —
-        # one committed layout is enough evidence, no smoothing.
-        SloRule("utility_headroom", threshold=0.0, direction="min",
-                alpha=1.0, min_samples=1),
-        # Reconfiguration wall-clock: the control loop must stay
-        # responsive to pressure.
-        SloRule("reconfig_seconds", threshold=30.0, direction="max",
-                alpha=0.5, min_samples=1),
-    )
+#: The rules the runtime and fleet controllers install.
+DEFAULT_SLO_RULES = (
+    # Per-tenant windowed hit rate: fire when the smoothed rate sinks
+    # below 25%. Warm up past the cold-cache windows first.
+    SloRule("hit_rate", threshold=0.25, direction="min",
+            alpha=0.35, min_samples=3, warmup=5),
+    # Weighted utility minus the tenant's declared floor: any negative
+    # headroom means the ILP's floor promise is broken — one committed
+    # layout is enough evidence, no smoothing.
+    SloRule("utility_headroom", threshold=0.0, direction="min",
+            alpha=1.0, min_samples=1),
+    # Reconfiguration wall-clock: the control loop must stay responsive
+    # to pressure.
+    SloRule("reconfig_seconds", threshold=30.0, direction="max",
+            alpha=0.5, min_samples=1),
+)
 
 
 @dataclass
@@ -97,7 +96,7 @@ class SloMonitor:
             from . import metrics as registry
         self.rules: dict[str, SloRule] = {
             r.name: r for r in (rules if rules is not None
-                                else default_slo_rules())
+                                else DEFAULT_SLO_RULES)
         }
         self.telemetry = telemetry
         self._series: dict[tuple[str, str], _Series] = {}

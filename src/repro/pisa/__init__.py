@@ -9,7 +9,7 @@ compiled P4All programs — the reproduction's substitute for the Tofino.
 """
 
 from .alu import AluError, apply_binary, apply_unary
-from .hashing import Crc32Hash, HashFunction, MultiplyShiftHash, hash_family
+from .hashing import MultiplyShiftHash
 from .interp import ExecContext, SimulationError
 from .packet import Packet, make_flow_packets
 from .parser import Deparser, FieldSpec, PacketParser, ParseState
@@ -41,10 +41,7 @@ __all__ = [
     "AluError",
     "apply_binary",
     "apply_unary",
-    "Crc32Hash",
-    "HashFunction",
     "MultiplyShiftHash",
-    "hash_family",
     "ExecContext",
     "SimulationError",
     "Packet",

@@ -10,10 +10,10 @@ text of one ``compile()``-d Python function:
 
 * field keys (``meta.cms_index[2]``) fold to string literals, register
   references to pre-bound :class:`RegisterArray` methods, ``hash(seed,
-  ...)`` to the concrete :class:`HashFunction` instance (shared with the
-  pipeline's control-plane cache, so ``Pipeline.hash_value`` stays
-  bit-identical), constant subexpressions to literals — all through the
-  same ALU semantics the interpreter uses;
+  ...)`` to the concrete :class:`MultiplyShiftHash` instance (shared
+  with the pipeline's control-plane cache, so ``Pipeline.hash_value``
+  stays bit-identical), constant subexpressions to literals — all
+  through the same ALU semantics the interpreter uses;
 * what is left dynamic is what a data plane decides per packet: a table
   apply calls a generated per-table function that looks the entry up
   and hands its action data, positionally, to a generated per-action
@@ -54,14 +54,11 @@ _MASK32 = _HASH_WIDTH - 1
 _MASK64 = (1 << 64) - 1
 
 
-def _specialize_hash(fn) -> Optional[Callable]:
+def _specialize_hash(fn: MultiplyShiftHash) -> Callable:
     """Flatten a single-argument multiply-shift hash at width 2**32 into
     one function call (the splitmix64 finalizer inlined, the modulo
     strength-reduced to a mask). Bit-identical to
-    ``fn(v, width=1 << 32)``; returns None for other hash kinds, which
-    keep going through the generic ``__call__``."""
-    if type(fn) is not MultiplyShiftHash:
-        return None
+    ``fn(v, width=1 << 32)``."""
     mult = fn._multiplier(0)
     addend = fn._addend
 
@@ -139,9 +136,9 @@ class _Lowering:
         self.actions = pipeline.info.actions
         #: Static seed -> the pipeline's shared hash instance.
         self.hash_fn = pipeline._hash_fn
-        self._hash_fast: dict[int, Optional[Callable]] = {}
+        self._hash_fast: dict[int, Callable] = {}
 
-    def fast_hash(self, seed: int) -> Optional[Callable]:
+    def fast_hash(self, seed: int) -> Callable:
         """Per-seed cache over :func:`_specialize_hash`."""
         if seed not in self._hash_fast:
             self._hash_fast[seed] = _specialize_hash(self.hash_fn(seed))
@@ -393,9 +390,8 @@ class _SourceGen:
             fn = (f"{self._bind(self.low.hash_fn)}"
                   f"({self.expr(call.args[0], sc)})")
         else:
-            fast = self.low.fast_hash(seed)
-            if fast is not None and len(values) == 1:
-                return f"{self._bind(fast)}({values[0]})"
+            if len(values) == 1:
+                return f"{self._bind(self.low.fast_hash(seed))}({values[0]})"
             fn = self._bind(self.low.hash_fn(seed))
         return f"{fn}({', '.join(values + [f'width={_HASH_WIDTH}'])})"
 

@@ -1,27 +1,21 @@
-"""Deterministic hash families for the data plane.
+"""The deterministic hash family of the data plane.
 
-PISA switches provide per-stage hash units (CRC-style). The simulator and
-the reference data structures must agree bit-for-bit, so both use this
-module. Two families are provided:
-
-* :class:`MultiplyShiftHash` — 2-universal multiply-shift hashing;
-  vectorizes over numpy arrays, which keeps trace-scale experiments fast.
-* :class:`Crc32Hash` — seeded CRC32 (closer to what switch hash units
-  compute); scalar.
+PISA switches provide per-stage hash units. The simulator and the
+reference data structures must agree bit-for-bit, so both use
+:class:`MultiplyShiftHash` — 2-universal multiply-shift hashing, which
+vectorizes over numpy arrays and so keeps trace-scale experiments fast.
 
 Hash functions are constructed from an integer ``seed`` so that "row i of
-the sketch uses hash function h_i" is simply ``family(seed=i)``.
+the sketch uses hash function h_i" is simply ``MultiplyShiftHash(i)``.
 """
 
 from __future__ import annotations
 
 import random
-import zlib
 
 import numpy as np
 
-__all__ = ["HashFunction", "MultiplyShiftHash", "Crc32Hash", "hash_family",
-           "stacked_vector"]
+__all__ = ["MultiplyShiftHash", "stacked_vector"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -30,31 +24,7 @@ _MASK64 = (1 << 64) - 1
 HASH_UNIT_WIDTH = 1 << 32
 
 
-class HashFunction:
-    """Interface: map tuples of ints (or numpy arrays) into ``[0, width)``."""
-
-    def __call__(self, *values: int, width: int) -> int:
-        raise NotImplementedError
-
-    def vector(self, values: np.ndarray, width: int) -> np.ndarray:
-        """Vectorized variant over a 1-D array of keys."""
-        raise NotImplementedError
-
-    def slot(self, *values: int, cells: int) -> int:
-        """Register-slot index exactly as the data plane computes it: a
-        32-bit hash-unit output reduced modulo the register size. (For
-        non-power-of-two sizes this differs from hashing directly into
-        ``[0, cells)``, so reference structures must use this method to
-        stay bit-identical with the pipeline simulator.)"""
-        return self(*values, width=HASH_UNIT_WIDTH) % cells
-
-    def slot_vector(self, values: np.ndarray, cells: int) -> np.ndarray:
-        """Vectorized :meth:`slot`."""
-        out = self.vector(values, HASH_UNIT_WIDTH)
-        return (out.astype(np.uint64) % np.uint64(cells)).astype(np.int64)
-
-
-class MultiplyShiftHash(HashFunction):
+class MultiplyShiftHash:
     """Dietzfelbinger-style multiply-shift hashing with seeded parameters.
 
     For multi-argument calls the arguments are combined pairwise with
@@ -93,7 +63,21 @@ class MultiplyShiftHash(HashFunction):
         return self._mix(*values) % width
 
     def vector(self, values: np.ndarray, width: int) -> np.ndarray:
+        """Vectorized variant over a 1-D array of keys."""
         return self.bind_vector(1, width)(np.asarray(values, dtype=np.uint64))
+
+    def slot(self, *values: int, cells: int) -> int:
+        """Register-slot index exactly as the data plane computes it: a
+        32-bit hash-unit output reduced modulo the register size. (For
+        non-power-of-two sizes this differs from hashing directly into
+        ``[0, cells)``, so reference structures must use this method to
+        stay bit-identical with the pipeline simulator.)"""
+        return self(*values, width=HASH_UNIT_WIDTH) % cells
+
+    def slot_vector(self, values: np.ndarray, cells: int) -> np.ndarray:
+        """Vectorized :meth:`slot`."""
+        out = self.vector(values, HASH_UNIT_WIDTH)
+        return (out.astype(np.uint64) % np.uint64(cells)).astype(np.int64)
 
     def vector_multi(self, columns, width: int) -> np.ndarray:
         """Vectorized multi-argument hash: one array per argument
@@ -147,45 +131,10 @@ def _multiply_shift(mults: list, addend, width: int):
 
 def stacked_vector(fns: list, width: int, nargs: int = 1):
     """A function of ``nargs`` key arrays giving ``fns[i]``'s hash of
-    them in row ``i`` — multiply-shift functions in one two-dimensional
-    pass (other families hash one key array, row by row)."""
-    if all(type(fn) is MultiplyShiftHash for fn in fns):
-        def column(values):
-            return np.array(values, dtype=np.uint64)[:, None]
+    them in row ``i``, all rows in one two-dimensional pass."""
+    def column(values):
+        return np.array(values, dtype=np.uint64)[:, None]
 
-        return _multiply_shift(
-            [column([fn._multiplier(pos) for fn in fns])
-             for pos in range(nargs)],
-            column([fn._addend for fn in fns]), width)
-    if nargs != 1:
-        raise ValueError("only multiply-shift hashes stack over several "
-                         "arguments")
-    return lambda keys: np.stack([fn.vector(keys, width) for fn in fns])
-
-
-class Crc32Hash(HashFunction):
-    """Seeded CRC32 — mirrors switch hash units; scalar only."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & 0xFFFFFFFF
-
-    def __call__(self, *values: int, width: int) -> int:
-        if width <= 0:
-            raise ValueError("hash width must be positive")
-        crc = self.seed
-        for value in values:
-            data = int(value).to_bytes((max(int(value).bit_length(), 1) + 7) // 8, "little")
-            crc = zlib.crc32(data, crc)
-        return crc % width
-
-    def vector(self, values: np.ndarray, width: int) -> np.ndarray:
-        return np.array([self(int(v), width=width) for v in np.asarray(values)])
-
-
-def hash_family(kind: str = "multiply-shift"):
-    """Return a constructor ``seed -> HashFunction`` for the named family."""
-    if kind == "multiply-shift":
-        return MultiplyShiftHash
-    if kind == "crc32":
-        return Crc32Hash
-    raise ValueError(f"unknown hash family {kind!r} (multiply-shift, crc32)")
+    return _multiply_shift(
+        [column([fn._multiplier(pos) for fn in fns]) for pos in range(nargs)],
+        column([fn._addend for fn in fns]), width)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ..lang import ast
 from ..lang.pretty import pretty_expr
 from .alu import apply_binary, apply_unary
-from .hashing import HashFunction
+from .hashing import MultiplyShiftHash
 from .registers import RegisterFile
 from .tables import MatchActionTable
 
@@ -42,19 +42,17 @@ class ExecContext:
     snapshot: dict[str, int]                 # PHV at stage entry
     registers: RegisterFile
     tables: dict[str, MatchActionTable]
-    hash_fns: dict[int, HashFunction]
-    hash_factory: type
+    hash_fns: dict[int, MultiplyShiftHash]
     actions: dict[str, ast.ActionDecl]       # for table-invoked actions
     consts: dict[str, int]
     local_writes: dict[str, int] = field(default_factory=dict)
     scalars: dict[str, int] = field(default_factory=dict)  # bound action params
     table_hits: dict[str, bool] = field(default_factory=dict)
 
-    def hash_fn(self, seed: int) -> HashFunction:
+    def hash_fn(self, seed: int) -> MultiplyShiftHash:
         fn = self.hash_fns.get(seed)
         if fn is None:
-            fn = self.hash_factory(seed)
-            self.hash_fns[seed] = fn
+            fn = self.hash_fns[seed] = MultiplyShiftHash(seed)
         return fn
 
     def read(self, key: str) -> int:

@@ -28,8 +28,8 @@ from ..lang.symbols import eval_static
 from ..obs import flight
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from .hashing import hash_family
-from .interp import ExecContext, SimulationError, eval_expr, exec_unit_body
+from .hashing import MultiplyShiftHash
+from .interp import ExecContext, SimulationError, exec_unit_body
 from .packet import Packet
 from .phv import PhvLayout
 from .registers import RegisterBanks, RegisterFile
@@ -61,8 +61,7 @@ class Pipeline:
     :meth:`process_columns`).
     """
 
-    def __init__(self, compiled, hash_kind: str = "multiply-shift",
-                 validate: bool = True, meta_prefix: str = "meta",
+    def __init__(self, compiled, validate: bool = True,
                  engine: str | None = None,
                  banks: RegisterBanks | None = None, bank: int = 0):
         self.compiled = compiled
@@ -71,9 +70,7 @@ class Pipeline:
         self.banks.join(bank, self)
         self.target: TargetSpec = compiled.target
         self.info = compiled.info
-        self.meta_prefix = meta_prefix
-        self._hash_factory = hash_family(hash_kind)
-        self._hash_fns: dict[int, object] = {}
+        self._hash_fns: dict[int, MultiplyShiftHash] = {}
         self._static_env = dict(self.info.consts)
         self._static_env.update(compiled.symbol_values)
 
@@ -119,7 +116,7 @@ class Pipeline:
     def _build_phv_layout(self) -> PhvLayout:
         layout = PhvLayout(self.target.phv_bits)
         for fd in self.info.metadata.values():
-            base = f"{self.meta_prefix}.{fd.name}"
+            base = f"meta.{fd.name}"
             if fd.array_size is None:
                 layout.allocate(base, fd.width)
                 continue
@@ -357,7 +354,7 @@ class Pipeline:
     def _hash_fn(self, seed: int):
         fn = self._hash_fns.get(seed)
         if fn is None:
-            fn = self._hash_fns[seed] = self._hash_factory(seed)
+            fn = self._hash_fns[seed] = MultiplyShiftHash(seed)
         return fn
 
     def hash_value(self, seed: int, *values: int, width: int) -> int:
@@ -423,7 +420,7 @@ class Pipeline:
         key = self._packet_keys.get(name)
         if key is not None:
             return key
-        meta_key = f"{self.meta_prefix}.{name}"
+        meta_key = f"meta.{name}"
         hdr_key = f"hdr.{name}"
         if meta_key in self.phv_layout:
             key = meta_key
@@ -483,7 +480,6 @@ class Pipeline:
                     registers=self.registers,
                     tables=self.tables,
                     hash_fns=self._hash_fns,
-                    hash_factory=self._hash_factory,
                     actions=self.info.actions,
                     consts=self.info.consts,
                 )

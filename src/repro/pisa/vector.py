@@ -997,8 +997,6 @@ class _VecGen:
         except _NotStatic:
             raise _NotVectorizable("dynamic hash seed") from None
         fn = self.low.hash_fn(seed)
-        if type(fn) is not MultiplyShiftHash:
-            raise _NotVectorizable("non-multiply-shift hash family")
         # The hash reads its arguments mod 2**64 (the column's uint64
         # view), so every kind hashes bit-identically.
         vals = [self.expr(a, sc) for a in call.args[1:]]

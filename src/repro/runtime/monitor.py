@@ -3,8 +3,9 @@
 The monitor is the runtime's sensor. The packet loop reports each
 processed window (``record``); the monitor keeps a bounded history of
 per-window hit rates and a drift signal: the current window's hit rate
-falling a configured fraction below the steady baseline. A drift detection is what arms the
-reconfiguration planner when no explicit target change is pending —
+falling :data:`DROP_THRESHOLD` below the steady baseline. A drift
+detection is what arms the reconfiguration planner when no explicit
+target change is pending —
 NetCache's "the hot set moved and the cache stopped following it".
 """
 
@@ -14,7 +15,16 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-__all__ = ["WindowSample", "TrafficMonitor"]
+__all__ = ["WindowSample", "TrafficMonitor", "DROP_THRESHOLD",
+           "BASELINE_WINDOWS", "HISTORY"]
+
+#: Relative hit-rate drop below the baseline that means drift.
+DROP_THRESHOLD = 0.25
+#: Windows forming the steady baseline; as many windows after a start
+#: or a swap never signal drift.
+BASELINE_WINDOWS = 5
+#: Windows of history kept.
+HISTORY = 4096
 
 
 @dataclass(frozen=True)
@@ -33,27 +43,17 @@ class WindowSample:
 class TrafficMonitor:
     """Sliding-window statistics over the packet stream.
 
-    ``baseline_windows`` windows form the steady-state reference (the
+    :data:`BASELINE_WINDOWS` windows form the steady-state reference (the
     mean of the most recent full windows *before* the current one);
     drift is declared when the newest window's hit rate drops more than
-    ``drop_threshold`` (relative) below that baseline. The first
-    ``warmup_windows`` windows never signal drift — a cold cache always
-    starts near 0% and must be allowed to fill.
+    :data:`DROP_THRESHOLD` (relative) below that baseline. The first
+    :data:`BASELINE_WINDOWS` windows after a start or a swap never
+    signal drift — a cold cache always starts near 0% and must be
+    allowed to fill.
     """
 
-    def __init__(
-        self,
-        baseline_windows: int = 5,
-        drop_threshold: float = 0.2,
-        warmup_windows: int = 4,
-        history: int = 4096,
-    ):
-        if not 0.0 < drop_threshold < 1.0:
-            raise ValueError("drop_threshold must be within (0, 1)")
-        self.baseline_windows = baseline_windows
-        self.drop_threshold = drop_threshold
-        self.warmup_windows = warmup_windows
-        self.samples: deque[WindowSample] = deque(maxlen=history)
+    def __init__(self):
+        self.samples: deque[WindowSample] = deque(maxlen=HISTORY)
         self.windows_recorded = 0
         self._windows_since_reset = 0
 
@@ -75,7 +75,7 @@ class TrafficMonitor:
     # -- signals ---------------------------------------------------------------
     @property
     def timeline(self) -> list[float]:
-        """Per-window hit rates, oldest first (bounded by ``history``)."""
+        """Per-window hit rates, oldest first (bounded by :data:`HISTORY`)."""
         return [s.hit_rate for s in self.samples]
 
     def current_rate(self) -> float:
@@ -92,26 +92,25 @@ class TrafficMonitor:
     def steady_rate(self, windows: int | None = None) -> float:
         """Mean hit rate over the last ``windows`` full windows
         (excluding none — this *includes* the newest)."""
-        recent = self._tail(windows or self.baseline_windows)
+        recent = self._tail(windows or BASELINE_WINDOWS)
         if not recent:
             return 0.0
         return sum(s.hit_rate for s in recent) / len(recent)
 
     def baseline_rate(self) -> float:
-        """Steady reference: mean of the ``baseline_windows`` windows
+        """Steady reference: mean of the :data:`BASELINE_WINDOWS` windows
         preceding the current one."""
-        prior = self._tail(self.baseline_windows, skip=1)
+        prior = self._tail(BASELINE_WINDOWS, skip=1)
         if not prior:
             return 0.0
         return sum(s.hit_rate for s in prior) / len(prior)
 
     def drift_detected(self) -> bool:
-        """True when the newest window sits ``drop_threshold`` below the
-        baseline (and warmup has passed since the last reset/swap)."""
-        if self._windows_since_reset <= max(self.warmup_windows,
-                                            self.baseline_windows):
+        """True when the newest window sits :data:`DROP_THRESHOLD` below
+        the baseline (and warmup has passed since the last reset/swap)."""
+        if self._windows_since_reset <= BASELINE_WINDOWS:
             return False
         baseline = self.baseline_rate()
         if baseline <= 0.0:
             return False
-        return self.current_rate() < baseline * (1.0 - self.drop_threshold)
+        return self.current_rate() < baseline * (1.0 - DROP_THRESHOLD)

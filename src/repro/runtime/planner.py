@@ -104,9 +104,7 @@ class ReconfigPlanner:
         self.options = options or CompileOptions()
         # Explicit None-check: an empty TelemetryBus is falsy (len 0).
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
-        #: Shared across every compile this planner issues. Pass
-        #: ``CompileCache(max_layouts=0)`` to keep front-end reuse but
-        #: force every layout to be re-solved.
+        #: Shared across every compile this planner issues.
         self.cache = cache if cache is not None else CompileCache()
 
     def _compile(self, source, target, time_limit: float | None,

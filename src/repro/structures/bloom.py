@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..pisa.hashing import hash_family
+from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
 __all__ = ["BloomFilter", "bloom_module", "BLOOM_SOURCE"]
@@ -23,14 +23,12 @@ __all__ = ["BloomFilter", "bloom_module", "BLOOM_SOURCE"]
 class BloomFilter:
     """Reference partitioned Bloom filter over integer keys."""
 
-    def __init__(self, hashes: int, bits_per_partition: int,
-                 hash_kind: str = "multiply-shift", seed_offset: int = 0):
+    def __init__(self, hashes: int, bits_per_partition: int, seed_offset: int = 0):
         if hashes <= 0 or bits_per_partition <= 0:
             raise ValueError("hashes and bits_per_partition must be positive")
         self.hashes = hashes
         self.bits_per_partition = bits_per_partition
-        family = hash_family(hash_kind)
-        self._fns = [family(seed_offset + i) for i in range(hashes)]
+        self._fns = [MultiplyShiftHash(seed_offset + i) for i in range(hashes)]
         self.partitions = np.zeros((hashes, bits_per_partition), dtype=bool)
         self.inserted = 0
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..pisa.hashing import hash_family
+from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
 __all__ = ["CountMinSketch", "cms_module", "CMS_SOURCE"]
@@ -33,16 +33,14 @@ class CountMinSketch:
     estimate is the minimum of a key's counters and never underestimates.
     """
 
-    def __init__(self, rows: int, cols: int, width: int = 32,
-                 hash_kind: str = "multiply-shift", seed_offset: int = 0):
+    def __init__(self, rows: int, cols: int, width: int = 32, seed_offset: int = 0):
         if rows <= 0 or cols <= 0:
             raise ValueError("rows and cols must be positive")
         self.rows = rows
         self.cols = cols
         self.mask = (1 << width) - 1
         self.seed_offset = seed_offset
-        family = hash_family(hash_kind)
-        self._hashes = [family(seed_offset + r) for r in range(rows)]
+        self._hashes = [MultiplyShiftHash(seed_offset + r) for r in range(rows)]
         self.table = np.zeros((rows, cols), dtype=np.uint64)
         self.items_seen = 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pisa.hashing import hash_family
+from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
 __all__ = ["CountingHashTable", "hashtable_module", "HASHTABLE_SOURCE"]
@@ -21,15 +21,13 @@ __all__ = ["CountingHashTable", "hashtable_module", "HASHTABLE_SOURCE"]
 class CountingHashTable:
     """Reference multi-row (key, counter) hash table."""
 
-    def __init__(self, rows: int, cols: int, hash_kind: str = "multiply-shift",
-                 seed_offset: int = 200):
+    def __init__(self, rows: int, cols: int, seed_offset: int = 200):
         if rows <= 0 or cols <= 0:
             raise ValueError("rows and cols must be positive")
         self.rows = rows
         self.cols = cols
         self.seed_offset = seed_offset
-        family = hash_family(hash_kind)
-        self._fns = [family(seed_offset + r) for r in range(rows)]
+        self._fns = [MultiplyShiftHash(seed_offset + r) for r in range(rows)]
         self.keys = np.zeros((rows, cols), dtype=np.uint64)
         self.counts = np.zeros((rows, cols), dtype=np.uint64)
 

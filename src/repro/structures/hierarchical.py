@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pisa.hashing import hash_family
+from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
 __all__ = ["HierarchicalSketch", "hierarchical_module", "SKETCHLEARN_SOURCE"]
@@ -21,15 +21,13 @@ __all__ = ["HierarchicalSketch", "hierarchical_module", "SKETCHLEARN_SOURCE"]
 class HierarchicalSketch:
     """Reference multi-level sketch over ``key_bits``-bit keys."""
 
-    def __init__(self, key_bits: int, cols: int,
-                 hash_kind: str = "multiply-shift", seed_offset: int = 300):
+    def __init__(self, key_bits: int, cols: int, seed_offset: int = 300):
         if key_bits <= 0 or cols <= 0:
             raise ValueError("key_bits and cols must be positive")
         self.key_bits = key_bits
         self.cols = cols
-        family = hash_family(hash_kind)
         # One hash per level; level 0 is the total-count level.
-        self._fns = [family(seed_offset + k) for k in range(key_bits + 1)]
+        self._fns = [MultiplyShiftHash(seed_offset + k) for k in range(key_bits + 1)]
         self.levels = np.zeros((key_bits + 1, cols), dtype=np.uint64)
         self.packets = 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..pisa.hashing import hash_family
+from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
 __all__ = ["KeyValueStore", "kv_module", "KV_SOURCE"]
@@ -35,15 +35,14 @@ class KeyValueStore:
     """
 
     def __init__(self, rows: int, cols: int, value_slices: int = 2,
-                 hash_kind: str = "multiply-shift", seed_offset: int = 100):
+                 seed_offset: int = 100):
         if rows <= 0 or cols <= 0:
             raise ValueError("rows and cols must be positive")
         self.rows = rows
         self.cols = cols
         self.value_slices = value_slices
         self.seed_offset = seed_offset
-        family = hash_family(hash_kind)
-        self._fns = [family(seed_offset + r) for r in range(rows)]
+        self._fns = [MultiplyShiftHash(seed_offset + r) for r in range(rows)]
         self._slots: list[dict[int, _Slot]] = [dict() for _ in range(rows)]
 
     # -- operations ------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pisa.hashing import hash_family
+from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
 __all__ = ["HashMatrix", "matrix_module", "MATRIX_SOURCE"]
@@ -23,15 +23,13 @@ __all__ = ["HashMatrix", "matrix_module", "MATRIX_SOURCE"]
 class HashMatrix:
     """Reference rows×cols accumulator matrix over integer keys."""
 
-    def __init__(self, rows: int, cols: int, width: int = 32,
-                 hash_kind: str = "multiply-shift", seed_offset: int = 500):
+    def __init__(self, rows: int, cols: int, width: int = 32, seed_offset: int = 500):
         if rows <= 0 or cols <= 0:
             raise ValueError("rows and cols must be positive")
         self.rows = rows
         self.cols = cols
         self.mask = (1 << width) - 1
-        family = hash_family(hash_kind)
-        self._fns = [family(seed_offset + r) for r in range(rows)]
+        self._fns = [MultiplyShiftHash(seed_offset + r) for r in range(rows)]
         self.table = np.zeros((rows, cols), dtype=np.uint64)
 
     def update(self, key: int, amount: int = 1) -> None:

@@ -4,15 +4,15 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import UnrollOptions, build_ir, compute_upper_bounds
+from repro.analysis import build_ir, compute_upper_bounds
 from repro.lang import check_program, parse_program
 from repro.pisa.resources import small_target, toy_three_stage
 from repro.structures import CMS_SOURCE
 
 
-def bounds_for(source: str, target, options=None):
+def bounds_for(source: str, target, exclusion_as_precedence=False):
     ir = build_ir(check_program(parse_program(source)), "Ingress")
-    return compute_upper_bounds(ir, target, options)
+    return compute_upper_bounds(ir, target, exclusion_as_precedence)
 
 
 class TestFigure9:
@@ -49,13 +49,9 @@ control Ingress(inout metadata meta) {
 class TestResourceCriteria:
     def test_alu_criterion_for_independent_iterations(self):
         # No cross-iteration dependencies: the chain criterion never
-        # fires; ALUs (or PHV) must bound the loop.
+        # fires; ALUs bound the loop before PHV (31) or memory would.
         target = small_target(stages=2, memory_kb=512)
-        result = bounds_for(
-            INDEPENDENT,
-            target,
-            UnrollOptions(use_phv_criterion=False, use_memory_criterion=False),
-        ).results["n"]
+        result = bounds_for(INDEPENDENT, target).results["n"]
         assert result.criterion == "alus"
         # Each iteration: hf=1, hl=2 -> 3 ALUs; budget (2+8)*2 = 20 -> 6 fit.
         assert result.bound == 6
@@ -69,11 +65,7 @@ class TestResourceCriteria:
     def test_memory_criterion(self):
         source = INDEPENDENT.replace("[64][n]", "[8192][n]")
         tiny = small_target(stages=2, memory_kb=1)  # 1024 bits/stage
-        result = bounds_for(
-            source,
-            tiny,
-            UnrollOptions(use_phv_criterion=False),
-        ).results["n"]
+        result = bounds_for(source, tiny).results["n"]
         # >= 1 cell of 8 bits per iteration, 2048 bits total -> 256 cap,
         # but ALU criterion may fire earlier; either way it's bounded.
         assert result.bound <= 256
@@ -85,18 +77,14 @@ class TestResourceCriteria:
         assert result.bound == 3
         assert result.criterion == "assume"
 
-    def test_hard_cap_backstop(self):
+    def test_hard_cap_backstop(self, monkeypatch):
+        # ALUs would stop the loop at 26 (3 per iteration, budget 80);
+        # the cap fires first.
+        monkeypatch.setattr("repro.analysis.unroll._HARD_CAP", 10)
         target = small_target(stages=8, memory_kb=512)
-        result = bounds_for(
-            INDEPENDENT,
-            target,
-            UnrollOptions(
-                use_phv_criterion=False,
-                use_memory_criterion=False,
-                hard_cap=10,
-            ),
-        ).results["n"]
-        assert result.bound <= 10
+        result = bounds_for(INDEPENDENT, target).results["n"]
+        assert result.bound == 10
+        assert result.criterion == "cap"
 
 
 class TestExclusionHandling:
@@ -107,9 +95,7 @@ class TestExclusionHandling:
         target = toy_three_stage()
         full = bounds_for(CMS_SOURCE, target).results["cms_rows"].bound
         degraded = bounds_for(
-            CMS_SOURCE,
-            target,
-            UnrollOptions(exclusion_as_precedence=True),
+            CMS_SOURCE, target, exclusion_as_precedence=True,
         ).results["cms_rows"].bound
         assert degraded <= full
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import CompileOptions, LayoutOptions, compile_source
+from repro.core import CompileOptions, compile_source
 from repro.pisa.resources import small_target
 from repro.structures import CMS_SOURCE
 
@@ -40,20 +40,6 @@ class TestHashUnitLimits:
             )
             assert hashes <= 1
 
-    def test_disabling_the_limit_allows_more(self):
-        target = dataclasses.replace(
-            small_target(stages=3, memory_kb=16), hash_units_per_stage=1
-        )
-        relaxed = compile_source(
-            self.SOURCE,
-            target,
-            options=CompileOptions(
-                layout=LayoutOptions(hash_unit_limits=False)
-            ),
-        )
-        strict = compile_source(self.SOURCE, target)
-        assert relaxed.symbol_values["n"] >= strict.symbol_values["n"]
-
 
 class TestStageBias:
     def test_bias_prefers_early_stages(self):
@@ -75,16 +61,11 @@ class TestStageBias:
 
 class TestExclusionAsPrecedenceMode:
     def test_compiles_and_is_no_better(self):
-        from repro.analysis.unroll import UnrollOptions
-
         target = small_target(stages=6, memory_kb=32)
         full = compile_source(CMS_SOURCE, target)
         degraded = compile_source(
             CMS_SOURCE,
             target,
-            options=CompileOptions(
-                layout=LayoutOptions(exclusion_as_precedence=True),
-                unroll=UnrollOptions(exclusion_as_precedence=True),
-            ),
+            options=CompileOptions(exclusion_as_precedence=True),
         )
         assert degraded.solution.objective <= full.solution.objective

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import CompileOptions, LayoutOptions, compile_source
+from repro.core import compile_source
 from repro.core.tablemem import table_memory_bits
 from repro.lang import check_program, parse_program
 from repro.pisa.resources import small_target
@@ -49,19 +49,12 @@ class TestTableMemoryBits:
 
 class TestLayoutIntegration:
     def test_table_memory_counted_against_stage(self):
-        # A stage holds 16 kb; the table needs 24 kb -> infeasible with
-        # accounting on, feasible with it off.
+        # A stage holds 16 kb; the table needs 24 kb -> infeasible.
         from repro.core import LayoutInfeasibleError
 
         target = small_target(stages=1, memory_kb=16)
         with pytest.raises(LayoutInfeasibleError):
             compile_source(SOURCE, target)
-        relaxed = compile_source(
-            SOURCE,
-            target,
-            options=CompileOptions(layout=LayoutOptions(table_memory=False)),
-        )
-        assert any(u.instance.table for u in relaxed.units)
 
     def test_table_and_registers_share_stage_budget(self):
         source = SOURCE.replace(

@@ -380,15 +380,14 @@ class TestRebalance:
                                                 shared_cache):
         """A second ``run()`` with a fresh report keeps the rebalance
         clock: the cooldown counts the controller's windows, not the
-        report's."""
+        report's (five windows apart: REBALANCE_COOLDOWN_WINDOWS)."""
         controller = make_controller(mini64, shared_cache,
-                                     skew_threshold=1.5,
-                                     rebalance_cooldown=2)
+                                     skew_threshold=1.5)
         first = controller.run(Hammer(), 3000)
-        assert [e["window"] for e in first.rebalances] == [0, 2, 4]
-        second = controller.run(Hammer(), 1000)
-        assert [e["window"] for e in second.rebalances] == [6]
-        assert [w.index for w in second.windows] == [6, 7]
+        assert [e["window"] for e in first.rebalances] == [0, 5]
+        second = controller.run(Hammer(), 3000)
+        assert [e["window"] for e in second.rebalances] == [10]
+        assert [w.index for w in second.windows] == list(range(6, 12))
 
     def test_no_rebalance_when_disabled(self, mini64, shared_cache):
         controller = make_controller(mini64, shared_cache)
@@ -515,3 +514,10 @@ class TestBankSets:
                   app.pipeline.registers.export_state().items()}
                  for app in apps]))
         assert outcomes[0] == outcomes[1]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_non_positive_window_is_rejected(self, window):
+        with pytest.raises(ValueError, match="window_packets"):
+            FleetConfig(window_packets=window)

@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.obs import MetricsRegistry
-from repro.obs.slo import SloMonitor, SloRule, default_slo_rules
+from repro.obs.slo import DEFAULT_SLO_RULES, SloMonitor, SloRule
 from repro.obs.view import snapshot
 from repro.runtime import TelemetryBus
 
@@ -40,7 +40,7 @@ class TestRule:
         assert high.breached(0.6) and not high.breached(0.5)
 
     def test_default_rules_cover_the_promises(self):
-        names = {r.name for r in default_slo_rules()}
+        names = {r.name for r in DEFAULT_SLO_RULES}
         assert names == {"hit_rate", "utility_headroom", "reconfig_seconds"}
 
 
@@ -174,9 +174,9 @@ class TestRuntimeE2E:
         obs.trace.enable()
         runtime = ElasticRuntime(
             target,
-            config=RuntimeConfig(window_packets=500, drift_reconfig=False,
-                                 slo_rules=rules),
+            config=RuntimeConfig(window_packets=500, drift_reconfig=False),
         )
+        runtime.slo = SloMonitor(runtime.telemetry, rules=rules)
         report = runtime.run(ChurningZipf(800, alpha=1.3, seed=3), 2000)
         assert report.slo_violations, report
         assert report.slo_violations[0]["rule"] == "hit_rate"

@@ -1,10 +1,10 @@
-"""Hash-family tests: determinism, vector/scalar agreement, spread."""
+"""Hash tests: determinism, vector/scalar agreement, spread."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.pisa.hashing import Crc32Hash, MultiplyShiftHash, hash_family
+from repro.pisa.hashing import MultiplyShiftHash
 
 
 class TestMultiplyShift:
@@ -96,29 +96,3 @@ class TestMultiplyShift:
         fn = MultiplyShiftHash(2)
         assert int(fn.vector_multi([], 777)) == fn(width=777)
 
-
-class TestCrc32:
-    def test_deterministic(self):
-        assert Crc32Hash(4)(123, width=100) == Crc32Hash(4)(123, width=100)
-
-    def test_seed_changes_output_somewhere(self):
-        outs = [
-            (Crc32Hash(1)(k, width=1 << 16), Crc32Hash(2)(k, width=1 << 16))
-            for k in range(64)
-        ]
-        assert any(a != b for a, b in outs)
-
-    def test_vector_matches_scalar(self):
-        fn = Crc32Hash(6)
-        keys = np.arange(0, 50)
-        assert list(fn.vector(keys, 97)) == [fn(int(k), width=97) for k in keys]
-
-
-class TestFamilyLookup:
-    def test_known_families(self):
-        assert hash_family("multiply-shift") is MultiplyShiftHash
-        assert hash_family("crc32") is Crc32Hash
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown hash family"):
-            hash_family("md5")

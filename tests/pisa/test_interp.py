@@ -4,7 +4,6 @@ import pytest
 
 from repro.lang import parse_expression
 from repro.lang.parser import Parser
-from repro.pisa.hashing import MultiplyShiftHash
 from repro.pisa.interp import ExecContext, SimulationError, eval_expr, exec_stmt
 from repro.pisa.registers import RegisterFile
 from repro.pisa.tables import MatchActionTable, TableEntry
@@ -16,7 +15,6 @@ def make_ctx(snapshot=None, registers=None):
         registers=registers or RegisterFile(),
         tables={},
         hash_fns={},
-        hash_factory=MultiplyShiftHash,
         actions={},
         consts={"LIMIT": 10},
     )

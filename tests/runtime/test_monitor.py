@@ -1,13 +1,16 @@
-"""Traffic monitor tests: windows, baseline, drift, warmup."""
+"""Traffic monitor tests: windows, baseline, drift, warmup — at the
+constants every fleet and runtime runs (a 25 % drop, 5 baseline and
+warmup windows, 4 096 windows of history)."""
 
 import pytest
 
 from repro.runtime import TrafficMonitor
+from repro.runtime.monitor import HISTORY
 
 
 def feed(monitor, rates, packets=100):
     for rate in rates:
-        monitor.record(int(rate * packets), packets)
+        monitor.record(round(rate * packets), packets)
 
 
 class TestRecording:
@@ -25,17 +28,20 @@ class TestRecording:
         assert mon.timeline == [0.1, 0.2, 0.3]
 
     def test_history_bounded(self):
-        mon = TrafficMonitor(history=4)
-        feed(mon, [0.1] * 10)
-        assert len(mon.samples) == 4
-        assert mon.windows_recorded == 10
+        mon = TrafficMonitor()
+        feed(mon, [0.1] * (HISTORY + 6))
+        assert len(mon.samples) == HISTORY
+        assert mon.windows_recorded == HISTORY + 6
+        assert mon.samples[0].index == 6
 
     def test_steady_and_baseline_rates(self):
-        mon = TrafficMonitor(baseline_windows=3)
-        feed(mon, [0.2, 0.4, 0.6, 0.8])
+        mon = TrafficMonitor()
+        feed(mon, [0.1, 0.2, 0.4, 0.6, 0.8, 0.9])
         # steady includes the newest window, baseline excludes it.
-        assert mon.steady_rate() == pytest.approx((0.4 + 0.6 + 0.8) / 3)
-        assert mon.baseline_rate() == pytest.approx((0.2 + 0.4 + 0.6) / 3)
+        assert mon.steady_rate() == pytest.approx(
+            (0.2 + 0.4 + 0.6 + 0.8 + 0.9) / 5)
+        assert mon.baseline_rate() == pytest.approx(
+            (0.1 + 0.2 + 0.4 + 0.6 + 0.8) / 5)
 
     def test_empty_monitor_rates(self):
         mon = TrafficMonitor()
@@ -46,29 +52,41 @@ class TestRecording:
 
 class TestDrift:
     def test_drop_below_threshold_detected(self):
-        mon = TrafficMonitor(baseline_windows=3, drop_threshold=0.2,
-                             warmup_windows=2)
+        mon = TrafficMonitor()
         feed(mon, [0.8] * 6)
         assert not mon.drift_detected()
-        mon.record(50, 100)  # 0.5 < 0.8 * 0.8
+        mon.record(50, 100)  # 0.5 < 0.8 * 0.75
         assert mon.drift_detected()
 
     def test_small_dip_not_drift(self):
-        mon = TrafficMonitor(baseline_windows=3, drop_threshold=0.2,
-                             warmup_windows=2)
+        mon = TrafficMonitor()
         feed(mon, [0.8] * 6)
-        mon.record(70, 100)  # 0.7 >= 0.8 * 0.8
+        mon.record(70, 100)  # 0.7 >= 0.8 * 0.75
         assert not mon.drift_detected()
+
+    def test_drop_of_22_percent_is_not_drift(self):
+        # 22 % below the baseline: under a 20 % threshold this would be
+        # drift; the 25 % every run uses lets it pass. 26 % is drift.
+        mon = TrafficMonitor()
+        feed(mon, [0.5] * 6, packets=1000)
+        mon.record(390, 1000)
+        assert not mon.drift_detected()
+        mon = TrafficMonitor()
+        feed(mon, [0.5] * 6, packets=1000)
+        mon.record(370, 1000)
+        assert mon.drift_detected()
 
     def test_warmup_suppresses_drift(self):
-        mon = TrafficMonitor(baseline_windows=2, drop_threshold=0.2,
-                             warmup_windows=8)
-        feed(mon, [0.8, 0.8, 0.8, 0.1])
+        # The first 5 windows (a full baseline) never signal.
+        mon = TrafficMonitor()
+        feed(mon, [0.8] * 4 + [0.1])
         assert not mon.drift_detected()
+        mon = TrafficMonitor()
+        feed(mon, [0.8] * 5 + [0.1])
+        assert mon.drift_detected()
 
     def test_reset_baseline_restarts_warmup(self):
-        mon = TrafficMonitor(baseline_windows=2, drop_threshold=0.2,
-                             warmup_windows=3)
+        mon = TrafficMonitor()
         feed(mon, [0.8] * 6)
         mon.record(10, 100)
         assert mon.drift_detected()
@@ -77,15 +95,9 @@ class TestDrift:
         assert not mon.drift_detected()
 
     def test_zero_baseline_never_drifts(self):
-        mon = TrafficMonitor(baseline_windows=2, warmup_windows=1)
+        mon = TrafficMonitor()
         feed(mon, [0.0] * 8)
         assert not mon.drift_detected()
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            TrafficMonitor(drop_threshold=0.0)
-        with pytest.raises(ValueError):
-            TrafficMonitor(drop_threshold=1.0)
 
 
 class TestTailReads:
@@ -94,11 +106,11 @@ class TestTailReads:
     oldest first either way)."""
 
     @staticmethod
-    def copied_rates(mon, windows=None):
+    def copied_rates(mon, baseline_windows, windows=None):
         """The rates as a full copy of the history computes them."""
         samples = list(mon.samples)
-        recent = samples[-(windows or mon.baseline_windows):]
-        prior = samples[:-1][-mon.baseline_windows:]
+        recent = samples[-(windows or baseline_windows):]
+        prior = samples[:-1][-baseline_windows:]
 
         def mean(part):
             return sum(s.hit_rate for s in part) / len(part) if part else 0.0
@@ -107,18 +119,23 @@ class TestTailReads:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 200])
     @pytest.mark.parametrize("baseline_windows", [1, 5, 13])
-    def test_rates_equal_a_full_copy(self, count, baseline_windows):
+    def test_rates_equal_a_full_copy(self, count, baseline_windows,
+                                     monkeypatch):
         import random
 
+        # The tail reads hold for any baseline width; a 64-window
+        # history lets the larger counts fill the deque and roll it.
+        monkeypatch.setattr("repro.runtime.monitor.BASELINE_WINDOWS",
+                            baseline_windows)
+        monkeypatch.setattr("repro.runtime.monitor.HISTORY", 64)
         rng = random.Random(count * 31 + baseline_windows)
-        # history=64: the larger counts fill the deque and roll it.
-        mon = TrafficMonitor(baseline_windows=baseline_windows, history=64)
+        mon = TrafficMonitor()
         for _ in range(count):
             packets = rng.randint(1, 997)
             mon.record(rng.randint(0, packets), packets)
-        steady, baseline = self.copied_rates(mon)
+        steady, baseline = self.copied_rates(mon, baseline_windows)
         assert mon.steady_rate() == steady
         assert mon.baseline_rate() == baseline
         for windows in (1, 3, 100):
             assert mon.steady_rate(windows) == self.copied_rates(
-                mon, windows)[0]
+                mon, baseline_windows, windows)[0]

@@ -254,6 +254,18 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert "--serve-batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "fabric"])
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_non_positive_window_is_rejected(self, command, window, capsys):
+        # Parser only: a window below one packet would never advance the
+        # run loop, so nothing past argument parsing may run here.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--window", window])
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
+
     def test_sub_batch_size_changes_no_result(self, capsys):
         import re
 
