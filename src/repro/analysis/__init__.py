@@ -40,7 +40,6 @@ from .taint import (
     cross_module_flows,
     field_owner,
     propagate_taint,
-    taint_program,
 )
 from .unroll import (
     BoundResult,
@@ -82,7 +81,6 @@ __all__ = [
     "cross_module_flows",
     "field_owner",
     "propagate_taint",
-    "taint_program",
     "BoundResult",
     "UnrollBounds",
     "compute_upper_bounds",

@@ -185,19 +185,6 @@ class ActionInstance:
             return self.name
         return f"{self.name}[{self.iteration}]"
 
-    def commutes_with(self, other: "ActionInstance") -> bool:
-        """True when every shared written field is a same-kind commutative
-        update in both instances (paper §4.2: exclusion-edge condition)."""
-        shared = set(self.writes) & set(other.writes)
-        if not shared:
-            return True
-        for key in shared:
-            mine = self.commutative.get(key, UpdateKind.PLAIN)
-            theirs = other.commutative.get(key, UpdateKind.PLAIN)
-            if mine == UpdateKind.PLAIN or mine != theirs:
-                return False
-        return True
-
     def __repr__(self) -> str:
         return f"ActionInstance({self.label})"
 
@@ -261,13 +248,6 @@ class ProgramIR:
             if isinstance(seg, ElasticSegment) and seg.symbolic not in seen:
                 seen.append(seg.symbolic)
         return seen
-
-    def segments_for(self, symbolic: str) -> list[ElasticSegment]:
-        return [
-            seg
-            for seg in self.segments
-            if isinstance(seg, ElasticSegment) and seg.symbolic == symbolic
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import ActionInstance, instantiate, module_of_instance
+from .ir import ActionInstance, module_of_instance
 
 __all__ = [
     "APP_MODULE",
@@ -53,7 +53,6 @@ __all__ = [
     "TaintResult",
     "propagate_taint",
     "cross_module_flows",
-    "taint_program",
     "field_owner",
 ]
 
@@ -267,9 +266,3 @@ def cross_module_flows(result: TaintResult, namespace,
             ))
     flows.sort(key=lambda f: (f.source, f.sink_module, f.sink_kind, f.sink))
     return flows
-
-
-def taint_program(ir, counts: dict[str, int], namespace,
-                  app_module: str = APP_MODULE) -> TaintResult:
-    """Instantiate ``ir`` at ``counts`` and run the taint fixpoint."""
-    return propagate_taint(instantiate(ir, counts), namespace, app_module)

@@ -1,10 +1,13 @@
 """Applications built from the elastic module library (Figure 11).
 
 Each application ships its elastic P4All source (composed from
-:mod:`repro.structures` modules), a harness class that compiles it and
-drives the PISA simulator with the application's control-plane logic,
-and — where workload-scale sweeps need it — a fast reference-structure
-simulation of the same control loop.
+:mod:`repro.structures` modules). NetCache and PRECISION also ship a
+harness class that compiles the source and drives the PISA simulator
+with the application's control-plane logic, and NetCache a fast
+reference-structure simulation of the same control loop for
+workload-scale sweeps. The per-packet runners of SketchLearn and
+ConQuest, and PRECISION's reference simulation, are the tests'
+reference and live in ``tests/apps/reference.py``.
 
 =============  ==========================================================
 NetCache       count-min sketch + key-value store; hot keys cached on the
@@ -17,10 +20,9 @@ ConQuest       round-robin count-min snapshots; per-flow queue occupancy
 =============  ==========================================================
 """
 
-from .conquest import ConQuestApp, conquest_module, conquest_source
+from .conquest import conquest_module, conquest_source
 from .netcache import (
     NETCACHE_UTILITY,
-    NETCACHE_UTILITY_FLIPPED,
     NetCacheApp,
     NetCacheProgramError,
     NetCacheStats,
@@ -28,20 +30,13 @@ from .netcache import (
     netcache_source,
     simulate_netcache,
 )
-from .precision import (
-    PrecisionApp,
-    PrecisionStats,
-    precision_source,
-    simulate_precision,
-)
-from .sketchlearn import SketchLearnApp, extract_large_flows, sketchlearn_source
+from .precision import PrecisionApp, PrecisionStats, precision_source
+from .sketchlearn import sketchlearn_source
 
 __all__ = [
-    "ConQuestApp",
     "conquest_module",
     "conquest_source",
     "NETCACHE_UTILITY",
-    "NETCACHE_UTILITY_FLIPPED",
     "NetCacheApp",
     "NetCacheProgramError",
     "NetCacheStats",
@@ -51,9 +46,6 @@ __all__ = [
     "PrecisionApp",
     "PrecisionStats",
     "precision_source",
-    "simulate_precision",
-    "SketchLearnApp",
-    "extract_large_flows",
     "sketchlearn_source",
     "APP_SOURCES",
 ]

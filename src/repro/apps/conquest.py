@@ -4,8 +4,8 @@ ConQuest (Figure 1/11) estimates how much of the current queue each flow
 occupies by maintaining C time-windowed count-min snapshots: the snapshot
 for the current window absorbs increments while the others are read and
 summed to estimate the flow's recent bytes/packets. Windows rotate
-round-robin; a snapshot is cleaned before reuse (here: by the control
-plane on rotation, as the harness detects window changes).
+round-robin; a snapshot is cleaned before reuse, by the control plane
+on rotation (the per-packet runner in ``tests/apps/reference.py``).
 
 The data plane composes C statically-unrolled snapshot branches over one
 elastic column width ``cq_cols`` — multiple instances of the sketch
@@ -14,14 +14,10 @@ structure, as the paper describes ConQuest's use of the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..core import CompileOptions, CompiledProgram, compile_source
-from ..pisa import Packet, Pipeline, TargetSpec
 from ..structures import compose
 from ..structures.module import P4AllModule
 
-__all__ = ["conquest_source", "conquest_module", "ConQuestApp", "ConQuestStats"]
+__all__ = ["conquest_source", "conquest_module"]
 
 
 def conquest_module(
@@ -108,51 +104,3 @@ def conquest_source(snapshots: int = 4, max_cols: int = 65536) -> str:
         extra_assumes=None,
         utility=cq.utility_term,
     )
-
-
-@dataclass
-class ConQuestStats:
-    packets: int = 0
-    rotations: int = 0
-
-
-class ConQuestApp:
-    """Compiled ConQuest on the PISA simulator.
-
-    The caller provides each packet's window id (``timestamp // window``);
-    the harness clears a snapshot when the rotation re-enters it.
-    """
-
-    def __init__(
-        self,
-        target: TargetSpec,
-        snapshots: int = 4,
-        options: CompileOptions | None = None,
-    ):
-        self.snapshots = snapshots
-        self.source = conquest_source(snapshots=snapshots)
-        self.compiled: CompiledProgram = compile_source(
-            self.source, target, options=options, source_name="conquest"
-        )
-        self.pipeline = Pipeline(self.compiled)
-        self.cols = self.compiled.symbol_values["cq_cols"]
-        self._last_window: int | None = None
-        self.stats = ConQuestStats()
-
-    def process(self, flow_id: int, window: int, amount: int = 1) -> int:
-        """One packet; returns the flow's queue-occupancy estimate."""
-        snap = window % self.snapshots
-        if self._last_window is not None and window != self._last_window:
-            # Entering a new window: clean the snapshot being reused.
-            for w in range(self._last_window + 1, window + 1):
-                self.pipeline.registers.get(
-                    f"cq_snap[{w % self.snapshots}]"
-                ).clear()
-                self.stats.rotations += 1
-        self._last_window = window
-        result = self.pipeline.process(
-            Packet(fields={"flow_id": int(flow_id), "window": snap,
-                           "pkt_bytes": int(amount)})
-        )
-        self.stats.packets += 1
-        return result.get("meta.cq_est")

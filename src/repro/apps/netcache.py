@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core import CompileOptions, CompiledProgram, compile_source
+from ..core import CompiledProgram, compile_source
 from ..core.errors import CompileError
 from ..obs import trace
 from ..pisa import Packet, Pipeline, RegisterBanks, TargetSpec, register_methods
@@ -49,13 +49,10 @@ __all__ = [
     "serve",
     "simulate_netcache",
     "NETCACHE_UTILITY",
-    "NETCACHE_UTILITY_FLIPPED",
 ]
 
 #: The paper's §3.2.4 utility: prioritize the key-value store slightly.
 NETCACHE_UTILITY = "0.4 * (cms_rows * cms_cols) + 0.6 * (kv_rows * kv_cols)"
-#: Figure 13's alternative: prioritize the sketch instead.
-NETCACHE_UTILITY_FLIPPED = "0.6 * (cms_rows * cms_cols) + 0.4 * (kv_rows * kv_cols)"
 
 
 def netcache_source(
@@ -203,10 +200,7 @@ class NetCacheApp:
     def __init__(
         self,
         target: TargetSpec,
-        utility: str = NETCACHE_UTILITY,
         hot_threshold: int = 8,
-        options: CompileOptions | None = None,
-        kv_min_total_bits: int | None = None,
         source: str | None = None,
         compiled: CompiledProgram | None = None,
         engine: str | None = None,
@@ -221,11 +215,9 @@ class NetCacheApp:
         app's registers in a bank set (see :class:`~repro.pisa.Pipeline`
         and :func:`serve`). Raises :class:`NetCacheProgramError` if the
         program is not one :meth:`run_trace` can serve."""
-        self.source = source or netcache_source(
-            utility=utility, kv_min_total_bits=kv_min_total_bits
-        )
+        self.source = source or netcache_source()
         self.compiled: CompiledProgram = compiled or compile_source(
-            self.source, target, options=options, source_name="netcache"
+            self.source, target, source_name="netcache"
         )
         self.pipeline = Pipeline(self.compiled, engine=engine, banks=banks,
                                  bank=bank)

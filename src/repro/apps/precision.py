@@ -12,14 +12,13 @@ exactly the signals the pipeline exports (``ht_matched``, ``ht_mincnt``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import CompileOptions, CompiledProgram, compile_source
 from ..pisa import Packet, Pipeline, TargetSpec
-from ..structures import CountingHashTable, compose, hashtable_module
+from ..structures import compose, hashtable_module
 
-__all__ = ["precision_source", "PrecisionApp", "PrecisionStats",
-           "simulate_precision"]
+__all__ = ["precision_source", "PrecisionApp", "PrecisionStats"]
 
 
 def precision_source(max_rows: int | None = None, max_cols: int = 65536) -> str:
@@ -111,27 +110,3 @@ class PrecisionApp:
             if stored == key:
                 return int(self.pipeline.registers.get(f"ht_counts[{row}]").read(idx))
         return 0
-
-
-def simulate_precision(
-    rows: int,
-    cols: int,
-    keys,
-    seed: int = 1,
-) -> tuple[CountingHashTable, PrecisionStats]:
-    """PRECISION control loop over the reference table (fast path)."""
-    table = CountingHashTable(rows, cols, seed_offset=200)
-    rng = random.Random(seed)
-    stats = PrecisionStats()
-    for key in keys:
-        key = int(key)
-        stats.packets += 1
-        if table.increment(key):
-            stats.tracked_hits += 1
-            continue
-        min_count = table.min_candidate_count(key)
-        if rng.random() < 1.0 / (min_count + 1):
-            stats.recirculations += 1
-            table.replace_min(key, 1)
-            stats.installs += 1
-    return table, stats

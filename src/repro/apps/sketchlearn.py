@@ -3,20 +3,16 @@
 SketchLearn (Figure 1/11) maintains one counter level per key bit plus a
 total level; the controller fits per-level Gaussians and extracts large
 flows with their identifiers. Here the data plane is the elastic
-hierarchical-sketch module; the harness implements the model-fitting
-extraction for large flows (simplified to the bit-ratio test, which is
-the part the data structure determines).
+hierarchical-sketch module. The per-packet runner and its large-flow
+extraction (the bit-ratio test, the part the data structure determines)
+are the tests' reference, in ``tests/apps/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ..structures import compose, hierarchical_module
 
-from ..core import CompileOptions, CompiledProgram, compile_source
-from ..pisa import Packet, Pipeline, TargetSpec
-from ..structures import HierarchicalSketch, compose, hierarchical_module
-
-__all__ = ["sketchlearn_source", "SketchLearnApp", "extract_large_flows"]
+__all__ = ["sketchlearn_source"]
 
 
 def sketchlearn_source(key_bits: int = 8, max_cols: int = 65536) -> str:
@@ -30,83 +26,3 @@ def sketchlearn_source(key_bits: int = 8, max_cols: int = 65536) -> str:
         extra_metadata=["bit<32> flow_id;"],
         utility=sl.utility_term,
     )
-
-
-def extract_large_flows(
-    sketch: HierarchicalSketch,
-    candidate_keys,
-    theta: float = 0.05,
-    lo: float = 0.3,
-    hi: float = 0.7,
-) -> dict[int, int]:
-    """SketchLearn-style extraction: flows whose slot share exceeds θ and
-    whose identifier bits are unambiguous. Returns key → estimated count.
-
-    ``candidate_keys`` seeds the slot scan (the full algorithm enumerates
-    slots; scanning per-slot via known candidates tests the same
-    data-structure property without re-deriving the EM machinery).
-    """
-    out: dict[int, int] = {}
-    if sketch.packets == 0:
-        return out
-    for key in candidate_keys:
-        key = int(key)
-        idx0 = sketch._fns[0](key, width=sketch.cols)
-        total = int(sketch.levels[0, idx0])
-        if total < theta * sketch.packets:
-            continue
-        bits = sketch.infer_key_bits(key, lo=lo, hi=hi)
-        if any(b is None for b in bits):
-            continue
-        inferred = sum(b << i for i, b in enumerate(bits))
-        if inferred == key & ((1 << sketch.key_bits) - 1):
-            out[key] = total
-    return out
-
-
-@dataclass
-class SketchLearnStats:
-    packets: int = 0
-    extracted: dict[int, int] = field(default_factory=dict)
-
-
-class SketchLearnApp:
-    """Compiled SketchLearn on the PISA simulator."""
-
-    def __init__(
-        self,
-        target: TargetSpec,
-        key_bits: int = 8,
-        options: CompileOptions | None = None,
-    ):
-        self.key_bits = key_bits
-        self.source = sketchlearn_source(key_bits=key_bits)
-        self.compiled: CompiledProgram = compile_source(
-            self.source, target, options=options, source_name="sketchlearn"
-        )
-        self.pipeline = Pipeline(self.compiled)
-        self.cols = self.compiled.symbol_values["sl_cols"]
-        self.packets = 0
-
-    def run_trace(self, keys) -> None:
-        # Streaming mode: only the register state matters here, so skip
-        # materializing a PipelineResult list for trace-scale inputs.
-        self.packets += self.pipeline.process_many(
-            (Packet(fields={"flow_id": int(key)}) for key in keys),
-            collect=False,
-        )
-
-    def level_counts(self, level: int):
-        """Control-plane read of one level's counters."""
-        return self.pipeline.register_dump("sl_lvl", level)
-
-    def as_reference(self) -> HierarchicalSketch:
-        """Rebuild a reference sketch view from the pipeline's registers."""
-        ref = HierarchicalSketch(self.key_bits, self.cols, seed_offset=300)
-        for level in range(self.key_bits + 1):
-            ref.levels[level] = self.level_counts(level)
-        ref.packets = self.packets
-        return ref
-
-    def extract(self, candidate_keys, theta: float = 0.05) -> dict[int, int]:
-        return extract_large_flows(self.as_reference(), candidate_keys, theta)

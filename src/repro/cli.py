@@ -148,7 +148,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """A count that must be at least 1 (``--window``)."""
+    """A count that must be at least 1 (``--window``, ``--universe``,
+    ``--switches``)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
@@ -543,7 +544,7 @@ def _add_run_args(p_run: argparse.ArgumentParser) -> None:
                        help="total packets to process (default: 16000)")
     p_run.add_argument("--window", type=_positive_int, default=500,
                        help="monitoring window in packets (default: 500)")
-    p_run.add_argument("--universe", type=int, default=2000,
+    p_run.add_argument("--universe", type=_positive_int, default=2000,
                        help="key universe size (default: 2000)")
     p_run.add_argument("--alpha", type=float, default=1.25,
                        help="Zipf skew (default: 1.25)")
@@ -585,7 +586,7 @@ def _add_run_args(p_run: argparse.ArgumentParser) -> None:
 
 def _add_fabric_args(p_fabric: argparse.ArgumentParser) -> None:
     """The ``fabric`` scenario's flags (also ``top fabric``'s)."""
-    p_fabric.add_argument("--switches", type=int, default=4,
+    p_fabric.add_argument("--switches", type=_positive_int, default=4,
                           help="serving switches (default: 4)")
     p_fabric.add_argument("--standby", type=int, default=0,
                           help="warm standby switches (default: 0)")
@@ -600,7 +601,7 @@ def _add_fabric_args(p_fabric: argparse.ArgumentParser) -> None:
                           help="total packets to shard (default: 16000)")
     p_fabric.add_argument("--window", type=_positive_int, default=2000,
                           help="sharding window in packets (default: 2000)")
-    p_fabric.add_argument("--universe", type=int, default=10_000,
+    p_fabric.add_argument("--universe", type=_positive_int, default=10_000,
                           help="key universe size (default: 10000)")
     p_fabric.add_argument("--alpha", type=float, default=0.9,
                           help="Zipf skew (default: 0.9)")

@@ -258,13 +258,6 @@ class LayoutSolution:
     def stages_used(self) -> set[int]:
         return {s for s in self.node_stage.values() if s is not None}
 
-    def memory_bits_by_stage(self, layout: "LayoutModel") -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (fam, _idx), (stage, cells) in self.register_alloc.items():
-            bits = cells * layout.families[fam].cell_bits
-            out[stage] = out.get(stage, 0) + bits
-        return out
-
 
 class LayoutBuilder:
     """Constructs and solves the layout ILP."""

@@ -11,14 +11,11 @@ problem through this package. It provides:
   branch and bound, kept as the tests' independent reference.
 """
 
-from .lpwriter import model_to_lp, write_lp
 from .model import Constraint, LinExpr, Model, ModelError, Sense, Var, VarType
 from .solution import Solution, SolveStatus, SolverError
 from .solver import solve
 
 __all__ = [
-    "model_to_lp",
-    "write_lp",
     "Constraint",
     "LinExpr",
     "Model",

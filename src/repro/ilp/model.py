@@ -317,10 +317,6 @@ class Model:
         self.variables.append(var)
         return var
 
-    def add_vars(self, names: Iterable[str], **kwargs) -> list[Var]:
-        """Create several variables with shared domain settings."""
-        return [self.add_var(name, **kwargs) for name in names]
-
     def add_constr(self, constr: Constraint, name: str = "") -> Constraint:
         """Register a constraint built from expression comparisons."""
         if not isinstance(constr, Constraint):
@@ -355,9 +351,6 @@ class Model:
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
-
-    def integer_variables(self) -> list[Var]:
-        return [v for v in self.variables if v.vartype is not VarType.CONTINUOUS]
 
     def relaxation(self) -> "Model":
         """The LP relaxation: the same rows and objective with every

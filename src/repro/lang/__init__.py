@@ -33,7 +33,7 @@ utility functions). A minimal elastic program::
 from . import ast
 from .errors import LexError, P4AllError, ParseError, SemanticError, SourceLocation
 from .lexer import Lexer, tokenize
-from .parser import Parser, parse_expression, parse_program
+from .parser import Parser, parse_program
 from .pretty import pretty_expr, pretty_program, pretty_stmt, pretty_type
 from .symbols import (
     MetadataField,
@@ -53,7 +53,6 @@ __all__ = [
     "Lexer",
     "tokenize",
     "Parser",
-    "parse_expression",
     "parse_program",
     "pretty_expr",
     "pretty_program",

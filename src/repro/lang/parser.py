@@ -13,7 +13,7 @@ from .errors import ParseError, SourceLocation
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-__all__ = ["Parser", "parse_program", "parse_expression"]
+__all__ = ["Parser", "parse_program"]
 
 _TK = TokenKind
 
@@ -502,8 +502,3 @@ class Parser:
 def parse_program(source: str, filename: str = "<string>") -> ast.Program:
     """Parse a full P4All program from source text."""
     return Parser(source, filename).parse_program()
-
-
-def parse_expression(source: str, filename: str = "<expr>") -> ast.Expr:
-    """Parse a standalone expression (used for utility functions/assumes)."""
-    return Parser(source, filename).parse_expression()

@@ -152,9 +152,6 @@ class ModuleNamespace:
     fields: dict[str, str] = field(default_factory=dict)
     consts: dict[str, str] = field(default_factory=dict)
 
-    def owner_of_field(self, field_name: str) -> str | None:
-        return self.fields.get(field_name)
-
 
 @dataclass
 class ProgramInfo:

@@ -42,7 +42,6 @@ from .aggregate import (
     apply_obs_control,
     merge_metric_deltas,
     merge_worker_obs,
-    metric_deltas,
     obs_control,
     snapshot_metrics,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "obs_control",
     "apply_obs_control",
     "snapshot_metrics",
-    "metric_deltas",
     "merge_metric_deltas",
     "adopt_spans",
     "merge_worker_obs",

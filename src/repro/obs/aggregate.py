@@ -10,7 +10,7 @@ that gap with a capture/merge protocol over the existing control pipes:
    is CLOCK_MONOTONIC on Linux, shared across ``fork``, so equal epochs
    mean worker timestamps land directly on the parent's timeline).
 2. The child wraps the batch in a :class:`WorkerObsCapture`: snapshot
-   the metrics registry before, diff after (:func:`metric_deltas`), and
+   the metrics registry before, diff after, and
    export any spans it finished. The result is a plain-data payload
    appended to the existing batch-end reply.
 3. The parent calls :func:`merge_worker_obs`: counters are summed,
@@ -34,7 +34,6 @@ __all__ = [
     "obs_control",
     "apply_obs_control",
     "snapshot_metrics",
-    "metric_deltas",
     "merge_metric_deltas",
     "export_spans",
     "adopt_spans",
@@ -91,8 +90,7 @@ def _metric_meta(metric) -> dict[str, Any]:
 
 def snapshot_metrics(registry: MetricsRegistry | None = None) -> dict:
     """Deep-copy the current per-labelset values of every instrument,
-    keyed by metric name. The baseline :func:`metric_deltas` diffs
-    against."""
+    keyed by metric name: the baseline a worker's deltas diff against."""
     if registry is None:
         from . import metrics as registry
     snap: dict[str, dict] = {}
@@ -110,25 +108,20 @@ def snapshot_metrics(registry: MetricsRegistry | None = None) -> dict:
     return snap
 
 
-def metric_deltas(registry: MetricsRegistry | None = None,
-                  baseline: dict | None = None) -> list[dict]:
-    """What changed since ``baseline``, as a list of plain dicts.
+def _deltas_and_snapshot(registry: MetricsRegistry | None = None,
+                         baseline: dict | None = None
+                         ) -> tuple[list[dict], dict]:
+    """One registry walk yielding both what changed since ``baseline``,
+    as a list of plain dicts, and a fresh snapshot —
+    :class:`WorkerObsCapture` feeds the snapshot straight back as the
+    next batch's baseline, so a steady-state worker pays a single walk
+    per batch.
 
     Counters and histograms ship the *difference* (so the parent can
     sum them in); gauges ship their current value for changed keys (the
     parent overwrites — last writer wins, which is the right call for
     occupancy-style gauges a worker recomputes per batch).
     """
-    return _deltas_and_snapshot(registry, baseline)[0]
-
-
-def _deltas_and_snapshot(registry: MetricsRegistry | None = None,
-                         baseline: dict | None = None
-                         ) -> tuple[list[dict], dict]:
-    """One registry walk yielding both the deltas since ``baseline``
-    and a fresh snapshot — :class:`WorkerObsCapture` feeds the snapshot
-    straight back as the next batch's baseline, so a steady-state
-    worker pays a single walk per batch."""
     if registry is None:
         from . import metrics as registry
     baseline = baseline or {}

@@ -11,9 +11,8 @@ compiled P4All programs — the reproduction's substitute for the Tofino.
 from .alu import AluError, apply_binary, apply_unary
 from .hashing import MultiplyShiftHash
 from .interp import ExecContext, SimulationError
-from .packet import Packet, make_flow_packets
+from .packet import Packet
 from .parser import Deparser, FieldSpec, PacketParser, ParseState
-from .parser import ParseError as PacketParseError
 from .phv import Phv, PhvError, PhvLayout
 from .pipeline import ENGINES, Pipeline, ValidationError
 from .plan import PipelinePlan, StagePlan, plan_taint
@@ -25,7 +24,7 @@ from .sharded import (
     run_sharded,
     shard_assignments,
 )
-from .targetspec import load_target, save_target, target_from_dict, target_to_dict
+from .targetspec import load_target, target_from_dict
 from .resources import (
     ActionCost,
     TargetSpec,
@@ -45,12 +44,10 @@ __all__ = [
     "ExecContext",
     "SimulationError",
     "Packet",
-    "make_flow_packets",
     "Deparser",
     "FieldSpec",
     "PacketParser",
     "ParseState",
-    "PacketParseError",
     "Phv",
     "PhvError",
     "PhvLayout",
@@ -63,9 +60,7 @@ __all__ = [
     "StagePlan",
     "plan_taint",
     "load_target",
-    "save_target",
     "target_from_dict",
-    "target_to_dict",
     "RegisterArray",
     "RegisterBanks",
     "RegisterError",

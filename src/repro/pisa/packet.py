@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-__all__ = ["Packet", "make_flow_packets"]
+__all__ = ["Packet"]
 
 _packet_ids = itertools.count()
 
@@ -47,16 +47,3 @@ class Packet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.fields.items()))
         return f"Packet#{self.packet_id}({inner})"
-
-
-def make_flow_packets(flow_id: int, count: int, start_time: float = 0.0,
-                      length: int = 64, **extra_fields: int) -> list[Packet]:
-    """Build ``count`` packets of one flow (convenience for tests)."""
-    return [
-        Packet(
-            fields={"flow_id": flow_id, **extra_fields},
-            length=length,
-            timestamp=start_time + i,
-        )
-        for i in range(count)
-    ]

@@ -340,16 +340,9 @@ class Pipeline:
             self._journal_table_op(("remove", table, match))
         return removed
 
-    def table_clear(self, table: str) -> None:
-        self.tables[table].clear()
-        self._journal_table_op(("clear", table))
-
     def register_dump(self, family: str, index: int = 0):
         """Read a whole register array (control-plane snapshot)."""
         return self.registers.get(f"{family}[{index}]").dump()
-
-    def register_clear_all(self) -> None:
-        self.registers.clear_all()
 
     def _hash_fn(self, seed: int):
         fn = self._hash_fns.get(seed)
@@ -361,10 +354,6 @@ class Pipeline:
         """Compute the same hash the data plane uses (for controllers that
         must install state at the index a packet will probe)."""
         return self._hash_fn(seed)(*values, width=width)
-
-    def hash_values(self, seed: int, values, width: int):
-        """:meth:`hash_value` of every element of an integer array."""
-        return self._hash_fn(seed).vector(values, width)
 
     # -- quiesce points ---------------------------------------------------------
     @property

@@ -581,8 +581,6 @@ class _Worker:
                                            action_data=op[4], priority=op[5]))
             elif kind == "remove":
                 table.remove_entry(op[2])
-            elif kind == "clear":
-                table.clear()
         self.vplan = VectorPlan(self.pipeline)
         self.relowers += 1
 

@@ -112,12 +112,6 @@ class MatchActionTable:
                 return True
         return False
 
-    def clear(self) -> None:
-        self._entries.clear()
-        if self._exact_index is not None:
-            self._exact_index.clear()
-        self.version += 1
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -1,4 +1,4 @@
-"""Loading/saving target specifications.
+"""Loading target specifications.
 
 The P4All compiler "takes a target specification (that summarizes the
 target's capabilities and resources) as input" (§1). Predefined specs
@@ -18,13 +18,12 @@ format so users can describe their own targets::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
 from .resources import TargetSpec
 
-__all__ = ["target_from_dict", "target_to_dict", "load_target", "save_target"]
+__all__ = ["target_from_dict", "load_target"]
 
 _REQUIRED = (
     "name",
@@ -55,19 +54,9 @@ def target_from_dict(data: dict) -> TargetSpec:
     return TargetSpec(**kwargs)
 
 
-def target_to_dict(target: TargetSpec) -> dict:
-    """Serialize a spec (dataclass fields, insertion-ordered)."""
-    return dataclasses.asdict(target)
-
-
 def load_target(path: str | Path) -> TargetSpec:
     """Read a JSON target specification from disk."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: target spec must be a JSON object")
     return target_from_dict(data)
-
-
-def save_target(target: TargetSpec, path: str | Path) -> None:
-    """Write a spec as JSON (round-trips through :func:`load_target`)."""
-    Path(path).write_text(json.dumps(target_to_dict(target), indent=2) + "\n")

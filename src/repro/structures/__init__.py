@@ -1,12 +1,13 @@
 """Reusable elastic data-structure library (the paper's Figure 1).
 
-Each structure ships in two forms:
-
-* a fast Python **reference implementation** (used for workload-scale
-  experiments and to cross-validate the PISA simulator), and
-* an elastic **P4All module** — prefixed source fragments composable into
-  applications via :func:`compose`, plus a standalone ``*_SOURCE``
-  program under ``p4all_src/``.
+Each structure ships as an elastic **P4All module** — prefixed source
+fragments composable into applications via :func:`compose` — plus a
+standalone ``*_SOURCE`` program under ``p4all_src/`` (the ID-indexed
+table ships only the latter). The count-min sketch and the key-value
+store also ship a fast Python model, which NetCache's workload-scale
+simulation runs; the other structures' reference semantics, which the
+tests compare the compiled pipelines against, live under
+``tests/structures/reference.py``.
 
 Catalogue (module → papers that use it, per Figure 1):
 
@@ -20,40 +21,30 @@ ID-indexed table       Blink
 =====================  =====================================================
 """
 
-from .bloom import BLOOM_SOURCE, BloomFilter, bloom_module
+from .bloom import BLOOM_SOURCE, bloom_module
 from .cms import CMS_SOURCE, CountMinSketch, cms_module
-from .hashtable import HASHTABLE_SOURCE, CountingHashTable, hashtable_module
-from .hierarchical import (
-    SKETCHLEARN_SOURCE,
-    HierarchicalSketch,
-    hierarchical_module,
-)
-from .idtable import IDTABLE_SOURCE, IdIndexedTable, idtable_module
+from .hashtable import HASHTABLE_SOURCE, hashtable_module
+from .hierarchical import SKETCHLEARN_SOURCE, hierarchical_module
+from .idtable import IDTABLE_SOURCE
 from .kvstore import KV_SOURCE, KeyValueStore, kv_module
-from .matrix import MATRIX_SOURCE, HashMatrix, matrix_module
+from .matrix import MATRIX_SOURCE, matrix_module
 from .module import P4AllModule, compose
 
 __all__ = [
     "BLOOM_SOURCE",
-    "BloomFilter",
     "bloom_module",
     "CMS_SOURCE",
     "CountMinSketch",
     "cms_module",
     "HASHTABLE_SOURCE",
-    "CountingHashTable",
     "hashtable_module",
     "SKETCHLEARN_SOURCE",
-    "HierarchicalSketch",
     "hierarchical_module",
     "IDTABLE_SOURCE",
-    "IdIndexedTable",
-    "idtable_module",
     "KV_SOURCE",
     "KeyValueStore",
     "kv_module",
     "MATRIX_SOURCE",
-    "HashMatrix",
     "matrix_module",
     "P4AllModule",
     "compose",

@@ -1,4 +1,4 @@
-"""Bloom filter: reference implementation + elastic P4All module.
+"""Bloom filter: elastic P4All module.
 
 Partitioned Bloom filter — one bit array per hash function, the layout
 used by FlowRadar/SilkRoad-style P4 code (one register array per stage).
@@ -10,63 +10,9 @@ swaps a 1 into the bit cell and reports the previous value, so
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
-__all__ = ["BloomFilter", "bloom_module", "BLOOM_SOURCE"]
-
-
-class BloomFilter:
-    """Reference partitioned Bloom filter over integer keys."""
-
-    def __init__(self, hashes: int, bits_per_partition: int, seed_offset: int = 0):
-        if hashes <= 0 or bits_per_partition <= 0:
-            raise ValueError("hashes and bits_per_partition must be positive")
-        self.hashes = hashes
-        self.bits_per_partition = bits_per_partition
-        self._fns = [MultiplyShiftHash(seed_offset + i) for i in range(hashes)]
-        self.partitions = np.zeros((hashes, bits_per_partition), dtype=bool)
-        self.inserted = 0
-
-    def insert(self, key: int) -> bool:
-        """Insert ``key``; returns True when it was (probably) present."""
-        present = True
-        for i, fn in enumerate(self._fns):
-            idx = fn.slot(key, cells=self.bits_per_partition)
-            present &= bool(self.partitions[i, idx])
-            self.partitions[i, idx] = True
-        self.inserted += 1
-        return present
-
-    def contains(self, key: int) -> bool:
-        """Membership test (no false negatives)."""
-        return all(
-            self.partitions[i, fn.slot(key, cells=self.bits_per_partition)]
-            for i, fn in enumerate(self._fns)
-        )
-
-    def clear(self) -> None:
-        self.partitions.fill(False)
-        self.inserted = 0
-
-    def false_positive_rate(self) -> float:
-        """Expected FPR for the current fill level (partitioned formula)."""
-        fill = 1.0 - math.exp(-self.inserted / self.bits_per_partition)
-        return fill ** self.hashes
-
-    @property
-    def memory_bits(self) -> int:
-        return self.hashes * self.bits_per_partition
-
-    def __repr__(self) -> str:
-        return (
-            f"BloomFilter(hashes={self.hashes}, "
-            f"bits_per_partition={self.bits_per_partition})"
-        )
+__all__ = ["bloom_module", "BLOOM_SOURCE"]
 
 
 def bloom_module(

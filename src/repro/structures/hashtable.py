@@ -1,4 +1,4 @@
-"""Counting hash table: reference implementation + elastic P4All module.
+"""Counting hash table: elastic P4All module.
 
 The multi-row key/counter table used by PRECISION / HashPipe-style heavy
 hitter algorithms: each row pairs a key array with a counter array; a
@@ -10,96 +10,9 @@ probabilistic recirculation; the application harness models that).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
-__all__ = ["CountingHashTable", "hashtable_module", "HASHTABLE_SOURCE"]
-
-
-class CountingHashTable:
-    """Reference multi-row (key, counter) hash table."""
-
-    def __init__(self, rows: int, cols: int, seed_offset: int = 200):
-        if rows <= 0 or cols <= 0:
-            raise ValueError("rows and cols must be positive")
-        self.rows = rows
-        self.cols = cols
-        self.seed_offset = seed_offset
-        self._fns = [MultiplyShiftHash(seed_offset + r) for r in range(rows)]
-        self.keys = np.zeros((rows, cols), dtype=np.uint64)
-        self.counts = np.zeros((rows, cols), dtype=np.uint64)
-
-    def slot_of(self, row: int, key: int) -> int:
-        return self._fns[row].slot(key, cells=self.cols)
-
-    def increment(self, key: int, amount: int = 1) -> bool:
-        """Add to ``key``'s counter if it is tracked; returns tracked?"""
-        for row in range(self.rows):
-            idx = self.slot_of(row, key)
-            if int(self.keys[row, idx]) == key:
-                self.counts[row, idx] += np.uint64(amount)
-                return True
-        return False
-
-    def count(self, key: int) -> int:
-        for row in range(self.rows):
-            idx = self.slot_of(row, key)
-            if int(self.keys[row, idx]) == key:
-                return int(self.counts[row, idx])
-        return 0
-
-    def install(self, key: int, count: int = 0) -> bool:
-        """Place ``key`` in the first row whose slot is empty (key 0)."""
-        for row in range(self.rows):
-            idx = self.slot_of(row, key)
-            if int(self.keys[row, idx]) in (0, key):
-                self.keys[row, idx] = np.uint64(key)
-                self.counts[row, idx] = np.uint64(count)
-                return True
-        return False
-
-    def replace_min(self, key: int, count: int = 1) -> int:
-        """Evict the smallest-count candidate slot in favor of ``key``.
-
-        Returns the evicted count (PRECISION's recirculation install).
-        """
-        best_row, best_idx, best_count = 0, 0, None
-        for row in range(self.rows):
-            idx = self.slot_of(row, key)
-            c = int(self.counts[row, idx])
-            if best_count is None or c < best_count:
-                best_row, best_idx, best_count = row, idx, c
-        self.keys[best_row, best_idx] = np.uint64(key)
-        self.counts[best_row, best_idx] = np.uint64(count)
-        return int(best_count or 0)
-
-    def min_candidate_count(self, key: int) -> int:
-        """Smallest counter among the key's candidate slots."""
-        return min(
-            int(self.counts[row, self.slot_of(row, key)])
-            for row in range(self.rows)
-        )
-
-    def heavy_keys(self, threshold: int) -> set[int]:
-        mask = self.counts >= np.uint64(threshold)
-        return {int(k) for k in self.keys[mask] if int(k) != 0}
-
-    def clear(self) -> None:
-        self.keys.fill(0)
-        self.counts.fill(0)
-
-    @property
-    def capacity(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def memory_bits(self) -> int:
-        return self.capacity * (32 + 32)
-
-    def __repr__(self) -> str:
-        return f"CountingHashTable(rows={self.rows}, cols={self.cols})"
+__all__ = ["hashtable_module", "HASHTABLE_SOURCE"]
 
 
 def hashtable_module(

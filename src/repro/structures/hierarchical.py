@@ -1,4 +1,4 @@
-"""Hierarchical (multi-level) sketch: reference + elastic P4All module.
+"""Hierarchical (multi-level) sketch: elastic P4All module.
 
 SketchLearn's data structure (Figure 1's "hierarchical sketch"): one
 counter level per bit of the flow identifier plus a level-0 total. Level
@@ -10,69 +10,9 @@ count is elastic, which is why SketchLearn's ILP is tiny in Figure 11.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
-__all__ = ["HierarchicalSketch", "hierarchical_module", "SKETCHLEARN_SOURCE"]
-
-
-class HierarchicalSketch:
-    """Reference multi-level sketch over ``key_bits``-bit keys."""
-
-    def __init__(self, key_bits: int, cols: int, seed_offset: int = 300):
-        if key_bits <= 0 or cols <= 0:
-            raise ValueError("key_bits and cols must be positive")
-        self.key_bits = key_bits
-        self.cols = cols
-        # One hash per level; level 0 is the total-count level.
-        self._fns = [MultiplyShiftHash(seed_offset + k) for k in range(key_bits + 1)]
-        self.levels = np.zeros((key_bits + 1, cols), dtype=np.uint64)
-        self.packets = 0
-
-    def update(self, key: int) -> None:
-        """Count ``key`` at level 0 and at every set-bit level."""
-        idx0 = self._fns[0].slot(key, cells=self.cols)
-        self.levels[0, idx0] += np.uint64(1)
-        for bit in range(self.key_bits):
-            if (key >> bit) & 1:
-                idx = self._fns[bit + 1].slot(key, cells=self.cols)
-                self.levels[bit + 1, idx] += np.uint64(1)
-        self.packets += 1
-
-    def bit_ratio(self, key: int, bit: int) -> float:
-        """Fraction of the key's slot traffic whose bit ``bit`` is set."""
-        total = int(self.levels[0, self._fns[0].slot(key, cells=self.cols)])
-        if total == 0:
-            return 0.0
-        ones = int(self.levels[bit + 1, self._fns[bit + 1].slot(key, cells=self.cols)])
-        return ones / total
-
-    def infer_key_bits(self, key: int, lo: float = 0.3, hi: float = 0.7):
-        """SketchLearn-style bit inference for a large flow in ``key``'s
-        slots: returns per-bit 0/1/None (None = ambiguous)."""
-        out = []
-        for bit in range(self.key_bits):
-            ratio = self.bit_ratio(key, bit)
-            if ratio >= hi:
-                out.append(1)
-            elif ratio <= lo:
-                out.append(0)
-            else:
-                out.append(None)
-        return out
-
-    @property
-    def memory_bits(self) -> int:
-        return (self.key_bits + 1) * self.cols * 32
-
-    def clear(self) -> None:
-        self.levels.fill(0)
-        self.packets = 0
-
-    def __repr__(self) -> str:
-        return f"HierarchicalSketch(levels={self.key_bits + 1}, cols={self.cols})"
+__all__ = ["hierarchical_module", "SKETCHLEARN_SOURCE"]
 
 
 def hierarchical_module(

@@ -1,4 +1,4 @@
-"""ID-indexed table: reference + elastic P4All module.
+"""ID-indexed table: elastic P4All program.
 
 Blink's per-flow state structure (Figure 1's "ID indexed table"): a
 single register array indexed directly by a compact flow/prefix ID — no
@@ -8,86 +8,7 @@ elastic; larger allocations track more IDs.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .module import P4AllModule
-
-__all__ = ["IdIndexedTable", "idtable_module", "IDTABLE_SOURCE"]
-
-
-class IdIndexedTable:
-    """Reference direct-indexed per-ID state table."""
-
-    def __init__(self, size: int, width: int = 64):
-        if size <= 0:
-            raise ValueError("size must be positive")
-        self.size = size
-        self.width = width
-        self.mask = (1 << width) - 1
-        self.cells = np.zeros(size, dtype=np.uint64)
-
-    def in_range(self, ident: int) -> bool:
-        return 0 <= ident < self.size
-
-    def get(self, ident: int) -> int:
-        return int(self.cells[ident % self.size])
-
-    def set(self, ident: int, value: int) -> None:
-        self.cells[ident % self.size] = np.uint64(value & self.mask)
-
-    def add(self, ident: int, amount: int = 1) -> int:
-        idx = ident % self.size
-        self.cells[idx] = np.uint64((int(self.cells[idx]) + amount) & self.mask)
-        return int(self.cells[idx])
-
-    @property
-    def memory_bits(self) -> int:
-        return self.size * self.width
-
-    def clear(self) -> None:
-        self.cells.fill(0)
-
-    def __repr__(self) -> str:
-        return f"IdIndexedTable(size={self.size}, width={self.width})"
-
-
-def idtable_module(
-    prefix: str = "idt",
-    id_field: str = "meta.flow_id",
-    cell_bits: int = 64,
-    max_size: int | None = 65536,
-) -> P4AllModule:
-    """Elastic ID-indexed table module.
-
-    The data plane increments the ID's cell and reports its new value in
-    ``meta.<prefix>_state``; the controller reads/writes cells directly.
-    """
-    size = f"{prefix}_size"
-    assumes = [f"{size} >= 1"]
-    if max_size is not None:
-        assumes.append(f"{size} <= {max_size}")
-    declarations = [
-        f"register<bit<{cell_bits}>>[{size}] {prefix}_table;",
-        (
-            f"action {prefix}_touch() {{\n"
-            f"    {prefix}_table.add_read(meta.{prefix}_state, {id_field}, 1);\n"
-            f"}}"
-        ),
-        (
-            f"control {prefix}_update(inout metadata meta) {{\n"
-            f"    apply {{ {prefix}_touch(); }}\n"
-            f"}}"
-        ),
-    ]
-    return P4AllModule(
-        name=prefix,
-        symbolics=[size],
-        assumes=assumes,
-        metadata_fields=[f"bit<{cell_bits}> {prefix}_state;"],
-        declarations=declarations,
-        apply_calls=[f"{prefix}_update.apply(meta);"],
-        utility_term=size,
-    )
+__all__ = ["IDTABLE_SOURCE"]
 
 
 #: Standalone single-structure program (library source shipped as data).

@@ -1,4 +1,4 @@
-"""Hash-based matrix: reference + elastic P4All module.
+"""Hash-based matrix: elastic P4All module.
 
 Figure 1 lists the "hash-based matrix" separately from the count-min
 sketch: the same rows×columns register layout, but as a general
@@ -12,58 +12,9 @@ module, it spends no pipeline stages on a fold.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..pisa.hashing import MultiplyShiftHash
 from .module import P4AllModule
 
-__all__ = ["HashMatrix", "matrix_module", "MATRIX_SOURCE"]
-
-
-class HashMatrix:
-    """Reference rows×cols accumulator matrix over integer keys."""
-
-    def __init__(self, rows: int, cols: int, width: int = 32, seed_offset: int = 500):
-        if rows <= 0 or cols <= 0:
-            raise ValueError("rows and cols must be positive")
-        self.rows = rows
-        self.cols = cols
-        self.mask = (1 << width) - 1
-        self._fns = [MultiplyShiftHash(seed_offset + r) for r in range(rows)]
-        self.table = np.zeros((rows, cols), dtype=np.uint64)
-
-    def update(self, key: int, amount: int = 1) -> None:
-        """Accumulate ``amount`` into the key's cell of every row."""
-        for row, fn in enumerate(self._fns):
-            idx = fn.slot(key, cells=self.cols)
-            self.table[row, idx] = np.uint64(
-                (int(self.table[row, idx]) + amount) & self.mask
-            )
-
-    def row_values(self, key: int) -> list[int]:
-        """The key's cell value in each row (controller readout)."""
-        return [
-            int(self.table[row, fn.slot(key, cells=self.cols)])
-            for row, fn in enumerate(self._fns)
-        ]
-
-    def median_estimate(self, key: int) -> int:
-        """Median-of-rows readout (the usual unbiased matrix estimator)."""
-        return int(np.median(self.row_values(key)))
-
-    def total(self) -> int:
-        """Sum of one row (each row sees all traffic)."""
-        return int(self.table[0].sum())
-
-    @property
-    def memory_bits(self) -> int:
-        return self.rows * self.cols * 32
-
-    def clear(self) -> None:
-        self.table.fill(0)
-
-    def __repr__(self) -> str:
-        return f"HashMatrix(rows={self.rows}, cols={self.cols})"
+__all__ = ["matrix_module", "MATRIX_SOURCE"]
 
 
 def matrix_module(

@@ -1,14 +1,12 @@
 """Synthetic workloads: Zipf key traces, churn, and flow traces."""
 
 from .churn import ChurningZipf
-from .trace import FlowTrace, synthesize_trace, true_flow_counts
-from .zipf import ZipfGenerator, zipf_trace
+from .trace import FlowTrace, synthesize_trace
+from .zipf import ZipfGenerator
 
 __all__ = [
     "ChurningZipf",
     "FlowTrace",
     "synthesize_trace",
-    "true_flow_counts",
     "ZipfGenerator",
-    "zipf_trace",
 ]

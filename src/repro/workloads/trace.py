@@ -16,7 +16,7 @@ import numpy as np
 
 from ..pisa.packet import Packet
 
-__all__ = ["FlowTrace", "synthesize_trace", "true_flow_counts"]
+__all__ = ["FlowTrace", "synthesize_trace"]
 
 
 @dataclass
@@ -83,9 +83,3 @@ def synthesize_trace(
         timestamps=timestamps,
         flow_sizes=sizes_map,
     )
-
-
-def true_flow_counts(flow_ids: np.ndarray) -> dict[int, int]:
-    """Exact packet counts per flow for an id array."""
-    unique, counts = np.unique(np.asarray(flow_ids), return_counts=True)
-    return {int(f): int(c) for f, c in zip(unique, counts)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ZipfGenerator", "zipf_trace"]
+__all__ = ["ZipfGenerator"]
 
 
 class ZipfGenerator:
@@ -59,13 +59,3 @@ class ZipfGenerator:
         keys — the upper bound any NetCache configuration can approach."""
         cache_size = min(cache_size, self.universe)
         return float(self._cdf[cache_size - 1]) if cache_size > 0 else 0.0
-
-
-def zipf_trace(
-    packets: int,
-    universe: int = 10_000,
-    alpha: float = 0.99,
-    seed: int = 42,
-) -> np.ndarray:
-    """Convenience: one seeded Zipf key trace as an int array."""
-    return ZipfGenerator(universe, alpha=alpha, seed=seed).sample(packets)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.apps import ConQuestApp, conquest_source
+from repro.apps import conquest_source
 from repro.lang import check_program, parse_program
+
+from tests.apps.reference import ConQuestApp
 
 
 class TestSource:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.apps import PrecisionApp, precision_source, simulate_precision
+from repro.apps import PrecisionApp, precision_source
 from repro.lang import check_program, parse_program
 from repro.workloads import synthesize_trace
+
+from tests.apps.reference import simulate_precision
 
 
 class TestSource:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.apps import SketchLearnApp, extract_large_flows, sketchlearn_source
+from repro.apps import sketchlearn_source
 from repro.lang import check_program, parse_program
-from repro.structures import HierarchicalSketch
+
+from tests.apps.reference import SketchLearnApp, extract_large_flows
+from tests.structures.reference import HierarchicalSketch
 
 
 class TestSource:

@@ -6,7 +6,7 @@ from repro.analysis import build_ir, compute_upper_bounds
 from repro.core.errors import UtilityError
 from repro.core.layout import LayoutBuilder
 from repro.core.utility import linearize_condition, linearize_term
-from repro.lang import check_program, parse_expression, parse_program
+from repro.lang import Parser, check_program, parse_program
 from repro.pisa.resources import small_target
 
 SOURCE = """
@@ -42,95 +42,95 @@ def layout_model():
 class TestLinearizeTerm:
     def test_constant(self, layout_model):
         lm, info = layout_model
-        expr = linearize_term(parse_expression("42"), lm, info)
+        expr = linearize_term(Parser("42").parse_expression(), lm, info)
         assert expr.constant == 42 and not expr.terms
 
     def test_const_name(self, layout_model):
         lm, info = layout_model
-        expr = linearize_term(parse_expression("W * 2"), lm, info)
+        expr = linearize_term(Parser("W * 2").parse_expression(), lm, info)
         assert expr.constant == 16
 
     def test_loop_symbolic_is_iteration_sum(self, layout_model):
         lm, info = layout_model
-        expr = linearize_term(parse_expression("rows"), lm, info)
+        expr = linearize_term(Parser("rows").parse_expression(), lm, info)
         assert len(expr.terms) == 3  # bound is 3 (assume)
 
     def test_size_symbolic_is_size_var(self, layout_model):
         lm, info = layout_model
-        expr = linearize_term(parse_expression("cols"), lm, info)
+        expr = linearize_term(Parser("cols").parse_expression(), lm, info)
         assert len(expr.terms) == 1
         (var,) = expr.terms
         assert "size[cols]" in var.name
 
     def test_count_times_size_maps_to_total_cells(self, layout_model):
         lm, info = layout_model
-        expr = linearize_term(parse_expression("rows * cols"), lm, info)
+        expr = linearize_term(Parser("rows * cols").parse_expression(), lm, info)
         # One m-variable per (instance, stage): 3 instances x 4 stages.
         assert len(expr.terms) == 12
 
     def test_scaled_product(self, layout_model):
         lm, info = layout_model
-        expr = linearize_term(parse_expression("0.4 * (rows * cols)"), lm, info)
+        expr = linearize_term(Parser("0.4 * (rows * cols)").parse_expression(), lm, info)
         assert all(c == pytest.approx(0.4) for c in expr.terms.values())
 
     def test_weighted_sum(self, layout_model):
         lm, info = layout_model
         expr = linearize_term(
-            parse_expression("2 * rows + 3 * cols - 1"), lm, info
+            Parser("2 * rows + 3 * cols - 1").parse_expression(), lm, info
         )
         assert expr.constant == -1
         assert len(expr.terms) == 4  # 3 iteration vars + 1 size var
 
     def test_division_by_constant(self, layout_model):
         lm, info = layout_model
-        expr = linearize_term(parse_expression("rows / 2"), lm, info)
+        expr = linearize_term(Parser("rows / 2").parse_expression(), lm, info)
         assert all(c == pytest.approx(0.5) for c in expr.terms.values())
 
     def test_min_creates_bounded_aux(self, layout_model):
         lm, info = layout_model
         before = lm.model.num_constraints
-        expr = linearize_term(parse_expression("min(rows, cols)"), lm, info)
+        expr = linearize_term(Parser("min(rows, cols)").parse_expression(), lm, info)
         assert len(expr.terms) == 1
         assert lm.model.num_constraints == before + 2
 
     def test_unrelated_product_rejected(self, layout_model):
         lm, info = layout_model
         with pytest.raises(UtilityError, match="does not match any register"):
-            linearize_term(parse_expression("rows * spare"), lm, info)
+            linearize_term(Parser("rows * spare").parse_expression(), lm, info)
 
     def test_unknown_name_rejected(self, layout_model):
         lm, info = layout_model
         with pytest.raises(UtilityError, match="unknown name"):
-            linearize_term(parse_expression("bogus"), lm, info)
+            linearize_term(Parser("bogus").parse_expression(), lm, info)
 
     def test_symbolic_division_rejected(self, layout_model):
         lm, info = layout_model
         with pytest.raises(UtilityError, match="constant divisor"):
-            linearize_term(parse_expression("rows / cols"), lm, info)
+            linearize_term(Parser("rows / cols").parse_expression(), lm, info)
 
 
 class TestLinearizeCondition:
     def test_conjunction_splits(self, layout_model):
         lm, info = layout_model
         constrs = linearize_condition(
-            parse_expression("rows >= 1 && cols <= 512"), lm, info
+            Parser("rows >= 1 && cols <= 512").parse_expression(), lm, info
         )
         assert len(constrs) == 2
 
     def test_strict_comparison_tightened(self, layout_model):
         lm, info = layout_model
-        (constr,) = linearize_condition(parse_expression("rows < 3"), lm, info)
+        (constr,) = linearize_condition(Parser("rows < 3").parse_expression(), lm, info)
         # rows < 3 becomes rows + 1 <= 3, i.e. rows - 2 <= 0.
         assert constr.expr.constant == pytest.approx(-2)
 
     def test_product_condition(self, layout_model):
         lm, info = layout_model
         (constr,) = linearize_condition(
-            parse_expression("rows * cols * 32 >= 1024"), lm, info
+            Parser("rows * cols * 32 >= 1024").parse_expression(), lm, info
         )
         assert len(constr.expr.terms) == 12
 
     def test_disjunction_rejected(self, layout_model):
         lm, info = layout_model
         with pytest.raises(UtilityError, match="conjunctions"):
-            linearize_condition(parse_expression("rows == 1 || rows == 2"), lm, info)
+            linearize_condition(Parser("rows == 1 || rows == 2").parse_expression(), lm, info)

@@ -2,66 +2,66 @@
 
 import pytest
 
-from repro.lang import ParseError, ast, parse_expression, parse_program
+from repro.lang import ParseError, Parser, ast, parse_program
 
 
 class TestExpressions:
     def test_precedence_mul_over_add(self):
-        expr = parse_expression("1 + 2 * 3")
+        expr = Parser("1 + 2 * 3").parse_expression()
         assert isinstance(expr, ast.BinaryOp) and expr.op == "+"
         assert isinstance(expr.right, ast.BinaryOp) and expr.right.op == "*"
 
     def test_left_associativity(self):
-        expr = parse_expression("10 - 4 - 3")
+        expr = Parser("10 - 4 - 3").parse_expression()
         assert expr.op == "-"
         assert isinstance(expr.left, ast.BinaryOp) and expr.left.op == "-"
         assert isinstance(expr.right, ast.IntLit) and expr.right.value == 3
 
     def test_parentheses_override(self):
-        expr = parse_expression("(1 + 2) * 3")
+        expr = Parser("(1 + 2) * 3").parse_expression()
         assert expr.op == "*"
         assert isinstance(expr.left, ast.BinaryOp) and expr.left.op == "+"
 
     def test_comparison_and_logic(self):
-        expr = parse_expression("a < 4 && b >= 2")
+        expr = Parser("a < 4 && b >= 2").parse_expression()
         assert expr.op == "&&"
         assert expr.left.op == "<"
         assert expr.right.op == ">="
 
     def test_ternary(self):
-        expr = parse_expression("a == 1 ? x : y")
+        expr = Parser("a == 1 ? x : y").parse_expression()
         assert isinstance(expr, ast.Ternary)
         assert isinstance(expr.cond, ast.BinaryOp)
 
     def test_member_and_index_chain(self):
-        expr = parse_expression("meta.count[i]")
+        expr = Parser("meta.count[i]").parse_expression()
         assert isinstance(expr, ast.Index)
         assert isinstance(expr.base, ast.Member)
         assert expr.base.name == "count"
 
     def test_call_with_iter_index(self):
-        expr = parse_expression("incr()[i]")
+        expr = Parser("incr()[i]").parse_expression()
         assert isinstance(expr, ast.Call)
         assert isinstance(expr.iter_index, ast.Name)
         assert expr.iter_index.ident == "i"
 
     def test_call_result_can_be_compared(self):
-        expr = parse_expression("hash(1, x) < 10")
+        expr = Parser("hash(1, x) < 10").parse_expression()
         assert expr.op == "<"
         assert isinstance(expr.left, ast.Call)
 
     def test_unary_operators(self):
-        expr = parse_expression("!(-x)")
+        expr = Parser("!(-x)").parse_expression()
         assert isinstance(expr, ast.UnaryOp) and expr.op == "!"
         assert isinstance(expr.operand, ast.UnaryOp)
 
     def test_float_in_expression(self):
-        expr = parse_expression("0.4 * rows")
+        expr = Parser("0.4 * rows").parse_expression()
         assert isinstance(expr.left, ast.FloatLit)
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
-            parse_expression("1 + 2 extra")
+            Parser("1 + 2 extra").parse_expression()
 
 
 class TestDeclarations:

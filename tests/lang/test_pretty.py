@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.lang import ast, parse_expression, parse_program, pretty_expr, pretty_program
+from repro.lang import Parser, ast, parse_program, pretty_expr, pretty_program
 from repro.structures import LIBRARY_SOURCES
 from repro.apps import APP_SOURCES
 
@@ -82,7 +82,7 @@ class TestExpressionRoundTrips:
     @given(_expr_strategy())
     def test_pretty_then_parse_preserves_structure(self, expr):
         text = pretty_expr(expr)
-        reparsed = parse_expression(text)
+        reparsed = Parser(text).parse_expression()
         assert reparsed == expr, f"{text!r} reparsed differently"
 
     def test_precedence_needs_parens(self):
@@ -92,7 +92,7 @@ class TestExpressionRoundTrips:
             left=ast.BinaryOp(op="+", left=ast.IntLit(value=1), right=ast.IntLit(value=2)),
             right=ast.IntLit(value=3),
         )
-        assert parse_expression(pretty_expr(expr)) == expr
+        assert Parser(pretty_expr(expr)).parse_expression() == expr
 
     def test_nested_same_precedence_right_side(self):
         # 10 - (4 - 3) must keep its parentheses.
@@ -102,4 +102,4 @@ class TestExpressionRoundTrips:
             right=ast.BinaryOp(op="-", left=ast.IntLit(value=4), right=ast.IntLit(value=3)),
         )
         text = pretty_expr(expr)
-        assert parse_expression(text) == expr
+        assert Parser(text).parse_expression() == expr

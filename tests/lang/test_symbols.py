@@ -141,30 +141,30 @@ class TestRejections:
 
 class TestEvalStatic:
     def test_arithmetic(self):
-        from repro.lang import parse_expression
+        from repro.lang import Parser
 
-        assert eval_static(parse_expression("2 * (3 + 4)"), {}) == 14
-        assert eval_static(parse_expression("10 / 3"), {}) == 3
-        assert eval_static(parse_expression("1 << 10"), {}) == 1024
+        assert eval_static(Parser("2 * (3 + 4)").parse_expression(), {}) == 14
+        assert eval_static(Parser("10 / 3").parse_expression(), {}) == 3
+        assert eval_static(Parser("1 << 10").parse_expression(), {}) == 1024
 
     def test_names_from_env(self):
-        from repro.lang import parse_expression
+        from repro.lang import Parser
 
-        assert eval_static(parse_expression("n * 2"), {"n": 21}) == 42
+        assert eval_static(Parser("n * 2").parse_expression(), {"n": 21}) == 42
 
     def test_comparison_and_ternary(self):
-        from repro.lang import parse_expression
+        from repro.lang import Parser
 
-        assert eval_static(parse_expression("3 < 4 ? 10 : 20"), {}) == 10
+        assert eval_static(Parser("3 < 4 ? 10 : 20").parse_expression(), {}) == 10
 
     def test_division_by_zero(self):
-        from repro.lang import parse_expression
+        from repro.lang import Parser
 
         with pytest.raises(SemanticError, match="division by zero"):
-            eval_static(parse_expression("1 / 0"), {})
+            eval_static(Parser("1 / 0").parse_expression(), {})
 
     def test_non_static_raises(self):
-        from repro.lang import parse_expression
+        from repro.lang import Parser
 
         with pytest.raises(SemanticError, match="not a compile-time constant"):
-            eval_static(parse_expression("n + 1"), {})
+            eval_static(Parser("n + 1").parse_expression(), {})

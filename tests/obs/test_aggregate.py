@@ -16,7 +16,6 @@ from repro.obs.aggregate import (
     apply_obs_control,
     merge_metric_deltas,
     merge_worker_obs,
-    metric_deltas,
     obs_control,
     snapshot_metrics,
 )
@@ -52,7 +51,7 @@ class TestMetricDeltas:
         c.inc(5, who="b")
         dst = MetricsRegistry()
         dst.counter("hits_total", labels=("who",)).inc(10, who="a")
-        merge_metric_deltas(metric_deltas(reg, base), dst)
+        merge_metric_deltas(_deltas_and_snapshot(reg, base)[0], dst)
         assert dst.get("hits_total").value(who="a") == 12
         assert dst.get("hits_total").value(who="b") == 5
 
@@ -61,7 +60,7 @@ class TestMetricDeltas:
         reg.counter("c").inc()
         reg.gauge("g").set(7)
         base = snapshot_metrics(reg)
-        assert metric_deltas(reg, base) == []
+        assert _deltas_and_snapshot(reg, base)[0] == []
 
     def test_gauge_ships_changed_values_only(self):
         reg = MetricsRegistry()
@@ -70,7 +69,7 @@ class TestMetricDeltas:
         g.set(2.0, stage="1")
         base = snapshot_metrics(reg)
         g.set(9.0, stage="1")
-        deltas = metric_deltas(reg, base)
+        deltas = _deltas_and_snapshot(reg, base)[0]
         [entry] = deltas
         assert entry["values"] == [(("1",), 9.0)]
         dst = MetricsRegistry()
@@ -86,7 +85,7 @@ class TestMetricDeltas:
         h.observe(100)
         dst = MetricsRegistry()
         dst.histogram("lat", buckets=(1, 10)).observe(0.2)
-        merge_metric_deltas(metric_deltas(reg, base), dst)
+        merge_metric_deltas(_deltas_and_snapshot(reg, base)[0], dst)
         snap = dst.get("lat").snapshot()
         assert snap["count"] == 3
         assert snap["sum"] == pytest.approx(0.2 + 5 + 100)
@@ -97,7 +96,7 @@ class TestMetricDeltas:
         h.observe(0.5, op="read")
         base = snapshot_metrics(reg)
         h.observe(2.0, op="write")
-        deltas = metric_deltas(reg, base)
+        deltas = _deltas_and_snapshot(reg, base)[0]
         [entry] = deltas
         [(key, state)] = entry["values"]
         assert key == ("write",)
@@ -107,7 +106,7 @@ class TestMetricDeltas:
         reg = MetricsRegistry()
         reg.counter("worker_only_total", help="h").inc(4)
         dst = MetricsRegistry()
-        merge_metric_deltas(metric_deltas(reg, None), dst)
+        merge_metric_deltas(_deltas_and_snapshot(reg, None)[0], dst)
         assert dst.get("worker_only_total").value() == 4
 
     def test_snapshot_feeds_next_baseline(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang import parse_expression
+from repro.lang import Parser
 from repro.lang.parser import Parser
 from repro.pisa.interp import ExecContext, SimulationError, eval_expr, exec_stmt
 from repro.pisa.registers import RegisterFile
@@ -28,52 +28,52 @@ def parse_stmt(text: str):
 class TestEvalExpr:
     def test_literals_and_fields(self):
         ctx = make_ctx({"meta.a": 5})
-        assert eval_expr(parse_expression("3"), ctx) == 3
-        assert eval_expr(parse_expression("meta.a"), ctx) == 5
-        assert eval_expr(parse_expression("meta.unset"), ctx) == 0
+        assert eval_expr(Parser("3").parse_expression(), ctx) == 3
+        assert eval_expr(Parser("meta.a").parse_expression(), ctx) == 5
+        assert eval_expr(Parser("meta.unset").parse_expression(), ctx) == 0
 
     def test_consts_resolve(self):
         ctx = make_ctx()
-        assert eval_expr(parse_expression("LIMIT + 1"), ctx) == 11
+        assert eval_expr(Parser("LIMIT + 1").parse_expression(), ctx) == 11
 
     def test_local_scalars_shadow(self):
         ctx = make_ctx()
         ctx.scalars["port"] = 9
-        assert eval_expr(parse_expression("port"), ctx) == 9
+        assert eval_expr(Parser("port").parse_expression(), ctx) == 9
 
     def test_indexed_field_key_resolution(self):
         ctx = make_ctx({"meta.count[2]": 7})
-        assert eval_expr(parse_expression("meta.count[1 + 1]"), ctx) == 7
+        assert eval_expr(Parser("meta.count[1 + 1]").parse_expression(), ctx) == 7
 
     def test_ternary_lazy(self):
         ctx = make_ctx({"meta.a": 1})
-        assert eval_expr(parse_expression("meta.a == 1 ? 10 : 20"), ctx) == 10
+        assert eval_expr(Parser("meta.a == 1 ? 10 : 20").parse_expression(), ctx) == 10
 
     def test_short_circuit_protects_rhs(self):
         # Without short-circuit this would raise (negative shift).
         ctx = make_ctx({"meta.x": 3})
-        expr = parse_expression("(1 == 1) || ((meta.x >> (0 - 1)) == 0)")
+        expr = Parser("(1 == 1) || ((meta.x >> (0 - 1)) == 0)").parse_expression()
         assert eval_expr(expr, ctx) == 1
-        expr = parse_expression("(1 == 0) && ((meta.x >> (0 - 1)) == 0)")
+        expr = Parser("(1 == 0) && ((meta.x >> (0 - 1)) == 0)").parse_expression()
         assert eval_expr(expr, ctx) == 0
 
     def test_hash_deterministic_and_seeded(self):
         ctx = make_ctx({"meta.a": 42})
-        h1 = eval_expr(parse_expression("hash(1, meta.a)"), ctx)
-        h1_again = eval_expr(parse_expression("hash(1, meta.a)"), ctx)
-        h2 = eval_expr(parse_expression("hash(2, meta.a)"), ctx)
+        h1 = eval_expr(Parser("hash(1, meta.a)").parse_expression(), ctx)
+        h1_again = eval_expr(Parser("hash(1, meta.a)").parse_expression(), ctx)
+        h2 = eval_expr(Parser("hash(2, meta.a)").parse_expression(), ctx)
         assert h1 == h1_again
         assert h1 != h2
 
     def test_min_max_builtins(self):
         ctx = make_ctx()
-        assert eval_expr(parse_expression("min(4, 2, 9)"), ctx) == 2
-        assert eval_expr(parse_expression("max(4, 2, 9)"), ctx) == 9
+        assert eval_expr(Parser("min(4, 2, 9)").parse_expression(), ctx) == 2
+        assert eval_expr(Parser("max(4, 2, 9)").parse_expression(), ctx) == 9
 
     def test_unknown_call_raises(self):
         ctx = make_ctx()
         with pytest.raises(SimulationError, match="cannot evaluate call"):
-            eval_expr(parse_expression("frob(1)"), ctx)
+            eval_expr(Parser("frob(1)").parse_expression(), ctx)
 
 
 class TestExecStmt:

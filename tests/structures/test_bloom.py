@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import compile_source
 from repro.pisa import Packet, Pipeline, small_target
-from repro.structures import BLOOM_SOURCE, BloomFilter
+from repro.structures import BLOOM_SOURCE
+
+from tests.structures.reference import BloomFilter
 
 
 class TestReferenceProperties:

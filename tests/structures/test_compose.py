@@ -10,9 +10,10 @@ from repro.structures import (
     cms_module,
     compose,
     hashtable_module,
-    idtable_module,
     kv_module,
 )
+
+from tests.structures.reference import idtable_module
 
 
 class TestComposition:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import compile_source
 from repro.pisa import Packet, Pipeline, small_target
-from repro.structures import HASHTABLE_SOURCE, CountingHashTable
+from repro.structures import HASHTABLE_SOURCE
+
+from tests.structures.reference import CountingHashTable
 
 
 class TestReference:

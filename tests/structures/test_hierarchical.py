@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import compile_source
 from repro.pisa import Packet, Pipeline, small_target
-from repro.structures import SKETCHLEARN_SOURCE, HierarchicalSketch
+from repro.structures import SKETCHLEARN_SOURCE
+
+from tests.structures.reference import HierarchicalSketch
 
 
 class TestReference:

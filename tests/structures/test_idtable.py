@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import compile_source
 from repro.pisa import Packet, Pipeline, small_target
-from repro.structures import IDTABLE_SOURCE, IdIndexedTable
+from repro.structures import IDTABLE_SOURCE
+
+from tests.structures.reference import IdIndexedTable
 
 
 class TestReference:

@@ -14,10 +14,11 @@ from repro.structures import (
     compose,
     hashtable_module,
     hierarchical_module,
-    idtable_module,
     kv_module,
     matrix_module,
 )
+
+from tests.structures.reference import idtable_module
 
 FACTORIES = {
     "cms": cms_module,

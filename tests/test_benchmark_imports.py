@@ -7,6 +7,10 @@ it reads that a dataclass loses would make every benchmark run fail,
 and only the slow e2e smoke would notice. This test reads the
 benchmark's modules with ``ast`` (it imports none of them and runs no
 clock) and resolves each of those uses against the package.
+
+The figure suite (``benchmarks/bench_fig*.py``), the ablations and the
+examples are checked the same way: a change that moves a name they
+import out of ``src`` would otherwise surface only in CI's slower jobs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+ROOT = Path(__file__).resolve().parent.parent
+E2E = ROOT / "benchmarks" / "e2e"
 
 
 def _resolve(module: str, name: str):
@@ -83,16 +88,31 @@ def problems_in(path: Path) -> tuple[int, list[str]]:
     return checked, problems
 
 
-def test_every_repro_use_of_the_benchmark_resolves():
-    paths = sorted(E2E.glob("*.py"))
-    assert paths
+def _check_all(paths: list[Path]) -> tuple[int, list[str]]:
     checked, problems = 0, []
     for path in paths:
         n, found = problems_in(path)
         checked += n
         problems += found
+    return checked, problems
+
+
+def test_every_repro_use_of_the_benchmark_resolves():
+    paths = sorted(E2E.glob("*.py"))
+    assert paths
+    checked, problems = _check_all(paths)
     assert not problems
     assert checked >= 40          # the benchmark does use the package
+
+
+def test_every_repro_use_of_the_figures_ablations_and_examples_resolves():
+    paths = sorted(ROOT.glob("benchmarks/bench_fig*.py")) \
+        + sorted(ROOT.glob("benchmarks/ablations/*.py")) \
+        + sorted(ROOT.glob("examples/*.py"))
+    assert len(paths) >= 20
+    checked, problems = _check_all(paths)
+    assert not problems
+    assert checked >= 60
 
 
 def test_a_dropped_name_or_keyword_is_caught(tmp_path):

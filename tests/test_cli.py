@@ -266,6 +266,22 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert "--window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--universe", "0"],
+        ["fabric", "--universe", "0"],
+        ["fabric", "--switches", "0"],
+    ])
+    def test_zero_universe_or_switches_is_rejected(self, argv, capsys):
+        # An empty key universe or fleet ends in a traceback past the
+        # parser; argparse must refuse it with a usage error instead.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and argv[1] in err
+
     def test_sub_batch_size_changes_no_result(self, capsys):
         import re
 

@@ -19,13 +19,13 @@ from repro.fabric import FleetConfig
 from repro.obs import FlightRecorder
 from repro.pisa import Pipeline
 from repro.runtime import TrafficMonitor
-from repro.structures import (
+from repro.structures import CountMinSketch, KeyValueStore
+
+from tests.structures.reference import (
     BloomFilter,
     CountingHashTable,
-    CountMinSketch,
     HashMatrix,
     HierarchicalSketch,
-    KeyValueStore,
 )
 
 FIELDS = {
@@ -38,14 +38,14 @@ FIELDS = {
 
 PARAMETERS = {
     Pipeline: ["compiled", "validate", "engine", "banks", "bank"],
-    NetCacheApp: ["target", "utility", "hot_threshold", "options",
-                  "kv_min_total_bits", "source", "compiled", "engine",
+    NetCacheApp: ["target", "hot_threshold", "source", "compiled", "engine",
                   "banks", "bank"],
     CompileCache: [],
     TrafficMonitor: [],
     FlightRecorder: [],
     CountMinSketch: ["rows", "cols", "width", "seed_offset"],
     KeyValueStore: ["rows", "cols", "value_slices", "seed_offset"],
+    # The reference models under tests/ that the pipeline tests build.
     CountingHashTable: ["rows", "cols", "seed_offset"],
     HierarchicalSketch: ["key_bits", "cols", "seed_offset"],
     BloomFilter: ["hashes", "bits_per_partition", "seed_offset"],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads import ZipfGenerator, zipf_trace
+from repro.workloads import ZipfGenerator
 
 
 class TestZipfGenerator:
@@ -66,6 +66,7 @@ class TestZipfGenerator:
 
 
 def test_zipf_trace_convenience():
-    trace = zipf_trace(1000, universe=100, seed=1)
+    # A seeded key trace is one ZipfGenerator call.
+    trace = ZipfGenerator(100, seed=1).sample(1000)
     assert len(trace) == 1000
     assert trace.min() >= 1
